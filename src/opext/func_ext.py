@@ -57,11 +57,9 @@ __all__ = [
     "LeftIdeal",
     "PartialFunctional",
     "GnsSpace",
-    "RepresentabilityReport",
     "ExtendibilityDecision",
     "FunctionalInstance",
     "is_symmetric_on_ideal",
-    "check_representable",
     "gns",
     "gns_realization",
     "f_bound",
@@ -206,47 +204,28 @@ class PartialFunctional:
 def is_symmetric_on_ideal(pf: PartialFunctional, tol: Tolerances | None = None) -> bool:
     """Whether g_0(b* a) = conj g_0(a* b) holds across the ideal.
 
-    Tested on the spanning family E_ij P; equivalent to the matrix
-    identity P Gamma P = P Gamma* P.
+    Equivalent to the matrix identity P Gamma P = P Gamma* P: on the
+    spanning family E_ij P, the pair a = E_ij P, b = E_il P gives exactly
+    entry (j, l) of P (Gamma - Gamma*) P, and pairs with different row
+    indices give 0 = 0.  Tested as
+    ``max |P (Gamma - Gamma*) P| <= eq * (1 + ||Gamma||_F)``.
     """
     t = _tol(tol)
-    basis = pf.ideal.basis()
+    p = pf.ideal.projection.a
     gamma = pf.gamma.a
-    scale = t.eq * (1.0 + np.linalg.norm(gamma))
-    for a in basis:
-        for b in basis:
-            lhs = np.trace(gamma @ b.conj().T @ a)
-            rhs = np.conj(np.trace(gamma @ a.conj().T @ b))
-            if abs(lhs - rhs) > scale:
-                return False
-    return True
+    asym = p @ (gamma - gamma.conj().T) @ p
+    return bool(np.max(np.abs(asym), initial=0.0) <= t.eq * (1.0 + np.linalg.norm(gamma)))
 
 
-@dataclass(frozen=True)
-class RepresentabilityReport:
-    """Outcome of the representability check for a positive functional.
+def _ideal_agreement(pf: PartialFunctional, density: np.ndarray) -> float:
+    """Largest disagreement of trace(density x) with g_0 on the ideal.
 
-    On a full matrix algebra every positive functional is representable
-    (admits a GNS triple with cyclic vector); the witnesses record, for
-    each matrix-unit generator x, a constant M_x with
-    f(y* x* x y) <= M_x f(y* y), namely M_x = ||x||^2.
+    ``max_ij |g(E_ij P) - g_0(E_ij P)|`` for g(x) = trace(Phi x); since
+    g(E_ij P) = (P Phi)_ji, it is the largest absolute entry of
+    P (Phi - Gamma).
     """
-
-    representable: bool
-    witnesses: dict
-
-
-def check_representable(density, tol: Tolerances | None = None) -> RepresentabilityReport:
-    """Representability of f(x) = trace(F x) for a positive density F.
-
-    Always representable here; returns the witness constants for the
-    matrix units (each has operator norm 1).
-    """
-    t = _tol(tol)
-    f = PsdMatrix.coerce(_density_array(density), t)
-    m = f.rows
-    witnesses = {(i, j): 1.0 for i in range(m) for j in range(m)}
-    return RepresentabilityReport(representable=True, witnesses=witnesses)
+    p = pf.ideal.projection.a
+    return float(np.max(np.abs(p @ (density - pf.gamma.a)), initial=0.0))
 
 
 @dataclass(frozen=True)
@@ -304,7 +283,7 @@ def gns(density, tol: Tolerances | None = None) -> GnsSpace:
     f = PsdMatrix.coerce(_density_array(density), t)
     m = f.rows
     gram = np.kron(np.eye(m, dtype=np.complex128), f.a.T)
-    lift = hilbert_lift(PsdMatrix(gram, t), t)
+    lift = hilbert_lift(PsdMatrix._trusted(gram), t)
     class_map = lift.coembedding()
     class_pinv = lift.sqrt_pinv.a @ lift.range_basis.a
     cyclic = class_map @ _vec(np.eye(m, dtype=np.complex128))
@@ -390,7 +369,7 @@ def f_bound(pf: PartialFunctional, density, tol: Tolerances | None = None) -> fl
     """
     t = _tol(tol)
     space, op = gns_realization(pf, density, t)
-    eye = PsdMatrix(np.eye(space.dim, dtype=np.complex128), t)
+    eye = PsdMatrix._trusted(np.eye(space.dim, dtype=np.complex128))
     return lift_symmetric(op, eye, t).alpha
 
 
@@ -408,7 +387,7 @@ def extend_functional(
     """
     t = _tol(tol)
     space, op = gns_realization(pf, density, t)
-    eye = PsdMatrix(np.eye(space.dim, dtype=np.complex128), t)
+    eye = PsdMatrix._trusted(np.eye(space.dim, dtype=np.complex128))
     interval = extend_symmetric(op, eye, t)
     xi = space.cyclic.a[:, 0]
     m = space.algebra_size
@@ -569,9 +548,7 @@ def cstar_extendibility(
     if extension is not None:
         ext = FunctionalMatrix(hermitize(_as_functional(extension).density, t))
         # the supplied functional must actually extend g_0
-        worst = 0.0
-        for a in pf.ideal.basis():
-            worst = max(worst, abs(ext(a) - pf(a)))
+        worst = _ideal_agreement(pf, ext.density.a)
         if worst > t.eq * (1.0 + np.linalg.norm(pf.gamma.a)):
             raise HypothesisViolated(
                 f"supplied functional does not extend the partial data (residual {worst:.3e})"
@@ -586,9 +563,9 @@ def cstar_extendibility(
         constant4_ok = violations == 0
     if density is None:
         if necessity_density is not None:
-            f_mat = PsdMatrix(necessity_density, t)
+            f_mat = PsdMatrix._trusted(necessity_density)
         else:
-            f_mat = PsdMatrix(np.eye(m, dtype=np.complex128), t)
+            f_mat = PsdMatrix._trusted(np.eye(m, dtype=np.complex128))
     else:
         f_mat = PsdMatrix.coerce(_density_array(density), t)
     g_min, g_max, alpha = extend_functional(pf, f_mat, t)

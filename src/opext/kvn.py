@@ -5,13 +5,13 @@ A partial positive operator on C^n is prescribed by a domain basis D
 column j of D).  When the data admits any positive-semidefinite extension
 at all, it admits a smallest one in the Loewner order -- classically the
 Krein-von Neumann extension -- and in finite dimensions that extension has
-the closed form
+the closed form A_N = G (D* G)^+ G*, computed in factored form
 
-    A_N = G (D* G)^+ G*.
+    A_N = C C*,    C = G Q W^{-1/2},    D* G = Q W Q* (eigenvalues above the rank cutoff),
 
-Existence is equivalent to the restriction condition checked by
-:func:`check_restriction`: the values must vanish wherever the induced
-Gram form D* G does, otherwise no positive operator can take them.
+which is positive semidefinite by construction.  That single rank
+decision also settles existence (:func:`check_restriction`): the values
+must vanish where the Gram form does, tested as ||G - (G Q) Q*|| ~ 0.
 
 :func:`hilbert_lift` packages the auxiliary inner-product space attached
 to a positive weight A: the weighted pairing <x, y>_A = y* A x descends to
@@ -33,7 +33,6 @@ from .numkit import (
     Tolerances,
     _tol,
     numerical_rank,
-    pinv,
     psd_eig,
 )
 
@@ -99,49 +98,57 @@ class PartialPositiveOperator:
         return f"PartialPositiveOperator(n={self.ambient_dim}, k={self.domain_dim})"
 
 
-def _extend_from_span(d: np.ndarray, g: np.ndarray, tol: Tolerances) -> np.ndarray:
-    """Minimal positive extension from a spanning (possibly dependent) set.
+def _gram_factor(m: np.ndarray, g: np.ndarray, tol: Tolerances) -> tuple[np.ndarray, float]:
+    """Factor C = G Q W^{-1/2} of G M^+ G* and the existence residual ||G - (G Q) Q*||_F.
 
-    Core closed form shared with the self-adjoint extension module, which
-    feeds it domain sets that span but need not be independent.  Raises
-    :class:`RestrictionConditionFailed` when the values fail to vanish on
-    the kernel of the induced Gram matrix.
+    One :func:`~opext.numkit.psd_eig` of the Hermitian Gram matrix M = Q W Q*
+    makes the only rank decision; raises :class:`NotPsd` if M is indefinite.
     """
-    m = d.conj().T @ g
-    m = (m + m.conj().T) / 2.0
-    mp = pinv(m, tol).a
-    # existence: ker M inside ker G, tested as G (I - M^+ M) ~ 0
-    resid = np.linalg.norm(g - g @ (mp @ m))
+    w, q = psd_eig(m, tol)
+    gq = g @ q
+    resid = float(np.linalg.norm(g - gq @ q.conj().T))
+    return gq / np.sqrt(w), resid
+
+
+def _extend_from_span(d: np.ndarray, g: np.ndarray, tol: Tolerances) -> np.ndarray:
+    """Minimal positive extension ``C C*`` from a spanning (possibly dependent) set.
+
+    Shared with the self-adjoint extension module, whose domain sets span
+    but need not be independent.  C = G Q W^{-1/2} from the eigenpairs of
+    M = D* G above the rank cutoff.  Raises :class:`RestrictionConditionFailed`
+    when the values do not vanish on the kernel that decision leaves, and
+    :class:`NotPsd` when M is genuinely indefinite.
+    """
+    c, resid = _gram_factor(d.conj().T @ g, g, tol)
     if resid > tol.eq * (1.0 + np.linalg.norm(g)):
         raise RestrictionConditionFailed(
             "restriction condition violated: the prescribed values do not vanish "
             f"on the kernel of the domain Gram matrix (residual {resid:.3e})"
         )
-    ext = g @ mp @ g.conj().T
-    return (ext + ext.conj().T) / 2.0
+    return c @ c.conj().T
 
 
 def check_restriction(op: PartialPositiveOperator, tol: Tolerances | None = None) -> bool:
     """Whether the data is the restriction of some positive operator.
 
     Tests that the values vanish on the kernel of the induced Gram matrix
-    M = D* G, via ``||G (I - M^+ M)||_F <= eq * (1 + ||G||_F)``.  For data
-    obtained by restricting an actual positive matrix this always holds.
+    M = D* G = Q W Q* (eigenvalues above the rank cutoff, the same single
+    decision :func:`kvn_extend` makes) as ``||G - (G Q) Q*||_F <= eq * (1 +
+    ||G||_F)``.  For restrictions of actual positive matrices this holds.
     """
     t = _tol(tol)
     g = op.values.a
-    m = op.gram.a
-    mp = pinv(m, t).a
-    resid = np.linalg.norm(g - g @ (mp @ m))
+    _, resid = _gram_factor(op.gram.a, g, t)
     return bool(resid <= t.eq * (1.0 + np.linalg.norm(g)))
 
 
 def kvn_extend(op: PartialPositiveOperator, tol: Tolerances | None = None) -> PsdMatrix:
     """Smallest positive extension of a partial positive operator.
 
-    Returns the positive-semidefinite matrix ``G (D* G)^+ G*``.  It agrees
-    with the prescribed values on the domain and sits below every other
-    positive extension in the Loewner order.
+    Returns ``G (D* G)^+ G*`` as ``C C*`` with ``C = G Q W^{-1/2}`` from
+    the eigenpairs of D* G above the rank cutoff: positive by construction,
+    so not re-validated.  It agrees with the prescribed values on the domain
+    and sits below every other positive extension in the Loewner order.
 
     Raises
     ------
@@ -149,8 +156,7 @@ def kvn_extend(op: PartialPositiveOperator, tol: Tolerances | None = None) -> Ps
         If no positive extension exists (see :func:`check_restriction`).
     """
     t = _tol(tol)
-    ext = _extend_from_span(op.domain_basis.a, op.values.a, t)
-    return PsdMatrix(ext, t)
+    return PsdMatrix._trusted(_extend_from_span(op.domain_basis.a, op.values.a, t))
 
 
 @dataclass(frozen=True)
@@ -202,18 +208,18 @@ def hilbert_lift(weight, tol: Tolerances | None = None) -> HilbertLift:
     pseudoinverse, and the orthonormal range basis, so the three agree
     exactly on what the kernel is.  Eigenvalues below the relative rank
     cutoff are treated as zero; a genuinely negative eigenvalue raises
-    :class:`NotPsd`.
+    :class:`NotPsd`.  The square root is positive by construction and is
+    not re-validated.
     """
     t = _tol(tol)
     a = PsdMatrix.coerce(weight, t)
     w, q = psd_eig(a.a, t)
     roots = np.sqrt(w)
     sqrt = (q * roots) @ q.conj().T
-    sqrt = (sqrt + sqrt.conj().T) / 2.0
     inv = (q * np.divide(1.0, roots, out=np.zeros_like(roots), where=roots > 0)) @ q.conj().T
     return HilbertLift(
         weight=a,
-        sqrt=PsdMatrix(sqrt, t),
+        sqrt=PsdMatrix._trusted(sqrt),
         sqrt_pinv=ComplexMatrix((inv + inv.conj().T) / 2.0),
         rank=int(w.size),
         range_basis=ComplexMatrix(q),

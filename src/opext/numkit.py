@@ -199,6 +199,16 @@ class PsdMatrix(HermitianMatrix):
     def coerce(cls, value, tol: Tolerances | None = None) -> "PsdMatrix":
         return value if isinstance(value, cls) else cls(value, tol)
 
+    @classmethod
+    def _trusted(cls, a: np.ndarray) -> "PsdMatrix":
+        """Wrap a matrix that is positive semidefinite by construction.
+
+        Symmetrizes without re-validating; never for caller input.
+        """
+        obj = cls.__new__(cls)
+        ComplexMatrix.__init__(obj, (a + a.conj().T) / 2.0)
+        return obj
+
     def __repr__(self):
         return f"PsdMatrix({self.rows}x{self.rows})"
 

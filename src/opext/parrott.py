@@ -35,18 +35,19 @@ from .errors import (
     IncompatibleInstance,
     NotABounded,
 )
-from .kvn import hilbert_lift
+from .kvn import HilbertLift, hilbert_lift
 from .numkit import (
     ComplexMatrix,
     PsdMatrix,
     Tolerances,
+    _smax,
     _tol,
     hermitize,
     independent_columns,
     loewner_leq,
     pinv,
 )
-from .sa_ext import SymmetricPartialOperator, extend_symmetric
+from .sa_ext import SymmetricPartialOperator, _extend_on_lift, _weighted_lift
 
 __all__ = [
     "ParrottInstance",
@@ -57,12 +58,6 @@ __all__ = [
     "strong_parrott",
     "classical_parrott",
 ]
-
-
-def _smax(a: np.ndarray) -> float:
-    if a.size == 0:
-        return 0.0
-    return float(np.linalg.svd(a, compute_uv=False)[0])
 
 
 class ParrottInstance:
@@ -110,24 +105,23 @@ class ParrottInstance:
         return f"ParrottInstance(n1={self.dim1}, n2={self.dim2}, k1={self.domain1.cols}, k2={self.domain2.cols})"
 
 
-def _cross_bound(d, v, lift_dom, lift_ran, tol: Tolerances) -> float:
-    """Smallest beta with |<Tx, y>|^2 <= beta^2 <A_dom x,x> <A_ran y,y>.
-
-    Same recipe as the symmetric lift but with distinct weights on the two
-    sides.  Raises NotABounded when no finite beta exists.
-    """
-    qd = lift_dom.range_basis.a
-    qr = lift_ran.range_basis.a
-    out = np.linalg.norm(v - qr @ (qr.conj().T @ v))
-    if out > tol.eq * (1.0 + np.linalg.norm(v)):
-        raise NotABounded(f"values escape the range of the target weight (residual {out:.3e})")
-    u = qd.conj().T @ (lift_dom.sqrt.a @ d)
-    w = qr.conj().T @ (lift_ran.sqrt_pinv.a @ v)
-    up = pinv(u, tol).a
-    collapse = np.linalg.norm(w - (w @ up) @ u)
-    if collapse > tol.eq * (1.0 + np.linalg.norm(w)):
-        raise NotABounded(f"domain collapses in the weighted seminorm while values do not (residual {collapse:.3e})")
-    return _smax(w @ up)
+def _compatible(inst: ParrottInstance, lift1: HilbertLift, lift2: HilbertLift, tol: Tolerances) -> bool:
+    """:func:`check_compatibility` on already computed lifts of the two weights."""
+    d1, v1 = inst.domain1.a, inst.values1.a
+    d2, v2 = inst.domain2.a, inst.values2.a
+    left = d2.conj().T @ v1
+    right = v2.conj().T @ d1
+    scale = 1.0 + max(np.linalg.norm(left), np.linalg.norm(right))
+    if np.linalg.norm(left - right) > tol.eq * scale:
+        return False
+    try:
+        beta1 = _weighted_lift(d1, v1, lift1, lift2, tol)[2]
+        beta2 = _weighted_lift(d2, v2, lift2, lift1, tol)[2]
+    except NotABounded:
+        return False
+    ok1 = beta1 * beta1 <= inst.alpha1 + tol.eq * (1.0 + inst.alpha1)
+    ok2 = beta2 * beta2 <= inst.alpha2 + tol.eq * (1.0 + inst.alpha2)
+    return bool(ok1 and ok2)
 
 
 def check_compatibility(inst: ParrottInstance, tol: Tolerances | None = None) -> bool:
@@ -138,23 +132,42 @@ def check_compatibility(inst: ParrottInstance, tol: Tolerances | None = None) ->
     declared constant.
     """
     t = _tol(tol)
-    d1, v1 = inst.domain1.a, inst.values1.a
-    d2, v2 = inst.domain2.a, inst.values2.a
-    left = d2.conj().T @ v1
-    right = v2.conj().T @ d1
-    scale = 1.0 + max(np.linalg.norm(left), np.linalg.norm(right))
-    if np.linalg.norm(left - right) > t.eq * scale:
-        return False
-    lift1 = hilbert_lift(inst.weight1, t)
-    lift2 = hilbert_lift(inst.weight2, t)
-    try:
-        beta1 = _cross_bound(d1, v1, lift1, lift2, t)
-        beta2 = _cross_bound(d2, v2, lift2, lift1, t)
-    except NotABounded:
-        return False
-    ok1 = beta1 * beta1 <= inst.alpha1 + t.eq * (1.0 + inst.alpha1)
-    ok2 = beta2 * beta2 <= inst.alpha2 + t.eq * (1.0 + inst.alpha2)
-    return bool(ok1 and ok2)
+    return _compatible(inst, hilbert_lift(inst.weight1, t), hilbert_lift(inst.weight2, t), t)
+
+
+def _block_diag(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    out = np.zeros((a.shape[0] + b.shape[0], a.shape[1] + b.shape[1]), dtype=np.complex128)
+    out[: a.shape[0], : a.shape[1]] = a
+    out[a.shape[0]:, a.shape[1]:] = b
+    return out
+
+
+def _assemble(inst: ParrottInstance, tol: Tolerances) -> tuple[SymmetricPartialOperator, HilbertLift]:
+    """Stacked operator and the lift of diag(A1, A2), lifting each block once.
+
+    The lift of a block-diagonal weight is block-diagonal: the square
+    roots, their pseudoinverses and the range bases of the two blocks
+    side by side.  The per-block lifts also serve the compatibility check.
+    """
+    lift1 = hilbert_lift(inst.weight1, tol)
+    lift2 = hilbert_lift(inst.weight2, tol)
+    if not _compatible(inst, lift1, lift2, tol):
+        raise IncompatibleInstance(
+            "instance fails compatibility or exceeds its declared bound constants"
+        )
+    n1, k1 = inst.dim1, inst.domain1.cols
+    domain = _block_diag(inst.domain1.a, inst.domain2.a)
+    values = np.zeros_like(domain)
+    values[n1:, :k1] = inst.values1.a
+    values[:n1, k1:] = inst.values2.a
+    lift = HilbertLift(
+        weight=PsdMatrix._trusted(_block_diag(inst.weight1.a, inst.weight2.a)),
+        sqrt=PsdMatrix._trusted(_block_diag(lift1.sqrt.a, lift2.sqrt.a)),
+        sqrt_pinv=ComplexMatrix(_block_diag(lift1.sqrt_pinv.a, lift2.sqrt_pinv.a)),
+        rank=lift1.rank + lift2.rank,
+        range_basis=ComplexMatrix(_block_diag(lift1.range_basis.a, lift2.range_basis.a)),
+    )
+    return SymmetricPartialOperator(domain, values, tol), lift
 
 
 def assemble_symmetric(
@@ -169,23 +182,8 @@ def assemble_symmetric(
 
     Raises :class:`IncompatibleInstance` when compatibility fails.
     """
-    t = _tol(tol)
-    if not check_compatibility(inst, t):
-        raise IncompatibleInstance(
-            "instance fails compatibility or exceeds its declared bound constants"
-        )
-    n1, n2 = inst.dim1, inst.dim2
-    k1, k2 = inst.domain1.cols, inst.domain2.cols
-    domain = np.zeros((n1 + n2, k1 + k2), dtype=np.complex128)
-    domain[:n1, :k1] = inst.domain1.a
-    domain[n1:, k1:] = inst.domain2.a
-    values = np.zeros((n1 + n2, k1 + k2), dtype=np.complex128)
-    values[n1:, :k1] = inst.values1.a
-    values[:n1, k1:] = inst.values2.a
-    weight = np.zeros((n1 + n2, n1 + n2), dtype=np.complex128)
-    weight[:n1, :n1] = inst.weight1.a
-    weight[n1:, n1:] = inst.weight2.a
-    return SymmetricPartialOperator(domain, values, t), PsdMatrix(weight, t)
+    op, lift = _assemble(inst, _tol(tol))
+    return op, lift.weight
 
 
 def parrott_complete(
@@ -197,13 +195,14 @@ def parrott_complete(
     and cross-weighted bound squared at most max(alpha1, alpha2).  The
     ``endpoint`` selects which extension of the stacked operator supplies
     the corner: "min" (default, the canonical choice), "max", or "mid"
-    (their average, also a valid completion by convexity).
+    (their average, also a valid completion by convexity).  Each weight
+    is lifted once; the stacked weight's lift is assembled from the two.
     """
     t = _tol(tol)
     if endpoint not in ("min", "max", "mid"):
         raise ValueError(f"endpoint must be 'min', 'max', or 'mid', got {endpoint!r}")
-    op, weight = assemble_symmetric(inst, t)
-    interval = extend_symmetric(op, weight, t)
+    op, lift = _assemble(inst, t)
+    interval = _extend_on_lift(op, lift, t)
     if endpoint == "min":
         s = interval.s_min.a
     elif endpoint == "max":
@@ -297,7 +296,7 @@ def strong_parrott(inst: StrongParrottInstance, tol: Tolerances | None = None) -
     d2, v2 = _restrict_with_consistency(t2.conj().T, t1.conj().T, t, "right factorization")
     reduced = ParrottInstance(
         d1, v1, d2, v2,
-        np.eye(inst.dim_h), np.eye(inst.dim_k),
+        PsdMatrix._trusted(np.eye(inst.dim_h)), PsdMatrix._trusted(np.eye(inst.dim_k)),
         1.0, 1.0, t,
     )
     return parrott_complete(reduced, t)
@@ -363,7 +362,7 @@ def classical_parrott(
         raise HypothesisViolated("; ".join(failures))
     inst = ParrottInstance(
         b_h1, t1m, b_k1, t1p.conj().T,
-        np.eye(dim_h), np.eye(dim_k),
+        PsdMatrix._trusted(np.eye(dim_h)), PsdMatrix._trusted(np.eye(dim_k)),
         1.0, 1.0, t,
     )
     return parrott_complete(inst, t)

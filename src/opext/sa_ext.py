@@ -32,13 +32,14 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DimensionMismatch, HypothesisViolated, NotABounded, NumericalFailure, RestrictionConditionFailed
+from .errors import DimensionMismatch, HypothesisViolated, NotABounded, NotPsd, NumericalFailure, RestrictionConditionFailed
 from .kvn import HilbertLift, _extend_from_span, hilbert_lift
 from .numkit import (
     ComplexMatrix,
     HermitianMatrix,
     PsdMatrix,
     Tolerances,
+    _smax,
     _tol,
     hermitize,
     loewner_leq,
@@ -58,12 +59,6 @@ __all__ = [
     "in_interval",
     "check_commutation",
 ]
-
-
-def _smax(a: np.ndarray) -> float:
-    if a.size == 0:
-        return 0.0
-    return float(np.linalg.svd(a, compute_uv=False)[0])
 
 
 class SymmetricPartialOperator:
@@ -141,6 +136,41 @@ class ExtensionProblem:
     weight: PsdMatrix
 
 
+def _weighted_lift(
+    d: np.ndarray, v: np.ndarray, dom: HilbertLift, ran: HilbertLift, tol: Tolerances
+) -> tuple[np.ndarray, np.ndarray, float]:
+    """Range coordinates (U, W) of T: D -> V and its weighted bound ||W U^+||.
+
+    The bound is the smallest beta with |<T x, y>|^2 <= beta^2 <A_dom x, x>
+    <A_ran y, y>; a symmetric operator passes the same lift twice.  Raises
+    :class:`NotABounded` when no finite bound exists: some value sticks out
+    of ran A_ran, or the domain collapses in the weighted seminorm where
+    the values do not.
+    """
+    if d.shape[0] != dom.weight.rows:
+        raise DimensionMismatch(f"operator lives on C^{d.shape[0]} but weight is {dom.weight.rows}x{dom.weight.rows}")
+    qd = dom.range_basis.a
+    qr = ran.range_basis.a
+    # values must lie in ran A_ran
+    out_of_range = np.linalg.norm(v - qr @ (qr.conj().T @ v))
+    if out_of_range > tol.eq * (1.0 + np.linalg.norm(v)):
+        raise NotABounded(
+            f"values escape the range of the weight (residual {out_of_range:.3e}); "
+            "no finite weighted bound exists"
+        )
+    u = qd.conj().T @ (dom.sqrt.a @ d)
+    w = qr.conj().T @ (ran.sqrt_pinv.a @ v)
+    up = pinv(u, tol).a
+    # kernel condition: where the domain collapses, the values must too
+    collapse = np.linalg.norm(w - (w @ up) @ u)
+    if collapse > tol.eq * (1.0 + np.linalg.norm(w)):
+        raise NotABounded(
+            f"domain directions collapse in the weighted seminorm while their values do not "
+            f"(residual {collapse:.3e}); no finite weighted bound exists"
+        )
+    return u, w, _smax(w @ up)
+
+
 def lift_symmetric(
     op: SymmetricPartialOperator, weight, tol: Tolerances | None = None
 ) -> LiftedSymmetric:
@@ -152,31 +182,7 @@ def lift_symmetric(
     """
     t = _tol(tol)
     lift = hilbert_lift(weight, t)
-    d = op.domain_basis.a
-    v = op.values.a
-    if d.shape[0] != lift.weight.rows:
-        raise DimensionMismatch(
-            f"operator lives on C^{d.shape[0]} but weight is {lift.weight.rows}x{lift.weight.rows}"
-        )
-    q = lift.range_basis.a
-    # values must lie in ran A
-    out_of_range = np.linalg.norm(v - q @ (q.conj().T @ v))
-    if out_of_range > t.eq * (1.0 + np.linalg.norm(v)):
-        raise NotABounded(
-            f"values escape the range of the weight (residual {out_of_range:.3e}); "
-            "no finite weighted bound exists"
-        )
-    u = q.conj().T @ (lift.sqrt.a @ d)
-    w = q.conj().T @ (lift.sqrt_pinv.a @ v)
-    up = pinv(u, t).a
-    # kernel condition: where the domain collapses, the values must too
-    collapse = np.linalg.norm(w - (w @ up) @ u)
-    if collapse > t.eq * (1.0 + np.linalg.norm(w)):
-        raise NotABounded(
-            f"domain directions collapse in the weighted seminorm while their values do not "
-            f"(residual {collapse:.3e}); no finite weighted bound exists"
-        )
-    alpha = _smax(w @ up)
+    u, w, alpha = _weighted_lift(op.domain_basis.a, op.values.a, lift, lift, t)
     return LiftedSymmetric(lift=lift, domain=ComplexMatrix(u), values=ComplexMatrix(w), alpha=alpha)
 
 
@@ -197,27 +203,27 @@ def extend_symmetric(
     self-adjoint extension.
     """
     t = _tol(tol)
-    ls = lift_symmetric(op, weight, t)
-    u = ls.domain.a
-    w = ls.values.a
-    r = ls.lift.rank
-    eye = np.eye(r, dtype=np.complex128)
+    return _extend_on_lift(op, hilbert_lift(weight, t), t)
+
+
+def _extend_on_lift(op: SymmetricPartialOperator, lift: HilbertLift, tol: Tolerances) -> ExtensionInterval:
+    """:func:`extend_symmetric` on an already computed lift of the weight."""
+    u, w, alpha = _weighted_lift(op.domain_basis.a, op.values.a, lift, lift, tol)
+    eye = np.eye(lift.rank, dtype=np.complex128)
     try:
-        low = _extend_from_span(u, ls.alpha * u + w, t)
-        high = _extend_from_span(u, ls.alpha * u - w, t)
-    except RestrictionConditionFailed as exc:
+        low = _extend_from_span(u, alpha * u + w, tol)
+        high = _extend_from_span(u, alpha * u - w, tol)
+    except (RestrictionConditionFailed, NotPsd) as exc:
         # the shifted operators are positive with finite bound by
         # construction, so a rejection here is numerical, not structural
         raise NumericalFailure(f"positive lift rejected unexpectedly: {exc}") from exc
-    s_min_hat = low - ls.alpha * eye
-    s_max_hat = ls.alpha * eye - high
-    j = ls.lift.embedding()
-    s_min = j @ s_min_hat @ j.conj().T
-    s_max = j @ s_max_hat @ j.conj().T
+    j = lift.embedding()
+    s_min = j @ (low - alpha * eye) @ j.conj().T
+    s_max = j @ (alpha * eye - high) @ j.conj().T
     return ExtensionInterval(
-        alpha=ls.alpha,
-        s_min=hermitize(s_min, t),
-        s_max=hermitize(s_max, t),
+        alpha=alpha,
+        s_min=hermitize(s_min, tol),
+        s_max=hermitize(s_max, tol),
     )
 
 

@@ -390,3 +390,20 @@ class TestVerify:
     def test_verify_bad_count(self, capsys):
         assert cli.main(["verify", "--kind", "kvn", "--count", "0"]) == 2
         capsys.readouterr()
+
+    def test_verify_programming_error_propagates(self, monkeypatch):
+        def broken(op, tol=None):
+            raise TypeError("synthetic programming error")
+
+        monkeypatch.setattr(cli, "kvn_extend", broken)
+        with pytest.raises(TypeError):
+            cli.main(["verify", "--kind", "kvn", "--count", "1"])
+
+    def test_verify_numerical_failure_counts_as_failed(self, tmp_path, monkeypatch):
+        def breakdown(op, tol=None):
+            raise NumericalFailure("synthetic breakdown")
+
+        monkeypatch.setattr(cli, "kvn_extend", breakdown)
+        code, doc = run(tmp_path, "verify", "--kind", "kvn", "--count", "1")
+        assert code == 3
+        assert doc["outputs"]["kvn"]["failed"] == 1

@@ -8,7 +8,7 @@ from opext.func_ext import (
     FunctionalMatrix,
     LeftIdeal,
     PartialFunctional,
-    check_representable,
+    _ideal_agreement,
     cstar_extendibility,
     extend_functional,
     f_bound,
@@ -65,12 +65,6 @@ class TestIdealAndFunctional:
         pf = fixture_functional()
         assert pf(np.array([[5.0, 0.0], [7.0, 0.0]])) == pytest.approx(5.0)
 
-    def test_representability_report(self):
-        report = check_representable(np.eye(3))
-        assert report.representable
-        assert len(report.witnesses) == 9
-        assert all(v == 1.0 for v in report.witnesses.values())
-
 
 class TestSymmetry:
     def test_trace_restriction_symmetric(self):
@@ -87,6 +81,69 @@ class TestSymmetry:
 
     def test_fixture_symmetric(self):
         assert is_symmetric_on_ideal(fixture_functional())
+
+    @staticmethod
+    def pairwise_symmetric(pf):
+        """The defining test g_0(b* a) = conj g_0(a* b) over all basis pairs."""
+        gamma = pf.gamma.a
+        scale = 1e-8 * (1.0 + np.linalg.norm(gamma))
+        basis = pf.ideal.basis()
+        for a in basis:
+            for b in basis:
+                lhs = np.trace(gamma @ b.conj().T @ a)
+                rhs = np.conj(np.trace(gamma @ a.conj().T @ b))
+                if abs(lhs - rhs) > scale:
+                    return False
+        return True
+
+    @staticmethod
+    def random_case(gen, m):
+        basis = np.linalg.qr(gen.standard_normal((m, m)) + 1j * gen.standard_normal((m, m)))[0]
+        keep = basis[:, : int(gen.integers(1, m + 1))]
+        h = gen.standard_normal((m, m)) + 1j * gen.standard_normal((m, m))
+        skew = gen.standard_normal((m, m)) + 1j * gen.standard_normal((m, m))
+        return LeftIdeal(keep @ keep.conj().T), h + h.conj().T, skew
+
+    def test_matches_pairwise_definition(self):
+        # symmetric and clearly asymmetric densities, m <= 4
+        for i in range(40):
+            gen = Rng(47).split(i).generator()
+            ideal, herm, skew = self.random_case(gen, int(gen.integers(1, 5)))
+            for gamma in (herm, herm + skew, skew):
+                pf = PartialFunctional(ideal, gamma)
+                assert is_symmetric_on_ideal(pf) == self.pairwise_symmetric(pf)
+
+    def test_matches_pairwise_definition_at_the_tolerance(self):
+        # asymmetry scaled to 0.9x and 1.1x the tolerance
+        for i in range(40):
+            gen = Rng(48).split(i).generator()
+            ideal, herm, skew = self.random_case(gen, int(gen.integers(1, 5)))
+            p = ideal.projection.a
+            unit = np.abs(p @ (p @ skew - (p @ skew).conj().T) @ p).max()
+            if unit < 1e-3:
+                continue  # the ideal hides the skew part
+            limit = 1e-8 * (1.0 + np.linalg.norm(p @ herm))
+            for factor, expected in ((0.9, True), (1.1, False)):
+                pf = PartialFunctional(ideal, herm + (factor * limit / unit) * skew)
+                assert self.pairwise_symmetric(pf) is expected
+                assert is_symmetric_on_ideal(pf) is expected
+
+
+class TestIdealAgreement:
+    def test_matches_elementwise_definition(self):
+        for i in range(20):
+            gen = Rng(49).split(i).generator()
+            m = int(gen.integers(1, 5))
+            basis = np.linalg.qr(gen.standard_normal((m, m)) + 1j * gen.standard_normal((m, m)))[0]
+            keep = basis[:, : int(gen.integers(1, m + 1))]
+            pf = PartialFunctional(LeftIdeal(keep @ keep.conj().T), gen.standard_normal((m, m)))
+            phi = gen.standard_normal((m, m)) + 1j * gen.standard_normal((m, m))
+            want = max(abs(np.trace(phi @ a) - pf(a)) for a in pf.ideal.basis())
+            assert abs(_ideal_agreement(pf, phi) - want) <= 1e-12 * (1 + want)
+
+    def test_restriction_agrees_exactly(self):
+        pf = fixture_functional()
+        assert _ideal_agreement(pf, np.array([[1.0, 0.0], [5.0, 3.0]])) == 0.0
 
 
 class TestGns:

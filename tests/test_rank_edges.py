@@ -1,0 +1,131 @@
+"""Rank decisions at the edges: near-cutoff Gram eigenvalues, domains
+larger than the weight's rank, and the decompositions a completion makes."""
+
+import numpy as np
+import pytest
+
+from opext.errors import NotPsd, NumericalFailure, RestrictionConditionFailed
+from opext.kvn import PartialPositiveOperator, check_restriction, kvn_extend
+from opext.numkit import PsdMatrix
+from opext.parrott import ParrottInstance, parrott_complete
+from opext import sa_ext
+from opext.sa_ext import SymmetricPartialOperator, alpha_of_total, extend_symmetric
+
+D12 = np.eye(3)[:, :2]
+
+
+def cgauss(gen, rows, cols):
+    return (gen.standard_normal((rows, cols)) + 1j * gen.standard_normal((rows, cols))) / np.sqrt(2)
+
+
+def planted_weight(gen, n, r):
+    """Weight of rank exactly r from explicit eigenpairs, and its square root."""
+    q = np.linalg.qr(cgauss(gen, n, r))[0]
+    w = gen.uniform(0.5, 2.0, r)
+    return (q * w) @ q.conj().T, (q * np.sqrt(w)) @ q.conj().T
+
+
+class TestGramEigenvalueInsideSlack:
+    # the Gram matrix D* G = diag(1, -1e-9): its second eigenvalue lies
+    # inside the positivity slack (so the data is accepted) but its
+    # magnitude is above the rank cutoff (2e-10)
+
+    def test_values_off_the_kept_range_fail_restriction(self):
+        g = np.array([[1.0, 0.0], [0.0, -1e-9], [0.0, 1.0]])
+        op = PartialPositiveOperator(D12, g)
+        assert not check_restriction(op)
+        with pytest.raises(RestrictionConditionFailed):
+            kvn_extend(op)
+
+    def test_extension_has_no_negative_eigenvalue(self):
+        g = np.array([[1.0, 0.0], [0.0, -1e-9], [0.0, 0.0]])
+        op = PartialPositiveOperator(D12, g)
+        assert check_restriction(op)
+        ext = kvn_extend(op).a
+        assert np.linalg.eigvalsh(ext).min() >= 0.0
+        assert np.linalg.norm(ext @ D12 - g) <= 1e-8 * (1 + np.linalg.norm(g))
+
+
+class TestDomainAboveWeightRank:
+    # k > r at n >= 100: the Gram matrix is rank-deficient by k - r
+
+    @pytest.mark.parametrize("seed", [0, 1])
+    def test_kvn(self, seed):
+        gen = np.random.default_rng([seed, 31])
+        n, r, k = 120, 50, 80
+        total, _ = planted_weight(gen, n, r)
+        d = cgauss(gen, n, k)
+        g = total @ d
+        ext = kvn_extend(PartialPositiveOperator(d, g)).a
+        assert np.linalg.norm(ext @ d - g) <= 1e-8 * (1 + np.linalg.norm(g))
+        assert np.linalg.eigvalsh(total - ext).min() >= -1e-8 * np.linalg.norm(total, 2)
+
+    @pytest.mark.parametrize("seed", [0, 1])
+    def test_sa_ext(self, seed):
+        gen = np.random.default_rng([seed, 32])
+        n, r, k = 120, 50, 80
+        weight, root = planted_weight(gen, n, r)
+        h = cgauss(gen, n, n)
+        s = root @ (h + h.conj().T) @ root
+        s = (s + s.conj().T) / 2.0
+        d = cgauss(gen, n, k)
+        v = s @ d
+        interval = extend_symmetric(SymmetricPartialOperator(d, v), PsdMatrix(weight))
+        for ext in (interval.s_min.a, interval.s_max.a):
+            assert np.linalg.norm(ext @ d - v) <= 1e-8 * (1 + np.linalg.norm(v))
+            drift = abs(alpha_of_total(ext, weight) - interval.alpha)
+            assert drift <= 1e-8 * (1 + interval.alpha)
+
+    @pytest.mark.parametrize("seed", [0, 1])
+    def test_parrott(self, seed):
+        gen = np.random.default_rng([seed, 33])
+        n1, n2, r1, r2, k1, k2 = 70, 50, 30, 20, 40, 30
+        a1, root1 = planted_weight(gen, n1, r1)
+        a2, root2 = planted_weight(gen, n2, r2)
+        core = cgauss(gen, n2, n1)
+        core *= 0.8 / np.linalg.norm(core, 2)
+        hidden = root2 @ core @ root1
+        d1, d2 = cgauss(gen, n1, k1), cgauss(gen, n2, k2)
+        v1, v2 = hidden @ d1, hidden.conj().T @ d2
+        x = parrott_complete(ParrottInstance(d1, v1, d2, v2, a1, a2, 0.64, 0.64)).a
+        assert np.linalg.norm(x @ d1 - v1) <= 1e-8 * (1 + np.linalg.norm(v1))
+        assert np.linalg.norm(x.conj().T @ d2 - v2) <= 1e-8 * (1 + np.linalg.norm(v2))
+
+
+def test_indefinite_shifted_gram_is_a_numerical_failure(monkeypatch):
+    def indefinite(d, g, tol):
+        raise NotPsd("synthetic negative eigenvalue")
+
+    monkeypatch.setattr(sa_ext, "_extend_from_span", indefinite)
+    op = SymmetricPartialOperator(np.eye(2)[:, :1], np.array([[1.0], [0.0]]))
+    with pytest.raises(NumericalFailure):
+        extend_symmetric(op, PsdMatrix(np.eye(2)))
+
+
+def test_parrott_complete_lifts_each_block_once(monkeypatch):
+    gen = np.random.default_rng(34)
+    n1, n2, k1, k2 = 7, 5, 2, 1
+    a1, root1 = planted_weight(gen, n1, 6)
+    a2, root2 = planted_weight(gen, n2, 4)
+    core = cgauss(gen, n2, n1)
+    hidden = root2 @ (core / np.linalg.norm(core, 2)) @ root1
+    d1, d2 = cgauss(gen, n1, k1), cgauss(gen, n2, k2)
+    inst = ParrottInstance(d1, hidden @ d1, d2, hidden.conj().T @ d2, a1, a2, 1.0, 1.0)
+
+    calls = []
+    for name in ("eigh", "eigvalsh", "svd"):
+        original = getattr(np.linalg, name)
+
+        def counted(a, *args, _original=original, _name=name, **kwargs):
+            calls.append((_name, np.array(a)))
+            return _original(a, *args, **kwargs)
+
+        monkeypatch.setattr(np.linalg, name, counted)
+    parrott_complete(inst)
+    monkeypatch.undo()
+
+    assert all(m.shape != (n1 + n2, n1 + n2) for _, m in calls)
+    eig_inputs = [m for name, m in calls if name != "svd"]
+    for block in (inst.weight1.a, inst.weight2.a):
+        same = [m for m in eig_inputs if m.shape == block.shape and np.allclose(m, block)]
+        assert len(same) == 1
