@@ -47,20 +47,20 @@ from .func_ext import (
     functional_interval_member,
     is_symmetric_on_ideal,
 )
-from .kvn import PartialPositiveOperator, check_restriction, kvn_extend
-from .numkit import PsdMatrix, Tolerances, loewner_leq
+from .kvn import HilbertLift, PartialPositiveOperator, _block_lift, check_restriction, hilbert_lift, kvn_extend
+from .numkit import HermitianMatrix, PsdMatrix, Tolerances, loewner_leq
 from .oracle import Rng, random_instance_with_witness
 from .parrott import (
     ParrottInstance,
     StrongParrottInstance,
-    check_compatibility,
+    _compatible,
     parrott_complete,
     strong_parrott,
 )
 from .sa_ext import (
     SymmetricPartialOperator,
-    alpha_of_total,
-    extend_symmetric,
+    _alpha_on_lift,
+    _extend_on_lift,
     in_interval,
 )
 from .serialize import decode_int, decode_matrix, decode_real, dumps_canonical, encode_matrix
@@ -237,13 +237,13 @@ def _run_kvn(data: dict, tol: Tolerances, args) -> tuple[dict, dict]:
 
 def _run_sa_ext(data: dict, tol: Tolerances, args) -> tuple[dict, dict]:
     op = SymmetricPartialOperator(data["domain_basis"], data["values"], tol)
-    weight = PsdMatrix(data["weight"], tol)
-    interval = extend_symmetric(op, weight, tol)
-    aw, d, v = weight.a, data["domain_basis"], data["values"]
+    lift = hilbert_lift(PsdMatrix(data["weight"], tol), tol)
+    interval = _extend_on_lift(op, lift, tol)
+    aw, d, v = lift.weight.a, data["domain_basis"], data["values"]
     diagnostics = {}
-    for name, s in (("min", interval.s_min.a), ("max", interval.s_max.a)):
-        diagnostics[f"extend_residual_{name}"] = float(np.linalg.norm(aw @ (s @ d) - aw @ v))
-        diagnostics[f"alpha_drift_{name}"] = float(abs(alpha_of_total(s, weight, tol) - interval.alpha))
+    for name, s in (("min", interval.s_min), ("max", interval.s_max)):
+        diagnostics[f"extend_residual_{name}"] = float(np.linalg.norm(aw @ (s.a @ d) - aw @ v))
+        diagnostics[f"alpha_drift_{name}"] = float(abs(_alpha_on_lift(s, lift, tol) - interval.alpha))
     diagnostics["order_ok"] = loewner_leq(interval.s_min, interval.s_max, tol)
     outputs = {"alpha": interval.alpha, "s_min": interval.s_min.a, "s_max": interval.s_max.a}
     if "probe" in data:
@@ -251,16 +251,14 @@ def _run_sa_ext(data: dict, tol: Tolerances, args) -> tuple[dict, dict]:
     return outputs, diagnostics
 
 
-def _completion_norm(inst: ParrottInstance, x: np.ndarray, tol: Tolerances) -> float:
+def _completion_norm(inst: ParrottInstance, x: np.ndarray, lift1: HilbertLift, lift2: HilbertLift,
+                     tol: Tolerances) -> float:
     """Cross-weighted norm of a completion X: the bound of [[0, X*], [X, 0]] against diag(A1, A2)."""
     n1 = inst.dim1
     stacked = np.zeros((n1 + inst.dim2,) * 2, dtype=np.complex128)
     stacked[n1:, :n1] = x
     stacked[:n1, n1:] = x.conj().T
-    weight = np.zeros_like(stacked)
-    weight[:n1, :n1] = inst.weight1.a
-    weight[n1:, n1:] = inst.weight2.a
-    return alpha_of_total(stacked, PsdMatrix._trusted(weight), tol)
+    return _alpha_on_lift(HermitianMatrix(stacked, tol), _block_lift(lift1, lift2), tol)
 
 
 def _run_parrott(data: dict, tol: Tolerances, args) -> tuple[dict, dict]:
@@ -270,7 +268,8 @@ def _run_parrott(data: dict, tol: Tolerances, args) -> tuple[dict, dict]:
     )
     endpoint = getattr(args, "endpoint", "min")
     completion = parrott_complete(inst, tol, endpoint=endpoint).a
-    norm = _completion_norm(inst, completion, tol)
+    lift1, lift2 = hilbert_lift(inst.weight1, tol), hilbert_lift(inst.weight2, tol)
+    norm = _completion_norm(inst, completion, lift1, lift2, tol)
     bound = float(np.sqrt(max(inst.alpha1, inst.alpha2)))
     return (
         {"completion": completion, "weighted_norm": norm, "norm_bound": bound},
@@ -282,7 +281,7 @@ def _run_parrott(data: dict, tol: Tolerances, args) -> tuple[dict, dict]:
                 np.linalg.norm(inst.weight1.a @ (completion.conj().T @ inst.domain2.a - inst.values2.a))
             ),
             "bound_ok": bool(norm <= bound + tol.eq * (1.0 + bound)),
-            "compatible": check_compatibility(inst, tol),
+            "compatible": _compatible(inst, lift1, lift2, tol),
         },
     )
 
@@ -441,13 +440,14 @@ def _verify_one(kind: str, rng: Rng, tol: Tolerances, dims: tuple[int, ...] | No
         return loewner_leq(ext, witness["total"], tol)
 
     if oracle_kind == "sa_ext":
-        interval = extend_symmetric(instance.operator, instance.weight, tol)
+        lift = hilbert_lift(instance.weight, tol)
+        interval = _extend_on_lift(instance.operator, lift, tol)
         aw = instance.weight.a
         d, v = instance.operator.domain_basis.a, instance.operator.values.a
-        for s in (interval.s_min.a, interval.s_max.a):
-            if np.linalg.norm(aw @ (s @ d) - aw @ v) > 1e-7 * (1 + np.linalg.norm(aw @ v)):
+        for s in (interval.s_min, interval.s_max):
+            if np.linalg.norm(aw @ (s.a @ d) - aw @ v) > 1e-7 * (1 + np.linalg.norm(aw @ v)):
                 return False
-            if abs(alpha_of_total(s, instance.weight, tol) - interval.alpha) > 1e-7 * (1 + interval.alpha):
+            if abs(_alpha_on_lift(s, lift, tol) - interval.alpha) > 1e-7 * (1 + interval.alpha):
                 return False
         if not loewner_leq(interval.s_min, interval.s_max, tol):
             return False
@@ -455,7 +455,8 @@ def _verify_one(kind: str, rng: Rng, tol: Tolerances, dims: tuple[int, ...] | No
         return in_interval(mid, interval, tol)
 
     if oracle_kind == "parrott":
-        if not check_compatibility(instance, tol):
+        lift1, lift2 = hilbert_lift(instance.weight1, tol), hilbert_lift(instance.weight2, tol)
+        if not _compatible(instance, lift1, lift2, tol):
             return False
         bound = float(np.sqrt(max(instance.alpha1, instance.alpha2)))
         for endpoint in ("min", "max", "mid"):
@@ -470,7 +471,7 @@ def _verify_one(kind: str, rng: Rng, tol: Tolerances, dims: tuple[int, ...] | No
                 > 1e-7 * (1 + np.linalg.norm(instance.values2.a))
             ):
                 return False
-            if _completion_norm(instance, x, tol) > bound + 1e-7 * (1 + bound):
+            if _completion_norm(instance, x, lift1, lift2, tol) > bound + 1e-7 * (1 + bound):
                 return False
         return True
 

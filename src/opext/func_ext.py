@@ -17,7 +17,10 @@ same bound, and the extensions with extremal densities come from the
 operator-interval machinery: run the GNS construction for f, realize g_0
 as a symmetric partial operator on the GNS space, take its extremal
 norm-preserving self-adjoint extensions, and read the extended
-functionals off the cyclic vector.  In finite dimensions a symmetric
+functionals off the cyclic vector.  The GNS inner product f(y* x) pairs
+x and y row by row, so the rows of x live in (C^m, F^T) and the induced
+operator is I_m (x) s_0 for an m-by-m partial operator s_0 there: every
+computation is on m-by-m matrices.  In finite dimensions a symmetric
 partial functional is always trace-bounded, so symmetry alone already
 guarantees a hermitian extension; :func:`cstar_extendibility` packages
 that decision together with the quantitative converse (any hermitian
@@ -34,13 +37,13 @@ import numpy as np
 from .errors import (
     DimensionMismatch,
     HypothesisViolated,
+    NotABounded,
     NotFBounded,
     NotSymmetric,
 )
-from .kvn import HilbertLift, hilbert_lift
+from .kvn import HilbertLift, _block_lift, hilbert_lift
 from .numkit import (
     ComplexMatrix,
-    HermitianMatrix,
     PsdMatrix,
     Tolerances,
     _tol,
@@ -48,9 +51,9 @@ from .numkit import (
     hermitize,
     independent_columns,
     loewner_leq,
-    pinv,
+    psd_eig,
 )
-from .sa_ext import SymmetricPartialOperator, extend_symmetric, lift_symmetric
+from .sa_ext import SymmetricPartialOperator, _extend_lifted, _weighted_lift
 
 __all__ = [
     "FunctionalMatrix",
@@ -232,12 +235,12 @@ def _ideal_agreement(pf: PartialFunctional, density: np.ndarray) -> float:
 class GnsSpace:
     """Concrete GNS data for a positive trace-form functional on M_m(C).
 
-    The coordinate space is C^{m^2} via row-major vectorization; the
-    functional's inner product <x, y>_f = f(y* x) has Gram matrix
-    kron(I_m, F^T) there, and quotienting by its kernel (through
-    :func:`~opext.kvn.hilbert_lift`) yields a Hilbert space of dimension
-    m * rank(F).  Left multiplication descends to a *-representation and
-    the class of the identity matrix is the cyclic vector.
+    The coordinate space is C^{m^2} via row-major vectorization; there
+    <x, y>_f = f(y* x) = sum_c y_c* F^T x_c over the rows x_c of x, so the
+    Gram matrix is kron(I_m, F^T): the rows live in (C^m, F^T) and the
+    lift is I_m (x) lift(F^T), a Hilbert space of dimension m * rank(F).
+    Left multiplication descends to a *-representation and the class of
+    the identity matrix is the cyclic vector.
     """
 
     density: PsdMatrix
@@ -277,71 +280,60 @@ class GnsSpace:
         return complex(xi.conj() @ (self.rep(x) @ xi))
 
 
-def gns(density, tol: Tolerances | None = None) -> GnsSpace:
-    """Run the GNS construction for f(x) = trace(F x), F positive."""
-    t = _tol(tol)
-    f = PsdMatrix.coerce(_density_array(density), t)
-    m = f.rows
-    gram = np.kron(np.eye(m, dtype=np.complex128), f.a.T)
-    lift = hilbert_lift(PsdMatrix._trusted(gram), t)
+def _row_lift(density, tol: Tolerances) -> HilbertLift:
+    """Lift of F^T, the weight of the rows (C^m, F^T) of the GNS space."""
+    f = PsdMatrix.coerce(_density_array(density), tol)
+    return hilbert_lift(PsdMatrix._trusted(f.a.T), tol)
+
+
+def _gns_space(row: HilbertLift) -> GnsSpace:
+    m = row.weight.rows
+    lift = _block_lift(*[row] * m)
     class_map = lift.coembedding()
-    class_pinv = lift.sqrt_pinv.a @ lift.range_basis.a
-    cyclic = class_map @ _vec(np.eye(m, dtype=np.complex128))
     return GnsSpace(
-        density=f,
+        density=PsdMatrix._trusted(row.weight.a.T),
         lift=lift,
         class_map=ComplexMatrix(class_map),
-        class_pinv=ComplexMatrix(class_pinv),
-        cyclic=ComplexMatrix(cyclic.reshape(-1, 1)),
+        class_pinv=ComplexMatrix(lift.sqrt_pinv.a @ lift.range_basis.a),
+        cyclic=ComplexMatrix((class_map @ _vec(np.eye(m, dtype=np.complex128))).reshape(-1, 1)),
     )
 
 
-def _gns_partial_operator(
-    pf: PartialFunctional, space: GnsSpace, tol: Tolerances
-) -> SymmetricPartialOperator:
-    """Realize g_0 as a symmetric partial operator on the GNS space.
+def gns(density, tol: Tolerances | None = None) -> GnsSpace:
+    """Run the GNS construction for f(x) = trace(F x), F positive.
 
-    The domain consists of the classes [a], a in the ideal; the value at
-    [a] is the GNS vector representing x |-> g_0(x* a), which must be
-    given by an element of the space (else g_0 is not f-bounded).
-
-    Raises NotSymmetric / NotFBounded accordingly.
+    The rows of x live in (C^m, F^T), so the lift of the Gram matrix
+    kron(I_m, F^T) is assembled as I_m (x) lift(F^T) from one m-by-m
+    eigendecomposition.
     """
-    if pf.size != space.algebra_size:
-        raise DimensionMismatch("functional and GNS space live on different algebra sizes")
+    return _gns_space(_row_lift(density, _tol(tol)))
+
+
+def _row_operator(
+    pf: PartialFunctional, density, tol: Tolerances
+) -> tuple[HilbertLift, np.ndarray, np.ndarray, float]:
+    """Lift of F^T and the range coordinates and bound (U, W, alpha) of s_0.
+
+    g_0(x* a) = sum_c x_c* Gamma^T a_c over the rows, and the rows of
+    a = a P span ran P^T, so g_0 is realized on the GNS space by I_m (x) s_0
+    for the m-by-m partial operator s_0 on (C^m, F^T) with domain basis D
+    of ran P^T (one :func:`~opext.numkit.psd_eig` of P^T) and values
+    Gamma^T D.  Raises :class:`NotSymmetric`, :class:`NotFBounded`, and
+    NotHermitian when U* W is not Hermitian (values leaking out of ran F^T
+    within tolerance can make it so while D* Gamma^T D is Hermitian).
+    """
+    row = _row_lift(density, tol)
+    if pf.size != row.weight.rows:
+        raise DimensionMismatch("functional and positive functional live on different algebra sizes")
     if not is_symmetric_on_ideal(pf, tol):
         raise NotSymmetric("functional is not symmetric on its ideal")
-    gamma = pf.gamma.a
-    q = space.lift.range_basis.a
-    sqrt_pinv = space.lift.sqrt_pinv.a
-    u_cols = []
-    w_cols = []
-    raw_norm = 0.0
-    out_resid = 0.0
-    for a in pf.ideal.basis():
-        u_cols.append(space.vector(a))
-        target = _vec(a @ gamma)
-        out_resid = max(out_resid, float(np.linalg.norm(target - q @ (q.conj().T @ target))))
-        raw_norm = max(raw_norm, float(np.linalg.norm(target)))
-        w_cols.append(q.conj().T @ (sqrt_pinv @ target))
-    if out_resid > tol.eq * (1.0 + raw_norm):
-        raise NotFBounded(
-            f"the functional's value vectors escape the GNS space (residual {out_resid:.3e}); "
-            "not bounded relative to this positive functional"
-        )
-    u_all = np.column_stack(u_cols) if u_cols else np.zeros((space.dim, 0), dtype=np.complex128)
-    w_all = np.column_stack(w_cols) if w_cols else np.zeros((space.dim, 0), dtype=np.complex128)
-    idx = independent_columns(u_all, tol)
-    u = u_all[:, idx]
-    w = w_all[:, idx]
-    coeff = pinv(u, tol).a @ u_all
-    resid = np.linalg.norm(w_all - w @ coeff)
-    if resid > tol.eq * (1.0 + np.linalg.norm(w_all)):
-        raise NotFBounded(
-            f"the functional does not vanish where the GNS seminorm does (residual {resid:.3e}); "
-            "not bounded relative to this positive functional"
-        )
-    return SymmetricPartialOperator(u, w, tol)
+    _, d = psd_eig(pf.ideal.projection.a.T, tol)
+    try:
+        u, w, alpha = _weighted_lift(d, pf.gamma.a.T @ d, row, row, tol)
+    except NotABounded as exc:
+        raise NotFBounded(f"not bounded relative to this positive functional: {exc}") from exc
+    hermitize(u.conj().T @ w, tol)
+    return row, u, w, alpha
 
 
 def gns_realization(
@@ -352,25 +344,27 @@ def gns_realization(
     The returned operator has domain spanned by the classes of the ideal
     elements and satisfies <S [a], [x]> = g_0(x* a); its self-adjoint
     extensions on the GNS space correspond to the hermitian extensions
-    of g_0.  Raises :class:`NotSymmetric` / :class:`NotFBounded` when
-    the realization does not exist.
+    of g_0.  It is I_m (x) s_0 for the partial operator s_0 on the rows
+    (C^m, F^T), expanded from s_0's lifted data.  Raises
+    :class:`NotSymmetric` / :class:`NotFBounded` when the realization
+    does not exist.
     """
     t = _tol(tol)
-    space = gns(density, t)
-    return space, _gns_partial_operator(pf, space, t)
+    row, u, w, _ = _row_operator(pf, density, t)
+    idx = independent_columns(u, t)
+    eye = np.eye(pf.size, dtype=np.complex128)
+    return _gns_space(row), SymmetricPartialOperator(np.kron(eye, u[:, idx]), np.kron(eye, w[:, idx]), t)
 
 
 def f_bound(pf: PartialFunctional, density, tol: Tolerances | None = None) -> float:
     """Smallest alpha with |g_0(x* a)|^2 <= alpha^2 f(x* x) f(a* a).
 
-    Computed as the norm of the partial operator realizing g_0 on the
-    GNS space of f.  Raises :class:`NotFBounded` when no finite alpha
-    exists and :class:`NotSymmetric` when g_0 is not symmetric.
+    Computed as the bound of the partial operator s_0 on the rows
+    (C^m, F^T), the norm of its GNS realization I_m (x) s_0.  Raises
+    :class:`NotFBounded` when no finite alpha exists and
+    :class:`NotSymmetric` when g_0 is not symmetric.
     """
-    t = _tol(tol)
-    space, op = gns_realization(pf, density, t)
-    eye = PsdMatrix._trusted(np.eye(space.dim, dtype=np.complex128))
-    return lift_symmetric(op, eye, t).alpha
+    return _row_operator(pf, density, _tol(tol))[3]
 
 
 def extend_functional(
@@ -382,21 +376,16 @@ def extend_functional(
     whole algebra agreeing with g_0 on the ideal, each with f-bound equal
     to alpha (the bound of g_0 itself), and extremal in the sense that
     any hermitian extension with that bound has density between theirs.
-    Obtained by taking the extremal self-adjoint extensions of the GNS
-    realization and evaluating against the cyclic vector.
+    The rows of x live in (C^m, F^T) and g_0 is realized on the GNS space
+    by I_m (x) s_0, so the extremal extensions are I_m (x) s for those s
+    of s_0 against the weight F^T; read off the cyclic vector, that is
+    g(x) = trace(s^T x): the densities are s_min^T and s_max^T.
     """
     t = _tol(tol)
-    space, op = gns_realization(pf, density, t)
-    eye = PsdMatrix._trusted(np.eye(space.dim, dtype=np.complex128))
-    interval = extend_symmetric(op, eye, t)
-    xi = space.cyclic.a[:, 0]
-    m = space.algebra_size
-    densities = []
-    for s in (interval.s_min.a, interval.s_max.a):
-        row = (xi.conj() @ s) @ space.class_map.a  # g(E_ij) laid out in vec order
-        phi = row.reshape(m, m).T
-        densities.append(FunctionalMatrix(hermitize(phi, t)))
-    return densities[0], densities[1], interval.alpha
+    row, u, w, alpha = _row_operator(pf, density, t)
+    interval = _extend_lifted(u, w, alpha, row, t)
+    g_min, g_max = (FunctionalMatrix(hermitize(s.a.T, t)) for s in (interval.s_min, interval.s_max))
+    return g_min, g_max, alpha
 
 
 def functional_interval_member(

@@ -224,3 +224,23 @@ def hilbert_lift(weight, tol: Tolerances | None = None) -> HilbertLift:
         rank=int(w.size),
         range_basis=ComplexMatrix(q),
     )
+
+
+def _block_diag(*blocks: np.ndarray) -> np.ndarray:
+    out = np.zeros((sum(b.shape[0] for b in blocks), sum(b.shape[1] for b in blocks)), dtype=np.complex128)
+    r = c = 0
+    for b in blocks:
+        out[r:r + b.shape[0], c:c + b.shape[1]] = b
+        r, c = r + b.shape[0], c + b.shape[1]
+    return out
+
+
+def _block_lift(*lifts: HilbertLift) -> HilbertLift:
+    """Lift of diag(A_1, ..., A_p), block-diagonal in the lifts of the blocks (no decomposition)."""
+    return HilbertLift(
+        weight=PsdMatrix._trusted(_block_diag(*(lift.weight.a for lift in lifts))),
+        sqrt=PsdMatrix._trusted(_block_diag(*(lift.sqrt.a for lift in lifts))),
+        sqrt_pinv=ComplexMatrix(_block_diag(*(lift.sqrt_pinv.a for lift in lifts))),
+        rank=sum(lift.rank for lift in lifts),
+        range_basis=ComplexMatrix(_block_diag(*(lift.range_basis.a for lift in lifts))),
+    )

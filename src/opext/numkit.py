@@ -238,13 +238,10 @@ def eigh_desc(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     order = np.argsort(-w, kind="stable")
     w = w[order]
     v = np.ascontiguousarray(v[:, order])
-    for j in range(n):
-        col = v[:, j]
-        anchors = np.flatnonzero(np.abs(col) > _PHASE_FLOOR)
-        if anchors.size:
-            pivot = col[anchors[0]]
-            v[:, j] = col * (pivot.conjugate() / abs(pivot))
-    return w, v
+    # anchor: the first component of each column above the floor (unit
+    # columns always have one)
+    pivot = v[np.argmax(np.abs(v) > _PHASE_FLOOR, axis=0), np.arange(n)]
+    return w, v * (pivot.conjugate() / np.abs(pivot))
 
 
 def _smax(a: np.ndarray) -> float:

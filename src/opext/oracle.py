@@ -38,7 +38,7 @@ __all__ = [
 ]
 
 MAX_DIM = 16
-MAX_ALGEBRA = 4
+MAX_ALGEBRA = 16
 
 
 @dataclass(frozen=True)

@@ -25,8 +25,6 @@ whose compression to another subspace is also prescribed.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from .errors import (
@@ -35,7 +33,7 @@ from .errors import (
     IncompatibleInstance,
     NotABounded,
 )
-from .kvn import HilbertLift, hilbert_lift
+from .kvn import HilbertLift, _block_diag, _block_lift, hilbert_lift
 from .numkit import (
     ComplexMatrix,
     PsdMatrix,
@@ -135,19 +133,10 @@ def check_compatibility(inst: ParrottInstance, tol: Tolerances | None = None) ->
     return _compatible(inst, hilbert_lift(inst.weight1, t), hilbert_lift(inst.weight2, t), t)
 
 
-def _block_diag(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    out = np.zeros((a.shape[0] + b.shape[0], a.shape[1] + b.shape[1]), dtype=np.complex128)
-    out[: a.shape[0], : a.shape[1]] = a
-    out[a.shape[0]:, a.shape[1]:] = b
-    return out
-
-
 def _assemble(inst: ParrottInstance, tol: Tolerances) -> tuple[SymmetricPartialOperator, HilbertLift]:
-    """Stacked operator and the lift of diag(A1, A2), lifting each block once.
+    """Stacked operator and the lift of diag(A1, A2), assembled from the per-block lifts.
 
-    The lift of a block-diagonal weight is block-diagonal: the square
-    roots, their pseudoinverses and the range bases of the two blocks
-    side by side.  The per-block lifts also serve the compatibility check.
+    Each weight is lifted once; the block lifts also serve the compatibility check.
     """
     lift1 = hilbert_lift(inst.weight1, tol)
     lift2 = hilbert_lift(inst.weight2, tol)
@@ -160,14 +149,7 @@ def _assemble(inst: ParrottInstance, tol: Tolerances) -> tuple[SymmetricPartialO
     values = np.zeros_like(domain)
     values[n1:, :k1] = inst.values1.a
     values[:n1, k1:] = inst.values2.a
-    lift = HilbertLift(
-        weight=PsdMatrix._trusted(_block_diag(inst.weight1.a, inst.weight2.a)),
-        sqrt=PsdMatrix._trusted(_block_diag(lift1.sqrt.a, lift2.sqrt.a)),
-        sqrt_pinv=ComplexMatrix(_block_diag(lift1.sqrt_pinv.a, lift2.sqrt_pinv.a)),
-        rank=lift1.rank + lift2.rank,
-        range_basis=ComplexMatrix(_block_diag(lift1.range_basis.a, lift2.range_basis.a)),
-    )
-    return SymmetricPartialOperator(domain, values, tol), lift
+    return SymmetricPartialOperator(domain, values, tol), _block_lift(lift1, lift2)
 
 
 def assemble_symmetric(

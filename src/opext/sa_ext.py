@@ -208,7 +208,11 @@ def extend_symmetric(
 
 def _extend_on_lift(op: SymmetricPartialOperator, lift: HilbertLift, tol: Tolerances) -> ExtensionInterval:
     """:func:`extend_symmetric` on an already computed lift of the weight."""
-    u, w, alpha = _weighted_lift(op.domain_basis.a, op.values.a, lift, lift, tol)
+    return _extend_lifted(*_weighted_lift(op.domain_basis.a, op.values.a, lift, lift, tol), lift, tol)
+
+
+def _extend_lifted(u: np.ndarray, w: np.ndarray, alpha: float, lift: HilbertLift, tol: Tolerances) -> ExtensionInterval:
+    """Extremal extensions from the range coordinates and bound of :func:`_weighted_lift`."""
     eye = np.eye(lift.rank, dtype=np.complex128)
     try:
         low = _extend_from_span(u, alpha * u + w, tol)
@@ -237,12 +241,16 @@ def alpha_of_total(total, weight, tol: Tolerances | None = None) -> float:
     """
     t = _tol(tol)
     s = HermitianMatrix.coerce(total, t)
-    lift = hilbert_lift(weight, t)
+    return _alpha_on_lift(s, hilbert_lift(weight, t), t)
+
+
+def _alpha_on_lift(s: HermitianMatrix, lift: HilbertLift, tol: Tolerances) -> float:
+    """:func:`alpha_of_total` on an already computed lift of the weight."""
     if s.rows != lift.weight.rows:
         raise DimensionMismatch(f"operator is {s.rows}x{s.rows} but weight is {lift.weight.rows}x{lift.weight.rows}")
     q = lift.range_basis.a
     resid = np.linalg.norm(s.a - q @ (q.conj().T @ s.a))
-    if resid > t.eq * (1.0 + np.linalg.norm(s.a)):
+    if resid > tol.eq * (1.0 + np.linalg.norm(s.a)):
         raise NotABounded(f"operator range escapes the range of the weight (residual {resid:.3e})")
     p = lift.sqrt_pinv.a
     return _smax(p @ s.a @ p)

@@ -309,6 +309,28 @@ class TestTolerances:
         assert doc["tolerances"]["eq"] == 1e-6
 
 
+class TestDiagnosticsReuseLifts:
+    @pytest.mark.parametrize("kind, eigh_calls", [("sa-ext", 3), ("parrott", 6)])
+    def test_eigh_calls(self, tmp_path, monkeypatch, kind, eigh_calls):
+        # each weight is lifted once for the run and once for all its
+        # diagnostics, and never as the stacked (n1 + n2)-square matrix
+        payload = json.loads((INSTANCES / f"{kind}.json").read_text())["payload"]
+        stacked = payload["n1"] + payload["n2"] if kind == "parrott" else None
+        shapes = []
+        original = np.linalg.eigh
+
+        def counted(a, *args, **kwargs):
+            shapes.append(np.shape(a))
+            return original(a, *args, **kwargs)
+
+        monkeypatch.setattr(np.linalg, "eigh", counted)
+        code, doc = run(tmp_path, kind, str(INSTANCES / f"{kind}.json"))
+        monkeypatch.undo()
+        assert code == 0
+        assert len(shapes) == eigh_calls
+        assert all(shape != (stacked, stacked) for shape in shapes)
+
+
 class TestGen:
     @pytest.mark.parametrize("kind", cli.RUN_KINDS)
     def test_gen_then_run(self, tmp_path, kind):
@@ -321,6 +343,13 @@ class TestGen:
         assert code == 0
         assert doc["status"] == "ok"
 
+    def test_gen_functional_at_the_algebra_cap(self, tmp_path):
+        inst = tmp_path / "inst.json"
+        assert cli.main(["gen", "--kind", "functional-ext", "--n", "16", "--out", str(inst)]) == 0
+        code, doc = run(tmp_path, "functional-ext", str(inst))
+        assert code == 0
+        assert decode_matrix(doc["outputs"]["g_min"]).shape == (16, 16)
+
     def test_gen_with_dims(self, tmp_path):
         inst = tmp_path / "inst.json"
         assert cli.main(["gen", "--kind", "parrott", "--dims", "3,2", "--seed", "1",
@@ -332,7 +361,7 @@ class TestGen:
         assert cli.main(["gen", "--kind", "kvn", "--dims", "0"]) == 2
         assert cli.main(["gen", "--kind", "kvn", "--dims", "x"]) == 2
         assert cli.main(["gen", "--kind", "kvn", "--dims", "3", "--n", "4"]) == 2
-        assert cli.main(["gen", "--kind", "functional-ext", "--n", "9"]) == 2
+        assert cli.main(["gen", "--kind", "functional-ext", "--n", "17"]) == 2
         capsys.readouterr()
 
 

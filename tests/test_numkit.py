@@ -214,6 +214,36 @@ class TestEighDesc:
             lead = v1[np.abs(v1[:, j]) > 1e-8, j][0]
             assert lead.real > 0 and abs(lead.imag) <= 1e-12 * abs(lead)
 
+    @pytest.mark.parametrize("n", [0, 1, 5, 64, 160])
+    @pytest.mark.parametrize("rank", ["full", "deficient"])
+    def test_matches_column_loop(self, n, rank):
+        # the phase rule written out one column at a time
+        def reference(a):
+            if a.shape[0] == 0:
+                return np.zeros(0), np.zeros((0, 0), dtype=complex)
+            w, v = np.linalg.eigh((a + a.conj().T) / 2.0)
+            order = np.argsort(-w, kind="stable")
+            w, v = w[order], np.ascontiguousarray(v[:, order])
+            for j in range(a.shape[0]):
+                col = v[:, j]
+                anchors = np.flatnonzero(np.abs(col) > 1e-8)
+                if anchors.size:
+                    pivot = col[anchors[0]]
+                    v[:, j] = col * (pivot.conjugate() / abs(pivot))
+            return w, v
+
+        gen = Rng(14).split(n).generator()
+        x = complex_gaussian(gen, n, n if rank == "full" else n // 2)
+        a = x @ x.conj().T if rank == "deficient" else x + x.conj().T
+        w, v = eigh_desc(a)
+        w_ref, v_ref = reference(a)
+        assert np.array_equal(w, w_ref)
+        assert v.shape == v_ref.shape
+        assert np.abs(v - v_ref).max(initial=0.0) <= 1e-15
+        for j in range(n):
+            lead = v[np.flatnonzero(np.abs(v[:, j]) > 1e-8)[0], j]
+            assert lead.real > 0 and abs(lead.imag) <= 1e-15 * abs(lead)
+
 
 class TestPsdEig:
     def test_drops_noise_eigenvalues(self):

@@ -232,7 +232,7 @@ class TestInstanceGeneration:
             ("kvn", (17,)),
             ("kvn", (2, 3)),
             ("kvn", (2, 1, 1)),
-            ("functional", (5,)),
+            ("functional", (17,)),
             ("functional", (2, 2)),
             ("parrott", (3,)),
             ("parrott", (2, 2, 3, 1)),
