@@ -4,7 +4,8 @@ Subcommands mirror the library: one per problem kind (``kvn``,
 ``sa-ext``, ``parrott``, ``strong-parrott``, ``functional-ext``,
 ``cstar-check``) reading an instance file and writing a result file,
 plus ``gen`` (emit a reproducible random instance file) and ``verify``
-(generate many random instances and check every module invariant).
+(run many random instances through the same pipeline and check each
+kind's invariant table).
 
 Exit codes: 0 success, 1 infeasible (a mathematical hypothesis of the
 problem fails), 2 invalid input (malformed file, wrong shapes, bad
@@ -17,6 +18,8 @@ floats), so identical inputs and flags produce byte-identical outputs.
 from __future__ import annotations
 
 import argparse
+import dataclasses
+import functools
 import json
 import sys
 
@@ -45,19 +48,19 @@ from .func_ext import (
     extend_functional,
     f_bound,
     functional_interval_member,
-    is_symmetric_on_ideal,
 )
-from .kvn import HilbertLift, PartialPositiveOperator, _block_lift, check_restriction, hilbert_lift, kvn_extend
-from .numkit import HermitianMatrix, PsdMatrix, Tolerances, loewner_leq
-from .oracle import Rng, random_instance_with_witness
+from .kvn import PartialPositiveOperator, _block_lift, check_restriction, hilbert_lift, kvn_extend
+from .numkit import ComplexMatrix, HermitianMatrix, PsdMatrix, Tolerances, hermitize, loewner_leq
+from .oracle import Rng, _check_dims, random_instance_with_witness
 from .parrott import (
     ParrottInstance,
     StrongParrottInstance,
     _compatible,
-    parrott_complete,
+    _complete_on_lifts,
     strong_parrott,
 )
 from .sa_ext import (
+    ExtensionInterval,
     SymmetricPartialOperator,
     _alpha_on_lift,
     _extend_on_lift,
@@ -73,20 +76,7 @@ EXIT_INVALID_INPUT = 2
 EXIT_NUMERICAL_FAILURE = 3
 
 RUN_KINDS = ("kvn", "sa-ext", "parrott", "strong-parrott", "functional-ext", "cstar-check")
-
-# Failures of a mathematical hypothesis: the input parsed fine but the
-# problem it describes has no solution of the requested form.
-_INFEASIBLE_ERRORS = (
-    NotHermitian,
-    NotPsd,
-    RestrictionConditionFailed,
-    NotABounded,
-    NotFBounded,
-    NotSymmetric,
-    IncompatibleInstance,
-    HypothesisViolated,
-    Infeasible,
-)
+_ENDPOINTS = ("min", "max", "mid")
 
 _ORACLE_KIND = {
     "kvn": "kvn",
@@ -105,6 +95,19 @@ _DEFAULT_DIMS = {
     "functional-ext": (3,),
     "cstar-check": (3,),
 }
+
+
+# Status and exit code of a failed run by exception type; the first row that
+# matches wins.  Infeasible: the input parsed fine but a mathematical
+# hypothesis of the problem fails.  LinAlgError subclasses ValueError, so the
+# numerical row comes before the invalid-input one.
+_FAILURE_STATUS = (
+    ((NotHermitian, NotPsd, RestrictionConditionFailed, NotABounded, NotFBounded, NotSymmetric,
+      IncompatibleInstance, HypothesisViolated, Infeasible), "infeasible", EXIT_INFEASIBLE),
+    ((NumericalFailure, np.linalg.LinAlgError, ArithmeticError), "numerical-failure", EXIT_NUMERICAL_FAILURE),
+    ((DimensionMismatch, InvalidDims, OSError, ValueError), "invalid-input", EXIT_INVALID_INPUT),
+)
+_FAILURE_TYPES = tuple(t for types, _, _ in _FAILURE_STATUS for t in types)
 
 
 class _InputError(ValueError):
@@ -251,25 +254,19 @@ def _run_sa_ext(data: dict, tol: Tolerances, args) -> tuple[dict, dict]:
     return outputs, diagnostics
 
 
-def _completion_norm(inst: ParrottInstance, x: np.ndarray, lift1: HilbertLift, lift2: HilbertLift,
-                     tol: Tolerances) -> float:
-    """Cross-weighted norm of a completion X: the bound of [[0, X*], [X, 0]] against diag(A1, A2)."""
-    n1 = inst.dim1
-    stacked = np.zeros((n1 + inst.dim2,) * 2, dtype=np.complex128)
-    stacked[n1:, :n1] = x
-    stacked[:n1, n1:] = x.conj().T
-    return _alpha_on_lift(HermitianMatrix(stacked, tol), _block_lift(lift1, lift2), tol)
-
-
 def _run_parrott(data: dict, tol: Tolerances, args) -> tuple[dict, dict]:
     inst = ParrottInstance(
         data["domain1"], data["values1"], data["domain2"], data["values2"],
         data["weight1"], data["weight2"], data["alpha1"], data["alpha2"], tol,
     )
-    endpoint = getattr(args, "endpoint", "min")
-    completion = parrott_complete(inst, tol, endpoint=endpoint).a
     lift1, lift2 = hilbert_lift(inst.weight1, tol), hilbert_lift(inst.weight2, tol)
-    norm = _completion_norm(inst, completion, lift1, lift2, tol)
+    completion = _complete_on_lifts(inst, lift1, lift2, tol, getattr(args, "endpoint", "min")).a
+    # cross-weighted norm of X: the bound of [[0, X*], [X, 0]] against diag(A1, A2)
+    n1 = inst.dim1
+    stacked = np.zeros((n1 + inst.dim2,) * 2, dtype=np.complex128)
+    stacked[n1:, :n1] = completion
+    stacked[:n1, n1:] = completion.conj().T
+    norm = _alpha_on_lift(HermitianMatrix(stacked, tol), _block_lift(lift1, lift2), tol)
     bound = float(np.sqrt(max(inst.alpha1, inst.alpha2)))
     return (
         {"completion": completion, "weighted_norm": norm, "norm_bound": bound},
@@ -299,17 +296,22 @@ def _run_strong_parrott(data: dict, tol: Tolerances, args) -> tuple[dict, dict]:
     )
 
 
+def _functional_diagnostics(pf: PartialFunctional, g_min, g_max, tol: Tolerances) -> dict:
+    """Agreement of both extremal extensions with g_0 on the ideal, and their order."""
+    return {
+        "ideal_agreement_min": _ideal_agreement(pf, g_min.density.a),
+        "ideal_agreement_max": _ideal_agreement(pf, g_max.density.a),
+        "order_ok": functional_interval_member(g_min, g_min, g_max, tol),
+    }
+
+
 def _run_functional_ext(data: dict, tol: Tolerances, args) -> tuple[dict, dict]:
     pf = PartialFunctional(LeftIdeal(data["projection"], tol), data["gamma"])
     density = PsdMatrix(data["density"], tol)
     g_min, g_max, alpha = extend_functional(pf, density, tol)
     return (
         {"alpha": alpha, "g_min": g_min.density.a, "g_max": g_max.density.a},
-        {
-            "ideal_agreement_min": _ideal_agreement(pf, g_min.density.a),
-            "ideal_agreement_max": _ideal_agreement(pf, g_max.density.a),
-            "order_ok": functional_interval_member(g_min, g_min, g_max, tol),
-        },
+        _functional_diagnostics(pf, g_min, g_max, tol),
     )
 
 
@@ -337,11 +339,7 @@ def _run_cstar_check(data: dict, tol: Tolerances, args) -> tuple[dict, dict]:
         outputs["measured_bound"] = decision.measured_bound
         outputs["violations"] = decision.violations
         outputs["constant4_ok"] = decision.constant4_ok
-    return outputs, {
-        "ideal_agreement_min": _ideal_agreement(pf, decision.g_min.density.a),
-        "ideal_agreement_max": _ideal_agreement(pf, decision.g_max.density.a),
-        "order_ok": functional_interval_member(decision.g_min, decision.g_min, decision.g_max, tol),
-    }
+    return outputs, _functional_diagnostics(pf, decision.g_min, decision.g_max, tol)
 
 
 _RUNNERS = {
@@ -359,152 +357,147 @@ _RUNNERS = {
 
 
 def _encode_instance(kind: str, instance) -> dict:
+    """Payload of a generated instance, in the layout its kind's parser reads."""
     if kind == "kvn":
-        return {
-            "n": instance.ambient_dim,
-            "domain_basis": encode_matrix(instance.domain_basis.a),
-            "values": encode_matrix(instance.values.a),
-        }
-    if kind == "sa-ext":
-        op, weight = instance.operator, instance.weight
-        return {
-            "n": op.domain_basis.rows,
-            "domain_basis": encode_matrix(op.domain_basis.a),
-            "values": encode_matrix(op.values.a),
-            "weight": encode_matrix(weight.a),
-        }
-    if kind == "parrott":
-        return {
-            "n1": instance.dim1,
-            "n2": instance.dim2,
-            "domain1": encode_matrix(instance.domain1.a),
-            "values1": encode_matrix(instance.values1.a),
-            "domain2": encode_matrix(instance.domain2.a),
-            "values2": encode_matrix(instance.values2.a),
-            "weight1": encode_matrix(instance.weight1.a),
-            "weight2": encode_matrix(instance.weight2.a),
-            "alpha1": instance.alpha1,
-            "alpha2": instance.alpha2,
-        }
-    if kind == "strong-parrott":
-        return {
-            "s1": encode_matrix(instance.s1.a),
-            "s2": encode_matrix(instance.s2.a),
-            "t1": encode_matrix(instance.t1.a),
-            "t2": encode_matrix(instance.t2.a),
-        }
-    if kind == "functional-ext":
-        return {
-            "m": instance.ideal.size,
-            "projection": encode_matrix(instance.ideal.projection.a),
-            "gamma": encode_matrix(instance.partial.gamma.a),
-            "density": encode_matrix(instance.density.a),
-        }
-    if kind == "cstar-check":
-        return {
-            "m": instance.ideal.size,
-            "projection": encode_matrix(instance.ideal.projection.a),
-            "gamma": encode_matrix(instance.partial.gamma.a),
-            "extension": encode_matrix(instance.source.density.a),
-        }
-    raise _InputError(f"unknown kind {kind!r}")
+        fields = {"n": instance.ambient_dim, "domain_basis": instance.domain_basis, "values": instance.values}
+    elif kind == "sa-ext":
+        op = instance.operator
+        fields = {"n": op.ambient_dim, "domain_basis": op.domain_basis, "values": op.values, "weight": instance.weight}
+    elif kind == "parrott":
+        fields = {key: getattr(instance, key) for key in ParrottInstance.__slots__}
+        fields.update(n1=instance.dim1, n2=instance.dim2)
+    elif kind == "strong-parrott":
+        fields = {key: getattr(instance, key) for key in StrongParrottInstance.__slots__}
+    else:
+        fields = {"m": instance.ideal.size, "projection": instance.ideal.projection, "gamma": instance.partial.gamma}
+        if kind == "functional-ext":
+            fields["density"] = instance.density
+        else:
+            fields["extension"] = instance.source.density
+    return {key: encode_matrix(value.a) if isinstance(value, ComplexMatrix) else value for key, value in fields.items()}
 
 
 # --------------------------------------------------------------------------
-# verify batteries
+# invariants: what a run's result must satisfy, checked by verify
 
 
-def _verify_one(kind: str, rng: Rng, tol: Tolerances, dims: tuple[int, ...] | None) -> bool:
-    gen = rng.generator()
-    oracle_kind = _ORACLE_KIND[kind]
-    if dims is None:
-        if oracle_kind == "kvn" or oracle_kind == "sa_ext":
-            n = int(gen.integers(1, 9))
-            dims = (n, int(gen.integers(1, n + 1)))
-        elif oracle_kind == "parrott":
-            dims = (int(gen.integers(1, 6)), int(gen.integers(1, 6)))
-        elif oracle_kind == "strong_parrott":
-            h, k = int(gen.integers(1, 7)), int(gen.integers(1, 7))
-            dims = (h, k, int(gen.integers(1, h + 1)), int(gen.integers(1, k + 1)))
-        else:
-            dims = (int(gen.integers(1, 5)),)
-    instance, witness = random_instance_with_witness(oracle_kind, dims, rng.split(0))
+def _fro(a) -> float:
+    return float(np.linalg.norm(a))
 
-    if oracle_kind == "kvn":
-        if not check_restriction(instance, tol):
-            return False
-        ext = kvn_extend(instance, tol)
-        d, g = instance.domain_basis.a, instance.values.a
-        if np.linalg.norm(ext.a @ d - g) > 1e-8 * (1 + np.linalg.norm(g)):
-            return False
-        return loewner_leq(ext, witness["total"], tol)
 
-    if oracle_kind == "sa_ext":
-        lift = hilbert_lift(instance.weight, tol)
-        interval = _extend_on_lift(instance.operator, lift, tol)
-        aw = instance.weight.a
-        d, v = instance.operator.domain_basis.a, instance.operator.values.a
-        for s in (interval.s_min, interval.s_max):
-            if np.linalg.norm(aw @ (s.a @ d) - aw @ v) > 1e-7 * (1 + np.linalg.norm(aw @ v)):
-                return False
-            if abs(_alpha_on_lift(s, lift, tol) - interval.alpha) > 1e-7 * (1 + interval.alpha):
-                return False
-        if not loewner_leq(interval.s_min, interval.s_max, tol):
-            return False
-        mid = (interval.s_min.a + interval.s_max.a) / 2.0
-        return in_interval(mid, interval, tol)
+# Each kind's invariants on the result of a run (its outputs and diagnostics
+# together), as (key, threshold): the value under key must be True when the
+# threshold is None, else at most threshold(data, result, tol).  Residuals are
+# measured relative to the input they are taken against.
+_FUNCTIONAL_INVARIANTS = (
+    ("ideal_agreement_min", lambda d, r, t: t.eq * (1.0 + _fro(d["projection"] @ d["gamma"]))),
+    ("ideal_agreement_max", lambda d, r, t: t.eq * (1.0 + _fro(d["projection"] @ d["gamma"]))),
+    ("order_ok", None),
+)
 
-    if oracle_kind == "parrott":
-        lift1, lift2 = hilbert_lift(instance.weight1, tol), hilbert_lift(instance.weight2, tol)
-        if not _compatible(instance, lift1, lift2, tol):
-            return False
-        bound = float(np.sqrt(max(instance.alpha1, instance.alpha2)))
-        for endpoint in ("min", "max", "mid"):
-            x = parrott_complete(instance, tol, endpoint=endpoint).a
-            if (
-                np.linalg.norm(instance.weight2.a @ (x @ instance.domain1.a - instance.values1.a))
-                > 1e-7 * (1 + np.linalg.norm(instance.values1.a))
-            ):
-                return False
-            if (
-                np.linalg.norm(instance.weight1.a @ (x.conj().T @ instance.domain2.a - instance.values2.a))
-                > 1e-7 * (1 + np.linalg.norm(instance.values2.a))
-            ):
-                return False
-            if _completion_norm(instance, x, lift1, lift2, tol) > bound + 1e-7 * (1 + bound):
-                return False
-        return True
+_INVARIANTS = {
+    "kvn": (
+        ("value_residual", lambda d, r, t: t.eq * (1.0 + _fro(d["values"]))),
+        ("restriction_ok", None),
+        ("below_witness", None),
+    ),
+    "sa-ext": (
+        ("extend_residual_min", lambda d, r, t: t.eq * (1.0 + _fro(d["weight"] @ d["values"]))),
+        ("extend_residual_max", lambda d, r, t: t.eq * (1.0 + _fro(d["weight"] @ d["values"]))),
+        ("alpha_drift_min", lambda d, r, t: t.eq * (1.0 + r["alpha"])),
+        ("alpha_drift_max", lambda d, r, t: t.eq * (1.0 + r["alpha"])),
+        ("order_ok", None),
+        ("midpoint_in_interval", None),
+    ),
+    "parrott": (
+        ("corner1_residual", lambda d, r, t: t.eq * (1.0 + _fro(d["values1"]))),
+        ("corner2_residual", lambda d, r, t: t.eq * (1.0 + _fro(d["values2"]))),
+        ("bound_ok", None),
+        ("compatible", None),
+    ),
+    "strong-parrott": (
+        ("norm", lambda d, r, t: 1.0 + t.eq),
+        ("s_residual", lambda d, r, t: t.eq * (1.0 + _fro(d["s1"]))),
+        ("t_residual", lambda d, r, t: t.eq * (1.0 + _fro(d["t2"]))),
+    ),
+    "functional-ext": _FUNCTIONAL_INVARIANTS + (
+        ("f_bound_drift", lambda d, r, t: t.eq * (1.0 + r["alpha"])),
+    ),
+    "cstar-check": _FUNCTIONAL_INVARIANTS + (
+        ("extendible", None),
+        ("constant4_ok", None),
+        ("violations", lambda d, r, t: 0),
+    ),
+}
 
-    if oracle_kind == "strong_parrott":
-        x = strong_parrott(instance, tol).a
-        s1, s2, t1, t2 = instance.s1.a, instance.s2.a, instance.t1.a, instance.t2.a
-        if x.size and np.linalg.svd(x, compute_uv=False)[0] > 1 + 1e-8:
-            return False
-        if np.linalg.norm(x @ s1 - s2) > 1e-7 * (1 + np.linalg.norm(s1)):
-            return False
-        return bool(np.linalg.norm(t2 @ x - t1) <= 1e-7 * (1 + np.linalg.norm(t2)))
 
-    # functional kinds
-    pf = instance.partial
-    if not is_symmetric_on_ideal(pf, tol):
-        return False
-    if kind == "cstar-check":
-        decision = cstar_extendibility(
-            pf, tol, extension=instance.source, samples=1000, rng=rng.split(1)
-        )
-        if not (decision.extendible and decision.constant4_ok and decision.violations == 0):
-            return False
-        g_min, g_max, alpha = decision.g_min, decision.g_max, decision.alpha
-    else:
-        g_min, g_max, alpha = extend_functional(pf, instance.density, tol)
-        if abs(f_bound(pf, instance.density, tol) - alpha) > 1e-7 * (1 + alpha):
-            return False
-    scale = 1e-7 * (1 + np.linalg.norm(pf.gamma.a))
-    if _ideal_agreement(pf, g_min.density.a) > scale:
-        return False
-    if _ideal_agreement(pf, g_max.density.a) > scale:
-        return False
-    return functional_interval_member(g_min, g_min, g_max, tol)
+def _below_witness(data: dict, result: dict, witness: dict, tol: Tolerances) -> dict:
+    """The minimal extension lies below the planted positive total."""
+    return {"below_witness": loewner_leq(result["extension"], witness["total"], tol)}
+
+
+def _midpoint_in_interval(data: dict, result: dict, witness: dict, tol: Tolerances) -> dict:
+    interval = ExtensionInterval(result["alpha"], hermitize(result["s_min"], tol), hermitize(result["s_max"], tol))
+    return {"midpoint_in_interval": in_interval((result["s_min"] + result["s_max"]) / 2.0, interval, tol)}
+
+
+def _f_bound_drift(data: dict, result: dict, witness: dict, tol: Tolerances) -> dict:
+    """f_bound on its own agrees with the bound extend_functional reports."""
+    pf = PartialFunctional(LeftIdeal(data["projection"], tol), data["gamma"])
+    return {"f_bound_drift": abs(f_bound(pf, PsdMatrix(data["density"], tol), tol) - result["alpha"])}
+
+
+# Invariants no run diagnostic carries: they need the planted witness or a
+# second library call, so verify adds their keys to the result itself.
+_VERIFY_ONLY = {
+    "kvn": _below_witness,
+    "sa-ext": _midpoint_in_interval,
+    "functional-ext": _f_bound_drift,
+}
+
+_VERIFY_SAMPLES = 1000
+
+
+def _random_dims(kind: str, gen) -> tuple[int, ...]:
+    """Dimensions of one verify instance when --dims is not given."""
+    if kind in ("kvn", "sa-ext"):
+        n = int(gen.integers(1, 9))
+        return (n, int(gen.integers(1, n + 1)))
+    if kind == "parrott":
+        return (int(gen.integers(1, 6)), int(gen.integers(1, 6)))
+    if kind == "strong-parrott":
+        h, k = int(gen.integers(1, 7)), int(gen.integers(1, 7))
+        return (h, k, int(gen.integers(1, h + 1)), int(gen.integers(1, k + 1)))
+    return (int(gen.integers(1, 5)),)
+
+
+def _verify_one(kind: str, rng: Rng, dims: tuple[int, ...], tol: Tolerances, seed: int) -> list[dict]:
+    """Failed invariants of one generated instance, run as `opext <kind>` runs it.
+
+    The instance goes through the same encode -> parse -> run path as an
+    instance file; parrott runs once per endpoint.
+    """
+    instance, witness = random_instance_with_witness(_ORACLE_KIND[kind], dims, rng)
+    data = _PARSERS[kind](_encode_instance(kind, instance))
+    failures = []
+    for endpoint in _ENDPOINTS if kind == "parrott" else (None,):
+        args = argparse.Namespace(endpoint=endpoint, seed=seed, samples=_VERIFY_SAMPLES)
+        outputs, diagnostics = _RUNNERS[kind](data, tol, args)
+        result = {**outputs, **diagnostics}
+        if kind in _VERIFY_ONLY:
+            result.update(_VERIFY_ONLY[kind](data, result, witness, tol))
+        for key, threshold in _INVARIANTS[kind]:
+            value = result[key]
+            limit = None if threshold is None else threshold(data, result, tol)
+            if (value is True) if limit is None else (value <= limit):
+                continue
+            if limit is not None and not np.isfinite(value):
+                value = str(value)  # nan and inf have no canonical JSON form
+            record = {"check": key, "value": value, "threshold": limit}
+            if endpoint is not None:
+                record["endpoint"] = endpoint
+            failures.append(record)
+    return failures
 
 
 # --------------------------------------------------------------------------
@@ -517,6 +510,7 @@ def _add_tol_flags(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--tol-eq", type=float, default=None, help="equality-residual tolerance override")
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="opext",
@@ -529,7 +523,7 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--out", default=None, help="write the result file here instead of stdout")
         _add_tol_flags(p)
         if kind == "parrott":
-            p.add_argument("--endpoint", choices=("min", "max", "mid"), default="min",
+            p.add_argument("--endpoint", choices=_ENDPOINTS, default="min",
                            help="which extremal extension supplies the completion")
         if kind == "cstar-check":
             p.add_argument("--seed", type=int, default=0, help="seed for the sampled bound check")
@@ -554,24 +548,16 @@ def build_parser() -> argparse.ArgumentParser:
 
 def _tolerances_from(args, file_overrides: dict | None) -> Tolerances:
     values = {"rank": None, "psd": 1e-8, "herm": 1e-10, "eq": 1e-8}
-    if file_overrides:
-        for key in values:
-            if key in file_overrides:
-                values[key] = decode_real(file_overrides[key], what=f"tolerances.{key}")
-    if getattr(args, "tol_rank", None) is not None:
-        values["rank"] = args.tol_rank
-    if getattr(args, "tol_psd", None) is not None:
-        values["psd"] = args.tol_psd
-    if getattr(args, "tol_eq", None) is not None:
-        values["eq"] = args.tol_eq
+    for key in values:
+        if key in (file_overrides or {}):
+            values[key] = decode_real(file_overrides[key], what=f"tolerances.{key}")
+        # flags win over the file; there is no --tol-herm
+        if getattr(args, f"tol_{key}", None) is not None:
+            values[key] = getattr(args, f"tol_{key}")
     try:
         return Tolerances(**values)
     except ValueError as exc:
         raise _InputError(f"bad tolerances: {exc}") from exc
-
-
-def _tolerances_doc(tol: Tolerances) -> dict:
-    return {"rank": tol.rank, "psd": tol.psd, "herm": tol.herm, "eq": tol.eq}
 
 
 def _emit(text: str, out_path: str | None) -> None:
@@ -589,7 +575,7 @@ def _result(status: str, kind: str, outputs: dict, diagnostics: dict,
         "kind": kind,
         "outputs": outputs,
         "diagnostics": diagnostics,
-        "tolerances": _tolerances_doc(tol) if tol is not None else None,
+        "tolerances": dataclasses.asdict(tol) if tol is not None else None,
         "seed": seed,
         "error": error,
     }
@@ -627,34 +613,13 @@ def _cmd_run(kind: str, args) -> int:
         if not isinstance(payload, dict):
             raise _InputError("instance file is missing its 'payload' object")
         tol = _tolerances_from(args, document.get("tolerances"))
-        data = _PARSERS[kind](payload)
-    except (OSError, json.JSONDecodeError, _InputError, ValueError) as exc:
-        doc = _result("invalid-input", kind, {}, {}, tol, seed,
-                      {"type": type(exc).__name__, "message": str(exc)})
+        outputs, diagnostics = _RUNNERS[kind](_PARSERS[kind](payload), tol, args)
+    except _FAILURE_TYPES as exc:
+        status, code = next((s, c) for types, s, c in _FAILURE_STATUS if isinstance(exc, types))
+        doc = _result(status, kind, {}, {}, tol, seed, {"type": type(exc).__name__, "message": str(exc)})
         _emit(dumps_canonical(doc), args.out)
-        return EXIT_INVALID_INPUT
-
-    try:
-        outputs, diagnostics = _RUNNERS[kind](data, tol, args)
-    except _INFEASIBLE_ERRORS as exc:
-        doc = _result("infeasible", kind, {}, {}, tol, seed,
-                      {"type": type(exc).__name__, "message": str(exc)})
-        _emit(dumps_canonical(doc), args.out)
-        return EXIT_INFEASIBLE
-    # LinAlgError subclasses ValueError, so the numerical clause must come first
-    except (NumericalFailure, np.linalg.LinAlgError, ArithmeticError) as exc:
-        doc = _result("numerical-failure", kind, {}, {}, tol, seed,
-                      {"type": type(exc).__name__, "message": str(exc)})
-        _emit(dumps_canonical(doc), args.out)
-        return EXIT_NUMERICAL_FAILURE
-    except (DimensionMismatch, InvalidDims, ValueError) as exc:
-        doc = _result("invalid-input", kind, {}, {}, tol, seed,
-                      {"type": type(exc).__name__, "message": str(exc)})
-        _emit(dumps_canonical(doc), args.out)
-        return EXIT_INVALID_INPUT
-
-    doc = _result("ok", kind, outputs, diagnostics, tol, seed, None)
-    _emit(dumps_canonical(doc), args.out)
+        return code
+    _emit(dumps_canonical(_result("ok", kind, outputs, diagnostics, tol, seed, None)), args.out)
     return EXIT_OK
 
 
@@ -673,6 +638,7 @@ def _cmd_gen(args) -> int:
 
 def _cmd_verify(args) -> int:
     try:
+        root = Rng(args.seed)
         tol = _tolerances_from(args, None)
         kinds = list(RUN_KINDS) if args.kind == "all" else [args.kind]
         dims = None
@@ -680,28 +646,33 @@ def _cmd_verify(args) -> int:
             if args.kind == "all":
                 raise _InputError("--dims cannot be combined with --kind all")
             dims = _parse_dims(args.dims, None, kinds[0])
+            _check_dims(_ORACLE_KIND[kinds[0]], dims, root.generator())
         if args.count < 1:
             raise _InputError("--count must be positive")
-    except _InputError as exc:
+    except (ValueError, InvalidDims) as exc:
         sys.stderr.write(f"error: {exc}\n")
         return EXIT_INVALID_INPUT
 
-    root = Rng(args.seed)
     report = {}
     total_failed = 0
     for offset, kind in enumerate(kinds):
-        passed = 0
+        failures = []
+        failed = 0
         for index in range(args.count):
             child = root.split(offset).split(index)
+            instance_dims = dims or _random_dims(kind, child.generator())
             try:
-                ok = _verify_one(kind, child, tol, dims)
+                found = _verify_one(kind, child.split(0), instance_dims, tol, args.seed)
             # a typed or numerical failure counts against the instance;
             # anything else is a programming error and propagates
-            except (OpExtError, np.linalg.LinAlgError, ArithmeticError):
-                ok = False
-            passed += bool(ok)
-        report[kind] = {"count": args.count, "passed": passed, "failed": args.count - passed}
-        total_failed += args.count - passed
+            except (OpExtError, np.linalg.LinAlgError, ArithmeticError) as exc:
+                found = [{"type": type(exc).__name__, "message": str(exc)}]
+            failures += [{"index": index, "dims": list(instance_dims), **record} for record in found]
+            failed += bool(found)
+        report[kind] = {"count": args.count, "passed": args.count - failed, "failed": failed}
+        if failures:
+            report[kind]["failures"] = failures
+        total_failed += failed
     status = "ok" if total_failed == 0 else "numerical-failure"
     doc = _result(status, "verify", report, {"total_failed": total_failed}, tol, args.seed, None)
     _emit(dumps_canonical(doc), args.out)

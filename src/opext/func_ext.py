@@ -53,7 +53,7 @@ from .numkit import (
     loewner_leq,
     psd_eig,
 )
-from .sa_ext import SymmetricPartialOperator, _extend_lifted, _weighted_lift
+from .sa_ext import SymmetricPartialOperator, _extend_lifted, _symmetric_lift
 
 __all__ = [
     "FunctionalMatrix",
@@ -329,10 +329,9 @@ def _row_operator(
         raise NotSymmetric("functional is not symmetric on its ideal")
     _, d = psd_eig(pf.ideal.projection.a.T, tol)
     try:
-        u, w, alpha = _weighted_lift(d, pf.gamma.a.T @ d, row, row, tol)
+        u, w, alpha = _symmetric_lift(d, pf.gamma.a.T @ d, row, tol)
     except NotABounded as exc:
         raise NotFBounded(f"not bounded relative to this positive functional: {exc}") from exc
-    hermitize(u.conj().T @ w, tol)
     return row, u, w, alpha
 
 

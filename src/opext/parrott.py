@@ -133,13 +133,13 @@ def check_compatibility(inst: ParrottInstance, tol: Tolerances | None = None) ->
     return _compatible(inst, hilbert_lift(inst.weight1, t), hilbert_lift(inst.weight2, t), t)
 
 
-def _assemble(inst: ParrottInstance, tol: Tolerances) -> tuple[SymmetricPartialOperator, HilbertLift]:
+def _assemble(
+    inst: ParrottInstance, lift1: HilbertLift, lift2: HilbertLift, tol: Tolerances
+) -> tuple[SymmetricPartialOperator, HilbertLift]:
     """Stacked operator and the lift of diag(A1, A2), assembled from the per-block lifts.
 
-    Each weight is lifted once; the block lifts also serve the compatibility check.
+    The block lifts also serve the compatibility check.
     """
-    lift1 = hilbert_lift(inst.weight1, tol)
-    lift2 = hilbert_lift(inst.weight2, tol)
     if not _compatible(inst, lift1, lift2, tol):
         raise IncompatibleInstance(
             "instance fails compatibility or exceeds its declared bound constants"
@@ -164,7 +164,8 @@ def assemble_symmetric(
 
     Raises :class:`IncompatibleInstance` when compatibility fails.
     """
-    op, lift = _assemble(inst, _tol(tol))
+    t = _tol(tol)
+    op, lift = _assemble(inst, hilbert_lift(inst.weight1, t), hilbert_lift(inst.weight2, t), t)
     return op, lift.weight
 
 
@@ -183,16 +184,18 @@ def parrott_complete(
     t = _tol(tol)
     if endpoint not in ("min", "max", "mid"):
         raise ValueError(f"endpoint must be 'min', 'max', or 'mid', got {endpoint!r}")
-    op, lift = _assemble(inst, t)
-    interval = _extend_on_lift(op, lift, t)
-    if endpoint == "min":
-        s = interval.s_min.a
-    elif endpoint == "max":
-        s = interval.s_max.a
-    else:
-        s = (interval.s_min.a + interval.s_max.a) / 2.0
+    return _complete_on_lifts(inst, hilbert_lift(inst.weight1, t), hilbert_lift(inst.weight2, t), t, endpoint)
+
+
+def _complete_on_lifts(
+    inst: ParrottInstance, lift1: HilbertLift, lift2: HilbertLift, tol: Tolerances, endpoint: str
+) -> ComplexMatrix:
+    """:func:`parrott_complete` on already computed lifts of the two weights."""
+    op, lift = _assemble(inst, lift1, lift2, tol)
+    interval = _extend_on_lift(op, lift, tol)
     n1 = inst.dim1
-    return ComplexMatrix(s[n1:, :n1])
+    low, high = interval.s_min.a[n1:, :n1], interval.s_max.a[n1:, :n1]
+    return ComplexMatrix({"min": low, "max": high, "mid": (low + high) / 2.0}[endpoint])
 
 
 class StrongParrottInstance:

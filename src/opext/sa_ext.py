@@ -171,6 +171,19 @@ def _weighted_lift(
     return u, w, _smax(w @ up)
 
 
+def _symmetric_lift(
+    d: np.ndarray, v: np.ndarray, lift: HilbertLift, tol: Tolerances
+) -> tuple[np.ndarray, np.ndarray, float]:
+    """:func:`_weighted_lift` of symmetric data; NotHermitian unless U* W is Hermitian.
+
+    A leak out of ran A within tolerance can keep D* V Hermitian while U* W
+    is not, and extensions built from such data miss the prescribed values.
+    """
+    u, w, alpha = _weighted_lift(d, v, lift, lift, tol)
+    hermitize(u.conj().T @ w, tol)
+    return u, w, alpha
+
+
 def lift_symmetric(
     op: SymmetricPartialOperator, weight, tol: Tolerances | None = None
 ) -> LiftedSymmetric:
@@ -178,11 +191,12 @@ def lift_symmetric(
 
     Raises :class:`NotABounded` when no finite weighted bound exists:
     either some value sticks out of ran A, or the domain degenerates in
-    the weighted seminorm where the values do not.
+    the weighted seminorm where the values do not; NotHermitian when the
+    lifted data is not symmetric.
     """
     t = _tol(tol)
     lift = hilbert_lift(weight, t)
-    u, w, alpha = _weighted_lift(op.domain_basis.a, op.values.a, lift, lift, t)
+    u, w, alpha = _symmetric_lift(op.domain_basis.a, op.values.a, lift, t)
     return LiftedSymmetric(lift=lift, domain=ComplexMatrix(u), values=ComplexMatrix(w), alpha=alpha)
 
 
@@ -208,11 +222,11 @@ def extend_symmetric(
 
 def _extend_on_lift(op: SymmetricPartialOperator, lift: HilbertLift, tol: Tolerances) -> ExtensionInterval:
     """:func:`extend_symmetric` on an already computed lift of the weight."""
-    return _extend_lifted(*_weighted_lift(op.domain_basis.a, op.values.a, lift, lift, tol), lift, tol)
+    return _extend_lifted(*_symmetric_lift(op.domain_basis.a, op.values.a, lift, tol), lift, tol)
 
 
 def _extend_lifted(u: np.ndarray, w: np.ndarray, alpha: float, lift: HilbertLift, tol: Tolerances) -> ExtensionInterval:
-    """Extremal extensions from the range coordinates and bound of :func:`_weighted_lift`."""
+    """Extremal extensions from the range coordinates and bound of :func:`_symmetric_lift`."""
     eye = np.eye(lift.rank, dtype=np.complex128)
     try:
         low = _extend_from_span(u, alpha * u + w, tol)

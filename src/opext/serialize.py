@@ -142,7 +142,10 @@ def decode_matrix(rows, what: str = "matrix") -> np.ndarray:
 def decode_real(value, what: str = "value") -> float:
     if isinstance(value, bool) or not isinstance(value, (int, float)):
         raise ValueError(f"{what}: expected a real number")
-    x = float(value)
+    try:
+        x = float(value)
+    except OverflowError as exc:  # an integer beyond the float range
+        raise ValueError(f"{what}: must be finite") from exc
     if not np.isfinite(x):
         raise ValueError(f"{what}: must be finite")
     return x

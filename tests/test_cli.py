@@ -241,6 +241,22 @@ class TestInvalidInputExit:
         code, doc = run(tmp_path, "kvn", path)
         assert code == 2
 
+    def test_integer_beyond_the_float_range(self, tmp_path):
+        path = write_instance(tmp_path, "bad.json", {
+            "kind": "parrott",
+            "payload": {
+                "n1": 1, "n2": 1,
+                "domain1": [[1.0]], "values1": [[1.0]],
+                "domain2": [[1.0]], "values2": [[1.0]],
+                "weight1": [[1.0]], "weight2": [[1.0]],
+                "alpha1": 10 ** 400, "alpha2": 1.0,
+            },
+        })
+        code, doc = run(tmp_path, "parrott", path)
+        assert code == 2
+        assert doc["status"] == "invalid-input"
+        assert "alpha1" in doc["error"]["message"]
+
     def test_bad_tolerance_flag(self, tmp_path):
         code, doc = run(tmp_path, "kvn", str(INSTANCES / "kvn.json"), "--tol-eq", "-1")
         assert code == 2
@@ -256,6 +272,9 @@ class TestInvalidInputExit:
     def test_help_exits_ok(self, capsys):
         assert cli.main(["--help"]) == 0
         capsys.readouterr()
+
+    def test_parser_is_built_once(self):
+        assert cli.build_parser() is cli.build_parser()
 
 
 class TestNumericalFailureExit:
@@ -310,10 +329,10 @@ class TestTolerances:
 
 
 class TestDiagnosticsReuseLifts:
-    @pytest.mark.parametrize("kind, eigh_calls", [("sa-ext", 3), ("parrott", 6)])
+    @pytest.mark.parametrize("kind, eigh_calls", [("sa-ext", 3), ("parrott", 4)])
     def test_eigh_calls(self, tmp_path, monkeypatch, kind, eigh_calls):
-        # each weight is lifted once for the run and once for all its
-        # diagnostics, and never as the stacked (n1 + n2)-square matrix
+        # each weight is lifted once, for the run and all its diagnostics
+        # together, and never as the stacked (n1 + n2)-square matrix
         payload = json.loads((INSTANCES / f"{kind}.json").read_text())["payload"]
         stacked = payload["n1"] + payload["n2"] if kind == "parrott" else None
         shapes = []
@@ -436,3 +455,67 @@ class TestVerify:
         code, doc = run(tmp_path, "verify", "--kind", "kvn", "--count", "1")
         assert code == 3
         assert doc["outputs"]["kvn"]["failed"] == 1
+
+    @pytest.mark.parametrize("argv, message", [
+        (["--kind", "kvn", "--dims", "64,32"], "dimensions capped at 16"),
+        (["--kind", "parrott", "--dims", "3,2,1"], "parrott instances take"),
+        (["--kind", "kvn", "--seed", "-1"], "seed must fit"),
+    ])
+    def test_verify_bad_dims_or_seed_is_invalid_input(self, tmp_path, capsys, argv, message):
+        code, doc = run(tmp_path, "verify", *argv, "--count", "2")
+        assert code == 2
+        assert doc is None
+        assert capsys.readouterr().err.startswith(f"error: {message}")
+
+    def test_verify_names_the_failed_check(self, tmp_path, monkeypatch):
+        runner = cli._RUNNERS["kvn"]
+        calls = []
+
+        def inflated(data, tol, args):
+            outputs, diagnostics = runner(data, tol, args)
+            calls.append(data["domain_basis"].shape)
+            if len(calls) == 2:
+                diagnostics["value_residual"] = 1.0
+            return outputs, diagnostics
+
+        monkeypatch.setitem(cli._RUNNERS, "kvn", inflated)
+        code, doc = run(tmp_path, "verify", "--kind", "kvn", "--count", "3", "--seed", "1")
+        assert code == 3
+        assert doc["status"] == "numerical-failure"
+        report = doc["outputs"]["kvn"]
+        assert (report["passed"], report["failed"]) == (2, 1)
+        [failure] = report["failures"]
+        threshold = failure.pop("threshold")
+        assert failure == {"index": 1, "dims": list(calls[1]), "check": "value_residual", "value": 1.0}
+        assert 1e-8 <= threshold < 1.0
+
+    def test_verify_names_the_exception(self, tmp_path, monkeypatch):
+        def breakdown(op, tol=None):
+            raise NumericalFailure("synthetic breakdown")
+
+        monkeypatch.setattr(cli, "kvn_extend", breakdown)
+        code, doc = run(tmp_path, "verify", "--kind", "kvn", "--count", "1", "--dims", "3,2")
+        assert code == 3
+        assert doc["outputs"]["kvn"]["failures"] == [
+            {"index": 0, "dims": [3, 2], "type": "NumericalFailure", "message": "synthetic breakdown"}
+        ]
+
+    def test_verify_checks_every_parrott_endpoint(self, tmp_path, monkeypatch):
+        runner = cli._RUNNERS["parrott"]
+        endpoints = []
+
+        def broken_max(data, tol, args):
+            outputs, diagnostics = runner(data, tol, args)
+            endpoints.append(args.endpoint)
+            if args.endpoint == "max":
+                diagnostics["bound_ok"] = False
+            return outputs, diagnostics
+
+        monkeypatch.setitem(cli._RUNNERS, "parrott", broken_max)
+        code, doc = run(tmp_path, "verify", "--kind", "parrott", "--count", "1", "--dims", "3,2")
+        assert code == 3
+        assert endpoints == ["min", "max", "mid"]
+        assert doc["outputs"]["parrott"]["failures"] == [
+            {"index": 0, "dims": [3, 2], "check": "bound_ok", "value": False, "threshold": None,
+             "endpoint": "max"}
+        ]

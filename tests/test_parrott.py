@@ -3,9 +3,9 @@
 import numpy as np
 import pytest
 
-from opext.errors import HypothesisViolated, IncompatibleInstance
+from opext.errors import HypothesisViolated, IncompatibleInstance, NotHermitian
 from opext.numkit import PsdMatrix, Tolerances
-from opext.oracle import Rng, min_completion_search, random_instance_with_witness
+from opext.oracle import Rng, complex_gaussian, min_completion_search, random_instance_with_witness
 from opext.parrott import (
     ParrottInstance,
     StrongParrottInstance,
@@ -256,3 +256,27 @@ class TestClassicalParrott:
                 np.diag([1.0, 0.0]), np.diag([1.0, 0.0]),
                 np.array([[0.0], [1.0]]), np.array([[0.5, 0.5]]),
             )
+
+
+class TestLiftedAsymmetry:
+    @pytest.mark.parametrize("seed", range(10))
+    def test_leak_out_of_the_weight_range_is_rejected(self, seed):
+        # T1: C^1 -> (C^2, q q*) with a value leaking b z out of ran q q*
+        # (inside the range tolerance), T2 on d = u q + c z with the value
+        # that makes D2* V1 = V2* D1 exact; the stacked data is symmetric,
+        # but its lifted form is off by conj(c) b
+        gen = np.random.default_rng(6000 + seed)
+        q, z = np.linalg.qr(complex_gaussian(gen, 2, 2))[0].T
+        d = q * gen.uniform(0.3, 1.0) + z * gen.uniform(0.3, 1.0) * np.exp(2j * np.pi * gen.uniform())
+        d /= np.linalg.norm(d)
+        a = gen.uniform(0.2, 2.0) * np.exp(2j * np.pi * gen.uniform())
+        v1 = q * a + z * gen.uniform(1e-9, 2e-9) * np.exp(2j * np.pi * gen.uniform()) / abs(z.conj() @ d)
+        v2 = np.conj(d.conj() @ v1)
+        beta1, beta2 = abs(a) ** 2, abs(v2) ** 2 / abs(q.conj() @ d) ** 2
+        inst = ParrottInstance(
+            np.ones((1, 1)), v1[:, None], d[:, None], np.array([[v2]]),
+            np.eye(1), np.outer(q, q.conj()), 1.5 * beta1, 1.5 * beta2,
+        )
+        assert check_compatibility(inst)
+        with pytest.raises(NotHermitian):
+            parrott_complete(inst)

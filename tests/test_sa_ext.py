@@ -246,3 +246,24 @@ class TestCommutation:
     def test_non_identity_weight_rejected(self):
         with pytest.raises(HypothesisViolated):
             check_commutation(np.eye(2), fixture_operator(), PsdMatrix(np.diag([2.0, 1.0])))
+
+
+class TestLiftedAsymmetry:
+    @pytest.mark.parametrize("seed", range(10))
+    def test_leak_out_of_the_weight_range_is_rejected(self, seed):
+        # weight q q* of rank one on C^2, one domain vector d = u q + c z:
+        # the lifted form u* w = conj(u) a carries an imaginary part eps
+        # that the value's leak b z (inside the range tolerance) cancels in
+        # d* v, so the data passes as symmetric; extending it anyway can
+        # miss the prescribed values by far more than the leak
+        gen = np.random.default_rng(5000 + seed)
+        q, z = np.linalg.qr(complex_gaussian(gen, 2, 2))[0].T
+        d = q * gen.uniform(0.3, 1.0) + z * gen.uniform(0.3, 1.0) * np.exp(2j * np.pi * gen.uniform())
+        d /= np.linalg.norm(d)
+        u, c = q.conj() @ d, z.conj() @ d
+        eps = gen.uniform(1e-9, 2e-9)
+        a = (gen.uniform(-2.0, 2.0) + 1j * eps) / u.conj()
+        v = q * a - z * (1j * eps / c.conj())
+        op = SymmetricPartialOperator(d[:, None], v[:, None])
+        with pytest.raises(NotHermitian):
+            extend_symmetric(op, PsdMatrix(np.outer(q, q.conj())))
