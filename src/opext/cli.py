@@ -49,14 +49,14 @@ from .func_ext import (
     f_bound,
     functional_interval_member,
 )
-from .kvn import PartialPositiveOperator, _block_lift, check_restriction, hilbert_lift, kvn_extend
+from .kvn import PartialPositiveOperator, _antidiag, _block_lift, check_restriction, hilbert_lift, kvn_extend
 from .numkit import ComplexMatrix, HermitianMatrix, PsdMatrix, Tolerances, hermitize, loewner_leq
 from .oracle import Rng, _check_dims, random_instance_with_witness
 from .parrott import (
     ParrottInstance,
     StrongParrottInstance,
-    _compatible,
     _complete_on_lifts,
+    _corner_lifts,
     strong_parrott,
 )
 from .sa_ext import (
@@ -260,12 +260,10 @@ def _run_parrott(data: dict, tol: Tolerances, args) -> tuple[dict, dict]:
         data["weight1"], data["weight2"], data["alpha1"], data["alpha2"], tol,
     )
     lift1, lift2 = hilbert_lift(inst.weight1, tol), hilbert_lift(inst.weight2, tol)
-    completion = _complete_on_lifts(inst, lift1, lift2, tol, getattr(args, "endpoint", "min")).a
+    corners = _corner_lifts(inst, lift1, lift2, tol)
+    completion = _complete_on_lifts(inst, lift1, lift2, corners, tol, getattr(args, "endpoint", "min")).a
     # cross-weighted norm of X: the bound of [[0, X*], [X, 0]] against diag(A1, A2)
-    n1 = inst.dim1
-    stacked = np.zeros((n1 + inst.dim2,) * 2, dtype=np.complex128)
-    stacked[n1:, :n1] = completion
-    stacked[:n1, n1:] = completion.conj().T
+    stacked = _antidiag(completion.conj().T, completion)
     norm = _alpha_on_lift(HermitianMatrix(stacked, tol), _block_lift(lift1, lift2), tol)
     bound = float(np.sqrt(max(inst.alpha1, inst.alpha2)))
     return (
@@ -278,7 +276,7 @@ def _run_parrott(data: dict, tol: Tolerances, args) -> tuple[dict, dict]:
                 np.linalg.norm(inst.weight1.a @ (completion.conj().T @ inst.domain2.a - inst.values2.a))
             ),
             "bound_ok": bool(norm <= bound + tol.eq * (1.0 + bound)),
-            "compatible": _compatible(inst, lift1, lift2, tol),
+            "compatible": corners is not None,
         },
     )
 

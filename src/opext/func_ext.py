@@ -294,7 +294,7 @@ def _gns_space(row: HilbertLift) -> GnsSpace:
         density=PsdMatrix._trusted(row.weight.a.T),
         lift=lift,
         class_map=ComplexMatrix(class_map),
-        class_pinv=ComplexMatrix(lift.sqrt_pinv.a @ lift.range_basis.a),
+        class_pinv=ComplexMatrix(lift.range_basis.a / lift.roots),
         cyclic=ComplexMatrix((class_map @ _vec(np.eye(m, dtype=np.complex128))).reshape(-1, 1)),
     )
 

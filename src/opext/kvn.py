@@ -15,9 +15,10 @@ must vanish where the Gram form does, tested as ||G - (G Q) Q*|| ~ 0.
 
 :func:`hilbert_lift` packages the auxiliary inner-product space attached
 to a positive weight A: the weighted pairing <x, y>_A = y* A x descends to
-an r-dimensional Hilbert space (r = rank A), realized concretely through
-A^{1/2} and an orthonormal basis of its range.  The extension modules use
-these coordinates for every spectral computation.
+an r-dimensional Hilbert space (r = rank A), realized through the class map
+x -> diag(rho) Q* x of the eigenpairs A = Q diag(rho)^2 Q* above the rank
+cutoff.  The extension modules use these coordinates for every spectral
+computation.
 """
 
 from __future__ import annotations
@@ -159,41 +160,55 @@ def kvn_extend(op: PartialPositiveOperator, tol: Tolerances | None = None) -> Ps
     return PsdMatrix._trusted(_extend_from_span(op.domain_basis.a, op.values.a, t))
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class HilbertLift:
     """Hilbert-space coordinates for the weighted pairing of a weight A.
 
     The sesquilinear form <x, y>_A = y* A x is an inner product on the
-    quotient of C^n by ker A.  With r = rank A and Q an orthonormal basis
-    of ran A, the map x -> Q* A^{1/2} x identifies that quotient with C^r
-    carrying the standard inner product.  The fields collect everything a
-    consumer needs to move between ambient and range coordinates.
+    quotient of C^n by ker A.  With the eigenpairs A = Q diag(rho)^2 Q*
+    above the rank cutoff (r = rank A), the class map x -> diag(rho) Q* x
+    identifies that quotient with C^r carrying the standard inner product.
+    Only this spectral factor (Q, rho) is stored.
 
     Attributes
     ----------
     weight : the validated weight A.
-    sqrt : A^{1/2} (same kernel as A by construction).
-    sqrt_pinv : pseudoinverse of A^{1/2}.
     rank : r = rank A.
     range_basis : n-by-r matrix Q with orthonormal columns spanning ran A.
+    roots : read-only array rho of the r kept eigenvalues' square roots,
+        descending (blockwise in a block lift).
     """
 
     weight: PsdMatrix
-    sqrt: PsdMatrix
-    sqrt_pinv: ComplexMatrix
     rank: int
     range_basis: ComplexMatrix
+    roots: np.ndarray
+
+    def __post_init__(self):
+        self.roots.setflags(write=False)
+
+    @property
+    def sqrt(self) -> PsdMatrix:
+        """A^{1/2} = Q diag(rho) Q*, formed on demand."""
+        q = self.range_basis.a
+        return PsdMatrix._trusted((q * self.roots) @ q.conj().T)
+
+    @property
+    def sqrt_pinv(self) -> PsdMatrix:
+        """(A^{1/2})^+ = Q diag(1/rho) Q*, formed on demand."""
+        q = self.range_basis.a
+        return PsdMatrix._trusted((q / self.roots) @ q.conj().T)
 
     def embedding(self) -> np.ndarray:
-        """Matrix of the isometric embedding C^r -> C^n, h -> A^{1/2} Q h.
+        """Matrix Q diag(rho) of the isometric embedding C^r -> C^n.
 
         Composing with its adjoint recovers the weight: J J* = A.
         """
-        return self.sqrt.a @ self.range_basis.a
+        return self.range_basis.a * self.roots
 
     def coembedding(self) -> np.ndarray:
-        """Adjoint of :meth:`embedding`: x -> Q* A^{1/2} x, the class map."""
-        return self.range_basis.a.conj().T @ self.sqrt.a
+        """Adjoint of :meth:`embedding`: x -> diag(rho) Q* x, the class map."""
+        return self.embedding().conj().T
 
     def range_projector(self) -> np.ndarray:
         """Orthogonal projector onto ran A."""
@@ -204,26 +219,15 @@ class HilbertLift:
 def hilbert_lift(weight, tol: Tolerances | None = None) -> HilbertLift:
     """Build the range-coordinate realization of a positive weight.
 
-    A single eigendecomposition produces the square root, its
-    pseudoinverse, and the orthonormal range basis, so the three agree
-    exactly on what the kernel is.  Eigenvalues below the relative rank
-    cutoff are treated as zero; a genuinely negative eigenvalue raises
-    :class:`NotPsd`.  The square root is positive by construction and is
-    not re-validated.
+    A single eigendecomposition produces the orthonormal range basis Q and
+    the roots rho, so every map derived from them agrees exactly on what
+    the kernel is.  Eigenvalues below the relative rank cutoff are treated
+    as zero; a genuinely negative eigenvalue raises :class:`NotPsd`.
     """
     t = _tol(tol)
     a = PsdMatrix.coerce(weight, t)
     w, q = psd_eig(a.a, t)
-    roots = np.sqrt(w)
-    sqrt = (q * roots) @ q.conj().T
-    inv = (q * np.divide(1.0, roots, out=np.zeros_like(roots), where=roots > 0)) @ q.conj().T
-    return HilbertLift(
-        weight=a,
-        sqrt=PsdMatrix._trusted(sqrt),
-        sqrt_pinv=ComplexMatrix((inv + inv.conj().T) / 2.0),
-        rank=int(w.size),
-        range_basis=ComplexMatrix(q),
-    )
+    return HilbertLift(weight=a, rank=int(w.size), range_basis=ComplexMatrix(q), roots=np.sqrt(w))
 
 
 def _block_diag(*blocks: np.ndarray) -> np.ndarray:
@@ -235,12 +239,16 @@ def _block_diag(*blocks: np.ndarray) -> np.ndarray:
     return out
 
 
+def _antidiag(upper: np.ndarray, lower: np.ndarray) -> np.ndarray:
+    """[[0, upper], [lower, 0]]: diag(upper, lower) with lower's columns moved to the front."""
+    return np.roll(_block_diag(upper, lower), lower.shape[1], axis=1)
+
+
 def _block_lift(*lifts: HilbertLift) -> HilbertLift:
     """Lift of diag(A_1, ..., A_p), block-diagonal in the lifts of the blocks (no decomposition)."""
     return HilbertLift(
         weight=PsdMatrix._trusted(_block_diag(*(lift.weight.a for lift in lifts))),
-        sqrt=PsdMatrix._trusted(_block_diag(*(lift.sqrt.a for lift in lifts))),
-        sqrt_pinv=ComplexMatrix(_block_diag(*(lift.sqrt_pinv.a for lift in lifts))),
         rank=sum(lift.rank for lift in lifts),
         range_basis=ComplexMatrix(_block_diag(*(lift.range_basis.a for lift in lifts))),
+        roots=np.concatenate([lift.roots for lift in lifts]),
     )

@@ -317,10 +317,8 @@ def psd_sqrt(a, tol: Tolerances | None = None) -> PsdMatrix:
     a genuinely negative eigenvalue raises :class:`NotPsd`.  Satisfies
     ``R @ R == A`` up to the equality tolerance.
     """
-    arr = _as_array(a)
-    w, q = psd_eig(arr, tol)
-    root = (q * np.sqrt(w)) @ q.conj().T
-    return PsdMatrix((root + root.conj().T) / 2.0, tol)
+    w, q = psd_eig(a, tol)
+    return PsdMatrix._trusted((q * np.sqrt(w)) @ q.conj().T)
 
 
 def loewner_leq(a, b, tol: Tolerances | None = None) -> bool:

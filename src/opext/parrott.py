@@ -15,7 +15,8 @@ Then a single matrix T exists extending T1, with adjoint extending T2,
 and with cross-weighted bound at most max(alpha1, alpha2).  The
 construction stacks the two partial operators into one symmetric partial
 operator on C^{n1+n2} with block-diagonal weight and reads the completion
-off a corner of its minimal bound-preserving self-adjoint extension.
+off a corner of its minimal bound-preserving self-adjoint extension, whose
+range coordinates are assembled from the two corners' cross lifts.
 
 Specializations: :func:`strong_parrott` completes an intertwining pair of
 factorizations (X S1 = S2, T2 X = T1, ||X|| <= 1), and
@@ -33,19 +34,21 @@ from .errors import (
     IncompatibleInstance,
     NotABounded,
 )
-from .kvn import HilbertLift, _block_diag, _block_lift, hilbert_lift
+from .kvn import HilbertLift, _antidiag, _block_diag, _block_lift, hilbert_lift
 from .numkit import (
     ComplexMatrix,
     PsdMatrix,
     Tolerances,
     _smax,
     _tol,
+    eigh_desc,
     hermitize,
     independent_columns,
     loewner_leq,
+    numerical_rank,
     pinv,
 )
-from .sa_ext import SymmetricPartialOperator, _extend_on_lift, _weighted_lift
+from .sa_ext import SymmetricPartialOperator, _extend_lifted, _weighted_lift
 
 __all__ = [
     "ParrottInstance",
@@ -103,23 +106,25 @@ class ParrottInstance:
         return f"ParrottInstance(n1={self.dim1}, n2={self.dim2}, k1={self.domain1.cols}, k2={self.domain2.cols})"
 
 
-def _compatible(inst: ParrottInstance, lift1: HilbertLift, lift2: HilbertLift, tol: Tolerances) -> bool:
-    """:func:`check_compatibility` on already computed lifts of the two weights."""
+def _corner_lifts(inst: ParrottInstance, lift1: HilbertLift, lift2: HilbertLift, tol: Tolerances):
+    """Cross lifts (U1, W1, beta1), (U2, W2, beta2) of the two corners.
+
+    None when the pairing D2* V1 = V2* D1, a finite bound, or a declared bound fails.
+    """
     d1, v1 = inst.domain1.a, inst.values1.a
     d2, v2 = inst.domain2.a, inst.values2.a
-    left = d2.conj().T @ v1
-    right = v2.conj().T @ d1
+    left, right = d2.conj().T @ v1, v2.conj().T @ d1
     scale = 1.0 + max(np.linalg.norm(left), np.linalg.norm(right))
     if np.linalg.norm(left - right) > tol.eq * scale:
-        return False
+        return None
     try:
-        beta1 = _weighted_lift(d1, v1, lift1, lift2, tol)[2]
-        beta2 = _weighted_lift(d2, v2, lift2, lift1, tol)[2]
+        corners = (_weighted_lift(d1, v1, lift1, lift2, tol), _weighted_lift(d2, v2, lift2, lift1, tol))
     except NotABounded:
-        return False
-    ok1 = beta1 * beta1 <= inst.alpha1 + tol.eq * (1.0 + inst.alpha1)
-    ok2 = beta2 * beta2 <= inst.alpha2 + tol.eq * (1.0 + inst.alpha2)
-    return bool(ok1 and ok2)
+        return None
+    for (_, _, beta), alpha in zip(corners, (inst.alpha1, inst.alpha2)):
+        if beta * beta > alpha + tol.eq * (1.0 + alpha):
+            return None
+    return corners
 
 
 def check_compatibility(inst: ParrottInstance, tol: Tolerances | None = None) -> bool:
@@ -130,26 +135,7 @@ def check_compatibility(inst: ParrottInstance, tol: Tolerances | None = None) ->
     declared constant.
     """
     t = _tol(tol)
-    return _compatible(inst, hilbert_lift(inst.weight1, t), hilbert_lift(inst.weight2, t), t)
-
-
-def _assemble(
-    inst: ParrottInstance, lift1: HilbertLift, lift2: HilbertLift, tol: Tolerances
-) -> tuple[SymmetricPartialOperator, HilbertLift]:
-    """Stacked operator and the lift of diag(A1, A2), assembled from the per-block lifts.
-
-    The block lifts also serve the compatibility check.
-    """
-    if not _compatible(inst, lift1, lift2, tol):
-        raise IncompatibleInstance(
-            "instance fails compatibility or exceeds its declared bound constants"
-        )
-    n1, k1 = inst.dim1, inst.domain1.cols
-    domain = _block_diag(inst.domain1.a, inst.domain2.a)
-    values = np.zeros_like(domain)
-    values[n1:, :k1] = inst.values1.a
-    values[:n1, k1:] = inst.values2.a
-    return SymmetricPartialOperator(domain, values, tol), _block_lift(lift1, lift2)
+    return _corner_lifts(inst, hilbert_lift(inst.weight1, t), hilbert_lift(inst.weight2, t), t) is not None
 
 
 def assemble_symmetric(
@@ -165,8 +151,11 @@ def assemble_symmetric(
     Raises :class:`IncompatibleInstance` when compatibility fails.
     """
     t = _tol(tol)
-    op, lift = _assemble(inst, hilbert_lift(inst.weight1, t), hilbert_lift(inst.weight2, t), t)
-    return op, lift.weight
+    if not check_compatibility(inst, t):
+        raise IncompatibleInstance("instance fails compatibility or exceeds its declared bound constants")
+    domain = _block_diag(inst.domain1.a, inst.domain2.a)
+    op = SymmetricPartialOperator(domain, _antidiag(inst.values2.a, inst.values1.a), t)
+    return op, PsdMatrix._trusted(_block_diag(inst.weight1.a, inst.weight2.a))
 
 
 def parrott_complete(
@@ -179,22 +168,32 @@ def parrott_complete(
     ``endpoint`` selects which extension of the stacked operator supplies
     the corner: "min" (default, the canonical choice), "max", or "mid"
     (their average, also a valid completion by convexity).  Each weight
-    is lifted once; the stacked weight's lift is assembled from the two.
+    is lifted once; the stacked lift is assembled from the two corners'.
     """
     t = _tol(tol)
     if endpoint not in ("min", "max", "mid"):
         raise ValueError(f"endpoint must be 'min', 'max', or 'mid', got {endpoint!r}")
-    return _complete_on_lifts(inst, hilbert_lift(inst.weight1, t), hilbert_lift(inst.weight2, t), t, endpoint)
+    lift1, lift2 = hilbert_lift(inst.weight1, t), hilbert_lift(inst.weight2, t)
+    return _complete_on_lifts(inst, lift1, lift2, _corner_lifts(inst, lift1, lift2, t), t, endpoint)
 
 
 def _complete_on_lifts(
-    inst: ParrottInstance, lift1: HilbertLift, lift2: HilbertLift, tol: Tolerances, endpoint: str
+    inst: ParrottInstance, lift1: HilbertLift, lift2: HilbertLift, corners, tol: Tolerances, endpoint: str
 ) -> ComplexMatrix:
-    """:func:`parrott_complete` on already computed lifts of the two weights."""
-    op, lift = _assemble(inst, lift1, lift2, tol)
-    interval = _extend_on_lift(op, lift, tol)
-    n1 = inst.dim1
-    low, high = interval.s_min.a[n1:, :n1], interval.s_max.a[n1:, :n1]
+    """:func:`parrott_complete` on the weights' lifts and their :func:`_corner_lifts`.
+
+    The stacked operator has U = diag(U1, U2), W = [[0, W2], [W1, 0]] and bound max(beta1, beta2).
+    """
+    if corners is None:
+        raise IncompatibleInstance("instance fails compatibility or exceeds its declared bound constants")
+    (u1, w1, beta1), (u2, w2, beta2) = corners
+    domain = _block_diag(inst.domain1.a, inst.domain2.a)
+    if numerical_rank(domain, tol) != domain.shape[1]:
+        raise ValueError("domain basis columns are dependent; supply an independent set")
+    u, w = _block_diag(u1, u2), _antidiag(w2, w1)
+    hermitize(u.conj().T @ w, tol)  # raises NotHermitian on asymmetric lifted data
+    interval = _extend_lifted(u, w, max(beta1, beta2), _block_lift(lift1, lift2), tol)
+    low, high = (s.a[inst.dim1:, :inst.dim1] for s in (interval.s_min, interval.s_max))
     return ComplexMatrix({"min": low, "max": high, "mid": (low + high) / 2.0}[endpoint])
 
 
@@ -289,13 +288,10 @@ def strong_parrott(inst: StrongParrottInstance, tol: Tolerances | None = None) -
 
 def _projector_basis(p, tol: Tolerances, what: str) -> np.ndarray:
     """Canonical orthonormal basis of the range of an orthogonal projector."""
-    t = tol
-    pm = hermitize(p, t).a
+    pm = hermitize(p, tol).a
     idem = np.linalg.norm(pm @ pm - pm)
-    if idem > t.eq * (1.0 + np.linalg.norm(pm)):
+    if idem > tol.eq * (1.0 + np.linalg.norm(pm)):
         raise ValueError(f"{what} is not an orthogonal projector (idempotency residual {idem:.3e})")
-    from .numkit import eigh_desc
-
     w, v = eigh_desc(pm)
     keep = w > 0.5
     return np.ascontiguousarray(v[:, keep])

@@ -149,17 +149,17 @@ def _weighted_lift(
     """
     if d.shape[0] != dom.weight.rows:
         raise DimensionMismatch(f"operator lives on C^{d.shape[0]} but weight is {dom.weight.rows}x{dom.weight.rows}")
-    qd = dom.range_basis.a
     qr = ran.range_basis.a
+    qv = qr.conj().T @ v
     # values must lie in ran A_ran
-    out_of_range = np.linalg.norm(v - qr @ (qr.conj().T @ v))
+    out_of_range = np.linalg.norm(v - qr @ qv)
     if out_of_range > tol.eq * (1.0 + np.linalg.norm(v)):
         raise NotABounded(
             f"values escape the range of the weight (residual {out_of_range:.3e}); "
             "no finite weighted bound exists"
         )
-    u = qd.conj().T @ (dom.sqrt.a @ d)
-    w = qr.conj().T @ (ran.sqrt_pinv.a @ v)
+    u = dom.coembedding() @ d
+    w = qv / ran.roots[:, None]
     up = pinv(u, tol).a
     # kernel condition: where the domain collapses, the values must too
     collapse = np.linalg.norm(w - (w @ up) @ u)
@@ -249,7 +249,7 @@ def alpha_of_total(total, weight, tol: Tolerances | None = None) -> float:
     """Weighted bound of an everywhere-defined Hermitian matrix.
 
     Requires ran S inside ran A (equivalently ker A inside ker S); then
-    the bound is the largest singular value of (A^{1/2})^+ S (A^{1/2})^+.
+    the bound is ||diag(1/rho) Q* S Q diag(1/rho)|| for A = Q diag(rho)^2 Q*.
 
     Raises :class:`NotABounded` when the range condition fails.
     """
@@ -263,11 +263,11 @@ def _alpha_on_lift(s: HermitianMatrix, lift: HilbertLift, tol: Tolerances) -> fl
     if s.rows != lift.weight.rows:
         raise DimensionMismatch(f"operator is {s.rows}x{s.rows} but weight is {lift.weight.rows}x{lift.weight.rows}")
     q = lift.range_basis.a
-    resid = np.linalg.norm(s.a - q @ (q.conj().T @ s.a))
+    qs = q.conj().T @ s.a
+    resid = np.linalg.norm(s.a - q @ qs)
     if resid > tol.eq * (1.0 + np.linalg.norm(s.a)):
         raise NotABounded(f"operator range escapes the range of the weight (residual {resid:.3e})")
-    p = lift.sqrt_pinv.a
-    return _smax(p @ s.a @ p)
+    return _smax((qs @ q) / np.outer(lift.roots, lift.roots))
 
 
 def in_interval(candidate, interval: ExtensionInterval, tol: Tolerances | None = None) -> bool:

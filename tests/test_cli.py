@@ -257,6 +257,25 @@ class TestInvalidInputExit:
         assert doc["status"] == "invalid-input"
         assert "alpha1" in doc["error"]["message"]
 
+    def test_parrott_dependent_domain(self, tmp_path):
+        # the fixture's T1 with its domain column repeated: compatible, but
+        # the stacked domain is dependent
+        path = write_instance(tmp_path, "bad.json", {
+            "kind": "parrott",
+            "payload": {
+                "n1": 2, "n2": 2,
+                "domain1": [[1.0, 1.0], [0.0, 0.0]], "values1": [[0.0, 0.0], [1.0, 1.0]],
+                "domain2": [[1.0], [0.0]], "values2": [[0.0], [1.0]],
+                "weight1": [[1.0, 0.0], [0.0, 1.0]], "weight2": [[1.0, 0.0], [0.0, 1.0]],
+                "alpha1": 1.0, "alpha2": 1.0,
+            },
+        })
+        code, doc = run(tmp_path, "parrott", path)
+        assert code == 2
+        assert doc["status"] == "invalid-input"
+        assert doc["error"]["type"] == "ValueError"
+        assert "dependent" in doc["error"]["message"]
+
     def test_bad_tolerance_flag(self, tmp_path):
         code, doc = run(tmp_path, "kvn", str(INSTANCES / "kvn.json"), "--tol-eq", "-1")
         assert code == 2
@@ -348,6 +367,22 @@ class TestDiagnosticsReuseLifts:
         assert code == 0
         assert len(shapes) == eigh_calls
         assert all(shape != (stacked, stacked) for shape in shapes)
+
+    def test_parrott_svd_calls(self, tmp_path, monkeypatch):
+        # the completion decomposes only the two corner lifts, the stacked
+        # domain's rank, and the weighted norm of the result
+        calls = []
+        original = np.linalg.svd
+
+        def counted(a, *args, **kwargs):
+            calls.append(np.shape(a))
+            return original(a, *args, **kwargs)
+
+        monkeypatch.setattr(np.linalg, "svd", counted)
+        code, doc = run(tmp_path, "parrott", str(INSTANCES / "parrott.json"))
+        monkeypatch.undo()
+        assert code == 0
+        assert len(calls) == 6
 
 
 class TestGen:

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from opext.errors import NotPsd, RestrictionConditionFailed
-from opext.kvn import PartialPositiveOperator, check_restriction, hilbert_lift, kvn_extend
+from opext.kvn import PartialPositiveOperator, _block_lift, check_restriction, hilbert_lift, kvn_extend
 from opext.numkit import PsdMatrix, Tolerances, loewner_leq
 from opext.oracle import (
     Rng,
@@ -147,3 +147,50 @@ class TestHilbertLift:
         lift = hilbert_lift(PsdMatrix(np.zeros((2, 2))))
         assert lift.rank == 0
         assert lift.range_basis.a.shape == (2, 0)
+
+    @staticmethod
+    def weights(seed):
+        """Zero, identity, full-rank and rank-deficient weights of size n <= 8."""
+        gen = Rng(25).split(seed).generator()
+        n = int(gen.integers(1, 9))
+        kind = seed % 4
+        if kind == 0:
+            return np.zeros((n, n))
+        if kind == 1:
+            return np.eye(n)
+        return random_psd(gen, n, rank=n if kind == 2 else int(gen.integers(1, n + 1)))
+
+    @staticmethod
+    def assert_factor_identities(lift):
+        q, roots = lift.range_basis.a, lift.roots
+        assert lift.rank == roots.size == q.shape[1]
+        assert np.all(roots > 0)
+        assert not roots.flags.writeable
+        assert np.array_equal(lift.coembedding(), lift.embedding().conj().T)
+        assert np.linalg.norm(lift.sqrt_pinv.a @ lift.sqrt.a - lift.range_projector()) <= 1e-10
+        a = lift.weight.a
+        j = lift.embedding()
+        assert np.linalg.norm(j @ j.conj().T - a) <= 1e-10 * (1 + np.linalg.norm(a))
+        assert np.linalg.norm(lift.sqrt.a @ lift.sqrt.a - a) <= 1e-10 * (1 + np.linalg.norm(a))
+
+    @pytest.mark.parametrize("seed", range(12))
+    def test_spectral_factor(self, seed):
+        lift = hilbert_lift(PsdMatrix(self.weights(seed)))
+        self.assert_factor_identities(lift)
+        assert np.all(np.diff(lift.roots) <= 0)
+        assert hash(lift) == hash(lift)  # the array field keeps the lift hashable
+
+    @pytest.mark.parametrize("seed", range(12))
+    def test_block_lift_matches_the_lift_of_the_block_diagonal(self, seed):
+        a1, a2 = self.weights(seed), self.weights(seed + 5)
+        n1, n2 = a1.shape[0], a2.shape[0]
+        stacked = np.zeros((n1 + n2, n1 + n2), dtype=complex)
+        stacked[:n1, :n1], stacked[n1:, n1:] = a1, a2
+        block = _block_lift(hilbert_lift(PsdMatrix(a1)), hilbert_lift(PsdMatrix(a2)))
+        direct = hilbert_lift(PsdMatrix(stacked))
+        self.assert_factor_identities(block)
+        assert block.rank == direct.rank
+        np.testing.assert_allclose(np.sort(block.roots)[::-1], direct.roots, rtol=1e-10, atol=1e-12)
+        for name in ("sqrt", "sqrt_pinv", "weight"):
+            np.testing.assert_allclose(getattr(block, name).a, getattr(direct, name).a, atol=1e-10)
+        np.testing.assert_allclose(block.range_projector(), direct.range_projector(), atol=1e-10)

@@ -99,6 +99,14 @@ class TestGenericCompletion:
             t = parrott_complete(fixture_instance(), endpoint=endpoint)
             assert np.abs(t.a - SWAP).max() <= 1e-8
 
+    def test_dependent_domain_rejected(self):
+        # compatible and within its bounds, but domain1 repeats a column
+        inst = ParrottInstance(np.hstack([E1, E1]), np.hstack([E2, E2]), E1, E2, np.eye(2), np.eye(2), 1.0, 1.0)
+        assert check_compatibility(inst)
+        with pytest.raises(ValueError, match="dependent") as excinfo:
+            parrott_complete(inst)
+        assert excinfo.type is ValueError
+
     def test_bad_endpoint_rejected(self):
         with pytest.raises(ValueError, match="endpoint"):
             parrott_complete(fixture_instance(), endpoint="median")

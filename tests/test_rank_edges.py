@@ -125,6 +125,10 @@ def test_parrott_complete_lifts_each_block_once(monkeypatch):
     monkeypatch.undo()
 
     assert all(m.shape != (n1 + n2, n1 + n2) for _, m in calls)
+    # the stacked range coordinates (r1 + r2 = 10 rows) are assembled, never decomposed
+    svd_inputs = [m for name, m in calls if name == "svd"]
+    assert len(svd_inputs) == 5
+    assert all(m.shape[0] != 6 + 4 for m in svd_inputs)
     eig_inputs = [m for name, m in calls if name != "svd"]
     for block in (inst.weight1.a, inst.weight2.a):
         same = [m for m in eig_inputs if m.shape == block.shape and np.allclose(m, block)]
