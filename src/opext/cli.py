@@ -49,8 +49,8 @@ from .func_ext import (
     f_bound,
     functional_interval_member,
 )
-from .kvn import PartialPositiveOperator, _antidiag, _block_lift, check_restriction, hilbert_lift, kvn_extend
-from .numkit import ComplexMatrix, HermitianMatrix, PsdMatrix, Tolerances, hermitize, loewner_leq
+from .kvn import PartialPositiveOperator, check_restriction, hilbert_lift, kvn_extend
+from .numkit import ComplexMatrix, PsdMatrix, Tolerances, hermitize, loewner_leq
 from .oracle import Rng, _check_dims, random_instance_with_witness
 from .parrott import (
     ParrottInstance,
@@ -246,7 +246,7 @@ def _run_sa_ext(data: dict, tol: Tolerances, args) -> tuple[dict, dict]:
     diagnostics = {}
     for name, s in (("min", interval.s_min), ("max", interval.s_max)):
         diagnostics[f"extend_residual_{name}"] = float(np.linalg.norm(aw @ (s.a @ d) - aw @ v))
-        diagnostics[f"alpha_drift_{name}"] = float(abs(_alpha_on_lift(s, lift, tol) - interval.alpha))
+        diagnostics[f"alpha_drift_{name}"] = float(abs(_alpha_on_lift(s.a, lift, lift, tol) - interval.alpha))
     diagnostics["order_ok"] = loewner_leq(interval.s_min, interval.s_max, tol)
     outputs = {"alpha": interval.alpha, "s_min": interval.s_min.a, "s_max": interval.s_max.a}
     if "probe" in data:
@@ -262,9 +262,8 @@ def _run_parrott(data: dict, tol: Tolerances, args) -> tuple[dict, dict]:
     lift1, lift2 = hilbert_lift(inst.weight1, tol), hilbert_lift(inst.weight2, tol)
     corners = _corner_lifts(inst, lift1, lift2, tol)
     completion = _complete_on_lifts(inst, lift1, lift2, corners, tol, getattr(args, "endpoint", "min")).a
-    # cross-weighted norm of X: the bound of [[0, X*], [X, 0]] against diag(A1, A2)
-    stacked = _antidiag(completion.conj().T, completion)
-    norm = _alpha_on_lift(HermitianMatrix(stacked, tol), _block_lift(lift1, lift2), tol)
+    # cross-weighted norm of X: A1 on its domain, A2 on its range
+    norm = _alpha_on_lift(completion, lift2, lift1, tol)
     bound = float(np.sqrt(max(inst.alpha1, inst.alpha2)))
     return (
         {"completion": completion, "weighted_norm": norm, "norm_bound": bound},

@@ -49,7 +49,6 @@ from .numkit import (
     _tol,
     eigh_desc,
     hermitize,
-    independent_columns,
     loewner_leq,
     psd_eig,
 )
@@ -312,7 +311,7 @@ def gns(density, tol: Tolerances | None = None) -> GnsSpace:
 def _row_operator(
     pf: PartialFunctional, density, tol: Tolerances
 ) -> tuple[HilbertLift, np.ndarray, np.ndarray, float]:
-    """Lift of F^T and the range coordinates and bound (U, W, alpha) of s_0.
+    """Lift of F^T, the orthonormal pair (P, Y) of s_0 in range coordinates, and its bound alpha.
 
     g_0(x* a) = sum_c x_c* Gamma^T a_c over the rows, and the rows of
     a = a P span ran P^T, so g_0 is realized on the GNS space by I_m (x) s_0
@@ -329,10 +328,10 @@ def _row_operator(
         raise NotSymmetric("functional is not symmetric on its ideal")
     _, d = psd_eig(pf.ideal.projection.a.T, tol)
     try:
-        u, w, alpha = _symmetric_lift(d, pf.gamma.a.T @ d, row, tol)
+        _, _, p, y, alpha = _symmetric_lift(d, pf.gamma.a.T @ d, row, tol)
     except NotABounded as exc:
         raise NotFBounded(f"not bounded relative to this positive functional: {exc}") from exc
-    return row, u, w, alpha
+    return row, p, y, alpha
 
 
 def gns_realization(
@@ -344,15 +343,15 @@ def gns_realization(
     elements and satisfies <S [a], [x]> = g_0(x* a); its self-adjoint
     extensions on the GNS space correspond to the hermitian extensions
     of g_0.  It is I_m (x) s_0 for the partial operator s_0 on the rows
-    (C^m, F^T), expanded from s_0's lifted data.  Raises
-    :class:`NotSymmetric` / :class:`NotFBounded` when the realization
-    does not exist.
+    (C^m, F^T): its domain basis is I_m (x) P, an orthonormal basis of the
+    span of the lifted ideal, and its values I_m (x) Y, from the thin SVD
+    of s_0's lifted domain.  Raises :class:`NotSymmetric` /
+    :class:`NotFBounded` when the realization does not exist.
     """
     t = _tol(tol)
-    row, u, w, _ = _row_operator(pf, density, t)
-    idx = independent_columns(u, t)
+    row, p, y, _ = _row_operator(pf, density, t)
     eye = np.eye(pf.size, dtype=np.complex128)
-    return _gns_space(row), SymmetricPartialOperator(np.kron(eye, u[:, idx]), np.kron(eye, w[:, idx]), t)
+    return _gns_space(row), SymmetricPartialOperator(np.kron(eye, p), np.kron(eye, y), t)
 
 
 def f_bound(pf: PartialFunctional, density, tol: Tolerances | None = None) -> float:
@@ -381,8 +380,8 @@ def extend_functional(
     g(x) = trace(s^T x): the densities are s_min^T and s_max^T.
     """
     t = _tol(tol)
-    row, u, w, alpha = _row_operator(pf, density, t)
-    interval = _extend_lifted(u, w, alpha, row, t)
+    row, p, y, alpha = _row_operator(pf, density, t)
+    interval = _extend_lifted(p, y, alpha, row, t)
     g_min, g_max = (FunctionalMatrix(hermitize(s.a.T, t)) for s in (interval.s_min, interval.s_max))
     return g_min, g_max, alpha
 

@@ -5,13 +5,15 @@ A partial positive operator on C^n is prescribed by a domain basis D
 column j of D).  When the data admits any positive-semidefinite extension
 at all, it admits a smallest one in the Loewner order -- classically the
 Krein-von Neumann extension -- and in finite dimensions that extension has
-the closed form A_N = G (D* G)^+ G*, computed in factored form
+the closed form A_N = G (D* G)^+ G*, which depends only on the span of D:
+on the thin SVD D = P diag(s) V* and Y = G V diag(1/s) (no Gram matrix of D,
+which would square its condition) it is computed in factored form
 
-    A_N = C C*,    C = G Q W^{-1/2},    D* G = Q W Q* (eigenvalues above the rank cutoff),
+    A_N = C C*,    C = Y Q W^{-1/2},    P* Y = Q W Q* (eigenvalues above the rank cutoff),
 
 which is positive semidefinite by construction.  That single rank
 decision also settles existence (:func:`check_restriction`): the values
-must vanish where the Gram form does, tested as ||G - (G Q) Q*|| ~ 0.
+must vanish where the Gram form does, tested as ||Y - (Y Q) Q*|| ~ 0.
 
 :func:`hilbert_lift` packages the auxiliary inner-product space attached
 to a positive weight A: the weighted pairing <x, y>_A = y* A x descends to
@@ -32,8 +34,8 @@ from .numkit import (
     ComplexMatrix,
     PsdMatrix,
     Tolerances,
+    _orth_factor,
     _tol,
-    numerical_rank,
     psd_eig,
 )
 
@@ -56,15 +58,15 @@ class PartialPositiveOperator:
     values : n-by-k matrix; column j is the prescribed image of domain
         column j.
 
-    Construction validates independence of the domain columns and that the
-    induced Gram matrix M = D* G is Hermitian positive semidefinite (these
-    are necessary for any positive extension).  The remaining existence
-    condition -- values vanishing on the kernel of M -- is checked
-    separately by :func:`check_restriction` so that infeasible but
-    well-formed data can still be represented and diagnosed.
+    Construction validates independence of the domain columns (all k
+    singular values of D = P diag(s) V* above the rank cutoff, kept as the
+    pair (P, Y = G V diag(1/s))) and that M = D* G is Hermitian positive
+    semidefinite.  The remaining existence condition -- values vanishing on
+    the kernel of P* Y -- is checked separately by :func:`check_restriction`
+    so that infeasible but well-formed data can still be diagnosed.
     """
 
-    __slots__ = ("domain_basis", "values", "gram")
+    __slots__ = ("domain_basis", "values", "gram", "_span")
 
     def __init__(self, domain_basis, values, tol: Tolerances | None = None):
         d = ComplexMatrix.coerce(domain_basis)
@@ -74,7 +76,8 @@ class PartialPositiveOperator:
                 f"domain basis is {d.rows}x{d.cols} but values are {g.rows}x{g.cols}"
             )
         t = _tol(tol)
-        if numerical_rank(d, t) != d.cols:
+        p, s, v = _orth_factor(d.a, t)
+        if s.size != d.cols:
             raise ValueError("domain basis columns are dependent; supply an independent set")
         m = d.a.conj().T @ g.a
         try:
@@ -86,6 +89,7 @@ class PartialPositiveOperator:
         self.domain_basis = d
         self.values = g
         self.gram = gram
+        self._span = (p, (g.a @ v) / s)
 
     @property
     def ambient_dim(self) -> int:
@@ -114,8 +118,8 @@ def _gram_factor(m: np.ndarray, g: np.ndarray, tol: Tolerances) -> tuple[np.ndar
 def _extend_from_span(d: np.ndarray, g: np.ndarray, tol: Tolerances) -> np.ndarray:
     """Minimal positive extension ``C C*`` from a spanning (possibly dependent) set.
 
-    Shared with the self-adjoint extension module, whose domain sets span
-    but need not be independent.  C = G Q W^{-1/2} from the eigenpairs of
+    Any spanning set gives the same extension; the library passes the
+    orthonormal domains of thin SVDs.  C = G Q W^{-1/2} from the eigenpairs of
     M = D* G above the rank cutoff.  Raises :class:`RestrictionConditionFailed`
     when the values do not vanish on the kernel that decision leaves, and
     :class:`NotPsd` when M is genuinely indefinite.
@@ -132,32 +136,31 @@ def _extend_from_span(d: np.ndarray, g: np.ndarray, tol: Tolerances) -> np.ndarr
 def check_restriction(op: PartialPositiveOperator, tol: Tolerances | None = None) -> bool:
     """Whether the data is the restriction of some positive operator.
 
-    Tests that the values vanish on the kernel of the induced Gram matrix
-    M = D* G = Q W Q* (eigenvalues above the rank cutoff, the same single
-    decision :func:`kvn_extend` makes) as ``||G - (G Q) Q*||_F <= eq * (1 +
-    ||G||_F)``.  For restrictions of actual positive matrices this holds.
+    Tests on the operator's orthonormal pair (P, Y) that the values vanish
+    on the kernel of P* Y = Q W Q* (eigenvalues above the rank cutoff, the
+    single decision :func:`kvn_extend` makes) as ``||Y - (Y Q) Q*||_F <=
+    eq * (1 + ||Y||_F)``.  For restrictions of positive matrices this holds.
     """
     t = _tol(tol)
-    g = op.values.a
-    _, resid = _gram_factor(op.gram.a, g, t)
-    return bool(resid <= t.eq * (1.0 + np.linalg.norm(g)))
+    p, y = op._span
+    _, resid = _gram_factor(p.conj().T @ y, y, t)
+    return bool(resid <= t.eq * (1.0 + np.linalg.norm(y)))
 
 
 def kvn_extend(op: PartialPositiveOperator, tol: Tolerances | None = None) -> PsdMatrix:
     """Smallest positive extension of a partial positive operator.
 
-    Returns ``G (D* G)^+ G*`` as ``C C*`` with ``C = G Q W^{-1/2}`` from
-    the eigenpairs of D* G above the rank cutoff: positive by construction,
-    so not re-validated.  It agrees with the prescribed values on the domain
-    and sits below every other positive extension in the Loewner order.
+    Returns ``G (D* G)^+ G*`` as ``C C*``, ``C = Y Q W^{-1/2}`` for P* Y = Q W Q*
+    on the operator's pair (P, Y): positive by construction, so not
+    re-validated.  It agrees with the prescribed values on the domain and
+    sits below every other positive extension in the Loewner order.
 
     Raises
     ------
     RestrictionConditionFailed
         If no positive extension exists (see :func:`check_restriction`).
     """
-    t = _tol(tol)
-    return PsdMatrix._trusted(_extend_from_span(op.domain_basis.a, op.values.a, t))
+    return PsdMatrix._trusted(_extend_from_span(*op._span, _tol(tol)))
 
 
 @dataclass(frozen=True, eq=False)

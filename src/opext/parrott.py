@@ -39,14 +39,13 @@ from .numkit import (
     ComplexMatrix,
     PsdMatrix,
     Tolerances,
+    _orth_factor,
     _smax,
     _tol,
     eigh_desc,
     hermitize,
-    independent_columns,
     loewner_leq,
     numerical_rank,
-    pinv,
 )
 from .sa_ext import SymmetricPartialOperator, _extend_lifted, _weighted_lift
 
@@ -107,7 +106,7 @@ class ParrottInstance:
 
 
 def _corner_lifts(inst: ParrottInstance, lift1: HilbertLift, lift2: HilbertLift, tol: Tolerances):
-    """Cross lifts (U1, W1, beta1), (U2, W2, beta2) of the two corners.
+    """Cross lifts (U_i, W_i, P_i, Y_i, beta_i) of the two corners, from :func:`_weighted_lift`.
 
     None when the pairing D2* V1 = V2* D1, a finite bound, or a declared bound fails.
     """
@@ -121,7 +120,7 @@ def _corner_lifts(inst: ParrottInstance, lift1: HilbertLift, lift2: HilbertLift,
         corners = (_weighted_lift(d1, v1, lift1, lift2, tol), _weighted_lift(d2, v2, lift2, lift1, tol))
     except NotABounded:
         return None
-    for (_, _, beta), alpha in zip(corners, (inst.alpha1, inst.alpha2)):
+    for (*_, beta), alpha in zip(corners, (inst.alpha1, inst.alpha2)):
         if beta * beta > alpha + tol.eq * (1.0 + alpha):
             return None
     return corners
@@ -182,17 +181,18 @@ def _complete_on_lifts(
 ) -> ComplexMatrix:
     """:func:`parrott_complete` on the weights' lifts and their :func:`_corner_lifts`.
 
-    The stacked operator has U = diag(U1, U2), W = [[0, W2], [W1, 0]] and bound max(beta1, beta2).
+    The stacked operator has U = diag(U1, U2), W = [[0, W2], [W1, 0]] (P, Y alike) and bound max(beta1, beta2).
     """
     if corners is None:
         raise IncompatibleInstance("instance fails compatibility or exceeds its declared bound constants")
-    (u1, w1, beta1), (u2, w2, beta2) = corners
+    (u1, w1, p1, y1, beta1), (u2, w2, p2, y2, beta2) = corners
     domain = _block_diag(inst.domain1.a, inst.domain2.a)
     if numerical_rank(domain, tol) != domain.shape[1]:
         raise ValueError("domain basis columns are dependent; supply an independent set")
     u, w = _block_diag(u1, u2), _antidiag(w2, w1)
     hermitize(u.conj().T @ w, tol)  # raises NotHermitian on asymmetric lifted data
-    interval = _extend_lifted(u, w, max(beta1, beta2), _block_lift(lift1, lift2), tol)
+    p, y = _block_diag(p1, p2), _antidiag(y2, y1)
+    interval = _extend_lifted(p, y, max(beta1, beta2), _block_lift(lift1, lift2), tol)
     low, high = (s.a[inst.dim1:, :inst.dim1] for s in (interval.s_min, interval.s_max))
     return ComplexMatrix({"min": low, "max": high, "mid": (low + high) / 2.0}[endpoint])
 
@@ -235,22 +235,21 @@ class StrongParrottInstance:
 
 
 def _restrict_with_consistency(full_domain, full_values, tol, what):
-    """Independent domain columns plus matching values, re-verified.
+    """Orthonormal basis of the domain's span plus matching values, re-verified.
 
-    Selects a maximal independent column subset of ``full_domain`` and the
-    matching columns of ``full_values``, then confirms the dropped columns
-    are linear consequences of the kept ones on the value side too.
+    One thin SVD ``full_domain = P diag(s) V*`` (singular values above the
+    rank cutoff) gives the orthonormal basis P of its range and the values
+    ``full_values V diag(1/s)`` on P.  The values must vanish where the
+    domain does: ``||full_values - full_values V V*||`` within tolerance.
     """
-    idx = independent_columns(full_domain, tol)
-    d = full_domain[:, idx]
-    v = full_values[:, idx]
-    coeff = pinv(d, tol).a @ full_domain
-    resid = np.linalg.norm(full_values - v @ coeff)
+    p, s, v = _orth_factor(full_domain, tol)
+    fv = full_values @ v
+    resid = np.linalg.norm(full_values - fv @ v.conj().T)
     if resid > tol.eq * (1.0 + np.linalg.norm(full_values)):
         raise HypothesisViolated(
             f"{what}: dependent domain columns carry inconsistent values (residual {resid:.3e})"
         )
-    return d, v
+    return p, fv / s
 
 
 def strong_parrott(inst: StrongParrottInstance, tol: Tolerances | None = None) -> ComplexMatrix:

@@ -39,6 +39,7 @@ from .numkit import (
     HermitianMatrix,
     PsdMatrix,
     Tolerances,
+    _orth_factor,
     _smax,
     _tol,
     hermitize,
@@ -104,8 +105,8 @@ class LiftedSymmetric:
     domain (U) and values (W) are r-by-k: column j of U is the class of
     domain column j in the weighted space, column j of W the class
     representing the corresponding value functional.  alpha is the
-    operator's weighted bound, realized as the largest singular value of
-    W U^+ (the lifted operator's matrix on its domain).
+    operator's weighted bound alpha = ||W U^+|| = ||Y||, Y = W V diag(1/s)
+    for the thin SVD U = P diag(s) V*.
     """
 
     lift: HilbertLift
@@ -138,14 +139,14 @@ class ExtensionProblem:
 
 def _weighted_lift(
     d: np.ndarray, v: np.ndarray, dom: HilbertLift, ran: HilbertLift, tol: Tolerances
-) -> tuple[np.ndarray, np.ndarray, float]:
-    """Range coordinates (U, W) of T: D -> V and its weighted bound ||W U^+||.
+) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray, float]:
+    """Range coordinates (U, W) of T: D -> V, its orthonormal pair (P, Y), and its weighted bound.
 
-    The bound is the smallest beta with |<T x, y>|^2 <= beta^2 <A_dom x, x>
-    <A_ran y, y>; a symmetric operator passes the same lift twice.  Raises
-    :class:`NotABounded` when no finite bound exists: some value sticks out
-    of ran A_ran, or the domain collapses in the weighted seminorm where
-    the values do not.
+    From the thin SVD U = P diag(s) V*: T on P is Y = W V diag(1/s), and the
+    bound ||W U^+|| = ||Y|| is the smallest beta with |<T x, y>|^2 <= beta^2
+    <A_dom x, x> <A_ran y, y>; a symmetric operator passes the same lift
+    twice.  Raises :class:`NotABounded` when no finite bound exists: some
+    value sticks out of ran A_ran, or W - W V V* does not vanish.
     """
     if d.shape[0] != dom.weight.rows:
         raise DimensionMismatch(f"operator lives on C^{d.shape[0]} but weight is {dom.weight.rows}x{dom.weight.rows}")
@@ -160,28 +161,30 @@ def _weighted_lift(
         )
     u = dom.coembedding() @ d
     w = qv / ran.roots[:, None]
-    up = pinv(u, tol).a
+    p, s, vf = _orth_factor(u, tol)
+    wv = w @ vf
     # kernel condition: where the domain collapses, the values must too
-    collapse = np.linalg.norm(w - (w @ up) @ u)
+    collapse = np.linalg.norm(w - wv @ vf.conj().T)
     if collapse > tol.eq * (1.0 + np.linalg.norm(w)):
         raise NotABounded(
             f"domain directions collapse in the weighted seminorm while their values do not "
             f"(residual {collapse:.3e}); no finite weighted bound exists"
         )
-    return u, w, _smax(w @ up)
+    y = wv / s
+    return u, w, p, y, _smax(y)
 
 
 def _symmetric_lift(
     d: np.ndarray, v: np.ndarray, lift: HilbertLift, tol: Tolerances
-) -> tuple[np.ndarray, np.ndarray, float]:
+) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray, float]:
     """:func:`_weighted_lift` of symmetric data; NotHermitian unless U* W is Hermitian.
 
     A leak out of ran A within tolerance can keep D* V Hermitian while U* W
     is not, and extensions built from such data miss the prescribed values.
     """
-    u, w, alpha = _weighted_lift(d, v, lift, lift, tol)
-    hermitize(u.conj().T @ w, tol)
-    return u, w, alpha
+    lifted = _weighted_lift(d, v, lift, lift, tol)
+    hermitize(lifted[0].conj().T @ lifted[1], tol)
+    return lifted
 
 
 def lift_symmetric(
@@ -196,7 +199,7 @@ def lift_symmetric(
     """
     t = _tol(tol)
     lift = hilbert_lift(weight, t)
-    u, w, alpha = _symmetric_lift(op.domain_basis.a, op.values.a, lift, t)
+    u, w, _, _, alpha = _symmetric_lift(op.domain_basis.a, op.values.a, lift, t)
     return LiftedSymmetric(lift=lift, domain=ComplexMatrix(u), values=ComplexMatrix(w), alpha=alpha)
 
 
@@ -222,15 +225,15 @@ def extend_symmetric(
 
 def _extend_on_lift(op: SymmetricPartialOperator, lift: HilbertLift, tol: Tolerances) -> ExtensionInterval:
     """:func:`extend_symmetric` on an already computed lift of the weight."""
-    return _extend_lifted(*_symmetric_lift(op.domain_basis.a, op.values.a, lift, tol), lift, tol)
+    return _extend_lifted(*_symmetric_lift(op.domain_basis.a, op.values.a, lift, tol)[2:], lift, tol)
 
 
-def _extend_lifted(u: np.ndarray, w: np.ndarray, alpha: float, lift: HilbertLift, tol: Tolerances) -> ExtensionInterval:
-    """Extremal extensions from the range coordinates and bound of :func:`_symmetric_lift`."""
+def _extend_lifted(p: np.ndarray, y: np.ndarray, alpha: float, lift: HilbertLift, tol: Tolerances) -> ExtensionInterval:
+    """Extremal extensions from the orthonormal pair (P, Y) and bound of :func:`_symmetric_lift`."""
     eye = np.eye(lift.rank, dtype=np.complex128)
     try:
-        low = _extend_from_span(u, alpha * u + w, tol)
-        high = _extend_from_span(u, alpha * u - w, tol)
+        low = _extend_from_span(p, alpha * p + y, tol)
+        high = _extend_from_span(p, alpha * p - y, tol)
     except (RestrictionConditionFailed, NotPsd) as exc:
         # the shifted operators are positive with finite bound by
         # construction, so a rejection here is numerical, not structural
@@ -255,19 +258,23 @@ def alpha_of_total(total, weight, tol: Tolerances | None = None) -> float:
     """
     t = _tol(tol)
     s = HermitianMatrix.coerce(total, t)
-    return _alpha_on_lift(s, hilbert_lift(weight, t), t)
+    lift = hilbert_lift(weight, t)
+    return _alpha_on_lift(s.a, lift, lift, t)
 
 
-def _alpha_on_lift(s: HermitianMatrix, lift: HilbertLift, tol: Tolerances) -> float:
-    """:func:`alpha_of_total` on an already computed lift of the weight."""
-    if s.rows != lift.weight.rows:
-        raise DimensionMismatch(f"operator is {s.rows}x{s.rows} but weight is {lift.weight.rows}x{lift.weight.rows}")
-    q = lift.range_basis.a
-    qs = q.conj().T @ s.a
-    resid = np.linalg.norm(s.a - q @ qs)
-    if resid > tol.eq * (1.0 + np.linalg.norm(s.a)):
-        raise NotABounded(f"operator range escapes the range of the weight (residual {resid:.3e})")
-    return _smax((qs @ q) / np.outer(lift.roots, lift.roots))
+def _alpha_on_lift(s: np.ndarray, ran: HilbertLift, dom: HilbertLift, tol: Tolerances) -> float:
+    """||diag(1/rho_ran) Q_ran* S Q_dom diag(1/rho_dom)||: the bound of S on two weights' lifts.
+
+    NotABounded unless ran S lies in ran A_ran and ker A_dom in ker S.
+    """
+    if s.shape != (ran.weight.rows, dom.weight.rows):
+        raise DimensionMismatch(f"operator shape {s.shape} does not match the weights ({ran.weight.rows}, {dom.weight.rows})")
+    qr, qd = ran.range_basis.a, dom.range_basis.a
+    qs = qr.conj().T @ s
+    for resid in (np.linalg.norm(s - qr @ qs), np.linalg.norm(s - (s @ qd) @ qd.conj().T)):
+        if resid > tol.eq * (1.0 + np.linalg.norm(s)):
+            raise NotABounded(f"operator or its adjoint escapes the range of a weight (residual {resid:.3e})")
+    return _smax((qs @ qd) / np.outer(ran.roots, dom.roots))
 
 
 def in_interval(candidate, interval: ExtensionInterval, tol: Tolerances | None = None) -> bool:

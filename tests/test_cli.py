@@ -8,6 +8,7 @@ import pytest
 
 import opext.cli as cli
 from opext.errors import NumericalFailure
+from opext.kvn import hilbert_lift
 from opext.serialize import decode_matrix, dumps_canonical
 
 INSTANCES = Path(__file__).resolve().parent.parent / "instances"
@@ -383,6 +384,25 @@ class TestDiagnosticsReuseLifts:
         monkeypatch.undo()
         assert code == 0
         assert len(calls) == 6
+        # the weighted norm is taken on the r2 x r1 core, not the stacked completion
+        payload = json.loads((INSTANCES / "parrott.json").read_text())["payload"]
+        stacked = sum(hilbert_lift(decode_matrix(payload[w])).rank for w in ("weight1", "weight2"))
+        assert all(shape != (stacked, stacked) for shape in calls)
+
+    def test_strong_parrott_svd_calls(self, tmp_path, monkeypatch):
+        # one thin SVD per factorization, the completion's five, and the norm of the solution
+        calls = []
+        original = np.linalg.svd
+
+        def counted(a, *args, **kwargs):
+            calls.append(np.shape(a))
+            return original(a, *args, **kwargs)
+
+        monkeypatch.setattr(np.linalg, "svd", counted)
+        code, doc = run(tmp_path, "strong-parrott", str(INSTANCES / "strong-parrott.json"))
+        monkeypatch.undo()
+        assert code == 0
+        assert len(calls) == 8
 
 
 class TestGen:

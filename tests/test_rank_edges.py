@@ -1,13 +1,14 @@
 """Rank decisions at the edges: near-cutoff Gram eigenvalues, domains
-larger than the weight's rank, and the decompositions a completion makes."""
+larger than the weight's rank or ill-conditioned at it, and the
+decompositions a completion makes."""
 
 import numpy as np
 import pytest
 
 from opext.errors import NotPsd, NumericalFailure, RestrictionConditionFailed
 from opext.kvn import PartialPositiveOperator, check_restriction, kvn_extend
-from opext.numkit import PsdMatrix
-from opext.parrott import ParrottInstance, parrott_complete
+from opext.numkit import PsdMatrix, loewner_leq
+from opext.parrott import ParrottInstance, StrongParrottInstance, parrott_complete, strong_parrott
 from opext import sa_ext
 from opext.sa_ext import SymmetricPartialOperator, alpha_of_total, extend_symmetric
 
@@ -16,6 +17,10 @@ D12 = np.eye(3)[:, :2]
 
 def cgauss(gen, rows, cols):
     return (gen.standard_normal((rows, cols)) + 1j * gen.standard_normal((rows, cols))) / np.sqrt(2)
+
+
+def unitary(gen, n):
+    return np.linalg.qr(cgauss(gen, n, n))[0]
 
 
 def planted_weight(gen, n, r):
@@ -92,6 +97,43 @@ class TestDomainAboveWeightRank:
         assert np.linalg.norm(x.conj().T @ d2 - v2) <= 1e-8 * (1 + np.linalg.norm(v2))
 
 
+class TestDomainAtWeightRankNearCutoff:
+    # n = 40, k = r = 39: the total's spectrum spans 1e-4 and the domain's
+    # singular values 1e-3, so D* G spans about 1e-10, below its rank cutoff
+    # 3.9e-9, though every direction is genuine; an orthonormal basis of the
+    # domain sees only the total's spread
+
+    N, R = 40, 39
+
+    def planted(self, seed):
+        """Seeded total B of rank R, its square root, and a domain of condition 1e3."""
+        gen = np.random.default_rng([seed, 35])
+        q = unitary(gen, self.N)[:, :self.R]
+        spectrum = np.geomspace(1.0, 1e-4, self.R)
+        total = (q * spectrum) @ q.conj().T
+        root = (q * np.sqrt(spectrum)) @ q.conj().T
+        d = (unitary(gen, self.N)[:, :self.R] * np.geomspace(1.0, 1e-3, self.R)) @ unitary(gen, self.R)
+        return gen, total, root, d
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_kvn(self, seed):
+        _, total, _, d = self.planted(seed)
+        g = total @ d
+        ext = kvn_extend(PartialPositiveOperator(d, g)).a
+        assert np.linalg.norm(ext @ d - g) <= 1e-8 * (1 + np.linalg.norm(g))
+        assert loewner_leq(ext, total)
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_sa_ext(self, seed):
+        gen, weight, root, d = self.planted(seed)
+        h = cgauss(gen, self.N, self.N)
+        s = root @ (h + h.conj().T) @ root
+        v = ((s + s.conj().T) / 2.0) @ d
+        interval = extend_symmetric(SymmetricPartialOperator(d, v), PsdMatrix(weight))
+        for ext in (interval.s_min.a, interval.s_max.a):
+            assert np.linalg.norm(ext @ d - v) <= 1e-8 * (1 + np.linalg.norm(v))
+
+
 def test_indefinite_shifted_gram_is_a_numerical_failure(monkeypatch):
     def indefinite(d, g, tol):
         raise NotPsd("synthetic negative eigenvalue")
@@ -133,3 +175,27 @@ def test_parrott_complete_lifts_each_block_once(monkeypatch):
     for block in (inst.weight1.a, inst.weight2.a):
         same = [m for m in eig_inputs if m.shape == block.shape and np.allclose(m, block)]
         assert len(same) == 1
+
+
+def test_strong_parrott_takes_one_svd_per_factorization(monkeypatch):
+    # one thin SVD of S1 and one of T2* reduce the data; the completion
+    # takes the other five
+    gen = np.random.default_rng(36)
+    x0 = cgauss(gen, 6, 7)
+    x0 *= 0.8 / np.linalg.norm(x0, 2)
+    s1, t2 = cgauss(gen, 7, 3), cgauss(gen, 2, 6)
+    inst = StrongParrottInstance(s1, x0 @ s1, t2 @ x0, t2)
+
+    shapes = []
+    original = np.linalg.svd
+
+    def counted(a, *args, **kwargs):
+        shapes.append(np.shape(a))
+        return original(a, *args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "svd", counted)
+    x = strong_parrott(inst).a
+    monkeypatch.undo()
+
+    assert len(shapes) == 7
+    assert np.linalg.norm(x @ s1 - x0 @ s1) <= 1e-8 * (1 + np.linalg.norm(x0 @ s1))
