@@ -171,8 +171,8 @@ def sampled_bound(operator, weight, samples: int, rng, tol: Tolerances | None = 
 
     def ratios(c_batch, y_batch):
         num = np.abs(np.einsum("bn,bn->b", y_batch.conj(), c_batch @ v.T))
-        dx = np.einsum("bi,ij,bj->b", c_batch.conj(), gram_dom, c_batch).real
-        dy = np.einsum("bi,ij,bj->b", y_batch.conj(), a, y_batch).real
+        dx = np.einsum("bi,bi->b", c_batch.conj(), c_batch @ gram_dom.T).real
+        dy = np.einsum("bi,bi->b", y_batch.conj(), y_batch @ a.T).real
         den = np.sqrt(np.clip(dx, 0.0, None) * np.clip(dy, 0.0, None))
         ok = den > t.eq
         return (num[ok] / den[ok]) if np.any(ok) else np.zeros(0)

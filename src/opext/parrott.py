@@ -14,9 +14,18 @@ to cross-weighted bounds
 Then a single matrix T exists extending T1, with adjoint extending T2,
 and with cross-weighted bound at most max(alpha1, alpha2).  The
 construction stacks the two partial operators into one symmetric partial
-operator on C^{n1+n2} with block-diagonal weight and reads the completion
-off a corner of its minimal bound-preserving self-adjoint extension, whose
-range coordinates are assembled from the two corners' cross lifts.
+operator S_0 (x1, x2) = (T2 x2, T1 x1) on C^{n1+n2} with block-diagonal
+weight and reads the completion off the off-diagonal corner of a
+bound-preserving self-adjoint extension (the corner form of Davis, Kahan
+and Weinberger).  In range coordinates the stacked operator is assembled
+from the two corners' cross lifts, and with J_i the weights' embeddings,
+r1 = rank A1 and L, H the minimal positive extensions of the shifted
+operators alpha +/- S0_hat, the completions are
+
+    X_min = J2 L[r1:, :r1] J1*,    X_max = -J2 H[r1:, :r1] J1*.
+
+The shift -alpha I has no off-diagonal block, so neither the stacked weight
+nor an (n1+n2)-square endpoint is formed.
 
 Specializations: :func:`strong_parrott` completes an intertwining pair of
 factorizations (X S1 = S2, T2 X = T1, ||X|| <= 1), and
@@ -33,8 +42,9 @@ from .errors import (
     HypothesisViolated,
     IncompatibleInstance,
     NotABounded,
+    NotHermitian,
 )
-from .kvn import HilbertLift, _antidiag, _block_diag, _block_lift, hilbert_lift
+from .kvn import HilbertLift, _antidiag, _block_diag, hilbert_lift
 from .numkit import (
     ComplexMatrix,
     PsdMatrix,
@@ -47,7 +57,7 @@ from .numkit import (
     loewner_leq,
     numerical_rank,
 )
-from .sa_ext import SymmetricPartialOperator, _extend_lifted, _weighted_lift
+from .sa_ext import SymmetricPartialOperator, _shifted_extensions, _weighted_lift
 
 __all__ = [
     "ParrottInstance",
@@ -106,32 +116,34 @@ class ParrottInstance:
 
 
 def _corner_lifts(inst: ParrottInstance, lift1: HilbertLift, lift2: HilbertLift, tol: Tolerances):
-    """Cross lifts (U_i, W_i, P_i, Y_i, beta_i) of the two corners, from :func:`_weighted_lift`.
+    """Orthonormal pairs and bounds (P_i, Y_i, beta_i) of the two corners, from :func:`_weighted_lift`.
 
-    None when the pairing D2* V1 = V2* D1, a finite bound, or a declared bound fails.
+    The pairing is decided here, once, on the lifted corners: the stacked
+    U* W = [[0, U1* W2], [U2* W1, 0]] must be Hermitian at ``tol.herm``.
+    None when it is not, when a corner has no finite bound, or when a bound
+    exceeds its declared constant.
     """
-    d1, v1 = inst.domain1.a, inst.values1.a
-    d2, v2 = inst.domain2.a, inst.values2.a
-    left, right = d2.conj().T @ v1, v2.conj().T @ d1
-    scale = 1.0 + max(np.linalg.norm(left), np.linalg.norm(right))
-    if np.linalg.norm(left - right) > tol.eq * scale:
-        return None
     try:
-        corners = (_weighted_lift(d1, v1, lift1, lift2, tol), _weighted_lift(d2, v2, lift2, lift1, tol))
-    except NotABounded:
+        (u1, w1, *corner1), (u2, w2, *corner2) = (
+            _weighted_lift(inst.domain1.a, inst.values1.a, lift1, lift2, tol),
+            _weighted_lift(inst.domain2.a, inst.values2.a, lift2, lift1, tol),
+        )
+        hermitize(_antidiag(u1.conj().T @ w2, u2.conj().T @ w1), tol)
+    except (NotABounded, NotHermitian):
         return None
-    for (*_, beta), alpha in zip(corners, (inst.alpha1, inst.alpha2)):
+    for (*_, beta), alpha in zip((corner1, corner2), (inst.alpha1, inst.alpha2)):
         if beta * beta > alpha + tol.eq * (1.0 + alpha):
             return None
-    return corners
+    return corner1, corner2
 
 
 def check_compatibility(inst: ParrottInstance, tol: Tolerances | None = None) -> bool:
     """Whether the instance satisfies compatibility and its declared bounds.
 
-    Checks the pairing identity D2* V1 = V2* D1 and that each partial
-    operator's cross-weighted bound (computed spectrally) stays within the
-    declared constant.
+    Checks the pairing <T1 x1, x2> = conj(<T2 x2, x1>) on the lifted
+    corners at ``tol.herm`` -- the one decision :func:`parrott_complete`
+    also relies on -- and that each partial operator's cross-weighted
+    bound (computed spectrally) stays within the declared constant.
     """
     t = _tol(tol)
     return _corner_lifts(inst, hilbert_lift(inst.weight1, t), hilbert_lift(inst.weight2, t), t) is not None
@@ -167,7 +179,8 @@ def parrott_complete(
     ``endpoint`` selects which extension of the stacked operator supplies
     the corner: "min" (default, the canonical choice), "max", or "mid"
     (their average, also a valid completion by convexity).  Each weight
-    is lifted once; the stacked lift is assembled from the two corners'.
+    is lifted once, and only the n2-by-n1 corner of the stacked extension
+    is formed.
     """
     t = _tol(tol)
     if endpoint not in ("min", "max", "mid"):
@@ -181,20 +194,22 @@ def _complete_on_lifts(
 ) -> ComplexMatrix:
     """:func:`parrott_complete` on the weights' lifts and their :func:`_corner_lifts`.
 
-    The stacked operator has U = diag(U1, U2), W = [[0, W2], [W1, 0]] (P, Y alike) and bound max(beta1, beta2).
+    The pairing was decided there.  The stacked operator has P = diag(P1, P2),
+    Y = [[0, Y2], [Y1, 0]] and bound max(beta1, beta2); of its shifted
+    extensions L, H only the n2-by-n1 corners J2 L[r1:, :r1] J1* and
+    -J2 H[r1:, :r1] J1* are mapped back.
     """
     if corners is None:
         raise IncompatibleInstance("instance fails compatibility or exceeds its declared bound constants")
-    (u1, w1, p1, y1, beta1), (u2, w2, p2, y2, beta2) = corners
+    (p1, y1, beta1), (p2, y2, beta2) = corners
     domain = _block_diag(inst.domain1.a, inst.domain2.a)
     if numerical_rank(domain, tol) != domain.shape[1]:
         raise ValueError("domain basis columns are dependent; supply an independent set")
-    u, w = _block_diag(u1, u2), _antidiag(w2, w1)
-    hermitize(u.conj().T @ w, tol)  # raises NotHermitian on asymmetric lifted data
-    p, y = _block_diag(p1, p2), _antidiag(y2, y1)
-    interval = _extend_lifted(p, y, max(beta1, beta2), _block_lift(lift1, lift2), tol)
-    low, high = (s.a[inst.dim1:, :inst.dim1] for s in (interval.s_min, interval.s_max))
-    return ComplexMatrix({"min": low, "max": high, "mid": (low + high) / 2.0}[endpoint])
+    low, high = _shifted_extensions(_block_diag(p1, p2), _antidiag(y2, y1), max(beta1, beta2), tol)
+    r1, j2, j1_adj = lift1.rank, lift2.embedding(), lift1.coembedding()
+    x_min = j2 @ low[r1:, :r1] @ j1_adj
+    x_max = -(j2 @ high[r1:, :r1] @ j1_adj)
+    return ComplexMatrix({"min": x_min, "max": x_max, "mid": (x_min + x_max) / 2.0}[endpoint])
 
 
 class StrongParrottInstance:

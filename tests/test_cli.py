@@ -169,6 +169,24 @@ class TestInfeasibleExit:
         assert code == 1
         assert doc["error"]["type"] == "IncompatibleInstance"
 
+    def test_parrott_pairing_off_by_less_than_eq(self, tmp_path):
+        # the swap fixture with values2 = e2 + 1e-9 e1: rejected by the
+        # pairing decision itself, not by a later symmetry check
+        path = write_instance(tmp_path, "bad.json", {
+            "kind": "parrott",
+            "payload": {
+                "n1": 2, "n2": 2,
+                "domain1": [[1.0], [0.0]], "values1": [[0.0], [1.0]],
+                "domain2": [[1.0], [0.0]], "values2": [[1e-9], [1.0]],
+                "weight1": [[1.0, 0.0], [0.0, 1.0]], "weight2": [[1.0, 0.0], [0.0, 1.0]],
+                "alpha1": 1.0, "alpha2": 1.0,
+            },
+        })
+        code, doc = run(tmp_path, "parrott", path)
+        assert code == 1
+        assert doc["status"] == "infeasible"
+        assert doc["error"]["type"] == "IncompatibleInstance"
+
     def test_strong_parrott_hypothesis_violation(self, tmp_path):
         path = write_instance(tmp_path, "bad.json", {
             "kind": "strong-parrott",
@@ -350,38 +368,24 @@ class TestTolerances:
 
 class TestDiagnosticsReuseLifts:
     @pytest.mark.parametrize("kind, eigh_calls", [("sa-ext", 3), ("parrott", 4)])
-    def test_eigh_calls(self, tmp_path, monkeypatch, kind, eigh_calls):
+    def test_eigh_calls(self, tmp_path, decompositions, kind, eigh_calls):
         # each weight is lifted once, for the run and all its diagnostics
         # together, and never as the stacked (n1 + n2)-square matrix
         payload = json.loads((INSTANCES / f"{kind}.json").read_text())["payload"]
         stacked = payload["n1"] + payload["n2"] if kind == "parrott" else None
-        shapes = []
-        original = np.linalg.eigh
-
-        def counted(a, *args, **kwargs):
-            shapes.append(np.shape(a))
-            return original(a, *args, **kwargs)
-
-        monkeypatch.setattr(np.linalg, "eigh", counted)
-        code, doc = run(tmp_path, kind, str(INSTANCES / f"{kind}.json"))
-        monkeypatch.undo()
+        with decompositions:
+            code, doc = run(tmp_path, kind, str(INSTANCES / f"{kind}.json"))
+        shapes = decompositions.shapes("eigh")
         assert code == 0
         assert len(shapes) == eigh_calls
         assert all(shape != (stacked, stacked) for shape in shapes)
 
-    def test_parrott_svd_calls(self, tmp_path, monkeypatch):
+    def test_parrott_svd_calls(self, tmp_path, decompositions):
         # the completion decomposes only the two corner lifts, the stacked
         # domain's rank, and the weighted norm of the result
-        calls = []
-        original = np.linalg.svd
-
-        def counted(a, *args, **kwargs):
-            calls.append(np.shape(a))
-            return original(a, *args, **kwargs)
-
-        monkeypatch.setattr(np.linalg, "svd", counted)
-        code, doc = run(tmp_path, "parrott", str(INSTANCES / "parrott.json"))
-        monkeypatch.undo()
+        with decompositions:
+            code, doc = run(tmp_path, "parrott", str(INSTANCES / "parrott.json"))
+        calls = decompositions.shapes("svd")
         assert code == 0
         assert len(calls) == 6
         # the weighted norm is taken on the r2 x r1 core, not the stacked completion
@@ -389,20 +393,12 @@ class TestDiagnosticsReuseLifts:
         stacked = sum(hilbert_lift(decode_matrix(payload[w])).rank for w in ("weight1", "weight2"))
         assert all(shape != (stacked, stacked) for shape in calls)
 
-    def test_strong_parrott_svd_calls(self, tmp_path, monkeypatch):
+    def test_strong_parrott_svd_calls(self, tmp_path, decompositions):
         # one thin SVD per factorization, the completion's five, and the norm of the solution
-        calls = []
-        original = np.linalg.svd
-
-        def counted(a, *args, **kwargs):
-            calls.append(np.shape(a))
-            return original(a, *args, **kwargs)
-
-        monkeypatch.setattr(np.linalg, "svd", counted)
-        code, doc = run(tmp_path, "strong-parrott", str(INSTANCES / "strong-parrott.json"))
-        monkeypatch.undo()
+        with decompositions:
+            code, doc = run(tmp_path, "strong-parrott", str(INSTANCES / "strong-parrott.json"))
         assert code == 0
-        assert len(calls) == 8
+        assert len(decompositions.shapes("svd")) == 8
 
 
 class TestGen:

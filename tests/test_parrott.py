@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from opext.errors import HypothesisViolated, IncompatibleInstance, NotHermitian
+from opext.errors import HypothesisViolated, IncompatibleInstance
 from opext.numkit import PsdMatrix, Tolerances
 from opext.oracle import Rng, complex_gaussian, min_completion_search, random_instance_with_witness
 from opext.parrott import (
@@ -285,6 +285,15 @@ class TestLiftedAsymmetry:
             np.ones((1, 1)), v1[:, None], d[:, None], np.array([[v2]]),
             np.eye(1), np.outer(q, q.conj()), 1.5 * beta1, 1.5 * beta2,
         )
-        assert check_compatibility(inst)
-        with pytest.raises(NotHermitian):
+        # the pairing is decided once, on the lifted corners
+        assert not check_compatibility(inst)
+        with pytest.raises(IncompatibleInstance):
             parrott_complete(inst)
+
+    def test_pairing_off_by_less_than_eq_is_rejected_by_both(self):
+        # D2* V1 = 0 against V2* D1 = 1e-9: inside tol.eq, outside tol.herm
+        inst = ParrottInstance(E1, E2, E1, E2 + 1e-9 * E1, np.eye(2), np.eye(2), 1.0, 1.0)
+        assert not check_compatibility(inst)
+        for construct in (parrott_complete, assemble_symmetric):
+            with pytest.raises(IncompatibleInstance):
+                construct(inst)

@@ -7,7 +7,7 @@ import pytest
 
 from opext.errors import NotPsd, NumericalFailure, RestrictionConditionFailed
 from opext.kvn import PartialPositiveOperator, check_restriction, kvn_extend
-from opext.numkit import PsdMatrix, loewner_leq
+from opext.numkit import ComplexMatrix, PsdMatrix, loewner_leq
 from opext.parrott import ParrottInstance, StrongParrottInstance, parrott_complete, strong_parrott
 from opext import sa_ext
 from opext.sa_ext import SymmetricPartialOperator, alpha_of_total, extend_symmetric
@@ -144,40 +144,70 @@ def test_indefinite_shifted_gram_is_a_numerical_failure(monkeypatch):
         extend_symmetric(op, PsdMatrix(np.eye(2)))
 
 
-def test_parrott_complete_lifts_each_block_once(monkeypatch):
-    gen = np.random.default_rng(34)
+def parrott_instance(seed):
+    """Planted instance with n1, n2, k1, k2 = 7, 5, 2, 1 and weights of rank 6 and 4."""
+    gen = np.random.default_rng(seed)
     n1, n2, k1, k2 = 7, 5, 2, 1
     a1, root1 = planted_weight(gen, n1, 6)
     a2, root2 = planted_weight(gen, n2, 4)
     core = cgauss(gen, n2, n1)
     hidden = root2 @ (core / np.linalg.norm(core, 2)) @ root1
     d1, d2 = cgauss(gen, n1, k1), cgauss(gen, n2, k2)
-    inst = ParrottInstance(d1, hidden @ d1, d2, hidden.conj().T @ d2, a1, a2, 1.0, 1.0)
+    return ParrottInstance(d1, hidden @ d1, d2, hidden.conj().T @ d2, a1, a2, 1.0, 1.0)
 
-    calls = []
-    for name in ("eigh", "eigvalsh", "svd"):
-        original = getattr(np.linalg, name)
 
-        def counted(a, *args, _original=original, _name=name, **kwargs):
-            calls.append((_name, np.array(a)))
-            return _original(a, *args, **kwargs)
+def test_parrott_complete_lifts_each_block_once(decompositions):
+    inst = parrott_instance(34)
+    n1, n2 = inst.dim1, inst.dim2
+    with decompositions:
+        parrott_complete(inst)
 
-        monkeypatch.setattr(np.linalg, name, counted)
-    parrott_complete(inst)
-    monkeypatch.undo()
-
-    assert all(m.shape != (n1 + n2, n1 + n2) for _, m in calls)
+    assert all(shape != (n1 + n2, n1 + n2) for shape in decompositions.shapes())
     # the stacked range coordinates (r1 + r2 = 10 rows) are assembled, never decomposed
-    svd_inputs = [m for name, m in calls if name == "svd"]
-    assert len(svd_inputs) == 5
-    assert all(m.shape[0] != 6 + 4 for m in svd_inputs)
-    eig_inputs = [m for name, m in calls if name != "svd"]
+    svd_shapes = decompositions.shapes("svd")
+    assert len(svd_shapes) == 5
+    assert all(shape[0] != 6 + 4 for shape in svd_shapes)
+    eig_inputs = [m for name, m in decompositions if name != "svd"]
     for block in (inst.weight1.a, inst.weight2.a):
         same = [m for m in eig_inputs if m.shape == block.shape and np.allclose(m, block)]
         assert len(same) == 1
 
 
-def test_strong_parrott_takes_one_svd_per_factorization(monkeypatch):
+def constructed_rows(monkeypatch, call):
+    """Row counts of every ComplexMatrix (of any subclass) constructed during ``call()``."""
+    rows = []
+    original = ComplexMatrix.__init__
+
+    def recorded(self, data, *args, **kwargs):
+        original(self, data, *args, **kwargs)
+        rows.append(self.rows)
+
+    monkeypatch.setattr(ComplexMatrix, "__init__", recorded)
+    call()
+    monkeypatch.undo()
+    return rows
+
+
+@pytest.mark.parametrize("endpoint", ["min", "max", "mid"])
+def test_parrott_complete_builds_nothing_in_the_stacked_space(monkeypatch, endpoint):
+    # the completion is read off the n2 x n1 corner of the range coordinates;
+    # neither the block lift of diag(A1, A2) nor an (n1 + n2)-square endpoint is formed
+    inst = parrott_instance(34)
+    rows = constructed_rows(monkeypatch, lambda: parrott_complete(inst, endpoint=endpoint))
+    assert rows and inst.dim1 + inst.dim2 not in rows
+
+
+def test_strong_parrott_builds_nothing_in_the_stacked_space(monkeypatch):
+    gen = np.random.default_rng(36)
+    x0 = cgauss(gen, 6, 7)
+    x0 *= 0.8 / np.linalg.norm(x0, 2)
+    s1, t2 = cgauss(gen, 7, 3), cgauss(gen, 2, 6)
+    inst = StrongParrottInstance(s1, x0 @ s1, t2 @ x0, t2)
+    rows = constructed_rows(monkeypatch, lambda: strong_parrott(inst))
+    assert rows and inst.dim_h + inst.dim_k not in rows
+
+
+def test_strong_parrott_takes_one_svd_per_factorization(decompositions):
     # one thin SVD of S1 and one of T2* reduce the data; the completion
     # takes the other five
     gen = np.random.default_rng(36)
@@ -186,16 +216,8 @@ def test_strong_parrott_takes_one_svd_per_factorization(monkeypatch):
     s1, t2 = cgauss(gen, 7, 3), cgauss(gen, 2, 6)
     inst = StrongParrottInstance(s1, x0 @ s1, t2 @ x0, t2)
 
-    shapes = []
-    original = np.linalg.svd
+    with decompositions:
+        x = strong_parrott(inst).a
 
-    def counted(a, *args, **kwargs):
-        shapes.append(np.shape(a))
-        return original(a, *args, **kwargs)
-
-    monkeypatch.setattr(np.linalg, "svd", counted)
-    x = strong_parrott(inst).a
-    monkeypatch.undo()
-
-    assert len(shapes) == 7
+    assert len(decompositions.shapes("svd")) == 7
     assert np.linalg.norm(x @ s1 - x0 @ s1) <= 1e-8 * (1 + np.linalg.norm(x0 @ s1))
