@@ -144,9 +144,9 @@ def test_indefinite_shifted_gram_is_a_numerical_failure(monkeypatch):
         extend_symmetric(op, PsdMatrix(np.eye(2)))
 
 
-def parrott_instance(seed):
+def parrott_instance():
     """Planted instance with n1, n2, k1, k2 = 7, 5, 2, 1 and weights of rank 6 and 4."""
-    gen = np.random.default_rng(seed)
+    gen = np.random.default_rng(34)
     n1, n2, k1, k2 = 7, 5, 2, 1
     a1, root1 = planted_weight(gen, n1, 6)
     a2, root2 = planted_weight(gen, n2, 4)
@@ -157,7 +157,7 @@ def parrott_instance(seed):
 
 
 def test_parrott_complete_lifts_each_block_once(decompositions):
-    inst = parrott_instance(34)
+    inst = parrott_instance()
     n1, n2 = inst.dim1, inst.dim2
     with decompositions:
         parrott_complete(inst)
@@ -192,17 +192,22 @@ def constructed_rows(monkeypatch, call):
 def test_parrott_complete_builds_nothing_in_the_stacked_space(monkeypatch, endpoint):
     # the completion is read off the n2 x n1 corner of the range coordinates;
     # neither the block lift of diag(A1, A2) nor an (n1 + n2)-square endpoint is formed
-    inst = parrott_instance(34)
+    inst = parrott_instance()
     rows = constructed_rows(monkeypatch, lambda: parrott_complete(inst, endpoint=endpoint))
     assert rows and inst.dim1 + inst.dim2 not in rows
 
 
-def test_strong_parrott_builds_nothing_in_the_stacked_space(monkeypatch):
+def strong_instance():
+    """Instance solved by a planted contraction x0 (dimH, dimK, p, q = 7, 6, 3, 2), and x0."""
     gen = np.random.default_rng(36)
     x0 = cgauss(gen, 6, 7)
     x0 *= 0.8 / np.linalg.norm(x0, 2)
     s1, t2 = cgauss(gen, 7, 3), cgauss(gen, 2, 6)
-    inst = StrongParrottInstance(s1, x0 @ s1, t2 @ x0, t2)
+    return StrongParrottInstance(s1, x0 @ s1, t2 @ x0, t2), x0
+
+
+def test_strong_parrott_builds_nothing_in_the_stacked_space(monkeypatch):
+    inst, _ = strong_instance()
     rows = constructed_rows(monkeypatch, lambda: strong_parrott(inst))
     assert rows and inst.dim_h + inst.dim_k not in rows
 
@@ -210,11 +215,8 @@ def test_strong_parrott_builds_nothing_in_the_stacked_space(monkeypatch):
 def test_strong_parrott_takes_one_svd_per_factorization(decompositions):
     # one thin SVD of S1 and one of T2* reduce the data; the completion
     # takes the other five
-    gen = np.random.default_rng(36)
-    x0 = cgauss(gen, 6, 7)
-    x0 *= 0.8 / np.linalg.norm(x0, 2)
-    s1, t2 = cgauss(gen, 7, 3), cgauss(gen, 2, 6)
-    inst = StrongParrottInstance(s1, x0 @ s1, t2 @ x0, t2)
+    inst, x0 = strong_instance()
+    s1 = inst.s1.a
 
     with decompositions:
         x = strong_parrott(inst).a
