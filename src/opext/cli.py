@@ -51,7 +51,7 @@ from .func_ext import (
 )
 from .kvn import PartialPositiveOperator, check_restriction, hilbert_lift, kvn_extend
 from .numkit import ComplexMatrix, PsdMatrix, Tolerances, hermitize, loewner_leq
-from .oracle import Rng, _check_dims, random_instance_with_witness
+from .oracle import MAX_ALGEBRA, Rng, _check_dims, random_instance_with_witness
 from .parrott import (
     ParrottInstance,
     StrongParrottInstance,
@@ -136,6 +136,10 @@ def _payload_int(payload: dict, key: str, minimum: int = 1) -> int:
         value = decode_int(payload[key], what=key)
     except ValueError as exc:
         raise _InputError(str(exc)) from exc
+    return _at_least(key, value, minimum)
+
+
+def _at_least(key: str, value: int, minimum: int) -> int:
     if value < minimum:
         raise _InputError(f"{key}: must be at least {minimum}, got {value}")
     return value
@@ -317,12 +321,14 @@ def _run_cstar_check(data: dict, tol: Tolerances, args) -> tuple[dict, dict]:
     samples = getattr(args, "samples", None)
     if samples is None:
         samples = data.get("samples", 10_000)
+    else:
+        samples = _at_least("samples", samples, 1)
     decision = cstar_extendibility(
         pf,
         tol,
         density=data.get("density"),
         extension=data.get("extension"),
-        samples=int(samples),
+        samples=samples,
         rng=Rng(getattr(args, "seed", 0) or 0),
     )
     outputs = {
@@ -336,6 +342,7 @@ def _run_cstar_check(data: dict, tol: Tolerances, args) -> tuple[dict, dict]:
         outputs["measured_bound"] = decision.measured_bound
         outputs["violations"] = decision.violations
         outputs["constant4_ok"] = decision.constant4_ok
+        outputs["exact_bound"] = decision.exact_bound
     return outputs, _functional_diagnostics(pf, decision.g_min, decision.g_max, tol)
 
 
@@ -424,6 +431,10 @@ _INVARIANTS = {
         ("extendible", None),
         ("constant4_ok", None),
         ("violations", lambda d, r, t: 0),
+        # the sampler can only bound the sharp constant from below, and in
+        # M_m the sharp constant relative to f = |g| is at most 1
+        ("measured_bound", lambda d, r, t: r["exact_bound"] * (1.0 + t.eq)),
+        ("exact_bound", lambda d, r, t: 1.0 + t.eq),
     ),
 }
 
@@ -465,7 +476,7 @@ def _random_dims(kind: str, gen) -> tuple[int, ...]:
     if kind == "strong-parrott":
         h, k = int(gen.integers(1, 7)), int(gen.integers(1, 7))
         return (h, k, int(gen.integers(1, h + 1)), int(gen.integers(1, k + 1)))
-    return (int(gen.integers(1, 5)),)
+    return (int(gen.integers(1, MAX_ALGEBRA + 1)),)
 
 
 def _verify_one(kind: str, rng: Rng, dims: tuple[int, ...], tol: Tolerances, seed: int) -> list[dict]:

@@ -435,11 +435,14 @@ class ExtendibilityDecision:
     alpha : f-bound of g_0 relative to that functional.
     g_min / g_max : extremal hermitian extensions witnessing extendibility.
     constant4_ok : for a supplied hermitian extension g, whether the bound
-        |g_0(x* a)|^2 <= 16 f(x* x) f(a* a) with f = g_+ + g_- held on
-        every sampled pair (None when no extension was supplied).
+        |g_0(x* a)|^2 <= 16 f(x* x) f(a* a) with f = g_+ + g_- holds,
+        decided from ``exact_bound`` (None when no extension was supplied).
     measured_bound : largest sampled ratio |g_0(x* a)| / sqrt(f(x* x) f(a* a)),
-        an empirical lower estimate of the true constant.
+        an empirical lower estimate of ``exact_bound``.
     violations : number of sampled pairs violating the constant-4 bound.
+    exact_bound : the sharp constant, the f-bound of g_0 relative to
+        f = g_+ + g_- (:func:`f_bound`); it equals ``alpha`` when no
+        ``density`` overrides f.
     """
 
     extendible: bool
@@ -450,6 +453,7 @@ class ExtendibilityDecision:
     constant4_ok: bool | None = None
     measured_bound: float | None = None
     violations: int | None = None
+    exact_bound: float | None = None
 
 
 @dataclass(frozen=True)
@@ -467,28 +471,58 @@ class FunctionalInstance:
     source: FunctionalMatrix | None = None
 
 
+_RSQRT2 = 1.0 / np.sqrt(2.0)
+
+
 def _sampled_constant(
-    pf: PartialFunctional, f_density: np.ndarray, samples: int, rng, tol: Tolerances
+    pf: PartialFunctional, root: np.ndarray, samples: int, rng, tol: Tolerances
 ) -> tuple[float, int]:
     """Empirical bound constant over random pairs and violation count.
 
     Draws complex Gaussian (x, a0), puts a = a0 P in the ideal, and
-    compares |g_0(x* a)|^2 against 16 f(x* x) f(a* a).  Returns the
-    largest sampled ratio |g_0(x* a)| / sqrt(f(x* x) f(a* a)) and the
-    number of violations of the constant-4 inequality.
+    compares |g_0(x* a)|^2 against 16 f(x* x) f(a* a) for the positive
+    functional with density F = L L*, L = ``root``.  Returns the largest
+    sampled ratio |g_0(x* a)| / sqrt(f(x* x) f(a* a)) and the number of
+    violations of the constant-4 inequality.
+
+    Stream: the real blocks Re x, Im x, Re a0, Im a0 are drawn in that
+    order, each as ``standard_normal((samples, m, m))`` draws it, and
+    scaled by 1/sqrt(2) as a product with the reciprocal (which is how
+    numpy divides a complex array by a real scalar).  So the pairs are
+    bit for bit (N1 + i N2) / sqrt(2), (N3 + i N4) / sqrt(2) of four such
+    draws, and the generator ends in the state those draws leave.  x is
+    stored conjugated.
+
+    The samples' m-by-m blocks are stacked as rows of (samples * m, m)
+    arrays, so each quantity is one flat GEMM into a shared work array
+    and a row sum over each sample's m * m entries:
+
+        f(x* x)   = tr(x F x*) = ||x L||_F^2 = ||conj(x) conj(L)||_F^2
+        f(a* a)   = ||a0 (P L)||_F^2
+        g_0(x* a) = tr(Gamma x* a0 P) = sum conj(x) o (a0 (P Gamma))
+
+    The first half of the work array holds each raw draw before it is
+    scaled into place.
     """
     m = pf.size
     p = pf.ideal.projection.a
-    gamma = pf.gamma.a
     gen = rng.generator() if hasattr(rng, "generator") else rng
-    xs = (gen.standard_normal((samples, m, m)) + 1j * gen.standard_normal((samples, m, m))) / np.sqrt(2)
-    a0 = (gen.standard_normal((samples, m, m)) + 1j * gen.standard_normal((samples, m, m))) / np.sqrt(2)
-    aa = a0 @ p
-    # g_0(x* a) = sum_{w,v} conj(x_{wv}) (a Gamma)_{wv}
-    vals = np.abs(np.einsum("bwv,bwv->b", xs.conj(), aa @ gamma))
-    fxx = np.einsum("ij,bkj,bki->b", f_density, xs.conj(), xs).real
-    faa = np.einsum("ij,bkj,bki->b", f_density, aa.conj(), aa).real
-    denom = np.sqrt(np.clip(fxx, 0.0, None) * np.clip(faa, 0.0, None))
+    rows = samples * m
+    work = np.empty((rows, m), dtype=np.complex128)
+    draw = work.view(np.float64).reshape(-1)[: rows * m].reshape(rows, m)
+    x_conj = np.empty((rows, m), dtype=np.complex128)
+    a0 = np.empty((rows, m), dtype=np.complex128)
+    for part, scale in ((x_conj.real, _RSQRT2), (x_conj.imag, -_RSQRT2), (a0.real, _RSQRT2), (a0.imag, _RSQRT2)):
+        gen.standard_normal(out=draw)
+        np.multiply(draw, scale, out=part)
+    squares = work.view(np.float64).reshape(samples, 2 * m * m)
+    np.matmul(x_conj, root.conj(), out=work)
+    fxx = np.einsum("ij,ij->i", squares, squares)
+    np.matmul(a0, p @ root, out=work)
+    faa = np.einsum("ij,ij->i", squares, squares)
+    np.matmul(a0, p @ pf.gamma.a, out=work)
+    vals = np.abs(np.einsum("ij,ij->i", x_conj.reshape(samples, m * m), work.reshape(samples, m * m)))
+    denom = np.sqrt(fxx * faa)
     keep = denom > tol.eq
     ratios = vals[keep] / denom[keep]
     measured = float(ratios.max()) if ratios.size else 0.0
@@ -514,55 +548,62 @@ def cstar_extendibility(
     f = g_+ + g_- from its decomposition is used.
 
     Necessity (quantitative): when a hermitian extension g of g_0 is
-    supplied, the bound |g_0(x* a)|^2 <= 16 f(x* x) f(a* a) with
-    f = g_+ + g_- is verified on ``samples`` random pairs, and the
-    largest sampled ratio is reported.
+    supplied, the sharp constant of |g_0(x* a)|^2 <= C^2 f(x* x) f(a* a)
+    with f = g_+ + g_- (density |Phi|) is computed exactly as
+    ``exact_bound`` = f_bound(g_0, f), which is ``alpha`` itself unless
+    ``density`` overrides f, and the constant-4 bound is decided from it.
+    The same inequality is sampled on ``samples`` random pairs as an
+    independent lower estimate (``measured_bound``, ``violations``).
+    f = V |w| V* and its factor V |w|^(1/2) come from one
+    eigendecomposition of Phi = V w V*.
 
     Raises :class:`NotSymmetric` when g_0 is not symmetric on its ideal
     (then no hermitian extension exists, since restrictions of hermitian
-    functionals are symmetric).
+    functionals are symmetric), and ValueError when ``samples`` < 1.
     """
+    if samples < 1:
+        raise ValueError(f"samples must be at least 1, got {samples}")
     t = _tol(tol)
     if not is_symmetric_on_ideal(pf, t):
         raise NotSymmetric(
             "functional is not symmetric on its ideal; hermitian extensions cannot exist"
         )
     m = pf.size
-    constant4_ok = None
-    measured = None
-    violations = None
-    necessity_density = None
+    abs_density = root = None
     if extension is not None:
-        ext = FunctionalMatrix(hermitize(_as_functional(extension).density, t))
+        phi = hermitize(_as_functional(extension).density, t).a
         # the supplied functional must actually extend g_0
-        worst = _ideal_agreement(pf, ext.density.a)
+        worst = _ideal_agreement(pf, phi)
         if worst > t.eq * (1.0 + np.linalg.norm(pf.gamma.a)):
             raise HypothesisViolated(
                 f"supplied functional does not extend the partial data (residual {worst:.3e})"
             )
-        g_plus, g_minus = hahn_jordan(ext, t)
-        necessity_density = g_plus.density.a + g_minus.density.a
+        w, v = eigh_desc(phi)
+        abs_density = PsdMatrix._trusted(hermitize((v * np.abs(w)) @ v.conj().T, t).a)
+        root = v * np.sqrt(np.abs(w))
+    if density is not None:
+        f_mat = PsdMatrix.coerce(_density_array(density), t)
+    elif abs_density is not None:
+        f_mat = abs_density
+    else:
+        f_mat = PsdMatrix._trusted(np.eye(m, dtype=np.complex128))
+    g_min, g_max, alpha = extend_functional(pf, f_mat, t)
+    exact = measured = violations = None
+    if root is not None:
+        exact = alpha if density is None else f_bound(pf, abs_density, t)
         if rng is None:
             from .oracle import Rng
 
             rng = Rng(0)
-        measured, violations = _sampled_constant(pf, necessity_density, samples, rng, t)
-        constant4_ok = violations == 0
-    if density is None:
-        if necessity_density is not None:
-            f_mat = PsdMatrix._trusted(necessity_density)
-        else:
-            f_mat = PsdMatrix._trusted(np.eye(m, dtype=np.complex128))
-    else:
-        f_mat = PsdMatrix.coerce(_density_array(density), t)
-    g_min, g_max, alpha = extend_functional(pf, f_mat, t)
+        measured, violations = _sampled_constant(pf, root, samples, rng, t)
     return ExtendibilityDecision(
         extendible=True,
         density=FunctionalMatrix(f_mat),
         alpha=alpha,
         g_min=g_min,
         g_max=g_max,
-        constant4_ok=constant4_ok,
+        constant4_ok=None if exact is None else bool(exact <= 4.0 * (1.0 + t.eq)),
         measured_bound=measured,
         violations=violations,
+        exact_bound=exact,
     )

@@ -1,17 +1,29 @@
-"""The benchmark's tracing wraps names of the program; each must exist.
+"""The benchmark reads names of the program; each must exist.
 
 ``perfbench/tracing.py`` wraps every name in its ``LAYERS`` table with
-``getattr`` on ``opext.<layer>``, and its own tests are outside this suite.
-Without this check, removing or renaming a wrapped function (even one no
-library path calls any more, such as ``numkit.independent_columns``) would
-break only traced benchmark runs.
+``getattr`` on ``opext.<layer>``, and ``perfbench/workloads.py`` reads the
+fields of a cstar decision and the keys of a ``cstar-check`` result; the
+benchmark's own tests are outside this suite.  Without these checks,
+removing or renaming such a name (even a function no library path calls
+any more, such as ``numkit.independent_columns``) would break only
+benchmark runs.
 """
 
+import dataclasses
 import importlib
 import importlib.util
+import json
 from pathlib import Path
 
-TRACING = Path(__file__).resolve().parent.parent / "perfbench" / "tracing.py"
+import opext.cli as cli
+from opext.func_ext import ExtendibilityDecision
+
+ROOT = Path(__file__).resolve().parent.parent
+TRACING = ROOT / "perfbench" / "tracing.py"
+
+# what perfbench/workloads.py reads of a cstar decision (run_cstar) and of a
+# cstar-check result file (CliSmall._check)
+CSTAR_NAMES = ("extendible", "alpha", "g_min", "g_max", "density", "constant4_ok", "violations", "measured_bound")
 
 
 def load_tracing():
@@ -32,3 +44,15 @@ def test_every_traced_name_resolves():
             if not callable(target):
                 missing.append(f"{layer}.{name}")
     assert missing == []
+
+
+def test_cstar_decision_fields_exist():
+    fields = {field.name for field in dataclasses.fields(ExtendibilityDecision)}
+    assert set(CSTAR_NAMES) - fields == set()
+
+
+def test_cstar_check_output_keys_exist(tmp_path):
+    out = tmp_path / "result.json"
+    argv = ["cstar-check", str(ROOT / "instances" / "cstar-check.json"), "--samples", "10", "--out", str(out)]
+    assert cli.main(argv) == 0
+    assert set(CSTAR_NAMES) - set(json.loads(out.read_text())["outputs"]) == set()

@@ -98,6 +98,8 @@ class TestCommittedFixtures:
         assert doc["outputs"]["violations"] == 0
         assert doc["outputs"]["constant4_ok"] is True
         assert doc["outputs"]["measured_bound"] == pytest.approx(1.0, abs=0.05)
+        assert doc["outputs"]["exact_bound"] == pytest.approx(1.0, abs=1e-10)
+        assert doc["outputs"]["measured_bound"] <= doc["outputs"]["exact_bound"] * (1.0 + 1e-8)
         assert doc["seed"] == 0
 
 
@@ -463,6 +465,22 @@ class TestCstarFlags:
         assert doc["seed"] == 3
         assert doc["outputs"]["violations"] == 0
 
+    @pytest.mark.parametrize("samples", ["0", "-3"])
+    def test_samples_flag_below_one_is_invalid_input(self, tmp_path, samples):
+        code, doc = run(tmp_path, "cstar-check", str(INSTANCES / "cstar-check.json"), "--samples", samples)
+        assert code == 2
+        assert doc["status"] == "invalid-input"
+        assert doc["error"]["message"] == f"samples: must be at least 1, got {samples}"
+
+    @pytest.mark.parametrize("samples", [0, -3])
+    def test_samples_payload_below_one_is_invalid_input(self, tmp_path, samples):
+        document = json.loads((INSTANCES / "cstar-check.json").read_text())
+        document["payload"]["samples"] = samples
+        code, doc = run(tmp_path, "cstar-check", write_instance(tmp_path, "in.json", document))
+        assert code == 2
+        assert doc["status"] == "invalid-input"
+        assert doc["error"]["message"] == f"samples: must be at least 1, got {samples}"
+
 
 class TestVerify:
     def test_verify_single_kind(self, tmp_path):
@@ -570,3 +588,22 @@ class TestVerify:
             {"index": 0, "dims": [3, 2], "check": "bound_ok", "value": False, "threshold": None,
              "endpoint": "max"}
         ]
+
+    def test_verify_checks_the_sampled_bound_against_the_exact_one(self, tmp_path, monkeypatch):
+        runner = cli._RUNNERS["cstar-check"]
+        calls = []
+
+        def broken(data, tol, args):
+            outputs, diagnostics = runner(data, tol, args)
+            calls.append(data["m"])
+            if len(calls) == 1:
+                outputs["measured_bound"] = 1.5 * outputs["exact_bound"] + 0.1
+            else:
+                outputs["exact_bound"] = 2.0
+            return outputs, diagnostics
+
+        monkeypatch.setitem(cli._RUNNERS, "cstar-check", broken)
+        code, doc = run(tmp_path, "verify", "--kind", "cstar-check", "--count", "2", "--dims", "3")
+        assert code == 3
+        checks = [(f["index"], f["check"]) for f in doc["outputs"]["cstar-check"]["failures"]]
+        assert checks == [(0, "measured_bound"), (1, "exact_bound")]

@@ -1,5 +1,7 @@
 """Hermitian extensions of symmetric functionals on matrix-algebra ideals."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -9,6 +11,7 @@ from opext.func_ext import (
     LeftIdeal,
     PartialFunctional,
     _ideal_agreement,
+    _sampled_constant,
     cstar_extendibility,
     extend_functional,
     f_bound,
@@ -18,7 +21,7 @@ from opext.func_ext import (
     hahn_jordan,
     is_symmetric_on_ideal,
 )
-from opext.numkit import PsdMatrix
+from opext.numkit import PsdMatrix, Tolerances
 from opext.oracle import Rng, min_completion_search, random_instance_with_witness
 from opext.sa_ext import extend_symmetric
 
@@ -394,3 +397,113 @@ class TestCstarExtendibility:
             assert decision.g_min.is_hermitian()
             assert decision.g_max.is_hermitian()
             assert functional_interval_member(decision.g_min, decision.g_min, decision.g_max)
+
+    def test_exact_bound_is_alpha_and_decides_constant4(self):
+        decision = cstar_extendibility(
+            fixture_functional(), extension=FunctionalMatrix(np.diag([1.0, -1.0])), samples=100
+        )
+        assert decision.exact_bound == decision.alpha
+        assert decision.constant4_ok is True
+        assert decision.measured_bound <= decision.exact_bound * (1.0 + 1e-8)
+
+    def test_exact_bound_under_a_density_override(self):
+        # alpha is taken against the override; exact_bound still against |Phi|
+        phi = np.diag([1.0, -1.0])
+        decision = cstar_extendibility(
+            fixture_functional(), density=4.0 * np.eye(2), extension=FunctionalMatrix(phi), samples=100
+        )
+        assert decision.alpha == pytest.approx(0.25, abs=1e-10)
+        assert decision.exact_bound == pytest.approx(f_bound(fixture_functional(), np.eye(2)), abs=1e-14)
+        assert decision.exact_bound == pytest.approx(1.0, abs=1e-10)
+
+    def test_no_extension_no_exact_bound(self):
+        assert cstar_extendibility(fixture_functional()).exact_bound is None
+
+    @pytest.mark.parametrize("samples", [0, -3])
+    def test_samples_below_one_rejected(self, samples):
+        with pytest.raises(ValueError, match="samples must be at least 1"):
+            cstar_extendibility(
+                fixture_functional(), extension=FunctionalMatrix(np.diag([1.0, -1.0])), samples=samples
+            )
+        with pytest.raises(ValueError, match="samples must be at least 1"):
+            cstar_extendibility(fixture_functional(), samples=samples)
+
+    def test_decomposition_count(self, decompositions):
+        inst, _ = random_instance_with_witness("functional", (4,), Rng(3))
+        with decompositions:
+            cstar_extendibility(inst.partial, extension=inst.source, samples=100, rng=Rng(1))
+        # one eigh of Phi serves both f = |Phi| and the sampler's factor of f
+        assert len(decompositions) <= 8
+
+
+def reference_sampled_constant(pf, f_density, samples, gen, eq):
+    """The sampler as first written: batched matmuls and three-operand einsum forms in F."""
+    m = pf.size
+    p = pf.ideal.projection.a
+    xs = (gen.standard_normal((samples, m, m)) + 1j * gen.standard_normal((samples, m, m))) / np.sqrt(2)
+    a0 = (gen.standard_normal((samples, m, m)) + 1j * gen.standard_normal((samples, m, m))) / np.sqrt(2)
+    aa = a0 @ p
+    vals = np.abs(np.einsum("bwv,bwv->b", xs.conj(), aa @ pf.gamma.a))
+    fxx = np.einsum("ij,bkj,bki->b", f_density, xs.conj(), xs).real
+    faa = np.einsum("ij,bkj,bki->b", f_density, aa.conj(), aa).real
+    denom = np.sqrt(np.clip(fxx, 0.0, None) * np.clip(faa, 0.0, None))
+    keep = denom > eq
+    ratios = vals[keep] / denom[keep]
+    return (float(ratios.max()) if ratios.size else 0.0), int(np.count_nonzero(ratios > 4.0 + eq))
+
+
+def sampler_case(m, rank_p, rank_phi, seed):
+    """Symmetric partial data on a rank-``rank_p`` ideal from a Hermitian Phi of rank ``rank_phi``."""
+    gen = np.random.default_rng(seed)
+
+    def unitary():
+        z = gen.standard_normal((m, m)) + 1j * gen.standard_normal((m, m))
+        return np.linalg.qr(z)[0]
+
+    u = unitary()
+    w = np.zeros(m)
+    w[:rank_phi] = gen.choice([-1.0, 1.0], rank_phi) * gen.uniform(0.1, 3.0, rank_phi)
+    phi = (u * w) @ u.conj().T
+    phi = (phi + phi.conj().T) / 2
+    q = unitary()[:, :rank_p]
+    pf = PartialFunctional(LeftIdeal(q @ q.conj().T), phi)
+    lam, v = np.linalg.eigh(phi)
+    return pf, v * np.sqrt(np.abs(lam)), (v * np.abs(lam)) @ v.conj().T
+
+
+SAMPLER_CASES = [(1, 1, 1), (2, 1, 1), (2, 2, 1), (6, 3, 6), (6, 2, 4), (6, 5, 3), (16, 5, 16), (16, 16, 10), (16, 8, 8)]
+
+
+class TestSampledConstant:
+    @pytest.mark.parametrize("m, rank_p, rank_phi", SAMPLER_CASES)
+    def test_matches_reference(self, m, rank_p, rank_phi):
+        pf, root, f_density = sampler_case(m, rank_p, rank_phi, seed=100 + m + rank_p + rank_phi)
+        tol = Tolerances()
+        for seed in range(3):
+            measured, violations = _sampled_constant(pf, root, 2000, Rng(seed), tol)
+            expected, expected_violations = reference_sampled_constant(
+                pf, f_density, 2000, Rng(seed).generator(), tol.eq
+            )
+            assert measured == pytest.approx(expected, rel=1e-13, abs=0.0)
+            assert violations == expected_violations
+
+    @pytest.mark.parametrize("m, samples", [(1, 7), (6, 500), (16, 33)])
+    def test_consumes_four_standard_normal_blocks(self, m, samples):
+        pf, root, _ = sampler_case(m, max(1, m // 2), m, seed=7)
+        gen = Rng(11).generator()
+        _sampled_constant(pf, root, samples, gen, Tolerances())
+        ref = Rng(11).generator()
+        for _ in range(4):
+            ref.standard_normal((samples, m, m))
+        np.testing.assert_equal(gen.bit_generator.state, ref.bit_generator.state)
+
+    def test_peak_allocation(self):
+        # the batched-einsum sampler peaked at 27.6 MB here
+        pf, root, _ = sampler_case(6, 3, 6, seed=5)
+        tracemalloc.start()
+        try:
+            _sampled_constant(pf, root, 10_000, Rng(0), Tolerances())
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 27.6e6
