@@ -50,8 +50,8 @@ from .func_ext import (
     functional_interval_member,
 )
 from .kvn import PartialPositiveOperator, check_restriction, hilbert_lift, kvn_extend
-from .numkit import ComplexMatrix, PsdMatrix, Tolerances, hermitize, loewner_leq
-from .oracle import MAX_ALGEBRA, Rng, _check_dims, random_instance_with_witness
+from .numkit import ComplexMatrix, PsdMatrix, Tolerances, _smax, hermitize, loewner_leq
+from .oracle import MAX_ALGEBRA, MAX_DIM, Rng, _check_dims, random_instance_with_witness
 from .parrott import (
     ParrottInstance,
     StrongParrottInstance,
@@ -287,9 +287,8 @@ def _run_parrott(data: dict, tol: Tolerances, args) -> tuple[dict, dict]:
 def _run_strong_parrott(data: dict, tol: Tolerances, args) -> tuple[dict, dict]:
     inst = StrongParrottInstance(data["s1"], data["s2"], data["t1"], data["t2"])
     x = strong_parrott(inst, tol).a
-    norm = float(np.linalg.svd(x, compute_uv=False)[0]) if x.size else 0.0
     return (
-        {"solution": x, "norm": norm},
+        {"solution": x, "norm": _smax(x)},
         {
             "s_residual": float(np.linalg.norm(x @ inst.s1.a - inst.s2.a)),
             "t_residual": float(np.linalg.norm(inst.t2.a @ x - inst.t1.a)),
@@ -469,12 +468,12 @@ _VERIFY_SAMPLES = 1000
 def _random_dims(kind: str, gen) -> tuple[int, ...]:
     """Dimensions of one verify instance when --dims is not given."""
     if kind in ("kvn", "sa-ext"):
-        n = int(gen.integers(1, 9))
+        n = int(gen.integers(1, MAX_DIM + 1))
         return (n, int(gen.integers(1, n + 1)))
     if kind == "parrott":
-        return (int(gen.integers(1, 6)), int(gen.integers(1, 6)))
+        return (int(gen.integers(1, MAX_DIM + 1)), int(gen.integers(1, MAX_DIM + 1)))
     if kind == "strong-parrott":
-        h, k = int(gen.integers(1, 7)), int(gen.integers(1, 7))
+        h, k = int(gen.integers(1, MAX_DIM + 1)), int(gen.integers(1, MAX_DIM + 1))
         return (h, k, int(gen.integers(1, h + 1)), int(gen.integers(1, k + 1)))
     return (int(gen.integers(1, MAX_ALGEBRA + 1)),)
 

@@ -25,12 +25,19 @@ operators alpha +/- S0_hat, the completions are
     X_min = J2 L[r1:, :r1] J1*,    X_max = -J2 H[r1:, :r1] J1*.
 
 The shift -alpha I has no off-diagonal block, so neither the stacked weight
-nor an (n1+n2)-square endpoint is formed.
+nor an (n1+n2)-square endpoint is formed, and each endpoint needs only its
+own side: L for X_min, H for X_max.  One private core, :func:`_corner`,
+computes that corner from the corners' orthonormal pairs.
 
 Specializations: :func:`strong_parrott` completes an intertwining pair of
 factorizations (X S1 = S2, T2 X = T1, ||X|| <= 1), and
 :func:`classical_parrott` extends a contraction prescribed on a subspace
-whose compression to another subspace is also prescribed.
+whose compression to another subspace is also prescribed.  Both already
+hold orthonormal domains and their values with identity weights and unit
+bounds, so they call :func:`_corner` directly: no identity weight is formed
+or lifted, and no :class:`ParrottInstance` is built.  They decide
+feasibility by their own hypotheses, the reduced bound and their own output
+equations, and raise :class:`HypothesisViolated` when any of them fails.
 """
 
 from __future__ import annotations
@@ -57,7 +64,7 @@ from .numkit import (
     loewner_leq,
     numerical_rank,
 )
-from .sa_ext import SymmetricPartialOperator, _shifted_extensions, _weighted_lift
+from .sa_ext import SymmetricPartialOperator, _shifted_extension, _weighted_lift
 
 __all__ = [
     "ParrottInstance",
@@ -205,11 +212,45 @@ def _complete_on_lifts(
     domain = _block_diag(inst.domain1.a, inst.domain2.a)
     if numerical_rank(domain, tol) != domain.shape[1]:
         raise ValueError("domain basis columns are dependent; supply an independent set")
-    low, high = _shifted_extensions(_block_diag(p1, p2), _antidiag(y2, y1), max(beta1, beta2), tol)
-    r1, j2, j1_adj = lift1.rank, lift2.embedding(), lift1.coembedding()
-    x_min = j2 @ low[r1:, :r1] @ j1_adj
-    x_max = -(j2 @ high[r1:, :r1] @ j1_adj)
-    return ComplexMatrix({"min": x_min, "max": x_max, "mid": (x_min + x_max) / 2.0}[endpoint])
+    corner = _corner(p1, y1, p2, y2, max(beta1, beta2), endpoint, tol)
+    return ComplexMatrix(lift2.embedding() @ corner @ lift1.coembedding())
+
+
+def _corner(p1, y1, p2, y2, beta: float, endpoint: str, tol: Tolerances) -> np.ndarray:
+    """r2-by-r1 corner of the ``endpoint`` extension of the stacked pair.
+
+    The stacked operator has the orthonormal domain P = diag(P1, P2), the
+    values Y = [[0, Y2], [Y1, 0]] and the bound beta; with L, H the minimal
+    positive extensions of beta P + Y and beta P - Y, the corner is
+    L[r1:, :r1] for "min", -H[r1:, :r1] for "max", and their average for
+    "mid".  Only the sides the endpoint needs are extended.
+    """
+    r1 = p1.shape[0]
+    p, y = _block_diag(p1, p2), _antidiag(y2, y1)
+    signs = {"min": (1.0,), "max": (-1.0,), "mid": (1.0, -1.0)}[endpoint]
+    corners = [sign * _shifted_extension(p, sign * y, beta, tol)[r1:, :r1] for sign in signs]
+    return corners[0] if len(corners) == 1 else (corners[0] + corners[1]) / 2.0
+
+
+def _unit_corner(p1, y1, p2, y2, beta: float, equations, tol: Tolerances) -> ComplexMatrix:
+    """Minimal corner of unit-bound data on identity weights, checked against the caller's equations.
+
+    Raises :class:`HypothesisViolated` when beta^2 exceeds 1 + 2 eq (the
+    bound :func:`_corner_lifts` allows at alpha = 1), or when the corner X
+    misses one of ``equations``, each ``(name, residual of X, scale)`` and
+    allowed eq (1 + scale) in the Frobenius norm.
+    """
+    if beta * beta > 1.0 + 2.0 * tol.eq:
+        raise HypothesisViolated(f"the reduced data has norm {beta:.6f} > 1; no contraction extends it")
+    x = _corner(p1, y1, p2, y2, beta, "min", tol)
+    failures = []
+    for name, residual, scale in equations:
+        resid = np.linalg.norm(residual(x))
+        if resid > tol.eq * (1.0 + scale):
+            failures.append(f"{name} fails on the completion (residual {resid:.3e})")
+    if failures:
+        raise HypothesisViolated("; ".join(failures))
+    return ComplexMatrix(x)
 
 
 class StrongParrottInstance:
@@ -271,11 +312,12 @@ def strong_parrott(inst: StrongParrottInstance, tol: Tolerances | None = None) -
     """Contractive solution of X S1 = S2, T2 X = T1.
 
     Verifies the three hypotheses (intertwining equality and the two
-    Loewner comparisons), reduces to a :class:`ParrottInstance` with
-    identity weights and unit bounds -- one corner prescribes X on ran S1,
-    the other prescribes X* on ran T2* -- and completes.
+    Loewner comparisons) and reduces to two orthonormal pairs -- one
+    prescribes X on ran S1, the other X* on ran T2* -- whose corner is X.
 
-    Raises :class:`HypothesisViolated` naming the failed condition(s).
+    Raises :class:`HypothesisViolated` naming the failed condition(s):
+    a hypothesis, a reduced bound above 1, or X S1 = S2 or T2 X = T1 missed
+    by more than eq (1 + ||S1||) or eq (1 + ||T2||) on the completion.
     """
     t = _tol(tol)
     s1, s2 = inst.s1.a, inst.s2.a
@@ -290,14 +332,13 @@ def strong_parrott(inst: StrongParrottInstance, tol: Tolerances | None = None) -
         failures.append("T1 T1* <= T2 T2* fails")
     if failures:
         raise HypothesisViolated("; ".join(failures))
-    d1, v1 = _restrict_with_consistency(s1, s2, t, "left factorization")
-    d2, v2 = _restrict_with_consistency(t2.conj().T, t1.conj().T, t, "right factorization")
-    reduced = ParrottInstance(
-        d1, v1, d2, v2,
-        PsdMatrix._trusted(np.eye(inst.dim_h)), PsdMatrix._trusted(np.eye(inst.dim_k)),
-        1.0, 1.0, t,
+    p1, y1 = _restrict_with_consistency(s1, s2, t, "left factorization")
+    p2, y2 = _restrict_with_consistency(t2.conj().T, t1.conj().T, t, "right factorization")
+    equations = (
+        ("X S1 = S2", lambda x: x @ s1 - s2, np.linalg.norm(s1)),
+        ("T2 X = T1", lambda x: t2 @ x - t1, np.linalg.norm(t2)),
     )
-    return parrott_complete(reduced, t)
+    return _unit_corner(p1, y1, p2, y2, max(_smax(y1), _smax(y2)), equations, t)
 
 
 def _projector_basis(p, tol: Tolerances, what: str) -> np.ndarray:
@@ -329,6 +370,11 @@ def classical_parrott(
     The canonical bases are the phase-fixed eigenvectors of the
     projectors, so the column/row conventions are reproducible from the
     projectors alone.
+
+    Raises :class:`HypothesisViolated` when a prescribed operator is not a
+    contraction, when the compressions disagree, or when T misses its
+    restriction or its compression by more than eq (1 + the prescribed
+    norm).
     """
     t = _tol(tol)
     b_h1 = _projector_basis(p_h1, t, "first projector")
@@ -346,18 +392,18 @@ def classical_parrott(
             f"compressed contraction must be {b_k1.shape[1]}x{dim_h}, got {t1p.shape}"
         )
     failures = []
-    if _smax(t1m) > 1.0 + t.eq:
-        failures.append(f"restricted operator is not a contraction (norm {_smax(t1m):.6f})")
-    if _smax(t1p) > 1.0 + t.eq:
-        failures.append(f"compressed operator is not a contraction (norm {_smax(t1p):.6f})")
+    norm_m, norm_p = _smax(t1m), _smax(t1p)
+    if norm_m > 1.0 + t.eq:
+        failures.append(f"restricted operator is not a contraction (norm {norm_m:.6f})")
+    if norm_p > 1.0 + t.eq:
+        failures.append(f"compressed operator is not a contraction (norm {norm_p:.6f})")
     match = np.linalg.norm(b_k1.conj().T @ t1m - t1p @ b_h1)
     if match > t.eq * (1.0 + np.linalg.norm(t1m)):
         failures.append(f"compression of the restriction disagrees with the prescribed compression (residual {match:.3e})")
     if failures:
         raise HypothesisViolated("; ".join(failures))
-    inst = ParrottInstance(
-        b_h1, t1m, b_k1, t1p.conj().T,
-        PsdMatrix._trusted(np.eye(dim_h)), PsdMatrix._trusted(np.eye(dim_k)),
-        1.0, 1.0, t,
+    equations = (
+        ("the restriction to ran P_H1", lambda x: x @ b_h1 - t1m, np.linalg.norm(t1m)),
+        ("the compression P_K1 T = T1'", lambda x: b_k1.conj().T @ x - t1p, np.linalg.norm(t1p)),
     )
-    return parrott_complete(inst, t)
+    return _unit_corner(b_h1, t1m, b_k1, t1p.conj().T, max(norm_m, norm_p), equations, t)

@@ -228,10 +228,10 @@ def _extend_on_lift(op: SymmetricPartialOperator, lift: HilbertLift, tol: Tolera
     return _extend_lifted(*_symmetric_lift(op.domain_basis.a, op.values.a, lift, tol)[2:], lift, tol)
 
 
-def _shifted_extensions(p: np.ndarray, y: np.ndarray, alpha: float, tol: Tolerances) -> tuple[np.ndarray, np.ndarray]:
-    """Minimal positive extensions L, H (r-by-r, ``C C*``) of alpha P + Y and alpha P - Y on the orthonormal P."""
+def _shifted_extension(p: np.ndarray, y: np.ndarray, alpha: float, tol: Tolerances) -> np.ndarray:
+    """Minimal positive extension (r-by-r, ``C C*``) of alpha P + Y on the orthonormal P; pass -Y for alpha P - Y."""
     try:
-        return _extend_from_span(p, alpha * p + y, tol), _extend_from_span(p, alpha * p - y, tol)
+        return _extend_from_span(p, alpha * p + y, tol)
     except (RestrictionConditionFailed, NotPsd) as exc:
         # the shifted operators are positive with finite bound by
         # construction, so a rejection here is numerical, not structural
@@ -241,7 +241,7 @@ def _shifted_extensions(p: np.ndarray, y: np.ndarray, alpha: float, tol: Toleran
 def _extend_lifted(p: np.ndarray, y: np.ndarray, alpha: float, lift: HilbertLift, tol: Tolerances) -> ExtensionInterval:
     """Extremal extensions from the orthonormal pair (P, Y) and bound of :func:`_symmetric_lift`."""
     eye = np.eye(lift.rank, dtype=np.complex128)
-    low, high = _shifted_extensions(p, y, alpha, tol)
+    low, high = _shifted_extension(p, y, alpha, tol), _shifted_extension(p, -y, alpha, tol)
     j = lift.embedding()
     s_min = j @ (low - alpha * eye) @ j.conj().T
     s_max = j @ (alpha * eye - high) @ j.conj().T

@@ -34,3 +34,34 @@ def decompositions(monkeypatch):
 
         monkeypatch.setattr(np.linalg, name, counted)
     return log
+
+
+@pytest.fixture
+def conditioned_strong_parrott():
+    """Factory of strong-Parrott data solved by a planted X0 (12 x 10, ||X0|| = 0.8).
+
+    ``build(seed, cond, delta=0.0)``: S1 (10 x 6) and T2 (5 x 12) have
+    singular values geomspace(1, 1/cond), S2 = X0 S1 and T1 = T2 X0; a
+    nonzero ``delta`` moves T1 by that fraction of its Frobenius norm.
+    """
+    from opext.parrott import StrongParrottInstance
+
+    def cgauss(gen, rows, cols):
+        return (gen.standard_normal((rows, cols)) + 1j * gen.standard_normal((rows, cols))) / np.sqrt(2)
+
+    def conditioned(gen, rows, cols, cond):
+        r = min(rows, cols)
+        u, v = np.linalg.qr(cgauss(gen, rows, r))[0], np.linalg.qr(cgauss(gen, cols, r))[0]
+        return (u * np.geomspace(1.0, 1.0 / cond, r)) @ v.conj().T
+
+    def build(seed, cond, delta=0.0):
+        gen = np.random.default_rng([seed, 37])
+        x0 = cgauss(gen, 12, 10)
+        x0 *= 0.8 / np.linalg.norm(x0, 2)
+        s1, t2 = conditioned(gen, 10, 6, cond), conditioned(gen, 5, 12, cond)
+        t1 = t2 @ x0
+        e = cgauss(gen, 5, 10)
+        t1 = t1 + delta * np.linalg.norm(t1) * e / np.linalg.norm(e)
+        return StrongParrottInstance(s1, x0 @ s1, t1, t2)
+
+    return build

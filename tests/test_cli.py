@@ -9,7 +9,7 @@ import pytest
 import opext.cli as cli
 from opext.errors import NumericalFailure
 from opext.kvn import hilbert_lift
-from opext.serialize import decode_matrix, dumps_canonical
+from opext.serialize import decode_matrix, dumps_canonical, encode_matrix
 
 INSTANCES = Path(__file__).resolve().parent.parent / "instances"
 
@@ -203,6 +203,22 @@ class TestInfeasibleExit:
         assert code == 1
         assert doc["error"]["type"] == "HypothesisViolated"
 
+    def test_strong_parrott_reduced_bound_above_one(self, tmp_path):
+        # S2* S2 <= S1* S1 holds within the positivity slack, but X S1 = S2
+        # forces a norm of 1.1: a hypothesis violation, not an incompatibility
+        path = write_instance(tmp_path, "bad.json", {
+            "kind": "strong-parrott",
+            "payload": {
+                "s1": encode_matrix(np.diag([1.0, 1e-5])),
+                "s2": encode_matrix(np.diag([1.0, 1.1e-5])),
+                "t1": encode_matrix(np.zeros((1, 2))),
+                "t2": encode_matrix(np.zeros((1, 2))),
+            },
+        })
+        code, doc = run(tmp_path, "strong-parrott", path)
+        assert code == 1
+        assert doc["error"]["type"] == "HypothesisViolated"
+
     def test_cstar_not_symmetric(self, tmp_path):
         path = write_instance(tmp_path, "bad.json", {
             "kind": "cstar-check",
@@ -215,6 +231,21 @@ class TestInfeasibleExit:
         code, doc = run(tmp_path, "cstar-check", path)
         assert code == 1
         assert doc["error"]["type"] == "NotSymmetric"
+
+
+class TestIllConditionedInput:
+    def test_strong_parrott_at_condition_1e8(self, tmp_path, conditioned_strong_parrott):
+        # cond(S1) = cond(T2) = 1e8 on data a contraction solves
+        inst = conditioned_strong_parrott(0, 1e8)
+        path = write_instance(tmp_path, "ill.json", {
+            "kind": "strong-parrott",
+            "payload": {name: encode_matrix(getattr(inst, name).a) for name in ("s1", "s2", "t1", "t2")},
+        })
+        code, doc = run(tmp_path, "strong-parrott", path)
+        assert code == 0
+        assert doc["outputs"]["norm"] <= 1.0 + 1e-8
+        assert doc["diagnostics"]["s_residual"] <= 1e-8 * (1.0 + np.linalg.norm(inst.s1.a))
+        assert doc["diagnostics"]["t_residual"] <= 1e-8 * (1.0 + np.linalg.norm(inst.t2.a))
 
 
 class TestInvalidInputExit:
@@ -369,7 +400,7 @@ class TestTolerances:
 
 
 class TestDiagnosticsReuseLifts:
-    @pytest.mark.parametrize("kind, eigh_calls", [("sa-ext", 3), ("parrott", 4)])
+    @pytest.mark.parametrize("kind, eigh_calls", [("sa-ext", 3), ("parrott", 3)])
     def test_eigh_calls(self, tmp_path, decompositions, kind, eigh_calls):
         # each weight is lifted once, for the run and all its diagnostics
         # together, and never as the stacked (n1 + n2)-square matrix
@@ -396,11 +427,12 @@ class TestDiagnosticsReuseLifts:
         assert all(shape != (stacked, stacked) for shape in calls)
 
     def test_strong_parrott_svd_calls(self, tmp_path, decompositions):
-        # one thin SVD per factorization, the completion's five, and the norm of the solution
+        # one thin SVD per factorization, the norms of the two reduced values,
+        # and the norm of the solution
         with decompositions:
             code, doc = run(tmp_path, "strong-parrott", str(INSTANCES / "strong-parrott.json"))
         assert code == 0
-        assert len(decompositions.shapes("svd")) == 8
+        assert len(decompositions.shapes("svd")) == 5
 
 
 class TestGen:

@@ -5,10 +5,18 @@ import pytest
 
 from opext.errors import HypothesisViolated, IncompatibleInstance
 from opext.numkit import PsdMatrix, Tolerances
-from opext.oracle import Rng, complex_gaussian, min_completion_search, random_instance_with_witness
+from opext.oracle import (
+    Rng,
+    complex_gaussian,
+    min_completion_search,
+    random_contraction,
+    random_instance_with_witness,
+    random_projection,
+)
 from opext.parrott import (
     ParrottInstance,
     StrongParrottInstance,
+    _projector_basis,
     assemble_symmetric,
     check_compatibility,
     classical_parrott,
@@ -297,3 +305,93 @@ class TestLiftedAsymmetry:
         for construct in (parrott_complete, assemble_symmetric):
             with pytest.raises(IncompatibleInstance):
                 construct(inst)
+
+
+def orthonormal_pair(domain, values):
+    """Orthonormal basis of ran(domain) and the values on it, from numpy's own thin SVD."""
+    u, s, vh = np.linalg.svd(domain, full_matrices=False)
+    return u, (values @ vh.conj().T) / s
+
+
+class TestSpecializationsAgreeWithTheWeightedPath:
+    # the weighted completion on identity weights and unit bounds, built from
+    # the same orthonormal pairs, is the reference for both specializations
+
+    def test_strong_parrott(self):
+        for i in range(100):
+            child = Rng(46).split(i)
+            gen = child.generator()
+            dim_h, dim_k = (int(x) for x in gen.integers(1, 9, size=2))
+            p, q = int(gen.integers(1, dim_h + 1)), int(gen.integers(1, dim_k + 1))
+            inst, _ = random_instance_with_witness("strong_parrott", (dim_h, dim_k, p, q), child.split(0))
+            p1, y1 = orthonormal_pair(inst.s1.a, inst.s2.a)
+            p2, y2 = orthonormal_pair(inst.t2.a.conj().T, inst.t1.a.conj().T)
+            reference = parrott_complete(
+                ParrottInstance(p1, y1, p2, y2, np.eye(dim_h), np.eye(dim_k), 1.0, 1.0)
+            ).a
+            x = strong_parrott(inst).a
+            assert np.linalg.norm(x - reference) <= 1e-12 * np.linalg.norm(reference)
+
+    def test_classical_parrott(self):
+        for i in range(100):
+            gen = Rng(47).split(i).generator()
+            dim_h, dim_k = (int(x) for x in gen.integers(1, 9, size=2))
+            hidden = random_contraction(gen, dim_k, dim_h)
+            p_h1 = random_projection(gen, dim_h, int(gen.integers(1, dim_h + 1)))
+            p_k1 = random_projection(gen, dim_k, int(gen.integers(1, dim_k + 1)))
+            b_h1 = _projector_basis(p_h1, Tolerances(), "p")
+            b_k1 = _projector_basis(p_k1, Tolerances(), "q")
+            t1_on_h1, t1_prime = hidden @ b_h1, b_k1.conj().T @ hidden
+            reference = parrott_complete(
+                ParrottInstance(b_h1, t1_on_h1, b_k1, t1_prime.conj().T, np.eye(dim_h), np.eye(dim_k), 1.0, 1.0)
+            ).a
+            t = classical_parrott(p_h1, p_k1, t1_on_h1, t1_prime).a
+            assert np.linalg.norm(t - reference) <= 1e-12 * np.linalg.norm(reference)
+
+
+class TestSpecializationsDecideByTheirOwnTerms:
+    # no pairing decision at tol.herm: a specialization solves within eq or
+    # raises HypothesisViolated, never IncompatibleInstance
+    EQ = Tolerances().eq
+
+    @pytest.mark.parametrize("cond", [1e7, 1e8])
+    @pytest.mark.parametrize("seed", range(4))
+    def test_ill_conditioned_factorizations_solve(self, conditioned_strong_parrott, seed, cond):
+        inst = conditioned_strong_parrott(seed, cond)
+        s1, s2, t1, t2 = inst.s1.a, inst.s2.a, inst.t1.a, inst.t2.a
+        x = strong_parrott(inst).a
+        assert np.linalg.norm(x, 2) <= 1.0 + self.EQ
+        assert np.linalg.norm(x @ s1 - s2) <= self.EQ * (1.0 + np.linalg.norm(s1))
+        assert np.linalg.norm(t2 @ x - t1) <= self.EQ * (1.0 + np.linalg.norm(t2))
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_perturbed_values_are_rejected_not_answered(self, conditioned_strong_parrott, seed):
+        # T1 moved by 1e-9 relative: T1 S1 = T2 S2 still holds at eq, but the
+        # reduced data is no longer paired and the completion misses the equations
+        inst = conditioned_strong_parrott(seed, 1e4, delta=1e-9)
+        s1, s2, t1, t2 = inst.s1.a, inst.s2.a, inst.t1.a, inst.t2.a
+        assert np.linalg.norm(t1 @ s1 - t2 @ s2) <= self.EQ * (1.0 + np.linalg.norm(t1 @ s1))
+        with pytest.raises(HypothesisViolated, match="fails on the completion"):
+            strong_parrott(inst)
+
+    def test_reduced_bound_above_one_is_a_hypothesis_violation(self):
+        # S2* S2 <= S1* S1 holds within the positivity slack, yet X S1 = S2
+        # forces ||X e2|| = 1.1
+        inst = StrongParrottInstance(np.diag([1.0, 1e-5]), np.diag([1.0, 1.1e-5]), np.zeros((1, 2)), np.zeros((1, 2)))
+        with pytest.raises(HypothesisViolated, match="reduced data has norm 1.1"):
+            strong_parrott(inst)
+
+    @pytest.mark.parametrize("seed", range(5))
+    def test_classical_compression_mismatch_inside_eq_solves(self, seed):
+        gen = np.random.default_rng([seed, 48])
+        hidden = random_contraction(gen, 4, 5)
+        p_h1, p_k1 = random_projection(gen, 5, 3), random_projection(gen, 4, 2)
+        b_h1 = _projector_basis(p_h1, Tolerances(), "p")
+        b_k1 = _projector_basis(p_k1, Tolerances(), "q")
+        t1_on_h1 = hidden @ b_h1
+        t1_prime = b_k1.conj().T @ hidden
+        t1_prime[0, 0] += 1e-9
+        t = classical_parrott(p_h1, p_k1, t1_on_h1, t1_prime).a
+        assert np.linalg.norm(t, 2) <= 1.0 + self.EQ
+        assert np.linalg.norm(t @ b_h1 - t1_on_h1) <= self.EQ * (1.0 + np.linalg.norm(t1_on_h1))
+        assert np.linalg.norm(b_k1.conj().T @ t - t1_prime) <= self.EQ * (1.0 + np.linalg.norm(t1_prime))

@@ -213,13 +213,43 @@ def test_strong_parrott_builds_nothing_in_the_stacked_space(monkeypatch):
 
 
 def test_strong_parrott_takes_one_svd_per_factorization(decompositions):
-    # one thin SVD of S1 and one of T2* reduce the data; the completion
-    # takes the other five
+    # one thin SVD of S1 and one of T2* reduce the data, and the norms of
+    # the two reduced values give the bound; the orthonormal domains are
+    # never decomposed again
     inst, x0 = strong_instance()
     s1 = inst.s1.a
 
     with decompositions:
         x = strong_parrott(inst).a
 
-    assert len(decompositions.shapes("svd")) == 7
+    assert len(decompositions.shapes("svd")) == 4
     assert np.linalg.norm(x @ s1 - x0 @ s1) <= 1e-8 * (1 + np.linalg.norm(x0 @ s1))
+
+
+def test_strong_parrott_takes_one_eigh_and_decomposes_no_identity(decompositions):
+    # the reduced data are orthonormal pairs on identity weights: only the
+    # minimal side of the stacked extension is eigendecomposed, and no
+    # identity weight is formed or lifted
+    inst, _ = strong_instance()
+    with decompositions:
+        strong_parrott(inst)
+
+    assert len(decompositions.shapes("eigh")) == 1
+    assert not any(
+        m.shape[0] == m.shape[1] and np.array_equal(m, np.eye(m.shape[0])) for _, m in decompositions
+    )
+
+
+@pytest.mark.parametrize("endpoint, sides", [("min", 1), ("max", 1), ("mid", 2)])
+def test_parrott_complete_extends_only_the_sides_its_endpoint_needs(decompositions, endpoint, sides):
+    # min needs L, max needs H, mid both; the two weights take one eigh each
+    inst = parrott_instance()
+    with decompositions:
+        parrott_complete(inst, endpoint=endpoint)
+
+    weights = (inst.weight1.a, inst.weight2.a)
+    shifted = [
+        m for name, m in decompositions
+        if name == "eigh" and not any(m.shape == w.shape and np.allclose(m, w) for w in weights)
+    ]
+    assert len(shifted) == sides
