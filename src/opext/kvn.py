@@ -11,8 +11,11 @@ which would square its condition) it is computed in factored form
 
     A_N = C C*,    C = Y Q W^{-1/2},    P* Y = Q W Q* (eigenvalues above the rank cutoff),
 
-which is positive semidefinite by construction.  That single rank
-decision also settles existence (:func:`check_restriction`): the values
+which is positive semidefinite by construction.  :func:`_factor_from_span`
+returns C itself, and each caller forms only the part of C C* it needs: a
+two-corner completion multiplies out a corner block, the interval endpoints
+the r-by-r product in range coordinates.  That single rank decision
+also settles existence (:func:`check_restriction`): the values
 must vanish where the Gram form does, tested as ||Y - (Y Q) Q*|| ~ 0.
 
 :func:`hilbert_lift` packages the auxiliary inner-product space attached
@@ -115,8 +118,8 @@ def _gram_factor(m: np.ndarray, g: np.ndarray, tol: Tolerances) -> tuple[np.ndar
     return gq / np.sqrt(w), resid
 
 
-def _extend_from_span(d: np.ndarray, g: np.ndarray, tol: Tolerances) -> np.ndarray:
-    """Minimal positive extension ``C C*`` from a spanning (possibly dependent) set.
+def _factor_from_span(d: np.ndarray, g: np.ndarray, tol: Tolerances) -> np.ndarray:
+    """Factor C of the minimal positive extension ``C C*`` from a spanning (possibly dependent) set.
 
     Any spanning set gives the same extension; the library passes the
     orthonormal domains of thin SVDs.  C = G Q W^{-1/2} from the eigenpairs of
@@ -130,6 +133,12 @@ def _extend_from_span(d: np.ndarray, g: np.ndarray, tol: Tolerances) -> np.ndarr
             "restriction condition violated: the prescribed values do not vanish "
             f"on the kernel of the domain Gram matrix (residual {resid:.3e})"
         )
+    return c
+
+
+def _extend_from_span(d: np.ndarray, g: np.ndarray, tol: Tolerances) -> np.ndarray:
+    """Minimal positive extension ``C C*``, formed from :func:`_factor_from_span`."""
+    c = _factor_from_span(d, g, tol)
     return c @ c.conj().T
 
 

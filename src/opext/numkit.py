@@ -46,6 +46,11 @@ _RANK_FACTOR = 1e-10
 # phase anchor.  Eigenvectors are unit vectors, so the anchor exists.
 _PHASE_FLOOR = 1e-8
 
+# Smallest size at which a Cholesky certificate costs less than eigvalsh
+# (measured crossover: 11 against 16 microseconds at n = 8, 16 against 11
+# at n = 4); smaller matrices always take the exact spectrum.
+_CERTIFY_MIN = 8
+
 
 @dataclass(frozen=True)
 class Tolerances:
@@ -176,12 +181,41 @@ class HermitianMatrix(ComplexMatrix):
         return f"HermitianMatrix({self.rows}x{self.rows})"
 
 
+def _certified_above(h: np.ndarray, psd: float, scale: float) -> bool:
+    """Whether a Cholesky of ``h + tau I`` proves ``lambda_min(h) >= -psd * (1 + S)``.
+
+    ``h`` is exactly Hermitian; ``scale`` is a lower bound on S, which must
+    also bound lambda_max(h) from above, and ``tau = psd * (1 + scale) / 2``.
+    Cholesky is backward stable (Higham, *Accuracy and Stability of
+    Numerical Algorithms*, 2002, Thm 10.5): success means ``h + tau I + E``
+    is positive definite with ``||E|| <= ~n^2 eps / 2 * (S + tau)``, so with
+    ``n^2 eps <= min(psd, 1) / 4`` the smallest eigenvalue of h is above
+    ``-tau - ||E|| > -psd * (1 + S)``.  False (no proof either way) when the
+    factorization fails, when n is below the measured crossover, or when
+    the margin does not hold; psd = 0 never certifies.
+    """
+    n = h.shape[0]
+    if n < _CERTIFY_MIN or n * n * np.finfo(np.float64).eps > min(psd, 1.0) / 4.0:
+        return False
+    shifted = h.copy()
+    shifted.flat[:: n + 1] += 0.5 * psd * (1.0 + scale)
+    try:
+        np.linalg.cholesky(shifted)
+    except np.linalg.LinAlgError:
+        return False
+    return True
+
+
 class PsdMatrix(HermitianMatrix):
     """Hermitian matrix validated positive semidefinite.
 
     Construction rejects matrices whose smallest eigenvalue falls below
     ``-psd * (1 + lambda_max)``; anything closer to zero is accepted and
-    treated as nonnegative by downstream consumers.
+    treated as nonnegative by downstream consumers.  From n = 8 on, one
+    Cholesky of the matrix shifted by half that slack (scaled by its
+    largest diagonal entry, at most lambda_max) proves the rule without a
+    spectrum; only when it fails does the exact ``eigvalsh`` decide, so
+    the decision and the NotPsd message are those of the spectrum.
     """
 
     __slots__ = ()
@@ -189,7 +223,7 @@ class PsdMatrix(HermitianMatrix):
     def __init__(self, data, tol: Tolerances | None = None):
         super().__init__(data, tol)
         t = _tol(tol)
-        if self.rows > 0:
+        if self.rows > 0 and not _certified_above(self.a, t.psd, float(np.max(self.a.diagonal().real))):
             w = np.linalg.eigvalsh(self.a)
             lo, hi = float(w[0]), float(w[-1])
             if lo < -t.psd * (1.0 + hi):
@@ -327,7 +361,10 @@ def loewner_leq(a, b, tol: Tolerances | None = None) -> bool:
     """Loewner-order comparison ``a <= b`` up to the positivity slack.
 
     True iff the smallest eigenvalue of ``b - a`` is at least
-    ``-psd * (1 + ||b - a||_2)``.
+    ``-psd * (1 + ||b - a||_2)``.  From n = 8 on, one Cholesky of
+    ``b - a`` shifted by half that slack (scaled by its largest absolute
+    diagonal entry, at most ``||b - a||_2``) proves True without a
+    spectrum; the exact ``eigvalsh`` decides whenever it does not.
     """
     x = _as_array(a)
     y = _as_array(b)
@@ -338,6 +375,8 @@ def loewner_leq(a, b, tol: Tolerances | None = None) -> bool:
         return True
     d = y - x
     d = (d + d.conj().T) / 2.0
+    if _certified_above(d, t.psd, float(np.max(np.abs(d.diagonal().real)))):
+        return True
     w = np.linalg.eigvalsh(d)
     spread = float(np.max(np.abs(w)))
     return float(w[0]) >= -t.psd * (1.0 + spread)

@@ -220,29 +220,40 @@ def _corner(p1, y1, p2, y2, beta: float, endpoint: str, tol: Tolerances) -> np.n
     """r2-by-r1 corner of the ``endpoint`` extension of the stacked pair.
 
     The stacked operator has the orthonormal domain P = diag(P1, P2), the
-    values Y = [[0, Y2], [Y1, 0]] and the bound beta; with L, H the minimal
-    positive extensions of beta P + Y and beta P - Y, the corner is
-    L[r1:, :r1] for "min", -H[r1:, :r1] for "max", and their average for
-    "mid".  Only the sides the endpoint needs are extended.
+    values Y = [[0, Y2], [Y1, 0]] and the bound beta; with L = C C*, H = K K*
+    the minimal positive extensions of beta P + Y and beta P - Y, the corner
+    is L[r1:, :r1] = C[r1:] C[:r1]* for "min", -H[r1:, :r1] = -K[r1:] K[:r1]*
+    for "max", and their average for "mid".  Only the sides the endpoint
+    needs are extended, and only their corner block is multiplied out.
     """
     r1 = p1.shape[0]
     p, y = _block_diag(p1, p2), _antidiag(y2, y1)
     signs = {"min": (1.0,), "max": (-1.0,), "mid": (1.0, -1.0)}[endpoint]
-    corners = [sign * _shifted_extension(p, sign * y, beta, tol)[r1:, :r1] for sign in signs]
+    corners = []
+    for sign in signs:
+        c = _shifted_extension(p, sign * y, beta, tol)
+        corners.append(sign * (c[r1:] @ c[:r1].conj().T))
     return corners[0] if len(corners) == 1 else (corners[0] + corners[1]) / 2.0
 
 
-def _unit_corner(p1, y1, p2, y2, beta: float, equations, tol: Tolerances) -> ComplexMatrix:
+def _unit_corner(p1, y1, p2, y2, bounds, equations, tol: Tolerances) -> ComplexMatrix:
     """Minimal corner of unit-bound data on identity weights, checked against the caller's equations.
 
-    Raises :class:`HypothesisViolated` when beta^2 exceeds 1 + 2 eq (the
-    bound :func:`_corner_lifts` allows at alpha = 1), or when the corner X
-    misses one of ``equations``, each ``(name, residual of X, scale)`` and
-    allowed eq (1 + scale) in the Frobenius norm.
+    ``bounds`` gives, for Y1 and then Y2, the hypothesis its norm decides
+    and that norm, as ``(name, ||Y_i||)``.  Raises :class:`HypothesisViolated`
+    naming each side whose norm beta has beta^2 above 1 + 2 eq (the bound
+    :func:`_corner_lifts` allows at alpha = 1), or when the corner X misses
+    one of ``equations``, each ``(name, residual of X, scale)`` and allowed
+    eq (1 + scale) in the Frobenius norm.
     """
-    if beta * beta > 1.0 + 2.0 * tol.eq:
-        raise HypothesisViolated(f"the reduced data has norm {beta:.6f} > 1; no contraction extends it")
-    x = _corner(p1, y1, p2, y2, beta, "min", tol)
+    excess = [
+        f"{name} fails: the reduced data has norm {beta:.6f} > 1; no contraction extends it"
+        for name, beta in bounds
+        if beta * beta > 1.0 + 2.0 * tol.eq
+    ]
+    if excess:
+        raise HypothesisViolated("; ".join(excess))
+    x = _corner(p1, y1, p2, y2, max(beta for _, beta in bounds), "min", tol)
     failures = []
     for name, residual, scale in equations:
         resid = np.linalg.norm(residual(x))
@@ -316,8 +327,11 @@ def strong_parrott(inst: StrongParrottInstance, tol: Tolerances | None = None) -
     prescribes X on ran S1, the other X* on ran T2* -- whose corner is X.
 
     Raises :class:`HypothesisViolated` naming the failed condition(s):
-    a hypothesis, a reduced bound above 1, or X S1 = S2 or T2 X = T1 missed
-    by more than eq (1 + ||S1||) or eq (1 + ||T2||) on the completion.
+    a hypothesis, a reduced bound above 1 (named as the Loewner hypothesis
+    of its side, which it decides along every singular direction, where
+    the Gram comparison's slack hides small ones), or X S1 = S2 or
+    T2 X = T1 missed by more than eq (1 + ||S1||) or eq (1 + ||T2||) on
+    the completion.
     """
     t = _tol(tol)
     s1, s2 = inst.s1.a, inst.s2.a
@@ -338,7 +352,8 @@ def strong_parrott(inst: StrongParrottInstance, tol: Tolerances | None = None) -
         ("X S1 = S2", lambda x: x @ s1 - s2, np.linalg.norm(s1)),
         ("T2 X = T1", lambda x: t2 @ x - t1, np.linalg.norm(t2)),
     )
-    return _unit_corner(p1, y1, p2, y2, max(_smax(y1), _smax(y2)), equations, t)
+    bounds = (("S2* S2 <= S1* S1", _smax(y1)), ("T1 T1* <= T2 T2*", _smax(y2)))
+    return _unit_corner(p1, y1, p2, y2, bounds, equations, t)
 
 
 def _projector_basis(p, tol: Tolerances, what: str) -> np.ndarray:
@@ -406,4 +421,5 @@ def classical_parrott(
         ("the restriction to ran P_H1", lambda x: x @ b_h1 - t1m, np.linalg.norm(t1m)),
         ("the compression P_K1 T = T1'", lambda x: b_k1.conj().T @ x - t1p, np.linalg.norm(t1p)),
     )
-    return _unit_corner(b_h1, t1m, b_k1, t1p.conj().T, max(norm_m, norm_p), equations, t)
+    bounds = (("||T1|| <= 1", norm_m), ("||T1'|| <= 1", norm_p))
+    return _unit_corner(b_h1, t1m, b_k1, t1p.conj().T, bounds, equations, t)

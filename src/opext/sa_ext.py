@@ -33,7 +33,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DimensionMismatch, HypothesisViolated, NotABounded, NotPsd, NumericalFailure, RestrictionConditionFailed
-from .kvn import HilbertLift, _extend_from_span, hilbert_lift
+from .kvn import HilbertLift, _factor_from_span, hilbert_lift
 from .numkit import (
     ComplexMatrix,
     HermitianMatrix,
@@ -229,9 +229,9 @@ def _extend_on_lift(op: SymmetricPartialOperator, lift: HilbertLift, tol: Tolera
 
 
 def _shifted_extension(p: np.ndarray, y: np.ndarray, alpha: float, tol: Tolerances) -> np.ndarray:
-    """Minimal positive extension (r-by-r, ``C C*``) of alpha P + Y on the orthonormal P; pass -Y for alpha P - Y."""
+    """Factor C (r rows) of the minimal positive extension ``C C*`` of alpha P + Y on the orthonormal P; pass -Y for alpha P - Y."""
     try:
-        return _extend_from_span(p, alpha * p + y, tol)
+        return _factor_from_span(p, alpha * p + y, tol)
     except (RestrictionConditionFailed, NotPsd) as exc:
         # the shifted operators are positive with finite bound by
         # construction, so a rejection here is numerical, not structural
@@ -243,8 +243,8 @@ def _extend_lifted(p: np.ndarray, y: np.ndarray, alpha: float, lift: HilbertLift
     eye = np.eye(lift.rank, dtype=np.complex128)
     low, high = _shifted_extension(p, y, alpha, tol), _shifted_extension(p, -y, alpha, tol)
     j = lift.embedding()
-    s_min = j @ (low - alpha * eye) @ j.conj().T
-    s_max = j @ (alpha * eye - high) @ j.conj().T
+    s_min = j @ (low @ low.conj().T - alpha * eye) @ j.conj().T
+    s_max = j @ (alpha * eye - high @ high.conj().T) @ j.conj().T
     return ExtensionInterval(
         alpha=alpha,
         s_min=hermitize(s_min, tol),

@@ -5,7 +5,7 @@ import pytest
 
 
 class DecompositionLog(list):
-    """``(name, input array)`` of each ``np.linalg`` eigh / eigvalsh / svd call made inside ``with log:``."""
+    """``(name, input array)`` of each ``np.linalg`` eigh / eigvalsh / svd / cholesky call made inside ``with log:``."""
 
     recording = False
 
@@ -17,14 +17,14 @@ class DecompositionLog(list):
         self.recording = False
 
     def shapes(self, *names):
-        """Input shapes of the recorded calls to ``names`` (all three when empty)."""
+        """Input shapes of the recorded calls to ``names`` (all four when empty)."""
         return [m.shape for name, m in self if not names or name in names]
 
 
 @pytest.fixture
 def decompositions(monkeypatch):
     log = DecompositionLog()
-    for name in ("eigh", "eigvalsh", "svd"):
+    for name in ("eigh", "eigvalsh", "svd", "cholesky"):
         original = getattr(np.linalg, name)
 
         def counted(a, *args, _original=original, _name=name, **kwargs):

@@ -85,6 +85,101 @@ class TestPsdMatrix:
             PsdMatrix(np.diag([1.0, -1.0]))
 
 
+def spectrum_matrix(gen, n, lam_max, lam_min, zeros=0):
+    """Hermitian matrix with largest eigenvalue lam_max, smallest lam_min and ``zeros`` zero eigenvalues."""
+    inner = np.geomspace(lam_max, lam_max * 1e-3, max(n - 2 - zeros, 0))
+    w = np.concatenate([[lam_max], inner, np.zeros(zeros), [lam_min]])[:n]
+    q = np.linalg.qr(complex_gaussian(gen, n, n))[0]
+    return (q * w) @ q.conj().T
+
+
+def spectral_psd_rule(a, tol):
+    """Message of the NotPsd the eigvalsh rule raises for ``a``, or None when it accepts."""
+    h = HermitianMatrix(a, tol).a
+    w = np.linalg.eigvalsh(h)
+    lo, hi = float(w[0]), float(w[-1])
+    if lo < -tol.psd * (1.0 + hi):
+        return f"eigenvalue {lo:.3e} is genuinely negative (largest {hi:.3e})"
+    return None
+
+
+def spectral_loewner_rule(a, b, tol):
+    d = b - a
+    d = (d + d.conj().T) / 2.0
+    w = np.linalg.eigvalsh(d)
+    return float(w[0]) >= -tol.psd * (1.0 + float(np.max(np.abs(w))))
+
+
+def psd_decision(a, tol):
+    try:
+        PsdMatrix(a, tol)
+    except NotPsd as exc:
+        return str(exc)
+    return None
+
+
+class TestPositivityCertificate:
+    # lambda_min = -c psd (1 + lambda_max): the rule accepts for c <= 1; the
+    # shifted Cholesky may prove acceptance only below c = 1/2, and every
+    # other case falls through to the spectrum, so decisions never change
+
+    C = (0.0, 0.25, 0.49, 0.51, 0.75, 0.9, 1.1, 2.0, 10.0)
+
+    @pytest.mark.parametrize("n", [4, 8, 32, 160])
+    @pytest.mark.parametrize("scale", [1e-3, 1.0, 1e6])
+    def test_psd_matrix_decides_as_the_spectrum(self, n, scale):
+        tol = Tolerances()
+        gen = np.random.default_rng([n, int(np.log10(scale)) + 3, 60])
+        for c in self.C:
+            a = spectrum_matrix(gen, n, scale, -c * tol.psd * (1.0 + scale))
+            assert psd_decision(a, tol) == spectral_psd_rule(a, tol), c
+
+    @pytest.mark.parametrize("n", [4, 8, 32, 160])
+    @pytest.mark.parametrize("scale", [1e-3, 1.0, 1e6])
+    def test_loewner_leq_decides_as_the_spectrum(self, n, scale):
+        tol = Tolerances()
+        gen = np.random.default_rng([n, int(np.log10(scale)) + 3, 61])
+        for c in self.C:
+            a = spectrum_matrix(gen, n, scale, scale * 1e-2)
+            b = a + spectrum_matrix(gen, n, scale, -c * tol.psd * (1.0 + scale))
+            assert loewner_leq(a, b, tol) == spectral_loewner_rule(a, b, tol), c
+
+    @pytest.mark.parametrize("n", [8, 32, 160])
+    @pytest.mark.parametrize("psd", [1e-8, 0.0])
+    def test_rank_deficient_and_zero_slack(self, n, psd):
+        tol = Tolerances(psd=psd)
+        gen = np.random.default_rng([n, 62])
+        for zeros in (1, n // 2, n - 1):
+            a = spectrum_matrix(gen, n, 1.0, 0.0, zeros=zeros)
+            assert psd_decision(a, tol) == spectral_psd_rule(a, tol)
+            assert loewner_leq(np.zeros((n, n)), a, tol) == spectral_loewner_rule(np.zeros((n, n)), a, tol)
+            assert loewner_leq(a, np.zeros((n, n)), tol) == spectral_loewner_rule(a, np.zeros((n, n)), tol)
+
+    def test_certified_matrix_takes_one_cholesky(self, decompositions):
+        gen = np.random.default_rng(63)
+        a = spectrum_matrix(gen, 32, 1.0, 0.0, zeros=4)
+        with decompositions:
+            PsdMatrix(a)
+        assert [name for name, _ in decompositions] == ["cholesky"]
+
+    def test_inside_the_slack_beyond_the_shift_falls_back_to_the_spectrum(self, decompositions):
+        # c = 0.75: accepted by the rule, but below the half-slack shift
+        gen = np.random.default_rng(64)
+        a = spectrum_matrix(gen, 32, 1.0, -0.75 * 1e-8 * 2.0)
+        with decompositions:
+            PsdMatrix(a)
+        assert sorted(name for name, _ in decompositions) == ["cholesky", "eigvalsh"]
+
+    def test_small_and_zero_slack_take_only_the_spectrum(self, decompositions):
+        gen = np.random.default_rng(65)
+        small, large = spectrum_matrix(gen, 4, 1.0, 0.5), spectrum_matrix(gen, 32, 1.0, 0.5)
+        with decompositions:
+            PsdMatrix(small)
+            PsdMatrix(large, Tolerances(psd=0.0))
+            loewner_leq(np.zeros((32, 32)), large, Tolerances(psd=0.0))
+        assert [name for name, _ in decompositions] == ["eigvalsh"] * 3
+
+
 class TestPinv:
     def test_scalar_inverse(self):
         assert pinv([[2.0]]).a == pytest.approx(np.array([[0.5]]))

@@ -381,6 +381,21 @@ class TestSpecializationsDecideByTheirOwnTerms:
         with pytest.raises(HypothesisViolated, match="reduced data has norm 1.1"):
             strong_parrott(inst)
 
+    @pytest.mark.parametrize("side", ["left", "right"])
+    def test_reduced_bound_names_its_hypothesis(self, side):
+        # each Loewner comparison passes within its slack; the reduced norm of
+        # the failing side decides it, and the error names that hypothesis only
+        big, small = np.diag([1.0, 1.1e-5]), np.diag([1.0, 1e-5])
+        if side == "left":
+            inst = StrongParrottInstance(small, big, np.zeros((1, 2)), np.zeros((1, 2)))
+            named, other = r"S2\* S2 <= S1\* S1 fails: the reduced data has norm 1.1", "T1 T1*"
+        else:
+            inst = StrongParrottInstance(np.zeros((2, 1)), np.zeros((2, 1)), big, small)
+            named, other = r"T1 T1\* <= T2 T2\* fails: the reduced data has norm 1.1", "S2* S2"
+        with pytest.raises(HypothesisViolated, match=named) as excinfo:
+            strong_parrott(inst)
+        assert other not in str(excinfo.value)
+
     @pytest.mark.parametrize("seed", range(5))
     def test_classical_compression_mismatch_inside_eq_solves(self, seed):
         gen = np.random.default_rng([seed, 48])

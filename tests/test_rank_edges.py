@@ -138,7 +138,7 @@ def test_indefinite_shifted_gram_is_a_numerical_failure(monkeypatch):
     def indefinite(d, g, tol):
         raise NotPsd("synthetic negative eigenvalue")
 
-    monkeypatch.setattr(sa_ext, "_extend_from_span", indefinite)
+    monkeypatch.setattr(sa_ext, "_factor_from_span", indefinite)
     op = SymmetricPartialOperator(np.eye(2)[:, :1], np.array([[1.0], [0.0]]))
     with pytest.raises(NumericalFailure):
         extend_symmetric(op, PsdMatrix(np.eye(2)))
@@ -253,3 +253,57 @@ def test_parrott_complete_extends_only_the_sides_its_endpoint_needs(decompositio
         if name == "eigh" and not any(m.shape == w.shape and np.allclose(m, w) for w in weights)
     ]
     assert len(shifted) == sides
+
+
+def herm(a):
+    return (a + a.conj().T) / 2.0
+
+
+def planted_sa_ext(gen, n, r, k):
+    a, root = planted_weight(gen, n, r)
+    s = herm(root @ herm(cgauss(gen, n, n)) @ root)
+    d = cgauss(gen, n, k)
+    return SymmetricPartialOperator(d, s @ d), a
+
+
+def planted_parrott(gen, n, r, k):
+    a1, root1 = planted_weight(gen, n, r)
+    a2, root2 = planted_weight(gen, n, r)
+    core = cgauss(gen, n, n)
+    hidden = root2 @ (core / np.linalg.norm(core, 2)) @ root1
+    d1, d2 = cgauss(gen, n, k), cgauss(gen, n, k)
+    return d1, hidden @ d1, d2, hidden.conj().T @ d2, a1, a2, 1.0, 1.0
+
+
+def planted_strong(gen, n, p):
+    x0 = cgauss(gen, n, n)
+    x0 *= 0.8 / np.linalg.norm(x0, 2)
+    s1, t2 = cgauss(gen, n, p), cgauss(gen, p, n)
+    return s1, x0 @ s1, t2 @ x0, t2
+
+
+class TestCallerPositivityIsCertified:
+    # n = 32 (and p = q = 8 for strong Parrott): every caller weight and both
+    # Loewner hypotheses are proved by one Cholesky each, with no spectrum;
+    # the eigh and svd counts are those of the eigvalsh-validating code
+
+    def counts(self, decompositions):
+        return {name: len(decompositions.shapes(name)) for name in ("svd", "eigh", "eigvalsh", "cholesky")}
+
+    def test_extend_symmetric(self, decompositions):
+        op, weight = planted_sa_ext(np.random.default_rng(70), 32, 24, 12)
+        with decompositions:
+            extend_symmetric(op, weight)
+        assert self.counts(decompositions) == {"svd": 2, "eigh": 3, "eigvalsh": 0, "cholesky": 1}
+
+    def test_parrott_complete(self, decompositions):
+        data = planted_parrott(np.random.default_rng(71), 16, 12, 6)
+        with decompositions:
+            parrott_complete(ParrottInstance(*data))
+        assert self.counts(decompositions) == {"svd": 5, "eigh": 3, "eigvalsh": 0, "cholesky": 2}
+
+    def test_strong_parrott(self, decompositions):
+        data = planted_strong(np.random.default_rng(72), 16, 8)
+        with decompositions:
+            strong_parrott(StrongParrottInstance(*data))
+        assert self.counts(decompositions) == {"svd": 4, "eigh": 1, "eigvalsh": 0, "cholesky": 2}

@@ -7,6 +7,7 @@ import pytest
 
 from opext.oracle import Rng, complex_gaussian
 from opext.serialize import (
+    _render,
     decode_int,
     decode_matrix,
     decode_real,
@@ -69,6 +70,24 @@ class TestRendering:
     def test_unserializable_type_rejected(self):
         with pytest.raises(TypeError):
             dumps_canonical(object())
+
+    @pytest.mark.parametrize("depth", [0, 2])
+    def test_array_renders_as_its_encoded_rows(self, depth):
+        gen = Rng(91).generator()
+        arrays = [
+            np.zeros((0, 0)), np.zeros((3, 0)), np.zeros((0, 2)), np.zeros(0),
+            np.array([1.5, -0.0]), np.array([[-0.0 - 0.0j, 1e308 - 1e-308j]]),
+            np.arange(6).reshape(2, 3), np.array([[5e-324, -2.5e-123]]),
+            complex_gaussian(gen, 4, 3),
+        ]
+        for a in arrays:
+            assert _render(a, depth) == _render(encode_matrix(a), depth)
+
+    def test_array_rejections_match_the_encoded_route(self):
+        for bad in (np.array([[np.nan]]), np.array([[1.0, np.inf * 1j]]), np.zeros((2, 2, 2)), np.array(3.0)):
+            for route in (lambda: _render(bad, 0), lambda: _render(encode_matrix(bad), 0)):
+                with pytest.raises(ValueError):
+                    route()
 
     def test_deterministic_bytes(self):
         payload = {"z": np.arange(4.0).reshape(2, 2), "a": [1.5, 2.5], "k": "s"}
