@@ -497,6 +497,20 @@ class TestCstarFlags:
         assert doc["seed"] == 3
         assert doc["outputs"]["violations"] == 0
 
+    def test_default_draws_nothing(self, tmp_path):
+        # without a sample count the closed-form pair alone attains the exact bound
+        document = json.loads((INSTANCES / "cstar-check.json").read_text())
+        del document["payload"]["samples"]
+        path = write_instance(tmp_path, "in.json", document)
+        outputs = []
+        for seed in ("0", "7"):
+            code, doc = run(tmp_path, "cstar-check", path, "--seed", seed)
+            assert code == 0
+            outputs.append(doc["outputs"])
+        assert outputs[0] == outputs[1]
+        assert outputs[0]["violations"] == 0
+        assert outputs[0]["measured_bound"] == pytest.approx(outputs[0]["exact_bound"], rel=1e-12, abs=0.0)
+
     @pytest.mark.parametrize("samples", ["0", "-3"])
     def test_samples_flag_below_one_is_invalid_input(self, tmp_path, samples):
         code, doc = run(tmp_path, "cstar-check", str(INSTANCES / "cstar-check.json"), "--samples", samples)
@@ -639,3 +653,19 @@ class TestVerify:
         assert code == 3
         checks = [(f["index"], f["check"]) for f in doc["outputs"]["cstar-check"]["failures"]]
         assert checks == [(0, "measured_bound"), (1, "exact_bound")]
+
+    def test_verify_catches_an_exact_bound_reported_slightly_low(self, tmp_path, monkeypatch):
+        # sampled pairs alone stayed far enough below the sharp constant to miss this
+        runner = cli._RUNNERS["cstar-check"]
+
+        def low(data, tol, args):
+            outputs, diagnostics = runner(data, tol, args)
+            outputs["exact_bound"] *= 1.0 - 1e-6
+            return outputs, diagnostics
+
+        monkeypatch.setitem(cli._RUNNERS, "cstar-check", low)
+        code, doc = run(tmp_path, "verify", "--kind", "cstar-check")
+        report = doc["outputs"]["cstar-check"]
+        assert code == 3
+        assert report["failed"] == report["count"] == 20
+        assert {f["check"] for f in report["failures"]} == {"measured_bound"}

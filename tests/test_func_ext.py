@@ -435,6 +435,72 @@ class TestCstarExtendibility:
         # one eigh of Phi serves both f = |Phi| and the sampler's factor of f
         assert len(decompositions) <= 8
 
+    @pytest.mark.parametrize("c", [1.0, 1e-4, 1e-9])
+    def test_non_extension_rejected_at_every_scale(self, c):
+        # c diag(-1, 0) gets g_0 = c E11 wrong by 200% on the ideal at any c
+        pf = PartialFunctional(LeftIdeal(E11), c * E11)
+        with pytest.raises(HypothesisViolated, match="extend"):
+            cstar_extendibility(pf, extension=FunctionalMatrix(c * np.diag([-1.0, 0.0])))
+
+
+def scaled_functional(inst, k):
+    """The instance's partial data and source, restricted from Phi scaled by 2^k."""
+    c = 2.0**k
+    return PartialFunctional(inst.ideal, c * inst.source.density.a), FunctionalMatrix(c * inst.source.density.a)
+
+
+class TestCstarClosedFormPair:
+    def test_default_call_draws_nothing(self):
+        inst, _ = random_instance_with_witness("functional", (6,), Rng(3))
+        gen = np.random.default_rng(8)
+        before = gen.bit_generator.state
+        decision = cstar_extendibility(inst.partial, extension=inst.source, rng=gen)
+        assert gen.bit_generator.state == before
+        assert decision.violations == 0
+
+    def test_default_peak_allocation(self):
+        # drawing the 10 000 pairs the default once sampled peaked at 17.9 MB here
+        inst, _ = random_instance_with_witness("functional", (6,), Rng(3))
+        cstar_extendibility(inst.partial, extension=inst.source)  # warm caches outside the trace
+        tracemalloc.start()
+        try:
+            cstar_extendibility(inst.partial, extension=inst.source)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1e6
+
+    @pytest.mark.parametrize("override", [False, True])
+    def test_measured_bound_attains_exact_bound(self, override):
+        for i in range(60):
+            child = Rng(206).split(i)
+            m = int(child.generator().integers(1, 8))
+            inst, _ = random_instance_with_witness("functional", (m,), child.split(0))
+            density = None
+            if override:
+                z = np.random.default_rng([206, i]).standard_normal((m, 2 * m)).view(np.complex128)
+                density = z @ z.conj().T
+            decision = cstar_extendibility(inst.partial, density=density, extension=inst.source)
+            assert decision.violations == 0
+            assert decision.measured_bound == pytest.approx(decision.exact_bound, rel=1e-12, abs=0.0)
+
+    def test_default_decomposition_count(self, decompositions):
+        inst, _ = random_instance_with_witness("functional", (4,), Rng(3))
+        with decompositions:
+            cstar_extendibility(inst.partial, extension=inst.source)
+        assert len(decompositions) <= 8
+
+    @pytest.mark.parametrize("samples", [None, 300])
+    @pytest.mark.parametrize("k", [-60, -40, -20, 20, 40, 60])
+    def test_scale_invariant(self, k, samples):
+        inst, _ = random_instance_with_witness("functional", (6,), Rng(4))
+        base, scaled = (
+            cstar_extendibility(pf, extension=phi, samples=samples)
+            for pf, phi in (scaled_functional(inst, 0), scaled_functional(inst, k))
+        )
+        assert scaled.measured_bound == base.measured_bound
+        assert scaled.violations == base.violations
+
 
 def reference_sampled_constant(pf, f_density, samples, gen, eq):
     """The sampler as first written: batched matmuls and three-operand einsum forms in F."""
@@ -507,3 +573,15 @@ class TestSampledConstant:
         finally:
             tracemalloc.stop()
         assert peak < 27.6e6
+
+    @pytest.mark.parametrize("k", [-60, -40, -30, -20, 20, 40, 60])
+    def test_sampler_cutoff_scale_invariant(self, k):
+        # an absolute cutoff dropped pairs at k = -30 and every pair at k = -40
+        pf, root, _ = sampler_case(6, 3, 6, seed=9)
+        c = 2.0**k
+        base, scaled = (
+            _sampled_constant(PartialFunctional(pf.ideal, s * pf.gamma.a), np.sqrt(s) * root, 500, Rng(2), Tolerances())
+            for s in (1.0, c)
+        )
+        assert scaled == base
+        assert base[0] > 0.0
