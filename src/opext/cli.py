@@ -50,7 +50,7 @@ from .func_ext import (
     functional_interval_member,
 )
 from .kvn import PartialPositiveOperator, check_restriction, hilbert_lift, kvn_extend
-from .numkit import ComplexMatrix, PsdMatrix, Tolerances, _smax, hermitize, loewner_leq
+from .numkit import ComplexMatrix, Tolerances, _smax, hermitize, loewner_leq
 from .oracle import MAX_ALGEBRA, MAX_DIM, Rng, _check_dims, random_instance_with_witness
 from .parrott import (
     ParrottInstance,
@@ -244,7 +244,7 @@ def _run_kvn(data: dict, tol: Tolerances, args) -> tuple[dict, dict]:
 
 def _run_sa_ext(data: dict, tol: Tolerances, args) -> tuple[dict, dict]:
     op = SymmetricPartialOperator(data["domain_basis"], data["values"], tol)
-    lift = hilbert_lift(PsdMatrix(data["weight"], tol), tol)
+    lift = hilbert_lift(data["weight"], tol)
     interval = _extend_on_lift(op, lift, tol)
     aw, d, v = lift.weight.a, data["domain_basis"], data["values"]
     diagnostics = {}
@@ -263,11 +263,10 @@ def _run_parrott(data: dict, tol: Tolerances, args) -> tuple[dict, dict]:
         data["domain1"], data["values1"], data["domain2"], data["values2"],
         data["weight1"], data["weight2"], data["alpha1"], data["alpha2"], tol,
     )
-    lift1, lift2 = hilbert_lift(inst.weight1, tol), hilbert_lift(inst.weight2, tol)
-    corners = _corner_lifts(inst, lift1, lift2, tol)
-    completion = _complete_on_lifts(inst, lift1, lift2, corners, tol, getattr(args, "endpoint", "min")).a
+    corners = _corner_lifts(inst, tol)
+    completion = _complete_on_lifts(inst, corners, tol, getattr(args, "endpoint", "min")).a
     # cross-weighted norm of X: A1 on its domain, A2 on its range
-    norm = _alpha_on_lift(completion, lift2, lift1, tol)
+    norm = _alpha_on_lift(completion, inst._lifts[1], inst._lifts[0], tol)
     bound = float(np.sqrt(max(inst.alpha1, inst.alpha2)))
     return (
         {"completion": completion, "weighted_norm": norm, "norm_bound": bound},
@@ -307,8 +306,7 @@ def _functional_diagnostics(pf: PartialFunctional, g_min, g_max, tol: Tolerances
 
 def _run_functional_ext(data: dict, tol: Tolerances, args) -> tuple[dict, dict]:
     pf = PartialFunctional(LeftIdeal(data["projection"], tol), data["gamma"])
-    density = PsdMatrix(data["density"], tol)
-    g_min, g_max, alpha = extend_functional(pf, density, tol)
+    g_min, g_max, alpha = extend_functional(pf, data["density"], tol)
     return (
         {"alpha": alpha, "g_min": g_min.density.a, "g_max": g_max.density.a},
         _functional_diagnostics(pf, g_min, g_max, tol),
@@ -367,7 +365,8 @@ def _encode_instance(kind: str, instance) -> dict:
         op = instance.operator
         fields = {"n": op.ambient_dim, "domain_basis": op.domain_basis, "values": op.values, "weight": instance.weight}
     elif kind == "parrott":
-        fields = {key: getattr(instance, key) for key in ParrottInstance.__slots__}
+        keys = ("domain1", "values1", "domain2", "values2", "weight1", "weight2", "alpha1", "alpha2")
+        fields = {key: getattr(instance, key) for key in keys}
         fields.update(n1=instance.dim1, n2=instance.dim2)
     elif kind == "strong-parrott":
         fields = {key: getattr(instance, key) for key in StrongParrottInstance.__slots__}
@@ -453,7 +452,7 @@ def _midpoint_in_interval(data: dict, result: dict, witness: dict, tol: Toleranc
 def _f_bound_drift(data: dict, result: dict, witness: dict, tol: Tolerances) -> dict:
     """f_bound on its own agrees with the bound extend_functional reports."""
     pf = PartialFunctional(LeftIdeal(data["projection"], tol), data["gamma"])
-    return {"f_bound_drift": abs(f_bound(pf, PsdMatrix(data["density"], tol), tol) - result["alpha"])}
+    return {"f_bound_drift": abs(f_bound(pf, data["density"], tol) - result["alpha"])}
 
 
 # Invariants no run diagnostic carries: they need the planted witness or a

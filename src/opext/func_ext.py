@@ -44,6 +44,7 @@ from .errors import (
 from .kvn import HilbertLift, _block_lift, hilbert_lift
 from .numkit import (
     ComplexMatrix,
+    HermitianMatrix,
     PsdMatrix,
     Tolerances,
     _tol,
@@ -280,9 +281,9 @@ class GnsSpace:
 
 
 def _row_lift(density, tol: Tolerances) -> HilbertLift:
-    """Lift of F^T, the weight of the rows (C^m, F^T) of the GNS space."""
-    f = PsdMatrix.coerce(_density_array(density), tol)
-    return hilbert_lift(PsdMatrix._trusted(f.a.T), tol)
+    """Lift of F^T, the weight of the rows (C^m, F^T) of the GNS space; its spectrum decides that F is positive."""
+    f = HermitianMatrix.coerce(_density_array(density), tol)
+    return hilbert_lift(PsdMatrix._trusted(f.a.T) if isinstance(f, PsdMatrix) else f.a.T, tol)
 
 
 def _gns_space(row: HilbertLift) -> GnsSpace:
@@ -628,7 +629,7 @@ def cstar_extendibility(
         abs_density = PsdMatrix._trusted(hermitize((v * np.abs(w)) @ v.conj().T, t).a)
         root = v * np.sqrt(np.abs(w))
     if density is not None:
-        f_mat = PsdMatrix.coerce(_density_array(density), t)
+        f_mat = HermitianMatrix.coerce(_density_array(density), t)
     elif abs_density is not None:
         f_mat = abs_density
     else:

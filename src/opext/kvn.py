@@ -17,13 +17,14 @@ two-corner completion multiplies out a corner block, the interval endpoints
 the r-by-r product in range coordinates.  That single rank decision
 also settles existence (:func:`check_restriction`): the values
 must vanish where the Gram form does, tested as ||Y - (Y Q) Q*|| ~ 0.
+A :class:`PartialPositiveOperator` makes it once and keeps C and that residual.
 
 :func:`hilbert_lift` packages the auxiliary inner-product space attached
 to a positive weight A: the weighted pairing <x, y>_A = y* A x descends to
 an r-dimensional Hilbert space (r = rank A), realized through the class map
 x -> diag(rho) Q* x of the eigenpairs A = Q diag(rho)^2 Q* above the rank
-cutoff.  The extension modules use these coordinates for every spectral
-computation.
+cutoff; that spectrum is also A's only positivity check.  The extension
+modules use these coordinates for every spectral computation.
 """
 
 from __future__ import annotations
@@ -35,6 +36,7 @@ import numpy as np
 from .errors import DimensionMismatch, NotHermitian, NotPsd, RestrictionConditionFailed
 from .numkit import (
     ComplexMatrix,
+    HermitianMatrix,
     PsdMatrix,
     Tolerances,
     _orth_factor,
@@ -64,12 +66,15 @@ class PartialPositiveOperator:
     Construction validates independence of the domain columns (all k
     singular values of D = P diag(s) V* above the rank cutoff, kept as the
     pair (P, Y = G V diag(1/s))) and that M = D* G is Hermitian positive
-    semidefinite.  The remaining existence condition -- values vanishing on
-    the kernel of P* Y -- is checked separately by :func:`check_restriction`
-    so that infeasible but well-formed data can still be diagnosed.
+    semidefinite, and keeps the factor C of the minimal extension C C* and
+    the existence residual of P* Y, decided under the ``tol`` it is built
+    with; a later call's ``tol`` supplies only its own ``eq`` check.  The
+    existence condition -- values vanishing on the kernel of P* Y -- is
+    checked by :func:`check_restriction`, so that infeasible but
+    well-formed data can still be diagnosed.
     """
 
-    __slots__ = ("domain_basis", "values", "gram", "_span")
+    __slots__ = ("domain_basis", "values", "gram", "_span", "_factor")
 
     def __init__(self, domain_basis, values, tol: Tolerances | None = None):
         d = ComplexMatrix.coerce(domain_basis)
@@ -93,6 +98,7 @@ class PartialPositiveOperator:
         self.values = g
         self.gram = gram
         self._span = (p, (g.a @ v) / s)
+        self._factor = _gram_factor(p.conj().T @ self._span[1], self._span[1], t)
 
     @property
     def ambient_dim(self) -> int:
@@ -127,7 +133,12 @@ def _factor_from_span(d: np.ndarray, g: np.ndarray, tol: Tolerances) -> np.ndarr
     when the values do not vanish on the kernel that decision leaves, and
     :class:`NotPsd` when M is genuinely indefinite.
     """
-    c, resid = _gram_factor(d.conj().T @ g, g, tol)
+    return _checked_factor(_gram_factor(d.conj().T @ g, g, tol), g, tol)
+
+
+def _checked_factor(factor: tuple[np.ndarray, float], g: np.ndarray, tol: Tolerances) -> np.ndarray:
+    """C of a :func:`_gram_factor` pair (C, residual); RestrictionConditionFailed if residual > eq (1 + ||G||_F)."""
+    c, resid = factor
     if resid > tol.eq * (1.0 + np.linalg.norm(g)):
         raise RestrictionConditionFailed(
             "restriction condition violated: the prescribed values do not vanish "
@@ -136,24 +147,15 @@ def _factor_from_span(d: np.ndarray, g: np.ndarray, tol: Tolerances) -> np.ndarr
     return c
 
 
-def _extend_from_span(d: np.ndarray, g: np.ndarray, tol: Tolerances) -> np.ndarray:
-    """Minimal positive extension ``C C*``, formed from :func:`_factor_from_span`."""
-    c = _factor_from_span(d, g, tol)
-    return c @ c.conj().T
-
-
 def check_restriction(op: PartialPositiveOperator, tol: Tolerances | None = None) -> bool:
     """Whether the data is the restriction of some positive operator.
 
     Tests on the operator's orthonormal pair (P, Y) that the values vanish
-    on the kernel of P* Y = Q W Q* (eigenvalues above the rank cutoff, the
-    single decision :func:`kvn_extend` makes) as ``||Y - (Y Q) Q*||_F <=
+    on the kernel of P* Y = Q W Q* (eigenvalues above the rank cutoff: the
+    one decision, made at construction) as ``||Y - (Y Q) Q*||_F <=
     eq * (1 + ||Y||_F)``.  For restrictions of positive matrices this holds.
     """
-    t = _tol(tol)
-    p, y = op._span
-    _, resid = _gram_factor(p.conj().T @ y, y, t)
-    return bool(resid <= t.eq * (1.0 + np.linalg.norm(y)))
+    return bool(op._factor[1] <= _tol(tol).eq * (1.0 + np.linalg.norm(op._span[1])))
 
 
 def kvn_extend(op: PartialPositiveOperator, tol: Tolerances | None = None) -> PsdMatrix:
@@ -169,7 +171,8 @@ def kvn_extend(op: PartialPositiveOperator, tol: Tolerances | None = None) -> Ps
     RestrictionConditionFailed
         If no positive extension exists (see :func:`check_restriction`).
     """
-    return PsdMatrix._trusted(_extend_from_span(*op._span, _tol(tol)))
+    c = _checked_factor(op._factor, op._span[1], _tol(tol))
+    return PsdMatrix._trusted(c @ c.conj().T)
 
 
 @dataclass(frozen=True, eq=False)
@@ -234,11 +237,14 @@ def hilbert_lift(weight, tol: Tolerances | None = None) -> HilbertLift:
     A single eigendecomposition produces the orthonormal range basis Q and
     the roots rho, so every map derived from them agrees exactly on what
     the kernel is.  Eigenvalues below the relative rank cutoff are treated
-    as zero; a genuinely negative eigenvalue raises :class:`NotPsd`.
+    as zero.  A weight that is not already a :class:`PsdMatrix` is checked
+    Hermitian and then decided positive by this spectrum alone, under the
+    rule and with the NotPsd message of :class:`PsdMatrix`.
     """
     t = _tol(tol)
-    a = PsdMatrix.coerce(weight, t)
-    w, q = psd_eig(a.a, t)
+    h = HermitianMatrix.coerce(weight, t)
+    w, q = psd_eig(h.a, t)
+    a = h if isinstance(h, PsdMatrix) else PsdMatrix._trusted(h.a)
     return HilbertLift(weight=a, rank=int(w.size), range_basis=ComplexMatrix(q), roots=np.sqrt(w))
 
 

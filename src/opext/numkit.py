@@ -2,8 +2,8 @@
 
 Everything downstream (minimal positive extensions, completion problems,
 functional extensions) is built on the handful of operations here:
-pseudoinverse with a relative rank cutoff, positive-semidefinite square
-root, Loewner-order comparison, numerical rank, and hermitization.  All
+pseudoinverse with a relative rank cutoff, positive-semidefinite
+eigenpairs, Loewner-order comparison, numerical rank, and hermitization.  All
 tolerances travel in a single :class:`Tolerances` value passed explicitly;
 there is no mutable global configuration.
 
@@ -29,7 +29,6 @@ __all__ = [
     "HermitianMatrix",
     "PsdMatrix",
     "pinv",
-    "psd_sqrt",
     "psd_eig",
     "loewner_leq",
     "numerical_rank",
@@ -206,6 +205,12 @@ def _certified_above(h: np.ndarray, psd: float, scale: float) -> bool:
     return True
 
 
+def _require_psd(lo: float, hi: float, psd: float) -> None:
+    """The positivity rule: NotPsd when the smallest eigenvalue lo is below ``-psd * (1 + hi)``."""
+    if lo < -psd * (1.0 + hi):
+        raise NotPsd(f"eigenvalue {lo:.3e} is genuinely negative (largest {hi:.3e})")
+
+
 class PsdMatrix(HermitianMatrix):
     """Hermitian matrix validated positive semidefinite.
 
@@ -215,7 +220,9 @@ class PsdMatrix(HermitianMatrix):
     Cholesky of the matrix shifted by half that slack (scaled by its
     largest diagonal entry, at most lambda_max) proves the rule without a
     spectrum; only when it fails does the exact ``eigvalsh`` decide, so
-    the decision and the NotPsd message are those of the spectrum.
+    the decision and the NotPsd message are those of the spectrum.  A
+    weight passed raw to :func:`~opext.kvn.hilbert_lift` is instead decided
+    by the lift's own spectrum (:func:`psd_eig`, the same rule).
     """
 
     __slots__ = ()
@@ -225,9 +232,7 @@ class PsdMatrix(HermitianMatrix):
         t = _tol(tol)
         if self.rows > 0 and not _certified_above(self.a, t.psd, float(np.max(self.a.diagonal().real))):
             w = np.linalg.eigvalsh(self.a)
-            lo, hi = float(w[0]), float(w[-1])
-            if lo < -t.psd * (1.0 + hi):
-                raise NotPsd(f"eigenvalue {lo:.3e} is genuinely negative (largest {hi:.3e})")
+            _require_psd(float(w[0]), float(w[-1]), t.psd)
 
     @classmethod
     def coerce(cls, value, tol: Tolerances | None = None) -> "PsdMatrix":
@@ -324,7 +329,7 @@ def psd_eig(a, tol: Tolerances | None = None) -> tuple[np.ndarray, np.ndarray]:
     relative rank cutoff (descending) and the columns of ``q`` are the
     matching orthonormal eigenvectors.  Eigenvalues below the cutoff are
     discarded outright; an eigenvalue below ``-psd * (1 + lambda_max)``
-    raises :class:`NotPsd`.
+    raises :class:`NotPsd` with the rule and message of :class:`PsdMatrix`.
 
     Dropping the sub-cutoff eigenvalues (instead of clamping them) keeps
     the square root, its pseudoinverse, and the range basis mutually
@@ -338,23 +343,10 @@ def psd_eig(a, tol: Tolerances | None = None) -> tuple[np.ndarray, np.ndarray]:
     if w.size == 0:
         return w, v
     hi = float(w[0])
-    lo = float(w[-1])
-    if lo < -t.psd * (1.0 + max(hi, 0.0)):
-        raise NotPsd(f"eigenvalue {lo:.3e} is genuinely negative (largest {hi:.3e})")
+    _require_psd(float(w[-1]), hi, t.psd)
     cut = t.rank_cutoff(*a.shape) * max(hi, 0.0)
     keep = w > cut
     return w[keep], np.ascontiguousarray(v[:, keep])
-
-
-def psd_sqrt(a, tol: Tolerances | None = None) -> PsdMatrix:
-    """Positive semidefinite square root.
-
-    Eigenvalues within the positivity slack of zero are treated as zero;
-    a genuinely negative eigenvalue raises :class:`NotPsd`.  Satisfies
-    ``R @ R == A`` up to the equality tolerance.
-    """
-    w, q = psd_eig(a, tol)
-    return PsdMatrix._trusted((q * np.sqrt(w)) @ q.conj().T)
 
 
 def loewner_leq(a, b, tol: Tolerances | None = None) -> bool:

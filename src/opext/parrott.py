@@ -51,7 +51,7 @@ from .errors import (
     NotABounded,
     NotHermitian,
 )
-from .kvn import HilbertLift, _antidiag, _block_diag, hilbert_lift
+from .kvn import _antidiag, _block_diag, hilbert_lift
 from .numkit import (
     ComplexMatrix,
     PsdMatrix,
@@ -84,10 +84,12 @@ class ParrottInstance:
     (n2 x k2) and values2 (n1 x k2) prescribe T2.  weight1/weight2 are the
     positive weights on the two spaces, alpha1/alpha2 the declared bound
     constants (entering unsquared, as in the displayed inequalities of the
-    module docstring).
+    module docstring).  Each weight is lifted, and so decided positive, once
+    at construction under the ``tol`` the instance is built with; a later
+    call's ``tol`` supplies only that call's own ``eq`` and ``herm`` checks.
     """
 
-    __slots__ = ("domain1", "values1", "domain2", "values2", "weight1", "weight2", "alpha1", "alpha2")
+    __slots__ = ("domain1", "values1", "domain2", "values2", "weight1", "weight2", "alpha1", "alpha2", "_lifts")
 
     def __init__(self, domain1, values1, domain2, values2, weight1, weight2,
                  alpha1: float, alpha2: float, tol: Tolerances | None = None):
@@ -96,9 +98,8 @@ class ParrottInstance:
         v1 = ComplexMatrix.coerce(values1)
         d2 = ComplexMatrix.coerce(domain2)
         v2 = ComplexMatrix.coerce(values2)
-        a1 = PsdMatrix.coerce(weight1, t)
-        a2 = PsdMatrix.coerce(weight2, t)
-        n1, n2 = a1.rows, a2.rows
+        lifts = (hilbert_lift(weight1, t), hilbert_lift(weight2, t))
+        n1, n2 = (lift.weight.rows for lift in lifts)
         if d1.rows != n1 or v1.rows != n2 or d1.cols != v1.cols:
             raise DimensionMismatch("first partial operator has inconsistent shapes")
         if d2.rows != n2 or v2.rows != n1 or d2.cols != v2.cols:
@@ -107,8 +108,9 @@ class ParrottInstance:
             raise ValueError("declared bound constants must be finite and nonnegative")
         self.domain1, self.values1 = d1, v1
         self.domain2, self.values2 = d2, v2
-        self.weight1, self.weight2 = a1, a2
         self.alpha1, self.alpha2 = float(alpha1), float(alpha2)
+        self.weight1, self.weight2 = (lift.weight for lift in lifts)
+        self._lifts = lifts
 
     @property
     def dim1(self) -> int:
@@ -122,14 +124,15 @@ class ParrottInstance:
         return f"ParrottInstance(n1={self.dim1}, n2={self.dim2}, k1={self.domain1.cols}, k2={self.domain2.cols})"
 
 
-def _corner_lifts(inst: ParrottInstance, lift1: HilbertLift, lift2: HilbertLift, tol: Tolerances):
-    """Orthonormal pairs and bounds (P_i, Y_i, beta_i) of the two corners, from :func:`_weighted_lift`.
+def _corner_lifts(inst: ParrottInstance, tol: Tolerances):
+    """Orthonormal pairs and bounds (P_i, Y_i, beta_i) of the two corners, from :func:`_weighted_lift` on the instance's lifts.
 
     The pairing is decided here, once, on the lifted corners: the stacked
     U* W = [[0, U1* W2], [U2* W1, 0]] must be Hermitian at ``tol.herm``.
     None when it is not, when a corner has no finite bound, or when a bound
     exceeds its declared constant.
     """
+    lift1, lift2 = inst._lifts
     try:
         (u1, w1, *corner1), (u2, w2, *corner2) = (
             _weighted_lift(inst.domain1.a, inst.values1.a, lift1, lift2, tol),
@@ -152,8 +155,7 @@ def check_compatibility(inst: ParrottInstance, tol: Tolerances | None = None) ->
     also relies on -- and that each partial operator's cross-weighted
     bound (computed spectrally) stays within the declared constant.
     """
-    t = _tol(tol)
-    return _corner_lifts(inst, hilbert_lift(inst.weight1, t), hilbert_lift(inst.weight2, t), t) is not None
+    return _corner_lifts(inst, _tol(tol)) is not None
 
 
 def assemble_symmetric(
@@ -185,21 +187,18 @@ def parrott_complete(
     and cross-weighted bound squared at most max(alpha1, alpha2).  The
     ``endpoint`` selects which extension of the stacked operator supplies
     the corner: "min" (default, the canonical choice), "max", or "mid"
-    (their average, also a valid completion by convexity).  Each weight
-    is lifted once, and only the n2-by-n1 corner of the stacked extension
-    is formed.
+    (their average, also a valid completion by convexity).  It runs on
+    the lifts the instance took of its weights, and only the n2-by-n1
+    corner of the stacked extension is formed.
     """
     t = _tol(tol)
     if endpoint not in ("min", "max", "mid"):
         raise ValueError(f"endpoint must be 'min', 'max', or 'mid', got {endpoint!r}")
-    lift1, lift2 = hilbert_lift(inst.weight1, t), hilbert_lift(inst.weight2, t)
-    return _complete_on_lifts(inst, lift1, lift2, _corner_lifts(inst, lift1, lift2, t), t, endpoint)
+    return _complete_on_lifts(inst, _corner_lifts(inst, t), t, endpoint)
 
 
-def _complete_on_lifts(
-    inst: ParrottInstance, lift1: HilbertLift, lift2: HilbertLift, corners, tol: Tolerances, endpoint: str
-) -> ComplexMatrix:
-    """:func:`parrott_complete` on the weights' lifts and their :func:`_corner_lifts`.
+def _complete_on_lifts(inst: ParrottInstance, corners, tol: Tolerances, endpoint: str) -> ComplexMatrix:
+    """:func:`parrott_complete` on the instance's lifts and their :func:`_corner_lifts`.
 
     The pairing was decided there.  The stacked operator has P = diag(P1, P2),
     Y = [[0, Y2], [Y1, 0]] and bound max(beta1, beta2); of its shifted
@@ -213,7 +212,7 @@ def _complete_on_lifts(
     if numerical_rank(domain, tol) != domain.shape[1]:
         raise ValueError("domain basis columns are dependent; supply an independent set")
     corner = _corner(p1, y1, p2, y2, max(beta1, beta2), endpoint, tol)
-    return ComplexMatrix(lift2.embedding() @ corner @ lift1.coembedding())
+    return ComplexMatrix(inst._lifts[1].embedding() @ corner @ inst._lifts[0].coembedding())
 
 
 def _corner(p1, y1, p2, y2, beta: float, endpoint: str, tol: Tolerances) -> np.ndarray:

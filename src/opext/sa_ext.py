@@ -308,11 +308,11 @@ def check_commutation(
     """
     t = _tol(tol)
     bm = HermitianMatrix.coerce(b, t)
-    a = PsdMatrix.coerce(weight, t)
+    lift = hilbert_lift(weight, t)
     n = bm.rows
-    if a.rows != n or op.ambient_dim != n:
+    if lift.weight.rows != n or op.ambient_dim != n:
         raise DimensionMismatch("operator, weight, and commutant candidate must share a dimension")
-    if np.linalg.norm(a.a - np.eye(n)) > t.eq * (1.0 + np.linalg.norm(a.a)):
+    if np.linalg.norm(lift.weight.a - np.eye(n)) > t.eq * (1.0 + np.linalg.norm(lift.weight.a)):
         raise HypothesisViolated("commutation transport requires the identity weight")
     d = op.domain_basis.a
     v = op.values.a
@@ -329,7 +329,7 @@ def check_commutation(
         raise HypothesisViolated(
             f"candidate does not intertwine with the prescribed values (residual {twist_resid:.3e})"
         )
-    interval = extend_symmetric(op, a, t)
+    interval = _extend_on_lift(op, lift, t)
     ok = True
     for s in (interval.s_min.a, interval.s_max.a):
         resid = np.linalg.norm(s @ bm.a - bm.a @ s)

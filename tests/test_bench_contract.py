@@ -1,25 +1,29 @@
 """The benchmark reads names of the program; each must exist.
 
 ``perfbench/tracing.py`` wraps every name in its ``LAYERS`` table with
-``getattr`` on ``opext.<layer>``, and ``perfbench/workloads.py`` reads the
-fields of a cstar decision and the keys of a ``cstar-check`` result; the
-benchmark's own tests are outside this suite.  Without these checks,
-removing or renaming such a name (even a function no library path calls
-any more, such as ``numkit.independent_columns``) would break only
+``getattr`` on ``opext.<layer>``, and ``perfbench/workloads.py`` calls
+``opext.<name>`` (such as ``opext.PsdMatrix`` and ``opext.cli.main``) and
+reads the fields of a cstar decision and the keys of a ``cstar-check``
+result; the benchmark's own tests are outside this suite.  Without these
+checks, removing or renaming such a name (even a function no library path
+calls any more, such as ``numkit.independent_columns``) would break only
 benchmark runs.
 """
 
+import ast
 import dataclasses
 import importlib
 import importlib.util
 import json
 from pathlib import Path
 
+import opext
 import opext.cli as cli
 from opext.func_ext import ExtendibilityDecision
 
 ROOT = Path(__file__).resolve().parent.parent
 TRACING = ROOT / "perfbench" / "tracing.py"
+WORKLOADS = ROOT / "perfbench" / "workloads.py"
 
 # what perfbench/workloads.py reads of a cstar decision (run_cstar) and of a
 # cstar-check result file (CliSmall._check)
@@ -43,6 +47,32 @@ def test_every_traced_name_resolves():
                 target = getattr(target, part, None)
             if not callable(target):
                 missing.append(f"{layer}.{name}")
+    assert missing == []
+
+
+def workload_names() -> set[str]:
+    """Every dotted ``opext.<name>`` the workloads read, prefixes included."""
+    names = set()
+    for node in ast.walk(ast.parse(WORKLOADS.read_text())):
+        parts = []
+        while isinstance(node, ast.Attribute):
+            parts.append(node.attr)
+            node = node.value
+        if parts and isinstance(node, ast.Name) and node.id == "opext":
+            names.add(".".join(reversed(parts)))
+    return names
+
+
+def test_every_workload_name_resolves():
+    names = workload_names()
+    assert {"PsdMatrix", "cli.main"} <= names  # the scan sees the calls
+    missing = []
+    for name in sorted(names):
+        target = opext
+        for part in name.split("."):
+            target = getattr(target, part, None)
+        if target is None:
+            missing.append(name)
     assert missing == []
 
 

@@ -435,6 +435,19 @@ class TestDiagnosticsReuseLifts:
         assert len(decompositions.shapes("svd")) == 5
 
 
+@pytest.mark.parametrize(
+    "kind, count",
+    [("kvn", 4), ("sa-ext", 11), ("parrott", 9), ("strong-parrott", 8), ("functional-ext", 8), ("cstar-check", 9)],
+)
+def test_decompositions_per_kind(tmp_path, decompositions, kind, count):
+    # every input is decided once: a weight or density by its lift's spectrum,
+    # the kvn Gram factor once at construction
+    with decompositions:
+        code, _ = run(tmp_path, kind, str(INSTANCES / f"{kind}.json"))
+    assert code == 0
+    assert len(decompositions) == count
+
+
 class TestGen:
     @pytest.mark.parametrize("kind", cli.RUN_KINDS)
     def test_gen_then_run(self, tmp_path, kind):

@@ -21,6 +21,18 @@ def psd_min_eig(m):
     return float(np.linalg.eigvalsh((m + m.conj().T) / 2).min())
 
 
+class TestConstructionTolerance:
+    # rank and positivity are decided under the tol the operator was built
+    # with; a later call's tol supplies only its own eq check
+    def test_gram_rank_is_decided_at_construction(self):
+        op = PartialPositiveOperator(np.eye(2), np.diag([1.0, 1e-4]), Tolerances(rank=1e-3))
+        assert not check_restriction(op)
+        with pytest.raises(RestrictionConditionFailed):
+            kvn_extend(op)
+        ext = kvn_extend(op, Tolerances(eq=1e-3)).a
+        np.testing.assert_allclose(ext, np.diag([1.0, 0.0]), atol=1e-12)
+
+
 class TestRestrictionCondition:
     def test_invertible_gram_passes(self):
         op = PartialPositiveOperator(E1, np.array([[1.0], [1.0]]))

@@ -13,7 +13,7 @@ lifted as a whole.
 import numpy as np
 import pytest
 
-from opext.kvn import _block_diag, _extend_from_span, hilbert_lift
+from opext.kvn import _block_diag, _factor_from_span, hilbert_lift
 from opext.numkit import PsdMatrix, Tolerances, _smax, pinv
 from opext.parrott import ParrottInstance, parrott_complete
 from opext.sa_ext import SymmetricPartialOperator, alpha_of_total, extend_symmetric, lift_symmetric
@@ -53,6 +53,12 @@ def ref_coordinates(d, v, sqrt_dom, q_dom, pinv_ran, q_ran):
     u = q_dom.conj().T @ (sqrt_dom @ d)
     w = q_ran.conj().T @ (pinv_ran @ v)
     return u, w, _smax(w @ pinv(u, TOL).a)
+
+
+def _extend_from_span(d, g, tol):
+    """Minimal positive extension ``C C*``, formed from the library's factor C."""
+    c = _factor_from_span(d, g, tol)
+    return c @ c.conj().T
 
 
 def ref_endpoints(u, w, alpha, sqrt, q):

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from opext.errors import DimensionMismatch, NotHermitian, NotPsd
+from opext.kvn import hilbert_lift
 from opext.numkit import (
     ComplexMatrix,
     HermitianMatrix,
@@ -16,15 +17,8 @@ from opext.numkit import (
     numerical_rank,
     pinv,
     psd_eig,
-    psd_sqrt,
 )
 from opext.oracle import Rng, complex_gaussian
-
-SQ3 = np.sqrt(3.0)
-# square root of [[2,1],[1,2]], from its eigendecomposition (eigenvalues 1, 3)
-SQRT_2112 = np.array(
-    [[(SQ3 + 1) / 2, (SQ3 - 1) / 2], [(SQ3 - 1) / 2, (SQ3 + 1) / 2]], dtype=complex
-)
 
 
 class TestTolerances:
@@ -136,6 +130,25 @@ class TestPositivityCertificate:
 
     @pytest.mark.parametrize("n", [4, 8, 32, 160])
     @pytest.mark.parametrize("scale", [1e-3, 1.0, 1e6])
+    def test_hilbert_lift_decides_a_raw_weight_as_psd_matrix(self, n, scale, decompositions):
+        # the lift's own eigh is the weight's only positivity check: the same
+        # decision and NotPsd text as PsdMatrix, and no Cholesky or eigvalsh first
+        tol = Tolerances()
+        gen = np.random.default_rng([n, int(np.log10(scale)) + 3, 60])
+        for c in self.C:
+            a = spectrum_matrix(gen, n, scale, -c * tol.psd * (1.0 + scale))
+            del decompositions[:]
+            with decompositions:
+                try:
+                    hilbert_lift(a, tol)
+                    decision = None
+                except NotPsd as exc:
+                    decision = str(exc)
+            assert [name for name, _ in decompositions] == ["eigh"], c
+            assert decision == psd_decision(a, tol), c
+
+    @pytest.mark.parametrize("n", [4, 8, 32, 160])
+    @pytest.mark.parametrize("scale", [1e-3, 1.0, 1e6])
     def test_loewner_leq_decides_as_the_spectrum(self, n, scale):
         tol = Tolerances()
         gen = np.random.default_rng([n, int(np.log10(scale)) + 3, 61])
@@ -218,36 +231,6 @@ class TestNumericalRank:
 
     def test_noise_below_cutoff_ignored(self):
         assert numerical_rank(np.diag([1.0, 1e-15])) == 1
-
-
-class TestPsdSqrt:
-    def test_identity(self):
-        assert psd_sqrt(np.eye(2)).a == pytest.approx(np.eye(2))
-
-    def test_diagonal(self):
-        assert psd_sqrt(np.diag([4.0, 9.0])).a == pytest.approx(np.diag([2.0, 3.0]))
-
-    def test_closed_form_two_by_two(self):
-        a = np.array([[2.0, 1.0], [1.0, 2.0]])
-        r = psd_sqrt(a)
-        assert r.a == pytest.approx(SQRT_2112, abs=1e-12)
-        assert r.a @ r.a == pytest.approx(a, abs=1e-12)
-
-    def test_square_recovers_input_random(self):
-        for i in range(10):
-            gen = Rng(11).split(i).generator()
-            x = complex_gaussian(gen, 6, 6)
-            a = x @ x.conj().T
-            r = psd_sqrt(a).a
-            assert np.linalg.norm(r @ r - a) <= 1e-8 * (1 + np.linalg.norm(a))
-
-    def test_monotone_on_commuting_diagonals(self):
-        a, b = np.diag([1.0, 4.0]), np.diag([4.0, 9.0])
-        assert loewner_leq(psd_sqrt(a).a, psd_sqrt(b).a)
-
-    def test_rejects_negative(self):
-        with pytest.raises(NotPsd):
-            psd_sqrt(np.diag([1.0, -1.0]))
 
 
 class TestLoewnerOrder:

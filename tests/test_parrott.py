@@ -34,6 +34,21 @@ def fixture_instance():
     return ParrottInstance(E1, E2, E1, E2, np.eye(2), np.eye(2), 1.0, 1.0)
 
 
+class TestConstructionTolerance:
+    def test_weight_keeps_its_construction_rank(self):
+        # weight1 has spectrum (1, 1e-4): rank 1 under rank = 1e-3, rank 2 under
+        # the default cutoff.  The completion runs on the rank-1 lift taken at
+        # construction whatever tol the call passes, so it annihilates e2
+        built = Tolerances(rank=1e-3)
+        inst = ParrottInstance(
+            np.ones((2, 1)), [[0.5]], [[1.0]], [[0.5], [0.0]], np.diag([1.0, 1e-4]), [[1.0]], 1.0, 1.0, built
+        )
+        x = parrott_complete(inst).a
+        assert np.array_equal(x, parrott_complete(inst, built).a)
+        assert np.all(x[:, 1] == 0)
+        np.testing.assert_allclose(x, [[0.5, 0.0]], atol=1e-12)
+
+
 class TestOracleSweep:
     def test_only_contractive_completion_has_zero_corner(self):
         # any completion of the fixture has the form [[0,1],[1,t]]; the

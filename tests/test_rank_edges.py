@@ -157,10 +157,10 @@ def parrott_instance():
 
 
 def test_parrott_complete_lifts_each_block_once(decompositions):
-    inst = parrott_instance()
-    n1, n2 = inst.dim1, inst.dim2
     with decompositions:
+        inst = parrott_instance()
         parrott_complete(inst)
+    n1, n2 = inst.dim1, inst.dim2
 
     assert all(shape != (n1 + n2, n1 + n2) for shape in decompositions.shapes())
     # the stacked range coordinates (r1 + r2 = 10 rows) are assembled, never decomposed
@@ -283,9 +283,10 @@ def planted_strong(gen, n, p):
 
 
 class TestCallerPositivityIsCertified:
-    # n = 32 (and p = q = 8 for strong Parrott): every caller weight and both
-    # Loewner hypotheses are proved by one Cholesky each, with no spectrum;
-    # the eigh and svd counts are those of the eigvalsh-validating code
+    # n = 32 (and p = q = 8 for strong Parrott): a caller weight is decided
+    # by the spectrum its lift takes anyway, so it costs no Cholesky and no
+    # eigvalsh; both Loewner hypotheses are proved by one Cholesky each, with
+    # no spectrum; the eigh and svd counts are those of the eigvalsh-validating code
 
     def counts(self, decompositions):
         return {name: len(decompositions.shapes(name)) for name in ("svd", "eigh", "eigvalsh", "cholesky")}
@@ -294,13 +295,13 @@ class TestCallerPositivityIsCertified:
         op, weight = planted_sa_ext(np.random.default_rng(70), 32, 24, 12)
         with decompositions:
             extend_symmetric(op, weight)
-        assert self.counts(decompositions) == {"svd": 2, "eigh": 3, "eigvalsh": 0, "cholesky": 1}
+        assert self.counts(decompositions) == {"svd": 2, "eigh": 3, "eigvalsh": 0, "cholesky": 0}
 
     def test_parrott_complete(self, decompositions):
         data = planted_parrott(np.random.default_rng(71), 16, 12, 6)
         with decompositions:
             parrott_complete(ParrottInstance(*data))
-        assert self.counts(decompositions) == {"svd": 5, "eigh": 3, "eigvalsh": 0, "cholesky": 2}
+        assert self.counts(decompositions) == {"svd": 5, "eigh": 3, "eigvalsh": 0, "cholesky": 0}
 
     def test_strong_parrott(self, decompositions):
         data = planted_strong(np.random.default_rng(72), 16, 8)
