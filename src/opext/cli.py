@@ -50,7 +50,7 @@ from .func_ext import (
     functional_interval_member,
 )
 from .kvn import PartialPositiveOperator, check_restriction, hilbert_lift, kvn_extend
-from .numkit import ComplexMatrix, Tolerances, _smax, hermitize, loewner_leq
+from .numkit import ComplexMatrix, Tolerances, _fro, _smax, hermitize, loewner_leq
 from .oracle import MAX_ALGEBRA, MAX_DIM, Rng, _check_dims, random_instance_with_witness
 from .parrott import (
     ParrottInstance,
@@ -230,7 +230,7 @@ _PARSERS = {
 def _run_kvn(data: dict, tol: Tolerances, args) -> tuple[dict, dict]:
     op = PartialPositiveOperator(data["domain_basis"], data["values"], tol)
     ext = kvn_extend(op, tol)
-    resid = float(np.linalg.norm(ext.a @ data["domain_basis"] - data["values"]))
+    resid = _fro(ext.a @ data["domain_basis"] - data["values"])
     eigs = np.linalg.eigvalsh(ext.a) if ext.rows else np.zeros(0)
     return (
         {"extension": ext.a},
@@ -249,7 +249,7 @@ def _run_sa_ext(data: dict, tol: Tolerances, args) -> tuple[dict, dict]:
     aw, d, v = lift.weight.a, data["domain_basis"], data["values"]
     diagnostics = {}
     for name, s in (("min", interval.s_min), ("max", interval.s_max)):
-        diagnostics[f"extend_residual_{name}"] = float(np.linalg.norm(aw @ (s.a @ d) - aw @ v))
+        diagnostics[f"extend_residual_{name}"] = _fro(aw @ (s.a @ d) - aw @ v)
         diagnostics[f"alpha_drift_{name}"] = float(abs(_alpha_on_lift(s.a, lift, lift, tol) - interval.alpha))
     diagnostics["order_ok"] = loewner_leq(interval.s_min, interval.s_max, tol)
     outputs = {"alpha": interval.alpha, "s_min": interval.s_min.a, "s_max": interval.s_max.a}
@@ -271,12 +271,8 @@ def _run_parrott(data: dict, tol: Tolerances, args) -> tuple[dict, dict]:
     return (
         {"completion": completion, "weighted_norm": norm, "norm_bound": bound},
         {
-            "corner1_residual": float(
-                np.linalg.norm(inst.weight2.a @ (completion @ inst.domain1.a - inst.values1.a))
-            ),
-            "corner2_residual": float(
-                np.linalg.norm(inst.weight1.a @ (completion.conj().T @ inst.domain2.a - inst.values2.a))
-            ),
+            "corner1_residual": _fro(inst.weight2.a @ (completion @ inst.domain1.a - inst.values1.a)),
+            "corner2_residual": _fro(inst.weight1.a @ (completion.conj().T @ inst.domain2.a - inst.values2.a)),
             "bound_ok": bool(norm <= bound + tol.eq * (1.0 + bound)),
             "compatible": corners is not None,
         },
@@ -289,8 +285,8 @@ def _run_strong_parrott(data: dict, tol: Tolerances, args) -> tuple[dict, dict]:
     return (
         {"solution": x, "norm": _smax(x)},
         {
-            "s_residual": float(np.linalg.norm(x @ inst.s1.a - inst.s2.a)),
-            "t_residual": float(np.linalg.norm(inst.t2.a @ x - inst.t1.a)),
+            "s_residual": _fro(x @ inst.s1.a - inst.s2.a),
+            "t_residual": _fro(inst.t2.a @ x - inst.t1.a),
         },
     )
 
@@ -381,10 +377,6 @@ def _encode_instance(kind: str, instance) -> dict:
 
 # --------------------------------------------------------------------------
 # invariants: what a run's result must satisfy, checked by verify
-
-
-def _fro(a) -> float:
-    return float(np.linalg.norm(a))
 
 
 # Each kind's invariants on the result of a run (its outputs and diagnostics

@@ -47,6 +47,7 @@ from .numkit import (
     HermitianMatrix,
     PsdMatrix,
     Tolerances,
+    _fro,
     _tol,
     eigh_desc,
     hermitize,
@@ -102,7 +103,7 @@ class FunctionalMatrix:
     def is_hermitian(self, tol: Tolerances | None = None) -> bool:
         t = _tol(tol)
         d = self.density.a
-        return bool(np.linalg.norm(d - d.conj().T) <= t.herm * (1.0 + np.linalg.norm(d)))
+        return bool(_fro(d - d.conj().T) <= t.herm * (1.0 + _fro(d)))
 
     def is_positive(self, tol: Tolerances | None = None) -> bool:
         t = _tol(tol)
@@ -135,10 +136,10 @@ class LeftIdeal:
     def __init__(self, projection, tol: Tolerances | None = None):
         t = _tol(tol)
         p = hermitize(projection, t).a
-        idem = np.linalg.norm(p @ p - p)
-        if idem > t.eq * (1.0 + np.linalg.norm(p)):
+        idem = _fro(p @ p - p)
+        if idem > t.eq * (1.0 + _fro(p)):
             raise ValueError(f"not an orthogonal projector (idempotency residual {idem:.3e})")
-        self.projection = ComplexMatrix(p)
+        self.projection = ComplexMatrix._adopt(p)
 
     @property
     def size(self) -> int:
@@ -149,7 +150,7 @@ class LeftIdeal:
         am = ComplexMatrix.coerce(a).a
         if am.shape != self.projection.a.shape:
             raise DimensionMismatch(f"argument must be {self.size}x{self.size}")
-        return bool(np.linalg.norm(am @ self.projection.a - am) <= t.eq * (1.0 + np.linalg.norm(am)))
+        return bool(_fro(am @ self.projection.a - am) <= t.eq * (1.0 + _fro(am)))
 
     def basis(self) -> list[np.ndarray]:
         """Spanning family E_ij P, i, j = 0..m-1 (row-major order).
@@ -188,7 +189,7 @@ class PartialFunctional:
         if g.rows != ideal.size or g.cols != ideal.size:
             raise DimensionMismatch(f"gamma must be {ideal.size}x{ideal.size}, got {g.rows}x{g.cols}")
         self.ideal = ideal
-        self.gamma = ComplexMatrix(ideal.projection.a @ g.a)
+        self.gamma = ComplexMatrix._adopt(ideal.projection.a @ g.a)
 
     @property
     def size(self) -> int:
@@ -217,7 +218,7 @@ def is_symmetric_on_ideal(pf: PartialFunctional, tol: Tolerances | None = None) 
     p = pf.ideal.projection.a
     gamma = pf.gamma.a
     asym = p @ (gamma - gamma.conj().T) @ p
-    return bool(np.max(np.abs(asym), initial=0.0) <= t.eq * (1.0 + np.linalg.norm(gamma)))
+    return bool(np.max(np.abs(asym), initial=0.0) <= t.eq * (1.0 + _fro(gamma)))
 
 
 def _ideal_agreement(pf: PartialFunctional, density: np.ndarray) -> float:
@@ -310,7 +311,7 @@ def gns(density, tol: Tolerances | None = None) -> GnsSpace:
 
 
 def _row_operator(
-    pf: PartialFunctional, density, tol: Tolerances
+    pf: PartialFunctional, density, tol: Tolerances, symmetric: bool = False
 ) -> tuple[HilbertLift, np.ndarray, np.ndarray, float]:
     """Lift of F^T, the orthonormal pair (P, Y) of s_0 in range coordinates, and its bound alpha.
 
@@ -318,14 +319,14 @@ def _row_operator(
     a = a P span ran P^T, so g_0 is realized on the GNS space by I_m (x) s_0
     for the m-by-m partial operator s_0 on (C^m, F^T) with domain basis D
     of ran P^T (one :func:`~opext.numkit.psd_eig` of P^T) and values
-    Gamma^T D.  Raises :class:`NotSymmetric`, :class:`NotFBounded`, and
-    NotHermitian when U* W is not Hermitian (values leaking out of ran F^T
-    within tolerance can make it so while D* Gamma^T D is Hermitian).
+    Gamma^T D.  Raises :class:`NotSymmetric` unless the caller decided
+    ``symmetric``, :class:`NotFBounded`, and NotHermitian when U* W is not
+    Hermitian (a leak out of ran F^T within tolerance can do that to symmetric data).
     """
     row = _row_lift(density, tol)
     if pf.size != row.weight.rows:
         raise DimensionMismatch("functional and positive functional live on different algebra sizes")
-    if not is_symmetric_on_ideal(pf, tol):
+    if not (symmetric or is_symmetric_on_ideal(pf, tol)):
         raise NotSymmetric("functional is not symmetric on its ideal")
     _, d = psd_eig(pf.ideal.projection.a.T, tol)
     try:
@@ -380,10 +381,14 @@ def extend_functional(
     of s_0 against the weight F^T; read off the cyclic vector, that is
     g(x) = trace(s^T x): the densities are s_min^T and s_max^T.
     """
-    t = _tol(tol)
-    row, p, y, alpha = _row_operator(pf, density, t)
-    interval = _extend_lifted(p, y, alpha, row, t)
-    g_min, g_max = (FunctionalMatrix(hermitize(s.a.T, t)) for s in (interval.s_min, interval.s_max))
+    return _extend_functional(pf, density, _tol(tol))
+
+
+def _extend_functional(pf: PartialFunctional, density, tol: Tolerances, symmetric: bool = False):
+    """:func:`extend_functional`, skipping the symmetry test when the caller has decided ``symmetric``."""
+    row, p, y, alpha = _row_operator(pf, density, tol, symmetric)
+    interval = _extend_lifted(p, y, alpha, row, tol)
+    g_min, g_max = (FunctionalMatrix(hermitize(s.a.T, tol)) for s in (interval.s_min, interval.s_max))
     return g_min, g_max, alpha
 
 
@@ -416,8 +421,7 @@ def hahn_jordan(g: FunctionalMatrix, tol: Tolerances | None = None) -> tuple[Fun
     the density into its positive and negative parts.
     """
     t = _tol(tol)
-    phi = hermitize(_as_functional(g).density, t).a
-    w, v = eigh_desc(phi)
+    w, v = eigh_desc(hermitize(_as_functional(g).density, t))
     pos = (v * np.clip(w, 0.0, None)) @ v.conj().T
     neg = (v * np.clip(-w, 0.0, None)) @ v.conj().T
     return (
@@ -618,10 +622,10 @@ def cstar_extendibility(
     m = pf.size
     abs_density = root = None
     if extension is not None:
-        phi = hermitize(_as_functional(extension).density, t).a
+        phi = hermitize(_as_functional(extension).density, t)
         # the supplied functional must actually extend g_0
-        worst = _ideal_agreement(pf, phi)
-        if worst > t.eq * np.linalg.norm(pf.gamma.a):
+        worst = _ideal_agreement(pf, phi.a)
+        if worst > t.eq * _fro(pf.gamma.a):
             raise HypothesisViolated(
                 f"supplied functional does not extend the partial data (residual {worst:.3e})"
             )
@@ -634,10 +638,10 @@ def cstar_extendibility(
         f_mat = abs_density
     else:
         f_mat = PsdMatrix._trusted(np.eye(m, dtype=np.complex128))
-    g_min, g_max, alpha = extend_functional(pf, f_mat, t)
+    g_min, g_max, alpha = _extend_functional(pf, f_mat, t, symmetric=True)
     exact = measured = violations = None
     if root is not None:
-        exact = alpha if density is None else f_bound(pf, abs_density, t)
+        exact = alpha if density is None else _row_operator(pf, abs_density, t, symmetric=True)[3]
         measured, violations = _witness_constant(pf, w, v, root, t)
         if samples is not None:
             if rng is None:

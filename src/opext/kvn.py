@@ -39,6 +39,7 @@ from .numkit import (
     HermitianMatrix,
     PsdMatrix,
     Tolerances,
+    _fro,
     _orth_factor,
     _tol,
     psd_eig,
@@ -120,7 +121,7 @@ def _gram_factor(m: np.ndarray, g: np.ndarray, tol: Tolerances) -> tuple[np.ndar
     """
     w, q = psd_eig(m, tol)
     gq = g @ q
-    resid = float(np.linalg.norm(g - gq @ q.conj().T))
+    resid = _fro(g - gq @ q.conj().T)
     return gq / np.sqrt(w), resid
 
 
@@ -139,7 +140,7 @@ def _factor_from_span(d: np.ndarray, g: np.ndarray, tol: Tolerances) -> np.ndarr
 def _checked_factor(factor: tuple[np.ndarray, float], g: np.ndarray, tol: Tolerances) -> np.ndarray:
     """C of a :func:`_gram_factor` pair (C, residual); RestrictionConditionFailed if residual > eq (1 + ||G||_F)."""
     c, resid = factor
-    if resid > tol.eq * (1.0 + np.linalg.norm(g)):
+    if resid > tol.eq * (1.0 + _fro(g)):
         raise RestrictionConditionFailed(
             "restriction condition violated: the prescribed values do not vanish "
             f"on the kernel of the domain Gram matrix (residual {resid:.3e})"
@@ -155,7 +156,7 @@ def check_restriction(op: PartialPositiveOperator, tol: Tolerances | None = None
     one decision, made at construction) as ``||Y - (Y Q) Q*||_F <=
     eq * (1 + ||Y||_F)``.  For restrictions of positive matrices this holds.
     """
-    return bool(op._factor[1] <= _tol(tol).eq * (1.0 + np.linalg.norm(op._span[1])))
+    return bool(op._factor[1] <= _tol(tol).eq * (1.0 + _fro(op._span[1])))
 
 
 def kvn_extend(op: PartialPositiveOperator, tol: Tolerances | None = None) -> PsdMatrix:
@@ -243,9 +244,9 @@ def hilbert_lift(weight, tol: Tolerances | None = None) -> HilbertLift:
     """
     t = _tol(tol)
     h = HermitianMatrix.coerce(weight, t)
-    w, q = psd_eig(h.a, t)
+    w, q = psd_eig(h, t)
     a = h if isinstance(h, PsdMatrix) else PsdMatrix._trusted(h.a)
-    return HilbertLift(weight=a, rank=int(w.size), range_basis=ComplexMatrix(q), roots=np.sqrt(w))
+    return HilbertLift(weight=a, rank=int(w.size), range_basis=ComplexMatrix._adopt(q), roots=np.sqrt(w))
 
 
 def _block_diag(*blocks: np.ndarray) -> np.ndarray:

@@ -11,6 +11,10 @@ Eigendecompositions and singular value decompositions are made
 reproducible: eigenvalues are returned in descending order (stable sort)
 and each eigenvector's first sizable component is rotated to be real and
 positive.  For a fixed input the results are bit-identical across runs.
+
+Cost rule: a primitive is its LAPACK call plus the fewest numpy passes.  An
+array the library just built is adopted, not copied; a HermitianMatrix is not
+symmetrized again; :func:`_fro` is the one Frobenius norm.
 """
 
 from __future__ import annotations
@@ -118,11 +122,19 @@ class ComplexMatrix:
     __slots__ = ("_a",)
 
     def __init__(self, data):
-        a = np.array(_as_array(data), dtype=np.complex128, order="C", copy=True)
-        if not np.all(np.isfinite(a.view(np.float64))):
+        self._own(np.array(_as_array(data), dtype=np.complex128, order="C", copy=True))
+
+    def _own(self, a: np.ndarray):
+        if not np.isfinite(a).all():
             raise ValueError("matrix entries must be finite")
         a.setflags(write=False)
         object.__setattr__(self, "_a", a)
+        return self
+
+    @classmethod
+    def _adopt(cls, a: np.ndarray):
+        """Wrap, uncopied, a fresh C-contiguous complex128 array the library built (never a caller's)."""
+        return cls.__new__(cls)._own(a)
 
     @property
     def a(self) -> np.ndarray:
@@ -163,10 +175,13 @@ class HermitianMatrix(ComplexMatrix):
         if a.shape[0] != a.shape[1]:
             raise DimensionMismatch(f"Hermitian matrix must be square, got {a.shape}")
         t = _tol(tol)
-        asym = np.linalg.norm(a - a.conj().T)
-        if asym > t.herm * (1.0 + np.linalg.norm(a)):
+        c = np.conjugate(a.T, order="C")
+        asym = _fro(a - c)
+        if asym > t.herm * (1.0 + _fro(a)):
             raise NotHermitian(f"asymmetry {asym:.3e} exceeds tolerance")
-        super().__init__((a + a.conj().T) / 2.0)
+        c += a  # (a + a*) / 2.0 as in _hermitian_part
+        c /= 2.0
+        self._own(c)
 
     @property
     def size(self) -> int:
@@ -244,15 +259,13 @@ class PsdMatrix(HermitianMatrix):
 
         Symmetrizes without re-validating; never for caller input.
         """
-        obj = cls.__new__(cls)
-        ComplexMatrix.__init__(obj, (a + a.conj().T) / 2.0)
-        return obj
+        return cls._adopt(_hermitian_part(a))
 
     def __repr__(self):
         return f"PsdMatrix({self.rows}x{self.rows})"
 
 
-def eigh_desc(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+def eigh_desc(a) -> tuple[np.ndarray, np.ndarray]:
     """Hermitian eigendecomposition in canonical form.
 
     Eigenvalues are sorted descending (stable, so degenerate blocks keep
@@ -261,26 +274,54 @@ def eigh_desc(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 
     Parameters
     ----------
-    a : ndarray
-        Square matrix; symmetrized before the call so that the input to
-        LAPACK is exactly Hermitian.
+    a : ndarray or HermitianMatrix
+        Square matrix; symmetrized before the call (unless a
+        HermitianMatrix) so that the input to LAPACK is exactly Hermitian.
 
     Returns
     -------
     (w, v) : eigenvalues descending, eigenvectors as columns of v.
     """
-    n = a.shape[0]
-    if n == 0:
-        return np.zeros(0), np.zeros((0, 0), dtype=np.complex128)
-    h = (a + a.conj().T) / 2.0
+    w, v, order = _eigh_sorted(a)
+    return w, _phase_fixed(v, order)
+
+
+def _hermitian_part(a: np.ndarray) -> np.ndarray:
+    """A fresh C-contiguous ``(a + a*) / 2.0``, bit for bit (a product with 0.5 differs on signed zeros)."""
+    h = np.conjugate(a.T, order="C")
+    h += a
+    h /= 2.0
+    return h
+
+
+def _eigh_sorted(a) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Eigenvalues descending (stable), LAPACK's eigenvectors and the order; a HermitianMatrix goes in as stored."""
+    h = a.a if isinstance(a, HermitianMatrix) else _hermitian_part(a)
+    if h.shape[0] == 0:  # no LAPACK call
+        return np.zeros(0), np.zeros((0, 0), dtype=np.complex128), np.zeros(0, dtype=np.intp)
     w, v = np.linalg.eigh(h)
     order = np.argsort(-w, kind="stable")
-    w = w[order]
-    v = np.ascontiguousarray(v[:, order])
-    # anchor: the first component of each column above the floor (unit
-    # columns always have one)
-    pivot = v[np.argmax(np.abs(v) > _PHASE_FLOOR, axis=0), np.arange(n)]
-    return w, v * (pivot.conjugate() / np.abs(pivot))
+    return w[order], v, order
+
+
+def _phase_fixed(v: np.ndarray, cols: np.ndarray) -> np.ndarray:
+    """Columns ``cols`` of v, each rotated so that its first component above the floor is real and positive."""
+    v = np.take(v, cols, axis=1)
+    pivot = v[:1].copy()
+    mag = np.abs(pivot)
+    if mag.min(initial=np.inf) <= _PHASE_FLOOR:  # search below row 0 in those columns only
+        low = np.flatnonzero(mag <= _PHASE_FLOOR)
+        pivot[0, low] = v[np.argmax(np.abs(v[:, low]) > _PHASE_FLOOR, axis=0), low]
+        mag = np.abs(pivot)
+    v *= pivot.conj() / mag
+    return v
+
+
+def _fro(a: np.ndarray) -> float:
+    """The one Frobenius norm: ``np.linalg.norm(a)`` of a float or complex array, bit for bit, minus its dispatch."""
+    x = a.ravel(order="K")
+    re, im = x.real, x.imag  # a real x has zero imag, and x . x + 0.0 is x . x
+    return math.sqrt(re.dot(re) + im.dot(im))
 
 
 def _smax(a: np.ndarray) -> float:
@@ -335,18 +376,18 @@ def psd_eig(a, tol: Tolerances | None = None) -> tuple[np.ndarray, np.ndarray]:
     the square root, its pseudoinverse, and the range basis mutually
     consistent: they all see exactly the same kernel.
     """
-    a = _as_array(a)
-    if a.shape[0] != a.shape[1]:
-        raise DimensionMismatch(f"expected a square matrix, got {a.shape}")
+    if not isinstance(a, HermitianMatrix):
+        a = _as_array(a)
+        if a.shape[0] != a.shape[1]:
+            raise DimensionMismatch(f"expected a square matrix, got {a.shape}")
     t = _tol(tol)
-    w, v = eigh_desc(a)
+    w, v, order = _eigh_sorted(a)
     if w.size == 0:
         return w, v
     hi = float(w[0])
     _require_psd(float(w[-1]), hi, t.psd)
-    cut = t.rank_cutoff(*a.shape) * max(hi, 0.0)
-    keep = w > cut
-    return w[keep], np.ascontiguousarray(v[:, keep])
+    keep = w > t.rank_cutoff(w.size, w.size) * max(hi, 0.0)
+    return w[keep], _phase_fixed(v, order[keep])
 
 
 def loewner_leq(a, b, tol: Tolerances | None = None) -> bool:

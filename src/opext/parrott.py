@@ -56,6 +56,7 @@ from .numkit import (
     ComplexMatrix,
     PsdMatrix,
     Tolerances,
+    _fro,
     _orth_factor,
     _smax,
     _tol,
@@ -255,7 +256,7 @@ def _unit_corner(p1, y1, p2, y2, bounds, equations, tol: Tolerances) -> ComplexM
     x = _corner(p1, y1, p2, y2, max(beta for _, beta in bounds), "min", tol)
     failures = []
     for name, residual, scale in equations:
-        resid = np.linalg.norm(residual(x))
+        resid = _fro(residual(x))
         if resid > tol.eq * (1.0 + scale):
             failures.append(f"{name} fails on the completion (residual {resid:.3e})")
     if failures:
@@ -310,8 +311,8 @@ def _restrict_with_consistency(full_domain, full_values, tol, what):
     """
     p, s, v = _orth_factor(full_domain, tol)
     fv = full_values @ v
-    resid = np.linalg.norm(full_values - fv @ v.conj().T)
-    if resid > tol.eq * (1.0 + np.linalg.norm(full_values)):
+    resid = _fro(full_values - fv @ v.conj().T)
+    if resid > tol.eq * (1.0 + _fro(full_values)):
         raise HypothesisViolated(
             f"{what}: dependent domain columns carry inconsistent values (residual {resid:.3e})"
         )
@@ -336,8 +337,8 @@ def strong_parrott(inst: StrongParrottInstance, tol: Tolerances | None = None) -
     s1, s2 = inst.s1.a, inst.s2.a
     t1, t2 = inst.t1.a, inst.t2.a
     failures = []
-    eq_resid = np.linalg.norm(t1 @ s1 - t2 @ s2)
-    if eq_resid > t.eq * (1.0 + np.linalg.norm(t1 @ s1)):
+    eq_resid = _fro(t1 @ s1 - t2 @ s2)
+    if eq_resid > t.eq * (1.0 + _fro(t1 @ s1)):
         failures.append(f"T1 S1 = T2 S2 fails (residual {eq_resid:.3e})")
     if not loewner_leq(s2.conj().T @ s2, s1.conj().T @ s1, t):
         failures.append("S2* S2 <= S1* S1 fails")
@@ -348,8 +349,8 @@ def strong_parrott(inst: StrongParrottInstance, tol: Tolerances | None = None) -
     p1, y1 = _restrict_with_consistency(s1, s2, t, "left factorization")
     p2, y2 = _restrict_with_consistency(t2.conj().T, t1.conj().T, t, "right factorization")
     equations = (
-        ("X S1 = S2", lambda x: x @ s1 - s2, np.linalg.norm(s1)),
-        ("T2 X = T1", lambda x: t2 @ x - t1, np.linalg.norm(t2)),
+        ("X S1 = S2", lambda x: x @ s1 - s2, _fro(s1)),
+        ("T2 X = T1", lambda x: t2 @ x - t1, _fro(t2)),
     )
     bounds = (("S2* S2 <= S1* S1", _smax(y1)), ("T1 T1* <= T2 T2*", _smax(y2)))
     return _unit_corner(p1, y1, p2, y2, bounds, equations, t)
@@ -358,8 +359,8 @@ def strong_parrott(inst: StrongParrottInstance, tol: Tolerances | None = None) -
 def _projector_basis(p, tol: Tolerances, what: str) -> np.ndarray:
     """Canonical orthonormal basis of the range of an orthogonal projector."""
     pm = hermitize(p, tol).a
-    idem = np.linalg.norm(pm @ pm - pm)
-    if idem > tol.eq * (1.0 + np.linalg.norm(pm)):
+    idem = _fro(pm @ pm - pm)
+    if idem > tol.eq * (1.0 + _fro(pm)):
         raise ValueError(f"{what} is not an orthogonal projector (idempotency residual {idem:.3e})")
     w, v = eigh_desc(pm)
     keep = w > 0.5
@@ -411,14 +412,14 @@ def classical_parrott(
         failures.append(f"restricted operator is not a contraction (norm {norm_m:.6f})")
     if norm_p > 1.0 + t.eq:
         failures.append(f"compressed operator is not a contraction (norm {norm_p:.6f})")
-    match = np.linalg.norm(b_k1.conj().T @ t1m - t1p @ b_h1)
-    if match > t.eq * (1.0 + np.linalg.norm(t1m)):
+    match = _fro(b_k1.conj().T @ t1m - t1p @ b_h1)
+    if match > t.eq * (1.0 + _fro(t1m)):
         failures.append(f"compression of the restriction disagrees with the prescribed compression (residual {match:.3e})")
     if failures:
         raise HypothesisViolated("; ".join(failures))
     equations = (
-        ("the restriction to ran P_H1", lambda x: x @ b_h1 - t1m, np.linalg.norm(t1m)),
-        ("the compression P_K1 T = T1'", lambda x: b_k1.conj().T @ x - t1p, np.linalg.norm(t1p)),
+        ("the restriction to ran P_H1", lambda x: x @ b_h1 - t1m, _fro(t1m)),
+        ("the compression P_K1 T = T1'", lambda x: b_k1.conj().T @ x - t1p, _fro(t1p)),
     )
     bounds = (("||T1|| <= 1", norm_m), ("||T1'|| <= 1", norm_p))
     return _unit_corner(b_h1, t1m, b_k1, t1p.conj().T, bounds, equations, t)

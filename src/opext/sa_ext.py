@@ -39,6 +39,7 @@ from .numkit import (
     HermitianMatrix,
     PsdMatrix,
     Tolerances,
+    _fro,
     _orth_factor,
     _smax,
     _tol,
@@ -153,8 +154,8 @@ def _weighted_lift(
     qr = ran.range_basis.a
     qv = qr.conj().T @ v
     # values must lie in ran A_ran
-    out_of_range = np.linalg.norm(v - qr @ qv)
-    if out_of_range > tol.eq * (1.0 + np.linalg.norm(v)):
+    out_of_range = _fro(v - qr @ qv)
+    if out_of_range > tol.eq * (1.0 + _fro(v)):
         raise NotABounded(
             f"values escape the range of the weight (residual {out_of_range:.3e}); "
             "no finite weighted bound exists"
@@ -164,8 +165,8 @@ def _weighted_lift(
     p, s, vf = _orth_factor(u, tol)
     wv = w @ vf
     # kernel condition: where the domain collapses, the values must too
-    collapse = np.linalg.norm(w - wv @ vf.conj().T)
-    if collapse > tol.eq * (1.0 + np.linalg.norm(w)):
+    collapse = _fro(w - wv @ vf.conj().T)
+    if collapse > tol.eq * (1.0 + _fro(w)):
         raise NotABounded(
             f"domain directions collapse in the weighted seminorm while their values do not "
             f"(residual {collapse:.3e}); no finite weighted bound exists"
@@ -275,8 +276,8 @@ def _alpha_on_lift(s: np.ndarray, ran: HilbertLift, dom: HilbertLift, tol: Toler
         raise DimensionMismatch(f"operator shape {s.shape} does not match the weights ({ran.weight.rows}, {dom.weight.rows})")
     qr, qd = ran.range_basis.a, dom.range_basis.a
     qs = qr.conj().T @ s
-    for resid in (np.linalg.norm(s - qr @ qs), np.linalg.norm(s - (s @ qd) @ qd.conj().T)):
-        if resid > tol.eq * (1.0 + np.linalg.norm(s)):
+    for resid in (_fro(s - qr @ qs), _fro(s - (s @ qd) @ qd.conj().T)):
+        if resid > tol.eq * (1.0 + _fro(s)):
             raise NotABounded(f"operator or its adjoint escapes the range of a weight (residual {resid:.3e})")
     return _smax((qs @ qd) / np.outer(ran.roots, dom.roots))
 
@@ -312,26 +313,26 @@ def check_commutation(
     n = bm.rows
     if lift.weight.rows != n or op.ambient_dim != n:
         raise DimensionMismatch("operator, weight, and commutant candidate must share a dimension")
-    if np.linalg.norm(lift.weight.a - np.eye(n)) > t.eq * (1.0 + np.linalg.norm(lift.weight.a)):
+    if _fro(lift.weight.a - np.eye(n)) > t.eq * (1.0 + _fro(lift.weight.a)):
         raise HypothesisViolated("commutation transport requires the identity weight")
     d = op.domain_basis.a
     v = op.values.a
     # invariance: B maps the domain into itself
     coeff = pinv(d, t).a @ (bm.a @ d)
-    inv_resid = np.linalg.norm(bm.a @ d - d @ coeff)
-    if inv_resid > t.eq * (1.0 + np.linalg.norm(bm.a @ d)):
+    inv_resid = _fro(bm.a @ d - d @ coeff)
+    if inv_resid > t.eq * (1.0 + _fro(bm.a @ d)):
         raise HypothesisViolated(
             f"candidate does not leave the domain invariant (residual {inv_resid:.3e})"
         )
     # intertwining on the domain: S_0 (B d_j) = B (S_0 d_j)
-    twist_resid = np.linalg.norm(v @ coeff - bm.a @ v)
-    if twist_resid > t.eq * (1.0 + np.linalg.norm(bm.a @ v)):
+    twist_resid = _fro(v @ coeff - bm.a @ v)
+    if twist_resid > t.eq * (1.0 + _fro(bm.a @ v)):
         raise HypothesisViolated(
             f"candidate does not intertwine with the prescribed values (residual {twist_resid:.3e})"
         )
     interval = _extend_on_lift(op, lift, t)
     ok = True
     for s in (interval.s_min.a, interval.s_max.a):
-        resid = np.linalg.norm(s @ bm.a - bm.a @ s)
+        resid = _fro(s @ bm.a - bm.a @ s)
         ok = ok and resid <= t.eq * (1.0 + _smax(bm.a) * _smax(s))
     return bool(ok)

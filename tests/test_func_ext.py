@@ -585,3 +585,32 @@ class TestSampledConstant:
         )
         assert scaled == base
         assert base[0] > 0.0
+
+
+class TestCstarDecidesSymmetryOnce:
+    @pytest.mark.parametrize("override", [False, True])
+    @pytest.mark.parametrize("with_extension", [False, True])
+    def test_one_symmetry_test_per_call(self, monkeypatch, override, with_extension):
+        import opext.func_ext as func_ext
+
+        inst, _ = random_instance_with_witness("functional", (4,), Rng(3))
+        calls = []
+        original = func_ext.is_symmetric_on_ideal
+
+        def counted(pf, tol=None):
+            calls.append(pf)
+            return original(pf, tol)
+
+        monkeypatch.setattr(func_ext, "is_symmetric_on_ideal", counted)
+        density = 2.0 * np.eye(4) if override else None
+        decision = cstar_extendibility(inst.partial, density=density, extension=inst.source if with_extension else None)
+        assert len(calls) == 1
+        assert decision.extendible
+
+    def test_public_entry_points_still_decide_symmetry(self):
+        pf = PartialFunctional(LeftIdeal(np.eye(2)), np.array([[0.0, 1.0], [0.0, 0.0]]))
+        for call in (extend_functional, f_bound, gns_realization):
+            with pytest.raises(NotSymmetric):
+                call(pf, np.eye(2))
+        with pytest.raises(NotSymmetric, match="hermitian extensions cannot exist"):
+            cstar_extendibility(pf, density=np.eye(2))

@@ -4,12 +4,14 @@ import numpy as np
 import pytest
 
 from opext.errors import DimensionMismatch, NotHermitian, NotPsd
+from opext.func_ext import LeftIdeal, PartialFunctional
 from opext.kvn import hilbert_lift
 from opext.numkit import (
     ComplexMatrix,
     HermitianMatrix,
     PsdMatrix,
     Tolerances,
+    _fro,
     eigh_desc,
     hermitize,
     independent_columns,
@@ -342,3 +344,161 @@ class TestIndependentColumns:
 
     def test_zero_matrix_keeps_none(self):
         assert independent_columns(np.zeros((3, 2))) == []
+
+
+# -- bit-identity pins: the formulas numkit used before its primitives were
+# made cheaper, kept here as the reference their outputs must equal bit for bit
+
+
+def formula_eigh_desc(a):
+    n = a.shape[0]
+    if n == 0:
+        return np.zeros(0), np.zeros((0, 0), dtype=np.complex128)
+    h = (a + a.conj().T) / 2.0
+    w, v = np.linalg.eigh(h)
+    order = np.argsort(-w, kind="stable")
+    w = w[order]
+    v = np.ascontiguousarray(v[:, order])
+    pivot = v[np.argmax(np.abs(v) > 1e-8, axis=0), np.arange(n)]
+    return w, v * (pivot.conjugate() / np.abs(pivot))
+
+
+def formula_psd_eig(a, tol):
+    a = np.asarray(a, dtype=np.complex128)
+    w, v = formula_eigh_desc(a)
+    if w.size == 0:
+        return w, v
+    hi = float(w[0])
+    if float(w[-1]) < -tol.psd * (1.0 + hi):
+        raise NotPsd("indefinite")
+    keep = w > tol.rank_cutoff(*a.shape) * max(hi, 0.0)
+    return w[keep], np.ascontiguousarray(v[:, keep])
+
+
+def same_bits(x, y):
+    x, y = np.asarray(x), np.asarray(y)
+    return x.dtype == y.dtype and x.shape == y.shape and x.tobytes() == y.tobytes()
+
+
+def pin_inputs():
+    """(name, Hermitian ndarray): random at several sizes, exact ties, and zero first entries."""
+    out = []
+    for n in (1, 2, 6, 33, 160):
+        x = complex_gaussian(np.random.default_rng([n, 61]), n, n)
+        out.append((f"random {n}", x + x.conj().T))
+    out += [("identity", np.eye(4, dtype=np.complex128)), ("tie", np.diag([2.0, 2.0, 1.0]).astype(np.complex128))]
+    b = complex_gaussian(np.random.default_rng(62), 3, 3)
+    anchor = np.zeros((4, 4), dtype=np.complex128)  # diag(1, B): B's eigenvectors have a zero first entry
+    anchor[0, 0] = 1.0
+    anchor[1:, 1:] = b + b.conj().T
+    return out + [("anchor fallback", anchor)]
+
+
+def psd_pin_inputs():
+    out = []
+    for n, r in ((1, 1), (2, 1), (6, 3), (33, 10), (160, 160)):
+        x = complex_gaussian(np.random.default_rng([n, r, 63]), n, r)
+        out.append((f"rank {r} of {n}", x @ x.conj().T))
+    return out + [(name, a) for name, a in pin_inputs() if name in ("identity", "tie")] + [("zero", np.zeros((3, 3)))]
+
+
+class TestBitIdentityPins:
+    @pytest.mark.parametrize("name, a", pin_inputs())
+    def test_eigh_desc(self, name, a):
+        nudged = a + 1e-13 * complex_gaussian(np.random.default_rng(64), *a.shape)  # symmetrized inside
+        for arg, ref in ((a, a), (HermitianMatrix(a), a), (nudged, nudged)):
+            w_ref, v_ref = formula_eigh_desc(ref)
+            w, v = eigh_desc(arg)
+            assert same_bits(w, w_ref) and same_bits(v, v_ref), name
+            assert v.flags.c_contiguous
+
+    @pytest.mark.parametrize("name, a", psd_pin_inputs())
+    def test_psd_eig(self, name, a):
+        tol = Tolerances()
+        w_ref, v_ref = formula_psd_eig(a, tol)
+        for arg in (a, HermitianMatrix(a), PsdMatrix(a)):
+            w, v = psd_eig(arg, tol)
+            assert same_bits(w, w_ref) and same_bits(v, v_ref), name
+            assert v.flags.c_contiguous
+
+    def test_empty(self):
+        for w, v in (eigh_desc(np.zeros((0, 0))), psd_eig(np.zeros((0, 0)))):
+            assert same_bits(w, np.zeros(0)) and same_bits(v, np.zeros((0, 0), dtype=np.complex128))
+
+    def test_fro_is_numpy_norm(self):
+        x = complex_gaussian(np.random.default_rng(65), 7, 5)
+        cases = [x, x.real.copy(), x.T, x.conj().T, x[::2, 1::2], x[:1], x[:1].real, np.asfortranarray(x), x[:, 0],
+                 np.zeros((0, 0)), np.zeros((0, 3), dtype=np.complex128)]
+        for a in cases:
+            assert _fro(a) == float(np.linalg.norm(a)), a.shape
+
+    @staticmethod
+    def signed_zero_matrix():
+        re = np.array([[0.0, -0.0, 1.0], [0.0, -0.0, 5e-324], [1.0, -5e-324, -0.0]])
+        im = np.array([[-0.0, 0.0, -0.0], [0.0, -0.0, 0.0], [-0.0, -0.0, 0.0]])
+        a = np.empty((3, 3), dtype=np.complex128)
+        a.real, a.imag = re, im
+        return a
+
+    def test_hermitian_matrix_and_trusted_are_the_half_sum(self):
+        x = complex_gaussian(np.random.default_rng(66), 12, 12)
+        near = x + x.conj().T + 1e-12 * x
+        for a in (near, np.asfortranarray(near), near[::2, ::2], near[::2, ::2].T, self.signed_zero_matrix()):
+            ref = (a + a.conj().T) / 2.0
+            assert same_bits(HermitianMatrix(a).a, ref)
+            assert same_bits(PsdMatrix._trusted(a).a, ref)
+
+
+class TestWrapperInvariants:
+    @staticmethod
+    def wrappers(x, p):
+        """Every wrapper the library builds from the caller's arrays x (Hermitian) and p (PSD)."""
+        proj = np.diag([1.0, 1.0, 0.0, 0.0, 0.0, 0.0]).astype(np.complex128)
+        ideal = LeftIdeal(proj)
+        return {
+            "ComplexMatrix": ComplexMatrix(x),
+            "HermitianMatrix": HermitianMatrix(x),
+            "PsdMatrix": PsdMatrix(p),
+            "_trusted": PsdMatrix._trusted(p),
+            "lift range basis": hilbert_lift(p).range_basis,
+            "LeftIdeal.projection": ideal.projection,
+            "PartialFunctional.gamma": PartialFunctional(ideal, x).gamma,
+        }, proj
+
+    def inputs(self):
+        gen = np.random.default_rng(67)
+        x = complex_gaussian(gen, 6, 6)
+        y = complex_gaussian(gen, 6, 3)
+        return x + x.conj().T, y @ y.conj().T
+
+    def test_contiguous_and_read_only(self):
+        for name, m in self.wrappers(*self.inputs())[0].items():
+            assert m.a.flags.c_contiguous and not m.a.flags.writeable, name
+            assert m.a.dtype == np.complex128, name
+
+    def test_no_aliasing_of_caller_arrays(self):
+        x, p = self.inputs()
+        built, proj = self.wrappers(x, p)
+        before = {name: m.a.copy() for name, m in built.items()}
+        for caller in (x, p, proj):
+            assert caller.flags.writeable  # never frozen by a wrapper
+            caller[...] = 7.0
+        for name, m in built.items():
+            assert same_bits(m.a, before[name]), name
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf, complex(0.0, np.inf)])
+    def test_non_finite_rejected(self, bad):
+        a = np.eye(3, dtype=np.complex128)
+        a[1, 1] = bad
+        for build in (ComplexMatrix, HermitianMatrix, PsdMatrix, PsdMatrix._trusted):
+            with pytest.raises(ValueError, match="finite"):
+                build(a)
+
+    @pytest.mark.parametrize("n", [2, 6, 33])
+    def test_not_hermitian_threshold(self, n):
+        x = complex_gaussian(np.random.default_rng([n, 68]), n, n)
+        a = x + x.conj().T + 1e-6 * x
+        asym, scale = np.linalg.norm(a - a.conj().T), 1.0 + np.linalg.norm(a)
+        with pytest.raises(NotHermitian):
+            HermitianMatrix(a, Tolerances(herm=asym / scale * (1.0 - 1e-9)))
+        HermitianMatrix(a, Tolerances(herm=asym / scale * (1.0 + 1e-9)))
