@@ -50,13 +50,12 @@ from .func_ext import (
     functional_interval_member,
 )
 from .kvn import PartialPositiveOperator, check_restriction, hilbert_lift, kvn_extend
-from .numkit import ComplexMatrix, Tolerances, _fro, _smax, hermitize, loewner_leq
+from .numkit import DEFAULT_TOLERANCES, ComplexMatrix, Tolerances, _fro, _limit, _smax, hermitize, loewner_leq
 from .oracle import MAX_ALGEBRA, MAX_DIM, Rng, _check_dims, random_instance_with_witness
 from .parrott import (
     ParrottInstance,
     StrongParrottInstance,
-    _complete_on_lifts,
-    _corner_lifts,
+    parrott_complete,
     strong_parrott,
 )
 from .sa_ext import (
@@ -263,8 +262,7 @@ def _run_parrott(data: dict, tol: Tolerances, args) -> tuple[dict, dict]:
         data["domain1"], data["values1"], data["domain2"], data["values2"],
         data["weight1"], data["weight2"], data["alpha1"], data["alpha2"], tol,
     )
-    corners = _corner_lifts(inst, tol)
-    completion = _complete_on_lifts(inst, corners, tol, getattr(args, "endpoint", "min")).a
+    completion = parrott_complete(inst, tol, getattr(args, "endpoint", "min")).a
     # cross-weighted norm of X: A1 on its domain, A2 on its range
     norm = _alpha_on_lift(completion, inst._lifts[1], inst._lifts[0], tol)
     bound = float(np.sqrt(max(inst.alpha1, inst.alpha2)))
@@ -273,8 +271,10 @@ def _run_parrott(data: dict, tol: Tolerances, args) -> tuple[dict, dict]:
         {
             "corner1_residual": _fro(inst.weight2.a @ (completion @ inst.domain1.a - inst.values1.a)),
             "corner2_residual": _fro(inst.weight1.a @ (completion.conj().T @ inst.domain2.a - inst.values2.a)),
-            "bound_ok": bool(norm <= bound + tol.eq * (1.0 + bound)),
-            "compatible": corners is not None,
+            "bound_ok": bool(norm <= bound + _limit(tol.eq, bound)),
+            # an incompatible instance raises in parrott_complete, before any
+            # diagnostic, so an ok result always reads True here
+            "compatible": True,
         },
     )
 
@@ -384,38 +384,38 @@ def _encode_instance(kind: str, instance) -> dict:
 # threshold is None, else at most threshold(data, result, tol).  Residuals are
 # measured relative to the input they are taken against.
 _FUNCTIONAL_INVARIANTS = (
-    ("ideal_agreement_min", lambda d, r, t: t.eq * (1.0 + _fro(d["projection"] @ d["gamma"]))),
-    ("ideal_agreement_max", lambda d, r, t: t.eq * (1.0 + _fro(d["projection"] @ d["gamma"]))),
+    ("ideal_agreement_min", lambda d, r, t: _limit(t.eq, _fro(d["projection"] @ d["gamma"]))),
+    ("ideal_agreement_max", lambda d, r, t: _limit(t.eq, _fro(d["projection"] @ d["gamma"]))),
     ("order_ok", None),
 )
 
 _INVARIANTS = {
     "kvn": (
-        ("value_residual", lambda d, r, t: t.eq * (1.0 + _fro(d["values"]))),
+        ("value_residual", lambda d, r, t: _limit(t.eq, _fro(d["values"]))),
         ("restriction_ok", None),
         ("below_witness", None),
     ),
     "sa-ext": (
-        ("extend_residual_min", lambda d, r, t: t.eq * (1.0 + _fro(d["weight"] @ d["values"]))),
-        ("extend_residual_max", lambda d, r, t: t.eq * (1.0 + _fro(d["weight"] @ d["values"]))),
-        ("alpha_drift_min", lambda d, r, t: t.eq * (1.0 + r["alpha"])),
-        ("alpha_drift_max", lambda d, r, t: t.eq * (1.0 + r["alpha"])),
+        ("extend_residual_min", lambda d, r, t: _limit(t.eq, _fro(d["weight"] @ d["values"]))),
+        ("extend_residual_max", lambda d, r, t: _limit(t.eq, _fro(d["weight"] @ d["values"]))),
+        ("alpha_drift_min", lambda d, r, t: _limit(t.eq, r["alpha"])),
+        ("alpha_drift_max", lambda d, r, t: _limit(t.eq, r["alpha"])),
         ("order_ok", None),
         ("midpoint_in_interval", None),
     ),
     "parrott": (
-        ("corner1_residual", lambda d, r, t: t.eq * (1.0 + _fro(d["values1"]))),
-        ("corner2_residual", lambda d, r, t: t.eq * (1.0 + _fro(d["values2"]))),
+        ("corner1_residual", lambda d, r, t: _limit(t.eq, _fro(d["values1"]))),
+        ("corner2_residual", lambda d, r, t: _limit(t.eq, _fro(d["values2"]))),
         ("bound_ok", None),
         ("compatible", None),
     ),
     "strong-parrott": (
         ("norm", lambda d, r, t: 1.0 + t.eq),
-        ("s_residual", lambda d, r, t: t.eq * (1.0 + _fro(d["s1"]))),
-        ("t_residual", lambda d, r, t: t.eq * (1.0 + _fro(d["t2"]))),
+        ("s_residual", lambda d, r, t: _limit(t.eq, _fro(d["s1"]))),
+        ("t_residual", lambda d, r, t: _limit(t.eq, _fro(d["t2"]))),
     ),
     "functional-ext": _FUNCTIONAL_INVARIANTS + (
-        ("f_bound_drift", lambda d, r, t: t.eq * (1.0 + r["alpha"])),
+        ("f_bound_drift", lambda d, r, t: _limit(t.eq, r["alpha"])),
     ),
     "cstar-check": _FUNCTIONAL_INVARIANTS + (
         ("extendible", None),
@@ -548,7 +548,7 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _tolerances_from(args, file_overrides: dict | None) -> Tolerances:
-    values = {"rank": None, "psd": 1e-8, "herm": 1e-10, "eq": 1e-8}
+    values = dataclasses.asdict(DEFAULT_TOLERANCES)
     for key in values:
         if key in (file_overrides or {}):
             values[key] = decode_real(file_overrides[key], what=f"tolerances.{key}")

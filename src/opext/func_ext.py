@@ -48,6 +48,8 @@ from .numkit import (
     PsdMatrix,
     Tolerances,
     _fro,
+    _limit,
+    _projector,
     _tol,
     eigh_desc,
     hermitize,
@@ -103,7 +105,7 @@ class FunctionalMatrix:
     def is_hermitian(self, tol: Tolerances | None = None) -> bool:
         t = _tol(tol)
         d = self.density.a
-        return bool(_fro(d - d.conj().T) <= t.herm * (1.0 + _fro(d)))
+        return bool(_fro(d - d.conj().T) <= _limit(t.herm, _fro(d)))
 
     def is_positive(self, tol: Tolerances | None = None) -> bool:
         t = _tol(tol)
@@ -134,12 +136,7 @@ class LeftIdeal:
     __slots__ = ("projection",)
 
     def __init__(self, projection, tol: Tolerances | None = None):
-        t = _tol(tol)
-        p = hermitize(projection, t).a
-        idem = _fro(p @ p - p)
-        if idem > t.eq * (1.0 + _fro(p)):
-            raise ValueError(f"not an orthogonal projector (idempotency residual {idem:.3e})")
-        self.projection = ComplexMatrix._adopt(p)
+        self.projection = ComplexMatrix._adopt(_projector(projection, _tol(tol), None))
 
     @property
     def size(self) -> int:
@@ -150,7 +147,7 @@ class LeftIdeal:
         am = ComplexMatrix.coerce(a).a
         if am.shape != self.projection.a.shape:
             raise DimensionMismatch(f"argument must be {self.size}x{self.size}")
-        return bool(_fro(am @ self.projection.a - am) <= t.eq * (1.0 + _fro(am)))
+        return bool(_fro(am @ self.projection.a - am) <= _limit(t.eq, _fro(am)))
 
     def basis(self) -> list[np.ndarray]:
         """Spanning family E_ij P, i, j = 0..m-1 (row-major order).
@@ -218,7 +215,7 @@ def is_symmetric_on_ideal(pf: PartialFunctional, tol: Tolerances | None = None) 
     p = pf.ideal.projection.a
     gamma = pf.gamma.a
     asym = p @ (gamma - gamma.conj().T) @ p
-    return bool(np.max(np.abs(asym), initial=0.0) <= t.eq * (1.0 + _fro(gamma)))
+    return bool(np.max(np.abs(asym), initial=0.0) <= _limit(t.eq, _fro(gamma)))
 
 
 def _ideal_agreement(pf: PartialFunctional, density: np.ndarray) -> float:
@@ -388,7 +385,8 @@ def _extend_functional(pf: PartialFunctional, density, tol: Tolerances, symmetri
     """:func:`extend_functional`, skipping the symmetry test when the caller has decided ``symmetric``."""
     row, p, y, alpha = _row_operator(pf, density, tol, symmetric)
     interval = _extend_lifted(p, y, alpha, row, tol)
-    g_min, g_max = (FunctionalMatrix(hermitize(s.a.T, tol)) for s in (interval.s_min, interval.s_max))
+    # s is exactly Hermitian, so s^T is too: a C-ordered copy is wrapped unchecked
+    g_min, g_max = (FunctionalMatrix(HermitianMatrix._adopt(s.a.T.copy())) for s in (interval.s_min, interval.s_max))
     return g_min, g_max, alpha
 
 
@@ -630,7 +628,7 @@ def cstar_extendibility(
                 f"supplied functional does not extend the partial data (residual {worst:.3e})"
             )
         w, v = eigh_desc(phi)
-        abs_density = PsdMatrix._trusted(hermitize((v * np.abs(w)) @ v.conj().T, t).a)
+        abs_density = PsdMatrix._trusted((v * np.abs(w)) @ v.conj().T)
         root = v * np.sqrt(np.abs(w))
     if density is not None:
         f_mat = HermitianMatrix.coerce(_density_array(density), t)

@@ -40,6 +40,7 @@ from .numkit import (
     PsdMatrix,
     Tolerances,
     _fro,
+    _limit,
     _orth_factor,
     _tol,
     psd_eig,
@@ -140,7 +141,7 @@ def _factor_from_span(d: np.ndarray, g: np.ndarray, tol: Tolerances) -> np.ndarr
 def _checked_factor(factor: tuple[np.ndarray, float], g: np.ndarray, tol: Tolerances) -> np.ndarray:
     """C of a :func:`_gram_factor` pair (C, residual); RestrictionConditionFailed if residual > eq (1 + ||G||_F)."""
     c, resid = factor
-    if resid > tol.eq * (1.0 + _fro(g)):
+    if resid > _limit(tol.eq, _fro(g)):
         raise RestrictionConditionFailed(
             "restriction condition violated: the prescribed values do not vanish "
             f"on the kernel of the domain Gram matrix (residual {resid:.3e})"
@@ -156,7 +157,7 @@ def check_restriction(op: PartialPositiveOperator, tol: Tolerances | None = None
     one decision, made at construction) as ``||Y - (Y Q) Q*||_F <=
     eq * (1 + ||Y||_F)``.  For restrictions of positive matrices this holds.
     """
-    return bool(op._factor[1] <= _tol(tol).eq * (1.0 + _fro(op._span[1])))
+    return bool(op._factor[1] <= _limit(_tol(tol).eq, _fro(op._span[1])))
 
 
 def kvn_extend(op: PartialPositiveOperator, tol: Tolerances | None = None) -> PsdMatrix:

@@ -63,13 +63,22 @@ class Tolerances:
         Relative singular-value cutoff.  ``None`` selects the default
         ``1e-10 * max(rows, cols)``, which scales with the dimension.
     psd : float
-        Slack for positivity checks: an eigenvalue above
-        ``-psd * (1 + lambda_max)`` counts as nonnegative.
+        Positivity slack: an eigenvalue above ``-_limit(psd, lambda_max)``
+        counts as nonnegative (PsdMatrix, psd_eig, loewner_leq).
     herm : float
-        Relative asymmetry allowed by :func:`hermitize`.
+        Asymmetry ``||M - M*||_F`` allowed by :func:`hermitize` (and
+        ``FunctionalMatrix.is_hermitian``): ``_limit(herm, ||M||_F)``.
     eq : float
-        Relative residual allowed by equality checks between computed
-        matrices.
+        Every other decision residual (restriction, range, collapse,
+        idempotency, commutation, completion equations, bounds against
+        declared constants, verify's invariants): ``_limit(eq, scale)``.
+
+    One rule makes these thresholds, the floored limit :func:`_limit`,
+    ``rel * (1 + scale)`` for the size ``scale`` of what a residual is
+    measured against.  Comparisons with no unit floor stay as written: the
+    contraction tests ``1 + eq``, cstar's ``4 (1 + eq)``, ``4 + eq`` and
+    ``exact (1 + eq)``, the supplied extension's agreement
+    ``eq ||Gamma||_F`` and the degenerate-pair cutoffs of sampled ratios.
     """
 
     rank: float | None = None
@@ -97,6 +106,11 @@ DEFAULT_TOLERANCES = Tolerances()
 
 def _tol(tol: Tolerances | None) -> Tolerances:
     return DEFAULT_TOLERANCES if tol is None else tol
+
+
+def _limit(rel: float, scale: float) -> float:
+    """The floored threshold ``rel * (1 + scale)`` of a residual measured against something of size scale."""
+    return rel * (1.0 + scale)
 
 
 def _as_array(value) -> np.ndarray:
@@ -153,14 +167,6 @@ class ComplexMatrix:
     def coerce(cls, value) -> "ComplexMatrix":
         return value if isinstance(value, cls) else cls(value)
 
-    @classmethod
-    def zeros(cls, rows: int, cols: int) -> "ComplexMatrix":
-        return cls(np.zeros((rows, cols), dtype=np.complex128))
-
-    @classmethod
-    def identity(cls, n: int) -> "ComplexMatrix":
-        return cls(np.eye(n, dtype=np.complex128))
-
     def __repr__(self):
         return f"ComplexMatrix({self.rows}x{self.cols})"
 
@@ -177,7 +183,7 @@ class HermitianMatrix(ComplexMatrix):
         t = _tol(tol)
         c = np.conjugate(a.T, order="C")
         asym = _fro(a - c)
-        if asym > t.herm * (1.0 + _fro(a)):
+        if asym > _limit(t.herm, _fro(a)):
             raise NotHermitian(f"asymmetry {asym:.3e} exceeds tolerance")
         c += a  # (a + a*) / 2.0 as in _hermitian_part
         c /= 2.0
@@ -212,7 +218,7 @@ def _certified_above(h: np.ndarray, psd: float, scale: float) -> bool:
     if n < _CERTIFY_MIN or n * n * np.finfo(np.float64).eps > min(psd, 1.0) / 4.0:
         return False
     shifted = h.copy()
-    shifted.flat[:: n + 1] += 0.5 * psd * (1.0 + scale)
+    shifted.flat[:: n + 1] += _limit(0.5 * psd, scale)
     try:
         np.linalg.cholesky(shifted)
     except np.linalg.LinAlgError:
@@ -222,7 +228,7 @@ def _certified_above(h: np.ndarray, psd: float, scale: float) -> bool:
 
 def _require_psd(lo: float, hi: float, psd: float) -> None:
     """The positivity rule: NotPsd when the smallest eigenvalue lo is below ``-psd * (1 + hi)``."""
-    if lo < -psd * (1.0 + hi):
+    if lo < -_limit(psd, hi):
         raise NotPsd(f"eigenvalue {lo:.3e} is genuinely negative (largest {hi:.3e})")
 
 
@@ -339,6 +345,13 @@ def _orth_factor(a: np.ndarray, tol: Tolerances) -> tuple[np.ndarray, np.ndarray
     return u[:, keep], s[keep], vh[keep].conj().T
 
 
+def _restrict(d: np.ndarray, v: np.ndarray, tol: Tolerances) -> tuple[np.ndarray, np.ndarray, float]:
+    """D -> V on span D from its thin SVD D ~ P diag(s) V_f*: (P, Y = V V_f diag(1/s), ||V - V V_f V_f*||_F)."""
+    p, s, vf = _orth_factor(d, tol)
+    vv = v @ vf
+    return p, vv / s, _fro(v - vv @ vf.conj().T)
+
+
 def pinv(m, tol: Tolerances | None = None) -> ComplexMatrix:
     """Moore-Penrose pseudoinverse with a relative singular-value cutoff.
 
@@ -412,7 +425,7 @@ def loewner_leq(a, b, tol: Tolerances | None = None) -> bool:
         return True
     w = np.linalg.eigvalsh(d)
     spread = float(np.max(np.abs(w)))
-    return float(w[0]) >= -t.psd * (1.0 + spread)
+    return float(w[0]) >= -_limit(t.psd, spread)
 
 
 def hermitize(m, tol: Tolerances | None = None) -> HermitianMatrix:
@@ -422,6 +435,16 @@ def hermitize(m, tol: Tolerances | None = None) -> HermitianMatrix:
     ``herm * (1 + ||M||_F)``, else raises :class:`NotHermitian`.
     """
     return HermitianMatrix(m, tol)
+
+
+def _projector(p, tol: Tolerances, what: str | None) -> np.ndarray:
+    """The hermitized orthogonal projector p; ValueError naming ``what`` unless idempotent within eq."""
+    pm = hermitize(p, tol).a
+    idem = _fro(pm @ pm - pm)
+    if idem > _limit(tol.eq, _fro(pm)):
+        subject = "not" if what is None else f"{what} is not"
+        raise ValueError(f"{subject} an orthogonal projector (idempotency residual {idem:.3e})")
+    return pm
 
 
 def independent_columns(m, tol: Tolerances | None = None) -> list[int]:

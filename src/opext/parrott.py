@@ -57,7 +57,9 @@ from .numkit import (
     PsdMatrix,
     Tolerances,
     _fro,
-    _orth_factor,
+    _limit,
+    _projector,
+    _restrict,
     _smax,
     _tol,
     eigh_desc,
@@ -143,7 +145,7 @@ def _corner_lifts(inst: ParrottInstance, tol: Tolerances):
     except (NotABounded, NotHermitian):
         return None
     for (*_, beta), alpha in zip((corner1, corner2), (inst.alpha1, inst.alpha2)):
-        if beta * beta > alpha + tol.eq * (1.0 + alpha):
+        if beta * beta > alpha + _limit(tol.eq, alpha):
             return None
     return corner1, corner2
 
@@ -189,30 +191,23 @@ def parrott_complete(
     ``endpoint`` selects which extension of the stacked operator supplies
     the corner: "min" (default, the canonical choice), "max", or "mid"
     (their average, also a valid completion by convexity).  It runs on
-    the lifts the instance took of its weights, and only the n2-by-n1
-    corner of the stacked extension is formed.
-    """
-    t = _tol(tol)
-    if endpoint not in ("min", "max", "mid"):
-        raise ValueError(f"endpoint must be 'min', 'max', or 'mid', got {endpoint!r}")
-    return _complete_on_lifts(inst, _corner_lifts(inst, t), t, endpoint)
-
-
-def _complete_on_lifts(inst: ParrottInstance, corners, tol: Tolerances, endpoint: str) -> ComplexMatrix:
-    """:func:`parrott_complete` on the instance's lifts and their :func:`_corner_lifts`.
-
-    The pairing was decided there.  The stacked operator has P = diag(P1, P2),
+    the lifts the instance took of its weights, where :func:`_corner_lifts`
+    decides the pairing.  The stacked operator has P = diag(P1, P2),
     Y = [[0, Y2], [Y1, 0]] and bound max(beta1, beta2); of its shifted
     extensions L, H only the n2-by-n1 corners J2 L[r1:, :r1] J1* and
     -J2 H[r1:, :r1] J1* are mapped back.
     """
+    t = _tol(tol)
+    if endpoint not in ("min", "max", "mid"):
+        raise ValueError(f"endpoint must be 'min', 'max', or 'mid', got {endpoint!r}")
+    corners = _corner_lifts(inst, t)
     if corners is None:
         raise IncompatibleInstance("instance fails compatibility or exceeds its declared bound constants")
     (p1, y1, beta1), (p2, y2, beta2) = corners
     domain = _block_diag(inst.domain1.a, inst.domain2.a)
-    if numerical_rank(domain, tol) != domain.shape[1]:
+    if numerical_rank(domain, t) != domain.shape[1]:
         raise ValueError("domain basis columns are dependent; supply an independent set")
-    corner = _corner(p1, y1, p2, y2, max(beta1, beta2), endpoint, tol)
+    corner = _corner(p1, y1, p2, y2, max(beta1, beta2), endpoint, t)
     return ComplexMatrix(inst._lifts[1].embedding() @ corner @ inst._lifts[0].coembedding())
 
 
@@ -249,7 +244,7 @@ def _unit_corner(p1, y1, p2, y2, bounds, equations, tol: Tolerances) -> ComplexM
     excess = [
         f"{name} fails: the reduced data has norm {beta:.6f} > 1; no contraction extends it"
         for name, beta in bounds
-        if beta * beta > 1.0 + 2.0 * tol.eq
+        if beta * beta > 1.0 + _limit(tol.eq, 1.0)
     ]
     if excess:
         raise HypothesisViolated("; ".join(excess))
@@ -257,7 +252,7 @@ def _unit_corner(p1, y1, p2, y2, bounds, equations, tol: Tolerances) -> ComplexM
     failures = []
     for name, residual, scale in equations:
         resid = _fro(residual(x))
-        if resid > tol.eq * (1.0 + scale):
+        if resid > _limit(tol.eq, scale):
             failures.append(f"{name} fails on the completion (residual {resid:.3e})")
     if failures:
         raise HypothesisViolated("; ".join(failures))
@@ -301,24 +296,6 @@ class StrongParrottInstance:
         return f"StrongParrottInstance(dimH={self.dim_h}, dimK={self.dim_k}, p={self.s1.cols}, q={self.t1.rows})"
 
 
-def _restrict_with_consistency(full_domain, full_values, tol, what):
-    """Orthonormal basis of the domain's span plus matching values, re-verified.
-
-    One thin SVD ``full_domain = P diag(s) V*`` (singular values above the
-    rank cutoff) gives the orthonormal basis P of its range and the values
-    ``full_values V diag(1/s)`` on P.  The values must vanish where the
-    domain does: ``||full_values - full_values V V*||`` within tolerance.
-    """
-    p, s, v = _orth_factor(full_domain, tol)
-    fv = full_values @ v
-    resid = _fro(full_values - fv @ v.conj().T)
-    if resid > tol.eq * (1.0 + _fro(full_values)):
-        raise HypothesisViolated(
-            f"{what}: dependent domain columns carry inconsistent values (residual {resid:.3e})"
-        )
-    return p, fv / s
-
-
 def strong_parrott(inst: StrongParrottInstance, tol: Tolerances | None = None) -> ComplexMatrix:
     """Contractive solution of X S1 = S2, T2 X = T1.
 
@@ -338,7 +315,7 @@ def strong_parrott(inst: StrongParrottInstance, tol: Tolerances | None = None) -
     t1, t2 = inst.t1.a, inst.t2.a
     failures = []
     eq_resid = _fro(t1 @ s1 - t2 @ s2)
-    if eq_resid > t.eq * (1.0 + _fro(t1 @ s1)):
+    if eq_resid > _limit(t.eq, _fro(t1 @ s1)):
         failures.append(f"T1 S1 = T2 S2 fails (residual {eq_resid:.3e})")
     if not loewner_leq(s2.conj().T @ s2, s1.conj().T @ s1, t):
         failures.append("S2* S2 <= S1* S1 fails")
@@ -346,8 +323,15 @@ def strong_parrott(inst: StrongParrottInstance, tol: Tolerances | None = None) -
         failures.append("T1 T1* <= T2 T2* fails")
     if failures:
         raise HypothesisViolated("; ".join(failures))
-    p1, y1 = _restrict_with_consistency(s1, s2, t, "left factorization")
-    p2, y2 = _restrict_with_consistency(t2.conj().T, t1.conj().T, t, "right factorization")
+    pairs = []
+    for what, domain, values in (("left", s1, s2), ("right", t2.conj().T, t1.conj().T)):
+        p, y, resid = _restrict(domain, values, t)  # values vanish where dependent columns do
+        if resid > _limit(t.eq, _fro(values)):
+            raise HypothesisViolated(
+                f"{what} factorization: dependent domain columns carry inconsistent values (residual {resid:.3e})"
+            )
+        pairs.append((p, y))
+    (p1, y1), (p2, y2) = pairs
     equations = (
         ("X S1 = S2", lambda x: x @ s1 - s2, _fro(s1)),
         ("T2 X = T1", lambda x: t2 @ x - t1, _fro(t2)),
@@ -358,13 +342,8 @@ def strong_parrott(inst: StrongParrottInstance, tol: Tolerances | None = None) -
 
 def _projector_basis(p, tol: Tolerances, what: str) -> np.ndarray:
     """Canonical orthonormal basis of the range of an orthogonal projector."""
-    pm = hermitize(p, tol).a
-    idem = _fro(pm @ pm - pm)
-    if idem > tol.eq * (1.0 + _fro(pm)):
-        raise ValueError(f"{what} is not an orthogonal projector (idempotency residual {idem:.3e})")
-    w, v = eigh_desc(pm)
-    keep = w > 0.5
-    return np.ascontiguousarray(v[:, keep])
+    w, v = eigh_desc(_projector(p, tol, what))
+    return np.ascontiguousarray(v[:, w > 0.5])
 
 
 def classical_parrott(
@@ -413,7 +392,7 @@ def classical_parrott(
     if norm_p > 1.0 + t.eq:
         failures.append(f"compressed operator is not a contraction (norm {norm_p:.6f})")
     match = _fro(b_k1.conj().T @ t1m - t1p @ b_h1)
-    if match > t.eq * (1.0 + _fro(t1m)):
+    if match > _limit(t.eq, _fro(t1m)):
         failures.append(f"compression of the restriction disagrees with the prescribed compression (residual {match:.3e})")
     if failures:
         raise HypothesisViolated("; ".join(failures))

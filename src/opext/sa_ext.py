@@ -40,7 +40,8 @@ from .numkit import (
     PsdMatrix,
     Tolerances,
     _fro,
-    _orth_factor,
+    _limit,
+    _restrict,
     _smax,
     _tol,
     hermitize,
@@ -155,23 +156,20 @@ def _weighted_lift(
     qv = qr.conj().T @ v
     # values must lie in ran A_ran
     out_of_range = _fro(v - qr @ qv)
-    if out_of_range > tol.eq * (1.0 + _fro(v)):
+    if out_of_range > _limit(tol.eq, _fro(v)):
         raise NotABounded(
             f"values escape the range of the weight (residual {out_of_range:.3e}); "
             "no finite weighted bound exists"
         )
     u = dom.coembedding() @ d
     w = qv / ran.roots[:, None]
-    p, s, vf = _orth_factor(u, tol)
-    wv = w @ vf
     # kernel condition: where the domain collapses, the values must too
-    collapse = _fro(w - wv @ vf.conj().T)
-    if collapse > tol.eq * (1.0 + _fro(w)):
+    p, y, collapse = _restrict(u, w, tol)
+    if collapse > _limit(tol.eq, _fro(w)):
         raise NotABounded(
             f"domain directions collapse in the weighted seminorm while their values do not "
             f"(residual {collapse:.3e}); no finite weighted bound exists"
         )
-    y = wv / s
     return u, w, p, y, _smax(y)
 
 
@@ -277,7 +275,7 @@ def _alpha_on_lift(s: np.ndarray, ran: HilbertLift, dom: HilbertLift, tol: Toler
     qr, qd = ran.range_basis.a, dom.range_basis.a
     qs = qr.conj().T @ s
     for resid in (_fro(s - qr @ qs), _fro(s - (s @ qd) @ qd.conj().T)):
-        if resid > tol.eq * (1.0 + _fro(s)):
+        if resid > _limit(tol.eq, _fro(s)):
             raise NotABounded(f"operator or its adjoint escapes the range of a weight (residual {resid:.3e})")
     return _smax((qs @ qd) / np.outer(ran.roots, dom.roots))
 
@@ -313,20 +311,20 @@ def check_commutation(
     n = bm.rows
     if lift.weight.rows != n or op.ambient_dim != n:
         raise DimensionMismatch("operator, weight, and commutant candidate must share a dimension")
-    if _fro(lift.weight.a - np.eye(n)) > t.eq * (1.0 + _fro(lift.weight.a)):
+    if _fro(lift.weight.a - np.eye(n)) > _limit(t.eq, _fro(lift.weight.a)):
         raise HypothesisViolated("commutation transport requires the identity weight")
     d = op.domain_basis.a
     v = op.values.a
     # invariance: B maps the domain into itself
     coeff = pinv(d, t).a @ (bm.a @ d)
     inv_resid = _fro(bm.a @ d - d @ coeff)
-    if inv_resid > t.eq * (1.0 + _fro(bm.a @ d)):
+    if inv_resid > _limit(t.eq, _fro(bm.a @ d)):
         raise HypothesisViolated(
             f"candidate does not leave the domain invariant (residual {inv_resid:.3e})"
         )
     # intertwining on the domain: S_0 (B d_j) = B (S_0 d_j)
     twist_resid = _fro(v @ coeff - bm.a @ v)
-    if twist_resid > t.eq * (1.0 + _fro(bm.a @ v)):
+    if twist_resid > _limit(t.eq, _fro(bm.a @ v)):
         raise HypothesisViolated(
             f"candidate does not intertwine with the prescribed values (residual {twist_resid:.3e})"
         )
@@ -334,5 +332,5 @@ def check_commutation(
     ok = True
     for s in (interval.s_min.a, interval.s_max.a):
         resid = _fro(s @ bm.a - bm.a @ s)
-        ok = ok and resid <= t.eq * (1.0 + _smax(bm.a) * _smax(s))
+        ok = ok and resid <= _limit(t.eq, _smax(bm.a) * _smax(s))
     return bool(ok)
