@@ -47,7 +47,6 @@ from .func_ext import (
     cstar_extendibility,
     extend_functional,
     f_bound,
-    functional_interval_member,
 )
 from .kvn import PartialPositiveOperator, check_restriction, hilbert_lift, kvn_extend
 from .numkit import DEFAULT_TOLERANCES, ComplexMatrix, Tolerances, _fro, _limit, _smax, hermitize, loewner_leq
@@ -296,7 +295,7 @@ def _functional_diagnostics(pf: PartialFunctional, g_min, g_max, tol: Tolerances
     return {
         "ideal_agreement_min": _ideal_agreement(pf, g_min.density.a),
         "ideal_agreement_max": _ideal_agreement(pf, g_max.density.a),
-        "order_ok": functional_interval_member(g_min, g_min, g_max, tol),
+        "order_ok": loewner_leq(g_min.density, g_max.density, tol),
     }
 
 

@@ -19,7 +19,9 @@ as a symmetric partial operator on the GNS space, take its extremal
 norm-preserving self-adjoint extensions, and read the extended
 functionals off the cyclic vector.  The GNS inner product f(y* x) pairs
 x and y row by row, so the rows of x live in (C^m, F^T) and the induced
-operator is I_m (x) s_0 for an m-by-m partial operator s_0 there: every
+operator is I_m (x) s_0 for an m-by-m partial operator s_0 there.  The
+GNS space itself is I_m (x) (the lift of F^T), with rep(x) = x (x) I_r, and
+the ideal's basis is the range of P by the rule that validated P, so every
 computation is on m-by-m matrices.  In finite dimensions a symmetric
 partial functional is always trace-bounded, so symmetry alone already
 guarantees a hermitian extension; :func:`cstar_extendibility` packages
@@ -41,7 +43,7 @@ from .errors import (
     NotFBounded,
     NotSymmetric,
 )
-from .kvn import HilbertLift, _block_lift, hilbert_lift
+from .kvn import HilbertLift, hilbert_lift
 from .numkit import (
     ComplexMatrix,
     HermitianMatrix,
@@ -50,11 +52,11 @@ from .numkit import (
     _fro,
     _limit,
     _projector,
+    _range_basis,
     _tol,
     eigh_desc,
     hermitize,
     loewner_leq,
-    psd_eig,
 )
 from .sa_ext import SymmetricPartialOperator, _extend_lifted, _symmetric_lift
 
@@ -233,19 +235,18 @@ def _ideal_agreement(pf: PartialFunctional, density: np.ndarray) -> float:
 class GnsSpace:
     """Concrete GNS data for a positive trace-form functional on M_m(C).
 
-    The coordinate space is C^{m^2} via row-major vectorization; there
     <x, y>_f = f(y* x) = sum_c y_c* F^T x_c over the rows x_c of x, so the
-    Gram matrix is kron(I_m, F^T): the rows live in (C^m, F^T) and the
-    lift is I_m (x) lift(F^T), a Hilbert space of dimension m * rank(F).
-    Left multiplication descends to a *-representation and the class of
-    the identity matrix is the cyclic vector.
+    rows live in (C^m, F^T) and the GNS space is I_m (x) (the row lift):
+    with the row lift's embedding J (J J* = F^T, rank r), the class of x
+    is the row-major vectorization of x conj(J), an m-by-r matrix whose
+    row c is the class J* x_c of row c, in a space of dimension m r.  Left
+    multiplication acts on those rows, so rep(x) = x (x) I_r is exactly a
+    *-representation, and the class of the identity is the cyclic vector.
+    Only the density and the row lift are stored; nothing m^2-sized is formed.
     """
 
     density: PsdMatrix
-    lift: HilbertLift
-    class_map: ComplexMatrix    # dim x m^2: x |-> class of x
-    class_pinv: ComplexMatrix   # m^2 x dim: right inverse used by rep()
-    cyclic: ComplexMatrix       # dim x 1: class of the identity
+    row: HilbertLift            # lift of F^T
 
     @property
     def algebra_size(self) -> int:
@@ -253,24 +254,27 @@ class GnsSpace:
 
     @property
     def dim(self) -> int:
-        return self.lift.rank
+        return self.algebra_size * self.row.rank
+
+    def _element(self, x) -> np.ndarray:
+        xa = ComplexMatrix.coerce(x).a
+        m = self.algebra_size
+        if xa.shape != (m, m):
+            raise DimensionMismatch(f"element must be {m}x{m}, got {xa.shape}")
+        return xa
 
     def vector(self, x) -> np.ndarray:
-        """Class of the algebra element x in the GNS space."""
-        xa = ComplexMatrix.coerce(x).a
-        m = self.algebra_size
-        if xa.shape != (m, m):
-            raise DimensionMismatch(f"element must be {m}x{m}, got {xa.shape}")
-        return self.class_map.a @ _vec(xa)
+        """Class of the algebra element x in the GNS space: the rows of x conj(J), row-major."""
+        return _vec(self._element(x) @ self.row.embedding().conj())
+
+    @property
+    def cyclic(self) -> ComplexMatrix:
+        """The class of the identity, as a dim-by-1 matrix."""
+        return ComplexMatrix._adopt(self.vector(np.eye(self.algebra_size, dtype=np.complex128)).reshape(-1, 1))
 
     def rep(self, x) -> np.ndarray:
-        """Matrix of the GNS representation of x (left multiplication)."""
-        xa = ComplexMatrix.coerce(x).a
-        m = self.algebra_size
-        if xa.shape != (m, m):
-            raise DimensionMismatch(f"element must be {m}x{m}, got {xa.shape}")
-        left = np.kron(xa, np.eye(m, dtype=np.complex128))
-        return self.class_map.a @ left @ self.class_pinv.a
+        """Matrix x (x) I_r of the GNS representation of x (left multiplication)."""
+        return np.kron(self._element(x), np.eye(self.row.rank, dtype=np.complex128))
 
     def functional_value(self, x) -> complex:
         """f(x) recovered as <rep(x) cyclic, cyclic>."""
@@ -285,24 +289,14 @@ def _row_lift(density, tol: Tolerances) -> HilbertLift:
 
 
 def _gns_space(row: HilbertLift) -> GnsSpace:
-    m = row.weight.rows
-    lift = _block_lift(*[row] * m)
-    class_map = lift.coembedding()
-    return GnsSpace(
-        density=PsdMatrix._trusted(row.weight.a.T),
-        lift=lift,
-        class_map=ComplexMatrix(class_map),
-        class_pinv=ComplexMatrix(lift.range_basis.a / lift.roots),
-        cyclic=ComplexMatrix((class_map @ _vec(np.eye(m, dtype=np.complex128))).reshape(-1, 1)),
-    )
+    return GnsSpace(density=PsdMatrix._trusted(row.weight.a.T), row=row)
 
 
 def gns(density, tol: Tolerances | None = None) -> GnsSpace:
     """Run the GNS construction for f(x) = trace(F x), F positive.
 
-    The rows of x live in (C^m, F^T), so the lift of the Gram matrix
-    kron(I_m, F^T) is assembled as I_m (x) lift(F^T) from one m-by-m
-    eigendecomposition.
+    The rows of x live in (C^m, F^T), so the space is I_m (x) lift(F^T),
+    from one m-by-m eigendecomposition.
     """
     return _gns_space(_row_lift(density, _tol(tol)))
 
@@ -314,9 +308,11 @@ def _row_operator(
 
     g_0(x* a) = sum_c x_c* Gamma^T a_c over the rows, and the rows of
     a = a P span ran P^T, so g_0 is realized on the GNS space by I_m (x) s_0
-    for the m-by-m partial operator s_0 on (C^m, F^T) with domain basis D
-    of ran P^T (one :func:`~opext.numkit.psd_eig` of P^T) and values
-    Gamma^T D.  Raises :class:`NotSymmetric` unless the caller decided
+    for the m-by-m partial operator s_0 on (C^m, F^T) with values Gamma^T D
+    on the domain basis D of ran P^T.  D is P^T's eigenvectors above 1/2
+    (:func:`~opext.numkit._range_basis`), the rule that accepted P as a
+    projector, so an eigenvalue its idempotency check took for zero never
+    enters the domain.  Raises :class:`NotSymmetric` unless the caller decided
     ``symmetric``, :class:`NotFBounded`, and NotHermitian when U* W is not
     Hermitian (a leak out of ran F^T within tolerance can do that to symmetric data).
     """
@@ -325,7 +321,7 @@ def _row_operator(
         raise DimensionMismatch("functional and positive functional live on different algebra sizes")
     if not (symmetric or is_symmetric_on_ideal(pf, tol)):
         raise NotSymmetric("functional is not symmetric on its ideal")
-    _, d = psd_eig(pf.ideal.projection.a.T, tol)
+    d = _range_basis(pf.ideal.projection.a.T)
     try:
         _, _, p, y, alpha = _symmetric_lift(d, pf.gamma.a.T @ d, row, tol)
     except NotABounded as exc:

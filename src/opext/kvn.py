@@ -193,7 +193,7 @@ class HilbertLift:
     rank : r = rank A.
     range_basis : n-by-r matrix Q with orthonormal columns spanning ran A.
     roots : read-only array rho of the r kept eigenvalues' square roots,
-        descending (blockwise in a block lift).
+        descending.
     """
 
     weight: PsdMatrix
@@ -203,18 +203,6 @@ class HilbertLift:
 
     def __post_init__(self):
         self.roots.setflags(write=False)
-
-    @property
-    def sqrt(self) -> PsdMatrix:
-        """A^{1/2} = Q diag(rho) Q*, formed on demand."""
-        q = self.range_basis.a
-        return PsdMatrix._trusted((q * self.roots) @ q.conj().T)
-
-    @property
-    def sqrt_pinv(self) -> PsdMatrix:
-        """(A^{1/2})^+ = Q diag(1/rho) Q*, formed on demand."""
-        q = self.range_basis.a
-        return PsdMatrix._trusted((q / self.roots) @ q.conj().T)
 
     def embedding(self) -> np.ndarray:
         """Matrix Q diag(rho) of the isometric embedding C^r -> C^n.
@@ -226,11 +214,6 @@ class HilbertLift:
     def coembedding(self) -> np.ndarray:
         """Adjoint of :meth:`embedding`: x -> diag(rho) Q* x, the class map."""
         return self.embedding().conj().T
-
-    def range_projector(self) -> np.ndarray:
-        """Orthogonal projector onto ran A."""
-        q = self.range_basis.a
-        return q @ q.conj().T
 
 
 def hilbert_lift(weight, tol: Tolerances | None = None) -> HilbertLift:
@@ -246,7 +229,7 @@ def hilbert_lift(weight, tol: Tolerances | None = None) -> HilbertLift:
     t = _tol(tol)
     h = HermitianMatrix.coerce(weight, t)
     w, q = psd_eig(h, t)
-    a = h if isinstance(h, PsdMatrix) else PsdMatrix._trusted(h.a)
+    a = h if isinstance(h, PsdMatrix) else PsdMatrix._adopt(h.a)
     return HilbertLift(weight=a, rank=int(w.size), range_basis=ComplexMatrix._adopt(q), roots=np.sqrt(w))
 
 
@@ -262,13 +245,3 @@ def _block_diag(*blocks: np.ndarray) -> np.ndarray:
 def _antidiag(upper: np.ndarray, lower: np.ndarray) -> np.ndarray:
     """[[0, upper], [lower, 0]]: diag(upper, lower) with lower's columns moved to the front."""
     return np.roll(_block_diag(upper, lower), lower.shape[1], axis=1)
-
-
-def _block_lift(*lifts: HilbertLift) -> HilbertLift:
-    """Lift of diag(A_1, ..., A_p), block-diagonal in the lifts of the blocks (no decomposition)."""
-    return HilbertLift(
-        weight=PsdMatrix._trusted(_block_diag(*(lift.weight.a for lift in lifts))),
-        rank=sum(lift.rank for lift in lifts),
-        range_basis=ComplexMatrix(_block_diag(*(lift.range_basis.a for lift in lifts))),
-        roots=np.concatenate([lift.roots for lift in lifts]),
-    )

@@ -447,6 +447,17 @@ def _projector(p, tol: Tolerances, what: str | None) -> np.ndarray:
     return pm
 
 
+def _range_basis(pm: np.ndarray) -> np.ndarray:
+    """Canonical orthonormal basis of ran pm for a validated projector: its phase-fixed eigenvectors above 1/2.
+
+    A projector's eigenvalues sit near 0 or 1, so 1/2 separates them for
+    anything :func:`_projector` accepts; a rank cutoff would keep the small
+    ones its idempotency check took for zero.
+    """
+    w, v, order = _eigh_sorted(pm)
+    return _phase_fixed(v, order[w > 0.5])
+
+
 def independent_columns(m, tol: Tolerances | None = None) -> list[int]:
     """Indices of a maximal independent subset of columns.
 

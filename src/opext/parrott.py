@@ -59,10 +59,10 @@ from .numkit import (
     _fro,
     _limit,
     _projector,
+    _range_basis,
     _restrict,
     _smax,
     _tol,
-    eigh_desc,
     hermitize,
     loewner_leq,
     numerical_rank,
@@ -340,12 +340,6 @@ def strong_parrott(inst: StrongParrottInstance, tol: Tolerances | None = None) -
     return _unit_corner(p1, y1, p2, y2, bounds, equations, t)
 
 
-def _projector_basis(p, tol: Tolerances, what: str) -> np.ndarray:
-    """Canonical orthonormal basis of the range of an orthogonal projector."""
-    w, v = eigh_desc(_projector(p, tol, what))
-    return np.ascontiguousarray(v[:, w > 0.5])
-
-
 def classical_parrott(
     p_h1, p_k1, t1_on_h1, t1_prime, tol: Tolerances | None = None
 ) -> ComplexMatrix:
@@ -362,8 +356,8 @@ def classical_parrott(
         T restricted to ran P_H1 = T1   and   P_K1 T = T1'.
 
     The canonical bases are the phase-fixed eigenvectors of the
-    projectors, so the column/row conventions are reproducible from the
-    projectors alone.
+    projectors with eigenvalues above 1/2, so the column/row conventions
+    are reproducible from the projectors alone.
 
     Raises :class:`HypothesisViolated` when a prescribed operator is not a
     contraction, when the compressions disagree, or when T misses its
@@ -371,8 +365,8 @@ def classical_parrott(
     norm).
     """
     t = _tol(tol)
-    b_h1 = _projector_basis(p_h1, t, "first projector")
-    b_k1 = _projector_basis(p_k1, t, "second projector")
+    b_h1 = _range_basis(_projector(p_h1, t, "first projector"))
+    b_k1 = _range_basis(_projector(p_k1, t, "second projector"))
     t1m = ComplexMatrix.coerce(t1_on_h1).a
     t1p = ComplexMatrix.coerce(t1_prime).a
     dim_h = b_h1.shape[0]

@@ -437,7 +437,7 @@ class TestDiagnosticsReuseLifts:
 
 @pytest.mark.parametrize(
     "kind, count",
-    [("kvn", 4), ("sa-ext", 11), ("parrott", 9), ("strong-parrott", 8), ("functional-ext", 8), ("cstar-check", 9)],
+    [("kvn", 4), ("sa-ext", 11), ("parrott", 9), ("strong-parrott", 8), ("functional-ext", 7), ("cstar-check", 8)],
 )
 def test_decompositions_per_kind(tmp_path, decompositions, kind, count):
     # every input is decided once: a weight or density by its lift's spectrum,
@@ -446,6 +446,23 @@ def test_decompositions_per_kind(tmp_path, decompositions, kind, count):
         code, _ = run(tmp_path, kind, str(INSTANCES / f"{kind}.json"))
     assert code == 0
     assert len(decompositions) == count
+
+
+@pytest.mark.parametrize("kind", ["functional-ext", "cstar-check"])
+def test_near_projector_runs_like_its_projector(tmp_path, kind):
+    # diag(1, 5e-9, 0) passes the idempotency check, so its ideal is that of
+    # diag(1, 0, 0); symmetric data on it must extend, to the same outputs
+    gen = np.random.default_rng(3)
+    x = gen.standard_normal((3, 3)) + 1j * gen.standard_normal((3, 3))
+    gamma = encode_matrix((x + x.conj().T) / 2)
+    extra = {"density": encode_matrix(np.eye(3))} if kind == "functional-ext" else {"extension": gamma}
+    outputs = []
+    for p in (np.diag([1.0, 5e-9, 0.0]), np.diag([1.0, 0.0, 0.0])):
+        payload = {"m": 3, "projection": encode_matrix(p), "gamma": gamma, **extra}
+        code, doc = run(tmp_path, kind, write_instance(tmp_path, "inst.json", {"kind": kind, "payload": payload}))
+        assert (code, doc["status"], doc["error"]) == (0, "ok", None)
+        outputs.append(doc["outputs"])
+    assert outputs[0] == outputs[1]
 
 
 class TestGen:

@@ -193,6 +193,75 @@ class TestGns:
                 want = np.trace(density @ (x.conj().T @ a))
                 assert abs(got - want) <= 1e-9 * (1 + abs(want))
 
+    @pytest.mark.parametrize("m", range(1, 6))
+    def test_kronecker_structure_is_exact(self, m):
+        # the space is I_m (x) (row lift): rep(x) = x (x) I_r, the class of x
+        # is x conj(J) row by row, and the cyclic vector is the class of I
+        from opext.oracle import complex_gaussian, random_psd
+
+        gen = Rng(47).split(m).generator()
+        for rank in range(m + 1):
+            space = gns(random_psd(gen, m, rank=rank))
+            assert space.row.rank == rank
+            assert space.dim == m * rank
+            j = space.row.embedding()
+            for x in (complex_gaussian(gen, m, m), np.eye(m)):
+                assert np.array_equal(space.rep(x), np.kron(x, np.eye(rank)))
+                assert np.array_equal(space.vector(x), (x @ j.conj()).reshape(-1))
+            assert np.array_equal(space.cyclic.a[:, 0], space.vector(np.eye(m)))
+
+    def test_no_array_larger_than_the_algebra(self):
+        import dataclasses
+
+        from opext.numkit import ComplexMatrix
+        from opext.oracle import random_psd
+
+        m = 16
+        space = gns(random_psd(Rng(48).generator(), m))
+        assert space.dim == m * m
+        values = [getattr(space, f.name) for f in dataclasses.fields(space)]
+        values += [getattr(space.row, f.name) for f in dataclasses.fields(space.row)]
+        arrays = [v.a if isinstance(v, ComplexMatrix) else v for v in values]
+        rows = [a.shape[0] for a in arrays if isinstance(a, np.ndarray)]
+        assert len(rows) == 4 and max(rows) <= m
+
+
+# LeftIdeal accepts diag(1, 5e-9, 0): its idempotency residual 5e-9 is within
+# eq (1 + ||P||_F), so the ideal is that of diag(1, 0, 0), and so must be
+# everything computed on it
+NEAR_PROJECTOR = np.diag([1.0, 5e-9, 0.0])
+EXACT_PROJECTOR = np.diag([1.0, 0.0, 0.0])
+
+
+def near_projector_gamma():
+    """Hermitian part of a 3x3 complex Gaussian: symmetric on either ideal, and its own extension."""
+    gen = np.random.default_rng(3)
+    x = gen.standard_normal((3, 3)) + 1j * gen.standard_normal((3, 3))
+    return (x + x.conj().T) / 2
+
+
+class TestNearProjector:
+    def test_extend_functional_matches_the_projector(self):
+        gamma = near_projector_gamma()
+        near, exact = (
+            extend_functional(PartialFunctional(LeftIdeal(p), gamma), np.eye(3)) for p in (NEAR_PROJECTOR, EXACT_PROJECTOR)
+        )
+        assert near[2] == exact[2]
+        for got, want in zip(near[:2], exact[:2]):
+            assert np.array_equal(got.density.a, want.density.a)
+
+    def test_cstar_extendibility_matches_the_projector(self):
+        gamma = near_projector_gamma()
+        near, exact = (
+            cstar_extendibility(PartialFunctional(LeftIdeal(p), gamma), extension=gamma)
+            for p in (NEAR_PROJECTOR, EXACT_PROJECTOR)
+        )
+        for name in ("alpha", "exact_bound", "measured_bound"):
+            assert getattr(near, name) == getattr(exact, name)
+        for name in ("g_min", "g_max"):
+            assert np.array_equal(getattr(near, name).density.a, getattr(exact, name).density.a)
+        assert near.constant4_ok and near.violations == 0
+
 
 class TestExtensionFixture:
     def test_oracle_sweep_confirms_endpoints(self):

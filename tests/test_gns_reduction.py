@@ -69,7 +69,7 @@ def reference_extension(pf, density):
     escape = np.linalg.norm(targets - q @ (q.conj().T @ targets))
     if escape > EQ * (1 + np.linalg.norm(targets)):
         raise NotFBounded("reference: values escape the GNS space")
-    w_all = q.conj().T @ (lift.sqrt_pinv.a @ targets)
+    w_all = q.conj().T @ (((q / lift.roots) @ q.conj().T) @ targets)
     idx = independent_columns(u_all)
     u, w = u_all[:, idx], w_all[:, idx]
     collapse = np.linalg.norm(w_all - w @ (pinv(u).a @ u_all))

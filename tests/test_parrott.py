@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from opext.errors import HypothesisViolated, IncompatibleInstance
-from opext.numkit import PsdMatrix, Tolerances
+from opext.numkit import PsdMatrix, Tolerances, _projector, _range_basis
 from opext.oracle import (
     Rng,
     complex_gaussian,
@@ -16,7 +16,6 @@ from opext.oracle import (
 from opext.parrott import (
     ParrottInstance,
     StrongParrottInstance,
-    _projector_basis,
     assemble_symmetric,
     check_compatibility,
     classical_parrott,
@@ -254,10 +253,8 @@ class TestClassicalParrott:
             hidden = random_contraction(gen, dim_k, dim_h)
             p_h1 = random_projection(gen, dim_h, int(gen.integers(1, dim_h + 1)))
             p_k1 = random_projection(gen, dim_k, int(gen.integers(1, dim_k + 1)))
-            from opext.parrott import _projector_basis
-
-            b_h1 = _projector_basis(p_h1, Tolerances(), "p")
-            b_k1 = _projector_basis(p_k1, Tolerances(), "q")
+            b_h1 = _range_basis(_projector(p_h1, Tolerances(), "p"))
+            b_k1 = _range_basis(_projector(p_k1, Tolerances(), "q"))
             t1_on_h1 = hidden @ b_h1
             t1_prime = b_k1.conj().T @ hidden
             t = classical_parrott(p_h1, p_k1, t1_on_h1, t1_prime)
@@ -354,8 +351,8 @@ class TestSpecializationsAgreeWithTheWeightedPath:
             hidden = random_contraction(gen, dim_k, dim_h)
             p_h1 = random_projection(gen, dim_h, int(gen.integers(1, dim_h + 1)))
             p_k1 = random_projection(gen, dim_k, int(gen.integers(1, dim_k + 1)))
-            b_h1 = _projector_basis(p_h1, Tolerances(), "p")
-            b_k1 = _projector_basis(p_k1, Tolerances(), "q")
+            b_h1 = _range_basis(_projector(p_h1, Tolerances(), "p"))
+            b_k1 = _range_basis(_projector(p_k1, Tolerances(), "q"))
             t1_on_h1, t1_prime = hidden @ b_h1, b_k1.conj().T @ hidden
             reference = parrott_complete(
                 ParrottInstance(b_h1, t1_on_h1, b_k1, t1_prime.conj().T, np.eye(dim_h), np.eye(dim_k), 1.0, 1.0)
@@ -416,8 +413,8 @@ class TestSpecializationsDecideByTheirOwnTerms:
         gen = np.random.default_rng([seed, 48])
         hidden = random_contraction(gen, 4, 5)
         p_h1, p_k1 = random_projection(gen, 5, 3), random_projection(gen, 4, 2)
-        b_h1 = _projector_basis(p_h1, Tolerances(), "p")
-        b_k1 = _projector_basis(p_k1, Tolerances(), "q")
+        b_h1 = _range_basis(_projector(p_h1, Tolerances(), "p"))
+        b_k1 = _range_basis(_projector(p_k1, Tolerances(), "q"))
         t1_on_h1 = hidden @ b_h1
         t1_prime = b_k1.conj().T @ hidden
         t1_prime[0, 0] += 1e-9
