@@ -4,8 +4,8 @@ import numpy as np
 import pytest
 
 from opext.errors import NotPsd, RestrictionConditionFailed
-from opext.kvn import PartialPositiveOperator, check_restriction, hilbert_lift, kvn_extend
-from opext.numkit import PsdMatrix, Tolerances, loewner_leq
+from opext.kvn import HilbertLift, PartialPositiveOperator, check_restriction, hilbert_lift, kvn_extend
+from opext.numkit import ComplexMatrix, PsdMatrix, Tolerances, loewner_leq
 from opext.oracle import (
     Rng,
     complex_gaussian,
@@ -142,6 +142,25 @@ def lift_range_projector(lift):
     return q @ q.conj().T
 
 
+def block_diag(*blocks):
+    out = np.zeros((sum(b.shape[0] for b in blocks), sum(b.shape[1] for b in blocks)), dtype=complex)
+    i = j = 0
+    for b in blocks:
+        out[i : i + b.shape[0], j : j + b.shape[1]] = b
+        i, j = i + b.shape[0], j + b.shape[1]
+    return out
+
+
+def block_lift(*lifts):
+    """Factor of diag(A_1, ..., A_p) assembled blockwise from the blocks' lifts (roots blockwise)."""
+    return HilbertLift(
+        weight=PsdMatrix(block_diag(*(lift.weight.a for lift in lifts))),
+        rank=sum(lift.rank for lift in lifts),
+        range_basis=ComplexMatrix(block_diag(*(lift.range_basis.a for lift in lifts))),
+        roots=np.concatenate([lift.roots for lift in lifts]),
+    )
+
+
 class TestHilbertLift:
     def test_identity_weight(self):
         lift = hilbert_lift(PsdMatrix(np.eye(3)))
@@ -209,3 +228,18 @@ class TestHilbertLift:
         self.assert_factor_identities(lift)
         assert np.all(np.diff(lift.roots) <= 0)
         assert hash(lift) == hash(lift)  # the array field keeps the lift hashable
+
+    @pytest.mark.parametrize("seed", range(12))
+    def test_block_lift_matches_the_lift_of_the_block_diagonal(self, seed):
+        # hilbert_lift of diag(A_1, A_2) agrees with the factor assembled from
+        # the lifts of A_1 and A_2: same rank, roots, square roots and range
+        a1, a2 = self.weights(seed), self.weights(seed + 5)
+        stacked = block_diag(a1, a2)
+        block = block_lift(hilbert_lift(PsdMatrix(a1)), hilbert_lift(PsdMatrix(a2)))
+        direct = hilbert_lift(PsdMatrix(stacked))
+        self.assert_factor_identities(block)
+        assert block.rank == direct.rank
+        np.testing.assert_allclose(np.sort(block.roots)[::-1], direct.roots, rtol=1e-10, atol=1e-12)
+        for f in (lift_sqrt, lift_sqrt_pinv, lift_range_projector):
+            np.testing.assert_allclose(f(block), f(direct), atol=1e-10)
+        np.testing.assert_allclose(block.weight.a, direct.weight.a, atol=1e-10)
