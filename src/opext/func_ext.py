@@ -50,6 +50,7 @@ from .numkit import (
     PsdMatrix,
     Tolerances,
     _fro,
+    _hermitian_part,
     _limit,
     _projector,
     _range_basis,
@@ -242,7 +243,8 @@ class GnsSpace:
     row c is the class J* x_c of row c, in a space of dimension m r.  Left
     multiplication acts on those rows, so rep(x) = x (x) I_r is exactly a
     *-representation, and the class of the identity is the cyclic vector.
-    Only the density and the row lift are stored; nothing m^2-sized is formed.
+    Only the density (adopted: the lift's exactly Hermitian weight, transposed)
+    and the row lift are stored; nothing m^2-sized is formed.
     """
 
     density: PsdMatrix
@@ -283,13 +285,13 @@ class GnsSpace:
 
 
 def _row_lift(density, tol: Tolerances) -> HilbertLift:
-    """Lift of F^T, the weight of the rows (C^m, F^T) of the GNS space; its spectrum decides that F is positive."""
+    """Lift of F^T, the rows' weight in the GNS space; a raw F is checked Hermitian here, positive by the lift."""
     f = HermitianMatrix.coerce(_density_array(density), tol)
-    return hilbert_lift(PsdMatrix._trusted(f.a.T) if isinstance(f, PsdMatrix) else f.a.T, tol)
+    return hilbert_lift(HermitianMatrix._adopt(f.a.T.copy()), tol)
 
 
 def _gns_space(row: HilbertLift) -> GnsSpace:
-    return GnsSpace(density=PsdMatrix._trusted(row.weight.a.T), row=row)
+    return GnsSpace(density=PsdMatrix._adopt(row.weight.a.T.copy()), row=row)
 
 
 def gns(density, tol: Tolerances | None = None) -> GnsSpace:
@@ -380,9 +382,8 @@ def extend_functional(
 def _extend_functional(pf: PartialFunctional, density, tol: Tolerances, symmetric: bool = False):
     """:func:`extend_functional`, skipping the symmetry test when the caller has decided ``symmetric``."""
     row, p, y, alpha = _row_operator(pf, density, tol, symmetric)
-    interval = _extend_lifted(p, y, alpha, row, tol)
     # s is exactly Hermitian, so s^T is too: a C-ordered copy is wrapped unchecked
-    g_min, g_max = (FunctionalMatrix(HermitianMatrix._adopt(s.a.T.copy())) for s in (interval.s_min, interval.s_max))
+    g_min, g_max = (FunctionalMatrix(HermitianMatrix._adopt(s.T.copy())) for s in _extend_lifted(p, y, alpha, row, tol))
     return g_min, g_max, alpha
 
 
@@ -418,10 +419,7 @@ def hahn_jordan(g: FunctionalMatrix, tol: Tolerances | None = None) -> tuple[Fun
     w, v = eigh_desc(hermitize(_as_functional(g).density, t))
     pos = (v * np.clip(w, 0.0, None)) @ v.conj().T
     neg = (v * np.clip(-w, 0.0, None)) @ v.conj().T
-    return (
-        FunctionalMatrix(hermitize(pos, t)),
-        FunctionalMatrix(hermitize(neg, t)),
-    )
+    return tuple(FunctionalMatrix(HermitianMatrix._adopt(_hermitian_part(x))) for x in (pos, neg))
 
 
 @dataclass(frozen=True)
@@ -624,14 +622,14 @@ def cstar_extendibility(
                 f"supplied functional does not extend the partial data (residual {worst:.3e})"
             )
         w, v = eigh_desc(phi)
-        abs_density = PsdMatrix._trusted((v * np.abs(w)) @ v.conj().T)
+        abs_density = PsdMatrix._adopt(_hermitian_part((v * np.abs(w)) @ v.conj().T))
         root = v * np.sqrt(np.abs(w))
     if density is not None:
         f_mat = HermitianMatrix.coerce(_density_array(density), t)
     elif abs_density is not None:
         f_mat = abs_density
     else:
-        f_mat = PsdMatrix._trusted(np.eye(m, dtype=np.complex128))
+        f_mat = PsdMatrix._adopt(np.eye(m, dtype=np.complex128))
     g_min, g_max, alpha = _extend_functional(pf, f_mat, t, symmetric=True)
     exact = measured = violations = None
     if root is not None:

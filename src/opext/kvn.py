@@ -40,6 +40,7 @@ from .numkit import (
     PsdMatrix,
     Tolerances,
     _fro,
+    _hermitian_part,
     _limit,
     _orth_factor,
     _tol,
@@ -174,7 +175,7 @@ def kvn_extend(op: PartialPositiveOperator, tol: Tolerances | None = None) -> Ps
         If no positive extension exists (see :func:`check_restriction`).
     """
     c = _checked_factor(op._factor, op._span[1], _tol(tol))
-    return PsdMatrix._trusted(c @ c.conj().T)
+    return PsdMatrix._adopt(_hermitian_part(c @ c.conj().T))
 
 
 @dataclass(frozen=True, eq=False)

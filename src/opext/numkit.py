@@ -12,9 +12,11 @@ reproducible: eigenvalues are returned in descending order (stable sort)
 and each eigenvector's first sizable component is rotated to be real and
 positive.  For a fixed input the results are bit-identical across runs.
 
-Cost rule: a primitive is its LAPACK call plus the fewest numpy passes.  An
-array the library just built is adopted, not copied; a HermitianMatrix is not
-symmetrized again; :func:`_fro` is the one Frobenius norm.
+Cost rule: a primitive is its LAPACK call plus the fewest numpy passes.  The
+wrapper classes validate caller data, once, at the public boundary; an array
+the library just built is adopted (``_adopt``, after ``_hermitian_part`` if it
+is Hermitian only up to rounding), never copied or validated again; a
+HermitianMatrix is not symmetrized again; :func:`_fro` is the one Frobenius norm.
 """
 
 from __future__ import annotations
@@ -136,19 +138,17 @@ class ComplexMatrix:
     __slots__ = ("_a",)
 
     def __init__(self, data):
-        self._own(np.array(_as_array(data), dtype=np.complex128, order="C", copy=True))
+        self._own(_finite(np.array(_as_array(data), dtype=np.complex128, order="C", copy=True)))
 
     def _own(self, a: np.ndarray):
-        if not np.isfinite(a).all():
-            raise ValueError("matrix entries must be finite")
         a.setflags(write=False)
         object.__setattr__(self, "_a", a)
         return self
 
     @classmethod
     def _adopt(cls, a: np.ndarray):
-        """Wrap, uncopied, a fresh C-contiguous complex128 array the library built (never a caller's)."""
-        return cls.__new__(cls)._own(a)
+        """Wrap, uncopied and checked only finite, a fresh C-contiguous complex128 array the library built."""
+        return cls.__new__(cls)._own(_finite(a))
 
     @property
     def a(self) -> np.ndarray:
@@ -164,41 +164,50 @@ class ComplexMatrix:
         return self._a.shape[1]
 
     @classmethod
-    def coerce(cls, value) -> "ComplexMatrix":
-        return value if isinstance(value, cls) else cls(value)
+    def coerce(cls, value, tol: Tolerances | None = None):
+        """``value`` if it already is a ``cls``, else ``cls(value)``, under ``tol`` for the Hermitian classes."""
+        return value if isinstance(value, cls) else cls(value) if tol is None else cls(value, tol)
 
     def __repr__(self):
-        return f"ComplexMatrix({self.rows}x{self.cols})"
+        return f"{type(self).__name__}({self.rows}x{self.cols})"
+
+
+def _finite(a: np.ndarray) -> np.ndarray:
+    """``a`` itself; ValueError unless every entry is finite."""
+    if not np.isfinite(a).all():
+        raise ValueError("matrix entries must be finite")
+    return a
+
+
+def _checked_hermitian(a: np.ndarray, tol: Tolerances) -> np.ndarray:
+    """The Hermitian rule on an array: a fresh C-contiguous ``(a + a*) / 2.0``, else an error.
+
+    DimensionMismatch unless square, NotHermitian when ``||a - a*||_F`` exceeds
+    ``_limit(herm, ||a||_F)``, ValueError unless finite, in that order; a check
+    whose result is not kept calls it directly.
+    """
+    if a.shape[0] != a.shape[1]:
+        raise DimensionMismatch(f"Hermitian matrix must be square, got {a.shape}")
+    c = np.conjugate(a.T, order="C")
+    asym = _fro(a - c)
+    if asym > _limit(tol.herm, _fro(a)):
+        raise NotHermitian(f"asymmetry {asym:.3e} exceeds tolerance")
+    c += a  # (a + a*) / 2.0 as in _hermitian_part
+    c /= 2.0
+    return _finite(c)
 
 
 class HermitianMatrix(ComplexMatrix):
-    """Complex matrix validated and stored in exactly Hermitian form."""
+    """Complex matrix validated and stored in exactly Hermitian form (:func:`_checked_hermitian`)."""
 
     __slots__ = ()
 
     def __init__(self, data, tol: Tolerances | None = None):
-        a = _as_array(data)
-        if a.shape[0] != a.shape[1]:
-            raise DimensionMismatch(f"Hermitian matrix must be square, got {a.shape}")
-        t = _tol(tol)
-        c = np.conjugate(a.T, order="C")
-        asym = _fro(a - c)
-        if asym > _limit(t.herm, _fro(a)):
-            raise NotHermitian(f"asymmetry {asym:.3e} exceeds tolerance")
-        c += a  # (a + a*) / 2.0 as in _hermitian_part
-        c /= 2.0
-        self._own(c)
+        self._own(_checked_hermitian(_as_array(data), _tol(tol)))
 
     @property
     def size(self) -> int:
         return self.rows
-
-    @classmethod
-    def coerce(cls, value, tol: Tolerances | None = None) -> "HermitianMatrix":
-        return value if isinstance(value, cls) else cls(value, tol)
-
-    def __repr__(self):
-        return f"HermitianMatrix({self.rows}x{self.rows})"
 
 
 def _certified_above(h: np.ndarray, psd: float, scale: float) -> bool:
@@ -243,7 +252,9 @@ class PsdMatrix(HermitianMatrix):
     spectrum; only when it fails does the exact ``eigvalsh`` decide, so
     the decision and the NotPsd message are those of the spectrum.  A
     weight passed raw to :func:`~opext.kvn.hilbert_lift` is instead decided
-    by the lift's own spectrum (:func:`psd_eig`, the same rule).
+    by the lift's own spectrum (:func:`psd_eig`, the same rule).  Results
+    positive by construction (minimal extensions, |Phi|, block-diagonal
+    weights) are adopted, never constructed: this class validates caller data.
     """
 
     __slots__ = ()
@@ -254,21 +265,6 @@ class PsdMatrix(HermitianMatrix):
         if self.rows > 0 and not _certified_above(self.a, t.psd, float(np.max(self.a.diagonal().real))):
             w = np.linalg.eigvalsh(self.a)
             _require_psd(float(w[0]), float(w[-1]), t.psd)
-
-    @classmethod
-    def coerce(cls, value, tol: Tolerances | None = None) -> "PsdMatrix":
-        return value if isinstance(value, cls) else cls(value, tol)
-
-    @classmethod
-    def _trusted(cls, a: np.ndarray) -> "PsdMatrix":
-        """Wrap a matrix that is positive semidefinite by construction.
-
-        Symmetrizes without re-validating; never for caller input.
-        """
-        return cls._adopt(_hermitian_part(a))
-
-    def __repr__(self):
-        return f"PsdMatrix({self.rows}x{self.rows})"
 
 
 def eigh_desc(a) -> tuple[np.ndarray, np.ndarray]:
@@ -360,7 +356,7 @@ def pinv(m, tol: Tolerances | None = None) -> ComplexMatrix:
     any empty matrix) maps to the zero matrix of transposed shape.
     """
     p, s, v = _orth_factor(_as_array(m), _tol(tol))
-    return ComplexMatrix((v / s) @ p.conj().T)
+    return ComplexMatrix._adopt((v / s) @ p.conj().T)
 
 
 def numerical_rank(m, tol: Tolerances | None = None) -> int:

@@ -56,6 +56,7 @@ from .numkit import (
     ComplexMatrix,
     PsdMatrix,
     Tolerances,
+    _checked_hermitian,
     _fro,
     _limit,
     _projector,
@@ -63,7 +64,6 @@ from .numkit import (
     _restrict,
     _smax,
     _tol,
-    hermitize,
     loewner_leq,
     numerical_rank,
 )
@@ -141,7 +141,7 @@ def _corner_lifts(inst: ParrottInstance, tol: Tolerances):
             _weighted_lift(inst.domain1.a, inst.values1.a, lift1, lift2, tol),
             _weighted_lift(inst.domain2.a, inst.values2.a, lift2, lift1, tol),
         )
-        hermitize(_antidiag(u1.conj().T @ w2, u2.conj().T @ w1), tol)
+        _checked_hermitian(_antidiag(u1.conj().T @ w2, u2.conj().T @ w1), tol)
     except (NotABounded, NotHermitian):
         return None
     for (*_, beta), alpha in zip((corner1, corner2), (inst.alpha1, inst.alpha2)):
@@ -178,7 +178,7 @@ def assemble_symmetric(
         raise IncompatibleInstance("instance fails compatibility or exceeds its declared bound constants")
     domain = _block_diag(inst.domain1.a, inst.domain2.a)
     op = SymmetricPartialOperator(domain, _antidiag(inst.values2.a, inst.values1.a), t)
-    return op, PsdMatrix._trusted(_block_diag(inst.weight1.a, inst.weight2.a))
+    return op, PsdMatrix._adopt(_block_diag(inst.weight1.a, inst.weight2.a))
 
 
 def parrott_complete(
@@ -208,7 +208,7 @@ def parrott_complete(
     if numerical_rank(domain, t) != domain.shape[1]:
         raise ValueError("domain basis columns are dependent; supply an independent set")
     corner = _corner(p1, y1, p2, y2, max(beta1, beta2), endpoint, t)
-    return ComplexMatrix(inst._lifts[1].embedding() @ corner @ inst._lifts[0].coembedding())
+    return ComplexMatrix._adopt(inst._lifts[1].embedding() @ corner @ inst._lifts[0].coembedding())
 
 
 def _corner(p1, y1, p2, y2, beta: float, endpoint: str, tol: Tolerances) -> np.ndarray:
@@ -256,7 +256,7 @@ def _unit_corner(p1, y1, p2, y2, bounds, equations, tol: Tolerances) -> ComplexM
             failures.append(f"{name} fails on the completion (residual {resid:.3e})")
     if failures:
         raise HypothesisViolated("; ".join(failures))
-    return ComplexMatrix(x)
+    return ComplexMatrix._adopt(x)
 
 
 class StrongParrottInstance:

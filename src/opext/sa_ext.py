@@ -39,12 +39,13 @@ from .numkit import (
     HermitianMatrix,
     PsdMatrix,
     Tolerances,
+    _checked_hermitian,
     _fro,
+    _hermitian_part,
     _limit,
     _restrict,
     _smax,
     _tol,
-    hermitize,
     loewner_leq,
     numerical_rank,
     pinv,
@@ -84,7 +85,7 @@ class SymmetricPartialOperator:
         t = _tol(tol)
         if numerical_rank(d, t) != d.cols:
             raise ValueError("domain basis columns are dependent; supply an independent set")
-        hermitize(d.a.conj().T @ v.a, t)  # raises NotHermitian on asymmetric data
+        _checked_hermitian(d.a.conj().T @ v.a, t)  # raises NotHermitian on asymmetric data
         self.domain_basis = d
         self.values = v
 
@@ -182,7 +183,7 @@ def _symmetric_lift(
     is not, and extensions built from such data miss the prescribed values.
     """
     lifted = _weighted_lift(d, v, lift, lift, tol)
-    hermitize(lifted[0].conj().T @ lifted[1], tol)
+    _checked_hermitian(lifted[0].conj().T @ lifted[1], tol)
     return lifted
 
 
@@ -199,7 +200,7 @@ def lift_symmetric(
     t = _tol(tol)
     lift = hilbert_lift(weight, t)
     u, w, _, _, alpha = _symmetric_lift(op.domain_basis.a, op.values.a, lift, t)
-    return LiftedSymmetric(lift=lift, domain=ComplexMatrix(u), values=ComplexMatrix(w), alpha=alpha)
+    return LiftedSymmetric(lift=lift, domain=ComplexMatrix._adopt(u), values=ComplexMatrix._adopt(w), alpha=alpha)
 
 
 def a_bound(op: SymmetricPartialOperator, weight, tol: Tolerances | None = None) -> float:
@@ -224,7 +225,8 @@ def extend_symmetric(
 
 def _extend_on_lift(op: SymmetricPartialOperator, lift: HilbertLift, tol: Tolerances) -> ExtensionInterval:
     """:func:`extend_symmetric` on an already computed lift of the weight."""
-    return _extend_lifted(*_symmetric_lift(op.domain_basis.a, op.values.a, lift, tol)[2:], lift, tol)
+    _, _, p, y, alpha = _symmetric_lift(op.domain_basis.a, op.values.a, lift, tol)
+    return ExtensionInterval(alpha, *(HermitianMatrix._adopt(s) for s in _extend_lifted(p, y, alpha, lift, tol)))
 
 
 def _shifted_extension(p: np.ndarray, y: np.ndarray, alpha: float, tol: Tolerances) -> np.ndarray:
@@ -237,18 +239,17 @@ def _shifted_extension(p: np.ndarray, y: np.ndarray, alpha: float, tol: Toleranc
         raise NumericalFailure(f"positive lift rejected unexpectedly: {exc}") from exc
 
 
-def _extend_lifted(p: np.ndarray, y: np.ndarray, alpha: float, lift: HilbertLift, tol: Tolerances) -> ExtensionInterval:
-    """Extremal extensions from the orthonormal pair (P, Y) and bound of :func:`_symmetric_lift`."""
+def _extend_lifted(p: np.ndarray, y: np.ndarray, alpha: float, lift: HilbertLift, tol: Tolerances):
+    """Extremal extensions (s_min, s_max) from the orthonormal pair (P, Y) and bound of :func:`_symmetric_lift`.
+
+    Hermitian by construction up to rounding: returned as ``_hermitian_part``, not checked again.
+    """
     eye = np.eye(lift.rank, dtype=np.complex128)
     low, high = _shifted_extension(p, y, alpha, tol), _shifted_extension(p, -y, alpha, tol)
     j = lift.embedding()
     s_min = j @ (low @ low.conj().T - alpha * eye) @ j.conj().T
     s_max = j @ (alpha * eye - high @ high.conj().T) @ j.conj().T
-    return ExtensionInterval(
-        alpha=alpha,
-        s_min=hermitize(s_min, tol),
-        s_max=hermitize(s_max, tol),
-    )
+    return _hermitian_part(s_min), _hermitian_part(s_max)
 
 
 def alpha_of_total(total, weight, tol: Tolerances | None = None) -> float:

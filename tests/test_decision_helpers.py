@@ -9,7 +9,7 @@ library's decision and message with the rule written out inline as
 import numpy as np
 import pytest
 
-from opext import numkit
+from opext import numkit, parrott, sa_ext
 from opext.errors import HypothesisViolated, NotABounded, NotHermitian, RestrictionConditionFailed
 from opext.func_ext import LeftIdeal, cstar_extendibility, extend_functional
 from opext.kvn import PartialPositiveOperator, check_restriction, hilbert_lift, kvn_extend
@@ -204,32 +204,33 @@ def test_check_restriction_boundary(f):
 
 @pytest.fixture
 def hermitian_checks(monkeypatch):
-    """Counts HermitianMatrix.__init__ runs (a PsdMatrix's included): each is one asymmetry check."""
+    """Counts runs of the one Hermitian rule, ``numkit._checked_hermitian``, in every module that calls it."""
     calls = []
-    original = numkit.HermitianMatrix.__init__
+    original = numkit._checked_hermitian
 
-    def counted(self, *args, **kwargs):
-        calls.append(type(self).__name__)
-        return original(self, *args, **kwargs)
+    def counted(a, tol):
+        calls.append(a.shape)
+        return original(a, tol)
 
-    monkeypatch.setattr(numkit.HermitianMatrix, "__init__", counted)
+    for module in (numkit, sa_ext, parrott):
+        monkeypatch.setattr(module, "_checked_hermitian", counted)
     return calls
 
 
 @pytest.mark.parametrize("m", [2, 3, 4])
 def test_functional_extensions_are_not_symmetrized_again(hermitian_checks, m):
-    """extend_functional checks U* W and the two endpoints once each; cstar adds only the supplied extension.
+    """extend_functional checks only U* W; cstar adds only the supplied extension.
 
-    The endpoints' transposes and |Phi| are Hermitian by construction, so
-    they are wrapped without a second asymmetry check.
+    The endpoints, their transposes and |Phi| are Hermitian by construction,
+    so they are wrapped without an asymmetry check.
     """
     inst, _ = random_instance_with_witness("functional", (m,), Rng(m))
     hermitian_checks.clear()
     extend_functional(inst.partial, inst.density)
-    assert len(hermitian_checks) == 3
+    assert len(hermitian_checks) == 1
     hermitian_checks.clear()
     decision = cstar_extendibility(inst.partial, extension=inst.source)
-    assert len(hermitian_checks) == 4
+    assert len(hermitian_checks) == 2
     assert decision.constant4_ok
     for g in (decision.g_min, decision.g_max):
         assert isinstance(g.density, HermitianMatrix)

@@ -12,6 +12,7 @@ from opext.numkit import (
     PsdMatrix,
     Tolerances,
     _fro,
+    _hermitian_part,
     eigh_desc,
     hermitize,
     independent_columns,
@@ -440,13 +441,13 @@ class TestBitIdentityPins:
         a.real, a.imag = re, im
         return a
 
-    def test_hermitian_matrix_and_trusted_are_the_half_sum(self):
+    def test_hermitian_matrix_and_adopted_part_are_the_half_sum(self):
         x = complex_gaussian(np.random.default_rng(66), 12, 12)
         near = x + x.conj().T + 1e-12 * x
         for a in (near, np.asfortranarray(near), near[::2, ::2], near[::2, ::2].T, self.signed_zero_matrix()):
             ref = (a + a.conj().T) / 2.0
             assert same_bits(HermitianMatrix(a).a, ref)
-            assert same_bits(PsdMatrix._trusted(a).a, ref)
+            assert same_bits(PsdMatrix._adopt(_hermitian_part(a)).a, ref)
 
 
 class TestWrapperInvariants:
@@ -459,7 +460,7 @@ class TestWrapperInvariants:
             "ComplexMatrix": ComplexMatrix(x),
             "HermitianMatrix": HermitianMatrix(x),
             "PsdMatrix": PsdMatrix(p),
-            "_trusted": PsdMatrix._trusted(p),
+            "adopted part": PsdMatrix._adopt(_hermitian_part(p)),
             "lift range basis": hilbert_lift(p).range_basis,
             "LeftIdeal.projection": ideal.projection,
             "PartialFunctional.gamma": PartialFunctional(ideal, x).gamma,
@@ -490,7 +491,7 @@ class TestWrapperInvariants:
     def test_non_finite_rejected(self, bad):
         a = np.eye(3, dtype=np.complex128)
         a[1, 1] = bad
-        for build in (ComplexMatrix, HermitianMatrix, PsdMatrix, PsdMatrix._trusted):
+        for build in (ComplexMatrix, HermitianMatrix, PsdMatrix, lambda a: PsdMatrix._adopt(_hermitian_part(a))):
             with pytest.raises(ValueError, match="finite"):
                 build(a)
 

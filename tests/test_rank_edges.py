@@ -174,15 +174,15 @@ def test_parrott_complete_lifts_each_block_once(decompositions):
 
 
 def constructed_rows(monkeypatch, call):
-    """Row counts of every ComplexMatrix (of any subclass) constructed during ``call()``."""
+    """Row counts of every ComplexMatrix (of any subclass) constructed or adopted during ``call()``."""
     rows = []
-    original = ComplexMatrix.__init__
+    original = ComplexMatrix._own
 
-    def recorded(self, data, *args, **kwargs):
-        original(self, data, *args, **kwargs)
-        rows.append(self.rows)
+    def recorded(self, a):
+        rows.append(a.shape[0])
+        return original(self, a)
 
-    monkeypatch.setattr(ComplexMatrix, "__init__", recorded)
+    monkeypatch.setattr(ComplexMatrix, "_own", recorded)
     call()
     monkeypatch.undo()
     return rows
