@@ -271,9 +271,6 @@ def _run_parrott(data: dict, tol: Tolerances, args) -> tuple[dict, dict]:
             "corner1_residual": _fro(inst.weight2.a @ (completion @ inst.domain1.a - inst.values1.a)),
             "corner2_residual": _fro(inst.weight1.a @ (completion.conj().T @ inst.domain2.a - inst.values2.a)),
             "bound_ok": bool(norm <= bound + _limit(tol.eq, bound)),
-            # an incompatible instance raises in parrott_complete, before any
-            # diagnostic, so an ok result always reads True here
-            "compatible": True,
         },
     )
 
@@ -406,7 +403,6 @@ _INVARIANTS = {
         ("corner1_residual", lambda d, r, t: _limit(t.eq, _fro(d["values1"]))),
         ("corner2_residual", lambda d, r, t: _limit(t.eq, _fro(d["values2"]))),
         ("bound_ok", None),
-        ("compatible", None),
     ),
     "strong-parrott": (
         ("norm", lambda d, r, t: 1.0 + t.eq),

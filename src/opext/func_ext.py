@@ -133,13 +133,19 @@ class LeftIdeal:
 
     The ideal is I = { a : a = a P }, the matrices supported on the
     columns that P keeps.  Every left ideal of the matrix algebra has
-    this form for exactly one orthogonal projection.
+    this form for exactly one orthogonal projection.  Construction
+    validates P and decides its range once: the orthonormal basis B of
+    P's eigenvectors above 1/2 (:func:`~opext.numkit._range_basis`), so an
+    eigenvalue the idempotency check took for zero is not in the ideal's
+    range.  The GNS realization and the agreement of an extension with
+    g_0 are measured on B; the symmetry test and the stored gamma use P.
     """
 
-    __slots__ = ("projection",)
+    __slots__ = ("projection", "_range")
 
     def __init__(self, projection, tol: Tolerances | None = None):
         self.projection = ComplexMatrix._adopt(_projector(projection, _tol(tol), None))
+        self._range = _range_basis(self.projection.a)
 
     @property
     def size(self) -> int:
@@ -224,12 +230,13 @@ def is_symmetric_on_ideal(pf: PartialFunctional, tol: Tolerances | None = None) 
 def _ideal_agreement(pf: PartialFunctional, density: np.ndarray) -> float:
     """Largest disagreement of trace(density x) with g_0 on the ideal.
 
-    ``max_ij |g(E_ij P) - g_0(E_ij P)|`` for g(x) = trace(Phi x); since
-    g(E_ij P) = (P Phi)_ji, it is the largest absolute entry of
-    P (Phi - Gamma).
+    ``max_ij |g(E_ij Q) - g_0(E_ij Q)|`` for g(x) = trace(Phi x) and the
+    projector Q = B B* onto the ideal's decided range B; since
+    g(E_ij Q) = (Q Phi)_ji, it is the largest absolute entry of
+    B (B* (Phi - Gamma)).
     """
-    p = pf.ideal.projection.a
-    return float(np.max(np.abs(p @ (density - pf.gamma.a)), initial=0.0))
+    b = pf.ideal._range
+    return float(np.max(np.abs(b @ (b.conj().T @ (density - pf.gamma.a))), initial=0.0))
 
 
 @dataclass(frozen=True)
@@ -311,10 +318,10 @@ def _row_operator(
     g_0(x* a) = sum_c x_c* Gamma^T a_c over the rows, and the rows of
     a = a P span ran P^T, so g_0 is realized on the GNS space by I_m (x) s_0
     for the m-by-m partial operator s_0 on (C^m, F^T) with values Gamma^T D
-    on the domain basis D of ran P^T.  D is P^T's eigenvectors above 1/2
-    (:func:`~opext.numkit._range_basis`), the rule that accepted P as a
-    projector, so an eigenvalue its idempotency check took for zero never
-    enters the domain.  Raises :class:`NotSymmetric` unless the caller decided
+    on the domain basis D of ran P^T.  D = conj(B) for the range basis B
+    the ideal decided at construction, so an eigenvalue its idempotency
+    check took for zero never enters the domain and no call decomposes P
+    again.  Raises :class:`NotSymmetric` unless the caller decided
     ``symmetric``, :class:`NotFBounded`, and NotHermitian when U* W is not
     Hermitian (a leak out of ran F^T within tolerance can do that to symmetric data).
     """
@@ -323,7 +330,7 @@ def _row_operator(
         raise DimensionMismatch("functional and positive functional live on different algebra sizes")
     if not (symmetric or is_symmetric_on_ideal(pf, tol)):
         raise NotSymmetric("functional is not symmetric on its ideal")
-    d = _range_basis(pf.ideal.projection.a.T)
+    d = pf.ideal._range.conj()
     try:
         _, _, p, y, alpha = _symmetric_lift(d, pf.gamma.a.T @ d, row, tol)
     except NotABounded as exc:

@@ -11,13 +11,14 @@ which would square its condition) it is computed in factored form
 
     A_N = C C*,    C = Y Q W^{-1/2},    P* Y = Q W Q* (eigenvalues above the rank cutoff),
 
-which is positive semidefinite by construction.  :func:`_factor_from_span`
+which is positive semidefinite by construction.  :func:`_gram_factor`
 returns C itself, and each caller forms only the part of C C* it needs: a
 two-corner completion multiplies out a corner block, the interval endpoints
-the r-by-r product in range coordinates.  That single rank decision
-also settles existence (:func:`check_restriction`): the values
-must vanish where the Gram form does, tested as ||Y - (Y Q) Q*|| ~ 0.
-A :class:`PartialPositiveOperator` makes it once and keeps C and that residual.
+the r-by-r product in range coordinates.  That single eigendecomposition
+decides positivity and rank, and so also settles existence
+(:func:`check_restriction`): the values must vanish where the Gram form
+does, tested as ||Y - (Y Q) Q*|| ~ 0.  A :class:`PartialPositiveOperator`
+makes it once and keeps C and that residual.
 
 :func:`hilbert_lift` packages the auxiliary inner-product space attached
 to a positive weight A: the weighted pairing <x, y>_A = y* A x descends to
@@ -39,6 +40,7 @@ from .numkit import (
     HermitianMatrix,
     PsdMatrix,
     Tolerances,
+    _checked_hermitian,
     _fro,
     _hermitian_part,
     _limit,
@@ -68,16 +70,19 @@ class PartialPositiveOperator:
 
     Construction validates independence of the domain columns (all k
     singular values of D = P diag(s) V* above the rank cutoff, kept as the
-    pair (P, Y = G V diag(1/s))) and that M = D* G is Hermitian positive
-    semidefinite, and keeps the factor C of the minimal extension C C* and
-    the existence residual of P* Y, decided under the ``tol`` it is built
-    with; a later call's ``tol`` supplies only its own ``eq`` check.  The
-    existence condition -- values vanishing on the kernel of P* Y -- is
-    checked by :func:`check_restriction`, so that infeasible but
-    well-formed data can still be diagnosed.
+    pair (P, Y = G V diag(1/s))) and that M = D* G is Hermitian, and keeps
+    the factor C of the minimal extension C C* and the existence residual
+    of P* Y, decided under the ``tol`` it is built with; a later call's
+    ``tol`` supplies only its own ``eq`` check.  Positivity is decided once,
+    by the spectrum of P* Y that the factor takes anyway: P* Y is M in the
+    orthonormal basis P of the domain, so the decision depends on the span
+    of D, not on its basis or its scale.  The existence condition -- values
+    vanishing on the kernel of P* Y -- is checked by
+    :func:`check_restriction`, so that infeasible but well-formed data can
+    still be diagnosed.
     """
 
-    __slots__ = ("domain_basis", "values", "gram", "_span", "_factor")
+    __slots__ = ("domain_basis", "values", "_span", "_factor")
 
     def __init__(self, domain_basis, values, tol: Tolerances | None = None):
         d = ComplexMatrix.coerce(domain_basis)
@@ -90,18 +95,18 @@ class PartialPositiveOperator:
         p, s, v = _orth_factor(d.a, t)
         if s.size != d.cols:
             raise ValueError("domain basis columns are dependent; supply an independent set")
-        m = d.a.conj().T @ g.a
         try:
-            gram = PsdMatrix(m, t)
+            _checked_hermitian(d.a.conj().T @ g.a, t)
         except NotHermitian as exc:
             raise NotHermitian(f"induced Gram matrix is not Hermitian: {exc}") from exc
+        y = (g.a @ v) / s
+        try:
+            self._factor = _gram_factor(p.conj().T @ y, y, t)
         except NotPsd as exc:
             raise NotPsd(f"induced Gram matrix is not positive: {exc}") from exc
         self.domain_basis = d
         self.values = g
-        self.gram = gram
-        self._span = (p, (g.a @ v) / s)
-        self._factor = _gram_factor(p.conj().T @ self._span[1], self._span[1], t)
+        self._span = (p, y)
 
     @property
     def ambient_dim(self) -> int:
@@ -125,18 +130,6 @@ def _gram_factor(m: np.ndarray, g: np.ndarray, tol: Tolerances) -> tuple[np.ndar
     gq = g @ q
     resid = _fro(g - gq @ q.conj().T)
     return gq / np.sqrt(w), resid
-
-
-def _factor_from_span(d: np.ndarray, g: np.ndarray, tol: Tolerances) -> np.ndarray:
-    """Factor C of the minimal positive extension ``C C*`` from a spanning (possibly dependent) set.
-
-    Any spanning set gives the same extension; the library passes the
-    orthonormal domains of thin SVDs.  C = G Q W^{-1/2} from the eigenpairs of
-    M = D* G above the rank cutoff.  Raises :class:`RestrictionConditionFailed`
-    when the values do not vanish on the kernel that decision leaves, and
-    :class:`NotPsd` when M is genuinely indefinite.
-    """
-    return _checked_factor(_gram_factor(d.conj().T @ g, g, tol), g, tol)
 
 
 def _checked_factor(factor: tuple[np.ndarray, float], g: np.ndarray, tol: Tolerances) -> np.ndarray:

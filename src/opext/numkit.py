@@ -77,10 +77,13 @@ class Tolerances:
 
     One rule makes these thresholds, the floored limit :func:`_limit`,
     ``rel * (1 + scale)`` for the size ``scale`` of what a residual is
-    measured against.  Comparisons with no unit floor stay as written: the
-    contraction tests ``1 + eq``, cstar's ``4 (1 + eq)``, ``4 + eq`` and
+    measured against.  Comparisons with no unit floor stay as written:
+    verify's contraction invariants ``norm <= 1 + eq`` and
+    ``exact_bound <= 1 + eq``, cstar's ``4 (1 + eq)``, ``4 + eq`` and
     ``exact (1 + eq)``, the supplied extension's agreement
     ``eq ||Gamma||_F`` and the degenerate-pair cutoffs of sampled ratios.
+    The Parrott contraction hypotheses are floored: a reduced norm beta
+    passes when ``beta^2 <= 1 + _limit(eq, 1)``.
     """
 
     rank: float | None = None
@@ -252,7 +255,8 @@ class PsdMatrix(HermitianMatrix):
     spectrum; only when it fails does the exact ``eigvalsh`` decide, so
     the decision and the NotPsd message are those of the spectrum.  A
     weight passed raw to :func:`~opext.kvn.hilbert_lift` is instead decided
-    by the lift's own spectrum (:func:`psd_eig`, the same rule).  Results
+    by the lift's own spectrum, and the kvn Gram form by its factor's
+    (:func:`psd_eig`, the same rule).  Results
     positive by construction (minimal extensions, |Phi|, block-diagonal
     weights) are adopted, never constructed: this class validates caller data.
     """

@@ -33,7 +33,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DimensionMismatch, HypothesisViolated, NotABounded, NotPsd, NumericalFailure, RestrictionConditionFailed
-from .kvn import HilbertLift, _factor_from_span, hilbert_lift
+from .kvn import HilbertLift, _checked_factor, _gram_factor, hilbert_lift
 from .numkit import (
     ComplexMatrix,
     HermitianMatrix,
@@ -230,9 +230,14 @@ def _extend_on_lift(op: SymmetricPartialOperator, lift: HilbertLift, tol: Tolera
 
 
 def _shifted_extension(p: np.ndarray, y: np.ndarray, alpha: float, tol: Tolerances) -> np.ndarray:
-    """Factor C (r rows) of the minimal positive extension ``C C*`` of alpha P + Y on the orthonormal P; pass -Y for alpha P - Y."""
+    """Factor C (r rows) of the minimal positive extension ``C C*`` of alpha P + Y on the orthonormal P; pass -Y for alpha P - Y.
+
+    C = G Q W^{-1/2} for G = alpha P + Y and the eigenpairs P* G = Q W Q*
+    above the rank cutoff (:func:`~opext.kvn._gram_factor`).
+    """
+    g = alpha * p + y
     try:
-        return _factor_from_span(p, alpha * p + y, tol)
+        return _checked_factor(_gram_factor(p.conj().T @ g, g, tol), g, tol)
     except (RestrictionConditionFailed, NotPsd) as exc:
         # the shifted operators are positive with finite bound by
         # construction, so a rejection here is numerical, not structural

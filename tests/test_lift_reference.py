@@ -13,7 +13,7 @@ lifted as a whole.
 import numpy as np
 import pytest
 
-from opext.kvn import _block_diag, _factor_from_span, hilbert_lift
+from opext.kvn import _block_diag, hilbert_lift
 from opext.numkit import PsdMatrix, Tolerances, _smax, pinv
 from opext.parrott import ParrottInstance, parrott_complete
 from opext.sa_ext import SymmetricPartialOperator, alpha_of_total, extend_symmetric, lift_symmetric
@@ -56,9 +56,8 @@ def ref_coordinates(d, v, sqrt_dom, q_dom, pinv_ran, q_ran):
 
 
 def _extend_from_span(d, g, tol):
-    """Minimal positive extension ``C C*``, formed from the library's factor C."""
-    c = _factor_from_span(d, g, tol)
-    return c @ c.conj().T
+    """Minimal positive extension in the closed form ``G (D* G)^+ G*`` of a spanning set D."""
+    return g @ pinv(d.conj().T @ g, tol).a @ g.conj().T
 
 
 def ref_endpoints(u, w, alpha, sqrt, q):

@@ -138,7 +138,7 @@ def test_indefinite_shifted_gram_is_a_numerical_failure(monkeypatch):
     def indefinite(d, g, tol):
         raise NotPsd("synthetic negative eigenvalue")
 
-    monkeypatch.setattr(sa_ext, "_factor_from_span", indefinite)
+    monkeypatch.setattr(sa_ext, "_gram_factor", indefinite)
     op = SymmetricPartialOperator(np.eye(2)[:, :1], np.array([[1.0], [0.0]]))
     with pytest.raises(NumericalFailure):
         extend_symmetric(op, PsdMatrix(np.eye(2)))
@@ -285,8 +285,9 @@ def planted_strong(gen, n, p):
 class TestCallerPositivityIsCertified:
     # n = 32 (and p = q = 8 for strong Parrott): a caller weight is decided
     # by the spectrum its lift takes anyway, so it costs no Cholesky and no
-    # eigvalsh; both Loewner hypotheses are proved by one Cholesky each, with
-    # no spectrum; the eigh and svd counts are those of the eigvalsh-validating code
+    # eigvalsh; both Loewner hypotheses are decided on the reduced pairs, by
+    # the thin SVDs and norms the corner takes anyway, so they cost nothing
+    # more; the eigh and svd counts are those of the eigvalsh-validating code
 
     def counts(self, decompositions):
         return {name: len(decompositions.shapes(name)) for name in ("svd", "eigh", "eigvalsh", "cholesky")}
@@ -303,8 +304,17 @@ class TestCallerPositivityIsCertified:
             parrott_complete(ParrottInstance(*data))
         assert self.counts(decompositions) == {"svd": 5, "eigh": 3, "eigvalsh": 0, "cholesky": 0}
 
+    def test_partial_positive_operator(self, decompositions):
+        # positivity is decided by the Gram factor's own eigh, not on D* G
+        gen = np.random.default_rng(73)
+        f = cgauss(gen, 32, 24)
+        d = cgauss(gen, 32, 12)
+        with decompositions:
+            PartialPositiveOperator(d, (f @ f.conj().T) @ d)
+        assert self.counts(decompositions) == {"svd": 1, "eigh": 1, "eigvalsh": 0, "cholesky": 0}
+
     def test_strong_parrott(self, decompositions):
         data = planted_strong(np.random.default_rng(72), 16, 8)
         with decompositions:
             strong_parrott(StrongParrottInstance(*data))
-        assert self.counts(decompositions) == {"svd": 4, "eigh": 1, "eigvalsh": 0, "cholesky": 2}
+        assert self.counts(decompositions) == {"svd": 4, "eigh": 1, "eigvalsh": 0, "cholesky": 0}

@@ -25,8 +25,6 @@ TOLERANCE_FIELDS = {"eq", "psd", "herm"}
 UNFLOORED = {
     ("numkit.py", "_certified_above"):
         "halves the psd slack before _limit floors it, keeping the shift's evaluation order",
-    ("parrott.py", "classical_parrott"):
-        "contraction tests ||T|| <= 1 + eq compare a norm with 1 itself",
     ("func_ext.py", "_pair_constant"):
         "the degenerate-pair cutoff eq ||L||^2 ||x|| ||a0|| already carries the pair's scale; 4 + eq is the constant 4",
     ("func_ext.py", "cstar_extendibility"):
