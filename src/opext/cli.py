@@ -519,7 +519,7 @@ def build_parser() -> argparse.ArgumentParser:
         _add_tol_flags(p)
         if kind == "parrott":
             p.add_argument("--endpoint", choices=_ENDPOINTS, default="min",
-                           help="which extremal extension supplies the completion")
+                           help="which extremal extension supplies the completion (all three coincide)")
         if kind == "cstar-check":
             p.add_argument("--seed", type=int, default=0, help="seed for the sampled bound check")
             p.add_argument("--samples", type=int, default=None,

@@ -24,10 +24,20 @@ operators alpha +/- S0_hat, the completions are
 
     X_min = J2 L[r1:, :r1] J1*,    X_max = -J2 H[r1:, :r1] J1*.
 
-The shift -alpha I has no off-diagonal block, so neither the stacked weight
-nor an (n1+n2)-square endpoint is formed, and each endpoint needs only its
-own side: L for X_min, H for X_max.  One private core, :func:`_corner`,
-computes that corner from the corners' orthonormal pairs.
+The sign similarity D = diag(I_r1, -I_r2) maps alpha + S0_hat to
+alpha - S0_hat, so H = D L D and X_max = X_min: the "min", "max" and "mid"
+endpoints are one completion.  Neither the stacked weight nor an
+(n1+n2)-square endpoint is formed, and the corner itself is not read off a
+stacked problem: one private core, :func:`_corner`, computes it in closed
+form from the corners' orthonormal pairs (P1, Y1) and (P2, Y2).  The
+stacked Gram form is [[alpha I, B*], [B, alpha I]], whose eigenvalues are
+alpha +/- sigma_i for the singular values of the coupling block
+B = (P2* Y1 + (P1* Y2)*) / 2, so one eigh of the smaller of B B* and B* B
+(min(k1, k2) square) replaces the eigh of the (k1 + k2)-square form, with
+the same positivity, rank and existence decisions.  Each domain D_i is
+decided on its own side: its range coordinates U_i = J_i* D_i, factored by
+the lift anyway, prove it independent when they have full rank, and only a
+collapsed U_i has D_i's own rank decided.
 
 Specializations: :func:`strong_parrott` completes an intertwining pair of
 factorizations (X S1 = S2, T2 X = T1, ||X|| <= 1), and
@@ -43,6 +53,8 @@ the remaining equalities and their own output equations, and raise
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 
 from .errors import (
@@ -51,6 +63,8 @@ from .errors import (
     IncompatibleInstance,
     NotABounded,
     NotHermitian,
+    NotPsd,
+    NumericalFailure,
 )
 from .kvn import _antidiag, _block_diag, hilbert_lift
 from .numkit import (
@@ -62,12 +76,13 @@ from .numkit import (
     _limit,
     _projector,
     _range_basis,
+    _require_psd,
     _restrict,
     _smax,
     _tol,
     numerical_rank,
 )
-from .sa_ext import SymmetricPartialOperator, _shifted_extension, _weighted_lift
+from .sa_ext import SymmetricPartialOperator, _weighted_lift
 
 __all__ = [
     "ParrottInstance",
@@ -188,14 +203,15 @@ def parrott_complete(
 
     Returns an n2-by-n1 matrix T with T extending T1, T* extending T2,
     and cross-weighted bound squared at most max(alpha1, alpha2).  The
-    ``endpoint`` selects which extension of the stacked operator supplies
-    the corner: "min" (default, the canonical choice), "max", or "mid"
-    (their average, also a valid completion by convexity).  It runs on
-    the lifts the instance took of its weights, where :func:`_corner_lifts`
-    decides the pairing.  The stacked operator has P = diag(P1, P2),
-    Y = [[0, Y2], [Y1, 0]] and bound max(beta1, beta2); of its shifted
-    extensions L, H only the n2-by-n1 corners J2 L[r1:, :r1] J1* and
-    -J2 H[r1:, :r1] J1* are mapped back.
+    ``endpoint`` names the extension of the stacked operator that supplies
+    the corner: "min" (default), "max", or "mid" (their average).  All three
+    give the same completion -- the sign similarity diag(I, -I) carries the
+    one shifted extension to the other, so X_max = X_min -- and the value is
+    accepted and validated only.  It runs on the lifts the instance took of
+    its weights, where :func:`_corner_lifts` decides the pairing; a domain
+    D_i is independent when its range coordinates U_i = J_i* D_i are, and
+    only a collapsed U_i has D_i's own rank decided.  The corner is mapped
+    back as J2 X J1*.
     """
     t = _tol(tol)
     if endpoint not in ("min", "max", "mid"):
@@ -204,31 +220,102 @@ def parrott_complete(
     if corners is None:
         raise IncompatibleInstance("instance fails compatibility or exceeds its declared bound constants")
     (p1, y1, beta1), (p2, y2, beta2) = corners
-    domain = _block_diag(inst.domain1.a, inst.domain2.a)
-    if numerical_rank(domain, t) != domain.shape[1]:
-        raise ValueError("domain basis columns are dependent; supply an independent set")
-    corner = _corner(p1, y1, p2, y2, max(beta1, beta2), endpoint, t)
+    for d, p in ((inst.domain1.a, p1), (inst.domain2.a, p2)):
+        if p.shape[1] != d.shape[1] and numerical_rank(d, t) != d.shape[1]:
+            raise ValueError("domain basis columns are dependent; supply an independent set")
+    corner = _corner(p1, y1, p2, y2, max(beta1, beta2), t)
     return ComplexMatrix._adopt(inst._lifts[1].embedding() @ corner @ inst._lifts[0].coembedding())
 
 
-def _corner(p1, y1, p2, y2, beta: float, endpoint: str, tol: Tolerances) -> np.ndarray:
-    """r2-by-r1 corner of the ``endpoint`` extension of the stacked pair.
+def _corner(p1, y1, p2, y2, beta: float, tol: Tolerances) -> np.ndarray:
+    """r2-by-r1 corner X = G2 M^+ G1* of the minimal positive extension of the stacked pair, in closed form.
 
-    The stacked operator has the orthonormal domain P = diag(P1, P2), the
-    values Y = [[0, Y2], [Y1, 0]] and the bound beta; with L = C C*, H = K K*
-    the minimal positive extensions of beta P + Y and beta P - Y, the corner
-    is L[r1:, :r1] = C[r1:] C[:r1]* for "min", -H[r1:, :r1] = -K[r1:] K[:r1]*
-    for "max", and their average for "mid".  Only the sides the endpoint
-    needs are extended, and only their corner block is multiplied out.
+    The stacked pair has P = diag(P1, P2), Y = [[0, Y2], [Y1, 0]] and the
+    bound beta, so G = beta P + Y has the row blocks G1 = [beta P1, Y2] and
+    G2 = [Y1, beta P2], and its Gram form M = [[beta I, B*], [B, beta I]]
+    has the k2-by-k1 coupling block B = (P2* Y1 + (P1* Y2)*) / 2.  M is beta
+    off the pairs e+/- = (v, +/-u) / sqrt 2 of B's singular triples, where it
+    has the eigenvalues beta +/- sigma, so one eigh of B B* = U diag(sigma^2) U*
+    (the smaller Gram matrix: the swapped problem has the adjoint corner)
+    gives X = Y1 P1* + P2 Y2* plus a rank-two term per pair.  With
+    W = B* U = V diag(sigma) and d = 1 / ((beta - sigma)(beta + sigma)), the
+    pairs with sigma <= beta / 2 add
+
+        Y1 W d (P1 W - Y2 U)* + P2 U d (Y2 U sigma^2 - P1 W beta^2)*,
+
+    where d <= 4 / (3 beta^2) and nothing divides by sigma; the others go
+    through :func:`_tight_pairs`.  The decisions are those of
+    :func:`~opext.numkit.psd_eig` and the existence residual on M, raised as
+    NumericalFailure: beta - sigma_max must not be genuinely negative, and a
+    pair whose beta - sigma is at or below the rank cutoff of M's k1 + k2
+    eigenvalues keeps only its beta + sigma direction, where G must vanish
+    on the other (only pairs with sigma > beta / 2 are tested: a rank cutoff
+    below 1/4, as every default is, cannot reach the others).  beta = 0
+    gives the zero corner.
     """
-    r1 = p1.shape[0]
-    p, y = _block_diag(p1, p2), _antidiag(y2, y1)
-    signs = {"min": (1.0,), "max": (-1.0,), "mid": (1.0, -1.0)}[endpoint]
-    corners = []
-    for sign in signs:
-        c = _shifted_extension(p, sign * y, beta, tol)
-        corners.append(sign * (c[r1:] @ c[:r1].conj().T))
-    return corners[0] if len(corners) == 1 else (corners[0] + corners[1]) / 2.0
+    if p2.shape[1] > p1.shape[1]:
+        return np.conjugate(_corner(p2, y2, p1, y1, beta, tol).T, order="C")
+    x = y1 @ p1.conj().T + p2 @ y2.conj().T
+    if beta == 0.0:
+        return np.zeros_like(x)
+    if p2.shape[1] == 0:
+        return x
+    b = p2.conj().T @ y1
+    b += y2.conj().T @ p1
+    b /= 2.0
+    s2, u = np.linalg.eigh(b @ b.conj().T)
+    s2 = np.maximum(s2, 0.0)
+    sigma = np.sqrt(s2)
+    top = beta + sigma[-1]
+    try:
+        _require_psd(float(beta - sigma[-1]), float(top), tol.psd)
+    except NotPsd as exc:
+        raise NumericalFailure(f"positive lift rejected unexpectedly: {exc}") from exc
+    w = b.conj().T @ u
+    ya, pa, yb, pb = y1 @ w, p1 @ w, y2 @ u, p2 @ u
+    tight = sigma > 0.5 * beta
+    if tight.any():
+        k = p1.shape[1] + p2.shape[1]
+        cut = tol.rank_cutoff(k, k) * top
+        x += _tight_pairs(*(m[:, tight] for m in (ya, pa, yb, pb)), sigma[tight], beta, cut, (p1, y1, p2, y2), tol)
+        if tight.all():
+            return x
+        loose = ~tight
+        ya, pa, yb, pb, s2, sigma = (m[..., loose] for m in (ya, pa, yb, pb, s2, sigma))
+    d = 1.0 / ((beta - sigma) * (beta + sigma))
+    x += (ya * d) @ (pa - yb).conj().T
+    x += (pb * d) @ (yb * s2 - pa * (beta * beta)).conj().T
+    return x
+
+
+def _tight_pairs(ya, pa, yb, pb, sigma, beta: float, cut: float, pairs, tol: Tolerances) -> np.ndarray:
+    """The pairs of :func:`_corner` with sigma > beta / 2, in the stacked route's own form.
+
+    With v = W / sigma, sqrt 2 G1 e+/- = beta P1 v +/- Y2 u and
+    sqrt 2 G2 e+/- = Y1 v +/- beta P2 u; each pair adds
+    G2 e+ (G1 e+)* (1 / (beta + sigma) - 1 / beta) + G2 e- (G1 e-)* (1 / (beta - sigma) - 1 / beta),
+    so a small beta - sigma divides only G e-, which is small where the
+    extension exists.  A pair with beta - sigma at or below ``cut`` drops e-
+    (its term is -G2 e- (G1 e-)* / beta), and G must vanish there to
+    eq (1 + ||G||_F), ||G||_F from the orthonormal ``pairs``; else NumericalFailure.
+    """
+    bv, yv = pa * (beta / sigma), ya / sigma  # beta P1 v and Y1 v
+    plus1, minus1 = bv + yb, bv - yb
+    plus2, minus2 = yv + beta * pb, yv - beta * pb
+    gap = beta - sigma
+    drop = gap <= cut
+    if drop.any():
+        p1, y1, p2, y2 = pairs
+        size = math.sqrt(beta * beta * (_fro(p1) ** 2 + _fro(p2) ** 2) + _fro(y1) ** 2 + _fro(y2) ** 2)
+        resid = math.hypot(_fro(minus1[:, drop]), _fro(minus2[:, drop])) / math.sqrt(2.0)
+        if resid > _limit(tol.eq, size):
+            raise NumericalFailure(
+                "positive lift rejected unexpectedly: restriction condition violated: the prescribed values "
+                f"do not vanish on the kernel of the domain Gram matrix (residual {resid:.3e})"
+            )
+    minus = sigma / (beta * np.where(drop, -sigma, gap)) / 2.0
+    plus = -sigma / (beta * (beta + sigma)) / 2.0
+    return (plus2 * plus) @ plus1.conj().T + (minus2 * minus) @ minus1.conj().T
 
 
 def _unit_corner(p1, y1, p2, y2, bounds, equations, tol: Tolerances) -> ComplexMatrix:
@@ -248,7 +335,7 @@ def _unit_corner(p1, y1, p2, y2, bounds, equations, tol: Tolerances) -> ComplexM
     ]
     if excess:
         raise HypothesisViolated("; ".join(excess))
-    x = _corner(p1, y1, p2, y2, max(beta for _, beta in bounds), "min", tol)
+    x = _corner(p1, y1, p2, y2, max(beta for _, beta in bounds), tol)
     failures = []
     for name, residual, scale in equations:
         resid = _fro(residual(x))
@@ -308,10 +395,10 @@ def strong_parrott(inst: StrongParrottInstance, tol: Tolerances | None = None) -
     relative to the data, so the decision does not change with its scale.
 
     Raises :class:`HypothesisViolated` naming the failed condition(s):
-    the intertwining equality, values that do not vanish where a side's
-    domain columns are dependent, a reduced bound above 1 (named as the
-    Loewner hypothesis of its side), or X S1 = S2 or T2 X = T1 missed by
-    more than eq (1 + ||S1||) or eq (1 + ||T2||) on the completion.
+    the intertwining equality, a Loewner hypothesis (with its reason: S2
+    not vanishing on ker S1, or T1* on ker T2*, or a reduced bound above 1),
+    or X S1 = S2 or T2 X = T1 missed by more than eq (1 + ||S1||) or
+    eq (1 + ||T2||) on the completion.
     """
     t = _tol(tol)
     s1, s2 = inst.s1.a, inst.s2.a
@@ -319,20 +406,21 @@ def strong_parrott(inst: StrongParrottInstance, tol: Tolerances | None = None) -
     eq_resid = _fro(t1 @ s1 - t2 @ s2)
     if eq_resid > _limit(t.eq, _fro(t1 @ s1)):
         raise HypothesisViolated(f"T1 S1 = T2 S2 fails (residual {eq_resid:.3e})")
-    pairs = []
-    for what, domain, values in (("left", s1, s2), ("right", t2.conj().T, t1.conj().T)):
-        p, y, resid = _restrict(domain, values, t)  # values vanish where dependent columns do
+    pairs, bounds = [], []
+    for name, kernel, domain, values in (
+        ("S2* S2 <= S1* S1", "S2 does not vanish on ker S1", s1, s2),
+        ("T1 T1* <= T2 T2*", "T1* does not vanish on ker T2*", t2.conj().T, t1.conj().T),
+    ):
+        p, y, resid = _restrict(domain, values, t)
         if resid > _limit(t.eq, _fro(values)):
-            raise HypothesisViolated(
-                f"{what} factorization: dependent domain columns carry inconsistent values (residual {resid:.3e})"
-            )
+            raise HypothesisViolated(f"{name} fails: {kernel} (residual {resid:.3e})")
         pairs.append((p, y))
+        bounds.append((name, _smax(y)))
     (p1, y1), (p2, y2) = pairs
     equations = (
         ("X S1 = S2", lambda x: x @ s1 - s2, _fro(s1)),
         ("T2 X = T1", lambda x: t2 @ x - t1, _fro(t2)),
     )
-    bounds = (("S2* S2 <= S1* S1", _smax(y1)), ("T1 T1* <= T2 T2*", _smax(y2)))
     return _unit_corner(p1, y1, p2, y2, bounds, equations, t)
 
 

@@ -131,6 +131,12 @@ def right_dependent(eps):
     return StrongParrottInstance(s1, s2, t1, t2), t2.conj().T, t1.conj().T
 
 
+HYPOTHESES = {
+    "left": "S2* S2 <= S1* S1 fails: S2 does not vanish on ker S1",
+    "right": "T1 T1* <= T2 T2* fails: T1* does not vanish on ker T2*",
+}
+
+
 @pytest.mark.parametrize("f", SIDES)
 @pytest.mark.parametrize("side, build", [("left", left_dependent), ("right", right_dependent)])
 def test_strong_parrott_dependent_columns_boundary(side, build, f):
@@ -141,7 +147,7 @@ def test_strong_parrott_dependent_columns_boundary(side, build, f):
     inst, domain, values = build(eps)
     resid, limit = restrict_residual(domain, values)
     assert_at_boundary(resid, limit, f)
-    message = f"{side} factorization: dependent domain columns carry inconsistent values (residual {resid:.3e})"
+    message = f"{HYPOTHESES[side]} (residual {resid:.3e})"
     expected = (True, None) if not resid > limit else (False, message)
     assert expected[0] == (f < 1.0)  # below: the values are consistent within tolerance
     assert decided(lambda: strong_parrott(inst)) == expected

@@ -165,7 +165,7 @@ def test_parrott_complete_lifts_each_block_once(decompositions):
     assert all(shape != (n1 + n2, n1 + n2) for shape in decompositions.shapes())
     # the stacked range coordinates (r1 + r2 = 10 rows) are assembled, never decomposed
     svd_shapes = decompositions.shapes("svd")
-    assert len(svd_shapes) == 5
+    assert len(svd_shapes) == 4
     assert all(shape[0] != 6 + 4 for shape in svd_shapes)
     eig_inputs = [m for name, m in decompositions if name != "svd"]
     for block in (inst.weight1.a, inst.weight2.a):
@@ -240,9 +240,9 @@ def test_strong_parrott_takes_one_eigh_and_decomposes_no_identity(decompositions
     )
 
 
-@pytest.mark.parametrize("endpoint, sides", [("min", 1), ("max", 1), ("mid", 2)])
+@pytest.mark.parametrize("endpoint, sides", [("min", 1), ("max", 1), ("mid", 1)])
 def test_parrott_complete_extends_only_the_sides_its_endpoint_needs(decompositions, endpoint, sides):
-    # min needs L, max needs H, mid both; the two weights take one eigh each
+    # the three endpoints are one completion, from one corner eigh; the two weights take one eigh each
     inst = parrott_instance()
     with decompositions:
         parrott_complete(inst, endpoint=endpoint)
@@ -302,7 +302,7 @@ class TestCallerPositivityIsCertified:
         data = planted_parrott(np.random.default_rng(71), 16, 12, 6)
         with decompositions:
             parrott_complete(ParrottInstance(*data))
-        assert self.counts(decompositions) == {"svd": 5, "eigh": 3, "eigvalsh": 0, "cholesky": 0}
+        assert self.counts(decompositions) == {"svd": 4, "eigh": 3, "eigvalsh": 0, "cholesky": 0}
 
     def test_partial_positive_operator(self, decompositions):
         # positivity is decided by the Gram factor's own eigh, not on D* G
