@@ -12,9 +12,10 @@ which would square its condition) it is computed in factored form
     A_N = C C*,    C = Y Q W^{-1/2},    P* Y = Q W Q* (eigenvalues above the rank cutoff),
 
 which is positive semidefinite by construction.  :func:`_gram_factor`
-returns C itself, and each caller forms only the part of C C* it needs: a
-two-corner completion multiplies out a corner block, the interval endpoints
-the r-by-r product in range coordinates.  That single eigendecomposition
+returns C itself, and each caller forms only the part of C C* it needs: the
+minimal extension itself, or the interval endpoints' r-by-r product in range
+coordinates (the two-corner completion reads its corner off the coupling
+block instead, :func:`opext.parrott._corner`).  That single eigendecomposition
 decides positivity and rank, and so also settles existence
 (:func:`check_restriction`): the values must vanish where the Gram form
 does, tested as ||Y - (Y Q) Q*|| ~ 0.  A :class:`PartialPositiveOperator`
