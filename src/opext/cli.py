@@ -74,7 +74,6 @@ EXIT_INVALID_INPUT = 2
 EXIT_NUMERICAL_FAILURE = 3
 
 RUN_KINDS = ("kvn", "sa-ext", "parrott", "strong-parrott", "functional-ext", "cstar-check")
-_ENDPOINTS = ("min", "max", "mid")
 
 _ORACLE_KIND = {
     "kvn": "kvn",
@@ -261,7 +260,7 @@ def _run_parrott(data: dict, tol: Tolerances, args) -> tuple[dict, dict]:
         data["domain1"], data["values1"], data["domain2"], data["values2"],
         data["weight1"], data["weight2"], data["alpha1"], data["alpha2"], tol,
     )
-    completion = parrott_complete(inst, tol, getattr(args, "endpoint", "min")).a
+    completion = parrott_complete(inst, tol).a
     # cross-weighted norm of X: A1 on its domain, A2 on its range
     norm = _alpha_on_lift(completion, inst._lifts[1], inst._lifts[0], tol)
     bound = float(np.sqrt(max(inst.alpha1, inst.alpha2)))
@@ -470,28 +469,24 @@ def _verify_one(kind: str, rng: Rng, dims: tuple[int, ...], tol: Tolerances, see
     """Failed invariants of one generated instance, run as `opext <kind>` runs it.
 
     The instance goes through the same encode -> parse -> run path as an
-    instance file; parrott runs once per endpoint.
+    instance file, once per instance for every kind.
     """
     instance, witness = random_instance_with_witness(_ORACLE_KIND[kind], dims, rng)
     data = _PARSERS[kind](_encode_instance(kind, instance))
+    args = argparse.Namespace(seed=seed, samples=_VERIFY_SAMPLES)
+    outputs, diagnostics = _RUNNERS[kind](data, tol, args)
+    result = {**outputs, **diagnostics}
+    if kind in _VERIFY_ONLY:
+        result.update(_VERIFY_ONLY[kind](data, result, witness, tol))
     failures = []
-    for endpoint in _ENDPOINTS if kind == "parrott" else (None,):
-        args = argparse.Namespace(endpoint=endpoint, seed=seed, samples=_VERIFY_SAMPLES)
-        outputs, diagnostics = _RUNNERS[kind](data, tol, args)
-        result = {**outputs, **diagnostics}
-        if kind in _VERIFY_ONLY:
-            result.update(_VERIFY_ONLY[kind](data, result, witness, tol))
-        for key, threshold in _INVARIANTS[kind]:
-            value = result[key]
-            limit = None if threshold is None else threshold(data, result, tol)
-            if (value is True) if limit is None else (value <= limit):
-                continue
-            if limit is not None and not np.isfinite(value):
-                value = str(value)  # nan and inf have no canonical JSON form
-            record = {"check": key, "value": value, "threshold": limit}
-            if endpoint is not None:
-                record["endpoint"] = endpoint
-            failures.append(record)
+    for key, threshold in _INVARIANTS[kind]:
+        value = result[key]
+        limit = None if threshold is None else threshold(data, result, tol)
+        if (value is True) if limit is None else (value <= limit):
+            continue
+        if limit is not None and not np.isfinite(value):
+            value = str(value)  # nan and inf have no canonical JSON form
+        failures.append({"check": key, "value": value, "threshold": limit})
     return failures
 
 
@@ -517,9 +512,6 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("instance", help="path to the JSON instance file")
         p.add_argument("--out", default=None, help="write the result file here instead of stdout")
         _add_tol_flags(p)
-        if kind == "parrott":
-            p.add_argument("--endpoint", choices=_ENDPOINTS, default="min",
-                           help="which extremal extension supplies the completion (all three coincide)")
         if kind == "cstar-check":
             p.add_argument("--seed", type=int, default=0, help="seed for the sampled bound check")
             p.add_argument("--samples", type=int, default=None,
@@ -690,3 +682,7 @@ def main(argv: list[str] | None = None) -> int:
 
 def console_main() -> None:
     raise SystemExit(main())
+
+
+if __name__ == "__main__":
+    console_main()

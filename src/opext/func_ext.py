@@ -349,13 +349,13 @@ def gns_realization(
     of g_0.  It is I_m (x) s_0 for the partial operator s_0 on the rows
     (C^m, F^T): its domain basis is I_m (x) P, an orthonormal basis of the
     span of the lifted ideal, and its values I_m (x) Y, from the thin SVD
-    of s_0's lifted domain.  Raises :class:`NotSymmetric` /
+    of s_0's lifted domain; the pair is adopted, as its m-by-m factors
+    were already decided.  Raises :class:`NotSymmetric` /
     :class:`NotFBounded` when the realization does not exist.
     """
-    t = _tol(tol)
-    row, p, y, _ = _row_operator(pf, density, t)
+    row, p, y, _ = _row_operator(pf, density, _tol(tol))
     eye = np.eye(pf.size, dtype=np.complex128)
-    return _gns_space(row), SymmetricPartialOperator(np.kron(eye, p), np.kron(eye, y), t)
+    return _gns_space(row), SymmetricPartialOperator._adopt(np.kron(eye, p), np.kron(eye, y))
 
 
 def f_bound(pf: PartialFunctional, density, tol: Tolerances | None = None) -> float:

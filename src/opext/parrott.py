@@ -17,27 +17,21 @@ construction stacks the two partial operators into one symmetric partial
 operator S_0 (x1, x2) = (T2 x2, T1 x1) on C^{n1+n2} with block-diagonal
 weight and reads the completion off the off-diagonal corner of a
 bound-preserving self-adjoint extension (the corner form of Davis, Kahan
-and Weinberger).  In range coordinates the stacked operator is assembled
-from the two corners' cross lifts, and with J_i the weights' embeddings,
-r1 = rank A1 and L, H the minimal positive extensions of the shifted
-operators alpha +/- S0_hat, the completions are
-
-    X_min = J2 L[r1:, :r1] J1*,    X_max = -J2 H[r1:, :r1] J1*.
-
-The sign similarity D = diag(I_r1, -I_r2) maps alpha + S0_hat to
-alpha - S0_hat, so H = D L D and X_max = X_min: the "min", "max" and "mid"
-endpoints are one completion.  Neither the stacked weight nor an
-(n1+n2)-square endpoint is formed, and the corner itself is not read off a
-stacked problem: one private core, :func:`_corner`, computes it in closed
-form from the corners' orthonormal pairs (P1, Y1) and (P2, Y2).  The
-stacked Gram form is [[alpha I, B*], [B, alpha I]], whose eigenvalues are
-alpha +/- sigma_i for the singular values of the coupling block
-B = (P2* Y1 + (P1* Y2)*) / 2, so one eigh of the smaller of B B* and B* B
-(min(k1, k2) square) replaces the eigh of the (k1 + k2)-square form, with
-the same positivity, rank and existence decisions.  Each domain D_i is
-decided on its own side: its range coordinates U_i = J_i* D_i, factored by
-the lift anyway, prove it independent when they have full rank, and only a
-collapsed U_i has D_i's own rank decided.
+and Weinberger).  There is one completion, because the sign similarity
+diag(I, -I) maps alpha + S_0 onto alpha - S_0 and so the minimal shifted
+extension onto the maximal one, with the same corner.  Neither the stacked
+weight nor an (n1+n2)-square extension is formed, and the corner itself is
+not read off a stacked problem: one private core, :func:`_corner`,
+computes it in closed form from the corners' orthonormal pairs (P1, Y1)
+and (P2, Y2).  The stacked Gram form is [[alpha I, B*], [B, alpha I]],
+whose eigenvalues are alpha +/- sigma_i for the singular values of the
+coupling block B = (P2* Y1 + (P1* Y2)*) / 2, so one eigh of the smaller of
+B B* and B* B (min(k1, k2) square) replaces the eigh of the
+(k1 + k2)-square form, with the same positivity, rank and existence
+decisions.  Each domain D_i is decided on its own side: its range
+coordinates U_i = J_i* D_i, factored by the lift anyway, prove it
+independent when they have full rank, and only a collapsed U_i has D_i's
+own rank decided.
 
 Specializations: :func:`strong_parrott` completes an intertwining pair of
 factorizations (X S1 = S2, T2 X = T1, ||X|| <= 1), and
@@ -196,26 +190,17 @@ def assemble_symmetric(
     return op, PsdMatrix._adopt(_block_diag(inst.weight1.a, inst.weight2.a))
 
 
-def parrott_complete(
-    inst: ParrottInstance, tol: Tolerances | None = None, endpoint: str = "min"
-) -> ComplexMatrix:
+def parrott_complete(inst: ParrottInstance, tol: Tolerances | None = None) -> ComplexMatrix:
     """Complete the two corners to a single bounded operator.
 
     Returns an n2-by-n1 matrix T with T extending T1, T* extending T2,
-    and cross-weighted bound squared at most max(alpha1, alpha2).  The
-    ``endpoint`` names the extension of the stacked operator that supplies
-    the corner: "min" (default), "max", or "mid" (their average).  All three
-    give the same completion -- the sign similarity diag(I, -I) carries the
-    one shifted extension to the other, so X_max = X_min -- and the value is
-    accepted and validated only.  It runs on the lifts the instance took of
-    its weights, where :func:`_corner_lifts` decides the pairing; a domain
-    D_i is independent when its range coordinates U_i = J_i* D_i are, and
-    only a collapsed U_i has D_i's own rank decided.  The corner is mapped
-    back as J2 X J1*.
+    and cross-weighted bound squared at most max(alpha1, alpha2).  It runs
+    on the lifts the instance took of its weights, where
+    :func:`_corner_lifts` decides the pairing; a domain D_i is independent
+    when its range coordinates U_i = J_i* D_i are, and only a collapsed U_i
+    has D_i's own rank decided.  The corner is mapped back as J2 X J1*.
     """
     t = _tol(tol)
-    if endpoint not in ("min", "max", "mid"):
-        raise ValueError(f"endpoint must be 'min', 'max', or 'mid', got {endpoint!r}")
     corners = _corner_lifts(inst, t)
     if corners is None:
         raise IncompatibleInstance("instance fails compatibility or exceeds its declared bound constants")

@@ -89,6 +89,13 @@ class SymmetricPartialOperator:
         self.domain_basis = d
         self.values = v
 
+    @classmethod
+    def _adopt(cls, d: np.ndarray, v: np.ndarray):
+        """Wrap, as :meth:`ComplexMatrix._adopt` does, an independent symmetric pair the library built."""
+        op = cls.__new__(cls)
+        op.domain_basis, op.values = ComplexMatrix._adopt(d), ComplexMatrix._adopt(v)
+        return op
+
     @property
     def ambient_dim(self) -> int:
         return self.domain_basis.rows

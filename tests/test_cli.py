@@ -1,6 +1,9 @@
 """Command-line interface: exit codes, result files, determinism."""
 
 import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -11,7 +14,8 @@ from opext.errors import NumericalFailure
 from opext.kvn import hilbert_lift
 from opext.serialize import decode_matrix, dumps_canonical, encode_matrix
 
-INSTANCES = Path(__file__).resolve().parent.parent / "instances"
+ROOT = Path(__file__).resolve().parent.parent
+INSTANCES = ROOT / "instances"
 
 
 def run(tmp_path, *argv):
@@ -500,19 +504,42 @@ class TestGen:
         capsys.readouterr()
 
 
-class TestParrottEndpointFlag:
-    def test_all_endpoints_run(self, tmp_path):
-        for endpoint in ("min", "max", "mid"):
-            out = tmp_path / f"{endpoint}.json"
-            code = cli.main(["parrott", str(INSTANCES / "parrott.json"),
-                             "--endpoint", endpoint, "--out", str(out)])
-            assert code == 0
-            doc = json.loads(out.read_text())
-            np.testing.assert_allclose(
-                decode_matrix(doc["outputs"]["completion"]),
-                np.array([[0.0, 1.0], [1.0, 0.0]]),
-                atol=1e-8,
-            )
+class TestParrottTakesNoEndpoint:
+    # there is one completion, so parrott takes no endpoint flag
+    def test_endpoint_flag_is_invalid_input(self, capsys):
+        assert cli.main(["parrott", str(INSTANCES / "parrott.json"), "--endpoint", "min"]) == 2
+        assert "--endpoint" in capsys.readouterr().err
+
+    def test_help_lists_no_endpoint(self, capsys):
+        assert cli.main(["parrott", "--help"]) == 0
+        assert "--endpoint" not in capsys.readouterr().out
+
+
+class TestModuleInvocation:
+    """``python -m opext`` and ``python -m opext.cli`` behave as ``opext`` does."""
+
+    @staticmethod
+    def module_run(module, *argv):
+        env = dict(os.environ)
+        env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(ROOT / "src"), env.get("PYTHONPATH")]))
+        return subprocess.run([sys.executable, "-m", module, *argv], capture_output=True, text=True, env=env, cwd=ROOT)
+
+    @pytest.mark.parametrize("module", ["opext", "opext.cli"])
+    def test_verify_prints_the_report(self, tmp_path, module):
+        argv = ["verify", "--kind", "all", "--count", "2"]
+        proc = self.module_run(module, *argv)
+        assert (proc.returncode, proc.stderr) == (0, "")
+        out = tmp_path / "report.json"
+        assert cli.main([*argv, "--out", str(out)]) == 0
+        assert proc.stdout == out.read_text()
+        assert json.loads(proc.stdout)["status"] == "ok"
+
+    @pytest.mark.parametrize("module", ["opext", "opext.cli"])
+    def test_missing_instance_is_invalid_input(self, tmp_path, module):
+        proc = self.module_run(module, "kvn", str(tmp_path / "missing.json"))
+        assert proc.returncode == 2
+        doc = json.loads(proc.stdout)
+        assert (doc["status"], doc["error"]["type"]) == ("invalid-input", "FileNotFoundError")
 
 
 class TestCstarFlags:
@@ -646,24 +673,23 @@ class TestVerify:
             {"index": 0, "dims": [3, 2], "type": "NumericalFailure", "message": "synthetic breakdown"}
         ]
 
-    def test_verify_checks_every_parrott_endpoint(self, tmp_path, monkeypatch):
+    def test_verify_runs_parrott_once_per_instance(self, tmp_path, monkeypatch):
         runner = cli._RUNNERS["parrott"]
-        endpoints = []
+        calls = []
 
-        def broken_max(data, tol, args):
+        def broken(data, tol, args):
             outputs, diagnostics = runner(data, tol, args)
-            endpoints.append(args.endpoint)
-            if args.endpoint == "max":
-                diagnostics["bound_ok"] = False
+            calls.append((data["n1"], data["n2"]))
+            diagnostics["bound_ok"] = False
             return outputs, diagnostics
 
-        monkeypatch.setitem(cli._RUNNERS, "parrott", broken_max)
-        code, doc = run(tmp_path, "verify", "--kind", "parrott", "--count", "1", "--dims", "3,2")
+        monkeypatch.setitem(cli._RUNNERS, "parrott", broken)
+        code, doc = run(tmp_path, "verify", "--kind", "parrott", "--count", "2", "--dims", "3,2")
         assert code == 3
-        assert endpoints == ["min", "max", "mid"]
+        assert calls == [(3, 2), (3, 2)]
         assert doc["outputs"]["parrott"]["failures"] == [
-            {"index": 0, "dims": [3, 2], "check": "bound_ok", "value": False, "threshold": None,
-             "endpoint": "max"}
+            {"index": index, "dims": [3, 2], "check": "bound_ok", "value": False, "threshold": None}
+            for index in (0, 1)
         ]
 
     def test_verify_checks_the_sampled_bound_against_the_exact_one(self, tmp_path, monkeypatch):

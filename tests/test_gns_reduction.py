@@ -16,10 +16,12 @@ from opext.func_ext import (
     LeftIdeal,
     PartialFunctional,
     _ideal_agreement,
+    _row_operator,
     cstar_extendibility,
     extend_functional,
     f_bound,
     gns,
+    gns_realization,
     is_symmetric_on_ideal,
 )
 from opext.kvn import hilbert_lift
@@ -140,11 +142,35 @@ def test_no_decomposition_larger_than_the_algebra(decompositions):
         extend_functional(pf, density)
         f_bound(pf, density)
         gns(density)
+        gns_realization(pf, density)
         cstar_extendibility(pf, extension=phi, samples=200)
         cstar_extendibility(pf)
     sides = [max(shape) for shape in decompositions.shapes()]
 
     assert sides and max(sides) <= m
+
+
+@pytest.mark.parametrize("seed", range(6))
+def test_gns_realization_adopts_the_kronecker_pair(decompositions, seed):
+    # I_m (x) P and I_m (x) Y are built from the decided m-by-m pair and adopted: no
+    # decomposition sees the m r-row domain, and the arrays are those the public
+    # constructor accepts, bit for bit
+    gen = np.random.default_rng(5000 + seed)
+    m = int(gen.integers(2, 6))
+    density, root = planted_density(gen, m, m if seed % 2 == 0 else int(gen.integers(1, m)))
+    pf = PartialFunctional(LeftIdeal(projection(gen, m, int(gen.integers(1, m + 1)))),
+                           root @ herm(cgauss(gen, m, m)) @ root)
+    density = PsdMatrix(density)
+    with decompositions:
+        _, op = gns_realization(pf, density)
+    assert max(max(shape) for shape in decompositions.shapes()) <= m
+
+    _, p, y, _ = _row_operator(pf, density, DEFAULT_TOLERANCES)
+    eye = np.eye(m, dtype=complex)
+    want = SymmetricPartialOperator(np.kron(eye, p), np.kron(eye, y))
+    for got, ref in ((op.domain_basis.a, want.domain_basis.a), (op.values.a, want.values.a)):
+        assert got.dtype == ref.dtype and np.array_equal(got, ref)
+        assert got.flags.c_contiguous and not got.flags.writeable
 
 
 def test_ideal_rank_one_below_full():

@@ -1,17 +1,15 @@
 """Each committed instance file, run again, reproduces its golden result file.
 
-``tests/golden/`` holds the result of every file in ``instances/`` (parrott
-at each endpoint).  A run must match its golden file on exit code, status,
-error type and the set of keys at every level, and every number must agree
-to within 1e-12 (1 + |golden|), so output drift shows up here rather than in
-a comparison made by hand.  After a deliberate output change, regenerate
+``tests/golden/`` holds the result of every file in ``instances/``.  A run
+must match its golden file on exit code, status, error type and the set of
+keys at every level, and every number must agree to within
+1e-12 (1 + |golden|), so output drift shows up here rather than in a
+comparison made by hand.  After a deliberate output change, regenerate
 the files from the repository root with
 
     opext <kind> instances/<kind>.json --out tests/golden/<kind>.json
-    opext parrott instances/parrott.json --endpoint <e> --out tests/golden/parrott-<e>.json
 
-for each of the five other kinds and each endpoint e in min, max, mid, and
-record the change in CHANGES.md.
+for each of the six kinds, and record the change in CHANGES.md.
 """
 
 import json
@@ -25,8 +23,6 @@ ROOT = Path(__file__).resolve().parent.parent
 GOLDEN = Path(__file__).resolve().parent / "golden"
 REL = 1e-12
 
-CASES = [(kind, None) for kind in cli.RUN_KINDS if kind != "parrott"]
-CASES += [("parrott", endpoint) for endpoint in ("min", "max", "mid")]
 
 EXIT_CODES = {
     "ok": cli.EXIT_OK,
@@ -54,13 +50,11 @@ def mismatches(got, want, path="$"):
     return [] if got == want else [f"{path}: {got!r} != {want!r}"]
 
 
-@pytest.mark.parametrize("kind, endpoint", CASES, ids=[k if e is None else f"{k}-{e}" for k, e in CASES])
-def test_instance_matches_golden(tmp_path, kind, endpoint):
-    name = kind if endpoint is None else f"{kind}-{endpoint}"
-    want = json.loads((GOLDEN / f"{name}.json").read_text())
+@pytest.mark.parametrize("kind", cli.RUN_KINDS)
+def test_instance_matches_golden(tmp_path, kind):
+    want = json.loads((GOLDEN / f"{kind}.json").read_text())
     out = tmp_path / "result.json"
-    argv = [kind, str(ROOT / "instances" / f"{kind}.json"), "--out", str(out)]
-    code = cli.main(argv + (["--endpoint", endpoint] if endpoint else []))
+    code = cli.main([kind, str(ROOT / "instances" / f"{kind}.json"), "--out", str(out)])
     got = json.loads(out.read_text())
     assert code == EXIT_CODES[want["status"]]
     assert got["status"] == want["status"]
@@ -72,7 +66,7 @@ def test_every_instance_has_a_golden_file():
     kinds = {path.stem for path in (ROOT / "instances").glob("*.json")}
     names = {path.stem for path in GOLDEN.glob("*.json")}
     assert kinds == set(cli.RUN_KINDS)
-    assert names == {kind if endpoint is None else f"{kind}-{endpoint}" for kind, endpoint in CASES}
+    assert names == set(cli.RUN_KINDS)
 
 
 def test_comparison_catches_drift():

@@ -117,9 +117,8 @@ class TestAssemble:
 
 class TestGenericCompletion:
     def test_fixture_forced_completion(self):
-        for endpoint in ("min", "max", "mid"):
-            t = parrott_complete(fixture_instance(), endpoint=endpoint)
-            assert np.abs(t.a - SWAP).max() <= 1e-8
+        t = parrott_complete(fixture_instance())
+        assert np.abs(t.a - SWAP).max() <= 1e-8
 
     def test_dependent_domain_rejected(self):
         # compatible and within its bounds, but domain1 repeats a column
@@ -129,9 +128,12 @@ class TestGenericCompletion:
             parrott_complete(inst)
         assert excinfo.type is ValueError
 
-    def test_bad_endpoint_rejected(self):
-        with pytest.raises(ValueError, match="endpoint"):
-            parrott_complete(fixture_instance(), endpoint="median")
+    def test_takes_no_endpoint(self):
+        # there is one completion, so there is no endpoint to choose
+        with pytest.raises(TypeError):
+            parrott_complete(fixture_instance(), Tolerances(), "min")
+        with pytest.raises(TypeError):
+            parrott_complete(fixture_instance(), endpoint="min")
 
     def test_empty_domains_give_zero_completion(self):
         inst = ParrottInstance(
@@ -150,25 +152,24 @@ class TestGenericCompletion:
             n1 = int(gen.integers(1, 6))
             n2 = int(gen.integers(1, 6))
             inst, witness = random_instance_with_witness("parrott", (n1, n2), child.split(0))
-            for endpoint in ("min", "max", "mid"):
-                t = parrott_complete(inst, endpoint=endpoint)
-                a1, a2 = inst.weight1.a, inst.weight2.a
-                d1, v1 = inst.domain1.a, inst.values1.a
-                d2, v2 = inst.domain2.a, inst.values2.a
-                # weighted extension identities for both corners
-                r1 = np.linalg.norm(a2 @ (t.a @ d1 - v1))
-                r2 = np.linalg.norm(a1 @ (t.a.conj().T @ d2 - v2))
-                assert r1 <= 1e-7 * (1 + np.linalg.norm(a2 @ v1))
-                assert r2 <= 1e-7 * (1 + np.linalg.norm(a1 @ v2))
-                # the total operator is itself a compatible instance at the
-                # promised bound, checked through the public validator
-                total = ParrottInstance(
-                    np.eye(n1), t.a, np.eye(n2), t.a.conj().T,
-                    a1, a2,
-                    max(inst.alpha1, inst.alpha2) * (1 + 1e-7) + 1e-9,
-                    max(inst.alpha1, inst.alpha2) * (1 + 1e-7) + 1e-9,
-                )
-                assert check_compatibility(total)
+            t = parrott_complete(inst)
+            a1, a2 = inst.weight1.a, inst.weight2.a
+            d1, v1 = inst.domain1.a, inst.values1.a
+            d2, v2 = inst.domain2.a, inst.values2.a
+            # weighted extension identities for both corners
+            r1 = np.linalg.norm(a2 @ (t.a @ d1 - v1))
+            r2 = np.linalg.norm(a1 @ (t.a.conj().T @ d2 - v2))
+            assert r1 <= 1e-7 * (1 + np.linalg.norm(a2 @ v1))
+            assert r2 <= 1e-7 * (1 + np.linalg.norm(a1 @ v2))
+            # the total operator is itself a compatible instance at the
+            # promised bound, checked through the public validator
+            total = ParrottInstance(
+                np.eye(n1), t.a, np.eye(n2), t.a.conj().T,
+                a1, a2,
+                max(inst.alpha1, inst.alpha2) * (1 + 1e-7) + 1e-9,
+                max(inst.alpha1, inst.alpha2) * (1 + 1e-7) + 1e-9,
+            )
+            assert check_compatibility(total)
 
 
 class TestStrongParrott:

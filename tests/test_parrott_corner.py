@@ -1,10 +1,10 @@
-"""One Parrott completion for every endpoint, domains decided on their own side,
-and a corner that decomposes only the coupling block's smaller Gram matrix.
+"""One Parrott completion, domains decided on their own side, and a corner
+that decomposes only the coupling block's smaller Gram matrix.
 
 * The sign similarity diag(I, -I) carries the minimal shifted extension of
-  the stacked pair to the maximal one, so X_max = X_min and the average is
-  the same matrix: ``parrott_complete`` returns it bit for bit for "min",
-  "max" and "mid".
+  the stacked pair to the maximal one, so both have the completion as
+  their corner: ``parrott_complete`` matches the n2 x n1 corner of each
+  extremal extension of the stacked operator, computed on the sa-ext path.
 * A domain D_i is independent when its range coordinates U_i = J_i* D_i
   are; only a collapsed U_i has D_i's own rank decided, on D_i's own scale,
   so two domains at very different scales complete.
@@ -23,7 +23,15 @@ from opext import cli
 from opext.errors import IncompatibleInstance
 from opext.numkit import Tolerances, _projector, _range_basis
 from opext.oracle import random_contraction, random_projection
-from opext.parrott import ParrottInstance, StrongParrottInstance, classical_parrott, parrott_complete, strong_parrott
+from opext.parrott import (
+    ParrottInstance,
+    StrongParrottInstance,
+    assemble_symmetric,
+    classical_parrott,
+    parrott_complete,
+    strong_parrott,
+)
+from opext.sa_ext import extend_symmetric
 
 INSTANCES = Path(__file__).resolve().parent.parent / "instances"
 DEPENDENT = "domain basis columns are dependent; supply an independent set"
@@ -64,12 +72,15 @@ def generated(tmp_path, seed):
 
 
 def assert_one_completion(inst):
-    x = parrott_complete(inst, endpoint="min").a
-    for endpoint in ("max", "mid"):
-        assert np.array_equal(parrott_complete(inst, endpoint=endpoint).a, x)
+    """The completion is the n2 x n1 corner of both extremal extensions of the stacked operator."""
+    x = parrott_complete(inst).a
+    interval = extend_symmetric(*assemble_symmetric(inst))
+    for s in (interval.s_min, interval.s_max):
+        corner = s.a[inst.dim1:, :inst.dim1]
+        assert np.linalg.norm(x - corner) <= 1e-12 * (1 + np.linalg.norm(corner))
 
 
-class TestOneCompletionForEveryEndpoint:
+class TestTheCompletionIsBothStackedCorners:
     def test_committed_instance(self):
         assert_one_completion(instance_from(json.loads((INSTANCES / "parrott.json").read_text())["payload"]))
 
@@ -157,13 +168,12 @@ def assert_no_stacked_decomposition(decompositions, stacked_rows, corner, fixed)
 
 
 class TestTheCornerDecomposesOnlyTheSmallerGram:
-    @pytest.mark.parametrize("endpoint", ["min", "max", "mid"])
     @pytest.mark.parametrize("k1, k2", [(3, 2), (2, 3)])
-    def test_parrott_complete(self, decompositions, endpoint, k1, k2):
+    def test_parrott_complete(self, decompositions, k1, k2):
         # n1, n2 = 11, 9 and r1, r2 = 8, 6: the stacked k1 + k2 = 5 and r1 + r2 = 14 rows
         inst = planted(0, 11, 9, 8, 6, k1, k2)
         with decompositions:
-            parrott_complete(inst, endpoint=endpoint)
+            parrott_complete(inst)
         assert_no_stacked_decomposition(decompositions, (k1 + k2, 14), min(k1, k2), (inst.weight1.a, inst.weight2.a))
 
     def test_strong_parrott(self, decompositions):

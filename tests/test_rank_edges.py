@@ -188,12 +188,11 @@ def constructed_rows(monkeypatch, call):
     return rows
 
 
-@pytest.mark.parametrize("endpoint", ["min", "max", "mid"])
-def test_parrott_complete_builds_nothing_in_the_stacked_space(monkeypatch, endpoint):
+def test_parrott_complete_builds_nothing_in_the_stacked_space(monkeypatch):
     # the completion is read off the n2 x n1 corner of the range coordinates;
-    # neither the block lift of diag(A1, A2) nor an (n1 + n2)-square endpoint is formed
+    # neither the block lift of diag(A1, A2) nor an (n1 + n2)-square extension is formed
     inst = parrott_instance()
-    rows = constructed_rows(monkeypatch, lambda: parrott_complete(inst, endpoint=endpoint))
+    rows = constructed_rows(monkeypatch, lambda: parrott_complete(inst))
     assert rows and inst.dim1 + inst.dim2 not in rows
 
 
@@ -240,19 +239,14 @@ def test_strong_parrott_takes_one_eigh_and_decomposes_no_identity(decompositions
     )
 
 
-@pytest.mark.parametrize("endpoint, sides", [("min", 1), ("max", 1), ("mid", 1)])
-def test_parrott_complete_extends_only_the_sides_its_endpoint_needs(decompositions, endpoint, sides):
-    # the three endpoints are one completion, from one corner eigh; the two weights take one eigh each
+def test_parrott_complete_takes_one_corner_eigh(decompositions):
+    # the one completion comes from one min(k1, k2)-square corner eigh; the
+    # weights took their one eigh each when the instance was built
     inst = parrott_instance()
     with decompositions:
-        parrott_complete(inst, endpoint=endpoint)
+        parrott_complete(inst)
 
-    weights = (inst.weight1.a, inst.weight2.a)
-    shifted = [
-        m for name, m in decompositions
-        if name == "eigh" and not any(m.shape == w.shape and np.allclose(m, w) for w in weights)
-    ]
-    assert len(shifted) == sides
+    assert decompositions.shapes("eigh", "eigvalsh", "cholesky") == [(1, 1)]
 
 
 def herm(a):
