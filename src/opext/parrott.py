@@ -25,13 +25,12 @@ not read off a stacked problem: one private core, :func:`_corner`,
 computes it in closed form from the corners' orthonormal pairs (P1, Y1)
 and (P2, Y2).  The stacked Gram form is [[alpha I, B*], [B, alpha I]],
 whose eigenvalues are alpha +/- sigma_i for the singular values of the
-coupling block B = (P2* Y1 + (P1* Y2)*) / 2, so one eigh of the smaller of
-B B* and B* B (min(k1, k2) square) replaces the eigh of the
-(k1 + k2)-square form, with the same positivity, rank and existence
-decisions.  Each domain D_i is decided on its own side: its range
-coordinates U_i = J_i* D_i, factored by the lift anyway, prove it
-independent when they have full rank, and only a collapsed U_i has D_i's
-own rank decided.
+k2-by-k1 coupling block B = (P2* Y1 + (P1* Y2)*) / 2, so one thin SVD of
+B replaces the eigh of the (k1 + k2)-square form, with the same
+positivity, rank and existence decisions.  Each domain D_i is decided on
+its own side: its range coordinates U_i = J_i* D_i, factored by the lift
+anyway, prove it independent when they have full rank, and only a
+collapsed U_i has D_i's own rank decided.
 
 Specializations: :func:`strong_parrott` completes an intertwining pair of
 factorizations (X S1 = S2, T2 X = T1, ||X|| <= 1), and
@@ -219,78 +218,47 @@ def _corner(p1, y1, p2, y2, beta: float, tol: Tolerances) -> np.ndarray:
     bound beta, so G = beta P + Y has the row blocks G1 = [beta P1, Y2] and
     G2 = [Y1, beta P2], and its Gram form M = [[beta I, B*], [B, beta I]]
     has the k2-by-k1 coupling block B = (P2* Y1 + (P1* Y2)*) / 2.  M is beta
-    off the pairs e+/- = (v, +/-u) / sqrt 2 of B's singular triples, where it
-    has the eigenvalues beta +/- sigma, so one eigh of B B* = U diag(sigma^2) U*
-    (the smaller Gram matrix: the swapped problem has the adjoint corner)
-    gives X = Y1 P1* + P2 Y2* plus a rank-two term per pair.  With
-    W = B* U = V diag(sigma) and d = 1 / ((beta - sigma)(beta + sigma)), the
-    pairs with sigma <= beta / 2 add
+    off the pairs e+/- = (v, +/-u) / sqrt 2 of the thin SVD
+    B = U diag(sigma) V*, where it has the eigenvalues beta +/- sigma, so
+    X = Y1 P1* + P2 Y2* plus, per pair, with
+    sqrt 2 G1 e+/- = beta P1 v +/- Y2 u and sqrt 2 G2 e+/- = Y1 v +/- beta P2 u,
 
-        Y1 W d (P1 W - Y2 U)* + P2 U d (Y2 U sigma^2 - P1 W beta^2)*,
+        G2 e+ (G1 e+)* (1 / (beta + sigma) - 1 / beta) + G2 e- (G1 e-)* (1 / (beta - sigma) - 1 / beta),
 
-    where d <= 4 / (3 beta^2) and nothing divides by sigma; the others go
-    through :func:`_tight_pairs`.  The decisions are those of
-    :func:`~opext.numkit.psd_eig` and the existence residual on M, raised as
-    NumericalFailure: beta - sigma_max must not be genuinely negative, and a
-    pair whose beta - sigma is at or below the rank cutoff of M's k1 + k2
-    eigenvalues keeps only its beta + sigma direction, where G must vanish
-    on the other (only pairs with sigma > beta / 2 are tested: a rank cutoff
-    below 1/4, as every default is, cannot reach the others).  beta = 0
-    gives the zero corner.
+    so a small beta - sigma divides only G e-, which is small where the
+    extension exists.  The decisions are those of
+    :func:`~opext.numkit.psd_eig` and the existence residual on M, for every
+    rank cutoff below 1/2 (M's eigenvalue beta is never dropped there),
+    raised as NumericalFailure: beta - sigma_max must not be genuinely
+    negative, and a pair whose beta - sigma is at or below the rank cutoff
+    of M's k1 + k2 eigenvalues drops e- (its term is -G2 e- (G1 e-)* / beta),
+    where G must vanish to eq (1 + ||G||_F).  A sigma = 0 pair drops only at
+    a cutoff of 1/2 or more, and there ||G e-|| >= beta fails that test.
+    beta = 0 gives the zero corner, and an empty side Y1 P1* + P2 Y2*.
     """
-    if p2.shape[1] > p1.shape[1]:
-        return np.conjugate(_corner(p2, y2, p1, y1, beta, tol).T, order="C")
     x = y1 @ p1.conj().T + p2 @ y2.conj().T
     if beta == 0.0:
         return np.zeros_like(x)
-    if p2.shape[1] == 0:
+    if p1.shape[1] == 0 or p2.shape[1] == 0:
         return x
     b = p2.conj().T @ y1
     b += y2.conj().T @ p1
     b /= 2.0
-    s2, u = np.linalg.eigh(b @ b.conj().T)
-    s2 = np.maximum(s2, 0.0)
-    sigma = np.sqrt(s2)
-    top = beta + sigma[-1]
+    u, sigma, vh = np.linalg.svd(b, full_matrices=False)
+    top = beta + sigma[0]
     try:
-        _require_psd(float(beta - sigma[-1]), float(top), tol.psd)
+        _require_psd(float(beta - sigma[0]), float(top), tol.psd)
     except NotPsd as exc:
         raise NumericalFailure(f"positive lift rejected unexpectedly: {exc}") from exc
-    w = b.conj().T @ u
-    ya, pa, yb, pb = y1 @ w, p1 @ w, y2 @ u, p2 @ u
-    tight = sigma > 0.5 * beta
-    if tight.any():
-        k = p1.shape[1] + p2.shape[1]
-        cut = tol.rank_cutoff(k, k) * top
-        x += _tight_pairs(*(m[:, tight] for m in (ya, pa, yb, pb)), sigma[tight], beta, cut, (p1, y1, p2, y2), tol)
-        if tight.all():
-            return x
-        loose = ~tight
-        ya, pa, yb, pb, s2, sigma = (m[..., loose] for m in (ya, pa, yb, pb, s2, sigma))
-    d = 1.0 / ((beta - sigma) * (beta + sigma))
-    x += (ya * d) @ (pa - yb).conj().T
-    x += (pb * d) @ (yb * s2 - pa * (beta * beta)).conj().T
-    return x
-
-
-def _tight_pairs(ya, pa, yb, pb, sigma, beta: float, cut: float, pairs, tol: Tolerances) -> np.ndarray:
-    """The pairs of :func:`_corner` with sigma > beta / 2, in the stacked route's own form.
-
-    With v = W / sigma, sqrt 2 G1 e+/- = beta P1 v +/- Y2 u and
-    sqrt 2 G2 e+/- = Y1 v +/- beta P2 u; each pair adds
-    G2 e+ (G1 e+)* (1 / (beta + sigma) - 1 / beta) + G2 e- (G1 e-)* (1 / (beta - sigma) - 1 / beta),
-    so a small beta - sigma divides only G e-, which is small where the
-    extension exists.  A pair with beta - sigma at or below ``cut`` drops e-
-    (its term is -G2 e- (G1 e-)* / beta), and G must vanish there to
-    eq (1 + ||G||_F), ||G||_F from the orthonormal ``pairs``; else NumericalFailure.
-    """
-    bv, yv = pa * (beta / sigma), ya / sigma  # beta P1 v and Y1 v
-    plus1, minus1 = bv + yb, bv - yb
-    plus2, minus2 = yv + beta * pb, yv - beta * pb
+    v = vh.conj().T
+    bv, yu = beta * (p1 @ v), y2 @ u  # beta P1 v and Y2 u
+    yv, bu = y1 @ v, beta * (p2 @ u)  # Y1 v and beta P2 u
+    plus1, minus1 = bv + yu, bv - yu
+    plus2, minus2 = yv + bu, yv - bu
     gap = beta - sigma
-    drop = gap <= cut
+    k = p1.shape[1] + p2.shape[1]
+    drop = gap <= tol.rank_cutoff(k, k) * top
     if drop.any():
-        p1, y1, p2, y2 = pairs
         size = math.sqrt(beta * beta * (_fro(p1) ** 2 + _fro(p2) ** 2) + _fro(y1) ** 2 + _fro(y2) ** 2)
         resid = math.hypot(_fro(minus1[:, drop]), _fro(minus2[:, drop])) / math.sqrt(2.0)
         if resid > _limit(tol.eq, size):
@@ -298,9 +266,11 @@ def _tight_pairs(ya, pa, yb, pb, sigma, beta: float, cut: float, pairs, tol: Tol
                 "positive lift rejected unexpectedly: restriction condition violated: the prescribed values "
                 f"do not vanish on the kernel of the domain Gram matrix (residual {resid:.3e})"
             )
-    minus = sigma / (beta * np.where(drop, -sigma, gap)) / 2.0
-    plus = -sigma / (beta * (beta + sigma)) / 2.0
-    return (plus2 * plus) @ plus1.conj().T + (minus2 * minus) @ minus1.conj().T
+    minus = np.divide(sigma, 2.0 * beta * gap, out=np.full_like(sigma, -0.5 / beta), where=~drop)
+    plus = -sigma / (2.0 * beta * (beta + sigma))
+    x += (plus2 * plus) @ plus1.conj().T
+    x += (minus2 * minus) @ minus1.conj().T
+    return x
 
 
 def _unit_corner(p1, y1, p2, y2, bounds, equations, tol: Tolerances) -> ComplexMatrix:

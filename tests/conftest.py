@@ -65,3 +65,33 @@ def conditioned_strong_parrott():
         return StrongParrottInstance(s1, x0 @ s1, t1, t2)
 
     return build
+
+
+class CornerLog(list):
+    """``(coupling block B, decompositions made inside the call)`` of each ``parrott._corner`` call."""
+
+    def assert_one_coupling_svd(self):
+        """One corner was taken, and its only decomposition is one svd of its k2 x k1 coupling block."""
+        assert len(self) == 1
+        b, inner = self[0]
+        assert [name for name, _ in inner] == ["svd"]
+        assert inner[0][1].shape == b.shape and np.allclose(inner[0][1], b)
+
+
+@pytest.fixture
+def corners(monkeypatch, decompositions):
+    """CornerLog of the corners taken inside ``with decompositions:``; B = (P2* Y1 + (P1* Y2)*) / 2."""
+    from opext import parrott
+
+    log = CornerLog()
+    original = parrott._corner
+
+    def spied(p1, y1, p2, y2, *args):
+        start = len(decompositions)
+        x = original(p1, y1, p2, y2, *args)
+        if decompositions.recording:
+            log.append(((p2.conj().T @ y1 + y2.conj().T @ p1) / 2, decompositions[start:]))
+        return x
+
+    monkeypatch.setattr(parrott, "_corner", spied)
+    return log

@@ -404,10 +404,11 @@ class TestTolerances:
 
 
 class TestDiagnosticsReuseLifts:
-    @pytest.mark.parametrize("kind, eigh_calls", [("sa-ext", 3), ("parrott", 3)])
+    @pytest.mark.parametrize("kind, eigh_calls", [("sa-ext", 3), ("parrott", 2)])
     def test_eigh_calls(self, tmp_path, decompositions, kind, eigh_calls):
         # each weight is lifted once, for the run and all its diagnostics
-        # together, and never as the stacked (n1 + n2)-square matrix
+        # together, and never as the stacked (n1 + n2)-square matrix; the
+        # parrott corner takes an svd, not an eigh
         payload = json.loads((INSTANCES / f"{kind}.json").read_text())["payload"]
         stacked = payload["n1"] + payload["n2"] if kind == "parrott" else None
         with decompositions:
@@ -417,26 +418,29 @@ class TestDiagnosticsReuseLifts:
         assert len(shapes) == eigh_calls
         assert all(shape != (stacked, stacked) for shape in shapes)
 
-    def test_parrott_svd_calls(self, tmp_path, decompositions):
-        # the completion decomposes only the two corner lifts and the weighted
-        # norm of the result: each domain is proven independent by its lift
+    def test_parrott_svd_calls(self, tmp_path, decompositions, corners):
+        # the completion decomposes only the two corner lifts, the corner's
+        # coupling block and the weighted norm of the result: each domain is
+        # proven independent by its lift
         with decompositions:
             code, doc = run(tmp_path, "parrott", str(INSTANCES / "parrott.json"))
         calls = decompositions.shapes("svd")
         assert code == 0
-        assert len(calls) == 5
+        assert len(calls) == 6
+        corners.assert_one_coupling_svd()
         # the weighted norm is taken on the r2 x r1 core, not the stacked completion
         payload = json.loads((INSTANCES / "parrott.json").read_text())["payload"]
         stacked = sum(hilbert_lift(decode_matrix(payload[w])).rank for w in ("weight1", "weight2"))
         assert all(shape != (stacked, stacked) for shape in calls)
 
-    def test_strong_parrott_svd_calls(self, tmp_path, decompositions):
+    def test_strong_parrott_svd_calls(self, tmp_path, decompositions, corners):
         # one thin SVD per factorization, the norms of the two reduced values,
-        # and the norm of the solution
+        # the corner's coupling block, and the norm of the solution
         with decompositions:
             code, doc = run(tmp_path, "strong-parrott", str(INSTANCES / "strong-parrott.json"))
         assert code == 0
-        assert len(decompositions.shapes("svd")) == 5
+        assert len(decompositions.shapes("svd")) == 6
+        corners.assert_one_coupling_svd()
 
 
 @pytest.mark.parametrize(

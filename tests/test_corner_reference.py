@@ -1,12 +1,14 @@
 """The closed-form Parrott corner against the stacked route it replaces.
 
-``parrott._corner`` reads the corner G2 M^+ G1* off one eigh of the
-min(k1, k2)-square Gram matrix of the coupling block B.  The reference
-below is the stacked (k1 + k2)-dimensional route, written out with plain
-numpy: P = diag(P1, P2), Y = [[0, Y2], [Y1, 0]], G = beta P + sign Y, the
-eigenpairs of the Hermitian part of M = P* G, the psd rule and the rank
-cutoff of ``psd_eig``, the existence residual of G on the dropped
-directions, and the corner sign (C[r1:] C[:r1]*) of C = G Q W^{-1/2}.
+``parrott._corner`` reads the corner G2 M^+ G1* off one thin SVD of the
+k2 x k1 coupling block B, with one formula for every singular pair, and
+decides like ``psd_eig`` on M for every rank cutoff below 1/2.  The
+reference below is the stacked (k1 + k2)-dimensional route, written out
+with plain numpy: P = diag(P1, P2), Y = [[0, Y2], [Y1, 0]],
+G = beta P + sign Y, the eigenpairs of the Hermitian part of M = P* G, the
+psd rule and the rank cutoff of ``psd_eig``, the existence residual of G
+on the dropped directions, and the corner sign (C[r1:] C[:r1]*) of
+C = G Q W^{-1/2}.
 sign = -1 is the maximal extension; the diag(I, -I) similarity makes its
 corner the minimal one's.
 """
@@ -80,7 +82,7 @@ def planted(seed, k1, k2, scale=0.9):
 @pytest.mark.parametrize("seed", range(4))
 @pytest.mark.parametrize("k1, k2", [(2, 5), (5, 2), (4, 4), (1, 6), (6, 1)])
 def test_planted_corner_matches_the_stacked_route(seed, k1, k2):
-    # k1 < k2 takes the Gram side swap, k1 > k2 the direct one
+    # the thin SVD of B takes k1 < k2, k1 > k2 and the vectors k1 or k2 = 1 alike
     assert assert_matches(*planted(seed, k1, k2)) == 0
 
 
@@ -101,19 +103,20 @@ def test_zero_bound_gives_the_zero_corner():
     assert assert_matches(p1, y1, p2, y2, beta) == 5
 
 
-def gap_pairs(seed, k1, k2, leak=0.0):
+def gap_pairs(seed, k1, k2, leak=0.0, tail=None):
     """Pairs whose coupling block has sigma_max = 1 and no leak out of ran P on its top pair.
 
     Y1 = P2 B + L1 and Y2 = P1 B* + L2, with B's other singular values at
-    most 0.7 and L_i of norm 0.3 off ran P_j and off B's top pair, so both
-    ||Y_i|| are 1; ``leak`` adds that much of Y1's top value off ran P2.
+    most 0.7 (``tail``, drawn when None) and L_i of norm 0.3 off ran P_j and
+    off B's top pair, so both ||Y_i|| are 1; ``leak`` adds that much of Y1's
+    top value off ran P2.
     """
     gen = np.random.default_rng([seed, 89])
     r1, r2 = k1 + 3, k2 + 2
     p1, p2 = orthonormal(gen, r1, k1), orthonormal(gen, r2, k2)
     u, _, vh = np.linalg.svd(cgauss(gen, k2, k1))
     m = min(k1, k2)
-    sigma = np.concatenate([[1.0], gen.uniform(0.1, 0.7, m - 1)])
+    sigma = np.concatenate([[1.0], gen.uniform(0.1, 0.7, m - 1) if tail is None else tail])
     b = (u[:, :m] * sigma) @ vh[:m]
     off1, off2 = np.eye(r2) - p2 @ p2.conj().T, np.eye(r1) - p1 @ p1.conj().T
     top1, top2 = np.eye(k1) - np.outer(vh[0].conj(), vh[0]), np.eye(k2) - np.outer(u[:, 0], u[:, 0].conj())
@@ -189,3 +192,52 @@ def test_strong_parrott_with_an_understated_bound_is_a_numerical_failure(monkeyp
     monkeypatch.setattr(parrott, "_smax", lambda a: 0.5 * real(a))
     with pytest.raises(NumericalFailure, match="genuinely negative"):
         strong_parrott(inst)
+
+
+def assert_matches_without_division_warnings(p1, y1, p2, y2, beta, tol=TOL):
+    with np.errstate(divide="raise", invalid="raise"):
+        return assert_matches(p1, y1, p2, y2, beta, tol)
+
+
+@pytest.mark.parametrize("seed", range(2))
+@pytest.mark.parametrize("k1, k2", [(3, 5), (5, 3), (4, 4)])
+def test_rank_deficient_coupling_block(seed, k1, k2):
+    """B = diag(1, 0.4, 0, ...): its sigma = 0 pairs add nothing, and divide by nothing that vanishes."""
+    p1, y1, p2, y2 = gap_pairs(seed, k1, k2, tail=[0.4] + [0.0] * (min(k1, k2) - 2))
+    assert assert_matches_without_division_warnings(p1, y1, p2, y2, 1.0) == 1
+    assert assert_matches_without_division_warnings(p1, y1, p2, y2, 1.25) == 0
+
+
+@pytest.mark.parametrize("ratio", [0.49, 0.5, 0.51])
+@pytest.mark.parametrize("k1, k2", [(3, 5), (5, 3)])
+def test_pairs_either_side_of_half_the_bound(ratio, k1, k2):
+    # sigma = (1, ratio, 0.2): at beta = 1 the second pair has sigma / beta = ratio, at beta = 1 / ratio the top
+    p1, y1, p2, y2 = gap_pairs(9, k1, k2, tail=[ratio, 0.2])
+    assert assert_matches(p1, y1, p2, y2, 1.0) == 1
+    assert assert_matches(p1, y1, p2, y2, 1.0 / ratio) == 0
+
+
+@pytest.mark.parametrize("k1, k2", [(3, 5), (5, 3)])
+def test_a_rank_cutoff_of_three_tenths_drops_a_pair_below_half_the_bound(k1, k2):
+    """sigma = (1, 0.45, 0.2) at beta = 1, where the cutoff is rank (beta + sigma_max) = 2 rank.
+
+    At rank 0.2 the 0.45 pair's beta - sigma = 0.55 stays and both routes
+    complete; at 0.3 it drops, G does not vanish on its e-, and both reject.
+    """
+    p1, y1, p2, y2 = gap_pairs(10, k1, k2, tail=[0.45, 0.2])
+    assert assert_matches(p1, y1, p2, y2, 1.0, Tolerances(rank=0.2)) == 1
+    for corner in (parrott._corner, stacked_corner):
+        with pytest.raises(NumericalFailure):
+            corner(p1, y1, p2, y2, 1.0, Tolerances(rank=0.3))
+
+
+@pytest.mark.parametrize("k1, k2", [(3, 5), (5, 3), (4, 4)])
+def test_a_zero_pair_drops_only_where_the_residual_rejects_it(k1, k2):
+    """B = diag(1, 0, ...) at beta = 1: a cutoff of 0.3 keeps every sigma = 0 pair's beta - sigma = 1, and
+    0.6 drops it, where ||G e-|| >= beta trips the existence residual before anything divides by sigma."""
+    p1, y1, p2, y2 = gap_pairs(11, k1, k2, tail=[0.0] * (min(k1, k2) - 1))
+    assert assert_matches_without_division_warnings(p1, y1, p2, y2, 1.0, Tolerances(rank=0.3)) == 1
+    with np.errstate(divide="raise", invalid="raise"):
+        for corner in (parrott._corner, stacked_corner):
+            with pytest.raises(NumericalFailure):
+                corner(p1, y1, p2, y2, 1.0, Tolerances(rank=0.6))

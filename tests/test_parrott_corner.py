@@ -1,5 +1,5 @@
 """One Parrott completion, domains decided on their own side, and a corner
-that decomposes only the coupling block's smaller Gram matrix.
+whose one decomposition is the thin SVD of its coupling block.
 
 * The sign similarity diag(I, -I) carries the minimal shifted extension of
   the stacked pair to the maximal one, so both have the completion as
@@ -9,8 +9,8 @@ that decomposes only the coupling block's smaller Gram matrix.
   are; only a collapsed U_i has D_i's own rank decided, on D_i's own scale,
   so two domains at very different scales complete.
 * No decomposition on the Parrott paths sees a stacked (k1' + k2')- or
-  (r1 + r2)-row matrix; the corner's one decomposition is the
-  min(k1', k2')-square eigh.
+  (r1 + r2)-row matrix, and none but the weights' lifts is an eigh; the
+  corner's one decomposition is the svd of the k2' x k1' coupling block.
 """
 
 import json
@@ -117,11 +117,13 @@ class TestDomainsAreDecidedOnTheirOwnSide:
             assert np.linalg.norm(m @ d - v) <= 1e-12 * np.linalg.norm(v)
         assert np.linalg.norm(x, 2) <= 1.0 + 1e-12
 
-    def test_full_rank_lifts_decompose_no_domain(self, decompositions):
+    def test_full_rank_lifts_decompose_no_domain(self, decompositions, corners):
+        # each side's range coordinates and bound (two svds each), then the corner's 2 x 2 coupling block
         inst, _ = identity_instance(1e12)
         with decompositions:
             parrott_complete(inst)
-        assert len(decompositions.shapes("svd")) == 4
+        assert len(decompositions.shapes("svd")) == 5
+        corners.assert_one_coupling_svd()
 
     def test_duplicated_column_is_dependent(self):
         inst, hidden = identity_instance(1.0)
@@ -157,26 +159,29 @@ class TestDomainsAreDecidedOnTheirOwnSide:
             parrott_complete(ParrottInstance(d1, v1, d2, hidden.conj().T @ d2, *weights, 1.0, 1.0))
 
 
-def assert_no_stacked_decomposition(decompositions, stacked_rows, corner, fixed):
-    """No decomposed matrix has ``stacked_rows`` rows; the eighs of arrays other than ``fixed`` are one ``corner`` square."""
+def assert_no_stacked_decomposition(decompositions, corners, stacked_rows, coupling, fixed):
+    """No decomposed matrix has ``stacked_rows`` rows, no eigh sees an array other than ``fixed``,
+    and the corner's only decomposition is one svd of its ``coupling``-shaped coupling block."""
     assert all(shape[0] not in stacked_rows for shape in decompositions.shapes())
     others = [
         m.shape for name, m in decompositions
         if name == "eigh" and not any(m.shape == f.shape and np.allclose(m, f) for f in fixed)
     ]
-    assert others == [(corner, corner)]
+    assert others == []
+    corners.assert_one_coupling_svd()
+    assert corners[0][0].shape == coupling
 
 
-class TestTheCornerDecomposesOnlyTheSmallerGram:
+class TestTheCornerDecomposesOnlyTheCouplingBlock:
     @pytest.mark.parametrize("k1, k2", [(3, 2), (2, 3)])
-    def test_parrott_complete(self, decompositions, k1, k2):
+    def test_parrott_complete(self, decompositions, corners, k1, k2):
         # n1, n2 = 11, 9 and r1, r2 = 8, 6: the stacked k1 + k2 = 5 and r1 + r2 = 14 rows
         inst = planted(0, 11, 9, 8, 6, k1, k2)
         with decompositions:
             parrott_complete(inst)
-        assert_no_stacked_decomposition(decompositions, (k1 + k2, 14), min(k1, k2), (inst.weight1.a, inst.weight2.a))
+        assert_no_stacked_decomposition(decompositions, corners, (k1 + k2, 14), (k2, k1), (inst.weight1.a, inst.weight2.a))
 
-    def test_strong_parrott(self, decompositions):
+    def test_strong_parrott(self, decompositions, corners):
         # dimH, dimK, p, q = 9, 8, 4, 3: the stacked 7 and 17 rows
         gen = np.random.default_rng(105)
         x0 = cgauss(gen, 8, 9)
@@ -184,9 +189,9 @@ class TestTheCornerDecomposesOnlyTheSmallerGram:
         s1, t2 = cgauss(gen, 9, 4), cgauss(gen, 3, 8)
         with decompositions:
             strong_parrott(StrongParrottInstance(s1, x0 @ s1, t2 @ x0, t2))
-        assert_no_stacked_decomposition(decompositions, (7, 17), 3, ())
+        assert_no_stacked_decomposition(decompositions, corners, (7, 17), (3, 4), ())
 
-    def test_classical_parrott(self, decompositions):
+    def test_classical_parrott(self, decompositions, corners):
         # dimH, dimK = 7, 6 with ranks 3 and 2: the stacked 5 and 13 rows
         gen = np.random.default_rng(107)
         hidden = random_contraction(gen, 6, 7)
@@ -195,4 +200,4 @@ class TestTheCornerDecomposesOnlyTheSmallerGram:
         b_k1 = _range_basis(_projector(p_k1, Tolerances(), None))
         with decompositions:
             classical_parrott(p_h1, p_k1, hidden @ b_h1, b_k1.conj().T @ hidden)
-        assert_no_stacked_decomposition(decompositions, (5, 13), 2, (p_h1, p_k1))
+        assert_no_stacked_decomposition(decompositions, corners, (5, 13), (2, 3), (p_h1, p_k1))

@@ -156,17 +156,19 @@ def parrott_instance():
     return ParrottInstance(d1, hidden @ d1, d2, hidden.conj().T @ d2, a1, a2, 1.0, 1.0)
 
 
-def test_parrott_complete_lifts_each_block_once(decompositions):
+def test_parrott_complete_lifts_each_block_once(decompositions, corners):
     with decompositions:
         inst = parrott_instance()
         parrott_complete(inst)
     n1, n2 = inst.dim1, inst.dim2
 
     assert all(shape != (n1 + n2, n1 + n2) for shape in decompositions.shapes())
-    # the stacked range coordinates (r1 + r2 = 10 rows) are assembled, never decomposed
+    # the stacked range coordinates (r1 + r2 = 10 rows) are assembled, never decomposed;
+    # the fifth svd is the corner's, of its k2 x k1 = 1 x 2 coupling block
     svd_shapes = decompositions.shapes("svd")
-    assert len(svd_shapes) == 4
+    assert len(svd_shapes) == 5
     assert all(shape[0] != 6 + 4 for shape in svd_shapes)
+    corners.assert_one_coupling_svd()
     eig_inputs = [m for name, m in decompositions if name != "svd"]
     for block in (inst.weight1.a, inst.weight2.a):
         same = [m for m in eig_inputs if m.shape == block.shape and np.allclose(m, block)]
@@ -211,42 +213,46 @@ def test_strong_parrott_builds_nothing_in_the_stacked_space(monkeypatch):
     assert rows and inst.dim_h + inst.dim_k not in rows
 
 
-def test_strong_parrott_takes_one_svd_per_factorization(decompositions):
-    # one thin SVD of S1 and one of T2* reduce the data, and the norms of
-    # the two reduced values give the bound; the orthonormal domains are
-    # never decomposed again
+def test_strong_parrott_takes_one_svd_per_factorization(decompositions, corners):
+    # one thin SVD of S1 and one of T2* reduce the data, the norms of the
+    # two reduced values give the bound, and the corner takes one of its
+    # coupling block; the orthonormal domains are never decomposed again
     inst, x0 = strong_instance()
     s1 = inst.s1.a
 
     with decompositions:
         x = strong_parrott(inst).a
 
-    assert len(decompositions.shapes("svd")) == 4
+    assert len(decompositions.shapes("svd")) == 5
+    corners.assert_one_coupling_svd()
     assert np.linalg.norm(x @ s1 - x0 @ s1) <= 1e-8 * (1 + np.linalg.norm(x0 @ s1))
 
 
-def test_strong_parrott_takes_one_eigh_and_decomposes_no_identity(decompositions):
-    # the reduced data are orthonormal pairs on identity weights: only the
-    # minimal side of the stacked extension is eigendecomposed, and no
+def test_strong_parrott_takes_one_coupling_svd_and_decomposes_no_identity(decompositions, corners):
+    # the reduced data are orthonormal pairs on identity weights: the corner
+    # decomposes only its coupling block, nothing is eigendecomposed, and no
     # identity weight is formed or lifted
     inst, _ = strong_instance()
     with decompositions:
         strong_parrott(inst)
 
-    assert len(decompositions.shapes("eigh")) == 1
+    assert len(decompositions.shapes("eigh")) == 0
+    corners.assert_one_coupling_svd()
     assert not any(
         m.shape[0] == m.shape[1] and np.array_equal(m, np.eye(m.shape[0])) for _, m in decompositions
     )
 
 
-def test_parrott_complete_takes_one_corner_eigh(decompositions):
-    # the one completion comes from one min(k1, k2)-square corner eigh; the
-    # weights took their one eigh each when the instance was built
+def test_parrott_complete_takes_one_coupling_svd(decompositions, corners):
+    # the one completion comes from one svd of the k2 x k1 = 1 x 2 coupling
+    # block; the weights took their one eigh each when the instance was built
     inst = parrott_instance()
     with decompositions:
         parrott_complete(inst)
 
-    assert decompositions.shapes("eigh", "eigvalsh", "cholesky") == [(1, 1)]
+    assert decompositions.shapes("eigh", "eigvalsh", "cholesky") == []
+    corners.assert_one_coupling_svd()
+    assert corners[0][0].shape == (1, 2)
 
 
 def herm(a):
@@ -281,7 +287,8 @@ class TestCallerPositivityIsCertified:
     # by the spectrum its lift takes anyway, so it costs no Cholesky and no
     # eigvalsh; both Loewner hypotheses are decided on the reduced pairs, by
     # the thin SVDs and norms the corner takes anyway, so they cost nothing
-    # more; the eigh and svd counts are those of the eigvalsh-validating code
+    # more; the eigh and svd counts are those of the eigvalsh-validating code,
+    # but for the Parrott corner's decomposition, an svd of its coupling block
 
     def counts(self, decompositions):
         return {name: len(decompositions.shapes(name)) for name in ("svd", "eigh", "eigvalsh", "cholesky")}
@@ -292,11 +299,12 @@ class TestCallerPositivityIsCertified:
             extend_symmetric(op, weight)
         assert self.counts(decompositions) == {"svd": 2, "eigh": 3, "eigvalsh": 0, "cholesky": 0}
 
-    def test_parrott_complete(self, decompositions):
+    def test_parrott_complete(self, decompositions, corners):
         data = planted_parrott(np.random.default_rng(71), 16, 12, 6)
         with decompositions:
             parrott_complete(ParrottInstance(*data))
-        assert self.counts(decompositions) == {"svd": 4, "eigh": 3, "eigvalsh": 0, "cholesky": 0}
+        assert self.counts(decompositions) == {"svd": 5, "eigh": 2, "eigvalsh": 0, "cholesky": 0}
+        corners.assert_one_coupling_svd()
 
     def test_partial_positive_operator(self, decompositions):
         # positivity is decided by the Gram factor's own eigh, not on D* G
@@ -307,8 +315,9 @@ class TestCallerPositivityIsCertified:
             PartialPositiveOperator(d, (f @ f.conj().T) @ d)
         assert self.counts(decompositions) == {"svd": 1, "eigh": 1, "eigvalsh": 0, "cholesky": 0}
 
-    def test_strong_parrott(self, decompositions):
+    def test_strong_parrott(self, decompositions, corners):
         data = planted_strong(np.random.default_rng(72), 16, 8)
         with decompositions:
             strong_parrott(StrongParrottInstance(*data))
-        assert self.counts(decompositions) == {"svd": 4, "eigh": 1, "eigvalsh": 0, "cholesky": 0}
+        assert self.counts(decompositions) == {"svd": 5, "eigh": 0, "eigvalsh": 0, "cholesky": 0}
+        corners.assert_one_coupling_svd()
