@@ -11,15 +11,13 @@ which would square its condition) it is computed in factored form
 
     A_N = C C*,    C = Y Q W^{-1/2},    P* Y = Q W Q* (eigenvalues above the rank cutoff),
 
-which is positive semidefinite by construction.  :func:`_gram_factor`
-returns C itself, and each caller forms only the part of C C* it needs: the
-minimal extension itself, or the interval endpoints' r-by-r product in range
-coordinates (the two-corner completion reads its corner off the coupling
-block instead, :func:`opext.parrott._corner`).  That single eigendecomposition
-decides positivity and rank, and so also settles existence
+which is positive semidefinite by construction.  C is
+:func:`~opext.numkit._gram_factor` on the spectrum of P* Y, which also builds
+both interval endpoints of :mod:`opext.sa_ext` from that spectrum shifted by
++/- alpha.  Its one positivity and rank decision also settles existence
 (:func:`check_restriction`): the values must vanish where the Gram form
 does, tested as ||Y - (Y Q) Q*|| ~ 0.  A :class:`PartialPositiveOperator`
-makes it once and keeps C and that residual.
+decomposes P* Y once and keeps C and that residual.
 
 :func:`hilbert_lift` packages the auxiliary inner-product space attached
 to a positive weight A: the weighted pairing <x, y>_A = y* A x descends to
@@ -35,17 +33,20 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DimensionMismatch, NotHermitian, NotPsd, RestrictionConditionFailed
+from .errors import DimensionMismatch, NotHermitian, NotPsd
 from .numkit import (
     ComplexMatrix,
     HermitianMatrix,
     PsdMatrix,
     Tolerances,
     _checked_hermitian,
+    _eigh_sorted,
     _fro,
+    _gram_factor,
     _hermitian_part,
     _limit,
     _orth_factor,
+    _require_vanishing,
     _tol,
     psd_eig,
 )
@@ -102,7 +103,7 @@ class PartialPositiveOperator:
             raise NotHermitian(f"induced Gram matrix is not Hermitian: {exc}") from exc
         y = (g.a @ v) / s
         try:
-            self._factor = _gram_factor(p.conj().T @ y, y, t)
+            self._factor = _gram_factor(*_eigh_sorted(p.conj().T @ y), y, t)
         except NotPsd as exc:
             raise NotPsd(f"induced Gram matrix is not positive: {exc}") from exc
         self.domain_basis = d
@@ -119,29 +120,6 @@ class PartialPositiveOperator:
 
     def __repr__(self):
         return f"PartialPositiveOperator(n={self.ambient_dim}, k={self.domain_dim})"
-
-
-def _gram_factor(m: np.ndarray, g: np.ndarray, tol: Tolerances) -> tuple[np.ndarray, float]:
-    """Factor C = G Q W^{-1/2} of G M^+ G* and the existence residual ||G - (G Q) Q*||_F.
-
-    One :func:`~opext.numkit.psd_eig` of the Hermitian Gram matrix M = Q W Q*
-    makes the only rank decision; raises :class:`NotPsd` if M is indefinite.
-    """
-    w, q = psd_eig(m, tol)
-    gq = g @ q
-    resid = _fro(g - gq @ q.conj().T)
-    return gq / np.sqrt(w), resid
-
-
-def _checked_factor(factor: tuple[np.ndarray, float], g: np.ndarray, tol: Tolerances) -> np.ndarray:
-    """C of a :func:`_gram_factor` pair (C, residual); RestrictionConditionFailed if residual > eq (1 + ||G||_F)."""
-    c, resid = factor
-    if resid > _limit(tol.eq, _fro(g)):
-        raise RestrictionConditionFailed(
-            "restriction condition violated: the prescribed values do not vanish "
-            f"on the kernel of the domain Gram matrix (residual {resid:.3e})"
-        )
-    return c
 
 
 def check_restriction(op: PartialPositiveOperator, tol: Tolerances | None = None) -> bool:
@@ -168,7 +146,8 @@ def kvn_extend(op: PartialPositiveOperator, tol: Tolerances | None = None) -> Ps
     RestrictionConditionFailed
         If no positive extension exists (see :func:`check_restriction`).
     """
-    c = _checked_factor(op._factor, op._span[1], _tol(tol))
+    c, resid = op._factor
+    _require_vanishing(resid, _fro(op._span[1]), _tol(tol))
     return PsdMatrix._adopt(_hermitian_part(c @ c.conj().T))
 
 

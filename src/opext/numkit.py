@@ -26,7 +26,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DimensionMismatch, NotHermitian, NotPsd
+from .errors import DimensionMismatch, NotHermitian, NotPsd, RestrictionConditionFailed
 
 __all__ = [
     "Tolerances",
@@ -244,6 +244,38 @@ def _require_psd(lo: float, hi: float, psd: float) -> None:
         raise NotPsd(f"eigenvalue {lo:.3e} is genuinely negative (largest {hi:.3e})")
 
 
+def _psd_keep(w: np.ndarray, tol: Tolerances) -> np.ndarray:
+    """The positivity and rank rule on the whole spectrum w, in any order, of a Hermitian form of size n = w.size.
+
+    NotPsd (:func:`_require_psd`), else the mask of w above ``rank_cutoff(n, n) * max(lambda_max, 0)``.
+    """
+    if w.size == 0:
+        return np.zeros(0, dtype=bool)
+    hi = float(w.max())
+    _require_psd(float(w.min()), hi, tol.psd)
+    return w > tol.rank_cutoff(w.size, w.size) * max(hi, 0.0)
+
+
+def _gram_factor(w, v, cols, g: np.ndarray, tol: Tolerances) -> tuple[np.ndarray, float]:
+    """Factor C = G Q W^{-1/2} of G M^+ G* and the existence residual ||G - (G Q) Q*||_F.
+
+    (w, columns ``cols`` of v) are M's eigenpairs in any order, (W, Q) those :func:`_psd_keep` keeps, Q phase-fixed.
+    """
+    keep = _psd_keep(w, tol)
+    q = _phase_fixed(v, cols[keep])
+    gq = g @ q
+    return gq / np.sqrt(w[keep]), _fro(g - gq @ q.conj().T)
+
+
+def _require_vanishing(resid: float, scale: float, tol: Tolerances) -> None:
+    """The existence rule: RestrictionConditionFailed when G's residual on its Gram kernel exceeds ``eq * (1 + scale)``."""
+    if resid > _limit(tol.eq, scale):
+        raise RestrictionConditionFailed(
+            "restriction condition violated: the prescribed values do not vanish "
+            f"on the kernel of the domain Gram matrix (residual {resid:.3e})"
+        )
+
+
 class PsdMatrix(HermitianMatrix):
     """Hermitian matrix validated positive semidefinite.
 
@@ -267,8 +299,7 @@ class PsdMatrix(HermitianMatrix):
         super().__init__(data, tol)
         t = _tol(tol)
         if self.rows > 0 and not _certified_above(self.a, t.psd, float(np.max(self.a.diagonal().real))):
-            w = np.linalg.eigvalsh(self.a)
-            _require_psd(float(w[0]), float(w[-1]), t.psd)
+            _psd_keep(np.linalg.eigvalsh(self.a), t)  # raises NotPsd
 
 
 def eigh_desc(a) -> tuple[np.ndarray, np.ndarray]:
@@ -384,6 +415,7 @@ def psd_eig(a, tol: Tolerances | None = None) -> tuple[np.ndarray, np.ndarray]:
     matching orthonormal eigenvectors.  Eigenvalues below the cutoff are
     discarded outright; an eigenvalue below ``-psd * (1 + lambda_max)``
     raises :class:`NotPsd` with the rule and message of :class:`PsdMatrix`.
+    Both decisions are :func:`_psd_keep`, as for every Gram form and the Parrott corner.
 
     Dropping the sub-cutoff eigenvalues (instead of clamping them) keeps
     the square root, its pseudoinverse, and the range basis mutually
@@ -393,13 +425,8 @@ def psd_eig(a, tol: Tolerances | None = None) -> tuple[np.ndarray, np.ndarray]:
         a = _as_array(a)
         if a.shape[0] != a.shape[1]:
             raise DimensionMismatch(f"expected a square matrix, got {a.shape}")
-    t = _tol(tol)
     w, v, order = _eigh_sorted(a)
-    if w.size == 0:
-        return w, v
-    hi = float(w[0])
-    _require_psd(float(w[-1]), hi, t.psd)
-    keep = w > t.rank_cutoff(w.size, w.size) * max(hi, 0.0)
+    keep = _psd_keep(w, _tol(tol))
     return w[keep], _phase_fixed(v, order[keep])
 
 

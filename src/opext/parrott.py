@@ -58,6 +58,7 @@ from .errors import (
     NotHermitian,
     NotPsd,
     NumericalFailure,
+    RestrictionConditionFailed,
 )
 from .kvn import _antidiag, _block_diag, hilbert_lift
 from .numkit import (
@@ -68,8 +69,9 @@ from .numkit import (
     _fro,
     _limit,
     _projector,
+    _psd_keep,
     _range_basis,
-    _require_psd,
+    _require_vanishing,
     _restrict,
     _smax,
     _tol,
@@ -226,48 +228,41 @@ def _corner(p1, y1, p2, y2, beta: float, tol: Tolerances) -> np.ndarray:
         G2 e+ (G1 e+)* (1 / (beta + sigma) - 1 / beta) + G2 e- (G1 e-)* (1 / (beta - sigma) - 1 / beta),
 
     so a small beta - sigma divides only G e-, which is small where the
-    extension exists.  The decisions are those of
-    :func:`~opext.numkit.psd_eig` and the existence residual on M, for every
-    rank cutoff below 1/2 (M's eigenvalue beta is never dropped there),
-    raised as NumericalFailure: beta - sigma_max must not be genuinely
-    negative, and a pair whose beta - sigma is at or below the rank cutoff
-    of M's k1 + k2 eigenvalues drops e- (its term is -G2 e- (G1 e-)* / beta),
-    where G must vanish to eq (1 + ||G||_F).  A sigma = 0 pair drops only at
-    a cutoff of 1/2 or more, and there ||G e-|| >= beta fails that test.
-    beta = 0 gives the zero corner, and an empty side Y1 P1* + P2 Y2*.
+    extension exists.  M's whole spectrum, beta +/- sigma and beta on the
+    |k1 - k2| directions E outside the pairs, is decided as by ``psd_eig``
+    (:func:`~opext.numkit._psd_keep`), rejections raised as NumericalFailure.
+    A dropped e loses its term (-G2 e (G1 e)* / beta: on E, -Y1 (I - V V*) P1*
+    or -P2 (I - U U*) Y2*), and G must vanish on all of them to eq (1 + ||G||_F).
+    beta = 0 gives the zero corner.
     """
     x = y1 @ p1.conj().T + p2 @ y2.conj().T
     if beta == 0.0:
         return np.zeros_like(x)
-    if p1.shape[1] == 0 or p2.shape[1] == 0:
-        return x
     b = p2.conj().T @ y1
     b += y2.conj().T @ p1
     b /= 2.0
-    u, sigma, vh = np.linalg.svd(b, full_matrices=False)
-    top = beta + sigma[0]
-    try:
-        _require_psd(float(beta - sigma[0]), float(top), tol.psd)
-    except NotPsd as exc:
-        raise NumericalFailure(f"positive lift rejected unexpectedly: {exc}") from exc
-    v = vh.conj().T
+    u, sigma, vh = np.linalg.svd(b, full_matrices=False) if b.size else (b[:, :0], np.zeros(0), b[:0])
+    v, m = vh.conj().T, sigma.size
     bv, yu = beta * (p1 @ v), y2 @ u  # beta P1 v and Y2 u
     yv, bu = y1 @ v, beta * (p2 @ u)  # Y1 v and beta P2 u
     plus1, minus1 = bv + yu, bv - yu
     plus2, minus2 = yv + bu, yv - bu
-    gap = beta - sigma
-    k = p1.shape[1] + p2.shape[1]
-    drop = gap <= tol.rank_cutoff(k, k) * top
-    if drop.any():
-        size = math.sqrt(beta * beta * (_fro(p1) ** 2 + _fro(p2) ** 2) + _fro(y1) ** 2 + _fro(y2) ** 2)
-        resid = math.hypot(_fro(minus1[:, drop]), _fro(minus2[:, drop])) / math.sqrt(2.0)
-        if resid > _limit(tol.eq, size):
-            raise NumericalFailure(
-                "positive lift rejected unexpectedly: restriction condition violated: the prescribed values "
-                f"do not vanish on the kernel of the domain Gram matrix (residual {resid:.3e})"
-            )
-    minus = np.divide(sigma, 2.0 * beta * gap, out=np.full_like(sigma, -0.5 / beta), where=~drop)
-    plus = -sigma / (2.0 * beta * (beta + sigma))
+    try:
+        keep = _psd_keep(np.concatenate([beta + sigma, beta - sigma, np.full(sum(b.shape) - 2 * m, beta)]), tol)
+        kp, km = keep[:m], keep[m:2 * m]
+        lost1, lost2 = [plus1[:, ~kp], minus1[:, ~km]], [plus2[:, ~kp], minus2[:, ~km]]  # sqrt 2 G e, e dropped
+        if not keep[2 * m:].all():
+            n1, n2 = np.eye(v.shape[0]) - v @ vh, np.eye(u.shape[0]) - u @ u.conj().T  # diag(n1, n2) projects onto E
+            g1, g2 = np.hstack([beta * (p1 @ n1), y2 @ n2]), np.hstack([y1 @ n1, beta * (p2 @ n2)])
+            x -= g2 @ g1.conj().T / beta
+            lost1, lost2 = lost1 + [math.sqrt(2.0) * g1], lost2 + [math.sqrt(2.0) * g2]
+        if not keep.all():
+            size = math.sqrt(beta * beta * (_fro(p1) ** 2 + _fro(p2) ** 2) + _fro(y1) ** 2 + _fro(y2) ** 2)
+            _require_vanishing(math.hypot(_fro(np.hstack(lost1)), _fro(np.hstack(lost2))) / math.sqrt(2.0), size, tol)
+    except (NotPsd, RestrictionConditionFailed) as exc:
+        raise NumericalFailure(f"positive lift rejected unexpectedly: {exc}") from exc
+    minus = np.divide(sigma, 2.0 * beta * (beta - sigma), out=np.full_like(sigma, -0.5 / beta), where=km)
+    plus = np.where(kp, -sigma / (2.0 * beta * (beta + sigma)), -0.5 / beta)
     x += (plus2 * plus) @ plus1.conj().T
     x += (minus2 * minus) @ minus1.conj().T
     return x

@@ -23,7 +23,8 @@ endpoints:
     S_min = minimal_ext(alpha + S0_hat) - alpha,
     S_max = alpha - minimal_ext(alpha - S0_hat),
 
-mapped back to C^n through the lift.
+mapped back to C^n through the lift, both from one spectrum of P* Y
+(:func:`_extend_lifted`).
 """
 
 from __future__ import annotations
@@ -33,16 +34,19 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DimensionMismatch, HypothesisViolated, NotABounded, NotPsd, NumericalFailure, RestrictionConditionFailed
-from .kvn import HilbertLift, _checked_factor, _gram_factor, hilbert_lift
+from .kvn import HilbertLift, hilbert_lift
 from .numkit import (
     ComplexMatrix,
     HermitianMatrix,
     PsdMatrix,
     Tolerances,
     _checked_hermitian,
+    _eigh_sorted,
     _fro,
+    _gram_factor,
     _hermitian_part,
     _limit,
+    _require_vanishing,
     _restrict,
     _smax,
     _tol,
@@ -236,32 +240,27 @@ def _extend_on_lift(op: SymmetricPartialOperator, lift: HilbertLift, tol: Tolera
     return ExtensionInterval(alpha, *(HermitianMatrix._adopt(s) for s in _extend_lifted(p, y, alpha, lift, tol)))
 
 
-def _shifted_extension(p: np.ndarray, y: np.ndarray, alpha: float, tol: Tolerances) -> np.ndarray:
-    """Factor C (r rows) of the minimal positive extension ``C C*`` of alpha P + Y on the orthonormal P; pass -Y for alpha P - Y.
-
-    C = G Q W^{-1/2} for G = alpha P + Y and the eigenpairs P* G = Q W Q*
-    above the rank cutoff (:func:`~opext.kvn._gram_factor`).
-    """
-    g = alpha * p + y
-    try:
-        return _checked_factor(_gram_factor(p.conj().T @ g, g, tol), g, tol)
-    except (RestrictionConditionFailed, NotPsd) as exc:
-        # the shifted operators are positive with finite bound by
-        # construction, so a rejection here is numerical, not structural
-        raise NumericalFailure(f"positive lift rejected unexpectedly: {exc}") from exc
-
-
 def _extend_lifted(p: np.ndarray, y: np.ndarray, alpha: float, lift: HilbertLift, tol: Tolerances):
     """Extremal extensions (s_min, s_max) from the orthonormal pair (P, Y) and bound of :func:`_symmetric_lift`.
 
-    Hermitian by construction up to rounding: returned as ``_hermitian_part``, not checked again.
+    One eigh P* Y = Q diag(lambda) Q* serves both: the Gram form P* G of G = alpha P +/- Y has the eigenvectors Q,
+    and :func:`~opext.numkit._gram_factor` builds C C* from them with the form's own values w = Re q* P* G q (alpha
+    +/- lambda, kept consistent with G under rounding).  Returned as ``_hermitian_part``, not checked again.
     """
-    eye = np.eye(lift.rank, dtype=np.complex128)
-    low, high = _shifted_extension(p, y, alpha, tol), _shifted_extension(p, -y, alpha, tol)
-    j = lift.embedding()
-    s_min = j @ (low @ low.conj().T - alpha * eye) @ j.conj().T
-    s_max = j @ (alpha * eye - high @ high.conj().T) @ j.conj().T
-    return _hermitian_part(s_min), _hermitian_part(s_max)
+    _, v, order = _eigh_sorted(p.conj().T @ y)
+    pv, j = p @ v, lift.embedding()
+    ends = []
+    for sign in (1.0, -1.0):
+        g = alpha * p + sign * y
+        w = np.einsum("ij,ij->j", pv.conj(), g @ v).real[order]
+        try:
+            c, resid = _gram_factor(w, v, order, g, tol)
+            _require_vanishing(resid, _fro(g), tol)
+        except (RestrictionConditionFailed, NotPsd) as exc:
+            # positive with finite bound by construction: a rejection here is numerical, not structural
+            raise NumericalFailure(f"positive lift rejected unexpectedly: {exc}") from exc
+        ends.append(_hermitian_part(j @ (sign * (c @ c.conj().T - alpha * np.eye(lift.rank))) @ j.conj().T))
+    return tuple(ends)
 
 
 def alpha_of_total(total, weight, tol: Tolerances | None = None) -> float:

@@ -404,7 +404,7 @@ class TestTolerances:
 
 
 class TestDiagnosticsReuseLifts:
-    @pytest.mark.parametrize("kind, eigh_calls", [("sa-ext", 3), ("parrott", 2)])
+    @pytest.mark.parametrize("kind, eigh_calls", [("sa-ext", 2), ("parrott", 2)])
     def test_eigh_calls(self, tmp_path, decompositions, kind, eigh_calls):
         # each weight is lifted once, for the run and all its diagnostics
         # together, and never as the stacked (n1 + n2)-square matrix; the
@@ -445,7 +445,7 @@ class TestDiagnosticsReuseLifts:
 
 @pytest.mark.parametrize(
     "kind, count",
-    [("kvn", 3), ("sa-ext", 11), ("parrott", 8), ("strong-parrott", 6), ("functional-ext", 7), ("cstar-check", 8)],
+    [("kvn", 3), ("sa-ext", 10), ("parrott", 8), ("strong-parrott", 6), ("functional-ext", 6), ("cstar-check", 7)],
 )
 def test_decompositions_per_kind(tmp_path, decompositions, kind, count):
     # every input is decided once: a weight or density by its lift's spectrum,

@@ -2,7 +2,7 @@
 
 ``parrott._corner`` reads the corner G2 M^+ G1* off one thin SVD of the
 k2 x k1 coupling block B, with one formula for every singular pair, and
-decides like ``psd_eig`` on M for every rank cutoff below 1/2.  The
+decides like ``psd_eig`` on M at every rank cutoff.  The
 reference below is the stacked (k1 + k2)-dimensional route, written out
 with plain numpy: P = diag(P1, P2), Y = [[0, Y2], [Y1, 0]],
 G = beta P + sign Y, the eigenpairs of the Hermitian part of M = P* G, the
@@ -65,6 +65,17 @@ def assert_matches(p1, y1, p2, y2, beta, tol=TOL):
         assert np.linalg.norm(x - ref) <= REL * np.linalg.norm(ref)
     assert len(dropped) == 1
     return dropped.pop()
+
+
+def same_outcome(p1, y1, p2, y2, beta, tol):
+    """:func:`assert_matches` where the stacked route completes; None where both routes raise NumericalFailure."""
+    try:
+        stacked_corner(p1, y1, p2, y2, beta, tol)
+    except NumericalFailure:
+        with pytest.raises(NumericalFailure):
+            parrott._corner(p1, y1, p2, y2, beta, tol)
+        return None
+    return assert_matches(p1, y1, p2, y2, beta, tol)
 
 
 def planted(seed, k1, k2, scale=0.9):
@@ -241,3 +252,55 @@ def test_a_zero_pair_drops_only_where_the_residual_rejects_it(k1, k2):
         for corner in (parrott._corner, stacked_corner):
             with pytest.raises(NumericalFailure):
                 corner(p1, y1, p2, y2, 1.0, Tolerances(rank=0.6))
+
+
+def isometric_pairs(swap):
+    """Orthonormal P1 (6 x 3) and P2 (7 x 5) with Y1 = P2 B and Y2 = P1 B* + L for an isometric B (all sigma = 1).
+
+    L, of norm 0.3, lies off ran P1 and off ran B, so B stays the coupling
+    block and G1 = [P1, Y2] is nonzero on the two directions outside B's
+    pairs.  ``swap`` exchanges the sides, so k1 > k2.
+    """
+    gen = np.random.default_rng(101)
+    p1, p2, b = orthonormal(gen, 6, 3), orthonormal(gen, 7, 5), orthonormal(gen, 5, 3)
+    leak = (np.eye(6) - p1 @ p1.conj().T) @ cgauss(gen, 6, 5) @ (np.eye(5) - b @ b.conj().T)
+    pairs = (p1, p2 @ b, p2, p1 @ b.conj().T + 0.3 * leak / np.linalg.norm(leak, 2))
+    return pairs[2:] + pairs[:2] if swap else pairs
+
+
+@pytest.mark.parametrize("swap", [False, True])
+@pytest.mark.parametrize("eq", [1e-8, 10.0])
+@pytest.mark.parametrize("rank", [None, 0.3, 0.49, 0.51, 0.6, 0.9])
+def test_isometric_coupling_at_every_rank_cutoff(rank, eq, swap):
+    """M has the eigenvalues 2 and 0, three times each, and 1 on the two directions outside B's pairs.
+
+    G vanishes on the 0 pairs, which every cutoff drops.  From a cutoff of
+    1/2 the two unpaired 1s drop as well, where ||G e|| >= 1: both routes
+    reject at eq = 1e-8 and complete without their terms, which L makes
+    nonzero, at eq = 10.
+    """
+    dropped = same_outcome(*isometric_pairs(swap), 1.0, Tolerances(rank=rank, eq=eq))
+    if rank is None or rank < 0.5:
+        assert dropped == 3
+    else:
+        assert dropped == (5 if eq == 10.0 else None)
+
+
+@pytest.mark.parametrize("case", ["isometric", "swapped", "no second side", "no first side"])
+def test_a_unit_cutoff_drops_the_whole_form(case):
+    """At a rank cutoff of 1 every eigenvalue of M drops, the beta + sigma pairs too, and G must vanish everywhere.
+
+    It does not: both routes reject at eq = 1e-8.  At eq = 10 the stacked
+    corner is exactly zero, and the closed form's is zero up to rounding.
+    """
+    if case in ("isometric", "swapped"):
+        p1, y1, p2, y2, beta = *isometric_pairs(case == "swapped"), 1.0
+    else:
+        p1, y1, p2, y2, beta = planted(7, 3, 0) if case == "no second side" else planted(7, 0, 3)
+    for corner in (parrott._corner, stacked_corner):
+        with pytest.raises(NumericalFailure):
+            corner(p1, y1, p2, y2, beta, Tolerances(rank=1.0))
+    ref, dropped = stacked_corner(p1, y1, p2, y2, beta, Tolerances(rank=1.0, eq=10.0))
+    assert dropped == p1.shape[1] + p2.shape[1] and not ref.any()
+    x = parrott._corner(p1, y1, p2, y2, beta, Tolerances(rank=1.0, eq=10.0))
+    assert np.linalg.norm(x) <= REL * np.linalg.norm(y1 @ p1.conj().T + p2 @ y2.conj().T)

@@ -7,12 +7,14 @@ from a plain eigendecomposition of A: the range coordinates U = Q* A^{1/2} D
 and W = Q* (A^{1/2})^+ V, the bound ||W U^+||, the extension endpoints
 mapped back through J = A^{1/2} Q, the bound (A^{1/2})^+ S (A^{1/2})^+ of a
 total operator, and the two-corner completion read off the stacked operator
-lifted as a whole.
+lifted as a whole.  Near the rank cutoff, both endpoints built from the one
+spectrum of P* Y are checked against one eigh per shifted form alpha +/- P* Y.
 """
 
 import numpy as np
 import pytest
 
+from opext import sa_ext
 from opext.kvn import _block_diag, hilbert_lift
 from opext.numkit import PsdMatrix, Tolerances, _smax, pinv
 from opext.parrott import ParrottInstance, parrott_complete
@@ -147,3 +149,91 @@ class TestAgainstDenseRoots:
         x = parrott_complete(inst).a
         for corner in ref_parrott(inst):
             assert close(x, corner)
+
+
+def ref_shifted_endpoints(p, y, alpha, j, tol):
+    """(s_min, s_max) and the dropped counts of the two-eigh route: one eigh per shifted Gram form.
+
+    Each endpoint takes the eigenpairs of the Hermitian part of
+    M = P* G = alpha I +/- P* Y for G = alpha P +/- Y, the psd rule and rank
+    cutoff of ``psd_eig`` on them, the existence residual of G on the
+    dropped directions and C = G Q W^{-1/2}, mapped back through J.
+    """
+    ends, dropped = [], []
+    for sign in (1.0, -1.0):
+        g = alpha * p + sign * y
+        m = p.conj().T @ g
+        w, q = np.linalg.eigh((m + m.conj().T) / 2)
+        hi = w[-1] if w.size else 0.0
+        assert not w.size or w[0] >= -tol.psd * (1 + hi)
+        keep = w > tol.rank_cutoff(w.size, w.size) * max(hi, 0.0)
+        q, w = q[:, keep], w[keep]
+        assert np.linalg.norm(g - (g @ q) @ q.conj().T) <= tol.eq * (1 + np.linalg.norm(g))
+        c = (g @ q) / np.sqrt(w)
+        ends.append(sign * (j @ (c @ c.conj().T - alpha * np.eye(p.shape[0])) @ j.conj().T))
+        dropped.append(int(np.count_nonzero(~keep)))
+    return ends, dropped
+
+
+def near_cutoff_pair(gen, r, k, f):
+    """Orthonormal P (r x k) and Y = P H, no leak out of ran P, with ||H|| = 1.
+
+    H has the eigenvalues 1 and -1, where one shifted form 1 +/- H vanishes,
+    and 1 - f kappa and -1 + f kappa, where each sits at f times its rank
+    cutoff kappa (both forms have the largest eigenvalue 2).
+    """
+    kappa = 2.0 * TOL.rank_cutoff(k, k)
+    lam = np.concatenate([[1.0, 1.0 - f * kappa, -1.0, -1.0 + f * kappa], gen.uniform(-0.5, 0.5, k - 4)])
+    u = np.linalg.qr(cgauss(gen, k, k))[0]
+    p = np.linalg.qr(cgauss(gen, r, k))[0]
+    return p, p @ ((u * lam) @ u.conj().T)
+
+
+def one_spectrum_endpoints(monkeypatch, p, y, alpha, lift):
+    """``sa_ext._extend_lifted`` and the number of eigenvalues each endpoint's Gram factor drops."""
+    dropped = []
+
+    def spied(w, *args):
+        c, resid = gram_factor(w, *args)
+        dropped.append(w.size - c.shape[1])
+        return c, resid
+
+    gram_factor = sa_ext._gram_factor
+    monkeypatch.setattr(sa_ext, "_gram_factor", spied)
+    return sa_ext._extend_lifted(p, y, alpha, lift, TOL), dropped
+
+
+def near_cutoff_weight(kind, r):
+    """The identity on C^r, or a weight on C^(r + 3) of rank r."""
+    if kind == "identity":
+        return np.eye(r, dtype=complex)
+    f = cgauss(np.random.default_rng([r, 61]), r + 3, r)
+    return f @ f.conj().T
+
+
+@pytest.mark.parametrize("kind", ["identity", "deficient"])
+@pytest.mark.parametrize("f, dropped", [(0.5, 2), (2.0, 1)])
+def test_endpoints_near_the_rank_cutoff_match_the_two_eigh_route(monkeypatch, kind, f, dropped):
+    # alpha +/- lambda at 0.5x its cutoff drops with the exact zero, at 2x it is kept
+    lift = hilbert_lift(PsdMatrix(near_cutoff_weight(kind, 8)))
+    p, y = near_cutoff_pair(np.random.default_rng([int(4 * f), 67]), lift.rank, 6, f)
+    alpha = _smax(y)
+    got, counts = one_spectrum_endpoints(monkeypatch, p, y, alpha, lift)
+    want, ref_counts = ref_shifted_endpoints(p, y, alpha, lift.embedding(), TOL)
+    assert counts == ref_counts == [dropped, dropped]
+    for s, ref in zip(got, want):
+        assert np.linalg.norm(s - ref) <= 1e-12 * np.linalg.norm(ref)
+
+
+@pytest.mark.parametrize("kind", ["identity", "deficient"])
+@pytest.mark.parametrize("k", [0, 3])
+def test_empty_domain_and_zero_bound_match_the_two_eigh_route(monkeypatch, kind, k):
+    # k = 0: no spectrum at all; k = 3 with Y = 0: alpha = 0 and every eigenvalue drops
+    lift = hilbert_lift(PsdMatrix(near_cutoff_weight(kind, 8)))
+    p = np.linalg.qr(cgauss(np.random.default_rng(71), lift.rank, k))[0]
+    y = np.zeros_like(p)
+    got, counts = one_spectrum_endpoints(monkeypatch, p, y, 0.0, lift)
+    want, ref_counts = ref_shifted_endpoints(p, y, 0.0, lift.embedding(), TOL)
+    assert counts == ref_counts == [k, k]
+    for s, ref in zip(got, want):
+        assert not ref.any() and not s.any()

@@ -5,7 +5,7 @@ decompositions a completion makes."""
 import numpy as np
 import pytest
 
-from opext.errors import NotPsd, NumericalFailure, RestrictionConditionFailed
+from opext.errors import NumericalFailure, RestrictionConditionFailed
 from opext.kvn import PartialPositiveOperator, check_restriction, kvn_extend
 from opext.numkit import ComplexMatrix, PsdMatrix, loewner_leq
 from opext.parrott import ParrottInstance, StrongParrottInstance, parrott_complete, strong_parrott
@@ -135,13 +135,15 @@ class TestDomainAtWeightRankNearCutoff:
 
 
 def test_indefinite_shifted_gram_is_a_numerical_failure(monkeypatch):
-    def indefinite(d, g, tol):
-        raise NotPsd("synthetic negative eigenvalue")
-
-    monkeypatch.setattr(sa_ext, "_gram_factor", indefinite)
-    op = SymmetricPartialOperator(np.eye(2)[:, :1], np.array([[1.0], [0.0]]))
-    with pytest.raises(NumericalFailure):
-        extend_symmetric(op, PsdMatrix(np.eye(2)))
+    # an understated bound alpha / 2 < ||P* Y|| makes one shifted form alpha / 2 +/- P* Y indefinite
+    h = cgauss(np.random.default_rng(41), 5, 5)
+    d = np.eye(5)[:, :2]
+    op = SymmetricPartialOperator(d, (h + h.conj().T) @ d)
+    extend_symmetric(op, PsdMatrix(np.eye(5)))
+    real = sa_ext._smax
+    monkeypatch.setattr(sa_ext, "_smax", lambda a: 0.5 * real(a))
+    with pytest.raises(NumericalFailure, match="positive lift rejected unexpectedly: eigenvalue .* is genuinely negative"):
+        extend_symmetric(op, PsdMatrix(np.eye(5)))
 
 
 def parrott_instance():
@@ -297,7 +299,7 @@ class TestCallerPositivityIsCertified:
         op, weight = planted_sa_ext(np.random.default_rng(70), 32, 24, 12)
         with decompositions:
             extend_symmetric(op, weight)
-        assert self.counts(decompositions) == {"svd": 2, "eigh": 3, "eigvalsh": 0, "cholesky": 0}
+        assert self.counts(decompositions) == {"svd": 2, "eigh": 2, "eigvalsh": 0, "cholesky": 0}
 
     def test_parrott_complete(self, decompositions, corners):
         data = planted_parrott(np.random.default_rng(71), 16, 12, 6)
