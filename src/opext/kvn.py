@@ -16,7 +16,8 @@ which is positive semidefinite by construction.  C is
 both interval endpoints of :mod:`opext.sa_ext` from that spectrum shifted by
 +/- alpha.  Its one positivity and rank decision also settles existence
 (:func:`check_restriction`): the values must vanish where the Gram form
-does, tested as ||Y - (Y Q) Q*|| ~ 0.  A :class:`PartialPositiveOperator`
+does, tested as ||Y - (Y Q) Q*|| ~ 0: the norm of the dropped columns of
+Y V, V all of P* Y's eigenvectors.  A :class:`PartialPositiveOperator`
 decomposes P* Y once and keeps C and that residual.
 
 :func:`hilbert_lift` packages the auxiliary inner-product space attached
@@ -40,7 +41,6 @@ from .numkit import (
     PsdMatrix,
     Tolerances,
     _checked_hermitian,
-    _eigh_sorted,
     _fro,
     _gram_factor,
     _hermitian_part,
@@ -48,6 +48,7 @@ from .numkit import (
     _orth_factor,
     _require_vanishing,
     _tol,
+    eigh_desc,
     psd_eig,
 )
 
@@ -102,8 +103,9 @@ class PartialPositiveOperator:
         except NotHermitian as exc:
             raise NotHermitian(f"induced Gram matrix is not Hermitian: {exc}") from exc
         y = (g.a @ v) / s
+        w, u = eigh_desc(p.conj().T @ y)
         try:
-            self._factor = _gram_factor(*_eigh_sorted(p.conj().T @ y), y, t)
+            self._factor = _gram_factor(w, y @ u, t)
         except NotPsd as exc:
             raise NotPsd(f"induced Gram matrix is not positive: {exc}") from exc
         self.domain_basis = d

@@ -11,6 +11,9 @@ Eigendecompositions and singular value decompositions are made
 reproducible: eigenvalues are returned in descending order (stable sort)
 and each eigenvector's first sizable component is rotated to be real and
 positive.  For a fixed input the results are bit-identical across runs.
+:func:`eigh_desc` is the one Hermitian eigendecomposition; every other
+spectrum (:func:`psd_eig`, a projector's range basis, the Gram factors) is
+a mask on its output.
 
 Cost rule: a primitive is its LAPACK call plus the fewest numpy passes.  The
 wrapper classes validate caller data, once, at the public boundary; an array
@@ -256,15 +259,14 @@ def _psd_keep(w: np.ndarray, tol: Tolerances) -> np.ndarray:
     return w > tol.rank_cutoff(w.size, w.size) * max(hi, 0.0)
 
 
-def _gram_factor(w, v, cols, g: np.ndarray, tol: Tolerances) -> tuple[np.ndarray, float]:
-    """Factor C = G Q W^{-1/2} of G M^+ G* and the existence residual ||G - (G Q) Q*||_F.
+def _gram_factor(w, gv, tol: Tolerances) -> tuple[np.ndarray, float]:
+    """Factor C = G Q W^{-1/2} of G M^+ G* and the existence residual ||G - G Q Q*||_F, both read off G V.
 
-    (w, columns ``cols`` of v) are M's eigenpairs in any order, (W, Q) those :func:`_psd_keep` keeps, Q phase-fixed.
+    (w, V) are M's eigenpairs, V unitary; (W, Q) those :func:`_psd_keep` keeps.  The residual is
+    ||G V|| on the dropped columns: no subtraction, and exactly 0 when nothing drops.
     """
     keep = _psd_keep(w, tol)
-    q = _phase_fixed(v, cols[keep])
-    gq = g @ q
-    return gq / np.sqrt(w[keep]), _fro(g - gq @ q.conj().T)
+    return np.compress(keep, gv, axis=1) / np.sqrt(w[keep]), _fro(np.compress(~keep, gv, axis=1))
 
 
 def _require_vanishing(resid: float, scale: float, tol: Tolerances) -> None:
@@ -303,11 +305,12 @@ class PsdMatrix(HermitianMatrix):
 
 
 def eigh_desc(a) -> tuple[np.ndarray, np.ndarray]:
-    """Hermitian eigendecomposition in canonical form.
+    """Hermitian eigendecomposition in canonical form: the library's one ``np.linalg.eigh``.
 
     Eigenvalues are sorted descending (stable, so degenerate blocks keep
     LAPACK's order) and each eigenvector is rotated so that its first
-    component of magnitude above a fixed floor is real and positive.
+    component of magnitude above a fixed floor is real and positive.  An
+    empty input makes no LAPACK call.
 
     Parameters
     ----------
@@ -317,10 +320,22 @@ def eigh_desc(a) -> tuple[np.ndarray, np.ndarray]:
 
     Returns
     -------
-    (w, v) : eigenvalues descending, eigenvectors as columns of v.
+    (w, v) : eigenvalues descending, eigenvectors as the C-contiguous columns of v.
     """
-    w, v, order = _eigh_sorted(a)
-    return w, _phase_fixed(v, order)
+    h = a.a if isinstance(a, HermitianMatrix) else _hermitian_part(a)
+    if h.shape[0] == 0:
+        return np.zeros(0), np.zeros((0, 0), dtype=np.complex128)
+    w, v = np.linalg.eigh(h)
+    order = np.argsort(-w, kind="stable")
+    v = np.take(v, order, axis=1)
+    pivot = v[:1].copy()
+    mag = np.abs(pivot)
+    if mag.min() <= _PHASE_FLOOR:  # search below row 0 in those columns only
+        low = np.flatnonzero(mag <= _PHASE_FLOOR)
+        pivot[0, low] = v[np.argmax(np.abs(v[:, low]) > _PHASE_FLOOR, axis=0), low]
+        mag = np.abs(pivot)
+    v *= pivot.conj() / mag
+    return w[order], v
 
 
 def _hermitian_part(a: np.ndarray) -> np.ndarray:
@@ -329,29 +344,6 @@ def _hermitian_part(a: np.ndarray) -> np.ndarray:
     h += a
     h /= 2.0
     return h
-
-
-def _eigh_sorted(a) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Eigenvalues descending (stable), LAPACK's eigenvectors and the order; a HermitianMatrix goes in as stored."""
-    h = a.a if isinstance(a, HermitianMatrix) else _hermitian_part(a)
-    if h.shape[0] == 0:  # no LAPACK call
-        return np.zeros(0), np.zeros((0, 0), dtype=np.complex128), np.zeros(0, dtype=np.intp)
-    w, v = np.linalg.eigh(h)
-    order = np.argsort(-w, kind="stable")
-    return w[order], v, order
-
-
-def _phase_fixed(v: np.ndarray, cols: np.ndarray) -> np.ndarray:
-    """Columns ``cols`` of v, each rotated so that its first component above the floor is real and positive."""
-    v = np.take(v, cols, axis=1)
-    pivot = v[:1].copy()
-    mag = np.abs(pivot)
-    if mag.min(initial=np.inf) <= _PHASE_FLOOR:  # search below row 0 in those columns only
-        low = np.flatnonzero(mag <= _PHASE_FLOOR)
-        pivot[0, low] = v[np.argmax(np.abs(v[:, low]) > _PHASE_FLOOR, axis=0), low]
-        mag = np.abs(pivot)
-    v *= pivot.conj() / mag
-    return v
 
 
 def _fro(a: np.ndarray) -> float:
@@ -425,9 +417,9 @@ def psd_eig(a, tol: Tolerances | None = None) -> tuple[np.ndarray, np.ndarray]:
         a = _as_array(a)
         if a.shape[0] != a.shape[1]:
             raise DimensionMismatch(f"expected a square matrix, got {a.shape}")
-    w, v, order = _eigh_sorted(a)
+    w, v = eigh_desc(a)
     keep = _psd_keep(w, _tol(tol))
-    return w[keep], _phase_fixed(v, order[keep])
+    return w[keep], np.compress(keep, v, axis=1)
 
 
 def loewner_leq(a, b, tol: Tolerances | None = None) -> bool:
@@ -446,8 +438,7 @@ def loewner_leq(a, b, tol: Tolerances | None = None) -> bool:
     t = _tol(tol)
     if x.shape[0] == 0:
         return True
-    d = y - x
-    d = (d + d.conj().T) / 2.0
+    d = _hermitian_part(y - x)
     if _certified_above(d, t.psd, float(np.max(np.abs(d.diagonal().real)))):
         return True
     w = np.linalg.eigvalsh(d)
@@ -481,8 +472,8 @@ def _range_basis(pm: np.ndarray) -> np.ndarray:
     anything :func:`_projector` accepts; a rank cutoff would keep the small
     ones its idempotency check took for zero.
     """
-    w, v, order = _eigh_sorted(pm)
-    return _phase_fixed(v, order[w > 0.5])
+    w, v = eigh_desc(pm)
+    return np.compress(w > 0.5, v, axis=1)
 
 
 def independent_columns(m, tol: Tolerances | None = None) -> list[int]:

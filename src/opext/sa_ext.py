@@ -41,7 +41,6 @@ from .numkit import (
     PsdMatrix,
     Tolerances,
     _checked_hermitian,
-    _eigh_sorted,
     _fro,
     _gram_factor,
     _hermitian_part,
@@ -50,6 +49,7 @@ from .numkit import (
     _restrict,
     _smax,
     _tol,
+    eigh_desc,
     loewner_leq,
     numerical_rank,
     pinv,
@@ -243,18 +243,18 @@ def _extend_on_lift(op: SymmetricPartialOperator, lift: HilbertLift, tol: Tolera
 def _extend_lifted(p: np.ndarray, y: np.ndarray, alpha: float, lift: HilbertLift, tol: Tolerances):
     """Extremal extensions (s_min, s_max) from the orthonormal pair (P, Y) and bound of :func:`_symmetric_lift`.
 
-    One eigh P* Y = Q diag(lambda) Q* serves both: the Gram form P* G of G = alpha P +/- Y has the eigenvectors Q,
-    and :func:`~opext.numkit._gram_factor` builds C C* from them with the form's own values w = Re q* P* G q (alpha
-    +/- lambda, kept consistent with G under rounding).  Returned as ``_hermitian_part``, not checked again.
+    One eigh P* Y = V diag(lambda) V* serves both: the Gram form P* G of G = alpha P +/- Y has the eigenvectors V,
+    and :func:`~opext.numkit._gram_factor` builds C C* from G V with the form's own values w = Re colsum(conj(P V) o
+    G V) (alpha +/- lambda, kept consistent with G under rounding).  Returned as ``_hermitian_part``, not checked again.
     """
-    _, v, order = _eigh_sorted(p.conj().T @ y)
+    _, v = eigh_desc(p.conj().T @ y)
     pv, j = p @ v, lift.embedding()
     ends = []
     for sign in (1.0, -1.0):
         g = alpha * p + sign * y
-        w = np.einsum("ij,ij->j", pv.conj(), g @ v).real[order]
+        gv = g @ v
         try:
-            c, resid = _gram_factor(w, v, order, g, tol)
+            c, resid = _gram_factor(np.einsum("ij,ij->j", pv.conj(), gv).real, gv, tol)
             _require_vanishing(resid, _fro(g), tol)
         except (RestrictionConditionFailed, NotPsd) as exc:
             # positive with finite bound by construction: a rejection here is numerical, not structural

@@ -8,13 +8,16 @@ and W = Q* (A^{1/2})^+ V, the bound ||W U^+||, the extension endpoints
 mapped back through J = A^{1/2} Q, the bound (A^{1/2})^+ S (A^{1/2})^+ of a
 total operator, and the two-corner completion read off the stacked operator
 lifted as a whole.  Near the rank cutoff, both endpoints built from the one
-spectrum of P* Y are checked against one eigh per shifted form alpha +/- P* Y.
+spectrum of P* Y are checked against one eigh per shifted form alpha +/- P* Y,
+and the existence residual each Gram factor (kvn's and both endpoints') reads
+off G V against ||G - G Q Q*||: equal within rounding where directions drop,
+exactly 0 where none do.
 """
 
 import numpy as np
 import pytest
 
-from opext import sa_ext
+from opext import kvn, sa_ext
 from opext.kvn import _block_diag, hilbert_lift
 from opext.numkit import PsdMatrix, Tolerances, _smax, pinv
 from opext.parrott import ParrottInstance, parrott_complete
@@ -151,28 +154,37 @@ class TestAgainstDenseRoots:
             assert close(x, corner)
 
 
-def ref_shifted_endpoints(p, y, alpha, j, tol):
-    """(s_min, s_max) and the dropped counts of the two-eigh route: one eigh per shifted Gram form.
+def ref_gram_factor(p, g, tol):
+    """C = G Q W^{-1/2}, the dropped count and ||G - G Q Q*||_F from one plain eigh of P* G.
 
-    Each endpoint takes the eigenpairs of the Hermitian part of
-    M = P* G = alpha I +/- P* Y for G = alpha P +/- Y, the psd rule and rank
-    cutoff of ``psd_eig`` on them, the existence residual of G on the
-    dropped directions and C = G Q W^{-1/2}, mapped back through J.
+    (W, Q) are the eigenpairs of the Hermitian part of M = P* G that the psd
+    rule and rank cutoff of ``psd_eig`` keep.
     """
-    ends, dropped = [], []
+    m = p.conj().T @ g
+    w, q = np.linalg.eigh((m + m.conj().T) / 2)
+    hi = w[-1] if w.size else 0.0
+    assert not w.size or w[0] >= -tol.psd * (1 + hi)
+    keep = w > tol.rank_cutoff(w.size, w.size) * max(hi, 0.0)
+    q, w = q[:, keep], w[keep]
+    return (g @ q) / np.sqrt(w), int(np.count_nonzero(~keep)), np.linalg.norm(g - (g @ q) @ q.conj().T)
+
+
+def ref_shifted_endpoints(p, y, alpha, j, tol):
+    """(s_min, s_max), the dropped counts and residuals of the two-eigh route: one eigh per shifted Gram form.
+
+    Each endpoint takes :func:`ref_gram_factor` of G = alpha P +/- Y, whose
+    Gram form is M = alpha I +/- P* Y, requires the existence residual of G
+    on the dropped directions to vanish and maps C C* back through J.
+    """
+    ends, dropped, resids = [], [], []
     for sign in (1.0, -1.0):
         g = alpha * p + sign * y
-        m = p.conj().T @ g
-        w, q = np.linalg.eigh((m + m.conj().T) / 2)
-        hi = w[-1] if w.size else 0.0
-        assert not w.size or w[0] >= -tol.psd * (1 + hi)
-        keep = w > tol.rank_cutoff(w.size, w.size) * max(hi, 0.0)
-        q, w = q[:, keep], w[keep]
-        assert np.linalg.norm(g - (g @ q) @ q.conj().T) <= tol.eq * (1 + np.linalg.norm(g))
-        c = (g @ q) / np.sqrt(w)
+        c, drop, resid = ref_gram_factor(p, g, tol)
+        assert resid <= tol.eq * (1 + np.linalg.norm(g))
         ends.append(sign * (j @ (c @ c.conj().T - alpha * np.eye(p.shape[0])) @ j.conj().T))
-        dropped.append(int(np.count_nonzero(~keep)))
-    return ends, dropped
+        dropped.append(drop)
+        resids.append(resid)
+    return ends, dropped, resids
 
 
 def near_cutoff_pair(gen, r, k, f):
@@ -189,18 +201,25 @@ def near_cutoff_pair(gen, r, k, f):
     return p, p @ ((u * lam) @ u.conj().T)
 
 
-def one_spectrum_endpoints(monkeypatch, p, y, alpha, lift):
-    """``sa_ext._extend_lifted`` and the number of eigenvalues each endpoint's Gram factor drops."""
-    dropped = []
+def spy_gram_factor(monkeypatch, module):
+    """Record (dropped count, existence residual) of each ``_gram_factor`` call made through ``module``."""
+    calls = []
+    gram_factor = module._gram_factor
 
     def spied(w, *args):
         c, resid = gram_factor(w, *args)
-        dropped.append(w.size - c.shape[1])
+        calls.append((w.size - c.shape[1], resid))
         return c, resid
 
-    gram_factor = sa_ext._gram_factor
-    monkeypatch.setattr(sa_ext, "_gram_factor", spied)
-    return sa_ext._extend_lifted(p, y, alpha, lift, TOL), dropped
+    monkeypatch.setattr(module, "_gram_factor", spied)
+    return calls
+
+
+def one_spectrum_endpoints(monkeypatch, p, y, alpha, lift):
+    """``sa_ext._extend_lifted``, and the dropped count and residual of each endpoint's Gram factor."""
+    calls = spy_gram_factor(monkeypatch, sa_ext)
+    ends = sa_ext._extend_lifted(p, y, alpha, lift, TOL)
+    return ends, [drop for drop, _ in calls], [resid for _, resid in calls]
 
 
 def near_cutoff_weight(kind, r):
@@ -218,11 +237,14 @@ def test_endpoints_near_the_rank_cutoff_match_the_two_eigh_route(monkeypatch, ki
     lift = hilbert_lift(PsdMatrix(near_cutoff_weight(kind, 8)))
     p, y = near_cutoff_pair(np.random.default_rng([int(4 * f), 67]), lift.rank, 6, f)
     alpha = _smax(y)
-    got, counts = one_spectrum_endpoints(monkeypatch, p, y, alpha, lift)
-    want, ref_counts = ref_shifted_endpoints(p, y, alpha, lift.embedding(), TOL)
+    got, counts, resids = one_spectrum_endpoints(monkeypatch, p, y, alpha, lift)
+    want, ref_counts, ref_resids = ref_shifted_endpoints(p, y, alpha, lift.embedding(), TOL)
     assert counts == ref_counts == [dropped, dropped]
     for s, ref in zip(got, want):
         assert np.linalg.norm(s - ref) <= 1e-12 * np.linalg.norm(ref)
+    # G vanishes on the dropped directions: both residuals are rounding of the size of G
+    for resid, ref, sign in zip(resids, ref_resids, (1.0, -1.0)):
+        assert abs(resid - ref) <= 1e-14 * (1 + np.linalg.norm(alpha * p + sign * y))
 
 
 @pytest.mark.parametrize("kind", ["identity", "deficient"])
@@ -232,8 +254,60 @@ def test_empty_domain_and_zero_bound_match_the_two_eigh_route(monkeypatch, kind,
     lift = hilbert_lift(PsdMatrix(near_cutoff_weight(kind, 8)))
     p = np.linalg.qr(cgauss(np.random.default_rng(71), lift.rank, k))[0]
     y = np.zeros_like(p)
-    got, counts = one_spectrum_endpoints(monkeypatch, p, y, 0.0, lift)
-    want, ref_counts = ref_shifted_endpoints(p, y, 0.0, lift.embedding(), TOL)
+    got, counts, resids = one_spectrum_endpoints(monkeypatch, p, y, 0.0, lift)
+    want, ref_counts, ref_resids = ref_shifted_endpoints(p, y, 0.0, lift.embedding(), TOL)
     assert counts == ref_counts == [k, k]
+    assert resids == ref_resids == [0.0, 0.0]
     for s, ref in zip(got, want):
         assert not ref.any() and not s.any()
+
+
+@pytest.mark.parametrize("kind", ["identity", "deficient"])
+def test_endpoints_drop_nothing_below_a_loose_bound_and_their_residual_is_exactly_zero(monkeypatch, kind):
+    # alpha = 2 ||Y|| keeps every alpha +/- lambda well above the cutoff
+    lift = hilbert_lift(PsdMatrix(near_cutoff_weight(kind, 8)))
+    p, y = near_cutoff_pair(np.random.default_rng(73), lift.rank, 6, 1.0)
+    alpha = 2.0 * _smax(y)
+    got, counts, resids = one_spectrum_endpoints(monkeypatch, p, y, alpha, lift)
+    want, ref_counts, ref_resids = ref_shifted_endpoints(p, y, alpha, lift.embedding(), TOL)
+    assert counts == ref_counts == [0, 0]
+    assert resids == [0.0, 0.0]
+    for s, ref in zip(got, want):
+        assert np.linalg.norm(s - ref) <= 1e-12 * np.linalg.norm(ref)
+
+
+def kvn_pair(gen, n, k, kernel):
+    """Orthonormal P (n x k) and Y = P M + Z with M >= 0 Hermitian.
+
+    M vanishes on ``kernel`` orthonormal directions N, and Z = L N* leaks out of ran P along them.
+    """
+    p = np.linalg.qr(cgauss(gen, n, k))[0]
+    u = np.linalg.qr(cgauss(gen, k, k))[0]
+    lam = np.concatenate([gen.uniform(0.5, 2.0, k - kernel), np.zeros(kernel)])
+    leak = cgauss(gen, n, kernel)
+    leak -= p @ (p.conj().T @ leak)
+    return p, p @ ((u * lam) @ u.conj().T) + leak @ u[:, k - kernel:].conj().T
+
+
+@pytest.mark.parametrize("kernel", [1, 2])
+def test_kvn_residual_on_dropped_directions_matches_the_reference(monkeypatch, kernel):
+    # the leak is the part of the values on ker M: the residual is its size, not rounding
+    p, y = kvn_pair(np.random.default_rng([kernel, 75]), 8, 4, kernel)
+    calls = spy_gram_factor(monkeypatch, kvn)
+    op = kvn.PartialPositiveOperator(p, y)
+    _, ref_drop, ref_resid = ref_gram_factor(p, y, TOL)
+    [(drop, resid)] = calls
+    assert drop == ref_drop == kernel
+    assert ref_resid > 0.1
+    assert abs(resid - ref_resid) <= 1e-14 * (1 + np.linalg.norm(y))
+    assert not kvn.check_restriction(op)
+
+
+def test_kvn_residual_of_a_generic_full_rank_form_is_exactly_zero(monkeypatch):
+    gen = np.random.default_rng(77)
+    f = cgauss(gen, 8, 8)
+    d = cgauss(gen, 8, 3)
+    calls = spy_gram_factor(monkeypatch, kvn)
+    op = kvn.PartialPositiveOperator(d, (f @ f.conj().T) @ d)
+    assert calls == [(0, 0.0)]
+    assert kvn.check_restriction(op)
