@@ -18,7 +18,6 @@ floats), so identical inputs and flags produce byte-identical outputs.
 from __future__ import annotations
 
 import argparse
-import dataclasses
 import functools
 import json
 import sys
@@ -534,10 +533,18 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _tolerances_from(args, file_overrides: dict | None) -> Tolerances:
-    values = dataclasses.asdict(DEFAULT_TOLERANCES)
+def _tolerances_dict(tol: Tolerances) -> dict:
+    return {"rank": tol.rank, "psd": tol.psd, "herm": tol.herm, "eq": tol.eq}
+
+
+def _tolerances_from(args, file_overrides) -> Tolerances:
+    if file_overrides is None:
+        file_overrides = {}
+    elif not isinstance(file_overrides, dict):
+        raise _InputError(f"tolerances: expected an object or null, got {type(file_overrides).__name__}")
+    values = _tolerances_dict(DEFAULT_TOLERANCES)
     for key in values:
-        if key in (file_overrides or {}):
+        if key in file_overrides:
             values[key] = decode_real(file_overrides[key], what=f"tolerances.{key}")
         # flags win over the file; there is no --tol-herm
         if getattr(args, f"tol_{key}", None) is not None:
@@ -563,7 +570,7 @@ def _result(status: str, kind: str, outputs: dict, diagnostics: dict,
         "kind": kind,
         "outputs": outputs,
         "diagnostics": diagnostics,
-        "tolerances": dataclasses.asdict(tol) if tol is not None else None,
+        "tolerances": _tolerances_dict(tol) if tol is not None else None,
         "seed": seed,
         "error": error,
     }

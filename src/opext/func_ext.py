@@ -144,8 +144,8 @@ class LeftIdeal:
     __slots__ = ("projection", "_range")
 
     def __init__(self, projection, tol: Tolerances | None = None):
-        self.projection = ComplexMatrix._adopt(_projector(projection, _tol(tol), None))
-        self._range = _range_basis(self.projection.a)
+        self.projection = _projector(projection, _tol(tol), None)
+        self._range = _range_basis(self.projection)
 
     @property
     def size(self) -> int:

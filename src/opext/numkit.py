@@ -455,22 +455,28 @@ def hermitize(m, tol: Tolerances | None = None) -> HermitianMatrix:
     return HermitianMatrix(m, tol)
 
 
-def _projector(p, tol: Tolerances, what: str | None) -> np.ndarray:
-    """The hermitized orthogonal projector p; ValueError naming ``what`` unless idempotent within eq."""
-    pm = hermitize(p, tol).a
+def _projector(p, tol: Tolerances, what: str | None) -> HermitianMatrix:
+    """The hermitized orthogonal projector p, kept as the HermitianMatrix :func:`eigh_desc` takes as it is.
+
+    ValueError naming ``what`` unless idempotent within eq.
+    """
+    h = hermitize(p, tol)
+    pm = h.a
     idem = _fro(pm @ pm - pm)
     if idem > _limit(tol.eq, _fro(pm)):
         subject = "not" if what is None else f"{what} is not"
         raise ValueError(f"{subject} an orthogonal projector (idempotency residual {idem:.3e})")
-    return pm
+    return h
 
 
-def _range_basis(pm: np.ndarray) -> np.ndarray:
-    """Canonical orthonormal basis of ran pm for a validated projector: its phase-fixed eigenvectors above 1/2.
+def _range_basis(pm: HermitianMatrix) -> np.ndarray:
+    """Orthonormal basis of ran pm for a validated projector: its phase-fixed eigenvectors above 1/2.
 
     A projector's eigenvalues sit near 0 or 1, so 1/2 separates them for
     anything :func:`_projector` accepts; a rank cutoff would keep the small
-    ones its idempotency check took for zero.
+    ones its idempotency check took for zero.  From rank 2 on the eigenvalue
+    1 repeats, and LAPACK may return any basis of its eigenspace, so only
+    what a unitary change of basis keeps (such as B B*) is a function of pm.
     """
     w, v = eigh_desc(pm)
     return np.compress(w > 0.5, v, axis=1)

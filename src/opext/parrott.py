@@ -33,15 +33,16 @@ anyway, prove it independent when they have full rank, and only a
 collapsed U_i has D_i's own rank decided.
 
 Specializations: :func:`strong_parrott` completes an intertwining pair of
-factorizations (X S1 = S2, T2 X = T1, ||X|| <= 1), and
-:func:`classical_parrott` extends a contraction prescribed on a subspace
-whose compression to another subspace is also prescribed.  Both already
-hold orthonormal domains and their values with identity weights and unit
-bounds, so they call :func:`_corner` directly: no identity weight is formed
-or lifted, and no :class:`ParrottInstance` is built.  They decide each
-norm hypothesis once, on the reduced pairs the corner is built from, check
-the remaining equalities and their own output equations, and raise
-:class:`HypothesisViolated` when any of them fails.
+factorizations (X S1 = S2, T2 X = T1, ||X|| <= 1).  It reduces its data
+to orthonormal domains and their values, with identity weights and unit
+bounds, so it calls :func:`_corner` directly: no identity weight is formed
+or lifted, and no :class:`ParrottInstance` is built.  It decides each norm
+hypothesis once, on the reduced pairs the corner is built from, checks the
+intertwining equality and its own output equations, and raises
+:class:`HypothesisViolated` when any of them fails.  Parrott's classical
+problem is that one on basis-free data: :func:`classical_parrott` takes T1
+and T1' as dimK x dimH matrices and solves the strong instance
+(P_H1, T1, T1', P_K1), with each projector rebuilt from its decided range.
 """
 
 from __future__ import annotations
@@ -268,34 +269,6 @@ def _corner(p1, y1, p2, y2, beta: float, tol: Tolerances) -> np.ndarray:
     return x
 
 
-def _unit_corner(p1, y1, p2, y2, bounds, equations, tol: Tolerances) -> ComplexMatrix:
-    """Minimal corner of unit-bound data on identity weights, checked against the caller's equations.
-
-    ``bounds`` gives, for Y1 and then Y2, the hypothesis its norm decides
-    and that norm, as ``(name, ||Y_i||)``.  Raises :class:`HypothesisViolated`
-    naming each side whose norm beta has beta^2 above 1 + 2 eq (the bound
-    :func:`_corner_lifts` allows at alpha = 1), or when the corner X misses
-    one of ``equations``, each ``(name, residual of X, scale)`` and allowed
-    eq (1 + scale) in the Frobenius norm.
-    """
-    excess = [
-        f"{name} fails: the reduced data has norm {beta:.6f} > 1; no contraction extends it"
-        for name, beta in bounds
-        if beta * beta > 1.0 + _limit(tol.eq, 1.0)
-    ]
-    if excess:
-        raise HypothesisViolated("; ".join(excess))
-    x = _corner(p1, y1, p2, y2, max(beta for _, beta in bounds), tol)
-    failures = []
-    for name, residual, scale in equations:
-        resid = _fro(residual(x))
-        if resid > _limit(tol.eq, scale):
-            failures.append(f"{name} fails on the completion (residual {resid:.3e})")
-    if failures:
-        raise HypothesisViolated("; ".join(failures))
-    return ComplexMatrix._adopt(x)
-
-
 class StrongParrottInstance:
     """Intertwined factorization data: find X with X S1 = S2, T2 X = T1.
 
@@ -353,10 +326,11 @@ def strong_parrott(inst: StrongParrottInstance, tol: Tolerances | None = None) -
     t = _tol(tol)
     s1, s2 = inst.s1.a, inst.s2.a
     t1, t2 = inst.t1.a, inst.t2.a
-    eq_resid = _fro(t1 @ s1 - t2 @ s2)
-    if eq_resid > _limit(t.eq, _fro(t1 @ s1)):
+    ts = t1 @ s1
+    eq_resid = _fro(ts - t2 @ s2)
+    if eq_resid > _limit(t.eq, _fro(ts)):
         raise HypothesisViolated(f"T1 S1 = T2 S2 fails (residual {eq_resid:.3e})")
-    pairs, bounds = [], []
+    pairs, excess = [], []
     for name, kernel, domain, values in (
         ("S2* S2 <= S1* S1", "S2 does not vanish on ker S1", s1, s2),
         ("T1 T1* <= T2 T2*", "T1* does not vanish on ker T2*", t2.conj().T, t1.conj().T),
@@ -364,64 +338,76 @@ def strong_parrott(inst: StrongParrottInstance, tol: Tolerances | None = None) -
         p, y, resid = _restrict(domain, values, t)
         if resid > _limit(t.eq, _fro(values)):
             raise HypothesisViolated(f"{name} fails: {kernel} (residual {resid:.3e})")
-        pairs.append((p, y))
-        bounds.append((name, _smax(y)))
-    (p1, y1), (p2, y2) = pairs
-    equations = (
-        ("X S1 = S2", lambda x: x @ s1 - s2, _fro(s1)),
-        ("T2 X = T1", lambda x: t2 @ x - t1, _fro(t2)),
-    )
-    return _unit_corner(p1, y1, p2, y2, bounds, equations, t)
+        beta = _smax(y)
+        if beta * beta > 1.0 + _limit(t.eq, 1.0):
+            excess.append(f"{name} fails: the reduced data has norm {beta:.6f} > 1; no contraction extends it")
+        pairs.append((p, y, beta))
+    if excess:
+        raise HypothesisViolated("; ".join(excess))
+    (p1, y1, beta1), (p2, y2, beta2) = pairs
+    x = _corner(p1, y1, p2, y2, max(beta1, beta2), t)
+    failures = [
+        f"{name} fails on the completion (residual {resid:.3e})"
+        for name, resid, scale in (
+            ("X S1 = S2", _fro(x @ s1 - s2), _fro(s1)),
+            ("T2 X = T1", _fro(t2 @ x - t1), _fro(t2)),
+        )
+        if resid > _limit(t.eq, scale)
+    ]
+    if failures:
+        raise HypothesisViolated("; ".join(failures))
+    return ComplexMatrix._adopt(x)
 
 
-def classical_parrott(
-    p_h1, p_k1, t1_on_h1, t1_prime, tol: Tolerances | None = None
-) -> ComplexMatrix:
+# strong_parrott's names for the classical hypotheses, as classical_parrott reports them
+_CLASSICAL_NAMES = {
+    "T1 S1 = T2 S2 fails": "compression of the restriction disagrees with the prescribed compression",
+    "S2* S2 <= S1* S1": "||T1|| <= 1",
+    "S2 does not vanish on ker S1": "T1 does not vanish off ran P_H1",
+    "T1 T1* <= T2 T2*": "||T1'|| <= 1",
+    "T1* does not vanish on ker T2*": "T1' does not map into ran P_K1",
+    "X S1 = S2": "the restriction to ran P_H1",
+    "T2 X = T1": "the compression P_K1 T = T1'",
+}
+
+
+def classical_parrott(p_h1, p_k1, t1, t1_prime, tol: Tolerances | None = None) -> ComplexMatrix:
     """Contraction extending a sub-block and matching a prescribed compression.
 
     Given orthogonal projectors P_H1 on C^{dimH} and P_K1 on C^{dimK}, a
-    contraction T1 defined on ran P_H1 with values in C^{dimK} (matrix
-    ``t1_on_h1``, columns indexed by the canonical orthonormal basis of
-    ran P_H1), and a contraction T1' from C^{dimH} into ran P_K1 (matrix
-    ``t1_prime`` in the canonical basis of ran P_K1), such that the
-    compression of T1 to ran P_K1 agrees with T1' on ran P_H1, returns a
-    contraction T on all of C^{dimH} with
+    contraction T1 on ran P_H1 and a contraction T1' into ran P_K1, both
+    dimK x dimH matrices (T1 = T1 P_H1 and P_K1 T1' = T1'), whose
+    compressions agree, P_K1 T1 = T1' P_H1, returns a contraction T on all
+    of C^{dimH} with
 
-        T restricted to ran P_H1 = T1   and   P_K1 T = T1'.
+        T P_H1 = T1   and   P_K1 T = T1'.
 
-    The canonical bases are the phase-fixed eigenvectors of the
-    projectors with eigenvalues above 1/2, so the column/row conventions
-    are reproducible from the projectors alone.
+    No basis of either range enters, so the result is a function of the
+    projectors.  It is the strong Parrott instance (s1, s2, t1, t2) =
+    (Q_H, T1, T1', Q_K), where each Q = B B* is rebuilt from the orthonormal
+    basis B of the projector's eigenvectors above 1/2
+    (:func:`~opext.numkit._range_basis`), so an eigenvalue the idempotency
+    check took for zero stays out of the range.  Its hypotheses are the
+    classical ones: t1 s1 = t2 s2 is the compressions' agreement,
+    s2* s2 <= s1* s1 says T1 vanishes off ran P_H1 with ||T1|| <= 1, and
+    t1 t1* <= t2 t2* says T1' maps into ran P_K1 with ||T1'|| <= 1.
 
-    Raises :class:`HypothesisViolated` when the compressions disagree,
-    when a prescribed operator is not a contraction (decided once, as the
-    reduced bound of its side: norm beta with beta^2 above 1 + 2 eq), or
-    when T misses its restriction or its compression by more than
-    eq (1 + the prescribed norm).
+    Raises :class:`HypothesisViolated` with the message of
+    :func:`strong_parrott` in these classical names: the compressions
+    disagree, T1 or T1' is not a contraction on its subspace, or T misses
+    its restriction or its compression by more than eq (1 + ||Q||_F).
     """
     t = _tol(tol)
-    b_h1 = _range_basis(_projector(p_h1, t, "first projector"))
-    b_k1 = _range_basis(_projector(p_k1, t, "second projector"))
-    t1m = ComplexMatrix.coerce(t1_on_h1).a
-    t1p = ComplexMatrix.coerce(t1_prime).a
-    dim_h = b_h1.shape[0]
-    dim_k = b_k1.shape[0]
-    if t1m.shape != (dim_k, b_h1.shape[1]):
-        raise DimensionMismatch(
-            f"restricted contraction must be {dim_k}x{b_h1.shape[1]}, got {t1m.shape}"
-        )
-    if t1p.shape != (b_k1.shape[1], dim_h):
-        raise DimensionMismatch(
-            f"compressed contraction must be {b_k1.shape[1]}x{dim_h}, got {t1p.shape}"
-        )
-    match = _fro(b_k1.conj().T @ t1m - t1p @ b_h1)
-    if match > _limit(t.eq, _fro(t1m)):
-        raise HypothesisViolated(
-            f"compression of the restriction disagrees with the prescribed compression (residual {match:.3e})"
-        )
-    equations = (
-        ("the restriction to ran P_H1", lambda x: x @ b_h1 - t1m, _fro(t1m)),
-        ("the compression P_K1 T = T1'", lambda x: b_k1.conj().T @ x - t1p, _fro(t1p)),
-    )
-    bounds = (("||T1|| <= 1", _smax(t1m)), ("||T1'|| <= 1", _smax(t1p)))
-    return _unit_corner(b_h1, t1m, b_k1, t1p.conj().T, bounds, equations, t)
+    b_h = _range_basis(_projector(p_h1, t, "first projector"))
+    b_k = _range_basis(_projector(p_k1, t, "second projector"))
+    t1m, t1p = ComplexMatrix.coerce(t1), ComplexMatrix.coerce(t1_prime)
+    shape = (len(b_k), len(b_h))
+    if t1m.a.shape != shape or t1p.a.shape != shape:
+        raise DimensionMismatch(f"T1 and T1' must be {shape[0]}x{shape[1]}, got {t1m.a.shape} and {t1p.a.shape}")
+    try:
+        return strong_parrott(StrongParrottInstance(b_h @ b_h.conj().T, t1m, t1p, b_k @ b_k.conj().T), t)
+    except HypothesisViolated as exc:
+        message = str(exc)
+        for strong, classical in _CLASSICAL_NAMES.items():
+            message = message.replace(strong, classical)
+        raise HypothesisViolated(message) from exc

@@ -159,7 +159,7 @@ def test_criterion_06_parrott_fixture():
     swap = np.array([[0.0, 1.0], [1.0, 0.0]])
     classical = classical_parrott(
         np.diag([1.0, 0.0]), np.diag([1.0, 0.0]),
-        np.array([[0.0], [1.0]]), np.array([[0.0, 1.0]]),
+        np.array([[0.0, 0.0], [1.0, 0.0]]), np.array([[0.0, 1.0], [0.0, 0.0]]),
     )
     assert np.abs(classical.a - swap).max() <= 1e-8
     generic = parrott_complete(ParrottInstance(

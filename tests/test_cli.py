@@ -402,6 +402,23 @@ class TestTolerances:
         assert code == 0
         assert doc["tolerances"]["eq"] == 1e-6
 
+    @pytest.mark.parametrize("tolerances", [5, "rankpsd", ["eq"]], ids=["number", "string", "list"])
+    def test_non_object_tolerances_are_invalid_input(self, tmp_path, tolerances):
+        path = write_instance(tmp_path, "t.json", {
+            "kind": "kvn",
+            "payload": {
+                "n": 2,
+                "domain_basis": [[1.0], [0.0]],
+                "values": [[1.0], [1.0]],
+            },
+            "tolerances": tolerances,
+        })
+        code, doc = run(tmp_path, "kvn", path)
+        assert code == 2
+        assert doc["status"] == "invalid-input"
+        assert doc["tolerances"] is None
+        assert doc["error"]["message"].startswith("tolerances: expected an object or null")
+
 
 class TestDiagnosticsReuseLifts:
     @pytest.mark.parametrize("kind, eigh_calls", [("sa-ext", 2), ("parrott", 2)])

@@ -92,10 +92,10 @@ def test_left_ideal_projector_boundary(f):
 def test_classical_parrott_projector_boundary(f):
     p, resid, limit = perturbed_projector(f)
     k1 = np.diag([1.0, 0.0, 0.0])
-    t1 = np.zeros((3, 2))
+    # T1 = T1 P_H1 and T1' = P_K1 T1' both send e1 to e1 / 2 and vanish elsewhere
+    t1 = np.zeros((3, 3))
     t1[0, 0] = 0.5
-    t1p = np.zeros((1, 3))
-    t1p[0, 0] = 0.5
+    t1p = t1.copy()
     message = f"first projector is not an orthogonal projector (idempotency residual {resid:.3e})"
     expected = (True, None) if not resid > limit else (False, message)
     assert expected[0] == (f < 1.0)

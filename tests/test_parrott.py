@@ -3,8 +3,8 @@
 import numpy as np
 import pytest
 
-from opext.errors import HypothesisViolated, IncompatibleInstance
-from opext.numkit import PsdMatrix, Tolerances, _projector, _range_basis
+from opext.errors import DimensionMismatch, HypothesisViolated, IncompatibleInstance
+from opext.numkit import Tolerances
 from opext.oracle import (
     Rng,
     complex_gaussian,
@@ -237,16 +237,43 @@ class TestStrongParrott:
 
 
 class TestClassicalParrott:
+    # T1 = T1 P_H1 and T1' = P_K1 T1' are dimK x dimH matrices: no basis of either range enters
     def test_fixture_forced_swap(self):
         t = classical_parrott(
             np.diag([1.0, 0.0]), np.diag([1.0, 0.0]),
-            np.array([[0.0], [1.0]]), np.array([[0.0, 1.0]]),
+            np.array([[0.0, 0.0], [1.0, 0.0]]), np.array([[0.0, 1.0], [0.0, 0.0]]),
         )
         assert np.abs(t.a - SWAP).max() <= 1e-8
 
-    def test_extension_and_compression_on_random_contraction(self):
-        from opext.oracle import random_contraction, random_projection
+    def test_rank_two_fixture_forced_cycle(self):
+        # P_H1 = P_K1 = diag(1, 1, 0): the cyclic shift e1 -> e2 -> e3 -> e1 is fixed
+        # on e1, e2 by T1 and on its first two rows by T1', and no other contraction fits
+        p = np.diag([1.0, 1.0, 0.0])
+        cycle = np.roll(np.eye(3), 1, axis=0)
+        t = classical_parrott(p, p, cycle @ p, p @ cycle)
+        assert np.abs(t.a - cycle).max() <= 1e-8
 
+    @pytest.mark.parametrize("seed", range(4))
+    def test_rounding_different_projectors_give_one_completion(self, seed):
+        # each projector is built from two orthonormal bases of one subspace (rank 3 of 6
+        # and rank 2 of 5), so the two copies differ by rounding only; the data T1, T1'
+        # is the same, and so must be the completion
+        gen = np.random.default_rng([seed, 49])
+
+        def two_copies(n, r):
+            b0 = np.linalg.qr(complex_gaussian(gen, n, r))[0]
+            b1 = b0 @ np.linalg.qr(complex_gaussian(gen, r, r))[0]
+            return b0 @ b0.conj().T, b1 @ b1.conj().T
+
+        (p_h0, p_h1), (p_k0, p_k1) = two_copies(6, 3), two_copies(5, 2)
+        assert max(np.linalg.norm(p_h0 - p_h1), np.linalg.norm(p_k0 - p_k1)) <= 1e-15
+        hidden = random_contraction(gen, 5, 6)
+        t1, t1_prime = hidden @ p_h0, p_k0 @ hidden
+        t0 = classical_parrott(p_h0, p_k0, t1, t1_prime).a
+        t = classical_parrott(p_h1, p_k1, t1, t1_prime).a
+        assert np.linalg.norm(t - t0) <= 1e-12 * np.linalg.norm(t0)
+
+    def test_extension_and_compression_on_random_contraction(self):
         for i in range(25):
             gen = Rng(44).split(i).generator()
             dim_h = int(gen.integers(1, 6))
@@ -254,37 +281,51 @@ class TestClassicalParrott:
             hidden = random_contraction(gen, dim_k, dim_h)
             p_h1 = random_projection(gen, dim_h, int(gen.integers(1, dim_h + 1)))
             p_k1 = random_projection(gen, dim_k, int(gen.integers(1, dim_k + 1)))
-            b_h1 = _range_basis(_projector(p_h1, Tolerances(), "p"))
-            b_k1 = _range_basis(_projector(p_k1, Tolerances(), "q"))
-            t1_on_h1 = hidden @ b_h1
-            t1_prime = b_k1.conj().T @ hidden
-            t = classical_parrott(p_h1, p_k1, t1_on_h1, t1_prime)
+            t1, t1_prime = hidden @ p_h1, p_k1 @ hidden
+            t = classical_parrott(p_h1, p_k1, t1, t1_prime)
             assert np.linalg.norm(t.a, 2) <= 1.0 + 1e-7
-            assert np.linalg.norm(t.a @ b_h1 - t1_on_h1) <= 1e-7 * (1 + np.linalg.norm(t1_on_h1))
-            assert np.linalg.norm(b_k1.conj().T @ t.a - t1_prime) <= 1e-7 * (
-                1 + np.linalg.norm(t1_prime)
-            )
+            assert np.linalg.norm(t.a @ p_h1 - t1) <= 1e-7 * (1 + np.linalg.norm(t1))
+            assert np.linalg.norm(p_k1 @ t.a - t1_prime) <= 1e-7 * (1 + np.linalg.norm(t1_prime))
 
     def test_non_projector_rejected(self):
         with pytest.raises(ValueError, match="projector"):
             classical_parrott(
                 np.diag([0.5, 0.0]), np.diag([1.0, 0.0]),
-                np.array([[0.0], [1.0]]), np.array([[0.0, 1.0]]),
+                np.array([[0.0, 0.0], [1.0, 0.0]]), np.array([[0.0, 1.0], [0.0, 0.0]]),
             )
 
     def test_non_contraction_rejected(self):
         with pytest.raises(HypothesisViolated, match="contraction"):
             classical_parrott(
                 np.diag([1.0, 0.0]), np.diag([1.0, 0.0]),
-                np.array([[0.0], [2.0]]), np.array([[0.0, 2.0]]),
+                np.array([[0.0, 0.0], [2.0, 0.0]]), np.array([[0.0, 2.0], [0.0, 0.0]]),
             )
 
     def test_inconsistent_compression_rejected(self):
         with pytest.raises(HypothesisViolated, match="compression"):
             classical_parrott(
                 np.diag([1.0, 0.0]), np.diag([1.0, 0.0]),
-                np.array([[0.0], [1.0]]), np.array([[0.5, 0.5]]),
+                np.array([[0.0, 0.0], [1.0, 0.0]]), np.array([[0.5, 0.5], [0.0, 0.0]]),
             )
+
+    @pytest.mark.parametrize(
+        "t1, t1_prime, message",
+        [
+            (np.array([[0.0, 0.0], [0.0, 1.0]]), np.zeros((2, 2)), "||T1|| <= 1 fails: T1 does not vanish off ran P_H1"),
+            (np.zeros((2, 2)), np.array([[0.0, 0.0], [0.0, 1.0]]), "||T1'|| <= 1 fails: T1' does not map into ran P_K1"),
+        ],
+        ids=["T1", "T1'"],
+    )
+    def test_data_outside_its_subspace_names_the_classical_hypothesis(self, t1, t1_prime, message):
+        # the compressions agree (both vanish), but T1 acts off ran P_H1 = span e1, or T1' maps off ran P_K1
+        p = np.diag([1.0, 0.0])
+        with pytest.raises(HypothesisViolated) as excinfo:
+            classical_parrott(p, p, t1, t1_prime)
+        assert str(excinfo.value).startswith(message)
+
+    def test_wrong_shape_names_both_operators(self):
+        with pytest.raises(DimensionMismatch, match=r"T1 and T1' must be 2x2, got \(2, 1\) and \(2, 2\)"):
+            classical_parrott(np.diag([1.0, 0.0]), np.diag([1.0, 0.0]), np.zeros((2, 1)), np.zeros((2, 2)))
 
 
 class TestLiftedAsymmetry:
@@ -326,6 +367,12 @@ def orthonormal_pair(domain, values):
     return u, (values @ vh.conj().T) / s
 
 
+def projection_with_rank(gen, n):
+    """A random orthogonal projector on C^n of a random rank, and that rank."""
+    rank = int(gen.integers(1, n + 1))
+    return rank, random_projection(gen, n, rank)
+
+
 class TestSpecializationsAgreeWithTheWeightedPath:
     # the weighted completion on identity weights and unit bounds, built from
     # the same orthonormal pairs, is the reference for both specializations
@@ -350,15 +397,14 @@ class TestSpecializationsAgreeWithTheWeightedPath:
             gen = Rng(47).split(i).generator()
             dim_h, dim_k = (int(x) for x in gen.integers(1, 9, size=2))
             hidden = random_contraction(gen, dim_k, dim_h)
-            p_h1 = random_projection(gen, dim_h, int(gen.integers(1, dim_h + 1)))
-            p_k1 = random_projection(gen, dim_k, int(gen.integers(1, dim_k + 1)))
-            b_h1 = _range_basis(_projector(p_h1, Tolerances(), "p"))
-            b_k1 = _range_basis(_projector(p_k1, Tolerances(), "q"))
-            t1_on_h1, t1_prime = hidden @ b_h1, b_k1.conj().T @ hidden
+            r_h, p_h1 = projection_with_rank(gen, dim_h)
+            r_k, p_k1 = projection_with_rank(gen, dim_k)
+            # any orthonormal basis of each range serves the reference: numpy's own SVD's
+            b_h1, b_k1 = np.linalg.svd(p_h1)[0][:, :r_h], np.linalg.svd(p_k1)[0][:, :r_k]
             reference = parrott_complete(
-                ParrottInstance(b_h1, t1_on_h1, b_k1, t1_prime.conj().T, np.eye(dim_h), np.eye(dim_k), 1.0, 1.0)
+                ParrottInstance(b_h1, hidden @ b_h1, b_k1, hidden.conj().T @ b_k1, np.eye(dim_h), np.eye(dim_k), 1.0, 1.0)
             ).a
-            t = classical_parrott(p_h1, p_k1, t1_on_h1, t1_prime).a
+            t = classical_parrott(p_h1, p_k1, hidden @ p_h1, p_k1 @ hidden).a
             assert np.linalg.norm(t - reference) <= 1e-12 * np.linalg.norm(reference)
 
 
@@ -414,12 +460,9 @@ class TestSpecializationsDecideByTheirOwnTerms:
         gen = np.random.default_rng([seed, 48])
         hidden = random_contraction(gen, 4, 5)
         p_h1, p_k1 = random_projection(gen, 5, 3), random_projection(gen, 4, 2)
-        b_h1 = _range_basis(_projector(p_h1, Tolerances(), "p"))
-        b_k1 = _range_basis(_projector(p_k1, Tolerances(), "q"))
-        t1_on_h1 = hidden @ b_h1
-        t1_prime = b_k1.conj().T @ hidden
-        t1_prime[0, 0] += 1e-9
-        t = classical_parrott(p_h1, p_k1, t1_on_h1, t1_prime).a
+        t1, t1_prime = hidden @ p_h1, p_k1 @ hidden
+        t1_prime[:, 0] += 1e-9 * p_k1[:, 0]  # still into ran P_K1
+        t = classical_parrott(p_h1, p_k1, t1, t1_prime).a
         assert np.linalg.norm(t, 2) <= 1.0 + self.EQ
-        assert np.linalg.norm(t @ b_h1 - t1_on_h1) <= self.EQ * (1.0 + np.linalg.norm(t1_on_h1))
-        assert np.linalg.norm(b_k1.conj().T @ t - t1_prime) <= self.EQ * (1.0 + np.linalg.norm(t1_prime))
+        assert np.linalg.norm(t @ p_h1 - t1) <= self.EQ * (1.0 + np.linalg.norm(t1))
+        assert np.linalg.norm(p_k1 @ t - t1_prime) <= self.EQ * (1.0 + np.linalg.norm(t1_prime))

@@ -95,7 +95,7 @@ class TestStrongParrottBand:
 
 
 class TestClassicalContraction:
-    # T1 maps ran P_H1 = span e1 to beta e2, and T1' = 0 agrees with its compression
+    # T1 = T1 P_H1 maps ran P_H1 = span e1 to beta e2, and T1' = 0 agrees with its compression
     P = np.diag([1.0, 0.0])
 
     @pytest.mark.parametrize(
@@ -104,13 +104,13 @@ class TestClassicalContraction:
         ids=["below", "above", "far"],
     )
     def test_restricted_norm_decided_by_the_reduced_bound(self, beta, accepted):
-        decision = outcome(lambda: classical_parrott(self.P, self.P, np.array([[0.0], [beta]]), np.zeros((1, 2))))
+        decision = outcome(lambda: classical_parrott(self.P, self.P, np.array([[0.0, 0.0], [beta, 0.0]]), np.zeros((2, 2))))
         assert decision == ((True, None, None) if accepted else (False, "HypothesisViolated", "||T1|| <= 1 fails"))
 
     @pytest.mark.parametrize("beta", [1.0 + 1.1 * T.eq, 1.5], ids=["above", "far"])
     def test_compressed_norm_decided_by_the_reduced_bound(self, beta):
-        # T1' = beta e2* into ran P_K1 = span e1 (a 1 x 2 matrix), and T1 = 0 on span e1
-        decision = outcome(lambda: classical_parrott(self.P, self.P, np.zeros((2, 1)), np.array([[0.0, beta]])))
+        # T1' = P_K1 T1' = beta e1 e2* into ran P_K1 = span e1, and T1 = 0 on span e1
+        decision = outcome(lambda: classical_parrott(self.P, self.P, np.zeros((2, 2)), np.array([[0.0, beta], [0.0, 0.0]])))
         assert decision == (False, "HypothesisViolated", "||T1'|| <= 1 fails")
 
 
@@ -144,7 +144,7 @@ class TestIdealRange:
         original = func_ext._range_basis
 
         def counted(pm):
-            calls.append(pm.shape)
+            calls.append((pm.rows, pm.cols))
             return original(pm)
 
         monkeypatch.setattr(func_ext, "_range_basis", counted)
