@@ -125,19 +125,15 @@ def _payload_matrix(payload: dict, key: str, rows: int | None = None, cols: int 
     return m
 
 
-def _payload_int(payload: dict, key: str, minimum: int = 1) -> int:
+def _payload_int(payload: dict, key: str) -> int:
     if key not in payload:
         raise _InputError(f"payload is missing {key!r}")
     try:
         value = decode_int(payload[key], what=key)
     except ValueError as exc:
         raise _InputError(str(exc)) from exc
-    return _at_least(key, value, minimum)
-
-
-def _at_least(key: str, value: int, minimum: int) -> int:
-    if value < minimum:
-        raise _InputError(f"{key}: must be at least {minimum}, got {value}")
+    if value < 1:
+        raise _InputError(f"{key}: must be at least 1, got {value}")
     return value
 
 
@@ -204,8 +200,7 @@ def _parse_functional(payload: dict, *, for_cstar: bool) -> dict:
         raise _InputError("payload is missing 'density'")
     if for_cstar and "extension" in payload:
         data["extension"] = _payload_matrix(payload, "extension", rows=m, cols=m)
-    if for_cstar and "samples" in payload:
-        data["samples"] = _payload_int(payload, "samples")
+    # a cstar-check "samples" key, which set a random-pair count, is ignored
     return data
 
 
@@ -223,7 +218,7 @@ _PARSERS = {
 # run phase: build typed objects and compute (math errors map to exit 1)
 
 
-def _run_kvn(data: dict, tol: Tolerances, args) -> tuple[dict, dict]:
+def _run_kvn(data: dict, tol: Tolerances) -> tuple[dict, dict]:
     op = PartialPositiveOperator(data["domain_basis"], data["values"], tol)
     ext = kvn_extend(op, tol)
     resid = _fro(ext.a @ data["domain_basis"] - data["values"])
@@ -238,7 +233,7 @@ def _run_kvn(data: dict, tol: Tolerances, args) -> tuple[dict, dict]:
     )
 
 
-def _run_sa_ext(data: dict, tol: Tolerances, args) -> tuple[dict, dict]:
+def _run_sa_ext(data: dict, tol: Tolerances) -> tuple[dict, dict]:
     op = SymmetricPartialOperator(data["domain_basis"], data["values"], tol)
     lift = hilbert_lift(data["weight"], tol)
     interval = _extend_on_lift(op, lift, tol)
@@ -254,7 +249,7 @@ def _run_sa_ext(data: dict, tol: Tolerances, args) -> tuple[dict, dict]:
     return outputs, diagnostics
 
 
-def _run_parrott(data: dict, tol: Tolerances, args) -> tuple[dict, dict]:
+def _run_parrott(data: dict, tol: Tolerances) -> tuple[dict, dict]:
     inst = ParrottInstance(
         data["domain1"], data["values1"], data["domain2"], data["values2"],
         data["weight1"], data["weight2"], data["alpha1"], data["alpha2"], tol,
@@ -273,7 +268,7 @@ def _run_parrott(data: dict, tol: Tolerances, args) -> tuple[dict, dict]:
     )
 
 
-def _run_strong_parrott(data: dict, tol: Tolerances, args) -> tuple[dict, dict]:
+def _run_strong_parrott(data: dict, tol: Tolerances) -> tuple[dict, dict]:
     inst = StrongParrottInstance(data["s1"], data["s2"], data["t1"], data["t2"])
     x = strong_parrott(inst, tol).a
     return (
@@ -294,7 +289,7 @@ def _functional_diagnostics(pf: PartialFunctional, g_min, g_max, tol: Tolerances
     }
 
 
-def _run_functional_ext(data: dict, tol: Tolerances, args) -> tuple[dict, dict]:
+def _run_functional_ext(data: dict, tol: Tolerances) -> tuple[dict, dict]:
     pf = PartialFunctional(LeftIdeal(data["projection"], tol), data["gamma"])
     g_min, g_max, alpha = extend_functional(pf, data["density"], tol)
     return (
@@ -303,21 +298,9 @@ def _run_functional_ext(data: dict, tol: Tolerances, args) -> tuple[dict, dict]:
     )
 
 
-def _run_cstar_check(data: dict, tol: Tolerances, args) -> tuple[dict, dict]:
+def _run_cstar_check(data: dict, tol: Tolerances) -> tuple[dict, dict]:
     pf = PartialFunctional(LeftIdeal(data["projection"], tol), data["gamma"])
-    samples = getattr(args, "samples", None)
-    if samples is None:
-        samples = data.get("samples")
-    else:
-        samples = _at_least("samples", samples, 1)
-    decision = cstar_extendibility(
-        pf,
-        tol,
-        density=data.get("density"),
-        extension=data.get("extension"),
-        samples=samples,
-        rng=Rng(getattr(args, "seed", 0) or 0),
-    )
+    decision = cstar_extendibility(pf, tol, density=data.get("density"), extension=data.get("extension"))
     outputs = {
         "extendible": decision.extendible,
         "alpha": decision.alpha,
@@ -448,8 +431,6 @@ _VERIFY_ONLY = {
     "functional-ext": _f_bound_drift,
 }
 
-_VERIFY_SAMPLES = 1000
-
 
 def _random_dims(kind: str, gen) -> tuple[int, ...]:
     """Dimensions of one verify instance when --dims is not given."""
@@ -464,7 +445,7 @@ def _random_dims(kind: str, gen) -> tuple[int, ...]:
     return (int(gen.integers(1, MAX_ALGEBRA + 1)),)
 
 
-def _verify_one(kind: str, rng: Rng, dims: tuple[int, ...], tol: Tolerances, seed: int) -> list[dict]:
+def _verify_one(kind: str, rng: Rng, dims: tuple[int, ...], tol: Tolerances) -> list[dict]:
     """Failed invariants of one generated instance, run as `opext <kind>` runs it.
 
     The instance goes through the same encode -> parse -> run path as an
@@ -472,8 +453,7 @@ def _verify_one(kind: str, rng: Rng, dims: tuple[int, ...], tol: Tolerances, see
     """
     instance, witness = random_instance_with_witness(_ORACLE_KIND[kind], dims, rng)
     data = _PARSERS[kind](_encode_instance(kind, instance))
-    args = argparse.Namespace(seed=seed, samples=_VERIFY_SAMPLES)
-    outputs, diagnostics = _RUNNERS[kind](data, tol, args)
+    outputs, diagnostics = _RUNNERS[kind](data, tol)
     result = {**outputs, **diagnostics}
     if kind in _VERIFY_ONLY:
         result.update(_VERIFY_ONLY[kind](data, result, witness, tol))
@@ -511,10 +491,6 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("instance", help="path to the JSON instance file")
         p.add_argument("--out", default=None, help="write the result file here instead of stdout")
         _add_tol_flags(p)
-        if kind == "cstar-check":
-            p.add_argument("--seed", type=int, default=0, help="seed for the sampled bound check")
-            p.add_argument("--samples", type=int, default=None,
-                           help="random pairs to check besides the closed-form one (default: none)")
 
     g = sub.add_parser("gen", help="emit a reproducible random instance file")
     g.add_argument("--kind", required=True, choices=RUN_KINDS)
@@ -543,9 +519,15 @@ def _tolerances_from(args, file_overrides) -> Tolerances:
     elif not isinstance(file_overrides, dict):
         raise _InputError(f"tolerances: expected an object or null, got {type(file_overrides).__name__}")
     values = _tolerances_dict(DEFAULT_TOLERANCES)
+    unknown = sorted(set(file_overrides) - set(values))
+    if unknown:
+        raise _InputError(f"tolerances: unknown key {unknown[0]!r}")
     for key in values:
         if key in file_overrides:
-            values[key] = decode_real(file_overrides[key], what=f"tolerances.{key}")
+            value = file_overrides[key]
+            # a result file writes the default rank cutoff as null
+            if not (key == "rank" and value is None):
+                values[key] = decode_real(value, what=f"tolerances.{key}")
         # flags win over the file; there is no --tol-herm
         if getattr(args, f"tol_{key}", None) is not None:
             values[key] = getattr(args, f"tol_{key}")
@@ -593,7 +575,6 @@ def _parse_dims(text: str | None, n: int | None, kind: str) -> tuple[int, ...]:
 
 
 def _cmd_run(kind: str, args) -> int:
-    seed = getattr(args, "seed", None) if kind == "cstar-check" else None
     tol = None
     try:
         with open(args.instance, "r", encoding="utf-8") as fh:
@@ -608,13 +589,13 @@ def _cmd_run(kind: str, args) -> int:
         if not isinstance(payload, dict):
             raise _InputError("instance file is missing its 'payload' object")
         tol = _tolerances_from(args, document.get("tolerances"))
-        outputs, diagnostics = _RUNNERS[kind](_PARSERS[kind](payload), tol, args)
+        outputs, diagnostics = _RUNNERS[kind](_PARSERS[kind](payload), tol)
     except _FAILURE_TYPES as exc:
         status, code = next((s, c) for types, s, c in _FAILURE_STATUS if isinstance(exc, types))
-        doc = _result(status, kind, {}, {}, tol, seed, {"type": type(exc).__name__, "message": str(exc)})
+        doc = _result(status, kind, {}, {}, tol, None, {"type": type(exc).__name__, "message": str(exc)})
         _emit(dumps_canonical(doc), args.out)
         return code
-    _emit(dumps_canonical(_result("ok", kind, outputs, diagnostics, tol, seed, None)), args.out)
+    _emit(dumps_canonical(_result("ok", kind, outputs, diagnostics, tol, None, None)), args.out)
     return EXIT_OK
 
 
@@ -657,7 +638,7 @@ def _cmd_verify(args) -> int:
             child = root.split(offset).split(index)
             instance_dims = dims or _random_dims(kind, child.generator())
             try:
-                found = _verify_one(kind, child.split(0), instance_dims, tol, args.seed)
+                found = _verify_one(kind, child.split(0), instance_dims, tol)
             # a typed or numerical failure counts against the instance;
             # anything else is a programming error and propagates
             except (OpExtError, np.linalg.LinAlgError, ArithmeticError) as exc:

@@ -441,11 +441,11 @@ class ExtendibilityDecision:
     constant4_ok : for a supplied hermitian extension g, whether the bound
         |g_0(x* a)|^2 <= 16 f(x* x) f(a* a) with f = g_+ + g_- holds,
         decided from ``exact_bound`` (None when no extension was supplied).
-    measured_bound : largest ratio |g_0(x* a)| / sqrt(f(x* x) f(a* a)) over
-        the closed-form pair of the polar decomposition Phi = U |Phi|, which
-        attains ``exact_bound``, and any sampled pairs: a lower certificate
-        of ``exact_bound`` computed without it.
-    violations : number of those pairs violating the constant-4 bound.
+    measured_bound : the ratio |g_0(x* a)| / sqrt(f(x* x) f(a* a)) on the
+        closed-form pair of the polar decomposition Phi = U |Phi|, which
+        attains ``exact_bound``: a lower certificate of ``exact_bound``
+        computed without it (0.0 when the pair is degenerate).
+    violations : 1 if that pair violates the constant-4 bound, else 0.
     exact_bound : the sharp constant, the f-bound of g_0 relative to
         f = g_+ + g_- (:func:`f_bound`); it equals ``alpha`` when no
         ``density`` overrides f.
@@ -477,97 +477,37 @@ class FunctionalInstance:
     source: FunctionalMatrix | None = None
 
 
-def _pair_constant(
-    pf: PartialFunctional, root: np.ndarray, x_conj: np.ndarray, a0: np.ndarray, work: np.ndarray, tol: Tolerances
-) -> tuple[float, int]:
-    """Largest ratio |g_0(x* a)| / sqrt(f(x* x) f(a* a)) over pairs, and its violation count.
-
-    The pairs' m-by-m blocks are stacked as rows of (pairs * m, m) arrays,
-    x stored conjugated and a = a0 P in the ideal, so for the positive
-    functional with density F = L L*, L = ``root``, each quantity is one
-    flat GEMM into ``work`` (of the same shape) and a row sum over each
-    pair's m * m entries:
-
-        f(x* x)   = tr(x F x*) = ||x L||_F^2 = ||conj(x) conj(L)||_F^2
-        f(a* a)   = ||a0 (P L)||_F^2
-        g_0(x* a) = tr(Gamma x* a0 P) = sum conj(x) o (a0 (P Gamma))
-
-    A pair is degenerate, and skipped, when its denominator is at most
-    eq ||L||_F^2 ||x||_F ||a0||_F: that product bounds the denominator from
-    above and sets the size of its rounding, so the cutoff scales with F
-    and the pair.  Returns the largest ratio (0.0 when every pair is
-    degenerate) and the number of ratios above 4, the pairs violating the
-    constant-4 inequality.
-    """
-    m = pf.size
-    pairs = x_conj.shape[0] // m
-    p = pf.ideal.projection.a
-
-    def row_squares(z: np.ndarray) -> np.ndarray:
-        flat = z.view(np.float64).reshape(pairs, 2 * m * m)
-        return np.einsum("ij,ij->i", flat, flat)
-
-    cutoff = tol.eq * np.vdot(root, root).real * np.sqrt(row_squares(x_conj) * row_squares(a0))
-    np.matmul(x_conj, root.conj(), out=work)
-    fxx = row_squares(work)
-    np.matmul(a0, p @ root, out=work)
-    faa = row_squares(work)
-    np.matmul(a0, p @ pf.gamma.a, out=work)
-    vals = np.abs(np.einsum("ij,ij->i", x_conj.reshape(pairs, m * m), work.reshape(pairs, m * m)))
-    denom = np.sqrt(fxx * faa)
-    keep = denom > cutoff
-    ratios = vals[keep] / denom[keep]
-    measured = float(ratios.max()) if ratios.size else 0.0
-    return measured, int(np.count_nonzero(ratios > 4.0 + tol.eq))
-
-
 def _witness_constant(
     pf: PartialFunctional, w: np.ndarray, v: np.ndarray, root: np.ndarray, tol: Tolerances
 ) -> tuple[float, int]:
-    """:func:`_pair_constant` of the pair a = P, x = a U that attains the sharp constant.
+    """Ratio |g_0(x* a)| / sqrt(f(x* x) f(a* a)) of the pair that attains the sharp constant, and its violation count.
 
-    U = V sign(w) V* is the phase of the extension's density, Phi = U |Phi|,
-    and U |Phi| U* = |Phi|.  Where g extends g_0, g_0(x* a) = tr(P Phi U* P)
-    = tr(P |Phi| P), and f(x* x) = f(a* a) = tr(P |Phi| P) for f = |Phi|, so
-    the ratio is 1 whenever P |Phi| P != 0: the supremum, since the sharp
-    constant relative to f = g_+ + g_- is at most 1.  It costs a few
-    m-by-m products and no decomposition.
+    The pair is a = P, x = a U, with U = V sign(w) V* the phase of the
+    extension's density, Phi = U |Phi|, and U |Phi| U* = |Phi|.  Where g
+    extends g_0, g_0(x* a) = tr(P Phi U* P) = tr(P |Phi| P), and
+    f(x* x) = f(a* a) = tr(P |Phi| P) for f = |Phi|, so the ratio is 1
+    whenever P |Phi| P != 0: the supremum, since the sharp constant
+    relative to f = g_+ + g_- is at most 1.  For the positive functional
+    with density F = L L*, L = ``root``, each quantity is an m-by-m product:
+
+        f(x* x)   = tr(x F x*) = ||x L||_F^2
+        f(a* a)   = ||P L||_F^2
+        g_0(x* a) = tr(Gamma x* P) = sum conj(x) o (P Gamma)
+
+    The pair is degenerate when its denominator is at most
+    eq ||L||_F^2 ||x||_F ||P||_F: that product bounds the denominator from
+    above and sets the size of its rounding, so the cutoff scales with F.
+    Returns the ratio (0.0 for a degenerate pair) and 1 if it is above 4,
+    violating the constant-4 inequality, else 0.  It costs a few m-by-m
+    products and no decomposition.
     """
     p = pf.ideal.projection.a
-    x_conj = (p @ ((v * np.sign(w)) @ v.conj().T)).conj()
-    return _pair_constant(pf, root, x_conj, p, np.empty_like(x_conj), tol)
-
-
-_RSQRT2 = 1.0 / np.sqrt(2.0)
-
-
-def _sampled_constant(
-    pf: PartialFunctional, root: np.ndarray, samples: int, rng, tol: Tolerances
-) -> tuple[float, int]:
-    """:func:`_pair_constant` over ``samples`` random pairs.
-
-    Draws complex Gaussian (x, a0) and puts a = a0 P in the ideal.
-
-    Stream: the real blocks Re x, Im x, Re a0, Im a0 are drawn in that
-    order, each as ``standard_normal((samples, m, m))`` draws it, and
-    scaled by 1/sqrt(2) as a product with the reciprocal (which is how
-    numpy divides a complex array by a real scalar).  So the pairs are
-    bit for bit (N1 + i N2) / sqrt(2), (N3 + i N4) / sqrt(2) of four such
-    draws, and the generator ends in the state those draws leave.  x is
-    stored conjugated.  The first half of the work array holds each raw
-    draw before it is scaled into place.
-    """
-    m = pf.size
-    gen = rng.generator() if hasattr(rng, "generator") else rng
-    rows = samples * m
-    work = np.empty((rows, m), dtype=np.complex128)
-    draw = work.view(np.float64).reshape(-1)[: rows * m].reshape(rows, m)
-    x_conj = np.empty((rows, m), dtype=np.complex128)
-    a0 = np.empty((rows, m), dtype=np.complex128)
-    for part, scale in ((x_conj.real, _RSQRT2), (x_conj.imag, -_RSQRT2), (a0.real, _RSQRT2), (a0.imag, _RSQRT2)):
-        gen.standard_normal(out=draw)
-        np.multiply(draw, scale, out=part)
-    return _pair_constant(pf, root, x_conj, a0, work, tol)
+    x = p @ ((v * np.sign(w)) @ v.conj().T)
+    denom = _fro(x @ root) * _fro(p @ root)
+    if denom <= tol.eq * np.vdot(root, root).real * _fro(x) * _fro(p):
+        return 0.0, 0
+    ratio = float(abs(np.vdot(x, p @ pf.gamma.a)) / denom)
+    return ratio, int(ratio > 4.0 + tol.eq)
 
 
 def cstar_extendibility(
@@ -575,7 +515,6 @@ def cstar_extendibility(
     tol: Tolerances | None = None,
     density=None,
     extension: FunctionalMatrix | None = None,
-    samples: int | None = None,
     rng=None,
 ) -> ExtendibilityDecision:
     """Decide hermitian extendibility of a partial functional, with witnesses.
@@ -594,14 +533,12 @@ def cstar_extendibility(
     ``density`` overrides f, and the constant-4 bound is decided from it.
     The same inequality is evaluated, without f_bound, on the pair
     a = P, x = a U of the polar decomposition Phi = U |Phi|, whose ratio
-    attains the sharp constant (1 whenever P |Phi| P != 0), and on
-    ``samples`` further random pairs drawn from ``rng`` (default
-    ``Rng(0)``) when ``samples`` is given; ``measured_bound`` is the
-    largest ratio over those pairs, a lower certificate of
-    ``exact_bound``, and ``violations`` counts the pairs above 4.  The
-    default, ``samples=None``, evaluates the closed-form pair only and
-    draws nothing.  f = V |w| V*, its factor V |w|^(1/2) and U = V sign(w) V*
-    come from one eigendecomposition of Phi = V w V*.
+    attains the sharp constant (1 whenever P |Phi| P != 0), so random
+    pairs could only match it up to rounding: ``measured_bound`` is that
+    ratio, a lower certificate of ``exact_bound``, and ``violations`` is 1
+    if it is above 4, else 0.  f = V |w| V*, its factor V |w|^(1/2) and
+    U = V sign(w) V* come from one eigendecomposition of Phi = V w V*.
+    ``rng`` is accepted and ignored; nothing is drawn.
 
     The supplied functional must agree with g_0 on the ideal:
     ``max |P (Phi - Gamma)| <= eq ||Gamma||_F``, relative to the
@@ -609,10 +546,8 @@ def cstar_extendibility(
 
     Raises :class:`NotSymmetric` when g_0 is not symmetric on its ideal
     (then no hermitian extension exists, since restrictions of hermitian
-    functionals are symmetric), and ValueError when ``samples`` < 1.
+    functionals are symmetric).
     """
-    if samples is not None and samples < 1:
-        raise ValueError(f"samples must be at least 1, got {samples}")
     t = _tol(tol)
     if not is_symmetric_on_ideal(pf, t):
         raise NotSymmetric(
@@ -642,13 +577,6 @@ def cstar_extendibility(
     if root is not None:
         exact = alpha if density is None else _row_operator(pf, abs_density, t, symmetric=True)[3]
         measured, violations = _witness_constant(pf, w, v, root, t)
-        if samples is not None:
-            if rng is None:
-                from .oracle import Rng
-
-                rng = Rng(0)
-            sampled, sampled_violations = _sampled_constant(pf, root, samples, rng, t)
-            measured, violations = max(measured, sampled), violations + sampled_violations
     return ExtendibilityDecision(
         extendible=True,
         density=FunctionalMatrix(f_mat),

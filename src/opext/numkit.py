@@ -84,7 +84,7 @@ class Tolerances:
     verify's contraction invariants ``norm <= 1 + eq`` and
     ``exact_bound <= 1 + eq``, cstar's ``4 (1 + eq)``, ``4 + eq`` and
     ``exact (1 + eq)``, the supplied extension's agreement
-    ``eq ||Gamma||_F`` and the degenerate-pair cutoffs of sampled ratios.
+    ``eq ||Gamma||_F`` and the degenerate-pair cutoff of its witness ratio.
     The Parrott contraction hypotheses are floored: a reduced norm beta
     passes when ``beta^2 <= 1 + _limit(eq, 1)``.
     """

@@ -130,10 +130,13 @@ def encode_matrix(m) -> list:
 def _entry_to_complex(entry, what: str) -> complex:
     if isinstance(entry, bool):
         raise ValueError(f"{what}: boolean is not a number")
-    if isinstance(entry, (int, float)):
-        return complex(float(entry), 0.0)
-    if _is_pair(entry):
-        return complex(float(entry[0]), float(entry[1]))
+    try:
+        if isinstance(entry, (int, float)):
+            return complex(float(entry), 0.0)
+        if _is_pair(entry):
+            return complex(float(entry[0]), float(entry[1]))
+    except OverflowError as exc:  # an integer beyond the float range
+        raise ValueError(f"{what}: entries must be finite") from exc
     raise ValueError(f"{what}: entries must be numbers or [re, im] pairs")
 
 

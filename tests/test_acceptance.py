@@ -37,6 +37,7 @@ from opext.sa_ext import (
     extend_symmetric,
     in_interval,
 )
+from test_func_ext import reference_sampled_constant
 
 INSTANCES = Path(__file__).resolve().parent.parent / "instances"
 E1 = np.array([[1.0], [0.0]])
@@ -219,13 +220,16 @@ def test_criterion_09_extendibility_constant():
         gen = child.generator()
         m = int(gen.integers(1, 5))
         inst, _ = random_instance_with_witness("functional", (m,), child.split(0))
-        decision = cstar_extendibility(
-            inst.partial, extension=inst.source, samples=10_000, rng=child.split(1)
-        )
+        decision = cstar_extendibility(inst.partial, extension=inst.source)
         assert decision.extendible
         assert decision.violations == 0
         assert decision.constant4_ok
-        worst_measured = max(worst_measured, decision.measured_bound)
+        sampled, violations = reference_sampled_constant(
+            inst.partial, decision.density.density.a, 10_000, child.split(1).generator(), 1e-8
+        )
+        assert sampled <= decision.exact_bound * (1.0 + 1e-8)
+        assert violations == 0
+        worst_measured = max(worst_measured, sampled)
         for a in inst.partial.ideal.basis():
             agree = abs(decision.g_min(a) - inst.partial(a))
             assert agree <= 1e-7

@@ -83,6 +83,6 @@ def test_cstar_decision_fields_exist():
 
 def test_cstar_check_output_keys_exist(tmp_path):
     out = tmp_path / "result.json"
-    argv = ["cstar-check", str(ROOT / "instances" / "cstar-check.json"), "--samples", "10", "--out", str(out)]
+    argv = ["cstar-check", str(ROOT / "instances" / "cstar-check.json"), "--out", str(out)]
     assert cli.main(argv) == 0
     assert set(CSTAR_NAMES) - set(json.loads(out.read_text())["outputs"]) == set()

@@ -11,7 +11,7 @@ from opext.func_ext import (
     LeftIdeal,
     PartialFunctional,
     _ideal_agreement,
-    _sampled_constant,
+    _witness_constant,
     cstar_extendibility,
     extend_functional,
     f_bound,
@@ -21,7 +21,7 @@ from opext.func_ext import (
     hahn_jordan,
     is_symmetric_on_ideal,
 )
-from opext.numkit import PsdMatrix, Tolerances
+from opext.numkit import HermitianMatrix, PsdMatrix, Tolerances, eigh_desc
 from opext.oracle import Rng, min_completion_search, random_instance_with_witness
 from opext.sa_ext import extend_symmetric
 
@@ -408,12 +408,8 @@ class TestIntervalMembership:
 
 class TestCstarExtendibility:
     def test_fixture_with_known_extension(self):
-        decision = cstar_extendibility(
-            fixture_functional(),
-            extension=FunctionalMatrix(np.diag([1.0, -1.0])),
-            samples=10_000,
-            rng=Rng(50),
-        )
+        pf = fixture_functional()
+        decision = cstar_extendibility(pf, extension=FunctionalMatrix(np.diag([1.0, -1.0])))
         assert decision.extendible
         # f = g_+ + g_- for the supplied extension is the plain trace
         np.testing.assert_allclose(decision.density.density.a, np.eye(2), atol=1e-10)
@@ -424,6 +420,12 @@ class TestCstarExtendibility:
         assert decision.constant4_ok
         assert decision.measured_bound <= 4.0
         assert decision.measured_bound == pytest.approx(1.0, abs=0.05)
+        # 10 000 random pairs stay below the sharp constant the closed-form pair attains
+        sampled, violations = reference_sampled_constant(
+            pf, decision.density.density.a, 10_000, Rng(50).generator(), 1e-8
+        )
+        assert sampled <= decision.exact_bound * (1.0 + 1e-8)
+        assert violations == 0
 
     def test_zero_functional_extendible(self):
         decision = cstar_extendibility(PartialFunctional(LeftIdeal(E11), np.zeros((2, 2))))
@@ -452,13 +454,16 @@ class TestCstarExtendibility:
             # the planted source restricts to the partial data
             for a in pf.ideal.basis():
                 assert abs(inst.source(a) - pf(a)) <= 1e-9 * (1 + np.linalg.norm(witness["source"]))
-            decision = cstar_extendibility(
-                pf, extension=inst.source, samples=500, rng=child.split(1)
-            )
+            decision = cstar_extendibility(pf, extension=inst.source)
             assert decision.extendible
             assert decision.violations == 0
             assert decision.constant4_ok
             assert decision.measured_bound <= 4.0 + 1e-8
+            sampled, violations = reference_sampled_constant(
+                pf, decision.density.density.a, 500, child.split(1).generator(), 1e-8
+            )
+            assert sampled <= decision.exact_bound * (1.0 + 1e-8)
+            assert violations == 0
             scale = 1e-7 * (1 + np.linalg.norm(pf.gamma.a))
             for a in pf.ideal.basis():
                 assert abs(decision.g_min(a) - pf(a)) <= scale
@@ -469,7 +474,7 @@ class TestCstarExtendibility:
 
     def test_exact_bound_is_alpha_and_decides_constant4(self):
         decision = cstar_extendibility(
-            fixture_functional(), extension=FunctionalMatrix(np.diag([1.0, -1.0])), samples=100
+            fixture_functional(), extension=FunctionalMatrix(np.diag([1.0, -1.0]))
         )
         assert decision.exact_bound == decision.alpha
         assert decision.constant4_ok is True
@@ -479,7 +484,7 @@ class TestCstarExtendibility:
         # alpha is taken against the override; exact_bound still against |Phi|
         phi = np.diag([1.0, -1.0])
         decision = cstar_extendibility(
-            fixture_functional(), density=4.0 * np.eye(2), extension=FunctionalMatrix(phi), samples=100
+            fixture_functional(), density=4.0 * np.eye(2), extension=FunctionalMatrix(phi)
         )
         assert decision.alpha == pytest.approx(0.25, abs=1e-10)
         assert decision.exact_bound == pytest.approx(f_bound(fixture_functional(), np.eye(2)), abs=1e-14)
@@ -487,22 +492,6 @@ class TestCstarExtendibility:
 
     def test_no_extension_no_exact_bound(self):
         assert cstar_extendibility(fixture_functional()).exact_bound is None
-
-    @pytest.mark.parametrize("samples", [0, -3])
-    def test_samples_below_one_rejected(self, samples):
-        with pytest.raises(ValueError, match="samples must be at least 1"):
-            cstar_extendibility(
-                fixture_functional(), extension=FunctionalMatrix(np.diag([1.0, -1.0])), samples=samples
-            )
-        with pytest.raises(ValueError, match="samples must be at least 1"):
-            cstar_extendibility(fixture_functional(), samples=samples)
-
-    def test_decomposition_count(self, decompositions):
-        inst, _ = random_instance_with_witness("functional", (4,), Rng(3))
-        with decompositions:
-            cstar_extendibility(inst.partial, extension=inst.source, samples=100, rng=Rng(1))
-        # one eigh of Phi serves both f = |Phi| and the sampler's factor of f
-        assert len(decompositions) <= 8
 
     @pytest.mark.parametrize("c", [1.0, 1e-4, 1e-9])
     def test_non_extension_rejected_at_every_scale(self, c):
@@ -519,7 +508,7 @@ def scaled_functional(inst, k):
 
 
 class TestCstarClosedFormPair:
-    def test_default_call_draws_nothing(self):
+    def test_rng_is_ignored(self):
         inst, _ = random_instance_with_witness("functional", (6,), Rng(3))
         gen = np.random.default_rng(8)
         before = gen.bit_generator.state
@@ -559,12 +548,11 @@ class TestCstarClosedFormPair:
             cstar_extendibility(inst.partial, extension=inst.source)
         assert len(decompositions) <= 8
 
-    @pytest.mark.parametrize("samples", [None, 300])
     @pytest.mark.parametrize("k", [-60, -40, -20, 20, 40, 60])
-    def test_scale_invariant(self, k, samples):
+    def test_scale_invariant(self, k):
         inst, _ = random_instance_with_witness("functional", (6,), Rng(4))
         base, scaled = (
-            cstar_extendibility(pf, extension=phi, samples=samples)
+            cstar_extendibility(pf, extension=phi)
             for pf, phi in (scaled_functional(inst, 0), scaled_functional(inst, k))
         )
         assert scaled.measured_bound == base.measured_bound
@@ -572,7 +560,12 @@ class TestCstarClosedFormPair:
 
 
 def reference_sampled_constant(pf, f_density, samples, gen, eq):
-    """The sampler as first written: batched matmuls and three-operand einsum forms in F."""
+    """Largest ratio |g_0(x* a)| / sqrt(f(x* x) f(a* a)) over random pairs, and the count above 4.
+
+    Plain numpy: complex Gaussian (x, a0) drawn from ``gen``, a = a0 P in
+    the ideal, batched matmuls and three-operand einsum forms in F; pairs
+    whose denominator is at most ``eq`` are skipped.
+    """
     m = pf.size
     p = pf.ideal.projection.a
     xs = (gen.standard_normal((samples, m, m)) + 1j * gen.standard_normal((samples, m, m))) / np.sqrt(2)
@@ -587,8 +580,8 @@ def reference_sampled_constant(pf, f_density, samples, gen, eq):
     return (float(ratios.max()) if ratios.size else 0.0), int(np.count_nonzero(ratios > 4.0 + eq))
 
 
-def sampler_case(m, rank_p, rank_phi, seed):
-    """Symmetric partial data on a rank-``rank_p`` ideal from a Hermitian Phi of rank ``rank_phi``."""
+def witness_case(m, rank_p, rank_phi, seed):
+    """Symmetric partial data on a rank-``rank_p`` ideal, restricted from a Hermitian Phi of rank ``rank_phi``."""
     gen = np.random.default_rng(seed)
 
     def unitary():
@@ -601,57 +594,51 @@ def sampler_case(m, rank_p, rank_phi, seed):
     phi = (u * w) @ u.conj().T
     phi = (phi + phi.conj().T) / 2
     q = unitary()[:, :rank_p]
-    pf = PartialFunctional(LeftIdeal(q @ q.conj().T), phi)
-    lam, v = np.linalg.eigh(phi)
-    return pf, v * np.sqrt(np.abs(lam)), (v * np.abs(lam)) @ v.conj().T
+    return PartialFunctional(LeftIdeal(q @ q.conj().T), phi), phi
 
 
-SAMPLER_CASES = [(1, 1, 1), (2, 1, 1), (2, 2, 1), (6, 3, 6), (6, 2, 4), (6, 5, 3), (16, 5, 16), (16, 16, 10), (16, 8, 8)]
+def witness(pf, phi, c=1.0):
+    """``_witness_constant`` for the extension c Phi of c g_0, from one eigendecomposition of Phi."""
+    w, v = eigh_desc(HermitianMatrix(phi))
+    scaled = PartialFunctional(pf.ideal, c * pf.gamma.a)
+    return _witness_constant(scaled, c * w, v, v * np.sqrt(np.abs(c * w)), Tolerances())
 
 
-class TestSampledConstant:
-    @pytest.mark.parametrize("m, rank_p, rank_phi", SAMPLER_CASES)
+WITNESS_CASES = [(1, 1, 1), (2, 1, 1), (2, 2, 1), (6, 3, 6), (6, 2, 4), (6, 5, 3), (16, 5, 16), (16, 16, 10), (16, 8, 8)]
+
+
+class TestWitnessConstant:
+    @pytest.mark.parametrize("m, rank_p, rank_phi", WITNESS_CASES)
     def test_matches_reference(self, m, rank_p, rank_phi):
-        pf, root, f_density = sampler_case(m, rank_p, rank_phi, seed=100 + m + rank_p + rank_phi)
-        tol = Tolerances()
+        # the pair a = P, x = P U evaluated in plain numpy, and random pairs below it
+        pf, phi = witness_case(m, rank_p, rank_phi, seed=100 + m + rank_p + rank_phi)
+        measured, violations = witness(pf, phi)
+        lam, v = np.linalg.eigh(phi)
+        f_density = (v * np.abs(lam)) @ v.conj().T
+        p = pf.ideal.projection.a
+        x = p @ (v * np.sign(lam)) @ v.conj().T
+        value = abs(np.trace(pf.gamma.a @ x.conj().T @ p))
+        expected = value / np.sqrt(np.trace(x @ f_density @ x.conj().T).real * np.trace(p @ f_density @ p).real)
+        assert measured == pytest.approx(expected, rel=1e-13, abs=0.0)
+        assert measured == pytest.approx(1.0, rel=1e-13, abs=0.0)
+        assert violations == 0
         for seed in range(3):
-            measured, violations = _sampled_constant(pf, root, 2000, Rng(seed), tol)
-            expected, expected_violations = reference_sampled_constant(
-                pf, f_density, 2000, Rng(seed).generator(), tol.eq
+            sampled, sampled_violations = reference_sampled_constant(
+                pf, f_density, 2000, Rng(seed).generator(), Tolerances().eq
             )
-            assert measured == pytest.approx(expected, rel=1e-13, abs=0.0)
-            assert violations == expected_violations
+            assert sampled <= measured * (1.0 + Tolerances().eq)
+            assert sampled_violations == 0
 
-    @pytest.mark.parametrize("m, samples", [(1, 7), (6, 500), (16, 33)])
-    def test_consumes_four_standard_normal_blocks(self, m, samples):
-        pf, root, _ = sampler_case(m, max(1, m // 2), m, seed=7)
-        gen = Rng(11).generator()
-        _sampled_constant(pf, root, samples, gen, Tolerances())
-        ref = Rng(11).generator()
-        for _ in range(4):
-            ref.standard_normal((samples, m, m))
-        np.testing.assert_equal(gen.bit_generator.state, ref.bit_generator.state)
-
-    def test_peak_allocation(self):
-        # the batched-einsum sampler peaked at 27.6 MB here
-        pf, root, _ = sampler_case(6, 3, 6, seed=5)
-        tracemalloc.start()
-        try:
-            _sampled_constant(pf, root, 10_000, Rng(0), Tolerances())
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-        assert peak < 27.6e6
+    def test_degenerate_pair(self):
+        # P |Phi| P = 0: g_0 vanishes, and so does the pair's denominator
+        pf = PartialFunctional(LeftIdeal(E11), np.zeros((2, 2)))
+        assert witness(pf, np.diag([0.0, -2.0])) == (0.0, 0)
 
     @pytest.mark.parametrize("k", [-60, -40, -30, -20, 20, 40, 60])
-    def test_sampler_cutoff_scale_invariant(self, k):
-        # an absolute cutoff dropped pairs at k = -30 and every pair at k = -40
-        pf, root, _ = sampler_case(6, 3, 6, seed=9)
-        c = 2.0**k
-        base, scaled = (
-            _sampled_constant(PartialFunctional(pf.ideal, s * pf.gamma.a), np.sqrt(s) * root, 500, Rng(2), Tolerances())
-            for s in (1.0, c)
-        )
+    def test_cutoff_scale_invariant(self, k):
+        # an absolute cutoff would drop the pair at k = -40
+        pf, phi = witness_case(6, 3, 6, seed=9)
+        base, scaled = (witness(pf, phi, c) for c in (1.0, 2.0**k))
         assert scaled == base
         assert base[0] > 0.0
 

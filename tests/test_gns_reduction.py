@@ -143,7 +143,7 @@ def test_no_decomposition_larger_than_the_algebra(decompositions):
         f_bound(pf, density)
         gns(density)
         gns_realization(pf, density)
-        cstar_extendibility(pf, extension=phi, samples=200)
+        cstar_extendibility(pf, extension=phi)
         cstar_extendibility(pf)
     sides = [max(shape) for shape in decompositions.shapes()]
 

@@ -25,8 +25,8 @@ TOLERANCE_FIELDS = {"eq", "psd", "herm"}
 UNFLOORED = {
     ("numkit.py", "_certified_above"):
         "halves the psd slack before _limit floors it, keeping the shift's evaluation order",
-    ("func_ext.py", "_pair_constant"):
-        "the degenerate-pair cutoff eq ||L||^2 ||x|| ||a0|| already carries the pair's scale; 4 + eq is the constant 4",
+    ("func_ext.py", "_witness_constant"):
+        "the degenerate-pair cutoff eq ||L||^2 ||x|| ||P|| already carries the pair's scale; 4 + eq is the constant 4",
     ("func_ext.py", "cstar_extendibility"):
         "agreement eq ||Gamma||_F is relative to the prescribed values; 4 (1 + eq) is relative to the constant 4",
     ("cli.py", "_INVARIANTS"):
