@@ -43,7 +43,7 @@ from .errors import (
     NotFBounded,
     NotSymmetric,
 )
-from .kvn import HilbertLift, hilbert_lift
+from .kvn import HilbertLift, _lift, hilbert_lift
 from .numkit import (
     ComplexMatrix,
     HermitianMatrix,
@@ -77,11 +77,6 @@ __all__ = [
     "hahn_jordan",
     "cstar_extendibility",
 ]
-
-
-def _vec(x: np.ndarray) -> np.ndarray:
-    """Row-major vectorization of an m-by-m matrix."""
-    return x.reshape(-1)
 
 
 class FunctionalMatrix:
@@ -274,7 +269,7 @@ class GnsSpace:
 
     def vector(self, x) -> np.ndarray:
         """Class of the algebra element x in the GNS space: the rows of x conj(J), row-major."""
-        return _vec(self._element(x) @ self.row.embedding().conj())
+        return (self._element(x) @ self.row.embedding().conj()).reshape(-1)
 
     @property
     def cyclic(self) -> ComplexMatrix:
@@ -291,7 +286,7 @@ class GnsSpace:
         return complex(xi.conj() @ (self.rep(x) @ xi))
 
 
-def _row_lift(density, tol: Tolerances) -> HilbertLift:
+def _row_lift(density, tol: Tolerances | None) -> HilbertLift:
     """Lift of F^T, the rows' weight in the GNS space; a raw F is checked Hermitian here, positive by the lift."""
     f = HermitianMatrix.coerce(_density_array(density), tol)
     return hilbert_lift(HermitianMatrix._adopt(f.a.T.copy()), tol)
@@ -307,13 +302,13 @@ def gns(density, tol: Tolerances | None = None) -> GnsSpace:
     The rows of x live in (C^m, F^T), so the space is I_m (x) lift(F^T),
     from one m-by-m eigendecomposition.
     """
-    return _gns_space(_row_lift(density, _tol(tol)))
+    return _gns_space(_row_lift(density, tol))
 
 
 def _row_operator(
-    pf: PartialFunctional, density, tol: Tolerances, symmetric: bool = False
-) -> tuple[HilbertLift, np.ndarray, np.ndarray, float]:
-    """Lift of F^T, the orthonormal pair (P, Y) of s_0 in range coordinates, and its bound alpha.
+    pf: PartialFunctional, row: HilbertLift, tol: Tolerances, symmetric: bool = False
+) -> tuple[np.ndarray, np.ndarray, float]:
+    """The orthonormal pair (P, Y) of s_0 in the range coordinates of ``row``, the lift of F^T, and its bound alpha.
 
     g_0(x* a) = sum_c x_c* Gamma^T a_c over the rows, and the rows of
     a = a P span ran P^T, so g_0 is realized on the GNS space by I_m (x) s_0
@@ -325,7 +320,6 @@ def _row_operator(
     ``symmetric``, :class:`NotFBounded`, and NotHermitian when U* W is not
     Hermitian (a leak out of ran F^T within tolerance can do that to symmetric data).
     """
-    row = _row_lift(density, tol)
     if pf.size != row.weight.rows:
         raise DimensionMismatch("functional and positive functional live on different algebra sizes")
     if not (symmetric or is_symmetric_on_ideal(pf, tol)):
@@ -335,7 +329,7 @@ def _row_operator(
         _, _, p, y, alpha = _symmetric_lift(d, pf.gamma.a.T @ d, row, tol)
     except NotABounded as exc:
         raise NotFBounded(f"not bounded relative to this positive functional: {exc}") from exc
-    return row, p, y, alpha
+    return p, y, alpha
 
 
 def gns_realization(
@@ -353,7 +347,8 @@ def gns_realization(
     were already decided.  Raises :class:`NotSymmetric` /
     :class:`NotFBounded` when the realization does not exist.
     """
-    row, p, y, _ = _row_operator(pf, density, _tol(tol))
+    row = _row_lift(density, tol)
+    p, y, _ = _row_operator(pf, row, _tol(tol))
     eye = np.eye(pf.size, dtype=np.complex128)
     return _gns_space(row), SymmetricPartialOperator._adopt(np.kron(eye, p), np.kron(eye, y))
 
@@ -366,7 +361,7 @@ def f_bound(pf: PartialFunctional, density, tol: Tolerances | None = None) -> fl
     :class:`NotFBounded` when no finite alpha exists and
     :class:`NotSymmetric` when g_0 is not symmetric.
     """
-    return _row_operator(pf, density, _tol(tol))[3]
+    return _row_operator(pf, _row_lift(density, tol), _tol(tol))[2]
 
 
 def extend_functional(
@@ -383,12 +378,12 @@ def extend_functional(
     of s_0 against the weight F^T; read off the cyclic vector, that is
     g(x) = trace(s^T x): the densities are s_min^T and s_max^T.
     """
-    return _extend_functional(pf, density, _tol(tol))
+    return _extend_functional(pf, _row_lift(density, tol), _tol(tol))
 
 
-def _extend_functional(pf: PartialFunctional, density, tol: Tolerances, symmetric: bool = False):
-    """:func:`extend_functional`, skipping the symmetry test when the caller has decided ``symmetric``."""
-    row, p, y, alpha = _row_operator(pf, density, tol, symmetric)
+def _extend_functional(pf: PartialFunctional, row: HilbertLift, tol: Tolerances, symmetric: bool = False):
+    """:func:`extend_functional` on the lift ``row`` of F^T; the symmetry test is skipped when the caller decided ``symmetric``."""
+    p, y, alpha = _row_operator(pf, row, tol, symmetric)
     # s is exactly Hermitian, so s^T is too: a C-ordered copy is wrapped unchecked
     g_min, g_max = (FunctionalMatrix(HermitianMatrix._adopt(s.T.copy())) for s in _extend_lifted(p, y, alpha, row, tol))
     return g_min, g_max, alpha
@@ -536,8 +531,9 @@ def cstar_extendibility(
     attains the sharp constant (1 whenever P |Phi| P != 0), so random
     pairs could only match it up to rounding: ``measured_bound`` is that
     ratio, a lower certificate of ``exact_bound``, and ``violations`` is 1
-    if it is above 4, else 0.  f = V |w| V*, its factor V |w|^(1/2) and
-    U = V sign(w) V* come from one eigendecomposition of Phi = V w V*.
+    if it is above 4, else 0.  f = V |w| V*, its factor V |w|^(1/2), the lift
+    of f^T (eigenpairs |w| and conj V) and U = V sign(w) V* all come from one
+    eigendecomposition of Phi = V w V*.
     ``rng`` is accepted and ignored; nothing is drawn.
 
     The supplied functional must agree with g_0 on the ideal:
@@ -553,8 +549,7 @@ def cstar_extendibility(
         raise NotSymmetric(
             "functional is not symmetric on its ideal; hermitian extensions cannot exist"
         )
-    m = pf.size
-    abs_density = root = None
+    abs_density = abs_row = root = None
     if extension is not None:
         phi = hermitize(_as_functional(extension).density, t)
         # the supplied functional must actually extend g_0
@@ -565,17 +560,20 @@ def cstar_extendibility(
             )
         w, v = eigh_desc(phi)
         abs_density = PsdMatrix._adopt(_hermitian_part((v * np.abs(w)) @ v.conj().T))
+        order = np.argsort(-np.abs(w), kind="stable")  # |Phi|^T = conj(V) |w| V^T, lifted from these eigenpairs
+        abs_row = _lift(PsdMatrix._adopt(abs_density.a.T.copy()), np.abs(w)[order], np.take(v.conj(), order, axis=1), t)
         root = v * np.sqrt(np.abs(w))
     if density is not None:
         f_mat = HermitianMatrix.coerce(_density_array(density), t)
     elif abs_density is not None:
         f_mat = abs_density
     else:
-        f_mat = PsdMatrix._adopt(np.eye(m, dtype=np.complex128))
-    g_min, g_max, alpha = _extend_functional(pf, f_mat, t, symmetric=True)
+        f_mat = PsdMatrix._adopt(np.eye(pf.size, dtype=np.complex128))
+    row = abs_row if f_mat is abs_density else _row_lift(f_mat, t)
+    g_min, g_max, alpha = _extend_functional(pf, row, t, symmetric=True)
     exact = measured = violations = None
     if root is not None:
-        exact = alpha if density is None else _row_operator(pf, abs_density, t, symmetric=True)[3]
+        exact = alpha if density is None else _row_operator(pf, abs_row, t, symmetric=True)[2]
         measured, violations = _witness_constant(pf, w, v, root, t)
     return ExtendibilityDecision(
         extendible=True,

@@ -22,19 +22,19 @@ decomposes P* Y once and keeps C and that residual.
 
 :func:`hilbert_lift` packages the auxiliary inner-product space attached
 to a positive weight A: the weighted pairing <x, y>_A = y* A x descends to
-an r-dimensional Hilbert space (r = rank A), realized through the class map
-x -> diag(rho) Q* x of the eigenpairs A = Q diag(rho)^2 Q* above the rank
-cutoff; that spectrum is also A's only positivity check.  The extension
-modules use these coordinates for every spectral computation.
+an r-dimensional Hilbert space (r = rank A), realized through x -> J* x for
+J = Q diag(rho), A's eigenpairs A = Q diag(rho)^2 Q* above the rank cutoff.
+A lift is built from A's decided spectrum (its only positivity check) and
+holds J; its pullback J^+ carries the range rule.  Only kvn reads Q and rho.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import DimensionMismatch, NotHermitian, NotPsd
+from .errors import DimensionMismatch, NotABounded, NotHermitian, NotPsd
 from .numkit import (
     ComplexMatrix,
     HermitianMatrix,
@@ -46,10 +46,10 @@ from .numkit import (
     _hermitian_part,
     _limit,
     _orth_factor,
+    _psd_keep,
     _require_vanishing,
     _tol,
     eigh_desc,
-    psd_eig,
 )
 
 __all__ = [
@@ -159,9 +159,8 @@ class HilbertLift:
 
     The sesquilinear form <x, y>_A = y* A x is an inner product on the
     quotient of C^n by ker A.  With the eigenpairs A = Q diag(rho)^2 Q*
-    above the rank cutoff (r = rank A), the class map x -> diag(rho) Q* x
-    identifies that quotient with C^r carrying the standard inner product.
-    Only this spectral factor (Q, rho) is stored.
+    above the rank cutoff (r = rank A), the class map x -> J* x of the held,
+    read-only J = Q diag(rho) identifies that quotient with standard C^r.
 
     Attributes
     ----------
@@ -176,48 +175,52 @@ class HilbertLift:
     rank: int
     range_basis: ComplexMatrix
     roots: np.ndarray
+    _j: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self):
         self.roots.setflags(write=False)
+        object.__setattr__(self, "_j", self.range_basis.a * self.roots)
+        self._j.setflags(write=False)
 
     def embedding(self) -> np.ndarray:
-        """Matrix Q diag(rho) of the isometric embedding C^r -> C^n.
-
-        Composing with its adjoint recovers the weight: J J* = A.
-        """
-        return self.range_basis.a * self.roots
+        """The held J = Q diag(rho), the isometric embedding C^r -> C^n: J J* = A."""
+        return self._j
 
     def coembedding(self) -> np.ndarray:
         """Adjoint of :meth:`embedding`: x -> diag(rho) Q* x, the class map."""
-        return self.embedding().conj().T
+        return self._j.conj().T
+
+    def pullback(self, v: np.ndarray, tol: Tolerances, dom: HilbertLift | None = None) -> np.ndarray:
+        """J^+ v = diag(1/rho) Q* v, or with ``dom`` J^+ v (J_dom^+)* = (Q* v Q_dom) / outer(rho, rho_dom).  The range
+        rule: NotABounded unless v lies in ran A (and v* in ran A_dom), as ||x - Q Q* x||_F <= eq (1 + ||x||_F)."""
+        coords = []
+        for lift, x in ((self, v),) if dom is None else ((self, v), (dom, v.conj().T)):
+            q = lift.range_basis.a
+            coords.append(q.conj().T @ x)
+            resid = _fro(x - q @ coords[-1])
+            if resid > _limit(tol.eq, _fro(x)):
+                raise NotABounded(f"values escape the range of the weight (residual {resid:.3e}); no finite weighted bound exists")
+        if dom is None:
+            return coords[0] / self.roots[:, None]
+        return (coords[0] @ dom.range_basis.a) / np.outer(self.roots, dom.roots)
+
+
+def _lift(weight: PsdMatrix, w: np.ndarray, v: np.ndarray, tol: Tolerances) -> HilbertLift:
+    """The lift of ``weight`` from its whole spectrum (w descending, v its eigenvectors): :func:`_psd_keep` decides it."""
+    keep = _psd_keep(w, tol)
+    return HilbertLift(weight, int(np.count_nonzero(keep)), ComplexMatrix._adopt(np.compress(keep, v, axis=1)), np.sqrt(w[keep]))
 
 
 def hilbert_lift(weight, tol: Tolerances | None = None) -> HilbertLift:
     """Build the range-coordinate realization of a positive weight.
 
-    A single eigendecomposition produces the orthonormal range basis Q and
-    the roots rho, so every map derived from them agrees exactly on what
-    the kernel is.  Eigenvalues below the relative rank cutoff are treated
-    as zero.  A weight that is not already a :class:`PsdMatrix` is checked
+    One eigendecomposition produces the orthonormal range basis Q and the
+    roots rho, so every map derived from them agrees exactly on what the
+    kernel is.  Eigenvalues below the relative rank cutoff are treated as
+    zero.  A weight that is not already a :class:`PsdMatrix` is checked
     Hermitian and then decided positive by this spectrum alone, under the
     rule and with the NotPsd message of :class:`PsdMatrix`.
     """
     t = _tol(tol)
     h = HermitianMatrix.coerce(weight, t)
-    w, q = psd_eig(h, t)
-    a = h if isinstance(h, PsdMatrix) else PsdMatrix._adopt(h.a)
-    return HilbertLift(weight=a, rank=int(w.size), range_basis=ComplexMatrix._adopt(q), roots=np.sqrt(w))
-
-
-def _block_diag(*blocks: np.ndarray) -> np.ndarray:
-    out = np.zeros((sum(b.shape[0] for b in blocks), sum(b.shape[1] for b in blocks)), dtype=np.complex128)
-    r = c = 0
-    for b in blocks:
-        out[r:r + b.shape[0], c:c + b.shape[1]] = b
-        r, c = r + b.shape[0], c + b.shape[1]
-    return out
-
-
-def _antidiag(upper: np.ndarray, lower: np.ndarray) -> np.ndarray:
-    """[[0, upper], [lower, 0]]: diag(upper, lower) with lower's columns moved to the front."""
-    return np.roll(_block_diag(upper, lower), lower.shape[1], axis=1)
+    return _lift(h if isinstance(h, PsdMatrix) else PsdMatrix._adopt(h.a), *eigh_desc(h), t)

@@ -203,6 +203,16 @@ def _checked_hermitian(a: np.ndarray, tol: Tolerances) -> np.ndarray:
     return _finite(c)
 
 
+def _checked_pairing(a: np.ndarray, b: np.ndarray, tol: Tolerances) -> None:
+    """The Hermitian rule on [[0, a], [b, 0]] from its blocks, unformed: NotHermitian when sqrt(2) ||a - b*||_F exceeds
+    ``_limit(herm, sqrt(||a||_F^2 + ||b||_F^2))``, else ValueError unless both blocks are finite."""
+    asym = math.sqrt(2.0) * _fro(a - b.conj().T)
+    if asym > _limit(tol.herm, math.hypot(_fro(a), _fro(b))):
+        raise NotHermitian(f"asymmetry {asym:.3e} exceeds tolerance")
+    _finite(a)
+    _finite(b)
+
+
 class HermitianMatrix(ComplexMatrix):
     """Complex matrix validated and stored in exactly Hermitian form (:func:`_checked_hermitian`)."""
 
@@ -290,7 +300,7 @@ class PsdMatrix(HermitianMatrix):
     the decision and the NotPsd message are those of the spectrum.  A
     weight passed raw to :func:`~opext.kvn.hilbert_lift` is instead decided
     by the lift's own spectrum, and the kvn Gram form by its factor's
-    (:func:`psd_eig`, the same rule).  Results
+    (:func:`_psd_keep`, the same rule).  Results
     positive by construction (minimal extensions, |Phi|, block-diagonal
     weights) are adopted, never constructed: this class validates caller data.
     """

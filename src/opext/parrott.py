@@ -42,7 +42,7 @@ intertwining equality and its own output equations, and raises
 :class:`HypothesisViolated` when any of them fails.  Parrott's classical
 problem is that one on basis-free data: :func:`classical_parrott` takes T1
 and T1' as dimK x dimH matrices and solves the strong instance
-(P_H1, T1, T1', P_K1), with each projector rebuilt from its decided range.
+(B_H, T1 B_H, B_K* T1', B_K*) on the projectors' decided range bases B.
 """
 
 from __future__ import annotations
@@ -61,12 +61,12 @@ from .errors import (
     NumericalFailure,
     RestrictionConditionFailed,
 )
-from .kvn import _antidiag, _block_diag, hilbert_lift
+from .kvn import hilbert_lift
 from .numkit import (
     ComplexMatrix,
     PsdMatrix,
     Tolerances,
-    _checked_hermitian,
+    _checked_pairing,
     _fro,
     _limit,
     _projector,
@@ -141,8 +141,8 @@ class ParrottInstance:
 def _corner_lifts(inst: ParrottInstance, tol: Tolerances):
     """Orthonormal pairs and bounds (P_i, Y_i, beta_i) of the two corners, from :func:`_weighted_lift` on the instance's lifts.
 
-    The pairing is decided here, once, on the lifted corners: the stacked
-    U* W = [[0, U1* W2], [U2* W1, 0]] must be Hermitian at ``tol.herm``.
+    The pairing is decided here, once, on the lifted corners' two blocks: the
+    stacked U* W = [[0, U1* W2], [U2* W1, 0]] must be Hermitian at ``tol.herm``.
     None when it is not, when a corner has no finite bound, or when a bound
     exceeds its declared constant.
     """
@@ -152,7 +152,7 @@ def _corner_lifts(inst: ParrottInstance, tol: Tolerances):
             _weighted_lift(inst.domain1.a, inst.values1.a, lift1, lift2, tol),
             _weighted_lift(inst.domain2.a, inst.values2.a, lift2, lift1, tol),
         )
-        _checked_hermitian(_antidiag(u1.conj().T @ w2, u2.conj().T @ w1), tol)
+        _checked_pairing(u1.conj().T @ w2, u2.conj().T @ w1, tol)
     except (NotABounded, NotHermitian):
         return None
     for (*_, beta), alpha in zip((corner1, corner2), (inst.alpha1, inst.alpha2)):
@@ -187,9 +187,11 @@ def assemble_symmetric(
     t = _tol(tol)
     if not check_compatibility(inst, t):
         raise IncompatibleInstance("instance fails compatibility or exceeds its declared bound constants")
-    domain = _block_diag(inst.domain1.a, inst.domain2.a)
-    op = SymmetricPartialOperator(domain, _antidiag(inst.values2.a, inst.values1.a), t)
-    return op, PsdMatrix._adopt(_block_diag(inst.weight1.a, inst.weight2.a))
+    n1, n2, k1, k2 = inst.dim1, inst.dim2, inst.domain1.cols, inst.domain2.cols
+    domain = np.block([[inst.domain1.a, np.zeros((n1, k2))], [np.zeros((n2, k1)), inst.domain2.a]])
+    values = np.block([[np.zeros((n1, k1)), inst.values2.a], [inst.values1.a, np.zeros((n2, k2))]])
+    weight = np.block([[inst.weight1.a, np.zeros((n1, n2))], [np.zeros((n2, n1)), inst.weight2.a]])
+    return SymmetricPartialOperator(domain, values, t), PsdMatrix._adopt(weight)
 
 
 def parrott_complete(inst: ParrottInstance, tol: Tolerances | None = None) -> ComplexMatrix:
@@ -363,9 +365,7 @@ def strong_parrott(inst: StrongParrottInstance, tol: Tolerances | None = None) -
 _CLASSICAL_NAMES = {
     "T1 S1 = T2 S2 fails": "compression of the restriction disagrees with the prescribed compression",
     "S2* S2 <= S1* S1": "||T1|| <= 1",
-    "S2 does not vanish on ker S1": "T1 does not vanish off ran P_H1",
     "T1 T1* <= T2 T2*": "||T1'|| <= 1",
-    "T1* does not vanish on ker T2*": "T1' does not map into ran P_K1",
     "X S1 = S2": "the restriction to ran P_H1",
     "T2 X = T1": "the compression P_K1 T = T1'",
 }
@@ -382,20 +382,19 @@ def classical_parrott(p_h1, p_k1, t1, t1_prime, tol: Tolerances | None = None) -
 
         T P_H1 = T1   and   P_K1 T = T1'.
 
-    No basis of either range enters, so the result is a function of the
-    projectors.  It is the strong Parrott instance (s1, s2, t1, t2) =
-    (Q_H, T1, T1', Q_K), where each Q = B B* is rebuilt from the orthonormal
-    basis B of the projector's eigenvectors above 1/2
+    The result does not depend on which range bases are used: it is the
+    strong Parrott instance (s1, s2, t1, t2) = (B_H, T1 B_H, B_K* T1', B_K*)
+    on the orthonormal bases B of the projectors' eigenvectors above 1/2
     (:func:`~opext.numkit._range_basis`), so an eigenvalue the idempotency
-    check took for zero stays out of the range.  Its hypotheses are the
-    classical ones: t1 s1 = t2 s2 is the compressions' agreement,
-    s2* s2 <= s1* s1 says T1 vanishes off ran P_H1 with ||T1|| <= 1, and
-    t1 t1* <= t2 t2* says T1' maps into ran P_K1 with ||T1'|| <= 1.
+    check took for zero stays out of the range.  t1 s1 = t2 s2 is the
+    compressions' agreement, s2* s2 <= s1* s1 says ||T1|| <= 1 and
+    t1 t1* <= t2 t2* says ||T1'|| <= 1; B has no kernel, so T1 = T1 Q_H and
+    Q_K T1' = T1' (Q = B B*) are tested here, to eq (1 + ||T1||_F) and eq (1 + ||T1'||_F).
 
     Raises :class:`HypothesisViolated` with the message of
     :func:`strong_parrott` in these classical names: the compressions
     disagree, T1 or T1' is not a contraction on its subspace, or T misses
-    its restriction or its compression by more than eq (1 + ||Q||_F).
+    its restriction or its compression by more than eq (1 + ||B||_F).
     """
     t = _tol(tol)
     b_h = _range_basis(_projector(p_h1, t, "first projector"))
@@ -404,8 +403,14 @@ def classical_parrott(p_h1, p_k1, t1, t1_prime, tol: Tolerances | None = None) -
     shape = (len(b_k), len(b_h))
     if t1m.a.shape != shape or t1p.a.shape != shape:
         raise DimensionMismatch(f"T1 and T1' must be {shape[0]}x{shape[1]}, got {t1m.a.shape} and {t1p.a.shape}")
+    for name, kernel, x, resid in (
+        ("||T1|| <= 1", "T1 does not vanish off ran P_H1", t1m.a, _fro(t1m.a - (t1m.a @ b_h) @ b_h.conj().T)),
+        ("||T1'|| <= 1", "T1' does not map into ran P_K1", t1p.a, _fro(t1p.a - b_k @ (b_k.conj().T @ t1p.a))),
+    ):
+        if resid > _limit(t.eq, _fro(x)):
+            raise HypothesisViolated(f"{name} fails: {kernel} (residual {resid:.3e})")
     try:
-        return strong_parrott(StrongParrottInstance(b_h @ b_h.conj().T, t1m, t1p, b_k @ b_k.conj().T), t)
+        return strong_parrott(StrongParrottInstance(b_h, t1m.a @ b_h, b_k.conj().T @ t1p.a, b_k.conj().T), t)
     except HypothesisViolated as exc:
         message = str(exc)
         for strong, classical in _CLASSICAL_NAMES.items():

@@ -164,17 +164,8 @@ def _weighted_lift(
     """
     if d.shape[0] != dom.weight.rows:
         raise DimensionMismatch(f"operator lives on C^{d.shape[0]} but weight is {dom.weight.rows}x{dom.weight.rows}")
-    qr = ran.range_basis.a
-    qv = qr.conj().T @ v
-    # values must lie in ran A_ran
-    out_of_range = _fro(v - qr @ qv)
-    if out_of_range > _limit(tol.eq, _fro(v)):
-        raise NotABounded(
-            f"values escape the range of the weight (residual {out_of_range:.3e}); "
-            "no finite weighted bound exists"
-        )
+    w = ran.pullback(v, tol)  # values must lie in ran A_ran
     u = dom.coembedding() @ d
-    w = qv / ran.roots[:, None]
     # kernel condition: where the domain collapses, the values must too
     p, y, collapse = _restrict(u, w, tol)
     if collapse > _limit(tol.eq, _fro(w)):
@@ -278,18 +269,11 @@ def alpha_of_total(total, weight, tol: Tolerances | None = None) -> float:
 
 
 def _alpha_on_lift(s: np.ndarray, ran: HilbertLift, dom: HilbertLift, tol: Tolerances) -> float:
-    """||diag(1/rho_ran) Q_ran* S Q_dom diag(1/rho_dom)||: the bound of S on two weights' lifts.
-
-    NotABounded unless ran S lies in ran A_ran and ker A_dom in ker S.
-    """
+    """||J_ran^+ S (J_dom^+)*||, the bound of S on two weights' lifts; NotABounded unless ran S lies in ran A_ran
+    and ker A_dom in ker S (:meth:`~opext.kvn.HilbertLift.pullback`)."""
     if s.shape != (ran.weight.rows, dom.weight.rows):
         raise DimensionMismatch(f"operator shape {s.shape} does not match the weights ({ran.weight.rows}, {dom.weight.rows})")
-    qr, qd = ran.range_basis.a, dom.range_basis.a
-    qs = qr.conj().T @ s
-    for resid in (_fro(s - qr @ qs), _fro(s - (s @ qd) @ qd.conj().T)):
-        if resid > _limit(tol.eq, _fro(s)):
-            raise NotABounded(f"operator or its adjoint escapes the range of a weight (residual {resid:.3e})")
-    return _smax((qs @ qd) / np.outer(ran.roots, dom.roots))
+    return _smax(ran.pullback(s, tol, dom))
 
 
 def in_interval(candidate, interval: ExtensionInterval, tol: Tolerances | None = None) -> bool:

@@ -4,12 +4,17 @@
   of ``hermitize``'s rule, written out inline below, on the matrix it tests:
   at the asymmetry limit, on non-square and non-finite input, and when the
   product of finite data overflows (a NaN asymmetry passes ``>``, so only the
-  finiteness half of the rule rejects it).
+  finiteness half of the rule rejects it).  The Parrott pairing applies the
+  rule to [[0, A], [B, 0]] from its two blocks (A, B) without forming it: the
+  asymmetry sqrt(2) ||A - B*||_F against sqrt(||A||_F^2 + ||B||_F^2), and
+  finiteness of both blocks.
 * At ``herm = 0`` the library accepts its own output: results are Hermitian
   by construction and are not checked for asymmetry again.
 * Public calls on typed inputs construct no validating wrapper beyond the
   caller data they validate.
 """
+
+import math
 
 import numpy as np
 import pytest
@@ -28,14 +33,23 @@ pytestmark = pytest.mark.filterwarnings("ignore::RuntimeWarning")  # the overflo
 FINITE = "matrix entries must be finite"
 
 
+def asymmetry(m):
+    """``(asymmetry, norm)`` the rule compares: of the matrix m, or of [[0, a], [b, 0]] from its blocks m = (a, b)."""
+    if isinstance(m, tuple):
+        a, b = m
+        return math.sqrt(2.0) * np.linalg.norm(a - b.conj().T), math.hypot(np.linalg.norm(a), np.linalg.norm(b))
+    return np.linalg.norm(m - m.conj().T), np.linalg.norm(m)
+
+
 def hermitian_rule(m, tol):
-    """``(error type, message)`` of the Hermitian rule on m, or None when it accepts: square, asymmetry, finiteness."""
-    if m.shape[0] != m.shape[1]:
+    """``(error type, message)`` of the Hermitian rule on m (a matrix or a block pair), or None when it accepts."""
+    if not isinstance(m, tuple) and m.shape[0] != m.shape[1]:
         return DimensionMismatch, f"Hermitian matrix must be square, got {m.shape}"
-    asym = np.linalg.norm(m - m.conj().T)
-    if asym > tol.herm * (1.0 + np.linalg.norm(m)):
+    asym, norm = asymmetry(m)
+    if asym > tol.herm * (1.0 + norm):
         return NotHermitian, f"asymmetry {asym:.3e} exceeds tolerance"
-    if not np.isfinite((m + m.conj().T) / 2.0).all():
+    finite = all(np.isfinite(b).all() for b in m) if isinstance(m, tuple) else np.isfinite((m + m.conj().T) / 2.0).all()
+    if not finite:
         return ValueError, FINITE
     return None
 
@@ -50,16 +64,23 @@ def outcome(call):
 
 @pytest.fixture
 def rule_inputs(monkeypatch):
-    """Copies of the arrays the Hermitian rule is applied to, in call order, from every module that calls it."""
+    """Copies of what the Hermitian rule is applied to, in call order, from every module that calls it: a matrix, or
+    the block pair (A, B) of the pairing rule."""
     seen = []
-    original = numkit._checked_hermitian
+    checked, paired = numkit._checked_hermitian, numkit._checked_pairing
 
     def recorded(a, tol):
         seen.append(np.array(a))
-        return original(a, tol)
+        return checked(a, tol)
 
-    for module in (numkit, sa_ext, parrott):
+    def recorded_pair(a, b, tol):
+        seen.append((np.array(a), np.array(b)))
+        return paired(a, b, tol)
+
+    for module in (numkit, sa_ext):
         monkeypatch.setattr(module, "_checked_hermitian", recorded)
+    for module in (numkit, parrott):
+        monkeypatch.setattr(module, "_checked_pairing", recorded_pair)
     return seen
 
 
@@ -70,9 +91,9 @@ def near_hermitian():
 
 
 def at_limit(m, f):
-    """Tolerances whose asymmetry limit on m is its asymmetry divided by f."""
-    asym, scale = np.linalg.norm(m - m.conj().T), 1.0 + np.linalg.norm(m)
-    return Tolerances(herm=asym / scale / f)
+    """Tolerances whose asymmetry limit on m (a matrix or a block pair) is its asymmetry divided by f."""
+    asym, norm = asymmetry(m)
+    return Tolerances(herm=asym / (1.0 + norm) / f)
 
 
 SIDES = [pytest.param(1.0 - 1e-9, id="below"), pytest.param(1.0 + 1e-9, id="above")]
@@ -176,7 +197,7 @@ def test_product_sites_at_the_asymmetry_limit(rule_inputs, site, f):
     _, m = run_product_site(site, x, y, Tolerances(herm=1.0), rule_inputs)
     tol = at_limit(m, f)
     got, m_again = run_product_site(site, x, y, tol, rule_inputs)
-    assert np.array_equal(m, m_again)
+    assert all(np.array_equal(a, b) for a, b in zip(m, m_again)) if isinstance(m, tuple) else np.array_equal(m, m_again)
     expected = expected_at(site, m, tol)
     assert (expected is None) == (f < 1.0)
     assert got == expected

@@ -505,7 +505,7 @@ class TestDiagnosticsReuseLifts:
 
 @pytest.mark.parametrize(
     "kind, count",
-    [("kvn", 3), ("sa-ext", 10), ("parrott", 8), ("strong-parrott", 6), ("functional-ext", 6), ("cstar-check", 7)],
+    [("kvn", 3), ("sa-ext", 10), ("parrott", 8), ("strong-parrott", 6), ("functional-ext", 6), ("cstar-check", 6)],
 )
 def test_decompositions_per_kind(tmp_path, decompositions, kind, count):
     # every input is decided once: a weight or density by its lift's spectrum,
@@ -604,6 +604,40 @@ class TestModuleInvocation:
         assert proc.returncode == 2
         doc = json.loads(proc.stdout)
         assert (doc["status"], doc["error"]["type"]) == ("invalid-input", "FileNotFoundError")
+
+
+def planted_sa_file(path, n=128, k=40, r=100):
+    """An sa-ext instance at n = 128: a rank-r weight A = R^2, values S D of S = R H R with H Hermitian."""
+    gen = np.random.default_rng(128)
+
+    def cgauss(rows, cols):
+        return (gen.standard_normal((rows, cols)) + 1j * gen.standard_normal((rows, cols))) / np.sqrt(2)
+
+    q = np.linalg.qr(cgauss(n, r))[0]
+    root = (q * np.sqrt(gen.uniform(0.5, 2.0, r))) @ q.conj().T
+    h = cgauss(n, n)
+    s = root @ (h + h.conj().T) @ root
+    d = cgauss(n, k)
+    payload = {"n": n, "domain_basis": encode_matrix(d), "values": encode_matrix(s @ d), "weight": encode_matrix(root @ root)}
+    path.write_text(dumps_canonical({"kind": "sa-ext", "payload": payload}))
+
+
+def test_result_bytes_repeat_at_one_blas_thread(tmp_path):
+    # the determinism contract: at a fixed BLAS build, CPU kernel and thread count (one thread is the
+    # reference setting) the same file gives the same bytes; n = 128 is large enough for the thread count to matter
+    instance = tmp_path / "sa-ext.json"
+    planted_sa_file(instance)
+    env = dict(os.environ, OPENBLAS_NUM_THREADS="1")
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(ROOT / "src"), env.get("PYTHONPATH")]))
+    outputs = []
+    for i in range(2):
+        out = tmp_path / f"result-{i}.json"
+        proc = subprocess.run([sys.executable, "-m", "opext", "sa-ext", str(instance), "--out", str(out)],
+                              capture_output=True, text=True, env=env, cwd=ROOT)
+        assert (proc.returncode, proc.stderr) == (0, "")
+        outputs.append(out.read_bytes())
+    assert json.loads(outputs[0])["status"] == "ok"
+    assert outputs[0] == outputs[1]
 
 
 class TestCstarFlags:

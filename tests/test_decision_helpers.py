@@ -210,16 +210,23 @@ def test_check_restriction_boundary(f):
 
 @pytest.fixture
 def hermitian_checks(monkeypatch):
-    """Counts runs of the one Hermitian rule, ``numkit._checked_hermitian``, in every module that calls it."""
+    """Counts runs of the one Hermitian rule in every module that calls it: ``numkit._checked_hermitian`` on a
+    matrix, and ``numkit._checked_pairing`` on the two blocks of the Parrott pairing."""
     calls = []
-    original = numkit._checked_hermitian
+    checked, paired = numkit._checked_hermitian, numkit._checked_pairing
 
     def counted(a, tol):
         calls.append(a.shape)
-        return original(a, tol)
+        return checked(a, tol)
 
-    for module in (numkit, sa_ext, parrott):
+    def counted_pair(a, b, tol):
+        calls.append((a.shape, b.shape))
+        return paired(a, b, tol)
+
+    for module in (numkit, sa_ext):
         monkeypatch.setattr(module, "_checked_hermitian", counted)
+    for module in (numkit, parrott):
+        monkeypatch.setattr(module, "_checked_pairing", counted_pair)
     return calls
 
 

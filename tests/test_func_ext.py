@@ -223,7 +223,7 @@ class TestGns:
         values += [getattr(space.row, f.name) for f in dataclasses.fields(space.row)]
         arrays = [v.a if isinstance(v, ComplexMatrix) else v for v in values]
         rows = [a.shape[0] for a in arrays if isinstance(a, np.ndarray)]
-        assert len(rows) == 4 and max(rows) <= m
+        assert len(rows) == 5 and max(rows) <= m  # the weight, Q, rho and the held J, and the density
 
 
 # LeftIdeal accepts diag(1, 5e-9, 0): its idempotency residual 5e-9 is within
@@ -546,7 +546,8 @@ class TestCstarClosedFormPair:
         inst, _ = random_instance_with_witness("functional", (4,), Rng(3))
         with decompositions:
             cstar_extendibility(inst.partial, extension=inst.source)
-        assert len(decompositions) <= 8
+        # eigh of Phi, whose eigenpairs also lift |Phi|^T; the svds of U and of Y; the endpoints' eigh of P* Y
+        assert len(decompositions) == 4
 
     @pytest.mark.parametrize("k", [-60, -40, -20, 20, 40, 60])
     def test_scale_invariant(self, k):

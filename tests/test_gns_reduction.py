@@ -16,6 +16,7 @@ from opext.func_ext import (
     LeftIdeal,
     PartialFunctional,
     _ideal_agreement,
+    _row_lift,
     _row_operator,
     cstar_extendibility,
     extend_functional,
@@ -165,7 +166,7 @@ def test_gns_realization_adopts_the_kronecker_pair(decompositions, seed):
         _, op = gns_realization(pf, density)
     assert max(max(shape) for shape in decompositions.shapes()) <= m
 
-    _, p, y, _ = _row_operator(pf, density, DEFAULT_TOLERANCES)
+    p, y, _ = _row_operator(pf, _row_lift(density, DEFAULT_TOLERANCES), DEFAULT_TOLERANCES)
     eye = np.eye(m, dtype=complex)
     want = SymmetricPartialOperator(np.kron(eye, p), np.kron(eye, y))
     for got, ref in ((op.domain_basis.a, want.domain_basis.a), (op.values.a, want.values.a)):

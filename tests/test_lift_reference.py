@@ -18,7 +18,7 @@ import numpy as np
 import pytest
 
 from opext import kvn, sa_ext
-from opext.kvn import _block_diag, hilbert_lift
+from opext.kvn import hilbert_lift
 from opext.numkit import PsdMatrix, Tolerances, _smax, pinv
 from opext.parrott import ParrottInstance, parrott_complete
 from opext.sa_ext import SymmetricPartialOperator, alpha_of_total, extend_symmetric, lift_symmetric
@@ -44,6 +44,15 @@ def weight_case(seed):
     r = n if kind == "full" else int(gen.integers(1, n))
     f = cgauss(gen, n, r)
     return gen, f @ f.conj().T
+
+
+def block_diag(*blocks):
+    out = np.zeros((sum(b.shape[0] for b in blocks), sum(b.shape[1] for b in blocks)), dtype=complex)
+    i = j = 0
+    for b in blocks:
+        out[i : i + b.shape[0], j : j + b.shape[1]] = b
+        i, j = i + b.shape[0], j + b.shape[1]
+    return out
 
 
 def dense_roots(a, rank):
@@ -77,11 +86,11 @@ def ref_parrott(inst):
     """Corners of the stacked operator's minimal and maximal extensions, lifted as a whole."""
     lifts = [hilbert_lift(a) for a in (inst.weight1, inst.weight2)]
     roots = [dense_roots(lift.weight.a, lift.rank) for lift in lifts]
-    sqrt = _block_diag(roots[0][0], roots[1][0])
-    inv = _block_diag(roots[0][1], roots[1][1])
-    q = _block_diag(*(lift.range_basis.a for lift in lifts))
+    sqrt = block_diag(roots[0][0], roots[1][0])
+    inv = block_diag(roots[0][1], roots[1][1])
+    q = block_diag(*(lift.range_basis.a for lift in lifts))
     n1, k1 = inst.dim1, inst.domain1.cols
-    d = _block_diag(inst.domain1.a, inst.domain2.a)
+    d = block_diag(inst.domain1.a, inst.domain2.a)
     v = np.zeros_like(d)
     v[n1:, :k1] = inst.values1.a
     v[:n1, k1:] = inst.values2.a

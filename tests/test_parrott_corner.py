@@ -198,3 +198,8 @@ class TestTheCornerDecomposesOnlyTheCouplingBlock:
         with decompositions:
             classical_parrott(p_h1, p_k1, hidden @ p_h1, p_k1 @ hidden)
         assert_no_stacked_decomposition(decompositions, corners, (5, 13), (2, 3), (p_h1, p_k1))
+        # the projectors' eighs are the only square dimH- or dimK-sized decompositions: the reduction takes the
+        # thin svds of the 7 x 3 and 6 x 2 range bases
+        square = [name for name, m in decompositions if m.shape in {(7, 7), (6, 6)}]
+        assert square == ["eigh", "eigh"]
+        assert {(7, 3), (6, 2)} <= set(decompositions.shapes("svd"))
