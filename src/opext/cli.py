@@ -21,6 +21,7 @@ import argparse
 import functools
 import json
 import sys
+from types import SimpleNamespace
 
 import numpy as np
 
@@ -71,27 +72,6 @@ EXIT_OK = 0
 EXIT_INFEASIBLE = 1
 EXIT_INVALID_INPUT = 2
 EXIT_NUMERICAL_FAILURE = 3
-
-RUN_KINDS = ("kvn", "sa-ext", "parrott", "strong-parrott", "functional-ext", "cstar-check")
-
-_ORACLE_KIND = {
-    "kvn": "kvn",
-    "sa-ext": "sa_ext",
-    "parrott": "parrott",
-    "strong-parrott": "strong_parrott",
-    "functional-ext": "functional",
-    "cstar-check": "functional",
-}
-
-_DEFAULT_DIMS = {
-    "kvn": (4,),
-    "sa-ext": (4,),
-    "parrott": (3, 2),
-    "strong-parrott": (4, 3, 2),
-    "functional-ext": (3,),
-    "cstar-check": (3,),
-}
-
 
 # Status and exit code of a failed run by exception type; the first row that
 # matches wins.  Infeasible: the input parsed fine but a mathematical
@@ -204,16 +184,6 @@ def _parse_functional(payload: dict, *, for_cstar: bool) -> dict:
     return data
 
 
-_PARSERS = {
-    "kvn": _parse_kvn,
-    "sa-ext": _parse_sa_ext,
-    "parrott": _parse_parrott,
-    "strong-parrott": _parse_strong_parrott,
-    "functional-ext": lambda payload: _parse_functional(payload, for_cstar=False),
-    "cstar-check": lambda payload: _parse_functional(payload, for_cstar=True),
-}
-
-
 # --------------------------------------------------------------------------
 # run phase: build typed objects and compute (math errors map to exit 1)
 
@@ -316,97 +286,19 @@ def _run_cstar_check(data: dict, tol: Tolerances) -> tuple[dict, dict]:
     return outputs, _functional_diagnostics(pf, decision.g_min, decision.g_max, tol)
 
 
-_RUNNERS = {
-    "kvn": _run_kvn,
-    "sa-ext": _run_sa_ext,
-    "parrott": _run_parrott,
-    "strong-parrott": _run_strong_parrott,
-    "functional-ext": _run_functional_ext,
-    "cstar-check": _run_cstar_check,
-}
-
-
-# --------------------------------------------------------------------------
-# payload encoding for gen
-
-
-def _encode_instance(kind: str, instance) -> dict:
-    """Payload of a generated instance, in the layout its kind's parser reads."""
-    if kind == "kvn":
-        fields = {"n": instance.ambient_dim, "domain_basis": instance.domain_basis, "values": instance.values}
-    elif kind == "sa-ext":
-        op = instance.operator
-        fields = {"n": op.ambient_dim, "domain_basis": op.domain_basis, "values": op.values, "weight": instance.weight}
-    elif kind == "parrott":
-        keys = ("domain1", "values1", "domain2", "values2", "weight1", "weight2", "alpha1", "alpha2")
-        fields = {key: getattr(instance, key) for key in keys}
-        fields.update(n1=instance.dim1, n2=instance.dim2)
-    elif kind == "strong-parrott":
-        fields = {key: getattr(instance, key) for key in StrongParrottInstance.__slots__}
-    else:
-        fields = {"m": instance.ideal.size, "projection": instance.ideal.projection, "gamma": instance.partial.gamma}
-        if kind == "functional-ext":
-            fields["density"] = instance.density
-        else:
-            fields["extension"] = instance.source.density
-    return {key: encode_matrix(value.a) if isinstance(value, ComplexMatrix) else value for key, value in fields.items()}
-
-
 # --------------------------------------------------------------------------
 # invariants: what a run's result must satisfy, checked by verify
 
 
-# Each kind's invariants on the result of a run (its outputs and diagnostics
-# together), as (key, threshold): the value under key must be True when the
-# threshold is None, else at most threshold(data, result, tol).  Residuals are
-# measured relative to the input they are taken against.
 _FUNCTIONAL_INVARIANTS = (
     ("ideal_agreement_min", lambda d, r, t: _limit(t.eq, _fro(d["projection"] @ d["gamma"]))),
     ("ideal_agreement_max", lambda d, r, t: _limit(t.eq, _fro(d["projection"] @ d["gamma"]))),
     ("order_ok", None),
 )
 
-_INVARIANTS = {
-    "kvn": (
-        ("value_residual", lambda d, r, t: _limit(t.eq, _fro(d["values"]))),
-        ("restriction_ok", None),
-        ("below_witness", None),
-    ),
-    "sa-ext": (
-        ("extend_residual_min", lambda d, r, t: _limit(t.eq, _fro(d["weight"] @ d["values"]))),
-        ("extend_residual_max", lambda d, r, t: _limit(t.eq, _fro(d["weight"] @ d["values"]))),
-        ("alpha_drift_min", lambda d, r, t: _limit(t.eq, r["alpha"])),
-        ("alpha_drift_max", lambda d, r, t: _limit(t.eq, r["alpha"])),
-        ("order_ok", None),
-        ("midpoint_in_interval", None),
-    ),
-    "parrott": (
-        ("corner1_residual", lambda d, r, t: _limit(t.eq, _fro(d["values1"]))),
-        ("corner2_residual", lambda d, r, t: _limit(t.eq, _fro(d["values2"]))),
-        ("bound_ok", None),
-    ),
-    "strong-parrott": (
-        ("norm", lambda d, r, t: 1.0 + t.eq),
-        ("s_residual", lambda d, r, t: _limit(t.eq, _fro(d["s1"]))),
-        ("t_residual", lambda d, r, t: _limit(t.eq, _fro(d["t2"]))),
-    ),
-    "functional-ext": _FUNCTIONAL_INVARIANTS + (
-        ("f_bound_drift", lambda d, r, t: _limit(t.eq, r["alpha"])),
-    ),
-    "cstar-check": _FUNCTIONAL_INVARIANTS + (
-        ("extendible", None),
-        ("constant4_ok", None),
-        ("violations", lambda d, r, t: 0),
-        # measured_bound is a ratio the inequality attains, so it bounds the
-        # sharp constant from below; its closed-form pair attains it, so a
-        # low exact_bound fails here.  In M_m the sharp constant relative
-        # to f = |g| is at most 1
-        ("measured_bound", lambda d, r, t: r["exact_bound"] * (1.0 + t.eq)),
-        ("exact_bound", lambda d, r, t: 1.0 + t.eq),
-    ),
-}
 
-
+# Invariants no run diagnostic carries: they need the planted witness or a
+# second library call, so verify adds their keys to the result itself.
 def _below_witness(data: dict, result: dict, witness: dict, tol: Tolerances) -> dict:
     """The minimal extension lies below the planted positive total."""
     return {"below_witness": loewner_leq(result["extension"], witness["total"], tol)}
@@ -423,42 +315,150 @@ def _f_bound_drift(data: dict, result: dict, witness: dict, tol: Tolerances) -> 
     return {"f_bound_drift": abs(f_bound(pf, data["density"], tol) - result["alpha"])}
 
 
-# Invariants no run diagnostic carries: they need the planted witness or a
-# second library call, so verify adds their keys to the result itself.
-_VERIFY_ONLY = {
-    "kvn": _below_witness,
-    "sa-ext": _midpoint_in_interval,
-    "functional-ext": _f_bound_drift,
+# --------------------------------------------------------------------------
+# the run kinds: how gen encodes each and how verify draws its dimensions
+
+
+def _encode_parrott(instance) -> dict:
+    keys = ("domain1", "values1", "domain2", "values2", "weight1", "weight2", "alpha1", "alpha2")
+    return {"n1": instance.dim1, "n2": instance.dim2, **{key: getattr(instance, key) for key in keys}}
+
+
+def _functional_fields(instance) -> dict:
+    return {"m": instance.ideal.size, "projection": instance.ideal.projection, "gamma": instance.partial.gamma}
+
+
+# Dimensions of one verify instance when --dims is not given.
+def _upto(gen, top: int) -> int:
+    return int(gen.integers(1, top + 1))
+
+
+def _draw_n_k(gen) -> tuple[int, ...]:
+    n = _upto(gen, MAX_DIM)
+    return (n, _upto(gen, n))
+
+
+def _draw_strong_parrott(gen) -> tuple[int, ...]:
+    h, k = _upto(gen, MAX_DIM), _upto(gen, MAX_DIM)
+    return (h, k, _upto(gen, h), _upto(gen, k))
+
+
+def _draw_m(gen) -> tuple[int, ...]:
+    return (_upto(gen, MAX_ALGEBRA),)
+
+
+# Everything the command line knows about each run kind, in the order it lists
+# them: parse(payload) -> data, shape checks only; run(data, tol) -> (outputs,
+# diagnostics); encode(generated instance) -> payload fields; oracle, the
+# kind's name in opext.oracle; default_dims for gen and draw_dims(generator)
+# for verify, without --dims; invariants; and witness(data, result, witness,
+# tol) -> the verify-only result keys, or None.  The invariants are (key,
+# threshold) rows on a run's outputs and diagnostics together: the value under
+# key must be True when the threshold is None, else at most
+# threshold(data, result, tol), a residual relative to the input it is taken against.
+_KINDS = {
+    "kvn": SimpleNamespace(
+        parse=_parse_kvn, run=_run_kvn, oracle="kvn", default_dims=(4,), draw_dims=_draw_n_k,
+        encode=lambda inst: {"n": inst.ambient_dim, "domain_basis": inst.domain_basis, "values": inst.values},
+        invariants=(
+            ("value_residual", lambda d, r, t: _limit(t.eq, _fro(d["values"]))),
+            ("restriction_ok", None),
+            ("below_witness", None),
+        ),
+        witness=_below_witness,
+    ),
+    "sa-ext": SimpleNamespace(
+        parse=_parse_sa_ext, run=_run_sa_ext, oracle="sa_ext", default_dims=(4,), draw_dims=_draw_n_k,
+        encode=lambda inst: {
+            "n": inst.operator.ambient_dim, "domain_basis": inst.operator.domain_basis,
+            "values": inst.operator.values, "weight": inst.weight,
+        },
+        invariants=(
+            ("extend_residual_min", lambda d, r, t: _limit(t.eq, _fro(d["weight"] @ d["values"]))),
+            ("extend_residual_max", lambda d, r, t: _limit(t.eq, _fro(d["weight"] @ d["values"]))),
+            ("alpha_drift_min", lambda d, r, t: _limit(t.eq, r["alpha"])),
+            ("alpha_drift_max", lambda d, r, t: _limit(t.eq, r["alpha"])),
+            ("order_ok", None),
+            ("midpoint_in_interval", None),
+        ),
+        witness=_midpoint_in_interval,
+    ),
+    "parrott": SimpleNamespace(
+        parse=_parse_parrott, run=_run_parrott, oracle="parrott", default_dims=(3, 2),
+        draw_dims=lambda gen: (_upto(gen, MAX_DIM), _upto(gen, MAX_DIM)),
+        encode=_encode_parrott,
+        invariants=(
+            ("corner1_residual", lambda d, r, t: _limit(t.eq, _fro(d["values1"]))),
+            ("corner2_residual", lambda d, r, t: _limit(t.eq, _fro(d["values2"]))),
+            ("bound_ok", None),
+        ),
+
+        witness=None,
+    ),
+    "strong-parrott": SimpleNamespace(
+        parse=_parse_strong_parrott, run=_run_strong_parrott, oracle="strong_parrott", default_dims=(4, 3, 2),
+        draw_dims=_draw_strong_parrott,
+        encode=lambda inst: {key: getattr(inst, key) for key in StrongParrottInstance.__slots__},
+        invariants=(
+            ("norm", lambda d, r, t: 1.0 + t.eq),
+            ("s_residual", lambda d, r, t: _limit(t.eq, _fro(d["s1"]))),
+            ("t_residual", lambda d, r, t: _limit(t.eq, _fro(d["t2"]))),
+        ),
+
+        witness=None,
+    ),
+    "functional-ext": SimpleNamespace(
+        parse=functools.partial(_parse_functional, for_cstar=False), run=_run_functional_ext,
+        oracle="functional", default_dims=(3,), draw_dims=_draw_m,
+        encode=lambda inst: {**_functional_fields(inst), "density": inst.density},
+        invariants=_FUNCTIONAL_INVARIANTS + (
+            ("f_bound_drift", lambda d, r, t: _limit(t.eq, r["alpha"])),
+        ),
+        witness=_f_bound_drift,
+    ),
+    "cstar-check": SimpleNamespace(
+        parse=functools.partial(_parse_functional, for_cstar=True), run=_run_cstar_check,
+        oracle="functional", default_dims=(3,), draw_dims=_draw_m,
+        encode=lambda inst: {**_functional_fields(inst), "extension": inst.source.density},
+        invariants=_FUNCTIONAL_INVARIANTS + (
+            ("extendible", None),
+            ("constant4_ok", None),
+            ("violations", lambda d, r, t: 0),
+            # measured_bound is a ratio the inequality attains, so it bounds the
+            # sharp constant from below; its closed-form pair attains it, so a
+            # low exact_bound fails here.  In M_m the sharp constant relative
+            # to f = |g| is at most 1
+            ("measured_bound", lambda d, r, t: r["exact_bound"] * (1.0 + t.eq)),
+            ("exact_bound", lambda d, r, t: 1.0 + t.eq),
+        ),
+
+        witness=None,
+    ),
 }
 
-
-def _random_dims(kind: str, gen) -> tuple[int, ...]:
-    """Dimensions of one verify instance when --dims is not given."""
-    if kind in ("kvn", "sa-ext"):
-        n = int(gen.integers(1, MAX_DIM + 1))
-        return (n, int(gen.integers(1, n + 1)))
-    if kind == "parrott":
-        return (int(gen.integers(1, MAX_DIM + 1)), int(gen.integers(1, MAX_DIM + 1)))
-    if kind == "strong-parrott":
-        h, k = int(gen.integers(1, MAX_DIM + 1)), int(gen.integers(1, MAX_DIM + 1))
-        return (h, k, int(gen.integers(1, h + 1)), int(gen.integers(1, k + 1)))
-    return (int(gen.integers(1, MAX_ALGEBRA + 1)),)
+RUN_KINDS = tuple(_KINDS)
 
 
-def _verify_one(kind: str, rng: Rng, dims: tuple[int, ...], tol: Tolerances) -> list[dict]:
+def _encode_instance(spec: SimpleNamespace, instance) -> dict:
+    """Payload of a generated instance, in the layout its kind's parser reads."""
+    fields = spec.encode(instance)
+    return {key: encode_matrix(value.a) if isinstance(value, ComplexMatrix) else value for key, value in fields.items()}
+
+
+def _verify_one(spec: SimpleNamespace, rng: Rng, dims: tuple[int, ...], tol: Tolerances) -> list[dict]:
     """Failed invariants of one generated instance, run as `opext <kind>` runs it.
 
     The instance goes through the same encode -> parse -> run path as an
     instance file, once per instance for every kind.
     """
-    instance, witness = random_instance_with_witness(_ORACLE_KIND[kind], dims, rng)
-    data = _PARSERS[kind](_encode_instance(kind, instance))
-    outputs, diagnostics = _RUNNERS[kind](data, tol)
+    instance, witness = random_instance_with_witness(spec.oracle, dims, rng)
+    data = spec.parse(_encode_instance(spec, instance))
+    outputs, diagnostics = spec.run(data, tol)
     result = {**outputs, **diagnostics}
-    if kind in _VERIFY_ONLY:
-        result.update(_VERIFY_ONLY[kind](data, result, witness, tol))
+    if spec.witness is not None:
+        result.update(spec.witness(data, result, witness, tol))
     failures = []
-    for key, threshold in _INVARIANTS[kind]:
+    for key, threshold in spec.invariants:
         value = result[key]
         limit = None if threshold is None else threshold(data, result, tol)
         if (value is True) if limit is None else (value <= limit):
@@ -486,7 +486,7 @@ def build_parser() -> argparse.ArgumentParser:
         description="Operator extension toolkit: extensions, completions, and checks on instance files.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-    for kind in RUN_KINDS:
+    for kind in _KINDS:
         p = sub.add_parser(kind, help=f"run the {kind} pipeline on an instance file")
         p.add_argument("instance", help="path to the JSON instance file")
         p.add_argument("--out", default=None, help="write the result file here instead of stdout")
@@ -495,7 +495,6 @@ def build_parser() -> argparse.ArgumentParser:
     g = sub.add_parser("gen", help="emit a reproducible random instance file")
     g.add_argument("--kind", required=True, choices=RUN_KINDS)
     g.add_argument("--dims", default=None, help="comma-separated dimensions, e.g. 4 or 3,2")
-    g.add_argument("--n", type=int, default=None, help="shorthand for --dims N")
     g.add_argument("--seed", type=int, default=0)
     g.add_argument("--out", default=None, help="write the instance file here instead of stdout")
 
@@ -558,19 +557,11 @@ def _result(status: str, kind: str, outputs: dict, diagnostics: dict,
     }
 
 
-def _parse_dims(text: str | None, n: int | None, kind: str) -> tuple[int, ...]:
-    if text is not None and n is not None:
-        raise _InputError("give either --dims or --n, not both")
-    if n is not None:
-        return (n,)
-    if text is None:
-        return _DEFAULT_DIMS[kind]
+def _parse_dims(text: str) -> tuple[int, ...]:
     try:
         dims = tuple(int(part) for part in text.split(","))
     except ValueError as exc:
         raise _InputError(f"--dims must be comma-separated integers, got {text!r}") from exc
-    if not dims:
-        raise _InputError("--dims must not be empty")
     return dims
 
 
@@ -589,7 +580,8 @@ def _cmd_run(kind: str, args) -> int:
         if not isinstance(payload, dict):
             raise _InputError("instance file is missing its 'payload' object")
         tol = _tolerances_from(args, document.get("tolerances"))
-        outputs, diagnostics = _RUNNERS[kind](_PARSERS[kind](payload), tol)
+        spec = _KINDS[kind]
+        outputs, diagnostics = spec.run(spec.parse(payload), tol)
     except _FAILURE_TYPES as exc:
         status, code = next((s, c) for types, s, c in _FAILURE_STATUS if isinstance(exc, types))
         doc = _result(status, kind, {}, {}, tol, None, {"type": type(exc).__name__, "message": str(exc)})
@@ -601,9 +593,10 @@ def _cmd_run(kind: str, args) -> int:
 
 def _cmd_gen(args) -> int:
     try:
-        dims = _parse_dims(args.dims, args.n, args.kind)
-        instance, _ = random_instance_with_witness(_ORACLE_KIND[args.kind], dims, Rng(args.seed))
-        payload = _encode_instance(args.kind, instance)
+        spec = _KINDS[args.kind]
+        dims = spec.default_dims if args.dims is None else _parse_dims(args.dims)
+        instance, _ = random_instance_with_witness(spec.oracle, dims, Rng(args.seed))
+        payload = _encode_instance(spec, instance)
     except (InvalidDims, _InputError, ValueError) as exc:
         sys.stderr.write(f"error: {exc}\n")
         return EXIT_INVALID_INPUT
@@ -621,8 +614,8 @@ def _cmd_verify(args) -> int:
         if args.dims is not None:
             if args.kind == "all":
                 raise _InputError("--dims cannot be combined with --kind all")
-            dims = _parse_dims(args.dims, None, kinds[0])
-            _check_dims(_ORACLE_KIND[kinds[0]], dims, root.generator())
+            dims = _parse_dims(args.dims)
+            _check_dims(_KINDS[kinds[0]].oracle, dims, root.generator())
         if args.count < 1:
             raise _InputError("--count must be positive")
     except (ValueError, InvalidDims) as exc:
@@ -632,13 +625,14 @@ def _cmd_verify(args) -> int:
     report = {}
     total_failed = 0
     for offset, kind in enumerate(kinds):
+        spec = _KINDS[kind]
         failures = []
         failed = 0
         for index in range(args.count):
             child = root.split(offset).split(index)
-            instance_dims = dims or _random_dims(kind, child.generator())
+            instance_dims = dims or spec.draw_dims(child.generator())
             try:
-                found = _verify_one(kind, child.split(0), instance_dims, tol)
+                found = _verify_one(spec, child.split(0), instance_dims, tol)
             # a typed or numerical failure counts against the instance;
             # anything else is a programming error and propagates
             except (OpExtError, np.linalg.LinAlgError, ArithmeticError) as exc:
@@ -656,12 +650,11 @@ def _cmd_verify(args) -> int:
 
 
 def main(argv: list[str] | None = None) -> int:
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = build_parser().parse_args(argv)
     except SystemExit as exc:
         return EXIT_INVALID_INPUT if exc.code not in (0, None) else EXIT_OK
-    if args.command in RUN_KINDS:
+    if args.command in _KINDS:
         return _cmd_run(args.command, args)
     if args.command == "gen":
         return _cmd_gen(args)

@@ -565,11 +565,12 @@ def cstar_extendibility(
         root = v * np.sqrt(np.abs(w))
     if density is not None:
         f_mat = HermitianMatrix.coerce(_density_array(density), t)
+        row = _row_lift(f_mat, t)
     elif abs_density is not None:
-        f_mat = abs_density
-    else:
+        f_mat, row = abs_density, abs_row
+    else:  # the trace: f = I is its own transpose, with eigenpairs (ones, I)
         f_mat = PsdMatrix._adopt(np.eye(pf.size, dtype=np.complex128))
-    row = abs_row if f_mat is abs_density else _row_lift(f_mat, t)
+        row = _lift(f_mat, np.ones(pf.size), f_mat.a, t)
     g_min, g_max, alpha = _extend_functional(pf, row, t, symmetric=True)
     exact = measured = violations = None
     if root is not None:

@@ -47,6 +47,7 @@ from .numkit import (
     _limit,
     _orth_factor,
     _psd_keep,
+    _require_independent,
     _require_vanishing,
     _tol,
     eigh_desc,
@@ -96,8 +97,7 @@ class PartialPositiveOperator:
             )
         t = _tol(tol)
         p, s, v = _orth_factor(d.a, t)
-        if s.size != d.cols:
-            raise ValueError("domain basis columns are dependent; supply an independent set")
+        _require_independent(d.a, t, s.size)
         try:
             _checked_hermitian(d.a.conj().T @ g.a, t)
         except NotHermitian as exc:

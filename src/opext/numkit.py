@@ -409,6 +409,13 @@ def numerical_rank(m, tol: Tolerances | None = None) -> int:
     return int(np.count_nonzero(s > cut))
 
 
+def _require_independent(d: np.ndarray, tol: Tolerances, kept: int | None = None) -> None:
+    """ValueError unless the columns of the domain basis ``d`` are independent: a full ``kept`` count, from a
+    thin SVD the caller took of d or of an injective image of it, proves it; else d's :func:`numerical_rank` decides."""
+    if kept != d.shape[1] and numerical_rank(d, tol) != d.shape[1]:
+        raise ValueError("domain basis columns are dependent; supply an independent set")
+
+
 def psd_eig(a, tol: Tolerances | None = None) -> tuple[np.ndarray, np.ndarray]:
     """Eigenpairs of a positive semidefinite matrix with noise removed.
 

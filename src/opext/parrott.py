@@ -72,11 +72,11 @@ from .numkit import (
     _projector,
     _psd_keep,
     _range_basis,
+    _require_independent,
     _require_vanishing,
     _restrict,
     _smax,
     _tol,
-    numerical_rank,
 )
 from .sa_ext import SymmetricPartialOperator, _weighted_lift
 
@@ -210,8 +210,7 @@ def parrott_complete(inst: ParrottInstance, tol: Tolerances | None = None) -> Co
         raise IncompatibleInstance("instance fails compatibility or exceeds its declared bound constants")
     (p1, y1, beta1), (p2, y2, beta2) = corners
     for d, p in ((inst.domain1.a, p1), (inst.domain2.a, p2)):
-        if p.shape[1] != d.shape[1] and numerical_rank(d, t) != d.shape[1]:
-            raise ValueError("domain basis columns are dependent; supply an independent set")
+        _require_independent(d, t, p.shape[1])
     corner = _corner(p1, y1, p2, y2, max(beta1, beta2), t)
     return ComplexMatrix._adopt(inst._lifts[1].embedding() @ corner @ inst._lifts[0].coembedding())
 

@@ -45,13 +45,13 @@ from .numkit import (
     _gram_factor,
     _hermitian_part,
     _limit,
+    _require_independent,
     _require_vanishing,
     _restrict,
     _smax,
     _tol,
     eigh_desc,
     loewner_leq,
-    numerical_rank,
     pinv,
 )
 
@@ -87,8 +87,7 @@ class SymmetricPartialOperator:
                 f"domain basis is {d.rows}x{d.cols} but values are {v.rows}x{v.cols}"
             )
         t = _tol(tol)
-        if numerical_rank(d, t) != d.cols:
-            raise ValueError("domain basis columns are dependent; supply an independent set")
+        _require_independent(d.a, t)
         _checked_hermitian(d.a.conj().T @ v.a, t)  # raises NotHermitian on asymmetric data
         self.domain_basis = d
         self.values = v

@@ -125,8 +125,8 @@ class TestDeterminism:
     def test_gen_deterministic(self, tmp_path):
         a = tmp_path / "a.json"
         b = tmp_path / "b.json"
-        assert cli.main(["gen", "--kind", "sa-ext", "--n", "4", "--seed", "9", "--out", str(a)]) == 0
-        assert cli.main(["gen", "--kind", "sa-ext", "--n", "4", "--seed", "9", "--out", str(b)]) == 0
+        assert cli.main(["gen", "--kind", "sa-ext", "--dims", "4", "--seed", "9", "--out", str(a)]) == 0
+        assert cli.main(["gen", "--kind", "sa-ext", "--dims", "4", "--seed", "9", "--out", str(b)]) == 0
         assert a.read_bytes() == b.read_bytes()
 
 
@@ -368,7 +368,7 @@ class TestNumericalFailureExit:
         def boom(data, tol):
             raise NumericalFailure("synthetic breakdown")
 
-        monkeypatch.setitem(cli._RUNNERS, "kvn", boom)
+        monkeypatch.setattr(cli._KINDS["kvn"], "run", boom)
         code, doc = run(tmp_path, "kvn", str(INSTANCES / "kvn.json"))
         assert code == 3
         assert doc["status"] == "numerical-failure"
@@ -378,7 +378,7 @@ class TestNumericalFailureExit:
         def boom(data, tol):
             raise np.linalg.LinAlgError("did not converge")
 
-        monkeypatch.setitem(cli._RUNNERS, "kvn", boom)
+        monkeypatch.setattr(cli._KINDS["kvn"], "run", boom)
         code, doc = run(tmp_path, "kvn", str(INSTANCES / "kvn.json"))
         assert code == 3
 
@@ -548,7 +548,7 @@ class TestGen:
 
     def test_gen_functional_at_the_algebra_cap(self, tmp_path):
         inst = tmp_path / "inst.json"
-        assert cli.main(["gen", "--kind", "functional-ext", "--n", "16", "--out", str(inst)]) == 0
+        assert cli.main(["gen", "--kind", "functional-ext", "--dims", "16", "--out", str(inst)]) == 0
         code, doc = run(tmp_path, "functional-ext", str(inst))
         assert code == 0
         assert decode_matrix(doc["outputs"]["g_min"]).shape == (16, 16)
@@ -563,8 +563,8 @@ class TestGen:
     def test_gen_bad_dims(self, tmp_path, capsys):
         assert cli.main(["gen", "--kind", "kvn", "--dims", "0"]) == 2
         assert cli.main(["gen", "--kind", "kvn", "--dims", "x"]) == 2
-        assert cli.main(["gen", "--kind", "kvn", "--dims", "3", "--n", "4"]) == 2
-        assert cli.main(["gen", "--kind", "functional-ext", "--n", "17"]) == 2
+        assert cli.main(["gen", "--kind", "kvn", "--n", "4"]) == 2  # unknown flag
+        assert cli.main(["gen", "--kind", "functional-ext", "--dims", "17"]) == 2
         capsys.readouterr()
 
 
@@ -716,7 +716,7 @@ class TestVerify:
         assert capsys.readouterr().err.startswith(f"error: {message}")
 
     def test_verify_names_the_failed_check(self, tmp_path, monkeypatch):
-        runner = cli._RUNNERS["kvn"]
+        runner = cli._KINDS["kvn"].run
         calls = []
 
         def inflated(data, tol):
@@ -726,7 +726,7 @@ class TestVerify:
                 diagnostics["value_residual"] = 1.0
             return outputs, diagnostics
 
-        monkeypatch.setitem(cli._RUNNERS, "kvn", inflated)
+        monkeypatch.setattr(cli._KINDS["kvn"], "run", inflated)
         code, doc = run(tmp_path, "verify", "--kind", "kvn", "--count", "3", "--seed", "1")
         assert code == 3
         assert doc["status"] == "numerical-failure"
@@ -749,7 +749,7 @@ class TestVerify:
         ]
 
     def test_verify_runs_parrott_once_per_instance(self, tmp_path, monkeypatch):
-        runner = cli._RUNNERS["parrott"]
+        runner = cli._KINDS["parrott"].run
         calls = []
 
         def broken(data, tol):
@@ -758,7 +758,7 @@ class TestVerify:
             diagnostics["bound_ok"] = False
             return outputs, diagnostics
 
-        monkeypatch.setitem(cli._RUNNERS, "parrott", broken)
+        monkeypatch.setattr(cli._KINDS["parrott"], "run", broken)
         code, doc = run(tmp_path, "verify", "--kind", "parrott", "--count", "2", "--dims", "3,2")
         assert code == 3
         assert calls == [(3, 2), (3, 2)]
@@ -768,7 +768,7 @@ class TestVerify:
         ]
 
     def test_verify_checks_the_measured_bound_against_the_exact_one(self, tmp_path, monkeypatch):
-        runner = cli._RUNNERS["cstar-check"]
+        runner = cli._KINDS["cstar-check"].run
         calls = []
 
         def broken(data, tol):
@@ -780,7 +780,7 @@ class TestVerify:
                 outputs["exact_bound"] = 2.0
             return outputs, diagnostics
 
-        monkeypatch.setitem(cli._RUNNERS, "cstar-check", broken)
+        monkeypatch.setattr(cli._KINDS["cstar-check"], "run", broken)
         code, doc = run(tmp_path, "verify", "--kind", "cstar-check", "--count", "2", "--dims", "3")
         assert code == 3
         checks = [(f["index"], f["check"]) for f in doc["outputs"]["cstar-check"]["failures"]]
@@ -788,14 +788,14 @@ class TestVerify:
 
     def test_verify_catches_an_exact_bound_reported_slightly_low(self, tmp_path, monkeypatch):
         # a ratio short of the sharp constant would miss this; the closed-form pair attains it
-        runner = cli._RUNNERS["cstar-check"]
+        runner = cli._KINDS["cstar-check"].run
 
         def low(data, tol):
             outputs, diagnostics = runner(data, tol)
             outputs["exact_bound"] *= 1.0 - 1e-6
             return outputs, diagnostics
 
-        monkeypatch.setitem(cli._RUNNERS, "cstar-check", low)
+        monkeypatch.setattr(cli._KINDS["cstar-check"], "run", low)
         code, doc = run(tmp_path, "verify", "--kind", "cstar-check")
         report = doc["outputs"]["cstar-check"]
         assert code == 3

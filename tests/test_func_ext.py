@@ -549,6 +549,13 @@ class TestCstarClosedFormPair:
         # eigh of Phi, whose eigenpairs also lift |Phi|^T; the svds of U and of Y; the endpoints' eigh of P* Y
         assert len(decompositions) == 4
 
+    def test_trace_density_decomposition_count(self, decompositions):
+        inst, _ = random_instance_with_witness("functional", (4,), Rng(3))
+        with decompositions:
+            cstar_extendibility(inst.partial)
+        # f = I is lifted from its known eigenpairs (ones, I): the svds of U and of Y, the endpoints' eigh of P* Y
+        assert decompositions.shapes() == [(4, 2), (4, 2), (2, 2)]
+
     @pytest.mark.parametrize("k", [-60, -40, -20, 20, 40, 60])
     def test_scale_invariant(self, k):
         inst, _ = random_instance_with_witness("functional", (6,), Rng(4))

@@ -59,7 +59,7 @@ def planted(seed, n1, n2, r1, r2, k1, k2, norm=0.8, alphas=(1.0, 1.0)):
 
 
 def instance_from(payload):
-    data = cli._PARSERS["parrott"](payload)
+    data = cli._KINDS["parrott"].parse(payload)
     keys = ("domain1", "values1", "domain2", "values2", "weight1", "weight2", "alpha1", "alpha2")
     return ParrottInstance(*(data[key] for key in keys))
 

@@ -10,10 +10,13 @@
   side, named as that hypothesis;
 * a left ideal's range: once, at construction, by the rule that accepted
   the projection, and used by the GNS realization and by the agreement of
-  an extension with g_0.
+  an extension with g_0;
+* a domain basis' independence: by one rule, ``numkit._require_independent``,
+  which kvn, sa-ext and Parrott call with the SVD each already takes.
 """
 
 import json
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -23,7 +26,8 @@ from opext.errors import HypothesisViolated, NotHermitian, NotPsd
 from opext.func_ext import LeftIdeal, PartialFunctional, cstar_extendibility, extend_functional, f_bound
 from opext.kvn import PartialPositiveOperator, kvn_extend
 from opext.numkit import DEFAULT_TOLERANCES as T
-from opext.parrott import StrongParrottInstance, classical_parrott, strong_parrott
+from opext.parrott import ParrottInstance, StrongParrottInstance, classical_parrott, parrott_complete, strong_parrott
+from opext.sa_ext import SymmetricPartialOperator
 from opext.serialize import dumps_canonical, encode_matrix
 
 I3 = np.eye(3)
@@ -160,3 +164,61 @@ class TestIdealRange:
         cstar_extendibility(pf)
         cstar_extendibility(pf, density=density, extension=extend_functional(pf, density)[0])
         assert calls == [(4, 4)]
+
+
+DEPENDENT = "domain basis columns are dependent; supply an independent set"
+TWICE = np.array([[1.0, 2.0], [0.0, 0.0]])  # the second column is twice the first
+
+
+@pytest.fixture
+def svd_calls(monkeypatch):
+    """``(input shape, compute_uv)`` of each ``np.linalg.svd`` call."""
+    calls = []
+    original = np.linalg.svd
+
+    def counted(a, *args, **kwargs):
+        calls.append((np.shape(a), kwargs.get("compute_uv", True)))
+        return original(a, *args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "svd", counted)
+    return calls
+
+
+class TestDependentDomain:
+    def test_message_is_written_once(self):
+        src = Path(__file__).resolve().parent.parent / "src" / "opext"
+        sites = [path.name for path in sorted(src.glob("*.py")) for _ in range(path.read_text().count(DEPENDENT))]
+        assert sites == ["numkit.py"]
+
+    @pytest.mark.parametrize("build", [
+        lambda: PartialPositiveOperator(TWICE, TWICE),
+        lambda: SymmetricPartialOperator(TWICE, TWICE),
+        lambda: parrott_complete(ParrottInstance(TWICE, TWICE, I3[:2, :1], I3[:2, :1], np.eye(2), np.eye(2), 4.0, 4.0)),
+    ], ids=["kvn", "sa-ext", "parrott"])
+    def test_every_construction_raises_the_one_error(self, build):
+        with pytest.raises(ValueError) as excinfo:
+            build()
+        assert str(excinfo.value) == DEPENDENT
+
+    def test_sa_ext_through_the_cli_is_invalid_input(self, tmp_path):
+        payload = {"n": 2, "domain_basis": encode_matrix(TWICE), "values": encode_matrix(TWICE), "weight": encode_matrix(np.eye(2))}
+        path = tmp_path / "inst.json"
+        path.write_text(dumps_canonical({"kind": "sa-ext", "payload": payload}))
+        out = tmp_path / "result.json"
+        assert cli.main(["sa-ext", str(path), "--out", str(out)]) == 2
+        doc = json.loads(out.read_text())
+        assert doc["status"] == "invalid-input"
+        assert doc["error"] == {"type": "ValueError", "message": DEPENDENT}
+
+    def test_sa_ext_decides_on_singular_values_alone(self, svd_calls):
+        SymmetricPartialOperator(I3[:, :2], I3[:, :2])
+        assert svd_calls == [((3, 2), False)]
+
+    def test_kvn_decides_on_its_own_factor(self, svd_calls):
+        PartialPositiveOperator(I3[:, :2], I3[:, :2])
+        assert svd_calls == [((3, 2), True)]
+        with pytest.raises(ValueError, match=DEPENDENT):
+            PartialPositiveOperator(TWICE, TWICE)
+        # a second svd, of singular values alone, only on the error path
+        assert svd_calls[1:] == [((2, 2), True), ((2, 2), False)]
+

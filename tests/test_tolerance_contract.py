@@ -29,7 +29,7 @@ UNFLOORED = {
         "the degenerate-pair cutoff eq ||L||^2 ||x|| ||P|| already carries the pair's scale; 4 + eq is the constant 4",
     ("func_ext.py", "cstar_extendibility"):
         "agreement eq ||Gamma||_F is relative to the prescribed values; 4 (1 + eq) is relative to the constant 4",
-    ("cli.py", "_INVARIANTS"):
+    ("cli.py", "_KINDS"):
         "norm and exact_bound <= 1 + eq are contraction tests; measured_bound <= exact (1 + eq) is relative",
     ("oracle.py", "sampled_bound"):
         "a sampled pair whose denominator is below eq is skipped as degenerate",
