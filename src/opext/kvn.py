@@ -11,14 +11,14 @@ which would square its condition) it is computed in factored form
 
     A_N = C C*,    C = Y Q W^{-1/2},    P* Y = Q W Q* (eigenvalues above the rank cutoff),
 
-which is positive semidefinite by construction.  C is
-:func:`~opext.numkit._gram_factor` on the spectrum of P* Y, which also builds
-both interval endpoints of :mod:`opext.sa_ext` from that spectrum shifted by
-+/- alpha.  Its one positivity and rank decision also settles existence
-(:func:`check_restriction`): the values must vanish where the Gram form
-does, tested as ||Y - (Y Q) Q*|| ~ 0: the norm of the dropped columns of
-Y V, V all of P* Y's eigenvectors.  A :class:`PartialPositiveOperator`
-decomposes P* Y once and keeps C and that residual.
+which is positive semidefinite by construction.  C is Y V over sqrt(w) on
+the columns :func:`~opext.numkit._psd_keep` keeps of P* Y = V diag(w) V*, as
+both interval endpoints of :mod:`opext.sa_ext` read theirs off that spectrum
+shifted by +/- alpha.  That one decision also settles existence
+(:func:`check_restriction`): the values must vanish where the Gram form does,
+tested as ||Y - (Y Q) Q*|| ~ 0, the norm of the dropped columns of Y V.  A
+:class:`PartialPositiveOperator` decomposes P* Y once and keeps C and that
+residual; its rejections are structural, the endpoints' numerical.
 
 :func:`hilbert_lift` packages the auxiliary inner-product space attached
 to a positive weight A: the weighted pairing <x, y>_A = y* A x descends to
@@ -42,7 +42,6 @@ from .numkit import (
     Tolerances,
     _checked_hermitian,
     _fro,
-    _gram_factor,
     _hermitian_part,
     _limit,
     _orth_factor,
@@ -105,9 +104,11 @@ class PartialPositiveOperator:
         y = (g.a @ v) / s
         w, u = eigh_desc(p.conj().T @ y)
         try:
-            self._factor = _gram_factor(w, y @ u, t)
+            keep = _psd_keep(w, t)
         except NotPsd as exc:
             raise NotPsd(f"induced Gram matrix is not positive: {exc}") from exc
+        yu = y @ u
+        self._factor = (np.compress(keep, yu, axis=1) / np.sqrt(w[keep]), _fro(np.compress(~keep, yu, axis=1)))
         self.domain_basis = d
         self.values = g
         self._span = (p, y)

@@ -18,8 +18,9 @@ a mask on its output.
 Cost rule: a primitive is its LAPACK call plus the fewest numpy passes.  The
 wrapper classes validate caller data, once, at the public boundary; an array
 the library just built is adopted (``_adopt``, after ``_hermitian_part`` if it
-is Hermitian only up to rounding), never copied or validated again; a
+is Hermitian only up to rounding): never copied, and checked only finite; a
 HermitianMatrix is not symmetrized again; :func:`_fro` is the one Frobenius norm.
+:func:`_lifted_keep` decides every Gram form built positive, and alone raises NumericalFailure.
 """
 
 from __future__ import annotations
@@ -29,7 +30,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DimensionMismatch, NotHermitian, NotPsd, RestrictionConditionFailed
+from .errors import DimensionMismatch, NotHermitian, NotPsd, NumericalFailure, RestrictionConditionFailed
 
 __all__ = [
     "Tolerances",
@@ -188,13 +189,13 @@ def _finite(a: np.ndarray) -> np.ndarray:
 def _checked_hermitian(a: np.ndarray, tol: Tolerances) -> np.ndarray:
     """The Hermitian rule on an array: a fresh C-contiguous ``(a + a*) / 2.0``, else an error.
 
-    DimensionMismatch unless square, NotHermitian when ``||a - a*||_F`` exceeds
-    ``_limit(herm, ||a||_F)``, ValueError unless finite, in that order; a check
-    whose result is not kept calls it directly.
+    DimensionMismatch unless square, ValueError unless finite (before any arithmetic), NotHermitian
+    when ``||a - a*||_F`` exceeds ``_limit(herm, ||a||_F)``, ValueError when the half-sum overflows;
+    a check whose result is not kept calls it directly.
     """
     if a.shape[0] != a.shape[1]:
         raise DimensionMismatch(f"Hermitian matrix must be square, got {a.shape}")
-    c = np.conjugate(a.T, order="C")
+    c = np.conjugate(_finite(a).T, order="C")
     asym = _fro(a - c)
     if asym > _limit(tol.herm, _fro(a)):
         raise NotHermitian(f"asymmetry {asym:.3e} exceeds tolerance")
@@ -204,13 +205,11 @@ def _checked_hermitian(a: np.ndarray, tol: Tolerances) -> np.ndarray:
 
 
 def _checked_pairing(a: np.ndarray, b: np.ndarray, tol: Tolerances) -> None:
-    """The Hermitian rule on [[0, a], [b, 0]] from its blocks, unformed: NotHermitian when sqrt(2) ||a - b*||_F exceeds
-    ``_limit(herm, sqrt(||a||_F^2 + ||b||_F^2))``, else ValueError unless both blocks are finite."""
-    asym = math.sqrt(2.0) * _fro(a - b.conj().T)
+    """The Hermitian rule on [[0, a], [b, 0]] from its blocks, unformed: ValueError unless both blocks are finite,
+    else NotHermitian when sqrt(2) ||a - b*||_F exceeds ``_limit(herm, sqrt(||a||_F^2 + ||b||_F^2))``."""
+    asym = math.sqrt(2.0) * _fro(_finite(a) - _finite(b).conj().T)
     if asym > _limit(tol.herm, math.hypot(_fro(a), _fro(b))):
         raise NotHermitian(f"asymmetry {asym:.3e} exceeds tolerance")
-    _finite(a)
-    _finite(b)
 
 
 class HermitianMatrix(ComplexMatrix):
@@ -269,16 +268,6 @@ def _psd_keep(w: np.ndarray, tol: Tolerances) -> np.ndarray:
     return w > tol.rank_cutoff(w.size, w.size) * max(hi, 0.0)
 
 
-def _gram_factor(w, gv, tol: Tolerances) -> tuple[np.ndarray, float]:
-    """Factor C = G Q W^{-1/2} of G M^+ G* and the existence residual ||G - G Q Q*||_F, both read off G V.
-
-    (w, V) are M's eigenpairs, V unitary; (W, Q) those :func:`_psd_keep` keeps.  The residual is
-    ||G V|| on the dropped columns: no subtraction, and exactly 0 when nothing drops.
-    """
-    keep = _psd_keep(w, tol)
-    return np.compress(keep, gv, axis=1) / np.sqrt(w[keep]), _fro(np.compress(~keep, gv, axis=1))
-
-
 def _require_vanishing(resid: float, scale: float, tol: Tolerances) -> None:
     """The existence rule: RestrictionConditionFailed when G's residual on its Gram kernel exceeds ``eq * (1 + scale)``."""
     if resid > _limit(tol.eq, scale):
@@ -286,6 +275,19 @@ def _require_vanishing(resid: float, scale: float, tol: Tolerances) -> None:
             "restriction condition violated: the prescribed values do not vanish "
             f"on the kernel of the domain Gram matrix (residual {resid:.3e})"
         )
+
+
+def _lifted_keep(w: np.ndarray, lost, scale: float, tol: Tolerances) -> np.ndarray:
+    """:func:`_psd_keep` on the whole spectrum w of a Gram form M = P* G built positive with a finite bound, once
+    :func:`_require_vanishing` passes ``lost(drop)``, ||G||_F on the dropped eigenvectors (asked only if any drop),
+    at ``scale`` = ||G||_F.  A rejection of such a form is numerical: NumericalFailure."""
+    try:
+        keep = _psd_keep(w, tol)
+        if not keep.all():
+            _require_vanishing(lost(~keep), scale, tol)
+    except (NotPsd, RestrictionConditionFailed) as exc:
+        raise NumericalFailure(f"positive lift rejected unexpectedly: {exc}") from exc
+    return keep
 
 
 class PsdMatrix(HermitianMatrix):

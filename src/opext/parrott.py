@@ -27,10 +27,10 @@ and (P2, Y2).  The stacked Gram form is [[alpha I, B*], [B, alpha I]],
 whose eigenvalues are alpha +/- sigma_i for the singular values of the
 k2-by-k1 coupling block B = (P2* Y1 + (P1* Y2)*) / 2, so one thin SVD of
 B replaces the eigh of the (k1 + k2)-square form, with the same
-positivity, rank and existence decisions.  Each domain D_i is decided on
-its own side: its range coordinates U_i = J_i* D_i, factored by the lift
-anyway, prove it independent when they have full rank, and only a
-collapsed U_i has D_i's own rank decided.
+positivity, rank and existence decision as the interval endpoints'.  Each
+domain D_i is decided on its own side: its range coordinates U_i = J_i* D_i,
+factored by the lift anyway, prove it independent when they have full rank,
+and only a collapsed U_i has D_i's own rank decided.
 
 Specializations: :func:`strong_parrott` completes an intertwining pair of
 factorizations (X S1 = S2, T2 X = T1, ||X|| <= 1).  It reduces its data
@@ -57,9 +57,6 @@ from .errors import (
     IncompatibleInstance,
     NotABounded,
     NotHermitian,
-    NotPsd,
-    NumericalFailure,
-    RestrictionConditionFailed,
 )
 from .kvn import hilbert_lift
 from .numkit import (
@@ -68,12 +65,11 @@ from .numkit import (
     Tolerances,
     _checked_pairing,
     _fro,
+    _lifted_keep,
     _limit,
     _projector,
-    _psd_keep,
     _range_basis,
     _require_independent,
-    _require_vanishing,
     _restrict,
     _smax,
     _tol,
@@ -231,10 +227,12 @@ def _corner(p1, y1, p2, y2, beta: float, tol: Tolerances) -> np.ndarray:
 
     so a small beta - sigma divides only G e-, which is small where the
     extension exists.  M's whole spectrum, beta +/- sigma and beta on the
-    |k1 - k2| directions E outside the pairs, is decided as by ``psd_eig``
-    (:func:`~opext.numkit._psd_keep`), rejections raised as NumericalFailure.
-    A dropped e loses its term (-G2 e (G1 e)* / beta: on E, -Y1 (I - V V*) P1*
-    or -P2 (I - U U*) Y2*), and G must vanish on all of them to eq (1 + ||G||_F).
+    |k1 - k2| directions E outside the pairs, is decided by
+    :func:`~opext.numkit._lifted_keep`.  A dropped e loses its term
+    -G2 e (G1 e)* / beta, on E -(Y1 - (Y1 V) V*) P1* - P2 (Y2 - (Y2 U) U*)*,
+    and G must vanish on all of them to eq (1 + ||G||_F).  P1 and P2 are
+    isometries, so ||G||_F^2 on E is beta^2 |k1 - k2| + ||Y1||_F^2 - ||Y1 V||_F^2
+    + ||Y2||_F^2 - ||Y2 U||_F^2, with no projector onto E formed.
     beta = 0 gives the zero corner.
     """
     x = y1 @ p1.conj().T + p2 @ y2.conj().T
@@ -244,25 +242,24 @@ def _corner(p1, y1, p2, y2, beta: float, tol: Tolerances) -> np.ndarray:
     b += y2.conj().T @ p1
     b /= 2.0
     u, sigma, vh = np.linalg.svd(b, full_matrices=False) if b.size else (b[:, :0], np.zeros(0), b[:0])
-    v, m = vh.conj().T, sigma.size
+    v, m, unpaired = vh.conj().T, sigma.size, sum(b.shape) - 2 * sigma.size
     bv, yu = beta * (p1 @ v), y2 @ u  # beta P1 v and Y2 u
     yv, bu = y1 @ v, beta * (p2 @ u)  # Y1 v and beta P2 u
     plus1, minus1 = bv + yu, bv - yu
     plus2, minus2 = yv + bu, yv - bu
-    try:
-        keep = _psd_keep(np.concatenate([beta + sigma, beta - sigma, np.full(sum(b.shape) - 2 * m, beta)]), tol)
-        kp, km = keep[:m], keep[m:2 * m]
-        lost1, lost2 = [plus1[:, ~kp], minus1[:, ~km]], [plus2[:, ~kp], minus2[:, ~km]]  # sqrt 2 G e, e dropped
-        if not keep[2 * m:].all():
-            n1, n2 = np.eye(v.shape[0]) - v @ vh, np.eye(u.shape[0]) - u @ u.conj().T  # diag(n1, n2) projects onto E
-            g1, g2 = np.hstack([beta * (p1 @ n1), y2 @ n2]), np.hstack([y1 @ n1, beta * (p2 @ n2)])
-            x -= g2 @ g1.conj().T / beta
-            lost1, lost2 = lost1 + [math.sqrt(2.0) * g1], lost2 + [math.sqrt(2.0) * g2]
-        if not keep.all():
-            size = math.sqrt(beta * beta * (_fro(p1) ** 2 + _fro(p2) ** 2) + _fro(y1) ** 2 + _fro(y2) ** 2)
-            _require_vanishing(math.hypot(_fro(np.hstack(lost1)), _fro(np.hstack(lost2))) / math.sqrt(2.0), size, tol)
-    except (NotPsd, RestrictionConditionFailed) as exc:
-        raise NumericalFailure(f"positive lift rejected unexpectedly: {exc}") from exc
+
+    def lost(drop):  # ||G||_F on the dropped directions: sqrt 2 G e on the pairs, the isometries on E
+        dp, dm = drop[:m], drop[m:2 * m]
+        sq = sum(_fro(ge) ** 2 for ge in (plus1[:, dp], plus2[:, dp], minus1[:, dm], minus2[:, dm])) / 2.0
+        if drop[2 * m:].any():
+            sq += beta * beta * unpaired + _fro(y1) ** 2 - _fro(yv) ** 2 + _fro(y2) ** 2 - _fro(yu) ** 2
+        return math.sqrt(sq)
+
+    size = math.sqrt(beta * beta * (_fro(p1) ** 2 + _fro(p2) ** 2) + _fro(y1) ** 2 + _fro(y2) ** 2)
+    keep = _lifted_keep(np.concatenate([beta + sigma, beta - sigma, np.full(unpaired, beta)]), lost, size, tol)
+    kp, km = keep[:m], keep[m:2 * m]
+    if not keep[2 * m:].all():
+        x -= (y1 - yv @ vh) @ p1.conj().T + p2 @ (y2 - yu @ u.conj().T).conj().T
     minus = np.divide(sigma, 2.0 * beta * (beta - sigma), out=np.full_like(sigma, -0.5 / beta), where=km)
     plus = np.where(kp, -sigma / (2.0 * beta * (beta + sigma)), -0.5 / beta)
     x += (plus2 * plus) @ plus1.conj().T

@@ -33,7 +33,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DimensionMismatch, HypothesisViolated, NotABounded, NotPsd, NumericalFailure, RestrictionConditionFailed
+from .errors import DimensionMismatch, HypothesisViolated, NotABounded
 from .kvn import HilbertLift, hilbert_lift
 from .numkit import (
     ComplexMatrix,
@@ -42,11 +42,10 @@ from .numkit import (
     Tolerances,
     _checked_hermitian,
     _fro,
-    _gram_factor,
     _hermitian_part,
+    _lifted_keep,
     _limit,
     _require_independent,
-    _require_vanishing,
     _restrict,
     _smax,
     _tol,
@@ -233,9 +232,10 @@ def _extend_on_lift(op: SymmetricPartialOperator, lift: HilbertLift, tol: Tolera
 def _extend_lifted(p: np.ndarray, y: np.ndarray, alpha: float, lift: HilbertLift, tol: Tolerances):
     """Extremal extensions (s_min, s_max) from the orthonormal pair (P, Y) and bound of :func:`_symmetric_lift`.
 
-    One eigh P* Y = V diag(lambda) V* serves both: the Gram form P* G of G = alpha P +/- Y has the eigenvectors V,
-    and :func:`~opext.numkit._gram_factor` builds C C* from G V with the form's own values w = Re colsum(conj(P V) o
-    G V) (alpha +/- lambda, kept consistent with G under rounding).  Returned as ``_hermitian_part``, not checked again.
+    One eigh P* Y = V diag(lambda) V* serves both: the Gram form P* G of G = alpha P +/- Y has the eigenvectors V
+    and its own values w = Re colsum(conj(P V) o G V) (alpha +/- lambda, kept consistent with G under rounding).
+    :func:`~opext.numkit._lifted_keep` decides w, with ||G V|| on the dropped columns as G's existence residual,
+    and C is G V on the kept ones over sqrt w.  Returned as ``_hermitian_part``, not checked again.
     """
     _, v = eigh_desc(p.conj().T @ y)
     pv, j = p @ v, lift.embedding()
@@ -243,12 +243,9 @@ def _extend_lifted(p: np.ndarray, y: np.ndarray, alpha: float, lift: HilbertLift
     for sign in (1.0, -1.0):
         g = alpha * p + sign * y
         gv = g @ v
-        try:
-            c, resid = _gram_factor(np.einsum("ij,ij->j", pv.conj(), gv).real, gv, tol)
-            _require_vanishing(resid, _fro(g), tol)
-        except (RestrictionConditionFailed, NotPsd) as exc:
-            # positive with finite bound by construction: a rejection here is numerical, not structural
-            raise NumericalFailure(f"positive lift rejected unexpectedly: {exc}") from exc
+        w = np.einsum("ij,ij->j", pv.conj(), gv).real
+        keep = _lifted_keep(w, lambda drop: _fro(np.compress(drop, gv, axis=1)), _fro(g), tol)
+        c = np.compress(keep, gv, axis=1) / np.sqrt(w[keep])
         ends.append(_hermitian_part(j @ (sign * (c @ c.conj().T - alpha * np.eye(lift.rank))) @ j.conj().T))
     return tuple(ends)
 

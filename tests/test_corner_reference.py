@@ -2,7 +2,7 @@
 
 ``parrott._corner`` reads the corner G2 M^+ G1* off one thin SVD of the
 k2 x k1 coupling block B, with one formula for every singular pair, and
-decides like ``psd_eig`` on M at every rank cutoff.  The
+decides M's spectrum through ``numkit._lifted_keep`` at every rank cutoff.  The
 reference below is the stacked (k1 + k2)-dimensional route, written out
 with plain numpy: P = diag(P1, P2), Y = [[0, Y2], [Y1, 0]],
 G = beta P + sign Y, the eigenpairs of the Hermitian part of M = P* G, the
@@ -268,22 +268,25 @@ def isometric_pairs(swap):
     return pairs[2:] + pairs[:2] if swap else pairs
 
 
+@pytest.mark.parametrize("scale", [1.0, 1e-10])
 @pytest.mark.parametrize("swap", [False, True])
 @pytest.mark.parametrize("eq", [1e-8, 10.0])
 @pytest.mark.parametrize("rank", [None, 0.3, 0.49, 0.51, 0.6, 0.9])
-def test_isometric_coupling_at_every_rank_cutoff(rank, eq, swap):
-    """M has the eigenvalues 2 and 0, three times each, and 1 on the two directions outside B's pairs.
+def test_isometric_coupling_at_every_rank_cutoff(rank, eq, swap, scale):
+    """M has the eigenvalues 2 and 0, three times each, and 1 on the two directions outside B's pairs (times scale).
 
     G vanishes on the 0 pairs, which every cutoff drops.  From a cutoff of
-    1/2 the two unpaired 1s drop as well, where ||G e|| >= 1: both routes
-    reject at eq = 1e-8 and complete without their terms, which L makes
-    nonzero, at eq = 10.
+    1/2 the two unpaired eigenvalues drop as well, where ||G e|| >= scale: at
+    scale 1 both routes reject at eq = 1e-8 and complete without their terms,
+    which L makes nonzero, at eq = 10.  At scale 1e-10 all of G is below the
+    floor of the existence limit, so both routes complete at either eq.
     """
-    dropped = same_outcome(*isometric_pairs(swap), 1.0, Tolerances(rank=rank, eq=eq))
+    p1, y1, p2, y2 = isometric_pairs(swap)
+    dropped = same_outcome(p1, scale * y1, p2, scale * y2, scale, Tolerances(rank=rank, eq=eq))
     if rank is None or rank < 0.5:
         assert dropped == 3
     else:
-        assert dropped == (5 if eq == 10.0 else None)
+        assert dropped == (5 if eq == 10.0 or scale < 1.0 else None)
 
 
 @pytest.mark.parametrize("case", ["isometric", "swapped", "no second side", "no first side"])

@@ -9,9 +9,10 @@ mapped back through J = A^{1/2} Q, the bound (A^{1/2})^+ S (A^{1/2})^+ of a
 total operator, and the two-corner completion read off the stacked operator
 lifted as a whole.  Near the rank cutoff, both endpoints built from the one
 spectrum of P* Y are checked against one eigh per shifted form alpha +/- P* Y,
-and the existence residual each Gram factor (kvn's and both endpoints') reads
-off G V against ||G - G Q Q*||: equal within rounding where directions drop,
-exactly 0 where none do.
+and the existence residual each Gram factor reads off G V (kvn's, kept in
+``op._factor``, and both endpoints', handed to ``numkit._lifted_keep`` as
+``lost``) against ||G - G Q Q*||: equal within rounding where directions
+drop, exactly 0 where none do.
 """
 
 import numpy as np
@@ -210,23 +211,29 @@ def near_cutoff_pair(gen, r, k, f):
     return p, p @ ((u * lam) @ u.conj().T)
 
 
-def spy_gram_factor(monkeypatch, module):
-    """Record (dropped count, existence residual) of each ``_gram_factor`` call made through ``module``."""
+def spy_lifted_keep(monkeypatch):
+    """Record (dropped count, ``lost`` of the dropped mask) of each ``_lifted_keep`` call made through sa_ext."""
     calls = []
-    gram_factor = module._gram_factor
+    lifted_keep = sa_ext._lifted_keep
 
-    def spied(w, *args):
-        c, resid = gram_factor(w, *args)
-        calls.append((w.size - c.shape[1], resid))
-        return c, resid
+    def spied(w, lost, scale, tol):
+        keep = lifted_keep(w, lost, scale, tol)
+        calls.append((int(np.count_nonzero(~keep)), lost(~keep)))
+        return keep
 
-    monkeypatch.setattr(module, "_gram_factor", spied)
+    monkeypatch.setattr(sa_ext, "_lifted_keep", spied)
     return calls
 
 
+def kvn_factor(op):
+    """(dropped count, existence residual) of a PartialPositiveOperator's kept factor."""
+    c, resid = op._factor
+    return op.domain_dim - c.shape[1], resid
+
+
 def one_spectrum_endpoints(monkeypatch, p, y, alpha, lift):
-    """``sa_ext._extend_lifted``, and the dropped count and residual of each endpoint's Gram factor."""
-    calls = spy_gram_factor(monkeypatch, sa_ext)
+    """``sa_ext._extend_lifted``, and the dropped count and residual of each endpoint's Gram form."""
+    calls = spy_lifted_keep(monkeypatch)
     ends = sa_ext._extend_lifted(p, y, alpha, lift, TOL)
     return ends, [drop for drop, _ in calls], [resid for _, resid in calls]
 
@@ -299,24 +306,22 @@ def kvn_pair(gen, n, k, kernel):
 
 
 @pytest.mark.parametrize("kernel", [1, 2])
-def test_kvn_residual_on_dropped_directions_matches_the_reference(monkeypatch, kernel):
+def test_kvn_residual_on_dropped_directions_matches_the_reference(kernel):
     # the leak is the part of the values on ker M: the residual is its size, not rounding
     p, y = kvn_pair(np.random.default_rng([kernel, 75]), 8, 4, kernel)
-    calls = spy_gram_factor(monkeypatch, kvn)
     op = kvn.PartialPositiveOperator(p, y)
     _, ref_drop, ref_resid = ref_gram_factor(p, y, TOL)
-    [(drop, resid)] = calls
+    drop, resid = kvn_factor(op)
     assert drop == ref_drop == kernel
     assert ref_resid > 0.1
     assert abs(resid - ref_resid) <= 1e-14 * (1 + np.linalg.norm(y))
     assert not kvn.check_restriction(op)
 
 
-def test_kvn_residual_of_a_generic_full_rank_form_is_exactly_zero(monkeypatch):
+def test_kvn_residual_of_a_generic_full_rank_form_is_exactly_zero():
     gen = np.random.default_rng(77)
     f = cgauss(gen, 8, 8)
     d = cgauss(gen, 8, 3)
-    calls = spy_gram_factor(monkeypatch, kvn)
     op = kvn.PartialPositiveOperator(d, (f @ f.conj().T) @ d)
-    assert calls == [(0, 0.0)]
+    assert kvn_factor(op) == (0, 0.0)
     assert kvn.check_restriction(op)

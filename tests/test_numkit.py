@@ -487,13 +487,25 @@ class TestWrapperInvariants:
         for name, m in built.items():
             assert same_bits(m.a, before[name]), name
 
+    @staticmethod
+    def adopted_part(a):
+        with np.errstate(invalid="ignore"):  # _hermitian_part is internal: it takes finite arrays, and infj - infj is nan
+            return PsdMatrix._adopt(_hermitian_part(a))
+
     @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf, complex(0.0, np.inf)])
     def test_non_finite_rejected(self, bad):
         a = np.eye(3, dtype=np.complex128)
         a[1, 1] = bad
-        for build in (ComplexMatrix, HermitianMatrix, PsdMatrix, lambda a: PsdMatrix._adopt(_hermitian_part(a))):
+        for build in (ComplexMatrix, HermitianMatrix, PsdMatrix, self.adopted_part):
             with pytest.raises(ValueError, match="finite"):
                 build(a)
+
+    @pytest.mark.parametrize("build", [HermitianMatrix, PsdMatrix, hermitize])
+    def test_overflowing_half_sum_rejected(self, build):
+        # finite entries whose a + a* overflows: numpy warns on the way (||a||_F, the sum, inf / 2.0), and the
+        # half-sum's finiteness check raises the same ValueError as for non-finite input
+        with np.errstate(over="ignore", invalid="ignore"), pytest.raises(ValueError, match="finite"):
+            build(np.diag([1.5e308, 1.0]))
 
     @pytest.mark.parametrize("n", [2, 6, 33])
     def test_not_hermitian_threshold(self, n):

@@ -2,8 +2,8 @@
 
 ``numkit._psd_keep`` decides a Hermitian form from its eigenvalues: NotPsd
 through ``_require_psd``, else the mask above the relative rank cutoff.
-``psd_eig``, the kvn and interval-endpoint Gram factors and the Parrott
-corner all call it, so a later change to either decision (ROADMAP item 3's
+``psd_eig``, a lift and the kvn Gram factor call it, and the interval
+endpoints and the Parrott corner through ``_lifted_keep``, so a later change to either decision (ROADMAP item 3's
 leak-based rank rule) is a change to ``numkit`` alone.  The scan below
 parses ``src/opext`` and fails on a call to ``_require_psd`` or to
 ``.rank_cutoff(`` in any other module.
