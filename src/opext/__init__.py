@@ -38,7 +38,6 @@ from .errors import (
 )
 from .func_ext import (
     ExtendibilityDecision,
-    FunctionalInstance,
     FunctionalMatrix,
     GnsSpace,
     LeftIdeal,
@@ -84,7 +83,6 @@ from .parrott import (
 )
 from .sa_ext import (
     ExtensionInterval,
-    ExtensionProblem,
     SymmetricPartialOperator,
     a_bound,
     alpha_of_total,
@@ -126,7 +124,6 @@ __all__ = [
     "hilbert_lift",
     # self-adjoint extensions
     "SymmetricPartialOperator",
-    "ExtensionProblem",
     "ExtensionInterval",
     "a_bound",
     "extend_symmetric",
@@ -154,7 +151,6 @@ __all__ = [
     "hahn_jordan",
     "cstar_extendibility",
     "ExtendibilityDecision",
-    "FunctionalInstance",
     # oracles
     "Rng",
     "sampled_bound",

@@ -49,7 +49,7 @@ from .func_ext import (
     f_bound,
 )
 from .kvn import PartialPositiveOperator, check_restriction, hilbert_lift, kvn_extend
-from .numkit import DEFAULT_TOLERANCES, ComplexMatrix, Tolerances, _fro, _limit, _smax, hermitize, loewner_leq
+from .numkit import DEFAULT_TOLERANCES, Tolerances, _fro, _limit, _smax, hermitize, loewner_leq
 from .oracle import MAX_ALGEBRA, MAX_DIM, Rng, _check_dims, random_instance_with_witness
 from .parrott import (
     ParrottInstance,
@@ -316,16 +316,7 @@ def _f_bound_drift(data: dict, result: dict, witness: dict, tol: Tolerances) -> 
 
 
 # --------------------------------------------------------------------------
-# the run kinds: how gen encodes each and how verify draws its dimensions
-
-
-def _encode_parrott(instance) -> dict:
-    keys = ("domain1", "values1", "domain2", "values2", "weight1", "weight2", "alpha1", "alpha2")
-    return {"n1": instance.dim1, "n2": instance.dim2, **{key: getattr(instance, key) for key in keys}}
-
-
-def _functional_fields(instance) -> dict:
-    return {"m": instance.ideal.size, "projection": instance.ideal.projection, "gamma": instance.partial.gamma}
+# the run kinds: how verify draws their dimensions
 
 
 # Dimensions of one verify instance when --dims is not given.
@@ -349,17 +340,17 @@ def _draw_m(gen) -> tuple[int, ...]:
 
 # Everything the command line knows about each run kind, in the order it lists
 # them: parse(payload) -> data, shape checks only; run(data, tol) -> (outputs,
-# diagnostics); encode(generated instance) -> payload fields; oracle, the
-# kind's name in opext.oracle; default_dims for gen and draw_dims(generator)
-# for verify, without --dims; invariants; and witness(data, result, witness,
-# tol) -> the verify-only result keys, or None.  The invariants are (key,
-# threshold) rows on a run's outputs and diagnostics together: the value under
-# key must be True when the threshold is None, else at most
-# threshold(data, result, tol), a residual relative to the input it is taken against.
+# diagnostics); oracle, the kind's name in opext.oracle, whose planted fields
+# gen and verify encode as they are, less the key drop (or None); default_dims
+# for gen and draw_dims(generator) for verify, without --dims; invariants; and
+# witness(data, result, witness, tol) -> the verify-only result keys, or None.
+# The invariants are (key, threshold) rows on a run's outputs and diagnostics
+# together: the value under key must be True when the threshold is None, else
+# at most threshold(data, result, tol), a residual relative to the input it is
+# taken against.
 _KINDS = {
     "kvn": SimpleNamespace(
-        parse=_parse_kvn, run=_run_kvn, oracle="kvn", default_dims=(4,), draw_dims=_draw_n_k,
-        encode=lambda inst: {"n": inst.ambient_dim, "domain_basis": inst.domain_basis, "values": inst.values},
+        parse=_parse_kvn, run=_run_kvn, oracle="kvn", drop=None, default_dims=(4,), draw_dims=_draw_n_k,
         invariants=(
             ("value_residual", lambda d, r, t: _limit(t.eq, _fro(d["values"]))),
             ("restriction_ok", None),
@@ -368,11 +359,7 @@ _KINDS = {
         witness=_below_witness,
     ),
     "sa-ext": SimpleNamespace(
-        parse=_parse_sa_ext, run=_run_sa_ext, oracle="sa_ext", default_dims=(4,), draw_dims=_draw_n_k,
-        encode=lambda inst: {
-            "n": inst.operator.ambient_dim, "domain_basis": inst.operator.domain_basis,
-            "values": inst.operator.values, "weight": inst.weight,
-        },
+        parse=_parse_sa_ext, run=_run_sa_ext, oracle="sa_ext", drop=None, default_dims=(4,), draw_dims=_draw_n_k,
         invariants=(
             ("extend_residual_min", lambda d, r, t: _limit(t.eq, _fro(d["weight"] @ d["values"]))),
             ("extend_residual_max", lambda d, r, t: _limit(t.eq, _fro(d["weight"] @ d["values"]))),
@@ -384,9 +371,8 @@ _KINDS = {
         witness=_midpoint_in_interval,
     ),
     "parrott": SimpleNamespace(
-        parse=_parse_parrott, run=_run_parrott, oracle="parrott", default_dims=(3, 2),
+        parse=_parse_parrott, run=_run_parrott, oracle="parrott", drop=None, default_dims=(3, 2),
         draw_dims=lambda gen: (_upto(gen, MAX_DIM), _upto(gen, MAX_DIM)),
-        encode=_encode_parrott,
         invariants=(
             ("corner1_residual", lambda d, r, t: _limit(t.eq, _fro(d["values1"]))),
             ("corner2_residual", lambda d, r, t: _limit(t.eq, _fro(d["values2"]))),
@@ -396,9 +382,8 @@ _KINDS = {
         witness=None,
     ),
     "strong-parrott": SimpleNamespace(
-        parse=_parse_strong_parrott, run=_run_strong_parrott, oracle="strong_parrott", default_dims=(4, 3, 2),
-        draw_dims=_draw_strong_parrott,
-        encode=lambda inst: {key: getattr(inst, key) for key in StrongParrottInstance.__slots__},
+        parse=_parse_strong_parrott, run=_run_strong_parrott, oracle="strong_parrott", drop=None,
+        default_dims=(4, 3, 2), draw_dims=_draw_strong_parrott,
         invariants=(
             ("norm", lambda d, r, t: 1.0 + t.eq),
             ("s_residual", lambda d, r, t: _limit(t.eq, _fro(d["s1"]))),
@@ -409,8 +394,7 @@ _KINDS = {
     ),
     "functional-ext": SimpleNamespace(
         parse=functools.partial(_parse_functional, for_cstar=False), run=_run_functional_ext,
-        oracle="functional", default_dims=(3,), draw_dims=_draw_m,
-        encode=lambda inst: {**_functional_fields(inst), "density": inst.density},
+        oracle="functional", drop="extension", default_dims=(3,), draw_dims=_draw_m,
         invariants=_FUNCTIONAL_INVARIANTS + (
             ("f_bound_drift", lambda d, r, t: _limit(t.eq, r["alpha"])),
         ),
@@ -418,8 +402,7 @@ _KINDS = {
     ),
     "cstar-check": SimpleNamespace(
         parse=functools.partial(_parse_functional, for_cstar=True), run=_run_cstar_check,
-        oracle="functional", default_dims=(3,), draw_dims=_draw_m,
-        encode=lambda inst: {**_functional_fields(inst), "extension": inst.source.density},
+        oracle="functional", drop="density", default_dims=(3,), draw_dims=_draw_m,
         invariants=_FUNCTIONAL_INVARIANTS + (
             ("extendible", None),
             ("constant4_ok", None),
@@ -439,10 +422,12 @@ _KINDS = {
 RUN_KINDS = tuple(_KINDS)
 
 
-def _encode_instance(spec: SimpleNamespace, instance) -> dict:
-    """Payload of a generated instance, in the layout its kind's parser reads."""
-    fields = spec.encode(instance)
-    return {key: encode_matrix(value.a) if isinstance(value, ComplexMatrix) else value for key, value in fields.items()}
+def _encode_instance(spec: SimpleNamespace, fields: dict) -> dict:
+    """Payload of a planted instance's fields, in the layout its kind's parser reads."""
+    return {
+        key: encode_matrix(value) if isinstance(value, np.ndarray) else value
+        for key, value in fields.items() if key != spec.drop
+    }
 
 
 def _verify_one(spec: SimpleNamespace, rng: Rng, dims: tuple[int, ...], tol: Tolerances) -> list[dict]:
@@ -451,8 +436,8 @@ def _verify_one(spec: SimpleNamespace, rng: Rng, dims: tuple[int, ...], tol: Tol
     The instance goes through the same encode -> parse -> run path as an
     instance file, once per instance for every kind.
     """
-    instance, witness = random_instance_with_witness(spec.oracle, dims, rng)
-    data = spec.parse(_encode_instance(spec, instance))
+    fields, witness = random_instance_with_witness(spec.oracle, dims, rng)
+    data = spec.parse(_encode_instance(spec, fields))
     outputs, diagnostics = spec.run(data, tol)
     result = {**outputs, **diagnostics}
     if spec.witness is not None:
@@ -595,8 +580,8 @@ def _cmd_gen(args) -> int:
     try:
         spec = _KINDS[args.kind]
         dims = spec.default_dims if args.dims is None else _parse_dims(args.dims)
-        instance, _ = random_instance_with_witness(spec.oracle, dims, Rng(args.seed))
-        payload = _encode_instance(spec, instance)
+        fields, _ = random_instance_with_witness(spec.oracle, dims, Rng(args.seed))
+        payload = _encode_instance(spec, fields)
     except (InvalidDims, _InputError, ValueError) as exc:
         sys.stderr.write(f"error: {exc}\n")
         return EXIT_INVALID_INPUT

@@ -67,7 +67,6 @@ __all__ = [
     "PartialFunctional",
     "GnsSpace",
     "ExtendibilityDecision",
-    "FunctionalInstance",
     "is_symmetric_on_ideal",
     "gns",
     "gns_realization",
@@ -455,21 +454,6 @@ class ExtendibilityDecision:
     measured_bound: float | None = None
     violations: int | None = None
     exact_bound: float | None = None
-
-
-@dataclass(frozen=True)
-class FunctionalInstance:
-    """A partial functional with a positive weight functional attached.
-
-    ``source`` optionally records a hermitian functional on the whole
-    algebra whose restriction produced the partial data; when present it
-    doubles as a known-good extension for the quantitative converse.
-    """
-
-    ideal: LeftIdeal
-    partial: PartialFunctional
-    density: PsdMatrix
-    source: FunctionalMatrix | None = None
 
 
 def _witness_constant(

@@ -117,9 +117,12 @@ def _tol(tol: Tolerances | None) -> Tolerances:
     return DEFAULT_TOLERANCES if tol is None else tol
 
 
-def _limit(rel: float, scale: float) -> float:
-    """The floored threshold ``rel * (1 + scale)`` of a residual measured against something of size scale."""
-    return rel * (1.0 + scale)
+def _limit(rel: float, scale: float, unit: float = 1.0) -> float:
+    """The floored threshold ``rel * (1 + scale)`` of a residual measured against something of size scale.
+
+    ``unit`` is that floor of 1 in the units of a residual and a scale both taken times ``unit``.
+    """
+    return rel * (unit + scale)
 
 
 def _as_array(value) -> np.ndarray:
@@ -196,9 +199,7 @@ def _checked_hermitian(a: np.ndarray, tol: Tolerances) -> np.ndarray:
     if a.shape[0] != a.shape[1]:
         raise DimensionMismatch(f"Hermitian matrix must be square, got {a.shape}")
     c = np.conjugate(_finite(a).T, order="C")
-    asym = _fro(a - c)
-    if asym > _limit(tol.herm, _fro(a)):
-        raise NotHermitian(f"asymmetry {asym:.3e} exceeds tolerance")
+    _require_hermitian(lambda x, y: (_fro(x - y), _fro(x)), (a, c), tol.herm)
     c += a  # (a + a*) / 2.0 as in _hermitian_part
     c /= 2.0
     return _finite(c)
@@ -207,9 +208,28 @@ def _checked_hermitian(a: np.ndarray, tol: Tolerances) -> np.ndarray:
 def _checked_pairing(a: np.ndarray, b: np.ndarray, tol: Tolerances) -> None:
     """The Hermitian rule on [[0, a], [b, 0]] from its blocks, unformed: ValueError unless both blocks are finite,
     else NotHermitian when sqrt(2) ||a - b*||_F exceeds ``_limit(herm, sqrt(||a||_F^2 + ||b||_F^2))``."""
-    asym = math.sqrt(2.0) * _fro(_finite(a) - _finite(b).conj().T)
-    if asym > _limit(tol.herm, math.hypot(_fro(a), _fro(b))):
-        raise NotHermitian(f"asymmetry {asym:.3e} exceeds tolerance")
+    _require_hermitian(
+        lambda x, y: (math.sqrt(2.0) * _fro(x - y.conj().T), math.hypot(_fro(x), _fro(y))),
+        (_finite(a), _finite(b)), tol.herm,
+    )
+
+
+def _require_hermitian(measure, blocks: tuple[np.ndarray, ...], herm: float) -> None:
+    """NotHermitian when ``asym > _limit(herm, scale)`` for ``(asym, scale) = measure(*blocks)`` of finite blocks.
+
+    When a norm overflows (entries from about 1.3e154 on), inf > inf would pass anything, so the same inequality
+    divided by 2^e, ``asym' > _limit(herm, scale', 2^-e)``, decides on the blocks times 2^-e, where 2^e bounds
+    their largest real or imaginary part: a product with a power of two is exact, and blocks with finite norms
+    never take this branch, so their decision is unchanged.
+    """
+    asym, scale = measure(*blocks)
+    unit = 1.0
+    if math.isinf(asym) or math.isinf(scale):
+        top = max(float(np.max(np.abs(part), initial=0.0)) for x in blocks for part in (x.real, x.imag))
+        unit = math.ldexp(1.0, -math.frexp(top)[1])
+        asym, scale = measure(*(x * unit for x in blocks))
+    if asym > _limit(herm, scale, unit):
+        raise NotHermitian(f"asymmetry {asym / unit:.3e} exceeds tolerance")
 
 
 class HermitianMatrix(ComplexMatrix):

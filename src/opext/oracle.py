@@ -3,6 +3,16 @@
 Nothing here calls the construction pipelines it is meant to validate:
 sampled bounds and grid searches use numpy's linear algebra directly, so
 agreement between an oracle and a construction is evidence for both.
+The generators build no library object either.  Each planted instance is
+a dict of plain arrays and scalars under its instance-file payload keys,
+with a witness dict of the hidden data beside it:
+
+    kvn             n, domain_basis, values                   witness: total
+    sa_ext          n, domain_basis, values, weight           witness: total
+    parrott         n1, n2, domain1, values1, domain2,        witness: total
+                    values2, weight1, weight2, alpha1, alpha2
+    strong_parrott  s1, s2, t1, t2                            witness: solution
+    functional      m, projection, gamma, density, extension  witness: source
 
 Randomness is counter-based (Philox keyed through SeedSequence), so a
 seed determines the byte-exact stream on every platform, and child
@@ -17,11 +27,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import Infeasible, InvalidDims
-from .func_ext import FunctionalInstance, FunctionalMatrix, LeftIdeal, PartialFunctional
-from .kvn import PartialPositiveOperator
 from .numkit import HermitianMatrix, PsdMatrix, Tolerances, _tol
-from .parrott import ParrottInstance, StrongParrottInstance
-from .sa_ext import ExtensionProblem, SymmetricPartialOperator
 
 __all__ = [
     "Rng",
@@ -141,12 +147,13 @@ def sampled_bound(operator, weight, samples: int, rng, tol: Tolerances | None = 
     estimate never exceeds the true bound (up to roundoff), and it is
     monotone nondecreasing in ``samples``.
 
-    ``operator`` is a :class:`~opext.sa_ext.SymmetricPartialOperator` or a
-    Hermitian matrix (treated as everywhere defined).  Pairs whose
-    weighted denominators fall below the equality tolerance are skipped.
+    ``operator`` is a :class:`~opext.sa_ext.SymmetricPartialOperator` (read
+    through its ``domain_basis`` and ``values``) or a Hermitian matrix
+    (treated as everywhere defined).  Pairs whose weighted denominators
+    fall below the equality tolerance are skipped.
     """
     t = _tol(tol)
-    if isinstance(operator, SymmetricPartialOperator):
+    if hasattr(operator, "domain_basis"):
         d = operator.domain_basis.a
         v = operator.values.a
     else:
@@ -280,20 +287,30 @@ def _check_dims(kind: str, dims: tuple[int, ...], gen: np.random.Generator) -> t
     raise InvalidDims(f"unknown instance kind {kind!r}")
 
 
-def random_instance_with_witness(kind: str, dims, rng) -> tuple[object, dict]:
-    """Reproducible random instance plus the hidden data that built it.
+def random_instance_with_witness(kind: str, dims, rng) -> tuple[dict, dict]:
+    """Reproducible random instance, as payload fields, plus the hidden data that built it.
 
     Instances are constructive: each is produced by restricting or
     factoring a known total object, so the advertised hypotheses hold by
-    construction.  The witness dict records that hidden object for tests
-    that want to verify minimality or recover the planted solution.
+    construction.  The instance is a dict of plain arrays and scalars under
+    the instance-file payload keys, and no library object is built: the
+    pipelines it is meant to check decide it only when they run it.  The
+    witness dict records the hidden object for tests that want to verify
+    minimality or recover the planted solution.
 
-    Kinds and dims:
+    Kinds and dims, payload keys -> witness keys:
       kvn            (n,) or (n, k)      restriction of a random PSD matrix
+                     n, domain_basis, values -> total
       sa_ext         (n,) or (n, k)      restriction of a weighted Hermitian
+                     n, domain_basis, values, weight -> total
       parrott        (n1, n2[, k1, k2])  corners of a hidden weighted contraction
+                     n1, n2, domain1, values1, domain2, values2, weight1,
+                     weight2, alpha1, alpha2 -> total
       strong_parrott (h, k, p[, q])      factorizations through a hidden contraction
+                     s1, s2, t1, t2 -> solution
       functional     (m,)                restriction of a random hermitian functional
+                     m, projection, gamma = projection @ source, density,
+                     extension = source -> source
     """
     kind = str(kind).replace("-", "_")
     if isinstance(dims, int):
@@ -305,8 +322,7 @@ def random_instance_with_witness(kind: str, dims, rng) -> tuple[object, dict]:
         n, k = dims
         b = random_psd(gen, n, rank=int(gen.integers(1, n + 1)))
         d = complex_gaussian(gen, n, k)
-        instance = PartialPositiveOperator(d, b @ d)
-        return instance, {"total": b}
+        return {"n": n, "domain_basis": d, "values": b @ d}, {"total": b}
 
     if kind == "sa_ext":
         n, k = dims
@@ -317,11 +333,7 @@ def random_instance_with_witness(kind: str, dims, rng) -> tuple[object, dict]:
         s = sqrt_a @ h @ sqrt_a
         s = (s + s.conj().T) / 2.0
         d = complex_gaussian(gen, n, k)
-        problem = ExtensionProblem(
-            operator=SymmetricPartialOperator(d, s @ d),
-            weight=PsdMatrix(a),
-        )
-        return problem, {"total": s}
+        return {"n": n, "domain_basis": d, "values": s @ d, "weight": a}, {"total": s}
 
     if kind == "parrott":
         n1, n2, k1, k2 = dims
@@ -336,37 +348,33 @@ def random_instance_with_witness(kind: str, dims, rng) -> tuple[object, dict]:
         alpha = float(np.linalg.svd(core, compute_uv=False)[0] ** 2) if core.size else 0.0
         d1 = complex_gaussian(gen, n1, k1)
         d2 = complex_gaussian(gen, n2, k2)
-        instance = ParrottInstance(
-            d1, hidden @ d1, d2, hidden.conj().T @ d2, a1, a2, alpha, alpha
-        )
-        return instance, {"total": hidden, "weights": (a1, a2)}
+        fields = {
+            "n1": n1, "n2": n2, "domain1": d1, "values1": hidden @ d1, "domain2": d2,
+            "values2": hidden.conj().T @ d2, "weight1": a1, "weight2": a2, "alpha1": alpha, "alpha2": alpha,
+        }
+        return fields, {"total": hidden}
 
     if kind == "strong_parrott":
         dim_h, dim_k, p, q = dims
         hidden = random_contraction(gen, dim_k, dim_h)
         s1 = complex_gaussian(gen, dim_h, p)
         t2 = complex_gaussian(gen, q, dim_k)
-        instance = StrongParrottInstance(s1, hidden @ s1, t2 @ hidden, t2)
-        return instance, {"solution": hidden}
+        return {"s1": s1, "s2": hidden @ s1, "t1": t2 @ hidden, "t2": t2}, {"solution": hidden}
 
     if kind == "functional":
         (m,) = dims
         phi = random_hermitian(gen, m)
-        ideal = LeftIdeal(random_projection(gen, m, int(gen.integers(1, m + 1))))
-        partial = PartialFunctional(ideal, phi)
+        projection = random_projection(gen, m, int(gen.integers(1, m + 1)))
         density = random_psd(gen, m) + 0.25 * np.eye(m)
-        instance = FunctionalInstance(
-            ideal=ideal,
-            partial=partial,
-            density=PsdMatrix((density + density.conj().T) / 2.0),
-            source=FunctionalMatrix(phi),
-        )
-        return instance, {"source": phi}
+        fields = {
+            "m": m, "projection": projection, "gamma": projection @ phi, "density": density, "extension": phi,
+        }
+        return fields, {"source": phi}
 
     raise InvalidDims(f"unknown instance kind {kind!r}")
 
 
-def random_instance(kind: str, dims, rng):
-    """Reproducible random instance of the given kind (witness dropped)."""
-    instance, _ = random_instance_with_witness(kind, dims, rng)
-    return instance
+def random_instance(kind: str, dims, rng) -> dict:
+    """Reproducible random instance of the given kind, as payload fields (witness dropped)."""
+    fields, _ = random_instance_with_witness(kind, dims, rng)
+    return fields

@@ -94,9 +94,11 @@ class ParrottInstance:
     (n2 x k2) and values2 (n1 x k2) prescribe T2.  weight1/weight2 are the
     positive weights on the two spaces, alpha1/alpha2 the declared bound
     constants (entering unsquared, as in the displayed inequalities of the
-    module docstring).  Each weight is lifted, and so decided positive, once
-    at construction under the ``tol`` the instance is built with; a later
-    call's ``tol`` supplies only that call's own ``eq`` and ``herm`` checks.
+    module docstring).  Each weight is lifted, and so decided positive and
+    given its rank, once at construction under the ``tol`` the instance is
+    built with; those two lifts are all that tol decides.  A later call's
+    ``tol`` decides the rest: its own ``eq`` and ``herm`` checks, each
+    domain's rank, and the positivity and rank of the corner's Gram form.
     """
 
     __slots__ = ("domain1", "values1", "domain2", "values2", "weight1", "weight2", "alpha1", "alpha2", "_lifts")

@@ -38,7 +38,6 @@ from .kvn import HilbertLift, hilbert_lift
 from .numkit import (
     ComplexMatrix,
     HermitianMatrix,
-    PsdMatrix,
     Tolerances,
     _checked_hermitian,
     _fro,
@@ -58,7 +57,6 @@ __all__ = [
     "SymmetricPartialOperator",
     "LiftedSymmetric",
     "ExtensionInterval",
-    "ExtensionProblem",
     "a_bound",
     "lift_symmetric",
     "extend_symmetric",
@@ -139,14 +137,6 @@ class ExtensionInterval:
     alpha: float
     s_min: HermitianMatrix
     s_max: HermitianMatrix
-
-
-@dataclass(frozen=True)
-class ExtensionProblem:
-    """A symmetric partial operator paired with its positive weight."""
-
-    operator: SymmetricPartialOperator
-    weight: PsdMatrix
 
 
 def _weighted_lift(

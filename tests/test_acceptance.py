@@ -24,7 +24,6 @@ from opext.oracle import (
     Rng,
     complex_gaussian,
     random_hermitian,
-    random_instance_with_witness,
     random_unitary,
     sampled_bound,
 )
@@ -37,6 +36,7 @@ from opext.sa_ext import (
     extend_symmetric,
     in_interval,
 )
+from planted import planted
 from test_func_ext import reference_sampled_constant
 
 INSTANCES = Path(__file__).resolve().parent.parent / "instances"
@@ -74,7 +74,7 @@ def test_criterion_02_kvn_minimality():
         child = Rng(201).split(i)
         gen = child.generator()
         n = int(gen.integers(1, 13))
-        op, witness = random_instance_with_witness("kvn", (n,), child.split(0))
+        op, witness = planted("kvn", (n,), child.split(0))
         ext = kvn_extend(op)
         assert loewner_leq(ext.a, witness["total"])
         d, g = op.domain_basis.a, op.values.a
@@ -103,8 +103,7 @@ def test_criterion_04_extension_interval_properties():
         child = Rng(202).split(i)
         gen = child.generator()
         n = int(gen.integers(1, 9))
-        prob, _ = random_instance_with_witness("sa_ext", (n,), child.split(0))
-        op, weight = prob.operator, prob.weight
+        (op, weight), _ = planted("sa_ext", (n,), child.split(0))
         interval = extend_symmetric(op, weight)
         d, v = op.domain_basis.a, op.values.a
         value_scale = 1e-7 * (1 + np.linalg.norm(v))
@@ -179,9 +178,7 @@ def test_criterion_07_strong_parrott_properties():
         dim_h = int(gen.integers(1, 7))
         dim_k = int(gen.integers(1, 7))
         p = int(gen.integers(1, 5))
-        inst, _ = random_instance_with_witness(
-            "strong_parrott", (dim_h, dim_k, p), child.split(0)
-        )
+        inst, _ = planted("strong_parrott", (dim_h, dim_k, p), child.split(0))
         x = strong_parrott(inst).a
         norm = np.linalg.svd(x, compute_uv=False)[0] if x.size else 0.0
         assert norm <= 1.0 + 1e-8
@@ -219,19 +216,19 @@ def test_criterion_09_extendibility_constant():
         child = Rng(206).split(i)
         gen = child.generator()
         m = int(gen.integers(1, 5))
-        inst, _ = random_instance_with_witness("functional", (m,), child.split(0))
-        decision = cstar_extendibility(inst.partial, extension=inst.source)
+        (partial, _, source), _ = planted("functional", (m,), child.split(0))
+        decision = cstar_extendibility(partial, extension=source)
         assert decision.extendible
         assert decision.violations == 0
         assert decision.constant4_ok
         sampled, violations = reference_sampled_constant(
-            inst.partial, decision.density.density.a, 10_000, child.split(1).generator(), 1e-8
+            partial, decision.density.density.a, 10_000, child.split(1).generator(), 1e-8
         )
         assert sampled <= decision.exact_bound * (1.0 + 1e-8)
         assert violations == 0
         worst_measured = max(worst_measured, sampled)
-        for a in inst.partial.ideal.basis():
-            agree = abs(decision.g_min(a) - inst.partial(a))
+        for a in partial.ideal.basis():
+            agree = abs(decision.g_min(a) - partial(a))
             assert agree <= 1e-7
             worst_agree = max(worst_agree, agree)
     assert worst_measured <= 4.0
@@ -249,9 +246,9 @@ def test_criterion_10_bound_oracle_agreement():
         child = Rng(207).split(i)
         gen = child.generator()
         n = int(gen.integers(1, 9))
-        prob, _ = random_instance_with_witness("sa_ext", (n,), child.split(0))
-        alpha = a_bound(prob.operator, prob.weight)
-        est = sampled_bound(prob.operator, prob.weight, 10_000, child.split(1))
+        (op, weight), _ = planted("sa_ext", (n,), child.split(0))
+        alpha = a_bound(op, weight)
+        est = sampled_bound(op, weight, 10_000, child.split(1))
         # every sampled value is a ratio attained by a concrete pair, so it
         # can only exceed the spectral value by evaluation roundoff
         assert est <= alpha * (1 + 1e-9) + 1e-12

@@ -24,9 +24,10 @@ from opext.errors import DimensionMismatch, IncompatibleInstance, NotHermitian
 from opext.func_ext import FunctionalMatrix, cstar_extendibility, extend_functional, gns, hahn_jordan
 from opext.kvn import hilbert_lift, kvn_extend
 from opext.numkit import ComplexMatrix, HermitianMatrix, PsdMatrix, Tolerances, hermitize, pinv
-from opext.oracle import Rng, complex_gaussian, random_instance
+from opext.oracle import Rng, complex_gaussian
 from opext.parrott import ParrottInstance, parrott_complete, strong_parrott
 from opext.sa_ext import SymmetricPartialOperator, extend_symmetric, lift_symmetric
+from planted import planted
 
 pytestmark = pytest.mark.filterwarnings("ignore::RuntimeWarning")  # the overflow ladder overflows on purpose
 
@@ -242,29 +243,30 @@ def test_hahn_jordan_at_zero_herm_accepts_its_own_parts(n, seed):
     assert np.linalg.norm(plus.density.a - minus.density.a - s) <= 1e-12 * np.linalg.norm(s)
 
 
-def functional():
-    return random_instance("functional", (4,), Rng(5))
+def typed(kind, dims, seed):
+    """The library objects of a planted instance, built before the call is counted."""
+    return lambda: planted(kind, dims, Rng(seed))[0]
 
 
-def sa_problem():
-    return random_instance("sa_ext", (6, 3), Rng(2))
+functional = typed("functional", (4,), 5)  # (partial, density, source)
+sa_problem = typed("sa_ext", (6, 3), 2)  # (operator, weight)
 
 
-# call -> (build its typed inputs or oracle instance, the call on them, validating wrappers the call constructs)
+# call -> (build its typed inputs, the call on them, validating wrappers the call constructs)
 PINS = {
-    "kvn_extend": (lambda: random_instance("kvn", (6, 3), Rng(1)), kvn_extend, 0),
-    "extend_symmetric": (sa_problem, lambda p: extend_symmetric(p.operator, p.weight), 0),
-    "lift_symmetric": (sa_problem, lambda p: lift_symmetric(p.operator, p.weight), 0),
-    "parrott_complete": (lambda: random_instance("parrott", (4, 3), Rng(3)), parrott_complete, 0),
-    "strong_parrott": (lambda: random_instance("strong_parrott", (5, 4, 2), Rng(4)), strong_parrott, 0),
+    "kvn_extend": (typed("kvn", (6, 3), 1), kvn_extend, 0),
+    "extend_symmetric": (sa_problem, lambda p: extend_symmetric(*p), 0),
+    "lift_symmetric": (sa_problem, lambda p: lift_symmetric(*p), 0),
+    "parrott_complete": (typed("parrott", (4, 3), 3), parrott_complete, 0),
+    "strong_parrott": (typed("strong_parrott", (5, 4, 2), 4), strong_parrott, 0),
     "pinv": (lambda: complex_gaussian(np.random.default_rng(164), 5, 3), pinv, 0),
-    "extend_functional": (functional, lambda f: extend_functional(f.partial, f.density), 0),
-    "cstar_extendibility": (functional, lambda f: cstar_extendibility(f.partial), 0),
-    "gns": (functional, lambda f: gns(f.density), 0),
+    "extend_functional": (functional, lambda f: extend_functional(f[0], f[1]), 0),
+    "cstar_extendibility": (functional, lambda f: cstar_extendibility(f[0]), 0),
+    "gns": (functional, lambda f: gns(f[1]), 0),
     # one each: the caller's functional, or its raw density array
-    "cstar_extendibility-extension": (functional, lambda f: cstar_extendibility(f.partial, extension=f.source), 1),
-    "hahn_jordan": (functional, lambda f: hahn_jordan(f.source), 1),
-    "extend_functional-raw-density": (functional, lambda f: extend_functional(f.partial, f.density.a), 1),
+    "cstar_extendibility-extension": (functional, lambda f: cstar_extendibility(f[0], extension=f[2]), 1),
+    "hahn_jordan": (functional, lambda f: hahn_jordan(f[2]), 1),
+    "extend_functional-raw-density": (functional, lambda f: extend_functional(f[0], f[1].a), 1),
 }
 
 

@@ -15,9 +15,10 @@ from opext.func_ext import LeftIdeal, cstar_extendibility, extend_functional
 from opext.kvn import PartialPositiveOperator, check_restriction, hilbert_lift, kvn_extend
 from opext.numkit import DEFAULT_TOLERANCES as T
 from opext.numkit import HermitianMatrix
-from opext.oracle import Rng, random_instance_with_witness
+from opext.oracle import Rng
 from opext.parrott import StrongParrottInstance, classical_parrott, strong_parrott
 from opext.sa_ext import SymmetricPartialOperator, extend_symmetric
+from planted import planted
 
 SIDES = [pytest.param(1.0 - 1e-6, id="below"), pytest.param(1.0 + 1e-6, id="above")]
 
@@ -237,12 +238,12 @@ def test_functional_extensions_are_not_symmetrized_again(hermitian_checks, m):
     The endpoints, their transposes and |Phi| are Hermitian by construction,
     so they are wrapped without an asymmetry check.
     """
-    inst, _ = random_instance_with_witness("functional", (m,), Rng(m))
+    (partial, density, source), _ = planted("functional", (m,), Rng(m))
     hermitian_checks.clear()
-    extend_functional(inst.partial, inst.density)
+    extend_functional(partial, density)
     assert len(hermitian_checks) == 1
     hermitian_checks.clear()
-    decision = cstar_extendibility(inst.partial, extension=inst.source)
+    decision = cstar_extendibility(partial, extension=source)
     assert len(hermitian_checks) == 2
     assert decision.constant4_ok
     for g in (decision.g_min, decision.g_max):

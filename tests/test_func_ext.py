@@ -22,8 +22,9 @@ from opext.func_ext import (
     is_symmetric_on_ideal,
 )
 from opext.numkit import HermitianMatrix, PsdMatrix, Tolerances, eigh_desc
-from opext.oracle import Rng, min_completion_search, random_instance_with_witness
+from opext.oracle import Rng, min_completion_search
 from opext.sa_ext import extend_symmetric
+from planted import planted
 
 E11 = np.diag([1.0, 0.0])
 
@@ -329,12 +330,11 @@ class TestRealizationLaws:
             child = Rng(47).split(seed)
             gen = child.generator()
             m = int(gen.integers(1, 4))
-            inst, _ = random_instance_with_witness("functional", (m,), child.split(0))
-            pf = inst.partial
-            space, op = gns_realization(pf, inst.density)
+            (pf, density, _), _ = planted("functional", (m,), child.split(0))
+            space, op = gns_realization(pf, density)
             interval = extend_symmetric(op, PsdMatrix(np.eye(space.dim)))
             s = interval.s_min.a
-            scale = 1 + np.linalg.norm(pf.gamma.a) * np.linalg.norm(inst.density.a)
+            scale = 1 + np.linalg.norm(pf.gamma.a) * np.linalg.norm(density.a)
             for a in pf.ideal.basis():
                 for x in matrix_units(m):
                     got = np.vdot(space.vector(x), s @ space.vector(a))
@@ -346,8 +346,8 @@ class TestRealizationLaws:
             child = Rng(48).split(seed)
             gen = child.generator()
             m = int(gen.integers(1, 4))
-            inst, _ = random_instance_with_witness("functional", (m,), child.split(0))
-            space, op = gns_realization(inst.partial, inst.density)
+            (partial, density, _), _ = planted("functional", (m,), child.split(0))
+            space, op = gns_realization(partial, density)
             interval = extend_symmetric(op, PsdMatrix(np.eye(space.dim)))
             for s in (interval.s_min.a, interval.s_max.a):
                 for x in matrix_units(m):
@@ -449,12 +449,11 @@ class TestCstarExtendibility:
             child = Rng(51).split(i)
             gen = child.generator()
             m = int(gen.integers(1, 5))
-            inst, witness = random_instance_with_witness("functional", (m,), child.split(0))
-            pf = inst.partial
+            (pf, _, source), witness = planted("functional", (m,), child.split(0))
             # the planted source restricts to the partial data
             for a in pf.ideal.basis():
-                assert abs(inst.source(a) - pf(a)) <= 1e-9 * (1 + np.linalg.norm(witness["source"]))
-            decision = cstar_extendibility(pf, extension=inst.source)
+                assert abs(source(a) - pf(a)) <= 1e-9 * (1 + np.linalg.norm(witness["source"]))
+            decision = cstar_extendibility(pf, extension=source)
             assert decision.extendible
             assert decision.violations == 0
             assert decision.constant4_ok
@@ -501,28 +500,28 @@ class TestCstarExtendibility:
             cstar_extendibility(pf, extension=FunctionalMatrix(c * np.diag([-1.0, 0.0])))
 
 
-def scaled_functional(inst, k):
+def scaled_functional(partial, source, k):
     """The instance's partial data and source, restricted from Phi scaled by 2^k."""
     c = 2.0**k
-    return PartialFunctional(inst.ideal, c * inst.source.density.a), FunctionalMatrix(c * inst.source.density.a)
+    return PartialFunctional(partial.ideal, c * source.density.a), FunctionalMatrix(c * source.density.a)
 
 
 class TestCstarClosedFormPair:
     def test_rng_is_ignored(self):
-        inst, _ = random_instance_with_witness("functional", (6,), Rng(3))
+        (partial, _, source), _ = planted("functional", (6,), Rng(3))
         gen = np.random.default_rng(8)
         before = gen.bit_generator.state
-        decision = cstar_extendibility(inst.partial, extension=inst.source, rng=gen)
+        decision = cstar_extendibility(partial, extension=source, rng=gen)
         assert gen.bit_generator.state == before
         assert decision.violations == 0
 
     def test_default_peak_allocation(self):
         # drawing the 10 000 pairs the default once sampled peaked at 17.9 MB here
-        inst, _ = random_instance_with_witness("functional", (6,), Rng(3))
-        cstar_extendibility(inst.partial, extension=inst.source)  # warm caches outside the trace
+        (partial, _, source), _ = planted("functional", (6,), Rng(3))
+        cstar_extendibility(partial, extension=source)  # warm caches outside the trace
         tracemalloc.start()
         try:
-            cstar_extendibility(inst.partial, extension=inst.source)
+            cstar_extendibility(partial, extension=source)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
@@ -533,35 +532,35 @@ class TestCstarClosedFormPair:
         for i in range(60):
             child = Rng(206).split(i)
             m = int(child.generator().integers(1, 8))
-            inst, _ = random_instance_with_witness("functional", (m,), child.split(0))
+            (partial, _, source), _ = planted("functional", (m,), child.split(0))
             density = None
             if override:
                 z = np.random.default_rng([206, i]).standard_normal((m, 2 * m)).view(np.complex128)
                 density = z @ z.conj().T
-            decision = cstar_extendibility(inst.partial, density=density, extension=inst.source)
+            decision = cstar_extendibility(partial, density=density, extension=source)
             assert decision.violations == 0
             assert decision.measured_bound == pytest.approx(decision.exact_bound, rel=1e-12, abs=0.0)
 
     def test_default_decomposition_count(self, decompositions):
-        inst, _ = random_instance_with_witness("functional", (4,), Rng(3))
+        (partial, _, source), _ = planted("functional", (4,), Rng(3))
         with decompositions:
-            cstar_extendibility(inst.partial, extension=inst.source)
+            cstar_extendibility(partial, extension=source)
         # eigh of Phi, whose eigenpairs also lift |Phi|^T; the svds of U and of Y; the endpoints' eigh of P* Y
         assert len(decompositions) == 4
 
     def test_trace_density_decomposition_count(self, decompositions):
-        inst, _ = random_instance_with_witness("functional", (4,), Rng(3))
+        (partial, _, _), _ = planted("functional", (4,), Rng(3))
         with decompositions:
-            cstar_extendibility(inst.partial)
+            cstar_extendibility(partial)
         # f = I is lifted from its known eigenpairs (ones, I): the svds of U and of Y, the endpoints' eigh of P* Y
         assert decompositions.shapes() == [(4, 2), (4, 2), (2, 2)]
 
     @pytest.mark.parametrize("k", [-60, -40, -20, 20, 40, 60])
     def test_scale_invariant(self, k):
-        inst, _ = random_instance_with_witness("functional", (6,), Rng(4))
+        (partial, _, source), _ = planted("functional", (6,), Rng(4))
         base, scaled = (
             cstar_extendibility(pf, extension=phi)
-            for pf, phi in (scaled_functional(inst, 0), scaled_functional(inst, k))
+            for pf, phi in (scaled_functional(partial, source, 0), scaled_functional(partial, source, k))
         )
         assert scaled.measured_bound == base.measured_bound
         assert scaled.violations == base.violations
@@ -657,7 +656,7 @@ class TestCstarDecidesSymmetryOnce:
     def test_one_symmetry_test_per_call(self, monkeypatch, override, with_extension):
         import opext.func_ext as func_ext
 
-        inst, _ = random_instance_with_witness("functional", (4,), Rng(3))
+        (partial, _, source), _ = planted("functional", (4,), Rng(3))
         calls = []
         original = func_ext.is_symmetric_on_ideal
 
@@ -667,7 +666,7 @@ class TestCstarDecidesSymmetryOnce:
 
         monkeypatch.setattr(func_ext, "is_symmetric_on_ideal", counted)
         density = 2.0 * np.eye(4) if override else None
-        decision = cstar_extendibility(inst.partial, density=density, extension=inst.source if with_extension else None)
+        decision = cstar_extendibility(partial, density=density, extension=source if with_extension else None)
         assert len(calls) == 1
         assert decision.extendible
 

@@ -1,13 +1,18 @@
-"""Each committed instance file, run again, reproduces its golden result file.
+"""Each committed instance file, run again, reproduces its golden result file,
+and ``opext gen`` reproduces its golden instance files.
 
 ``tests/golden/`` holds the result of every file in ``instances/``.  A run
 must match its golden file on exit code, status, error type and the set of
 keys at every level, and every number must agree to within
 1e-12 (1 + |golden|), so output drift shows up here rather than in a
-comparison made by hand.  After a deliberate output change, regenerate
-the files from the repository root with
+comparison made by hand.  ``tests/golden/gen/`` holds the output of
+``opext gen --kind <kind> --seed <s>`` at default dims for s in {0, 1},
+compared the same way: the README promises byte-identical files only for
+a fixed BLAS build.  After a deliberate output change, regenerate the
+files from the repository root with
 
     opext <kind> instances/<kind>.json --out tests/golden/<kind>.json
+    opext gen --kind <kind> --seed <s> --out tests/golden/gen/<kind>-seed<s>.json
 
 for each of the six kinds, and record the change in CHANGES.md.
 """
@@ -60,6 +65,15 @@ def test_instance_matches_golden(tmp_path, kind):
     assert got["status"] == want["status"]
     assert (got["error"] or {}).get("type") == (want["error"] or {}).get("type")
     assert mismatches(got, want) == []
+
+
+@pytest.mark.parametrize("seed", (0, 1))
+@pytest.mark.parametrize("kind", cli.RUN_KINDS)
+def test_gen_matches_golden(tmp_path, kind, seed):
+    want = json.loads((GOLDEN / "gen" / f"{kind}-seed{seed}.json").read_text())
+    out = tmp_path / "instance.json"
+    assert cli.main(["gen", "--kind", kind, "--seed", str(seed), "--out", str(out)]) == cli.EXIT_OK
+    assert mismatches(json.loads(out.read_text()), want) == []
 
 
 def test_every_instance_has_a_golden_file():

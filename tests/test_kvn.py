@@ -3,16 +3,12 @@
 import numpy as np
 import pytest
 
-from opext.errors import NotPsd, RestrictionConditionFailed
+from opext.errors import IncompatibleInstance, NotPsd, RestrictionConditionFailed
 from opext.kvn import HilbertLift, PartialPositiveOperator, check_restriction, hilbert_lift, kvn_extend
 from opext.numkit import ComplexMatrix, PsdMatrix, Tolerances, loewner_leq
-from opext.oracle import (
-    Rng,
-    complex_gaussian,
-    min_completion_search,
-    random_instance_with_witness,
-    random_psd,
-)
+from opext.oracle import Rng, complex_gaussian, min_completion_search, random_psd
+from opext.parrott import parrott_complete
+from planted import planted
 
 E1 = np.array([[1.0], [0.0]])
 
@@ -31,6 +27,24 @@ class TestConstructionTolerance:
             kvn_extend(op)
         ext = kvn_extend(op, Tolerances(eq=1e-3)).a
         np.testing.assert_allclose(ext, np.diag([1.0, 0.0]), atol=1e-12)
+
+    # a ParrottInstance keeps only its weights' lifts from construction: the
+    # completion's tol decides the domains' rank and the corner's positivity and rank
+    @staticmethod
+    def parrott_instance():
+        return planted("parrott", (4, 3, 3, 2), Rng(3))[0]
+
+    def test_parrott_domain_rank_is_decided_by_the_call(self):
+        with pytest.raises(ValueError, match="dependent"):
+            parrott_complete(self.parrott_instance(), Tolerances(rank=0.3))
+
+    def test_parrott_corner_rank_is_decided_by_the_call(self):
+        with pytest.raises(IncompatibleInstance):
+            parrott_complete(self.parrott_instance(), Tolerances(rank=0.9))
+
+    def test_parrott_loose_psd_keeps_the_completion(self):
+        inst = self.parrott_instance()
+        assert np.array_equal(parrott_complete(inst, Tolerances(psd=0.5)).a, parrott_complete(inst).a)
 
 
 class TestRestrictionCondition:
@@ -93,7 +107,7 @@ class TestKvnExtend:
             child = Rng(22).split(i)
             gen = child.generator()
             n = int(gen.integers(1, 13))
-            op, witness = random_instance_with_witness("kvn", (n,), child.split(0))
+            op, witness = planted("kvn", (n,), child.split(0))
             assert check_restriction(op)
             ext = kvn_extend(op)
             d, g = op.domain_basis.a, op.values.a

@@ -7,10 +7,12 @@ from opext.errors import DimensionMismatch, NotHermitian, NotPsd
 from opext.func_ext import LeftIdeal, PartialFunctional
 from opext.kvn import hilbert_lift
 from opext.numkit import (
+    DEFAULT_TOLERANCES,
     ComplexMatrix,
     HermitianMatrix,
     PsdMatrix,
     Tolerances,
+    _checked_pairing,
     _fro,
     _hermitian_part,
     eigh_desc,
@@ -506,6 +508,19 @@ class TestWrapperInvariants:
         # half-sum's finiteness check raises the same ValueError as for non-finite input
         with np.errstate(over="ignore", invalid="ignore"), pytest.raises(ValueError, match="finite"):
             build(np.diag([1.5e308, 1.0]))
+
+    def test_overflowing_norms_still_decide(self):
+        # from about 1.3e154 on, ||.||_F overflows on both sides of the rule and inf > inf is False; the rule
+        # then decides on the operands scaled by a power of two (numpy warns on the way, in the overflowing dot)
+        pair = (np.diag([1e200, 1e200]), np.diag([-1e200, 1e200]))
+        h = np.array([[1e200, 1e200j], [-1e200j, 1e200]])
+        with np.errstate(over="ignore"):
+            with pytest.raises(NotHermitian):
+                HermitianMatrix([[1e200, 1e200], [0.0, 1e200]])
+            with pytest.raises(NotHermitian):
+                _checked_pairing(*pair, DEFAULT_TOLERANCES)
+            assert np.array_equal(HermitianMatrix(h).a, h)
+            _checked_pairing(h, h, DEFAULT_TOLERANCES)
 
     @pytest.mark.parametrize("n", [2, 6, 33])
     def test_not_hermitian_threshold(self, n):

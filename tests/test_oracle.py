@@ -1,7 +1,12 @@
-"""The validation oracles themselves: randomness, sampling, grid search."""
+"""The validation oracles themselves: randomness, sampling, grid search, planted instances."""
+
+import ast
+from pathlib import Path
 
 import numpy as np
 import pytest
+
+import opext.oracle
 
 from opext.errors import Infeasible, InvalidDims
 from opext.func_ext import is_symmetric_on_ideal
@@ -21,6 +26,7 @@ from opext.oracle import (
 )
 from opext.parrott import check_compatibility
 from opext.sa_ext import SymmetricPartialOperator, a_bound
+from planted import objects, planted
 
 
 class TestRng:
@@ -140,9 +146,9 @@ class TestSampledBound:
             child = Rng(74).split(i)
             gen = child.generator()
             n = int(gen.integers(2, 9))
-            prob, _ = random_instance_with_witness("sa_ext", (n,), child.split(0))
-            alpha = a_bound(prob.operator, prob.weight)
-            est = sampled_bound(prob.operator, prob.weight, 10_000, child.split(1))
+            (op, weight), _ = planted("sa_ext", (n,), child.split(0))
+            alpha = a_bound(op, weight)
+            est = sampled_bound(op, weight, 10_000, child.split(1))
             assert est <= alpha * (1 + 1e-9) + 1e-12
             if alpha > 1e-9:
                 assert est >= 0.98 * alpha
@@ -192,39 +198,65 @@ class TestMinCompletionSearch:
                                   bounds=[(1.0, 0.0)])
 
 
+KINDS = (
+    ("kvn", (4,)),
+    ("sa_ext", (4,)),
+    ("parrott", (3, 2)),
+    ("strong_parrott", (4, 3, 2)),
+    ("functional", (3,)),
+)
+
+
 class TestInstanceGeneration:
     def test_deterministic_per_kind(self):
-        for kind, dims in (
-            ("kvn", (4,)),
-            ("sa_ext", (4,)),
-            ("parrott", (3, 2)),
-            ("strong_parrott", (4, 3, 2)),
-            ("functional", (3,)),
-        ):
+        for kind, dims in KINDS:
             a, wa = random_instance_with_witness(kind, dims, Rng(75))
             b, wb = random_instance_with_witness(kind, dims, Rng(75))
             c = random_instance(kind, dims, Rng(76))
-            if kind == "kvn":
-                np.testing.assert_array_equal(a.domain_basis.a, b.domain_basis.a)
-                np.testing.assert_array_equal(a.values.a, b.values.a)
-                np.testing.assert_array_equal(wa["total"], wb["total"])
-                assert not np.array_equal(a.domain_basis.a, c.domain_basis.a)
-            elif kind == "sa_ext":
-                np.testing.assert_array_equal(a.operator.values.a, b.operator.values.a)
-                np.testing.assert_array_equal(a.weight.a, b.weight.a)
-            elif kind == "parrott":
-                np.testing.assert_array_equal(a.values1.a, b.values1.a)
-                np.testing.assert_array_equal(a.values2.a, b.values2.a)
-            elif kind == "strong_parrott":
-                np.testing.assert_array_equal(a.s2.a, b.s2.a)
-                np.testing.assert_array_equal(wa["solution"], wb["solution"])
-            else:
-                np.testing.assert_array_equal(a.partial.gamma.a, b.partial.gamma.a)
+            assert a.keys() == b.keys() == c.keys() and wa.keys() == wb.keys()
+            for key in a:
+                np.testing.assert_array_equal(a[key], b[key])
+            for key in wa:
+                np.testing.assert_array_equal(wa[key], wb[key])
+            assert any(not np.array_equal(a[key], c[key]) for key in a)
+
+    @pytest.mark.parametrize("kind, dims", KINDS, ids=[kind for kind, _ in KINDS])
+    def test_library_objects_hold_the_fields_bit_for_bit(self, kind, dims):
+        # the fields are plain values, and what the typed objects built from
+        # them store, so encoding the fields writes the file the objects would
+        fields, witness = random_instance_with_witness(kind, dims, Rng(82))
+        for value in (*fields.values(), *witness.values()):
+            assert type(value) in (int, float) or (isinstance(value, np.ndarray) and value.dtype == np.complex128)
+        built = objects(kind, fields, witness)
+        if kind == "kvn":
+            held = {"domain_basis": built.domain_basis, "values": built.values}
+        elif kind == "sa_ext":
+            held = {"domain_basis": built[0].domain_basis, "values": built[0].values, "weight": built[1]}
+        elif kind == "parrott":
+            keys = ("domain1", "values1", "domain2", "values2", "weight1", "weight2")
+            held = {key: getattr(built, key) for key in keys}
+            assert (built.alpha1, built.alpha2) == (fields["alpha1"], fields["alpha2"])
+        elif kind == "strong_parrott":
+            held = {key: getattr(built, key) for key in ("s1", "s2", "t1", "t2")}
+        else:
+            partial, density, source = built
+            held = {"projection": partial.ideal.projection, "gamma": partial.gamma,
+                    "density": density, "extension": source.density}
+        for key, matrix in held.items():
+            np.testing.assert_array_equal(matrix.a, fields[key], err_msg=key)
+
+    def test_oracle_builds_no_library_object(self):
+        # everything the oracle checks is decided by a module it does not import
+        tree = ast.parse(Path(opext.oracle.__file__).read_text())
+        names = [(node.level, node.module) for node in ast.walk(tree) if isinstance(node, ast.ImportFrom)]
+        names += [(0, alias.name) for node in ast.walk(tree) if isinstance(node, ast.Import) for alias in node.names]
+        package = {module.removeprefix("opext.") for level, module in names if level or module.split(".")[0] == "opext"}
+        assert package == {"numkit", "errors"}
 
     def test_hyphenated_kind_and_int_seed_accepted(self):
         a, _ = random_instance_with_witness("strong-parrott", (3, 3, 2), Rng(77))
         b = random_instance("strong_parrott", (3, 3, 2), 77)
-        np.testing.assert_array_equal(a.s1.a, b.s1.a)
+        np.testing.assert_array_equal(a["s1"], b["s1"])
 
     def test_invalid_dims(self):
         bad = [
@@ -244,27 +276,25 @@ class TestInstanceGeneration:
                 random_instance_with_witness(kind, dims, Rng(78))
 
     def test_scalar_dims_promoted(self):
-        inst, _ = random_instance_with_witness("functional", 3, Rng(79))
-        assert inst.partial.size == 3
+        fields, _ = random_instance_with_witness("functional", 3, Rng(79))
+        assert fields["m"] == 3 and fields["gamma"].shape == (3, 3)
 
     def test_constructive_validity(self):
         for i in range(10):
             child = Rng(80).split(i)
-            kvn_inst, kvn_wit = random_instance_with_witness("kvn", (5,), child.split(0))
+            _, kvn_wit = random_instance_with_witness("kvn", (5,), child.split(0))
             assert np.linalg.eigvalsh(kvn_wit["total"]).min() >= -1e-10
-            sa_inst, sa_wit = random_instance_with_witness("sa_ext", (5,), child.split(1))
+            _, sa_wit = random_instance_with_witness("sa_ext", (5,), child.split(1))
             total = sa_wit["total"]
             assert np.linalg.norm(total - total.conj().T) <= 1e-12 * (1 + np.linalg.norm(total))
-            par_inst, _ = random_instance_with_witness("parrott", (3, 3), child.split(2))
+            par_inst, _ = planted("parrott", (3, 3), child.split(2))
             assert check_compatibility(par_inst)
-            sp_inst, sp_wit = random_instance_with_witness(
-                "strong_parrott", (3, 3, 2), child.split(3)
-            )
+            sp_fields, sp_wit = random_instance_with_witness("strong_parrott", (3, 3, 2), child.split(3))
             hidden = sp_wit["solution"]
             assert np.linalg.norm(hidden, 2) <= 1.0 + 1e-12
-            assert np.linalg.norm(hidden @ sp_inst.s1.a - sp_inst.s2.a) <= 1e-12 * (
-                1 + np.linalg.norm(sp_inst.s2.a)
+            assert np.linalg.norm(hidden @ sp_fields["s1"] - sp_fields["s2"]) <= 1e-12 * (
+                1 + np.linalg.norm(sp_fields["s2"])
             )
-            fn_inst, _ = random_instance_with_witness("functional", (3,), child.split(4))
-            assert is_symmetric_on_ideal(fn_inst.partial)
-            assert np.linalg.eigvalsh(fn_inst.density.a).min() >= 0.2
+            (partial, density, _), _ = planted("functional", (3,), child.split(4))
+            assert is_symmetric_on_ideal(partial)
+            assert np.linalg.eigvalsh(density.a).min() >= 0.2

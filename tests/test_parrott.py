@@ -10,7 +10,6 @@ from opext.oracle import (
     complex_gaussian,
     min_completion_search,
     random_contraction,
-    random_instance_with_witness,
     random_projection,
 )
 from opext.parrott import (
@@ -22,6 +21,7 @@ from opext.parrott import (
     parrott_complete,
     strong_parrott,
 )
+from planted import planted
 
 E1 = np.array([[1.0], [0.0]])
 E2 = np.array([[0.0], [1.0]])
@@ -151,7 +151,7 @@ class TestGenericCompletion:
             gen = child.generator()
             n1 = int(gen.integers(1, 6))
             n2 = int(gen.integers(1, 6))
-            inst, witness = random_instance_with_witness("parrott", (n1, n2), child.split(0))
+            inst, _ = planted("parrott", (n1, n2), child.split(0))
             t = parrott_complete(inst)
             a1, a2 = inst.weight1.a, inst.weight2.a
             d1, v1 = inst.domain1.a, inst.values1.a
@@ -220,9 +220,7 @@ class TestStrongParrott:
             dim_h = int(gen.integers(1, 7))
             dim_k = int(gen.integers(1, 7))
             p = int(gen.integers(1, 5))
-            inst, witness = random_instance_with_witness(
-                "strong_parrott", (dim_h, dim_k, p), child.split(0)
-            )
+            inst, witness = planted("strong_parrott", (dim_h, dim_k, p), child.split(0))
             x = strong_parrott(inst)
             s_resid = np.linalg.norm(x.a @ inst.s1.a - inst.s2.a)
             t_resid = np.linalg.norm(inst.t2.a @ x.a - inst.t1.a)
@@ -383,7 +381,7 @@ class TestSpecializationsAgreeWithTheWeightedPath:
             gen = child.generator()
             dim_h, dim_k = (int(x) for x in gen.integers(1, 9, size=2))
             p, q = int(gen.integers(1, dim_h + 1)), int(gen.integers(1, dim_k + 1))
-            inst, _ = random_instance_with_witness("strong_parrott", (dim_h, dim_k, p, q), child.split(0))
+            inst, _ = planted("strong_parrott", (dim_h, dim_k, p, q), child.split(0))
             p1, y1 = orthonormal_pair(inst.s1.a, inst.s2.a)
             p2, y2 = orthonormal_pair(inst.t2.a.conj().T, inst.t1.a.conj().T)
             reference = parrott_complete(

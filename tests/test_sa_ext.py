@@ -11,7 +11,6 @@ from opext.oracle import (
     complex_gaussian,
     min_completion_search,
     random_hermitian,
-    random_instance_with_witness,
     random_unitary,
     sampled_bound,
 )
@@ -23,6 +22,7 @@ from opext.sa_ext import (
     extend_symmetric,
     in_interval,
 )
+from planted import planted
 
 E1 = np.array([[1.0], [0.0]])
 I2 = PsdMatrix(np.eye(2))
@@ -148,8 +148,7 @@ class TestRandomInstanceProperties:
             gen = child.generator()
             n = int(gen.integers(1, 13))
             k = int(gen.integers(1, n + 1))
-            prob, witness = random_instance_with_witness("sa_ext", (n, k), child.split(0))
-            op, weight = prob.operator, prob.weight
+            (op, weight), witness = planted("sa_ext", (n, k), child.split(0))
             interval = extend_symmetric(op, weight)
             aw, d, v = weight.a, op.domain_basis.a, op.values.a
             value_scale = 1e-7 * (1 + np.linalg.norm(aw @ v))
@@ -170,12 +169,12 @@ class TestRandomInstanceProperties:
             child = Rng(36).split(i)
             gen = child.generator()
             n = int(gen.integers(2, 10))
-            prob, _ = random_instance_with_witness("sa_ext", (n,), child.split(0))
-            interval = extend_symmetric(prob.operator, prob.weight)
+            (op, weight), _ = planted("sa_ext", (n,), child.split(0))
+            interval = extend_symmetric(op, weight)
             for lam in np.linspace(0.0, 1.0, 11):
                 s = (1 - lam) * interval.s_min.a + lam * interval.s_max.a
                 assert in_interval(s, interval)
-                drift = abs(alpha_of_total(s, prob.weight) - interval.alpha)
+                drift = abs(alpha_of_total(s, weight) - interval.alpha)
                 assert drift <= 1e-7 * (1 + interval.alpha)
 
     def test_bound_matches_sampling_oracle(self):
@@ -183,9 +182,9 @@ class TestRandomInstanceProperties:
             child = Rng(37).split(i)
             gen = child.generator()
             n = int(gen.integers(2, 9))
-            prob, _ = random_instance_with_witness("sa_ext", (n,), child.split(0))
-            alpha = a_bound(prob.operator, prob.weight)
-            est = sampled_bound(prob.operator, prob.weight, 10_000, child.split(1))
+            (op, weight), _ = planted("sa_ext", (n,), child.split(0))
+            alpha = a_bound(op, weight)
+            est = sampled_bound(op, weight, 10_000, child.split(1))
             assert est <= alpha + 1e-8
             if alpha > 1e-9:
                 assert est >= 0.98 * alpha
