@@ -49,9 +49,10 @@ from .numkit import (
     HermitianMatrix,
     PsdMatrix,
     Tolerances,
+    _asymmetry,
+    _excess,
     _fro,
     _hermitian_part,
-    _limit,
     _projector,
     _range_basis,
     _tol,
@@ -100,9 +101,9 @@ class FunctionalMatrix:
         return complex(np.trace(self.density.a @ xa))
 
     def is_hermitian(self, tol: Tolerances | None = None) -> bool:
-        t = _tol(tol)
+        """The Hermitian rule of :class:`~opext.numkit.HermitianMatrix` on the density, as a bool."""
         d = self.density.a
-        return bool(_fro(d - d.conj().T) <= _limit(t.herm, _fro(d)))
+        return not _excess(_asymmetry, (d, d.conj().T), _tol(tol).herm)
 
     def is_positive(self, tol: Tolerances | None = None) -> bool:
         t = _tol(tol)
@@ -146,11 +147,12 @@ class LeftIdeal:
         return self.projection.rows
 
     def contains(self, a, tol: Tolerances | None = None) -> bool:
-        t = _tol(tol)
+        """Whether ``||a P - a||_F <= eq * (1 + ||a||_F)``, at every finite scale (:func:`~opext.numkit._excess`)."""
         am = ComplexMatrix.coerce(a).a
-        if am.shape != self.projection.a.shape:
+        p = self.projection.a
+        if am.shape != p.shape:
             raise DimensionMismatch(f"argument must be {self.size}x{self.size}")
-        return bool(_fro(am @ self.projection.a - am) <= _limit(t.eq, _fro(am)))
+        return not _excess(lambda x: (_fro(x @ p - x), _fro(x)), (am,), _tol(tol).eq)
 
     def basis(self) -> list[np.ndarray]:
         """Spanning family E_ij P, i, j = 0..m-1 (row-major order).
@@ -212,13 +214,15 @@ def is_symmetric_on_ideal(pf: PartialFunctional, tol: Tolerances | None = None) 
     spanning family E_ij P, the pair a = E_ij P, b = E_il P gives exactly
     entry (j, l) of P (Gamma - Gamma*) P, and pairs with different row
     indices give 0 = 0.  Tested as
-    ``max |P (Gamma - Gamma*) P| <= eq * (1 + ||Gamma||_F)``.
+    ``max |P (Gamma - Gamma*) P| <= eq * (1 + ||Gamma||_F)``, decided at
+    every finite scale of Gamma (:func:`~opext.numkit._excess`).
     """
-    t = _tol(tol)
     p = pf.ideal.projection.a
-    gamma = pf.gamma.a
-    asym = p @ (gamma - gamma.conj().T) @ p
-    return bool(np.max(np.abs(asym), initial=0.0) <= _limit(t.eq, _fro(gamma)))
+
+    def measure(gamma):
+        return float(np.max(np.abs(p @ (gamma - gamma.conj().T) @ p), initial=0.0)), _fro(gamma)
+
+    return not _excess(measure, (pf.gamma.a,), _tol(tol).eq)
 
 
 def _ideal_agreement(pf: PartialFunctional, density: np.ndarray) -> float:

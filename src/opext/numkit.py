@@ -7,13 +7,12 @@ eigenpairs, Loewner-order comparison, numerical rank, and hermitization.  All
 tolerances travel in a single :class:`Tolerances` value passed explicitly;
 there is no mutable global configuration.
 
-Eigendecompositions and singular value decompositions are made
-reproducible: eigenvalues are returned in descending order (stable sort)
-and each eigenvector's first sizable component is rotated to be real and
-positive.  For a fixed input the results are bit-identical across runs.
-:func:`eigh_desc` is the one Hermitian eigendecomposition; every other
-spectrum (:func:`psd_eig`, a projector's range basis, the Gram factors) is
-a mask on its output.
+Eigenvalues are returned in descending order (stable sort).  Eigenvectors
+are LAPACK's: every consumer reads eigenvalues, masks, or products such as
+``Q diag(w) Q*`` that a unitary change of eigenbasis keeps, so no phase
+convention is imposed.  :func:`eigh_desc` is the one
+Hermitian eigendecomposition; every other spectrum (:func:`psd_eig`, a
+projector's range basis, the Gram factors) is a mask on its output.
 
 Cost rule: a primitive is its LAPACK call plus the fewest numpy passes.  The
 wrapper classes validate caller data, once, at the public boundary; an array
@@ -50,10 +49,6 @@ __all__ = [
 # Relative factor applied per matrix dimension when no explicit rank
 # cutoff is supplied: sigma <= 1e-10 * max(rows, cols) * sigma_max is noise.
 _RANK_FACTOR = 1e-10
-
-# Magnitude below which an eigenvector component is never used as the
-# phase anchor.  Eigenvectors are unit vectors, so the anchor exists.
-_PHASE_FLOOR = 1e-8
 
 # Smallest size at which a Cholesky certificate costs less than eigvalsh
 # (measured crossover: 11 against 16 microseconds at n = 8, 16 against 11
@@ -199,7 +194,7 @@ def _checked_hermitian(a: np.ndarray, tol: Tolerances) -> np.ndarray:
     if a.shape[0] != a.shape[1]:
         raise DimensionMismatch(f"Hermitian matrix must be square, got {a.shape}")
     c = np.conjugate(_finite(a).T, order="C")
-    _require_hermitian(lambda x, y: (_fro(x - y), _fro(x)), (a, c), tol.herm)
+    _require_hermitian(_asymmetry, (a, c), tol.herm)
     c += a  # (a + a*) / 2.0 as in _hermitian_part
     c /= 2.0
     return _finite(c)
@@ -214,22 +209,32 @@ def _checked_pairing(a: np.ndarray, b: np.ndarray, tol: Tolerances) -> None:
     )
 
 
-def _require_hermitian(measure, blocks: tuple[np.ndarray, ...], herm: float) -> None:
-    """NotHermitian when ``asym > _limit(herm, scale)`` for ``(asym, scale) = measure(*blocks)`` of finite blocks.
+def _asymmetry(a: np.ndarray, c: np.ndarray) -> tuple[float, float]:
+    """``(||a - c||_F, ||a||_F)`` for ``c = a*``: the measure of the Hermitian rule."""
+    return _fro(a - c), _fro(a)
 
-    When a norm overflows (entries from about 1.3e154 on), inf > inf would pass anything, so the same inequality
-    divided by 2^e, ``asym' > _limit(herm, scale', 2^-e)``, decides on the blocks times 2^-e, where 2^e bounds
-    their largest real or imaginary part: a product with a power of two is exact, and blocks with finite norms
-    never take this branch, so their decision is unchanged.
+
+def _excess(measure, blocks: tuple[np.ndarray, ...], rel: float) -> float:
+    """``resid`` if above ``_limit(rel, scale)`` for ``(resid, scale) = measure(*blocks)`` of finite blocks, else 0.0.
+
+    ``measure`` is degree-1 homogeneous in the blocks.  When a norm overflows (entries from about 1.3e154 on),
+    inf > inf would pass anything, so the same inequality divided by 2^e, ``resid' > _limit(rel, scale', 2^-e)``,
+    decides on the blocks times 2^-e, where 2^e bounds their largest real or imaginary part: a product with a
+    power of two is exact, and blocks with finite norms never take this branch, so their decision is unchanged.
     """
-    asym, scale = measure(*blocks)
+    resid, scale = measure(*blocks)
     unit = 1.0
-    if math.isinf(asym) or math.isinf(scale):
+    if not (math.isfinite(resid) and math.isfinite(scale)):
         top = max(float(np.max(np.abs(part), initial=0.0)) for x in blocks for part in (x.real, x.imag))
         unit = math.ldexp(1.0, -math.frexp(top)[1])
-        asym, scale = measure(*(x * unit for x in blocks))
-    if asym > _limit(herm, scale, unit):
-        raise NotHermitian(f"asymmetry {asym / unit:.3e} exceeds tolerance")
+        resid, scale = measure(*(x * unit for x in blocks))
+    return resid / unit if resid > _limit(rel, scale, unit) else 0.0
+
+
+def _require_hermitian(measure, blocks: tuple[np.ndarray, ...], herm: float) -> None:
+    """NotHermitian when the asymmetry ``measure(*blocks)`` takes exceeds its limit (:func:`_excess`)."""
+    if asym := _excess(measure, blocks, herm):
+        raise NotHermitian(f"asymmetry {asym:.3e} exceeds tolerance")
 
 
 class HermitianMatrix(ComplexMatrix):
@@ -245,12 +250,12 @@ class HermitianMatrix(ComplexMatrix):
         return self.rows
 
 
-def _certified_above(h: np.ndarray, psd: float, scale: float) -> bool:
-    """Whether a Cholesky of ``h + tau I`` proves ``lambda_min(h) >= -psd * (1 + S)``.
+def _certified_above(h: np.ndarray, psd: float) -> bool:
+    """Whether a Cholesky of ``h + tau I`` proves ``lambda_min(h) >= -psd * (1 + S)`` for S = lambda_max(h).
 
-    ``h`` is exactly Hermitian; ``scale`` is a lower bound on S, which must
-    also bound lambda_max(h) from above, and ``tau = psd * (1 + scale) / 2``.
-    Cholesky is backward stable (Higham, *Accuracy and Stability of
+    ``h`` is exactly Hermitian and ``tau = psd * (1 + scale) / 2`` for its
+    largest diagonal entry ``scale``, at most S; :class:`PsdMatrix` is the one
+    caller.  Cholesky is backward stable (Higham, *Accuracy and Stability of
     Numerical Algorithms*, 2002, Thm 10.5): success means ``h + tau I + E``
     is positive definite with ``||E|| <= ~n^2 eps / 2 * (S + tau)``, so with
     ``n^2 eps <= min(psd, 1) / 4`` the smallest eigenvalue of h is above
@@ -262,7 +267,7 @@ def _certified_above(h: np.ndarray, psd: float, scale: float) -> bool:
     if n < _CERTIFY_MIN or n * n * np.finfo(np.float64).eps > min(psd, 1.0) / 4.0:
         return False
     shifted = h.copy()
-    shifted.flat[:: n + 1] += _limit(0.5 * psd, scale)
+    shifted.flat[:: n + 1] += _limit(0.5 * psd, float(np.max(h.diagonal().real)))
     try:
         np.linalg.cholesky(shifted)
     except np.linalg.LinAlgError:
@@ -315,11 +320,13 @@ class PsdMatrix(HermitianMatrix):
 
     Construction rejects matrices whose smallest eigenvalue falls below
     ``-psd * (1 + lambda_max)``; anything closer to zero is accepted and
-    treated as nonnegative by downstream consumers.  From n = 8 on, one
-    Cholesky of the matrix shifted by half that slack (scaled by its
-    largest diagonal entry, at most lambda_max) proves the rule without a
-    spectrum; only when it fails does the exact ``eigvalsh`` decide, so
-    the decision and the NotPsd message are those of the spectrum.  A
+    treated as nonnegative by downstream consumers.  This class is the one
+    user of the positivity certificate (:func:`_certified_above`): from
+    n = 8 on, one Cholesky of the matrix shifted by half that slack (scaled
+    by its largest diagonal entry, at most lambda_max) proves the rule
+    without a spectrum; only when it fails does the exact ``eigvalsh``
+    decide, so the decision and the NotPsd message are those of the
+    spectrum.  :func:`loewner_leq` always takes the spectrum.  A
     weight passed raw to :func:`~opext.kvn.hilbert_lift` is instead decided
     by the lift's own spectrum, and the kvn Gram form by its factor's
     (:func:`_psd_keep`, the same rule).  Results
@@ -332,7 +339,7 @@ class PsdMatrix(HermitianMatrix):
     def __init__(self, data, tol: Tolerances | None = None):
         super().__init__(data, tol)
         t = _tol(tol)
-        if self.rows > 0 and not _certified_above(self.a, t.psd, float(np.max(self.a.diagonal().real))):
+        if self.rows > 0 and not _certified_above(self.a, t.psd):
             _psd_keep(np.linalg.eigvalsh(self.a), t)  # raises NotPsd
 
 
@@ -340,9 +347,9 @@ def eigh_desc(a) -> tuple[np.ndarray, np.ndarray]:
     """Hermitian eigendecomposition in canonical form: the library's one ``np.linalg.eigh``.
 
     Eigenvalues are sorted descending (stable, so degenerate blocks keep
-    LAPACK's order) and each eigenvector is rotated so that its first
-    component of magnitude above a fixed floor is real and positive.  An
-    empty input makes no LAPACK call.
+    LAPACK's order) and the eigenvectors are LAPACK's, in that order: their
+    phases carry no convention, since every consumer reads only what a
+    unitary change of eigenbasis keeps.  An empty input makes no LAPACK call.
 
     Parameters
     ----------
@@ -359,15 +366,7 @@ def eigh_desc(a) -> tuple[np.ndarray, np.ndarray]:
         return np.zeros(0), np.zeros((0, 0), dtype=np.complex128)
     w, v = np.linalg.eigh(h)
     order = np.argsort(-w, kind="stable")
-    v = np.take(v, order, axis=1)
-    pivot = v[:1].copy()
-    mag = np.abs(pivot)
-    if mag.min() <= _PHASE_FLOOR:  # search below row 0 in those columns only
-        low = np.flatnonzero(mag <= _PHASE_FLOOR)
-        pivot[0, low] = v[np.argmax(np.abs(v[:, low]) > _PHASE_FLOOR, axis=0), low]
-        mag = np.abs(pivot)
-    v *= pivot.conj() / mag
-    return w[order], v
+    return w[order], np.take(v, order, axis=1)
 
 
 def _hermitian_part(a: np.ndarray) -> np.ndarray:
@@ -465,24 +464,16 @@ def loewner_leq(a, b, tol: Tolerances | None = None) -> bool:
     """Loewner-order comparison ``a <= b`` up to the positivity slack.
 
     True iff the smallest eigenvalue of ``b - a`` is at least
-    ``-psd * (1 + ||b - a||_2)``.  From n = 8 on, one Cholesky of
-    ``b - a`` shifted by half that slack (scaled by its largest absolute
-    diagonal entry, at most ``||b - a||_2``) proves True without a
-    spectrum; the exact ``eigvalsh`` decides whenever it does not.
+    ``-psd * (1 + ||b - a||_2)``, decided on the exact ``eigvalsh``.
     """
     x = _as_array(a)
     y = _as_array(b)
     if x.shape != y.shape or x.shape[0] != x.shape[1]:
         raise DimensionMismatch(f"operands must be square and same shape, got {x.shape} vs {y.shape}")
-    t = _tol(tol)
     if x.shape[0] == 0:
         return True
-    d = _hermitian_part(y - x)
-    if _certified_above(d, t.psd, float(np.max(np.abs(d.diagonal().real)))):
-        return True
-    w = np.linalg.eigvalsh(d)
-    spread = float(np.max(np.abs(w)))
-    return float(w[0]) >= -_limit(t.psd, spread)
+    w = np.linalg.eigvalsh(_hermitian_part(y - x))
+    return float(w[0]) >= -_limit(_tol(tol).psd, float(np.max(np.abs(w))))
 
 
 def hermitize(m, tol: Tolerances | None = None) -> HermitianMatrix:
@@ -497,19 +488,20 @@ def hermitize(m, tol: Tolerances | None = None) -> HermitianMatrix:
 def _projector(p, tol: Tolerances, what: str | None) -> HermitianMatrix:
     """The hermitized orthogonal projector p, kept as the HermitianMatrix :func:`eigh_desc` takes as it is.
 
-    ValueError naming ``what`` unless idempotent within eq.
+    ValueError naming ``what`` unless idempotent within eq.  A projector's entries are at most 1, so an
+    idempotency residual or limit that is not finite (entries from about 1.3e154 on) rejects p too.
     """
     h = hermitize(p, tol)
     pm = h.a
     idem = _fro(pm @ pm - pm)
-    if idem > _limit(tol.eq, _fro(pm)):
+    if not idem <= _limit(tol.eq, _fro(pm)) < math.inf:
         subject = "not" if what is None else f"{what} is not"
         raise ValueError(f"{subject} an orthogonal projector (idempotency residual {idem:.3e})")
     return h
 
 
 def _range_basis(pm: HermitianMatrix) -> np.ndarray:
-    """Orthonormal basis of ran pm for a validated projector: its phase-fixed eigenvectors above 1/2.
+    """Orthonormal basis of ran pm for a validated projector: its eigenvectors above 1/2.
 
     A projector's eigenvalues sit near 0 or 1, so 1/2 separates them for
     anything :func:`_projector` accepts; a rank cutoff would keep the small

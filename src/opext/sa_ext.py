@@ -236,7 +236,9 @@ def _extend_lifted(p: np.ndarray, y: np.ndarray, alpha: float, lift: HilbertLift
         w = np.einsum("ij,ij->j", pv.conj(), gv).real
         keep = _lifted_keep(w, lambda drop: _fro(np.compress(drop, gv, axis=1)), _fro(g), tol)
         c = np.compress(keep, gv, axis=1) / np.sqrt(w[keep])
-        ends.append(_hermitian_part(j @ (sign * (c @ c.conj().T - alpha * np.eye(lift.rank))) @ j.conj().T))
+        cc = c @ c.conj().T
+        cc.flat[:: lift.rank + 1] -= alpha
+        ends.append(_hermitian_part(j @ (sign * cc) @ j.conj().T))
     return tuple(ends)
 
 

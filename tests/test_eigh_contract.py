@@ -2,8 +2,8 @@
 
 Every spectrum in ``src/opext`` -- ``psd_eig``, the range basis of a
 projector, the kvn and interval-endpoint Gram forms, the functional
-densities -- comes from ``eigh_desc``: descending, phase-fixed, no LAPACK
-call on an empty input.  The scan below parses ``src/opext`` and fails on a
+densities -- comes from ``eigh_desc``: descending, no LAPACK call on an
+empty input.  The scan below parses ``src/opext`` and fails on a
 call to ``eigh`` (bare, or as ``np.linalg.eigh`` or any other attribute)
 outside that function.  ``oracle.py`` is exempt: it checks the pipeline and
 must not share its code.

@@ -5,7 +5,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from opext.errors import DimensionMismatch, HypothesisViolated, NotFBounded, NotSymmetric
+from opext.errors import DimensionMismatch, HypothesisViolated, NotFBounded, NotHermitian, NotSymmetric
 from opext.func_ext import (
     FunctionalMatrix,
     LeftIdeal,
@@ -131,6 +131,46 @@ class TestSymmetry:
                 pf = PartialFunctional(ideal, herm + (factor * limit / unit) * skew)
                 assert self.pairwise_symmetric(pf) is expected
                 assert is_symmetric_on_ideal(pf) is expected
+
+
+class TestDecisionsAtEveryScale:
+    # from about 1.3e154 on, a Frobenius norm overflows on both sides of a rule and inf > inf is False;
+    # each rule is degree-1 homogeneous, so it then decides on the data times a power of two (numpy warns
+    # on the way, in the overflowing products)
+
+    SCALES = [1.0, 1e100, 1e160, 1e200]
+
+    @pytest.mark.parametrize("c", [1e150, 1e160, 1e200])
+    def test_overflowing_non_projector_rejected(self, c):
+        with np.errstate(over="ignore", invalid="ignore"), pytest.raises(ValueError, match="projector"):
+            LeftIdeal(np.diag([c, 0.0]))
+
+    @pytest.mark.parametrize("c", SCALES)
+    def test_is_hermitian_agrees_with_hermitian_matrix(self, c):
+        skew, herm = c * np.array([[1.0, 1.0], [0.0, 1.0]]), c * np.array([[1.0, 1.0j], [-1.0j, 1.0]])
+        with np.errstate(over="ignore"):
+            assert not FunctionalMatrix(skew).is_hermitian()
+            with pytest.raises(NotHermitian):
+                HermitianMatrix(skew)
+            assert FunctionalMatrix(herm).is_hermitian()
+            assert np.array_equal(HermitianMatrix(herm).a, herm)
+
+    @pytest.mark.parametrize("c", SCALES)
+    def test_symmetry_on_ideal(self, c):
+        full = LeftIdeal(np.eye(2))
+        nilpotent = PartialFunctional(full, c * np.array([[0.0, 1.0], [0.0, 0.0]]))
+        with np.errstate(over="ignore"):
+            assert is_symmetric_on_ideal(PartialFunctional(full, c * np.array([[1.0, 2.0], [2.0, -1.0]])))
+            assert not is_symmetric_on_ideal(nilpotent)
+            with pytest.raises(NotSymmetric):
+                cstar_extendibility(nilpotent)
+
+    @pytest.mark.parametrize("c", SCALES)
+    def test_ideal_membership(self, c):
+        ideal = LeftIdeal(E11)
+        with np.errstate(over="ignore"):
+            assert ideal.contains(c * np.array([[1.0, 0.0], [2.0, 0.0]]))
+            assert not ideal.contains(c * np.array([[0.0, 1.0], [0.0, 0.0]]))
 
 
 class TestIdealAgreement:

@@ -118,9 +118,10 @@ def psd_decision(a, tol):
 
 
 class TestPositivityCertificate:
-    # lambda_min = -c psd (1 + lambda_max): the rule accepts for c <= 1; the
-    # shifted Cholesky may prove acceptance only below c = 1/2, and every
-    # other case falls through to the spectrum, so decisions never change
+    # lambda_min = -c psd (1 + lambda_max): the rule accepts for c <= 1; for
+    # PsdMatrix the shifted Cholesky may prove acceptance only below c = 1/2,
+    # and every other case falls through to the spectrum, so decisions never
+    # change; loewner_leq always decides on the spectrum
 
     C = (0.0, 0.25, 0.49, 0.51, 0.75, 0.9, 1.1, 2.0, 10.0)
 
@@ -187,6 +188,15 @@ class TestPositivityCertificate:
         with decompositions:
             PsdMatrix(a)
         assert sorted(name for name, _ in decompositions) == ["cholesky", "eigvalsh"]
+
+    @pytest.mark.parametrize("n", [8, 16, 32])
+    def test_loewner_leq_takes_only_the_spectrum(self, n, decompositions):
+        gen = np.random.default_rng([n, 66])
+        a = spectrum_matrix(gen, n, 1.0, 0.5)
+        with decompositions:
+            assert loewner_leq(np.zeros((n, n)), a)
+            assert not loewner_leq(a, np.zeros((n, n)))
+        assert [name for name, _ in decompositions] == ["eigvalsh"] * 2
 
     def test_small_and_zero_slack_take_only_the_spectrum(self, decompositions):
         gen = np.random.default_rng(65)
@@ -286,34 +296,16 @@ class TestEighDesc:
         w, _ = eigh_desc(np.diag([1.0, 3.0, 2.0]).astype(complex))
         assert list(w) == pytest.approx([3.0, 2.0, 1.0])
 
-    def test_phase_convention_deterministic(self):
-        gen = Rng(13).generator()
-        x = complex_gaussian(gen, 5, 5)
-        a = x + x.conj().T
-        w1, v1 = eigh_desc(a)
-        w2, v2 = eigh_desc(a.copy())
-        assert np.array_equal(v1, v2)
-        for j in range(v1.shape[1]):
-            lead = v1[np.abs(v1[:, j]) > 1e-8, j][0]
-            assert lead.real > 0 and abs(lead.imag) <= 1e-12 * abs(lead)
-
     @pytest.mark.parametrize("n", [0, 1, 5, 64, 160])
     @pytest.mark.parametrize("rank", ["full", "deficient"])
     def test_matches_column_loop(self, n, rank):
-        # the phase rule written out one column at a time
+        # LAPACK's pairs, gathered one column at a time in descending order
         def reference(a):
             if a.shape[0] == 0:
                 return np.zeros(0), np.zeros((0, 0), dtype=complex)
             w, v = np.linalg.eigh((a + a.conj().T) / 2.0)
             order = np.argsort(-w, kind="stable")
-            w, v = w[order], np.ascontiguousarray(v[:, order])
-            for j in range(a.shape[0]):
-                col = v[:, j]
-                anchors = np.flatnonzero(np.abs(col) > 1e-8)
-                if anchors.size:
-                    pivot = col[anchors[0]]
-                    v[:, j] = col * (pivot.conjugate() / abs(pivot))
-            return w, v
+            return w[order], np.column_stack([v[:, j] for j in order])
 
         gen = Rng(14).split(n).generator()
         x = complex_gaussian(gen, n, n if rank == "full" else n // 2)
@@ -323,9 +315,7 @@ class TestEighDesc:
         assert np.array_equal(w, w_ref)
         assert v.shape == v_ref.shape
         assert np.abs(v - v_ref).max(initial=0.0) <= 1e-15
-        for j in range(n):
-            lead = v[np.flatnonzero(np.abs(v[:, j]) > 1e-8)[0], j]
-            assert lead.real > 0 and abs(lead.imag) <= 1e-15 * abs(lead)
+        assert np.abs(a @ v - v * w).max(initial=0.0) <= 1e-12 * (1.0 + np.abs(w).max(initial=0.0))
 
 
 class TestPsdEig:
@@ -360,10 +350,7 @@ def formula_eigh_desc(a):
     h = (a + a.conj().T) / 2.0
     w, v = np.linalg.eigh(h)
     order = np.argsort(-w, kind="stable")
-    w = w[order]
-    v = np.ascontiguousarray(v[:, order])
-    pivot = v[np.argmax(np.abs(v) > 1e-8, axis=0), np.arange(n)]
-    return w, v * (pivot.conjugate() / np.abs(pivot))
+    return w[order], np.ascontiguousarray(v[:, order])
 
 
 def formula_psd_eig(a, tol):
@@ -391,10 +378,10 @@ def pin_inputs():
         out.append((f"random {n}", x + x.conj().T))
     out += [("identity", np.eye(4, dtype=np.complex128)), ("tie", np.diag([2.0, 2.0, 1.0]).astype(np.complex128))]
     b = complex_gaussian(np.random.default_rng(62), 3, 3)
-    anchor = np.zeros((4, 4), dtype=np.complex128)  # diag(1, B): B's eigenvectors have a zero first entry
-    anchor[0, 0] = 1.0
-    anchor[1:, 1:] = b + b.conj().T
-    return out + [("anchor fallback", anchor)]
+    block = np.zeros((4, 4), dtype=np.complex128)  # diag(1, B): B's eigenvectors have a zero first entry
+    block[0, 0] = 1.0
+    block[1:, 1:] = b + b.conj().T
+    return out + [("zero first entries", block)]
 
 
 def psd_pin_inputs():

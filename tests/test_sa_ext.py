@@ -4,8 +4,8 @@ import numpy as np
 import pytest
 
 from opext.errors import HypothesisViolated, NotABounded, NotHermitian
-from opext.kvn import PartialPositiveOperator, kvn_extend
-from opext.numkit import PsdMatrix, Tolerances, loewner_leq
+from opext.kvn import PartialPositiveOperator, hilbert_lift, kvn_extend
+from opext.numkit import PsdMatrix, Tolerances, _fro, _hermitian_part, _lifted_keep, eigh_desc, loewner_leq
 from opext.oracle import (
     Rng,
     complex_gaussian,
@@ -16,6 +16,7 @@ from opext.oracle import (
 )
 from opext.sa_ext import (
     SymmetricPartialOperator,
+    _symmetric_lift,
     a_bound,
     alpha_of_total,
     check_commutation,
@@ -266,3 +267,48 @@ class TestLiftedAsymmetry:
         op = SymmetricPartialOperator(d[:, None], v[:, None])
         with pytest.raises(NotHermitian):
             extend_symmetric(op, PsdMatrix(np.outer(q, q.conj())))
+
+
+def endpoints_through_identity(op, weight, tol):
+    """The interval endpoints with alpha subtracted as ``alpha * np.eye(r)``, as they were first written."""
+    lift = hilbert_lift(weight, tol)
+    _, _, p, y, alpha = _symmetric_lift(op.domain_basis.a, op.values.a, lift, tol)
+    _, v = eigh_desc(p.conj().T @ y)
+    pv, j = p @ v, lift.embedding()
+    ends = []
+    for sign in (1.0, -1.0):
+        g = alpha * p + sign * y
+        gv = g @ v
+        w = np.einsum("ij,ij->j", pv.conj(), gv).real
+        keep = _lifted_keep(w, lambda drop: _fro(np.compress(drop, gv, axis=1)), _fro(g), tol)
+        c = np.compress(keep, gv, axis=1) / np.sqrt(w[keep])
+        ends.append(_hermitian_part(j @ (sign * (c @ c.conj().T - alpha * np.eye(lift.rank))) @ j.conj().T))
+    return ends
+
+
+class TestEndpointShift:
+    # alpha is subtracted on the diagonal of C C* in place: the same bits as through an identity matrix
+
+    @staticmethod
+    def cases():
+        for i in range(40):
+            child = Rng(204).split(i)
+            gen = child.generator()
+            n = int(gen.integers(1, 17))
+            yield planted("sa_ext", (n, int(gen.integers(1, min(n, 5) + 1))), child.split(0))[0]
+        gen = np.random.default_rng(205)
+        for n, r, k in ((40, 40, 5), (40, 25, 3), (3, 3, 0), (6, 4, 2)):
+            x = complex_gaussian(gen, n, r)
+            weight = PsdMatrix(x @ x.conj().T)
+            d = x @ complex_gaussian(gen, r, k)  # inside ran A, so a bound exists
+            h = random_hermitian(gen, n)
+            for values in (weight.a @ h @ weight.a @ d, np.zeros((n, k))):  # the second has alpha = 0
+                yield SymmetricPartialOperator(d, values), weight
+
+    def test_same_bits_as_through_the_identity(self):
+        tol = Tolerances()
+        for op, weight in self.cases():
+            interval = extend_symmetric(op, weight, tol)
+            s_min, s_max = endpoints_through_identity(op, weight, tol)
+            for got, want in ((interval.s_min.a, s_min), (interval.s_max.a, s_max)):
+                assert got.shape == want.shape and got.tobytes() == want.tobytes()  # signed zeros too

@@ -2,7 +2,7 @@
 
 Every decision that compares a residual with a tolerance relative to the
 size of its data uses ``_limit(rel, scale) = rel * (1 + scale)``, so a later
-change to that rule (ROADMAP item 1) is a change to one function.  The scan
+change to that rule (ROADMAP item 3) is a change to one function.  The scan
 below parses ``src/opext`` and fails on
 
 * a floored product written out by hand: a tolerance (``.eq``, ``.psd``,
