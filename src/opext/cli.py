@@ -86,34 +86,27 @@ _FAILURE_STATUS = (
 _FAILURE_TYPES = tuple(t for types, _, _ in _FAILURE_STATUS for t in types)
 
 
-class _InputError(ValueError):
-    """Structural problem with the instance file or flags."""
-
-
 # --------------------------------------------------------------------------
 # payload parsing (shape checks only; math happens in the run phase)
 
 
 def _payload_matrix(payload: dict, key: str, rows: int | None = None, cols: int | None = None) -> np.ndarray:
     if key not in payload:
-        raise _InputError(f"payload is missing {key!r}")
+        raise ValueError(f"payload is missing {key!r}")
     m = decode_matrix(payload[key], what=key)
     if rows is not None and m.shape[0] != rows:
-        raise _InputError(f"{key}: expected {rows} rows, got {m.shape[0]}")
+        raise ValueError(f"{key}: expected {rows} rows, got {m.shape[0]}")
     if cols is not None and m.shape[1] != cols:
-        raise _InputError(f"{key}: expected {cols} columns, got {m.shape[1]}")
+        raise ValueError(f"{key}: expected {cols} columns, got {m.shape[1]}")
     return m
 
 
 def _payload_int(payload: dict, key: str) -> int:
     if key not in payload:
-        raise _InputError(f"payload is missing {key!r}")
-    try:
-        value = decode_int(payload[key], what=key)
-    except ValueError as exc:
-        raise _InputError(str(exc)) from exc
+        raise ValueError(f"payload is missing {key!r}")
+    value = decode_int(payload[key], what=key)
     if value < 1:
-        raise _InputError(f"{key}: must be at least 1, got {value}")
+        raise ValueError(f"{key}: must be at least 1, got {value}")
     return value
 
 
@@ -122,7 +115,7 @@ def _parse_kvn(payload: dict) -> dict:
     d = _payload_matrix(payload, "domain_basis", rows=n)
     g = _payload_matrix(payload, "values", rows=n, cols=d.shape[1])
     if d.shape[1] < 1:
-        raise _InputError("domain_basis: needs at least one column")
+        raise ValueError("domain_basis: needs at least one column")
     return {"n": n, "domain_basis": d, "values": g}
 
 
@@ -132,7 +125,7 @@ def _parse_sa_ext(payload: dict) -> dict:
     v = _payload_matrix(payload, "values", rows=n, cols=d.shape[1])
     w = _payload_matrix(payload, "weight", rows=n, cols=n)
     if d.shape[1] < 1:
-        raise _InputError("domain_basis: needs at least one column")
+        raise ValueError("domain_basis: needs at least one column")
     data = {"n": n, "domain_basis": d, "values": v, "weight": w}
     if "probe" in payload:
         data["probe"] = _payload_matrix(payload, "probe", rows=n, cols=n)
@@ -148,13 +141,10 @@ def _parse_parrott(payload: dict) -> dict:
     v2 = _payload_matrix(payload, "values2", rows=n1, cols=d2.shape[1])
     w1 = _payload_matrix(payload, "weight1", rows=n1, cols=n1)
     w2 = _payload_matrix(payload, "weight2", rows=n2, cols=n2)
-    try:
-        a1 = decode_real(payload.get("alpha1", 1.0), what="alpha1")
-        a2 = decode_real(payload.get("alpha2", 1.0), what="alpha2")
-    except ValueError as exc:
-        raise _InputError(str(exc)) from exc
+    a1 = decode_real(payload.get("alpha1", 1.0), what="alpha1")
+    a2 = decode_real(payload.get("alpha2", 1.0), what="alpha2")
     if a1 < 0 or a2 < 0:
-        raise _InputError("alpha1 and alpha2 must be nonnegative")
+        raise ValueError("alpha1 and alpha2 must be nonnegative")
     return {
         "n1": n1, "n2": n2, "domain1": d1, "values1": v1, "domain2": d2,
         "values2": v2, "weight1": w1, "weight2": w2, "alpha1": a1, "alpha2": a2,
@@ -177,7 +167,7 @@ def _parse_functional(payload: dict, *, for_cstar: bool) -> dict:
     if "density" in payload:
         data["density"] = _payload_matrix(payload, "density", rows=m, cols=m)
     elif not for_cstar:
-        raise _InputError("payload is missing 'density'")
+        raise ValueError("payload is missing 'density'")
     if for_cstar and "extension" in payload:
         data["extension"] = _payload_matrix(payload, "extension", rows=m, cols=m)
     # a cstar-check "samples" key, which set a random-pair count, is ignored
@@ -501,11 +491,11 @@ def _tolerances_from(args, file_overrides) -> Tolerances:
     if file_overrides is None:
         file_overrides = {}
     elif not isinstance(file_overrides, dict):
-        raise _InputError(f"tolerances: expected an object or null, got {type(file_overrides).__name__}")
+        raise ValueError(f"tolerances: expected an object or null, got {type(file_overrides).__name__}")
     values = _tolerances_dict(DEFAULT_TOLERANCES)
     unknown = sorted(set(file_overrides) - set(values))
     if unknown:
-        raise _InputError(f"tolerances: unknown key {unknown[0]!r}")
+        raise ValueError(f"tolerances: unknown key {unknown[0]!r}")
     for key in values:
         if key in file_overrides:
             value = file_overrides[key]
@@ -518,7 +508,7 @@ def _tolerances_from(args, file_overrides) -> Tolerances:
     try:
         return Tolerances(**values)
     except ValueError as exc:
-        raise _InputError(f"bad tolerances: {exc}") from exc
+        raise ValueError(f"bad tolerances: {exc}") from exc
 
 
 def _emit(text: str, out_path: str | None) -> None:
@@ -546,7 +536,7 @@ def _parse_dims(text: str) -> tuple[int, ...]:
     try:
         dims = tuple(int(part) for part in text.split(","))
     except ValueError as exc:
-        raise _InputError(f"--dims must be comma-separated integers, got {text!r}") from exc
+        raise ValueError(f"--dims must be comma-separated integers, got {text!r}") from exc
     return dims
 
 
@@ -556,14 +546,14 @@ def _cmd_run(kind: str, args) -> int:
         with open(args.instance, "r", encoding="utf-8") as fh:
             document = json.load(fh)
         if not isinstance(document, dict):
-            raise _InputError("instance file must contain a JSON object")
+            raise ValueError("instance file must contain a JSON object")
         if document.get("kind") != kind:
-            raise _InputError(
+            raise ValueError(
                 f"instance file is for kind {document.get('kind')!r}, not {kind!r}"
             )
         payload = document.get("payload")
         if not isinstance(payload, dict):
-            raise _InputError("instance file is missing its 'payload' object")
+            raise ValueError("instance file is missing its 'payload' object")
         tol = _tolerances_from(args, document.get("tolerances"))
         spec = _KINDS[kind]
         outputs, diagnostics = spec.run(spec.parse(payload), tol)
@@ -582,7 +572,7 @@ def _cmd_gen(args) -> int:
         dims = spec.default_dims if args.dims is None else _parse_dims(args.dims)
         fields, _ = random_instance_with_witness(spec.oracle, dims, Rng(args.seed))
         payload = _encode_instance(spec, fields)
-    except (InvalidDims, _InputError, ValueError) as exc:
+    except (InvalidDims, ValueError) as exc:
         sys.stderr.write(f"error: {exc}\n")
         return EXIT_INVALID_INPUT
     document = {"kind": args.kind, "payload": payload, "seed": args.seed}
@@ -598,11 +588,11 @@ def _cmd_verify(args) -> int:
         dims = None
         if args.dims is not None:
             if args.kind == "all":
-                raise _InputError("--dims cannot be combined with --kind all")
+                raise ValueError("--dims cannot be combined with --kind all")
             dims = _parse_dims(args.dims)
             _check_dims(_KINDS[kinds[0]].oracle, dims, root.generator())
         if args.count < 1:
-            raise _InputError("--count must be positive")
+            raise ValueError("--count must be positive")
     except (ValueError, InvalidDims) as exc:
         sys.stderr.write(f"error: {exc}\n")
         return EXIT_INVALID_INPUT

@@ -43,7 +43,7 @@ from .errors import (
     NotFBounded,
     NotSymmetric,
 )
-from .kvn import HilbertLift, _lift, hilbert_lift
+from .kvn import HilbertLift, hilbert_lift
 from .numkit import (
     ComplexMatrix,
     HermitianMatrix,
@@ -290,9 +290,11 @@ class GnsSpace:
 
 
 def _row_lift(density, tol: Tolerances | None) -> HilbertLift:
-    """Lift of F^T, the rows' weight in the GNS space; a raw F is checked Hermitian here, positive by the lift."""
-    f = HermitianMatrix.coerce(_density_array(density), tol)
-    return hilbert_lift(HermitianMatrix._adopt(f.a.T.copy()), tol)
+    """Lift of F^T, the rows' weight in the GNS space, from the spectrum F keeps as a PsdMatrix (a raw F is
+    validated as one): F^T = conj F, so its eigenpairs are (w, conj V) for F's (w, V), and nothing is decomposed again."""
+    f = PsdMatrix.coerce(_density_array(density), tol)
+    w, v = f._spectrum
+    return hilbert_lift(PsdMatrix._adopt(f.a.T.copy(), (w, v.conj())), tol)
 
 
 def _gns_space(row: HilbertLift) -> GnsSpace:
@@ -519,9 +521,10 @@ def cstar_extendibility(
     attains the sharp constant (1 whenever P |Phi| P != 0), so random
     pairs could only match it up to rounding: ``measured_bound`` is that
     ratio, a lower certificate of ``exact_bound``, and ``violations`` is 1
-    if it is above 4, else 0.  f = V |w| V*, its factor V |w|^(1/2), the lift
-    of f^T (eigenpairs |w| and conj V) and U = V sign(w) V* all come from one
-    eigendecomposition of Phi = V w V*.
+    if it is above 4, else 0.  f = V |w| V*, its factor V |w|^(1/2) and
+    U = V sign(w) V* all come from one eigendecomposition of Phi = V w V*:
+    f is adopted with the eigenpairs (|w|, V), and the trace with (ones, I),
+    so :func:`_row_lift` lifts either density without decomposing it.
     ``rng`` is accepted and ignored; nothing is drawn.
 
     The supplied functional must agree with g_0 on the ideal:
@@ -547,18 +550,21 @@ def cstar_extendibility(
                 f"supplied functional does not extend the partial data (residual {worst:.3e})"
             )
         w, v = eigh_desc(phi)
-        abs_density = PsdMatrix._adopt(_hermitian_part((v * np.abs(w)) @ v.conj().T))
-        order = np.argsort(-np.abs(w), kind="stable")  # |Phi|^T = conj(V) |w| V^T, lifted from these eigenpairs
-        abs_row = _lift(PsdMatrix._adopt(abs_density.a.T.copy()), np.abs(w)[order], np.take(v.conj(), order, axis=1), t)
+        order = np.argsort(-np.abs(w), kind="stable")  # |Phi| = V |w| V*, adopted with these eigenpairs
+        abs_density = PsdMatrix._adopt(
+            _hermitian_part((v * np.abs(w)) @ v.conj().T), (np.abs(w)[order], np.take(v, order, axis=1))
+        )
+        abs_row = _row_lift(abs_density, t)
         root = v * np.sqrt(np.abs(w))
     if density is not None:
-        f_mat = HermitianMatrix.coerce(_density_array(density), t)
+        f_mat = PsdMatrix.coerce(_density_array(density), t)
         row = _row_lift(f_mat, t)
     elif abs_density is not None:
         f_mat, row = abs_density, abs_row
-    else:  # the trace: f = I is its own transpose, with eigenpairs (ones, I)
-        f_mat = PsdMatrix._adopt(np.eye(pf.size, dtype=np.complex128))
-        row = _lift(f_mat, np.ones(pf.size), f_mat.a, t)
+    else:  # the trace: f = I, with eigenpairs (ones, I)
+        eye = np.eye(pf.size, dtype=np.complex128)
+        f_mat = PsdMatrix._adopt(eye, (np.ones(pf.size), eye))
+        row = _row_lift(f_mat, t)
     g_min, g_max, alpha = _extend_functional(pf, row, t, symmetric=True)
     exact = measured = violations = None
     if root is not None:

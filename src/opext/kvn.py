@@ -24,8 +24,9 @@ residual; its rejections are structural, the endpoints' numerical.
 to a positive weight A: the weighted pairing <x, y>_A = y* A x descends to
 an r-dimensional Hilbert space (r = rank A), realized through x -> J* x for
 J = Q diag(rho), A's eigenpairs A = Q diag(rho)^2 Q* above the rank cutoff.
-A lift is built from A's decided spectrum (its only positivity check) and
-holds J; its pullback J^+ carries the range rule.  Only kvn reads Q and rho.
+A lift reads the spectrum that :class:`~opext.numkit.PsdMatrix` took to
+decide A positive, so each weight is decomposed once, and holds J; its
+pullback J^+ carries the range rule.  Only kvn reads Q and rho.
 """
 
 from __future__ import annotations
@@ -37,7 +38,6 @@ import numpy as np
 from .errors import DimensionMismatch, NotABounded, NotHermitian, NotPsd
 from .numkit import (
     ComplexMatrix,
-    HermitianMatrix,
     PsdMatrix,
     Tolerances,
     _checked_hermitian,
@@ -206,22 +206,18 @@ class HilbertLift:
         return (coords[0] @ dom.range_basis.a) / np.outer(self.roots, dom.roots)
 
 
-def _lift(weight: PsdMatrix, w: np.ndarray, v: np.ndarray, tol: Tolerances) -> HilbertLift:
-    """The lift of ``weight`` from its whole spectrum (w descending, v its eigenvectors): :func:`_psd_keep` decides it."""
-    keep = _psd_keep(w, tol)
-    return HilbertLift(weight, int(np.count_nonzero(keep)), ComplexMatrix._adopt(np.compress(keep, v, axis=1)), np.sqrt(w[keep]))
-
-
 def hilbert_lift(weight, tol: Tolerances | None = None) -> HilbertLift:
     """Build the range-coordinate realization of a positive weight.
 
-    One eigendecomposition produces the orthonormal range basis Q and the
-    roots rho, so every map derived from them agrees exactly on what the
+    The lift reads the one eigendecomposition the :class:`PsdMatrix` keeps:
+    a weight that is not one yet is validated as one, so the spectrum that
+    decides it positive also gives the orthonormal range basis Q and the
+    roots rho, and every map derived from them agrees exactly on what the
     kernel is.  Eigenvalues below the relative rank cutoff are treated as
-    zero.  A weight that is not already a :class:`PsdMatrix` is checked
-    Hermitian and then decided positive by this spectrum alone, under the
-    rule and with the NotPsd message of :class:`PsdMatrix`.
+    zero (:func:`~opext.numkit._psd_keep`).  This is the one lift constructor.
     """
     t = _tol(tol)
-    h = HermitianMatrix.coerce(weight, t)
-    return _lift(h if isinstance(h, PsdMatrix) else PsdMatrix._adopt(h.a), *eigh_desc(h), t)
+    a = PsdMatrix.coerce(weight, t)
+    w, v = a._spectrum
+    keep = _psd_keep(w, t)
+    return HilbertLift(a, int(np.count_nonzero(keep)), ComplexMatrix._adopt(np.compress(keep, v, axis=1)), np.sqrt(w[keep]))

@@ -19,6 +19,8 @@ wrapper classes validate caller data, once, at the public boundary; an array
 the library just built is adopted (``_adopt``, after ``_hermitian_part`` if it
 is Hermitian only up to rounding): never copied, and checked only finite; a
 HermitianMatrix is not symmetrized again; :func:`_fro` is the one Frobenius norm.
+A :class:`PsdMatrix` is decided positive on one :func:`eigh_desc` and keeps
+those eigenpairs, which every lift of it reads, so a weight is decomposed once.
 :func:`_lifted_keep` decides every Gram form built positive, and alone raises NumericalFailure.
 """
 
@@ -49,12 +51,6 @@ __all__ = [
 # Relative factor applied per matrix dimension when no explicit rank
 # cutoff is supplied: sigma <= 1e-10 * max(rows, cols) * sigma_max is noise.
 _RANK_FACTOR = 1e-10
-
-# Smallest size at which a Cholesky certificate costs less than eigvalsh
-# (measured crossover: 11 against 16 microseconds at n = 8, 16 against 11
-# at n = 4); smaller matrices always take the exact spectrum.
-_CERTIFY_MIN = 8
-
 
 @dataclass(frozen=True)
 class Tolerances:
@@ -95,7 +91,7 @@ class Tolerances:
             value = getattr(self, name)
             if name == "rank" and value is None:
                 continue
-            if not (isinstance(value, (int, float)) and math.isfinite(value)) or value < 0:
+            if isinstance(value, bool) or not (isinstance(value, (int, float)) and math.isfinite(value)) or value < 0:
                 raise ValueError(f"tolerance {name!r} must be a finite nonnegative real, got {value!r}")
 
     def rank_cutoff(self, rows: int, cols: int) -> float:
@@ -250,31 +246,6 @@ class HermitianMatrix(ComplexMatrix):
         return self.rows
 
 
-def _certified_above(h: np.ndarray, psd: float) -> bool:
-    """Whether a Cholesky of ``h + tau I`` proves ``lambda_min(h) >= -psd * (1 + S)`` for S = lambda_max(h).
-
-    ``h`` is exactly Hermitian and ``tau = psd * (1 + scale) / 2`` for its
-    largest diagonal entry ``scale``, at most S; :class:`PsdMatrix` is the one
-    caller.  Cholesky is backward stable (Higham, *Accuracy and Stability of
-    Numerical Algorithms*, 2002, Thm 10.5): success means ``h + tau I + E``
-    is positive definite with ``||E|| <= ~n^2 eps / 2 * (S + tau)``, so with
-    ``n^2 eps <= min(psd, 1) / 4`` the smallest eigenvalue of h is above
-    ``-tau - ||E|| > -psd * (1 + S)``.  False (no proof either way) when the
-    factorization fails, when n is below the measured crossover, or when
-    the margin does not hold; psd = 0 never certifies.
-    """
-    n = h.shape[0]
-    if n < _CERTIFY_MIN or n * n * np.finfo(np.float64).eps > min(psd, 1.0) / 4.0:
-        return False
-    shifted = h.copy()
-    shifted.flat[:: n + 1] += _limit(0.5 * psd, float(np.max(h.diagonal().real)))
-    try:
-        np.linalg.cholesky(shifted)
-    except np.linalg.LinAlgError:
-        return False
-    return True
-
-
 def _require_psd(lo: float, hi: float, psd: float) -> None:
     """The positivity rule: NotPsd when the smallest eigenvalue lo is below ``-psd * (1 + hi)``."""
     if lo < -_limit(psd, hi):
@@ -316,31 +287,45 @@ def _lifted_keep(w: np.ndarray, lost, scale: float, tol: Tolerances) -> np.ndarr
 
 
 class PsdMatrix(HermitianMatrix):
-    """Hermitian matrix validated positive semidefinite.
+    """Hermitian matrix validated positive semidefinite, holding the spectrum that decided it.
 
-    Construction rejects matrices whose smallest eigenvalue falls below
+    Construction takes one :func:`eigh_desc` and rejects the matrix, with
+    :func:`_psd_keep`'s NotPsd, when its smallest eigenvalue falls below
     ``-psd * (1 + lambda_max)``; anything closer to zero is accepted and
-    treated as nonnegative by downstream consumers.  This class is the one
-    user of the positivity certificate (:func:`_certified_above`): from
-    n = 8 on, one Cholesky of the matrix shifted by half that slack (scaled
-    by its largest diagonal entry, at most lambda_max) proves the rule
-    without a spectrum; only when it fails does the exact ``eigvalsh``
-    decide, so the decision and the NotPsd message are those of the
-    spectrum.  :func:`loewner_leq` always takes the spectrum.  A
-    weight passed raw to :func:`~opext.kvn.hilbert_lift` is instead decided
-    by the lift's own spectrum, and the kvn Gram form by its factor's
-    (:func:`_psd_keep`, the same rule).  Results
-    positive by construction (minimal extensions, |Phi|, block-diagonal
-    weights) are adopted, never constructed: this class validates caller data.
+    treated as nonnegative by downstream consumers.  The eigenpairs are
+    kept, so a lift of the weight (:func:`~opext.kvn.hilbert_lift`) reads
+    them instead of decomposing it again.  Results positive by construction
+    (minimal extensions, |Phi|, block-diagonal weights) are adopted, never
+    constructed (:meth:`_adopt`, with their eigenpairs when the caller has
+    them, else decomposed on first use): this class validates caller data.
     """
 
-    __slots__ = ()
+    __slots__ = ("_eig",)
 
     def __init__(self, data, tol: Tolerances | None = None):
         super().__init__(data, tol)
-        t = _tol(tol)
-        if self.rows > 0 and not _certified_above(self.a, t.psd):
-            _psd_keep(np.linalg.eigvalsh(self.a), t)  # raises NotPsd
+        self._eig = None
+        _psd_keep(self._spectrum[0], _tol(tol))  # raises NotPsd
+
+    @classmethod
+    def _adopt(cls, a: np.ndarray, eig: tuple[np.ndarray, np.ndarray] | None = None):
+        """:meth:`ComplexMatrix._adopt`, keeping ``eig`` = (w descending, eigenvectors as columns) if given."""
+        m = super()._adopt(a)
+        m._eig = None if eig is None else _read_only(eig)
+        return m
+
+    @property
+    def _spectrum(self) -> tuple[np.ndarray, np.ndarray]:
+        """The whole spectrum ``(w, v)``, read-only, as :func:`eigh_desc` returns it: decomposed once, then kept."""
+        if self._eig is None:
+            self._eig = _read_only(eigh_desc(self))
+        return self._eig
+
+
+def _read_only(arrays: tuple[np.ndarray, ...]) -> tuple[np.ndarray, ...]:
+    for x in arrays:
+        x.setflags(write=False)
+    return arrays
 
 
 def eigh_desc(a) -> tuple[np.ndarray, np.ndarray]:

@@ -300,9 +300,10 @@ def check_commutation(
     d = op.domain_basis.a
     v = op.values.a
     # invariance: B maps the domain into itself
-    coeff = pinv(d, t).a @ (bm.a @ d)
-    inv_resid = _fro(bm.a @ d - d @ coeff)
-    if inv_resid > _limit(t.eq, _fro(bm.a @ d)):
+    bd = bm.a @ d
+    coeff = pinv(d, t).a @ bd
+    inv_resid = _fro(bd - d @ coeff)
+    if inv_resid > _limit(t.eq, _fro(bd)):
         raise HypothesisViolated(
             f"candidate does not leave the domain invariant (residual {inv_resid:.3e})"
         )
@@ -313,8 +314,9 @@ def check_commutation(
             f"candidate does not intertwine with the prescribed values (residual {twist_resid:.3e})"
         )
     interval = _extend_on_lift(op, lift, t)
+    b_norm = _smax(bm.a)
     ok = True
     for s in (interval.s_min.a, interval.s_max.a):
         resid = _fro(s @ bm.a - bm.a @ s)
-        ok = ok and resid <= _limit(t.eq, _smax(bm.a) * _smax(s))
+        ok = ok and resid <= _limit(t.eq, b_norm * _smax(s))
     return bool(ok)

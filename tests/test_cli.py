@@ -343,6 +343,23 @@ class TestInvalidInputExit:
         assert doc["error"]["type"] == "ValueError"
         assert "dependent" in doc["error"]["message"]
 
+    @pytest.mark.parametrize("document, message", [
+        ({"kind": "kvn", "payload": {}}, "payload is missing 'n'"),
+        ({"kind": "kvn", "payload": {"n": "2"}}, "n: expected an integer"),
+        ({"kind": "kvn", "payload": {"n": 1, "domain_basis": [[1.0, 0.0]], "values": [[1.0]]}},
+         "values: expected 2 columns, got 1"),
+        ({"kind": "sa-ext"}, "instance file is for kind 'sa-ext', not 'kvn'"),
+        ({"kind": "kvn"}, "instance file is missing its 'payload' object"),
+        ({"kind": "kvn", "payload": {}, "tolerances": {"bogus": 1.0}}, "tolerances: unknown key 'bogus'"),
+        ({"kind": "kvn", "payload": {}, "tolerances": {"eq": -1.0}},
+         "bad tolerances: tolerance 'eq' must be a finite nonnegative real, got -1.0"),
+    ], ids=["missing-key", "bad-int", "bad-shape", "kind", "no-payload", "tolerance-key", "tolerance-value"])
+    def test_structural_errors_are_plain_value_errors(self, tmp_path, document, message):
+        # a malformed file reports the public ValueError, as a malformed matrix does
+        code, doc = run(tmp_path, "kvn", write_instance(tmp_path, "bad.json", document))
+        assert code == 2
+        assert doc["error"] == {"type": "ValueError", "message": message}
+
     def test_bad_tolerance_flag(self, tmp_path):
         code, doc = run(tmp_path, "kvn", str(INSTANCES / "kvn.json"), "--tol-eq", "-1")
         assert code == 2

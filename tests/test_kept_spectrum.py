@@ -1,0 +1,107 @@
+"""Each weight and density is decomposed once: by the ``eigh_desc`` that decides it positive.
+
+A :class:`~opext.numkit.PsdMatrix` keeps the spectrum its construction
+takes, :func:`~opext.kvn.hilbert_lift` reads it, and the GNS row lift of
+F^T = conj F reads F's, as (w, conj V).  The census below counts LAPACK
+calls on ``operators``- and ``functionals``-shaped inputs; the premise of
+the row lift is checked against a lift from a fresh ``eigh_desc(F^T)``.
+"""
+
+import numpy as np
+import pytest
+
+from opext.func_ext import LeftIdeal, PartialFunctional, _row_lift, extend_functional
+from opext.kvn import hilbert_lift
+from opext.numkit import DEFAULT_TOLERANCES as T
+from opext.numkit import PsdMatrix, eigh_desc
+from opext.sa_ext import SymmetricPartialOperator, check_commutation, extend_symmetric
+
+
+def cgauss(gen, rows, cols):
+    return (gen.standard_normal((rows, cols)) + 1j * gen.standard_normal((rows, cols))) / np.sqrt(2)
+
+
+def herm(x):
+    return (x + x.conj().T) / 2
+
+
+def planted(gen, n, rank):
+    """Positive matrix of rank ``rank`` from explicit eigenpairs, and its square root."""
+    q = np.linalg.qr(cgauss(gen, n, n))[0][:, :rank]
+    w = gen.uniform(0.5, 2.0, rank)
+    return herm((q * w) @ q.conj().T), herm((q * np.sqrt(w)) @ q.conj().T)
+
+
+def calls_on(decompositions, a):
+    """Names of the recorded calls whose input is ``a`` or its transpose."""
+    return [name for name, x in decompositions if x.shape == a.shape and (np.allclose(x, a) or np.allclose(x, a.T))]
+
+
+@pytest.mark.parametrize("n", [4, 8, 32, 160])
+def test_lift_of_a_psd_matrix_takes_one_eigh(n, decompositions):
+    a = planted(np.random.default_rng([n, 70]), n, n - n // 4)[0]
+    with decompositions:
+        hilbert_lift(PsdMatrix(a))
+    assert [name for name, _ in decompositions] == ["eigh"]
+
+
+def test_operators_shaped_extension_decomposes_its_weight_once(decompositions):
+    # n = 160, weight rank 120, domain dimension 24, as the operators workload draws them
+    gen = np.random.default_rng(71)
+    n = 160
+    weight, root = planted(gen, n, 120)
+    d = cgauss(gen, n, 24)
+    op = SymmetricPartialOperator(d, herm(root @ herm(cgauss(gen, n, n)) @ root) @ d)
+    with decompositions:
+        extend_symmetric(op, PsdMatrix(weight))
+    names = [name for name, _ in decompositions]
+    assert "cholesky" not in names and "eigvalsh" not in names
+    assert calls_on(decompositions, weight) == ["eigh"]
+
+
+def test_functionals_shaped_extension_decomposes_its_density_once(decompositions):
+    # m = 6, as the functionals workload draws it
+    gen = np.random.default_rng(72)
+    m = 6
+    q = np.linalg.qr(cgauss(gen, m, m))[0][:, :3]
+    pf = PartialFunctional(LeftIdeal(herm(q @ q.conj().T)), herm(cgauss(gen, m, m)))
+    c = cgauss(gen, m, m)
+    f = herm(c @ c.conj().T) + 0.25 * np.eye(m)
+    with decompositions:
+        extend_functional(pf, PsdMatrix(f))
+    assert "eigvalsh" not in [name for name, _ in decompositions]
+    assert calls_on(decompositions, f) == ["eigh"]
+
+
+def test_commutation_check_takes_one_norm_of_b(decompositions):
+    # B's spectral norm scales both endpoints' residual limits; it is taken once
+    gen = np.random.default_rng(74)
+    n = 4
+    b = np.diag([2.0, 2.0, -1.0, 3.0])
+    d = np.eye(n)[:, :2]
+    s = herm(cgauss(gen, 2, 2))
+    op = SymmetricPartialOperator(d, d @ s)
+    with decompositions:
+        assert check_commutation(b, op, PsdMatrix(np.eye(n)))
+    assert [name for name, x in decompositions if name == "svd" and np.array_equal(x, b)] == ["svd"]
+
+
+@pytest.mark.parametrize("m", range(1, 17))
+@pytest.mark.parametrize("deficient", [False, True], ids=["full", "deficient"])
+def test_row_lift_is_the_lift_of_a_fresh_transpose_spectrum(m, deficient):
+    # F^T = conj F: the row lift built from F's kept eigenpairs (w, conj V)
+    # is the lift a fresh eigh_desc(F^T) gives, up to rounding
+    for seed in range(4):
+        gen = np.random.default_rng([m, deficient, seed, 75])
+        f = PsdMatrix(planted(gen, m, m // 2 if deficient else m)[0])
+        lift = _row_lift(f, T)
+
+        w, v = eigh_desc(f.a.T)
+        keep = w > T.rank_cutoff(m, m) * max(w[0], 0.0)
+        roots = np.sqrt(w[keep])
+        j = v[:, keep] * roots
+
+        assert lift.rank == np.count_nonzero(keep)
+        assert np.all(np.abs(lift.roots - roots) <= 1e-14 * roots.max(initial=0.0))
+        got = lift.embedding() @ lift.embedding().conj().T
+        assert np.linalg.norm(got - j @ j.conj().T) <= 1e-13 * np.linalg.norm(j @ j.conj().T)

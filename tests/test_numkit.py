@@ -42,6 +42,13 @@ class TestTolerances:
         with pytest.raises(ValueError):
             Tolerances(eq=float("nan"))
 
+    @pytest.mark.parametrize("name", ["rank", "psd", "herm", "eq"])
+    @pytest.mark.parametrize("flag", [True, False])
+    def test_rejects_booleans(self, name, flag):
+        # bool is an int: True would be a tolerance of 1.0, rank=False a cutoff of 0
+        with pytest.raises(ValueError, match=f"tolerance {name!r} must be a finite nonnegative real"):
+            Tolerances(**{name: flag})
+
 
 class TestComplexMatrix:
     def test_stores_immutable_complex_array(self):
@@ -93,10 +100,9 @@ def spectrum_matrix(gen, n, lam_max, lam_min, zeros=0):
 
 
 def spectral_psd_rule(a, tol):
-    """Message of the NotPsd the eigvalsh rule raises for ``a``, or None when it accepts."""
-    h = HermitianMatrix(a, tol).a
-    w = np.linalg.eigvalsh(h)
-    lo, hi = float(w[0]), float(w[-1])
+    """Message of the NotPsd the rule raises for ``a`` on its deciding ``eigh_desc`` spectrum, or None when it accepts."""
+    w = eigh_desc(HermitianMatrix(a, tol))[0]
+    lo, hi = float(w[-1]), float(w[0])
     if lo < -tol.psd * (1.0 + hi):
         return f"eigenvalue {lo:.3e} is genuinely negative (largest {hi:.3e})"
     return None
@@ -118,10 +124,9 @@ def psd_decision(a, tol):
 
 
 class TestPositivityCertificate:
-    # lambda_min = -c psd (1 + lambda_max): the rule accepts for c <= 1; for
-    # PsdMatrix the shifted Cholesky may prove acceptance only below c = 1/2,
-    # and every other case falls through to the spectrum, so decisions never
-    # change; loewner_leq always decides on the spectrum
+    # lambda_min = -c psd (1 + lambda_max): the rule accepts for c <= 1;
+    # PsdMatrix decides on the one eigh_desc it keeps for its lifts, and
+    # loewner_leq on the exact eigvalsh of the difference
 
     C = (0.0, 0.25, 0.49, 0.51, 0.75, 0.9, 1.1, 2.0, 10.0)
 
@@ -137,8 +142,8 @@ class TestPositivityCertificate:
     @pytest.mark.parametrize("n", [4, 8, 32, 160])
     @pytest.mark.parametrize("scale", [1e-3, 1.0, 1e6])
     def test_hilbert_lift_decides_a_raw_weight_as_psd_matrix(self, n, scale, decompositions):
-        # the lift's own eigh is the weight's only positivity check: the same
-        # decision and NotPsd text as PsdMatrix, and no Cholesky or eigvalsh first
+        # a raw weight is validated as a PsdMatrix, whose one eigh the lift
+        # reads: the same decision and NotPsd text, and no other decomposition
         tol = Tolerances()
         gen = np.random.default_rng([n, int(np.log10(scale)) + 3, 60])
         for c in self.C:
@@ -174,20 +179,18 @@ class TestPositivityCertificate:
             assert loewner_leq(np.zeros((n, n)), a, tol) == spectral_loewner_rule(np.zeros((n, n)), a, tol)
             assert loewner_leq(a, np.zeros((n, n)), tol) == spectral_loewner_rule(a, np.zeros((n, n)), tol)
 
-    def test_certified_matrix_takes_one_cholesky(self, decompositions):
-        gen = np.random.default_rng(63)
-        a = spectrum_matrix(gen, 32, 1.0, 0.0, zeros=4)
+    @pytest.mark.parametrize("n", [4, 8, 32])
+    @pytest.mark.parametrize("lam_min", [0.5, -0.75 * 1e-8 * 2.0])
+    @pytest.mark.parametrize("psd", [1e-8, 0.0])
+    def test_psd_matrix_takes_one_eigh(self, n, lam_min, psd, decompositions):
+        # -0.75 psd (1 + lambda_max) is inside the slack, beyond what a half-slack
+        # shift could prove; at every size and slack one kept eigh decides
+        gen = np.random.default_rng([n, 64])
+        a = spectrum_matrix(gen, n, 1.0, lam_min)
         with decompositions:
-            PsdMatrix(a)
-        assert [name for name, _ in decompositions] == ["cholesky"]
-
-    def test_inside_the_slack_beyond_the_shift_falls_back_to_the_spectrum(self, decompositions):
-        # c = 0.75: accepted by the rule, but below the half-slack shift
-        gen = np.random.default_rng(64)
-        a = spectrum_matrix(gen, 32, 1.0, -0.75 * 1e-8 * 2.0)
-        with decompositions:
-            PsdMatrix(a)
-        assert sorted(name for name, _ in decompositions) == ["cholesky", "eigvalsh"]
+            decision = psd_decision(a, Tolerances(psd=psd))
+        assert [name for name, _ in decompositions] == ["eigh"]
+        assert (decision is None) == (lam_min > 0.0 or psd > 0.0)
 
     @pytest.mark.parametrize("n", [8, 16, 32])
     def test_loewner_leq_takes_only_the_spectrum(self, n, decompositions):
@@ -198,14 +201,12 @@ class TestPositivityCertificate:
             assert not loewner_leq(a, np.zeros((n, n)))
         assert [name for name, _ in decompositions] == ["eigvalsh"] * 2
 
-    def test_small_and_zero_slack_take_only_the_spectrum(self, decompositions):
+    def test_zero_slack_loewner_leq_takes_only_the_spectrum(self, decompositions):
         gen = np.random.default_rng(65)
-        small, large = spectrum_matrix(gen, 4, 1.0, 0.5), spectrum_matrix(gen, 32, 1.0, 0.5)
+        large = spectrum_matrix(gen, 32, 1.0, 0.5)
         with decompositions:
-            PsdMatrix(small)
-            PsdMatrix(large, Tolerances(psd=0.0))
             loewner_leq(np.zeros((32, 32)), large, Tolerances(psd=0.0))
-        assert [name for name, _ in decompositions] == ["eigvalsh"] * 3
+        assert [name for name, _ in decompositions] == ["eigvalsh"]
 
 
 class TestPinv:

@@ -286,8 +286,8 @@ def planted_strong(gen, n, p):
 
 class TestCallerPositivityIsCertified:
     # n = 32 (and p = q = 8 for strong Parrott): a caller weight is decided
-    # by the spectrum its lift takes anyway, so it costs no Cholesky and no
-    # eigvalsh; both Loewner hypotheses are decided on the reduced pairs, by
+    # by the one eigh its PsdMatrix keeps and its lift reads, so it costs no
+    # Cholesky and no eigvalsh; both Loewner hypotheses are decided on the reduced pairs, by
     # the thin SVDs and norms the corner takes anyway, so they cost nothing
     # more; the eigh and svd counts are those of the eigvalsh-validating code,
     # but for the Parrott corner's decomposition, an svd of its coupling block

@@ -23,8 +23,6 @@ TOLERANCE_FIELDS = {"eq", "psd", "herm"}
 
 # (module, top-level owner) -> why its tolerance arithmetic has no unit floor
 UNFLOORED = {
-    ("numkit.py", "_certified_above"):
-        "halves the psd slack before _limit floors it, keeping the shift's evaluation order",
     ("func_ext.py", "_witness_constant"):
         "the degenerate-pair cutoff eq ||L||^2 ||x|| ||P|| already carries the pair's scale; 4 + eq is the constant 4",
     ("func_ext.py", "cstar_extendibility"):
