@@ -8,8 +8,7 @@ ones with sharp norm control:
   operator (the Krein-von Neumann choice) and the weighted Hilbert-space
   lift everything else is built on.
 - :mod:`opext.sa_ext` — extremal bound-preserving self-adjoint
-  extensions of symmetric partial operators, the interval they bound,
-  and commutation inheritance.
+  extensions of symmetric partial operators and the interval they bound.
 - :mod:`opext.parrott` — operator completions of partially specified
   block matrices: the generalized two-corner problem, the strong
   (equation-constrained) variant, and the classical contraction
@@ -69,7 +68,6 @@ from .numkit import (
 from .oracle import (
     Rng,
     min_completion_search,
-    random_instance,
     random_instance_with_witness,
     sampled_bound,
 )
@@ -84,9 +82,7 @@ from .parrott import (
 from .sa_ext import (
     ExtensionInterval,
     SymmetricPartialOperator,
-    a_bound,
     alpha_of_total,
-    check_commutation,
     extend_symmetric,
     in_interval,
 )
@@ -125,11 +121,9 @@ __all__ = [
     # self-adjoint extensions
     "SymmetricPartialOperator",
     "ExtensionInterval",
-    "a_bound",
     "extend_symmetric",
     "alpha_of_total",
     "in_interval",
-    "check_commutation",
     # completions
     "ParrottInstance",
     "check_compatibility",
@@ -155,6 +149,5 @@ __all__ = [
     "Rng",
     "sampled_bound",
     "min_completion_search",
-    "random_instance",
     "random_instance_with_witness",
 ]

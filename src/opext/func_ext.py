@@ -49,7 +49,6 @@ from .numkit import (
     HermitianMatrix,
     PsdMatrix,
     Tolerances,
-    _asymmetry,
     _excess,
     _fro,
     _hermitian_part,
@@ -100,17 +99,6 @@ class FunctionalMatrix:
             raise DimensionMismatch(f"argument must be {self.size}x{self.size}, got {xa.shape}")
         return complex(np.trace(self.density.a @ xa))
 
-    def is_hermitian(self, tol: Tolerances | None = None) -> bool:
-        """The Hermitian rule of :class:`~opext.numkit.HermitianMatrix` on the density, as a bool."""
-        d = self.density.a
-        return not _excess(_asymmetry, (d, d.conj().T), _tol(tol).herm)
-
-    def is_positive(self, tol: Tolerances | None = None) -> bool:
-        t = _tol(tol)
-        if not self.is_hermitian(t):
-            return False
-        return loewner_leq(np.zeros_like(self.density.a), self.density.a, t)
-
     def __repr__(self):
         return f"FunctionalMatrix(m={self.size})"
 
@@ -145,14 +133,6 @@ class LeftIdeal:
     @property
     def size(self) -> int:
         return self.projection.rows
-
-    def contains(self, a, tol: Tolerances | None = None) -> bool:
-        """Whether ``||a P - a||_F <= eq * (1 + ||a||_F)``, at every finite scale (:func:`~opext.numkit._excess`)."""
-        am = ComplexMatrix.coerce(a).a
-        p = self.projection.a
-        if am.shape != p.shape:
-            raise DimensionMismatch(f"argument must be {self.size}x{self.size}")
-        return not _excess(lambda x: (_fro(x @ p - x), _fro(x)), (am,), _tol(tol).eq)
 
     def basis(self) -> list[np.ndarray]:
         """Spanning family E_ij P, i, j = 0..m-1 (row-major order).

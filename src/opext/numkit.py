@@ -27,6 +27,7 @@ those eigenpairs, which every lift of it reads, so a weight is decomposed once.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -63,11 +64,11 @@ class Tolerances:
         Positivity slack: an eigenvalue above ``-_limit(psd, lambda_max)``
         counts as nonnegative (PsdMatrix, psd_eig, loewner_leq).
     herm : float
-        Asymmetry ``||M - M*||_F`` allowed by :func:`hermitize` (and
-        ``FunctionalMatrix.is_hermitian``): ``_limit(herm, ||M||_F)``.
+        Asymmetry ``||M - M*||_F`` allowed by :func:`hermitize`:
+        ``_limit(herm, ||M||_F)``.
     eq : float
         Every other decision residual (restriction, range, collapse,
-        idempotency, commutation, completion equations, bounds against
+        idempotency, completion equations, bounds against
         declared constants, verify's invariants): ``_limit(eq, scale)``.
 
     One rule makes these thresholds, the floored limit :func:`_limit`,
@@ -91,8 +92,10 @@ class Tolerances:
             value = getattr(self, name)
             if name == "rank" and value is None:
                 continue
-            if isinstance(value, bool) or not (isinstance(value, (int, float)) and math.isfinite(value)) or value < 0:
+            if isinstance(value, bool) or not (isinstance(value, numbers.Real) and math.isfinite(value)) or value < 0:
                 raise ValueError(f"tolerance {name!r} must be a finite nonnegative real, got {value!r}")
+            # stored as float: a float32 would stay float32 through every _limit product, and overflow above 3.4e38
+            object.__setattr__(self, name, float(value))
 
     def rank_cutoff(self, rows: int, cols: int) -> float:
         """Relative cutoff for singular values of a rows-by-cols matrix."""
@@ -190,7 +193,7 @@ def _checked_hermitian(a: np.ndarray, tol: Tolerances) -> np.ndarray:
     if a.shape[0] != a.shape[1]:
         raise DimensionMismatch(f"Hermitian matrix must be square, got {a.shape}")
     c = np.conjugate(_finite(a).T, order="C")
-    _require_hermitian(_asymmetry, (a, c), tol.herm)
+    _require_hermitian(lambda x, y: (_fro(x - y), _fro(x)), (a, c), tol.herm)
     c += a  # (a + a*) / 2.0 as in _hermitian_part
     c /= 2.0
     return _finite(c)
@@ -203,11 +206,6 @@ def _checked_pairing(a: np.ndarray, b: np.ndarray, tol: Tolerances) -> None:
         lambda x, y: (math.sqrt(2.0) * _fro(x - y.conj().T), math.hypot(_fro(x), _fro(y))),
         (_finite(a), _finite(b)), tol.herm,
     )
-
-
-def _asymmetry(a: np.ndarray, c: np.ndarray) -> tuple[float, float]:
-    """``(||a - c||_F, ||a||_F)`` for ``c = a*``: the measure of the Hermitian rule."""
-    return _fro(a - c), _fro(a)
 
 
 def _excess(measure, blocks: tuple[np.ndarray, ...], rel: float) -> float:

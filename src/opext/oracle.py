@@ -22,6 +22,7 @@ streams split off deterministically for per-instance reproducibility.
 from __future__ import annotations
 
 import itertools
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -33,7 +34,6 @@ __all__ = [
     "Rng",
     "sampled_bound",
     "min_completion_search",
-    "random_instance",
     "random_instance_with_witness",
     "complex_gaussian",
     "random_unitary",
@@ -60,11 +60,15 @@ class Rng:
     path: tuple[int, ...] = ()
 
     def __post_init__(self):
-        if not (0 <= int(self.seed) < 2**64):
-            raise ValueError("seed must fit in 64 unsigned bits")
+        # numbers.Integral takes numpy integers; a float, str or bool would alias an integer's stream
+        for value in (self.seed, *self.path):
+            if isinstance(value, bool) or not isinstance(value, numbers.Integral) or not 0 <= value < 2**64:
+                raise ValueError("seed must fit in 64 unsigned bits")
+        object.__setattr__(self, "seed", int(self.seed))
+        object.__setattr__(self, "path", tuple(int(i) for i in self.path))
 
     def split(self, index: int) -> "Rng":
-        return Rng(self.seed, self.path + (int(index),))
+        return Rng(self.seed, self.path + (index,))
 
     def generator(self) -> np.random.Generator:
         seq = np.random.SeedSequence(entropy=int(self.seed), spawn_key=self.path)
@@ -76,7 +80,7 @@ def _gen(rng) -> np.random.Generator:
         return rng.generator()
     if isinstance(rng, np.random.Generator):
         return rng
-    return Rng(int(rng)).generator()
+    return Rng(rng).generator()
 
 
 def complex_gaussian(gen: np.random.Generator, rows: int, cols: int) -> np.ndarray:
@@ -372,9 +376,3 @@ def random_instance_with_witness(kind: str, dims, rng) -> tuple[dict, dict]:
         return fields, {"source": phi}
 
     raise InvalidDims(f"unknown instance kind {kind!r}")
-
-
-def random_instance(kind: str, dims, rng) -> dict:
-    """Reproducible random instance of the given kind, as payload fields (witness dropped)."""
-    fields, _ = random_instance_with_witness(kind, dims, rng)
-    return fields

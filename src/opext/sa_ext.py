@@ -7,11 +7,11 @@ operator is A-bounded with constant alpha when
     |<S_0 x, y>|^2 <= alpha^2 <A x, x> <A y, y>
 
 for all x in the domain and all y; the smallest such alpha is the bound
-computed by :func:`a_bound`.  Every A-bounded symmetric partial operator
-admits self-adjoint extensions with the same bound, and they form an
-operator interval: there are extremal extensions S_min and S_max such
-that the bound-preserving self-adjoint extensions are exactly the
-Hermitian S with S_min <= S <= S_max in the Loewner order.
+``alpha`` that :func:`extend_symmetric` reports.  Every A-bounded
+symmetric partial operator admits self-adjoint extensions with the same
+bound, and they form an operator interval: there are extremal extensions
+S_min and S_max such that the bound-preserving self-adjoint extensions
+are exactly the Hermitian S with S_min <= S <= S_max in the Loewner order.
 
 The construction works in the range coordinates supplied by
 :func:`~opext.kvn.hilbert_lift`.  There the partial operator becomes an
@@ -33,7 +33,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DimensionMismatch, HypothesisViolated, NotABounded
+from .errors import DimensionMismatch, NotABounded
 from .kvn import HilbertLift, hilbert_lift
 from .numkit import (
     ComplexMatrix,
@@ -50,19 +50,16 @@ from .numkit import (
     _tol,
     eigh_desc,
     loewner_leq,
-    pinv,
 )
 
 __all__ = [
     "SymmetricPartialOperator",
     "LiftedSymmetric",
     "ExtensionInterval",
-    "a_bound",
     "lift_symmetric",
     "extend_symmetric",
     "alpha_of_total",
     "in_interval",
-    "check_commutation",
 ]
 
 
@@ -193,11 +190,6 @@ def lift_symmetric(
     return LiftedSymmetric(lift=lift, domain=ComplexMatrix._adopt(u), values=ComplexMatrix._adopt(w), alpha=alpha)
 
 
-def a_bound(op: SymmetricPartialOperator, weight, tol: Tolerances | None = None) -> float:
-    """Smallest weighted bound of the partial operator (see module docs)."""
-    return lift_symmetric(op, weight, tol).alpha
-
-
 def extend_symmetric(
     op: SymmetricPartialOperator, weight, tol: Tolerances | None = None
 ) -> ExtensionInterval:
@@ -271,52 +263,3 @@ def in_interval(candidate, interval: ExtensionInterval, tol: Tolerances | None =
     if s.rows != interval.s_min.rows:
         raise DimensionMismatch(f"candidate is {s.rows}x{s.rows}, interval lives on {interval.s_min.rows}")
     return loewner_leq(interval.s_min, s, t) and loewner_leq(s, interval.s_max, t)
-
-
-def check_commutation(
-    b, op: SymmetricPartialOperator, weight, tol: Tolerances | None = None
-) -> bool:
-    """Extremal extensions inherit commutation in the unweighted case.
-
-    For weight = identity: if a Hermitian B maps the domain into itself
-    and intertwines with the prescribed values (S_0 B x = B S_0 x on the
-    domain), then both extremal extensions commute with B.  Returns True
-    when that conclusion holds numerically.
-
-    Raises
-    ------
-    HypothesisViolated
-        If the weight is not the identity, if B does not leave the domain
-        invariant, or if B fails to intertwine with the data.
-    """
-    t = _tol(tol)
-    bm = HermitianMatrix.coerce(b, t)
-    lift = hilbert_lift(weight, t)
-    n = bm.rows
-    if lift.weight.rows != n or op.ambient_dim != n:
-        raise DimensionMismatch("operator, weight, and commutant candidate must share a dimension")
-    if _fro(lift.weight.a - np.eye(n)) > _limit(t.eq, _fro(lift.weight.a)):
-        raise HypothesisViolated("commutation transport requires the identity weight")
-    d = op.domain_basis.a
-    v = op.values.a
-    # invariance: B maps the domain into itself
-    bd = bm.a @ d
-    coeff = pinv(d, t).a @ bd
-    inv_resid = _fro(bd - d @ coeff)
-    if inv_resid > _limit(t.eq, _fro(bd)):
-        raise HypothesisViolated(
-            f"candidate does not leave the domain invariant (residual {inv_resid:.3e})"
-        )
-    # intertwining on the domain: S_0 (B d_j) = B (S_0 d_j)
-    twist_resid = _fro(v @ coeff - bm.a @ v)
-    if twist_resid > _limit(t.eq, _fro(bm.a @ v)):
-        raise HypothesisViolated(
-            f"candidate does not intertwine with the prescribed values (residual {twist_resid:.3e})"
-        )
-    interval = _extend_on_lift(op, lift, t)
-    b_norm = _smax(bm.a)
-    ok = True
-    for s in (interval.s_min.a, interval.s_max.a):
-        resid = _fro(s @ bm.a - bm.a @ s)
-        ok = ok and resid <= _limit(t.eq, b_norm * _smax(s))
-    return bool(ok)

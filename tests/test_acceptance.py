@@ -30,14 +30,14 @@ from opext.oracle import (
 from opext.parrott import ParrottInstance, classical_parrott, parrott_complete, strong_parrott
 from opext.sa_ext import (
     SymmetricPartialOperator,
-    a_bound,
     alpha_of_total,
-    check_commutation,
     extend_symmetric,
     in_interval,
+    lift_symmetric,
 )
 from planted import planted
 from test_func_ext import reference_sampled_constant
+from test_sa_ext import endpoints_commute
 
 INSTANCES = Path(__file__).resolve().parent.parent / "instances"
 E1 = np.array([[1.0], [0.0]])
@@ -151,7 +151,7 @@ def test_criterion_05_positive_extension_identities_and_commutation():
         b1, b2 = gen.uniform(-2, 2, 2)
         b = u @ np.diag(np.concatenate([np.full(n1, b1), np.full(n2, b2)])).astype(complex) @ u.conj().T
         op = SymmetricPartialOperator(u @ d, u @ (s @ d))
-        assert check_commutation(b, op, PsdMatrix(np.eye(n)))
+        assert endpoints_commute(b, extend_symmetric(op, PsdMatrix(np.eye(n))))
     report(5, f"200 identity matches (worst {worst:.2e} <= 1e-8) + 200 commutation checks")
 
 
@@ -247,7 +247,7 @@ def test_criterion_10_bound_oracle_agreement():
         gen = child.generator()
         n = int(gen.integers(1, 9))
         (op, weight), _ = planted("sa_ext", (n,), child.split(0))
-        alpha = a_bound(op, weight)
+        alpha = lift_symmetric(op, weight).alpha
         est = sampled_bound(op, weight, 10_000, child.split(1))
         # every sampled value is a ratio attained by a concrete pair, so it
         # can only exceed the spectral value by evaluation roundoff

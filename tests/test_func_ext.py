@@ -5,7 +5,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from opext.errors import DimensionMismatch, HypothesisViolated, NotFBounded, NotHermitian, NotSymmetric
+from opext.errors import HypothesisViolated, NotFBounded, NotSymmetric
 from opext.func_ext import (
     FunctionalMatrix,
     LeftIdeal,
@@ -21,7 +21,7 @@ from opext.func_ext import (
     hahn_jordan,
     is_symmetric_on_ideal,
 )
-from opext.numkit import HermitianMatrix, PsdMatrix, Tolerances, eigh_desc
+from opext.numkit import HermitianMatrix, PsdMatrix, Tolerances, eigh_desc, loewner_leq
 from opext.oracle import Rng, min_completion_search
 from opext.sa_ext import extend_symmetric
 from planted import planted
@@ -45,13 +45,6 @@ def fixture_functional():
 
 
 class TestIdealAndFunctional:
-    def test_contains(self):
-        ideal = LeftIdeal(E11)
-        assert ideal.contains(np.array([[1.0, 0.0], [2.0, 0.0]]))
-        assert not ideal.contains(np.array([[0.0, 1.0], [0.0, 0.0]]))
-        with pytest.raises(DimensionMismatch):
-            ideal.contains(np.eye(3))
-
     def test_non_projector_rejected(self):
         with pytest.raises(ValueError, match="projector"):
             LeftIdeal(np.diag([0.5, 0.0]))
@@ -59,7 +52,7 @@ class TestIdealAndFunctional:
     def test_basis_spans_ideal(self):
         ideal = LeftIdeal(E11)
         for a in ideal.basis():
-            assert ideal.contains(a)
+            assert np.array_equal(a @ ideal.projection.a, a)
 
     def test_canonical_representative(self):
         pf = PartialFunctional(LeftIdeal(E11), np.array([[1.0, 2.0], [3.0, 4.0]]))
@@ -146,16 +139,6 @@ class TestDecisionsAtEveryScale:
             LeftIdeal(np.diag([c, 0.0]))
 
     @pytest.mark.parametrize("c", SCALES)
-    def test_is_hermitian_agrees_with_hermitian_matrix(self, c):
-        skew, herm = c * np.array([[1.0, 1.0], [0.0, 1.0]]), c * np.array([[1.0, 1.0j], [-1.0j, 1.0]])
-        with np.errstate(over="ignore"):
-            assert not FunctionalMatrix(skew).is_hermitian()
-            with pytest.raises(NotHermitian):
-                HermitianMatrix(skew)
-            assert FunctionalMatrix(herm).is_hermitian()
-            assert np.array_equal(HermitianMatrix(herm).a, herm)
-
-    @pytest.mark.parametrize("c", SCALES)
     def test_symmetry_on_ideal(self, c):
         full = LeftIdeal(np.eye(2))
         nilpotent = PartialFunctional(full, c * np.array([[0.0, 1.0], [0.0, 0.0]]))
@@ -164,13 +147,6 @@ class TestDecisionsAtEveryScale:
             assert not is_symmetric_on_ideal(nilpotent)
             with pytest.raises(NotSymmetric):
                 cstar_extendibility(nilpotent)
-
-    @pytest.mark.parametrize("c", SCALES)
-    def test_ideal_membership(self, c):
-        ideal = LeftIdeal(E11)
-        with np.errstate(over="ignore"):
-            assert ideal.contains(c * np.array([[1.0, 0.0], [2.0, 0.0]]))
-            assert not ideal.contains(c * np.array([[0.0, 1.0], [0.0, 0.0]]))
 
 
 class TestIdealAgreement:
@@ -420,8 +396,8 @@ class TestHahnJordan:
 
             phi = random_hermitian(gen, 4)
             plus, minus = hahn_jordan(FunctionalMatrix(phi))
-            assert plus.is_positive()
-            assert minus.is_positive()
+            zero = np.zeros((4, 4))
+            assert loewner_leq(zero, plus.density) and loewner_leq(zero, minus.density)
             assert np.abs(plus.density.a - minus.density.a - phi).max() <= 1e-10 * (
                 1 + np.linalg.norm(phi)
             )
@@ -507,8 +483,8 @@ class TestCstarExtendibility:
             for a in pf.ideal.basis():
                 assert abs(decision.g_min(a) - pf(a)) <= scale
                 assert abs(decision.g_max(a) - pf(a)) <= scale
-            assert decision.g_min.is_hermitian()
-            assert decision.g_max.is_hermitian()
+            for g in (decision.g_min.density.a, decision.g_max.density.a):
+                assert np.linalg.norm(g - g.conj().T) <= 1e-10 * (1 + np.linalg.norm(g))
             assert functional_interval_member(decision.g_min, decision.g_min, decision.g_max)
 
     def test_exact_bound_is_alpha_and_decides_constant4(self):

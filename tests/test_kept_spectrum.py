@@ -14,7 +14,7 @@ from opext.func_ext import LeftIdeal, PartialFunctional, _row_lift, extend_funct
 from opext.kvn import hilbert_lift
 from opext.numkit import DEFAULT_TOLERANCES as T
 from opext.numkit import PsdMatrix, eigh_desc
-from opext.sa_ext import SymmetricPartialOperator, check_commutation, extend_symmetric
+from opext.sa_ext import SymmetricPartialOperator, extend_symmetric
 
 
 def cgauss(gen, rows, cols):
@@ -71,19 +71,6 @@ def test_functionals_shaped_extension_decomposes_its_density_once(decompositions
         extend_functional(pf, PsdMatrix(f))
     assert "eigvalsh" not in [name for name, _ in decompositions]
     assert calls_on(decompositions, f) == ["eigh"]
-
-
-def test_commutation_check_takes_one_norm_of_b(decompositions):
-    # B's spectral norm scales both endpoints' residual limits; it is taken once
-    gen = np.random.default_rng(74)
-    n = 4
-    b = np.diag([2.0, 2.0, -1.0, 3.0])
-    d = np.eye(n)[:, :2]
-    s = herm(cgauss(gen, 2, 2))
-    op = SymmetricPartialOperator(d, d @ s)
-    with decompositions:
-        assert check_commutation(b, op, PsdMatrix(np.eye(n)))
-    assert [name for name, x in decompositions if name == "svd" and np.array_equal(x, b)] == ["svd"]
 
 
 @pytest.mark.parametrize("m", range(1, 17))

@@ -15,6 +15,7 @@ from opext.numkit import (
     _checked_pairing,
     _fro,
     _hermitian_part,
+    _limit,
     eigh_desc,
     hermitize,
     independent_columns,
@@ -48,6 +49,16 @@ class TestTolerances:
         # bool is an int: True would be a tolerance of 1.0, rank=False a cutoff of 0
         with pytest.raises(ValueError, match=f"tolerance {name!r} must be a finite nonnegative real"):
             Tolerances(**{name: flag})
+        with pytest.raises(ValueError, match=f"tolerance {name!r} must be a finite nonnegative real"):
+            Tolerances(**{name: np.bool_(flag)})
+
+    @pytest.mark.parametrize("name", ["rank", "psd", "herm", "eq"])
+    @pytest.mark.parametrize("value", [np.float32(1e-8), np.float64(1e-8), np.int64(0), np.int32(2), 0, 3])
+    def test_numpy_and_integer_reals_are_stored_as_float(self, name, value):
+        # a float32 kept as is would stay float32 through eq * (1 + scale) and overflow above 3.4e38
+        t = Tolerances(**{name: value})
+        assert type(getattr(t, name)) is float and getattr(t, name) == float(value)
+        assert np.isfinite(_limit(getattr(t, name), 1e300))
 
 
 class TestComplexMatrix:

@@ -13,11 +13,11 @@ from opext.func_ext import is_symmetric_on_ideal
 from opext.numkit import PsdMatrix, numerical_rank
 from opext.oracle import (
     Rng,
+    _gen,
     complex_gaussian,
     min_completion_search,
     random_contraction,
     random_hermitian,
-    random_instance,
     random_instance_with_witness,
     random_projection,
     random_psd,
@@ -25,7 +25,7 @@ from opext.oracle import (
     sampled_bound,
 )
 from opext.parrott import check_compatibility
-from opext.sa_ext import SymmetricPartialOperator, a_bound
+from opext.sa_ext import SymmetricPartialOperator, lift_symmetric
 from planted import objects, planted
 
 
@@ -62,6 +62,24 @@ class TestRng:
         with pytest.raises(ValueError):
             Rng(2**64)
         Rng(2**64 - 1)  # boundary is fine
+
+    @pytest.mark.parametrize("seed", [1.5, True, "7", np.float64(7.0), np.bool_(True)])
+    def test_seed_must_be_an_integer(self, seed):
+        # a float, str or bool seed would draw an integer's stream
+        with pytest.raises(ValueError):
+            Rng(seed)
+        with pytest.raises(ValueError):
+            Rng(7).split(seed)
+        with pytest.raises(ValueError):
+            _gen(seed)
+
+    def test_numpy_integers_name_the_same_stream(self):
+        r = Rng(np.int64(7)).split(np.uint8(2))
+        assert (type(r.seed), type(r.path[0])) == (int, int)
+        np.testing.assert_array_equal(
+            r.generator().standard_normal(4), Rng(7).split(2).generator().standard_normal(4)
+        )
+        np.testing.assert_array_equal(_gen(np.int64(7)).standard_normal(4), Rng(7).generator().standard_normal(4))
 
     def test_frozen(self):
         r = Rng(5)
@@ -147,7 +165,7 @@ class TestSampledBound:
             gen = child.generator()
             n = int(gen.integers(2, 9))
             (op, weight), _ = planted("sa_ext", (n,), child.split(0))
-            alpha = a_bound(op, weight)
+            alpha = lift_symmetric(op, weight).alpha
             est = sampled_bound(op, weight, 10_000, child.split(1))
             assert est <= alpha * (1 + 1e-9) + 1e-12
             if alpha > 1e-9:
@@ -212,7 +230,7 @@ class TestInstanceGeneration:
         for kind, dims in KINDS:
             a, wa = random_instance_with_witness(kind, dims, Rng(75))
             b, wb = random_instance_with_witness(kind, dims, Rng(75))
-            c = random_instance(kind, dims, Rng(76))
+            c, _ = random_instance_with_witness(kind, dims, Rng(76))
             assert a.keys() == b.keys() == c.keys() and wa.keys() == wb.keys()
             for key in a:
                 np.testing.assert_array_equal(a[key], b[key])
@@ -255,7 +273,7 @@ class TestInstanceGeneration:
 
     def test_hyphenated_kind_and_int_seed_accepted(self):
         a, _ = random_instance_with_witness("strong-parrott", (3, 3, 2), Rng(77))
-        b = random_instance("strong_parrott", (3, 3, 2), 77)
+        b, _ = random_instance_with_witness("strong_parrott", (3, 3, 2), 77)
         np.testing.assert_array_equal(a["s1"], b["s1"])
 
     def test_invalid_dims(self):

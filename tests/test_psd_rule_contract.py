@@ -3,7 +3,7 @@
 ``numkit._psd_keep`` decides a Hermitian form from its eigenvalues: NotPsd
 through ``_require_psd``, else the mask above the relative rank cutoff.
 ``psd_eig``, a lift and the kvn Gram factor call it, and the interval
-endpoints and the Parrott corner through ``_lifted_keep``, so a later change to either decision (ROADMAP item 3's
+endpoints and the Parrott corner through ``_lifted_keep``, so a later change to either decision (ROADMAP item 2's
 leak-based rank rule) is a change to ``numkit`` alone.  The scan below
 parses ``src/opext`` and fails on a call to ``_require_psd`` or to
 ``.rank_cutoff(`` in any other module.
