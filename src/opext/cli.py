@@ -49,7 +49,7 @@ from .func_ext import (
     f_bound,
 )
 from .kvn import PartialPositiveOperator, check_restriction, hilbert_lift, kvn_extend
-from .numkit import DEFAULT_TOLERANCES, Tolerances, _fro, _limit, _smax, hermitize, loewner_leq
+from .numkit import DEFAULT_TOLERANCES, HermitianMatrix, Tolerances, _fro, _limit, _smax, loewner_leq
 from .oracle import MAX_ALGEBRA, MAX_DIM, Rng, _check_dims, random_instance_with_witness
 from .parrott import (
     ParrottInstance,
@@ -61,7 +61,7 @@ from .sa_ext import (
     ExtensionInterval,
     SymmetricPartialOperator,
     _alpha_on_lift,
-    _extend_on_lift,
+    extend_symmetric,
     in_interval,
 )
 from .serialize import decode_int, decode_matrix, decode_real, dumps_canonical, encode_matrix
@@ -196,7 +196,7 @@ def _run_kvn(data: dict, tol: Tolerances) -> tuple[dict, dict]:
 def _run_sa_ext(data: dict, tol: Tolerances) -> tuple[dict, dict]:
     op = SymmetricPartialOperator(data["domain_basis"], data["values"], tol)
     lift = hilbert_lift(data["weight"], tol)
-    interval = _extend_on_lift(op, lift, tol)
+    interval = extend_symmetric(op, lift.weight, tol)
     aw, d, v = lift.weight.a, data["domain_basis"], data["values"]
     diagnostics = {}
     for name, s in (("min", interval.s_min), ("max", interval.s_max)):
@@ -295,7 +295,7 @@ def _below_witness(data: dict, result: dict, witness: dict, tol: Tolerances) -> 
 
 
 def _midpoint_in_interval(data: dict, result: dict, witness: dict, tol: Tolerances) -> dict:
-    interval = ExtensionInterval(result["alpha"], hermitize(result["s_min"], tol), hermitize(result["s_max"], tol))
+    interval = ExtensionInterval(result["alpha"], *(HermitianMatrix(result[end], tol) for end in ("s_min", "s_max")))
     return {"midpoint_in_interval": in_interval((result["s_min"] + result["s_max"]) / 2.0, interval, tol)}
 
 
@@ -544,7 +544,10 @@ def _cmd_run(kind: str, args) -> int:
     tol = None
     try:
         with open(args.instance, "r", encoding="utf-8") as fh:
-            document = json.load(fh)
+            try:
+                document = json.load(fh)
+            except RecursionError as exc:  # nesting deeper than the decoder's recursion limit
+                raise ValueError("instance file is nested too deeply to decode") from exc
         if not isinstance(document, dict):
             raise ValueError("instance file must contain a JSON object")
         if document.get("kind") != kind:

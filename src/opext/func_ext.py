@@ -56,7 +56,6 @@ from .numkit import (
     _range_basis,
     _tol,
     eigh_desc,
-    hermitize,
     loewner_leq,
 )
 from .sa_ext import SymmetricPartialOperator, _extend_lifted, _symmetric_lift
@@ -387,9 +386,9 @@ def functional_interval_member(
     positive).
     """
     t = _tol(tol)
-    c = hermitize(_as_functional(candidate).density, t).a
-    lo = hermitize(_as_functional(lower).density, t).a
-    hi = hermitize(_as_functional(upper).density, t).a
+    c = HermitianMatrix(_as_functional(candidate).density, t).a
+    lo = HermitianMatrix(_as_functional(lower).density, t).a
+    hi = HermitianMatrix(_as_functional(upper).density, t).a
     if c.shape != lo.shape or c.shape != hi.shape:
         raise DimensionMismatch("functionals must share the algebra size")
     return loewner_leq(lo, c, t) and loewner_leq(c, hi, t)
@@ -403,7 +402,7 @@ def hahn_jordan(g: FunctionalMatrix, tol: Tolerances | None = None) -> tuple[Fun
     the density into its positive and negative parts.
     """
     t = _tol(tol)
-    w, v = eigh_desc(hermitize(_as_functional(g).density, t))
+    w, v = eigh_desc(HermitianMatrix(_as_functional(g).density, t))
     pos = (v * np.clip(w, 0.0, None)) @ v.conj().T
     neg = (v * np.clip(-w, 0.0, None)) @ v.conj().T
     return tuple(FunctionalMatrix(HermitianMatrix._adopt(_hermitian_part(x))) for x in (pos, neg))
@@ -522,7 +521,7 @@ def cstar_extendibility(
         )
     abs_density = abs_row = root = None
     if extension is not None:
-        phi = hermitize(_as_functional(extension).density, t)
+        phi = HermitianMatrix(_as_functional(extension).density, t)
         # the supplied functional must actually extend g_0
         worst = _ideal_agreement(pf, phi.a)
         if worst > t.eq * _fro(pf.gamma.a):

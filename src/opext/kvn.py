@@ -72,10 +72,10 @@ class PartialPositiveOperator:
         column j.
 
     Construction validates independence of the domain columns (all k
-    singular values of D = P diag(s) V* above the rank cutoff, kept as the
-    pair (P, Y = G V diag(1/s))) and that M = D* G is Hermitian, and keeps
-    the factor C of the minimal extension C C* and the existence residual
-    of P* Y, decided under the ``tol`` it is built with; a later call's
+    singular values of D = P diag(s) V* above the rank cutoff) and that
+    M = D* G is Hermitian, and keeps, for Y = G V diag(1/s), the factor C of
+    the minimal extension C C*, the existence residual of P* Y and its scale
+    ||Y||_F, decided under the ``tol`` it is built with; a later call's
     ``tol`` supplies only its own ``eq`` check.  Positivity is decided once,
     by the spectrum of P* Y that the factor takes anyway: P* Y is M in the
     orthonormal basis P of the domain, so the decision depends on the span
@@ -85,7 +85,7 @@ class PartialPositiveOperator:
     still be diagnosed.
     """
 
-    __slots__ = ("domain_basis", "values", "_span", "_factor")
+    __slots__ = ("domain_basis", "values", "_factor", "_scale")
 
     def __init__(self, domain_basis, values, tol: Tolerances | None = None):
         d = ComplexMatrix.coerce(domain_basis)
@@ -109,9 +109,9 @@ class PartialPositiveOperator:
             raise NotPsd(f"induced Gram matrix is not positive: {exc}") from exc
         yu = y @ u
         self._factor = (np.compress(keep, yu, axis=1) / np.sqrt(w[keep]), _fro(np.compress(~keep, yu, axis=1)))
+        self._scale = _fro(y)
         self.domain_basis = d
         self.values = g
-        self._span = (p, y)
 
     @property
     def ambient_dim(self) -> int:
@@ -129,11 +129,11 @@ def check_restriction(op: PartialPositiveOperator, tol: Tolerances | None = None
     """Whether the data is the restriction of some positive operator.
 
     Tests on the operator's orthonormal pair (P, Y) that the values vanish
-    on the kernel of P* Y = Q W Q* (eigenvalues above the rank cutoff: the
-    one decision, made at construction) as ``||Y - (Y Q) Q*||_F <=
-    eq * (1 + ||Y||_F)``.  For restrictions of positive matrices this holds.
+    on the kernel of P* Y = Q W Q* (the one decision, made at construction,
+    which keeps both norms) as ``||Y - (Y Q) Q*||_F <= eq * (1 + ||Y||_F)``.
+    For restrictions of positive matrices this holds.
     """
-    return bool(op._factor[1] <= _limit(_tol(tol).eq, _fro(op._span[1])))
+    return bool(op._factor[1] <= _limit(_tol(tol).eq, op._scale))
 
 
 def kvn_extend(op: PartialPositiveOperator, tol: Tolerances | None = None) -> PsdMatrix:
@@ -150,7 +150,7 @@ def kvn_extend(op: PartialPositiveOperator, tol: Tolerances | None = None) -> Ps
         If no positive extension exists (see :func:`check_restriction`).
     """
     c, resid = op._factor
-    _require_vanishing(resid, _fro(op._span[1]), _tol(tol))
+    _require_vanishing(resid, op._scale, _tol(tol))
     return PsdMatrix._adopt(_hermitian_part(c @ c.conj().T))
 
 

@@ -3,7 +3,7 @@
 Everything downstream (minimal positive extensions, completion problems,
 functional extensions) is built on the handful of operations here:
 pseudoinverse with a relative rank cutoff, positive-semidefinite
-eigenpairs, Loewner-order comparison, numerical rank, and hermitization.  All
+eigenpairs, Loewner-order comparison, numerical rank, and the Hermitian rule.  All
 tolerances travel in a single :class:`Tolerances` value passed explicitly;
 there is no mutable global configuration.
 
@@ -44,7 +44,6 @@ __all__ = [
     "psd_eig",
     "loewner_leq",
     "numerical_rank",
-    "hermitize",
     "independent_columns",
     "eigh_desc",
 ]
@@ -64,7 +63,7 @@ class Tolerances:
         Positivity slack: an eigenvalue above ``-_limit(psd, lambda_max)``
         counts as nonnegative (PsdMatrix, psd_eig, loewner_leq).
     herm : float
-        Asymmetry ``||M - M*||_F`` allowed by :func:`hermitize`:
+        Asymmetry ``||M - M*||_F`` allowed by :class:`HermitianMatrix`:
         ``_limit(herm, ||M||_F)``.
     eq : float
         Every other decision residual (restriction, range, collapse,
@@ -92,10 +91,14 @@ class Tolerances:
             value = getattr(self, name)
             if name == "rank" and value is None:
                 continue
-            if isinstance(value, bool) or not (isinstance(value, numbers.Real) and math.isfinite(value)) or value < 0:
+            try:
+                number = float(value) if isinstance(value, numbers.Real) and not isinstance(value, bool) else math.nan
+            except OverflowError:  # an int or Fraction beyond the float range
+                number = math.nan
+            if not (number >= 0 and math.isfinite(number)):
                 raise ValueError(f"tolerance {name!r} must be a finite nonnegative real, got {value!r}")
             # stored as float: a float32 would stay float32 through every _limit product, and overflow above 3.4e38
-            object.__setattr__(self, name, float(value))
+            object.__setattr__(self, name, number)
 
     def rank_cutoff(self, rows: int, cols: int) -> float:
         """Relative cutoff for singular values of a rows-by-cols matrix."""
@@ -187,25 +190,17 @@ def _checked_hermitian(a: np.ndarray, tol: Tolerances) -> np.ndarray:
     """The Hermitian rule on an array: a fresh C-contiguous ``(a + a*) / 2.0``, else an error.
 
     DimensionMismatch unless square, ValueError unless finite (before any arithmetic), NotHermitian
-    when ``||a - a*||_F`` exceeds ``_limit(herm, ||a||_F)``, ValueError when the half-sum overflows;
-    a check whose result is not kept calls it directly.
+    when ``||a - a*||_F`` exceeds ``_limit(herm, ||a||_F)`` (:func:`_excess`), ValueError when the half-sum
+    overflows; a check whose result is not kept calls it directly.
     """
     if a.shape[0] != a.shape[1]:
         raise DimensionMismatch(f"Hermitian matrix must be square, got {a.shape}")
     c = np.conjugate(_finite(a).T, order="C")
-    _require_hermitian(lambda x, y: (_fro(x - y), _fro(x)), (a, c), tol.herm)
+    if asym := _excess(lambda x, y: (_fro(x - y), _fro(x)), (a, c), tol.herm):
+        raise NotHermitian(f"asymmetry {asym:.3e} exceeds tolerance")
     c += a  # (a + a*) / 2.0 as in _hermitian_part
     c /= 2.0
     return _finite(c)
-
-
-def _checked_pairing(a: np.ndarray, b: np.ndarray, tol: Tolerances) -> None:
-    """The Hermitian rule on [[0, a], [b, 0]] from its blocks, unformed: ValueError unless both blocks are finite,
-    else NotHermitian when sqrt(2) ||a - b*||_F exceeds ``_limit(herm, sqrt(||a||_F^2 + ||b||_F^2))``."""
-    _require_hermitian(
-        lambda x, y: (math.sqrt(2.0) * _fro(x - y.conj().T), math.hypot(_fro(x), _fro(y))),
-        (_finite(a), _finite(b)), tol.herm,
-    )
 
 
 def _excess(measure, blocks: tuple[np.ndarray, ...], rel: float) -> float:
@@ -223,12 +218,6 @@ def _excess(measure, blocks: tuple[np.ndarray, ...], rel: float) -> float:
         unit = math.ldexp(1.0, -math.frexp(top)[1])
         resid, scale = measure(*(x * unit for x in blocks))
     return resid / unit if resid > _limit(rel, scale, unit) else 0.0
-
-
-def _require_hermitian(measure, blocks: tuple[np.ndarray, ...], herm: float) -> None:
-    """NotHermitian when the asymmetry ``measure(*blocks)`` takes exceeds its limit (:func:`_excess`)."""
-    if asym := _excess(measure, blocks, herm):
-        raise NotHermitian(f"asymmetry {asym:.3e} exceeds tolerance")
 
 
 class HermitianMatrix(ComplexMatrix):
@@ -413,9 +402,9 @@ def numerical_rank(m, tol: Tolerances | None = None) -> int:
     return int(np.count_nonzero(s > cut))
 
 
-def _require_independent(d: np.ndarray, tol: Tolerances, kept: int | None = None) -> None:
+def _require_independent(d: np.ndarray, tol: Tolerances, kept: int) -> None:
     """ValueError unless the columns of the domain basis ``d`` are independent: a full ``kept`` count, from a
-    thin SVD the caller took of d or of an injective image of it, proves it; else d's :func:`numerical_rank` decides."""
+    thin SVD the caller took of d or of its lifted image J* d, proves it; else d's :func:`numerical_rank` decides."""
     if kept != d.shape[1] and numerical_rank(d, tol) != d.shape[1]:
         raise ValueError("domain basis columns are dependent; supply an independent set")
 
@@ -459,22 +448,13 @@ def loewner_leq(a, b, tol: Tolerances | None = None) -> bool:
     return float(w[0]) >= -_limit(_tol(tol).psd, float(np.max(np.abs(w))))
 
 
-def hermitize(m, tol: Tolerances | None = None) -> HermitianMatrix:
-    """Symmetrize a nearly-Hermitian matrix, rejecting genuine asymmetry.
-
-    Returns ``(M + M*) / 2`` when the asymmetry is within
-    ``herm * (1 + ||M||_F)``, else raises :class:`NotHermitian`.
-    """
-    return HermitianMatrix(m, tol)
-
-
 def _projector(p, tol: Tolerances, what: str | None) -> HermitianMatrix:
-    """The hermitized orthogonal projector p, kept as the HermitianMatrix :func:`eigh_desc` takes as it is.
+    """The orthogonal projector p as a HermitianMatrix, which :func:`eigh_desc` takes as it is.
 
     ValueError naming ``what`` unless idempotent within eq.  A projector's entries are at most 1, so an
     idempotency residual or limit that is not finite (entries from about 1.3e154 on) rejects p too.
     """
-    h = hermitize(p, tol)
+    h = HermitianMatrix(p, tol)
     pm = h.a
     idem = _fro(pm @ pm - pm)
     if not idem <= _limit(tol.eq, _fro(pm)) < math.inf:

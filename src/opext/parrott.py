@@ -63,7 +63,7 @@ from .numkit import (
     ComplexMatrix,
     PsdMatrix,
     Tolerances,
-    _checked_pairing,
+    _checked_hermitian,
     _fro,
     _lifted_keep,
     _limit,
@@ -139,10 +139,10 @@ class ParrottInstance:
 def _corner_lifts(inst: ParrottInstance, tol: Tolerances):
     """Orthonormal pairs and bounds (P_i, Y_i, beta_i) of the two corners, from :func:`_weighted_lift` on the instance's lifts.
 
-    The pairing is decided here, once, on the lifted corners' two blocks: the
-    stacked U* W = [[0, U1* W2], [U2* W1, 0]] must be Hermitian at ``tol.herm``.
-    None when it is not, when a corner has no finite bound, or when a bound
-    exceeds its declared constant.
+    The pairing is decided here, once, by the one Hermitian rule on the assembled
+    stacked U* W = [[0, U1* W2], [U2* W1, 0]], whose Hermitian part is discarded.
+    None when it is not Hermitian at ``tol.herm``, when a corner has no finite
+    bound, or when a bound exceeds its declared constant.
     """
     lift1, lift2 = inst._lifts
     try:
@@ -150,7 +150,8 @@ def _corner_lifts(inst: ParrottInstance, tol: Tolerances):
             _weighted_lift(inst.domain1.a, inst.values1.a, lift1, lift2, tol),
             _weighted_lift(inst.domain2.a, inst.values2.a, lift2, lift1, tol),
         )
-        _checked_pairing(u1.conj().T @ w2, u2.conj().T @ w1, tol)
+        k1, k2 = u1.shape[1], u2.shape[1]
+        _checked_hermitian(np.block([[np.zeros((k1, k1)), u1.conj().T @ w2], [u2.conj().T @ w1, np.zeros((k2, k2))]]), tol)
     except (NotABounded, NotHermitian):
         return None
     for (*_, beta), alpha in zip((corner1, corner2), (inst.alpha1, inst.alpha2)):

@@ -68,7 +68,8 @@ class SymmetricPartialOperator:
 
     domain_basis: n-by-k matrix with independent columns.
     values: n-by-k matrix, column j the image of domain column j.
-    Symmetry of the data is the Hermitian-ness of D* V, validated here.
+    Symmetry of the data is the Hermitian-ness of D* V, validated here;
+    independence is decided by :func:`_symmetric_lift`, so construction decomposes nothing.
     """
 
     __slots__ = ("domain_basis", "values")
@@ -80,9 +81,7 @@ class SymmetricPartialOperator:
             raise DimensionMismatch(
                 f"domain basis is {d.rows}x{d.cols} but values are {v.rows}x{v.cols}"
             )
-        t = _tol(tol)
-        _require_independent(d.a, t)
-        _checked_hermitian(d.a.conj().T @ v.a, t)  # raises NotHermitian on asymmetric data
+        _checked_hermitian(d.a.conj().T @ v.a, _tol(tol))  # raises NotHermitian on asymmetric data
         self.domain_basis = d
         self.values = v
 
@@ -164,14 +163,16 @@ def _weighted_lift(
 def _symmetric_lift(
     d: np.ndarray, v: np.ndarray, lift: HilbertLift, tol: Tolerances
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray, float]:
-    """:func:`_weighted_lift` of symmetric data; NotHermitian unless U* W is Hermitian.
+    """:func:`_weighted_lift` of symmetric data; ValueError unless D is independent, NotHermitian unless U* W is.
 
-    A leak out of ran A within tolerance can keep D* V Hermitian while U* W
+    As in Parrott, a full-rank thin SVD of U = J* D proves D independent.  A
+    leak out of ran A within tolerance can keep D* V Hermitian while U* W
     is not, and extensions built from such data miss the prescribed values.
     """
-    lifted = _weighted_lift(d, v, lift, lift, tol)
-    _checked_hermitian(lifted[0].conj().T @ lifted[1], tol)
-    return lifted
+    u, w, p, y, alpha = _weighted_lift(d, v, lift, lift, tol)
+    _require_independent(d, tol, p.shape[1])
+    _checked_hermitian(u.conj().T @ w, tol)
+    return u, w, p, y, alpha
 
 
 def lift_symmetric(
@@ -181,8 +182,8 @@ def lift_symmetric(
 
     Raises :class:`NotABounded` when no finite weighted bound exists:
     either some value sticks out of ran A, or the domain degenerates in
-    the weighted seminorm where the values do not; NotHermitian when the
-    lifted data is not symmetric.
+    the weighted seminorm where the values do not; ValueError on a
+    dependent domain; NotHermitian when the lifted data is not symmetric.
     """
     t = _tol(tol)
     lift = hilbert_lift(weight, t)
@@ -199,16 +200,12 @@ def extend_symmetric(
     alpha +/- S0_hat, takes their minimal positive extensions, and shifts
     back.  Both endpoints are Hermitian extensions of S_0 with weighted
     bound exactly alpha, and they bracket every other bound-preserving
-    self-adjoint extension.
+    self-adjoint extension.  Raises as :func:`lift_symmetric` does.
     """
     t = _tol(tol)
-    return _extend_on_lift(op, hilbert_lift(weight, t), t)
-
-
-def _extend_on_lift(op: SymmetricPartialOperator, lift: HilbertLift, tol: Tolerances) -> ExtensionInterval:
-    """:func:`extend_symmetric` on an already computed lift of the weight."""
-    _, _, p, y, alpha = _symmetric_lift(op.domain_basis.a, op.values.a, lift, tol)
-    return ExtensionInterval(alpha, *(HermitianMatrix._adopt(s) for s in _extend_lifted(p, y, alpha, lift, tol)))
+    lift = hilbert_lift(weight, t)
+    _, _, p, y, alpha = _symmetric_lift(op.domain_basis.a, op.values.a, lift, t)
+    return ExtensionInterval(alpha, *(HermitianMatrix._adopt(s) for s in _extend_lifted(p, y, alpha, lift, t)))
 
 
 def _extend_lifted(p: np.ndarray, y: np.ndarray, alpha: float, lift: HilbertLift, tol: Tolerances):

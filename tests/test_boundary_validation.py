@@ -1,20 +1,16 @@
 """One Hermitian rule on arrays, applied to caller data only.
 
 * Every site that decides Hermitian-ness raises the error type and message
-  of ``hermitize``'s rule, written out inline below, on the matrix it tests:
-  at the asymmetry limit, on non-square and non-finite input, and when the
-  product of finite data overflows (a NaN asymmetry passes ``>``, so only the
-  finiteness half of the rule rejects it).  The Parrott pairing applies the
-  rule to [[0, A], [B, 0]] from its two blocks (A, B) without forming it: the
-  asymmetry sqrt(2) ||A - B*||_F against sqrt(||A||_F^2 + ||B||_F^2), and
-  finiteness of both blocks.
+  of ``HermitianMatrix``'s rule, written out inline below, on the matrix it
+  tests: at the asymmetry limit, on non-square and non-finite input, and when
+  the product of finite data overflows (a NaN asymmetry passes ``>``, so only
+  the finiteness half of the rule rejects it).  The Parrott pairing applies
+  the rule to the assembled block [[0, U1* W2], [U2* W1, 0]].
 * At ``herm = 0`` the library accepts its own output: results are Hermitian
   by construction and are not checked for asymmetry again.
 * Public calls on typed inputs construct no validating wrapper beyond the
   caller data they validate.
 """
-
-import math
 
 import numpy as np
 import pytest
@@ -23,7 +19,7 @@ from opext import numkit, parrott, sa_ext
 from opext.errors import DimensionMismatch, IncompatibleInstance, NotHermitian
 from opext.func_ext import FunctionalMatrix, cstar_extendibility, extend_functional, gns, hahn_jordan
 from opext.kvn import hilbert_lift, kvn_extend
-from opext.numkit import ComplexMatrix, HermitianMatrix, PsdMatrix, Tolerances, hermitize, pinv
+from opext.numkit import ComplexMatrix, HermitianMatrix, PsdMatrix, Tolerances, pinv
 from opext.oracle import Rng, complex_gaussian
 from opext.parrott import ParrottInstance, parrott_complete, strong_parrott
 from opext.sa_ext import SymmetricPartialOperator, extend_symmetric, lift_symmetric
@@ -35,22 +31,18 @@ FINITE = "matrix entries must be finite"
 
 
 def asymmetry(m):
-    """``(asymmetry, norm)`` the rule compares: of the matrix m, or of [[0, a], [b, 0]] from its blocks m = (a, b)."""
-    if isinstance(m, tuple):
-        a, b = m
-        return math.sqrt(2.0) * np.linalg.norm(a - b.conj().T), math.hypot(np.linalg.norm(a), np.linalg.norm(b))
+    """``(asymmetry, norm)`` the rule compares."""
     return np.linalg.norm(m - m.conj().T), np.linalg.norm(m)
 
 
 def hermitian_rule(m, tol):
-    """``(error type, message)`` of the Hermitian rule on m (a matrix or a block pair), or None when it accepts."""
-    if not isinstance(m, tuple) and m.shape[0] != m.shape[1]:
+    """``(error type, message)`` of the Hermitian rule on the matrix m, or None when it accepts."""
+    if m.shape[0] != m.shape[1]:
         return DimensionMismatch, f"Hermitian matrix must be square, got {m.shape}"
     asym, norm = asymmetry(m)
     if asym > tol.herm * (1.0 + norm):
         return NotHermitian, f"asymmetry {asym:.3e} exceeds tolerance"
-    finite = all(np.isfinite(b).all() for b in m) if isinstance(m, tuple) else np.isfinite((m + m.conj().T) / 2.0).all()
-    if not finite:
+    if not np.isfinite((m + m.conj().T) / 2.0).all():
         return ValueError, FINITE
     return None
 
@@ -65,23 +57,16 @@ def outcome(call):
 
 @pytest.fixture
 def rule_inputs(monkeypatch):
-    """Copies of what the Hermitian rule is applied to, in call order, from every module that calls it: a matrix, or
-    the block pair (A, B) of the pairing rule."""
+    """Copies of the matrices the Hermitian rule is applied to, in call order, from every module that calls it."""
     seen = []
-    checked, paired = numkit._checked_hermitian, numkit._checked_pairing
+    checked = numkit._checked_hermitian
 
     def recorded(a, tol):
         seen.append(np.array(a))
         return checked(a, tol)
 
-    def recorded_pair(a, b, tol):
-        seen.append((np.array(a), np.array(b)))
-        return paired(a, b, tol)
-
-    for module in (numkit, sa_ext):
+    for module in (numkit, sa_ext, parrott):
         monkeypatch.setattr(module, "_checked_hermitian", recorded)
-    for module in (numkit, parrott):
-        monkeypatch.setattr(module, "_checked_pairing", recorded_pair)
     return seen
 
 
@@ -92,7 +77,7 @@ def near_hermitian():
 
 
 def at_limit(m, f):
-    """Tolerances whose asymmetry limit on m (a matrix or a block pair) is its asymmetry divided by f."""
+    """Tolerances whose asymmetry limit on the matrix m is its asymmetry divided by f."""
     asym, norm = asymmetry(m)
     return Tolerances(herm=asym / (1.0 + norm) / f)
 
@@ -109,7 +94,6 @@ def nan_at(i, j, value):
 
 DIRECT_SITES = {
     "HermitianMatrix": lambda a, tol: HermitianMatrix(a, tol),
-    "hermitize": lambda a, tol: hermitize(a, tol),
     "PsdMatrix": lambda a, tol: PsdMatrix(a, tol),
     "_checked_hermitian": lambda a, tol: numkit._checked_hermitian(numkit._as_array(a), tol),
 }
@@ -198,7 +182,7 @@ def test_product_sites_at_the_asymmetry_limit(rule_inputs, site, f):
     _, m = run_product_site(site, x, y, Tolerances(herm=1.0), rule_inputs)
     tol = at_limit(m, f)
     got, m_again = run_product_site(site, x, y, tol, rule_inputs)
-    assert all(np.array_equal(a, b) for a, b in zip(m, m_again)) if isinstance(m, tuple) else np.array_equal(m, m_again)
+    assert np.array_equal(m, m_again)
     expected = expected_at(site, m, tol)
     assert (expected is None) == (f < 1.0)
     assert got == expected

@@ -193,7 +193,7 @@ def test_check_restriction_boundary(f):
 
     def at(eps):
         op = op_at(eps)
-        return op._factor[1], T.eq * (1.0 + np.linalg.norm(op._span[1]))
+        return op._factor[1], T.eq * (1.0 + op._scale)
 
     eps = solve(at, f)
     op = op_at(eps)
@@ -211,23 +211,16 @@ def test_check_restriction_boundary(f):
 
 @pytest.fixture
 def hermitian_checks(monkeypatch):
-    """Counts runs of the one Hermitian rule in every module that calls it: ``numkit._checked_hermitian`` on a
-    matrix, and ``numkit._checked_pairing`` on the two blocks of the Parrott pairing."""
+    """Counts runs of the one Hermitian rule, ``numkit._checked_hermitian``, in every module that calls it."""
     calls = []
-    checked, paired = numkit._checked_hermitian, numkit._checked_pairing
+    checked = numkit._checked_hermitian
 
     def counted(a, tol):
         calls.append(a.shape)
         return checked(a, tol)
 
-    def counted_pair(a, b, tol):
-        calls.append((a.shape, b.shape))
-        return paired(a, b, tol)
-
-    for module in (numkit, sa_ext):
+    for module in (numkit, sa_ext, parrott):
         monkeypatch.setattr(module, "_checked_hermitian", counted)
-    for module in (numkit, parrott):
-        monkeypatch.setattr(module, "_checked_pairing", counted_pair)
     return calls
 
 

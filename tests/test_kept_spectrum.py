@@ -59,6 +59,23 @@ def test_operators_shaped_extension_decomposes_its_weight_once(decompositions):
     assert calls_on(decompositions, weight) == ["eigh"]
 
 
+def test_operators_shaped_domain_is_decided_by_its_lift(decompositions):
+    # independence is read off the thin SVD of U = J* D (120 x 24) that the extension takes anyway:
+    # neither the construction nor the extension decomposes D's own 160 x 24 shape
+    gen = np.random.default_rng(72)
+    n = 160
+    weight, root = planted(gen, n, 120)
+    d = cgauss(gen, n, 24)
+    v = herm(root @ herm(cgauss(gen, n, n)) @ root) @ d
+    with decompositions:
+        op = SymmetricPartialOperator(d, v)
+    assert decompositions == []
+    with decompositions:
+        extend_symmetric(op, PsdMatrix(weight))
+    assert (120, 24) in decompositions.shapes("svd")
+    assert (n, 24) not in decompositions.shapes()
+
+
 def test_functionals_shaped_extension_decomposes_its_density_once(decompositions):
     # m = 6, as the functionals workload draws it
     gen = np.random.default_rng(72)

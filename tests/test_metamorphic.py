@@ -1,0 +1,67 @@
+"""Metamorphic relations: a transformed instance whose effect on the result is known.
+
+* The corner swap.  Exchanging the two corners of a Parrott instance (domains,
+  values, weights and declared bounds) turns T1, T2 into T2, T1, so a
+  completion X of the instance gives the completion X* of the swapped one.
+  The stacked pair and its pairing block [[0, U1* W2], [U2* W1, 0]] are
+  symmetric under the swap, so the relation holds to rounding, and an
+  instance whose pairing fails is rejected in both orientations.
+
+Each check compares two library runs with numpy alone, on seeded planted
+instances with dimensions drawn from 1 to 16.
+"""
+
+import numpy as np
+
+from opext.errors import IncompatibleInstance
+from opext.oracle import MAX_DIM, Rng, random_instance_with_witness
+from opext.parrott import ParrottInstance, parrott_complete
+
+COUNT = 200
+SIDES = (("domain1", "domain2"), ("values1", "values2"), ("weight1", "weight2"), ("alpha1", "alpha2"), ("n1", "n2"))
+KEYS = ("domain1", "values1", "domain2", "values2", "weight1", "weight2", "alpha1", "alpha2")
+
+
+def planted_parrott(seed):
+    dims = tuple(int(n) for n in np.random.default_rng([seed, 181]).integers(1, MAX_DIM + 1, size=2))
+    return dims, random_instance_with_witness("parrott", dims, Rng(seed))[0]
+
+
+def swapped(fields):
+    out = dict(fields)
+    for one, two in SIDES:
+        out[one], out[two] = fields[two], fields[one]
+    return out
+
+
+def complete(fields):
+    return parrott_complete(ParrottInstance(*(fields[key] for key in KEYS))).a
+
+
+def test_swapped_corners_complete_to_the_adjoint():
+    misses = []
+    for seed in range(COUNT):
+        dims, fields = planted_parrott(seed)
+        x, y = complete(fields), complete(swapped(fields))
+        miss = np.linalg.norm(y - x.conj().T)
+        if not miss <= 1e-12 * np.linalg.norm(x):
+            misses.append(f"seed {seed} dims {dims}: relative miss {miss / np.linalg.norm(x):.2e}")
+    assert misses == []
+
+
+def test_incompatible_instance_is_rejected_in_both_orientations():
+    accepted = []
+    for seed in range(COUNT):
+        dims, fields = planted_parrott(seed)
+        # A1 E A2 D2 lies in ran A1 and vanishes where A2 D2 does, so T2 keeps a finite bound and the pairing decides
+        e = np.random.default_rng([seed, 182]).standard_normal((fields["n1"], fields["n2"]))
+        shift = fields["weight1"] @ e @ fields["weight2"] @ fields["domain2"]
+        values2 = fields["values2"]
+        broken = {**fields, "values2": values2 + 1e-3 * np.linalg.norm(values2) * shift / np.linalg.norm(shift)}
+        for name, instance in (("as drawn", broken), ("swapped", swapped(broken))):
+            try:
+                complete(instance)
+            except IncompatibleInstance:
+                continue
+            accepted.append(f"seed {seed} dims {dims} {name}")
+    assert accepted == []

@@ -1,5 +1,7 @@
 """Validated matrix primitives: structure checks, decompositions, order."""
 
+from fractions import Fraction
+
 import numpy as np
 import pytest
 
@@ -7,17 +9,14 @@ from opext.errors import DimensionMismatch, NotHermitian, NotPsd
 from opext.func_ext import LeftIdeal, PartialFunctional
 from opext.kvn import hilbert_lift
 from opext.numkit import (
-    DEFAULT_TOLERANCES,
     ComplexMatrix,
     HermitianMatrix,
     PsdMatrix,
     Tolerances,
-    _checked_pairing,
     _fro,
     _hermitian_part,
     _limit,
     eigh_desc,
-    hermitize,
     independent_columns,
     loewner_leq,
     numerical_rank,
@@ -25,6 +24,7 @@ from opext.numkit import (
     psd_eig,
 )
 from opext.oracle import Rng, complex_gaussian
+from opext.parrott import ParrottInstance, check_compatibility
 
 
 class TestTolerances:
@@ -59,6 +59,13 @@ class TestTolerances:
         t = Tolerances(**{name: value})
         assert type(getattr(t, name)) is float and getattr(t, name) == float(value)
         assert np.isfinite(_limit(getattr(t, name), 1e300))
+
+    @pytest.mark.parametrize("name", ["rank", "psd", "herm", "eq"])
+    @pytest.mark.parametrize("value", [10**400, -10**400, Fraction(10**400, 3)], ids=["int", "negative-int", "fraction"])
+    def test_rejects_reals_beyond_the_float_range(self, name, value):
+        # float() of these overflows: the tolerance error, not an OverflowError from the conversion
+        with pytest.raises(ValueError, match=f"tolerance {name!r} must be a finite nonnegative real"):
+            Tolerances(**{name: value})
 
 
 class TestComplexMatrix:
@@ -292,15 +299,15 @@ class TestLoewnerOrder:
 
 class TestHermitize:
     def test_diagonal_passthrough(self):
-        assert hermitize(np.diag([1.0, 2.0])).a == pytest.approx(np.diag([1.0, 2.0]))
+        assert HermitianMatrix(np.diag([1.0, 2.0])).a == pytest.approx(np.diag([1.0, 2.0]))
 
     def test_symmetric_passthrough(self):
         x = np.array([[0.0, 1.0], [1.0, 0.0]])
-        assert hermitize(x).a == pytest.approx(x)
+        assert HermitianMatrix(x).a == pytest.approx(x)
 
     def test_rejects_non_hermitian(self):
         with pytest.raises(NotHermitian):
-            hermitize([[0, 1], [0, 0]])
+            HermitianMatrix([[0, 1], [0, 0]])
 
 
 class TestEighDesc:
@@ -501,7 +508,7 @@ class TestWrapperInvariants:
             with pytest.raises(ValueError, match="finite"):
                 build(a)
 
-    @pytest.mark.parametrize("build", [HermitianMatrix, PsdMatrix, hermitize])
+    @pytest.mark.parametrize("build", [HermitianMatrix, PsdMatrix])
     def test_overflowing_half_sum_rejected(self, build):
         # finite entries whose a + a* overflows: numpy warns on the way (||a||_F, the sum, inf / 2.0), and the
         # half-sum's finiteness check raises the same ValueError as for non-finite input
@@ -511,15 +518,20 @@ class TestWrapperInvariants:
     def test_overflowing_norms_still_decide(self):
         # from about 1.3e154 on, ||.||_F overflows on both sides of the rule and inf > inf is False; the rule
         # then decides on the operands scaled by a power of two (numpy warns on the way, in the overflowing dot)
-        pair = (np.diag([1e200, 1e200]), np.diag([-1e200, 1e200]))
         h = np.array([[1e200, 1e200j], [-1e200j, 1e200]])
+        d = 1e100 * np.eye(2)
+
+        def compatible(a, b):
+            # domains 1e100 I give the Parrott pairing block [[0, D1* V2], [D2* V1, 0]] = [[0, a], [b, 0]], and both
+            # corners the bound ||V_i|| / 1e100 <= 2, so the pairing alone decides
+            return check_compatibility(ParrottInstance(d, b / 1e100, d, a / 1e100, np.eye(2), np.eye(2), 4.0, 4.0))
+
         with np.errstate(over="ignore"):
             with pytest.raises(NotHermitian):
                 HermitianMatrix([[1e200, 1e200], [0.0, 1e200]])
-            with pytest.raises(NotHermitian):
-                _checked_pairing(*pair, DEFAULT_TOLERANCES)
+            assert not compatible(np.diag([1e200, 1e200]), np.diag([-1e200, 1e200]))
             assert np.array_equal(HermitianMatrix(h).a, h)
-            _checked_pairing(h, h, DEFAULT_TOLERANCES)
+            assert compatible(h, h)
 
     @pytest.mark.parametrize("n", [2, 6, 33])
     def test_not_hermitian_threshold(self, n):

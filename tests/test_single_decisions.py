@@ -12,7 +12,9 @@
   the projection, and used by the GNS realization and by the agreement of
   an extension with g_0;
 * a domain basis' independence: by one rule, ``numkit._require_independent``,
-  which kvn, sa-ext and Parrott call with the SVD each already takes.
+  which each construction calls with the SVD it already takes: kvn that of D,
+  sa-ext and Parrott that of the lifted domain U = J* D.  So data that is
+  also asymmetric, or has values outside ran A, raises that error first.
 """
 
 import json
@@ -22,12 +24,12 @@ import numpy as np
 import pytest
 
 from opext import cli, func_ext
-from opext.errors import HypothesisViolated, NotHermitian, NotPsd
+from opext.errors import HypothesisViolated, NotABounded, NotHermitian, NotPsd
 from opext.func_ext import LeftIdeal, PartialFunctional, cstar_extendibility, extend_functional, f_bound
 from opext.kvn import PartialPositiveOperator, kvn_extend
 from opext.numkit import DEFAULT_TOLERANCES as T
 from opext.parrott import ParrottInstance, StrongParrottInstance, classical_parrott, parrott_complete, strong_parrott
-from opext.sa_ext import SymmetricPartialOperator
+from opext.sa_ext import SymmetricPartialOperator, extend_symmetric, lift_symmetric
 from opext.serialize import dumps_canonical, encode_matrix
 
 I3 = np.eye(3)
@@ -192,9 +194,10 @@ class TestDependentDomain:
 
     @pytest.mark.parametrize("build", [
         lambda: PartialPositiveOperator(TWICE, TWICE),
-        lambda: SymmetricPartialOperator(TWICE, TWICE),
+        lambda: extend_symmetric(SymmetricPartialOperator(TWICE, TWICE), np.eye(2)),
+        lambda: lift_symmetric(SymmetricPartialOperator(TWICE, TWICE), np.eye(2)),
         lambda: parrott_complete(ParrottInstance(TWICE, TWICE, I3[:2, :1], I3[:2, :1], np.eye(2), np.eye(2), 4.0, 4.0)),
-    ], ids=["kvn", "sa-ext", "parrott"])
+    ], ids=["kvn", "sa-ext", "sa-ext-lift", "parrott"])
     def test_every_construction_raises_the_one_error(self, build):
         with pytest.raises(ValueError) as excinfo:
             build()
@@ -210,9 +213,26 @@ class TestDependentDomain:
         assert doc["status"] == "invalid-input"
         assert doc["error"] == {"type": "ValueError", "message": DEPENDENT}
 
-    def test_sa_ext_decides_on_singular_values_alone(self, svd_calls):
-        SymmetricPartialOperator(I3[:, :2], I3[:, :2])
-        assert svd_calls == [((3, 2), False)]
+    def test_sa_ext_decides_on_its_lift(self, svd_calls):
+        # construction decomposes nothing; the extension decides on the thin SVD of U = J* D (3 x 2 for the
+        # rank-3 weight), then takes the norm of Y: D's own 4 x 2 shape is never decomposed
+        d = np.eye(4)[:, :2]
+        op = SymmetricPartialOperator(d, d)
+        assert svd_calls == []
+        extend_symmetric(op, np.diag([1.0, 1.0, 1.0, 0.0]))
+        assert svd_calls == [((3, 2), True), ((3, 2), False)]
+
+    def test_asymmetric_dependent_data_is_not_hermitian(self):
+        # D* V = [[1, 0], [2, 0]]: symmetry is decided before the lift decides dependence
+        with pytest.raises(NotHermitian):
+            extend_symmetric(SymmetricPartialOperator(TWICE, np.eye(2)), np.eye(2))
+
+    @pytest.mark.parametrize("call", [extend_symmetric, lift_symmetric])
+    def test_dependent_data_outside_the_range_is_not_bounded(self, call):
+        # D* V = [[1, 2], [2, 4]] is Hermitian, but V's second row sticks out of ran diag(1, 0)
+        op = SymmetricPartialOperator(TWICE, np.array([[1.0, 2.0], [1.0, 2.0]]))
+        with pytest.raises(NotABounded):
+            call(op, np.diag([1.0, 0.0]))
 
     def test_kvn_decides_on_its_own_factor(self, svd_calls):
         PartialPositiveOperator(I3[:, :2], I3[:, :2])

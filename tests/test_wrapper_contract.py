@@ -1,10 +1,10 @@
 """Caller data is validated once, at the public boundary.
 
 The wrapper classes validate what they wrap: ``ComplexMatrix(...)`` copies and
-checks finiteness, ``HermitianMatrix``/``PsdMatrix``/``hermitize`` apply the
-one Hermitian rule ``numkit._checked_hermitian`` (and positivity), and
-``.coerce`` builds one of them from anything that is not one already.  An
-array the library built is wrapped with ``_adopt`` and never validated again.
+checks finiteness, ``HermitianMatrix``/``PsdMatrix`` apply the one Hermitian
+rule ``numkit._checked_hermitian`` (and positivity), and ``.coerce`` builds
+one of them from anything that is not one already.  An array the library
+built is wrapped with ``_adopt`` and never validated again.
 The scan below parses ``src/opext`` and fails on
 
 * the removed ``PsdMatrix`` wrap that re-symmetrized the library's own results;
@@ -20,7 +20,7 @@ from pathlib import Path
 
 SRC = Path(__file__).resolve().parent.parent / "src" / "opext"
 
-WRAPPERS = {"hermitize", "HermitianMatrix", "PsdMatrix", "ComplexMatrix"}
+WRAPPERS = {"HermitianMatrix", "PsdMatrix", "ComplexMatrix"}
 
 # (module, private owner) -> the parameter holding the caller data it validates
 CALLER_DATA = {
@@ -110,7 +110,7 @@ def test_scan_catches_planted_sites(tmp_path):
     probe = tmp_path / "probe.py"
     probe.write_text(
         "def public(a, tol):\n"
-        "    hermitize(a, tol)\n"  # discarded
+        "    HermitianMatrix(a, tol)\n"  # discarded
         "    return HermitianMatrix(a, tol)\n"  # kept, public: fine
         "def _private(a, tol):\n"
         "    return ComplexMatrix._adopt(PsdMatrix.coerce(a, tol).a)\n"  # private, not listed
