@@ -488,11 +488,16 @@ def _tolerances_dict(tol: Tolerances) -> dict:
 
 
 def _tolerances_from(args, file_overrides) -> Tolerances:
+    """The run's Tolerances: the file's values, then the flags', over the defaults.
+
+    When every value is the default, this is ``DEFAULT_TOLERANCES`` itself, not a fresh copy validated again.
+    """
     if file_overrides is None:
         file_overrides = {}
     elif not isinstance(file_overrides, dict):
         raise ValueError(f"tolerances: expected an object or null, got {type(file_overrides).__name__}")
-    values = _tolerances_dict(DEFAULT_TOLERANCES)
+    defaults = _tolerances_dict(DEFAULT_TOLERANCES)
+    values = dict(defaults)
     unknown = sorted(set(file_overrides) - set(values))
     if unknown:
         raise ValueError(f"tolerances: unknown key {unknown[0]!r}")
@@ -505,18 +510,30 @@ def _tolerances_from(args, file_overrides) -> Tolerances:
         # flags win over the file; there is no --tol-herm
         if getattr(args, f"tol_{key}", None) is not None:
             values[key] = getattr(args, f"tol_{key}")
+    if values == defaults:
+        return DEFAULT_TOLERANCES
     try:
         return Tolerances(**values)
     except ValueError as exc:
         raise ValueError(f"bad tolerances: {exc}") from exc
 
 
-def _emit(text: str, out_path: str | None) -> None:
-    if out_path:
+def _emit(text: str, out_path: str | None, code: int) -> int:
+    """Write the document to ``out_path`` (stdout when None) and return ``code``.
+
+    An ``out_path`` that cannot be written (a directory, a missing parent, no permission) is invalid input:
+    one ``error: cannot write ...`` line on stderr and exit 2, not a traceback.
+    """
+    if not out_path:
+        sys.stdout.write(text)
+        return code
+    try:
         with open(out_path, "w", encoding="utf-8") as fh:
             fh.write(text)
-    else:
-        sys.stdout.write(text)
+    except OSError as exc:
+        sys.stderr.write(f"error: cannot write {out_path}: {exc.strerror or exc}\n")
+        return EXIT_INVALID_INPUT
+    return code
 
 
 def _result(status: str, kind: str, outputs: dict, diagnostics: dict,
@@ -563,10 +580,8 @@ def _cmd_run(kind: str, args) -> int:
     except _FAILURE_TYPES as exc:
         status, code = next((s, c) for types, s, c in _FAILURE_STATUS if isinstance(exc, types))
         doc = _result(status, kind, {}, {}, tol, None, {"type": type(exc).__name__, "message": str(exc)})
-        _emit(dumps_canonical(doc), args.out)
-        return code
-    _emit(dumps_canonical(_result("ok", kind, outputs, diagnostics, tol, None, None)), args.out)
-    return EXIT_OK
+        return _emit(dumps_canonical(doc), args.out, code)
+    return _emit(dumps_canonical(_result("ok", kind, outputs, diagnostics, tol, None, None)), args.out, EXIT_OK)
 
 
 def _cmd_gen(args) -> int:
@@ -579,8 +594,7 @@ def _cmd_gen(args) -> int:
         sys.stderr.write(f"error: {exc}\n")
         return EXIT_INVALID_INPUT
     document = {"kind": args.kind, "payload": payload, "seed": args.seed}
-    _emit(dumps_canonical(document), args.out)
-    return EXIT_OK
+    return _emit(dumps_canonical(document), args.out, EXIT_OK)
 
 
 def _cmd_verify(args) -> int:
@@ -623,8 +637,7 @@ def _cmd_verify(args) -> int:
         total_failed += failed
     status = "ok" if total_failed == 0 else "numerical-failure"
     doc = _result(status, "verify", report, {"total_failed": total_failed}, tol, args.seed, None)
-    _emit(dumps_canonical(doc), args.out)
-    return EXIT_OK if total_failed == 0 else EXIT_NUMERICAL_FAILURE
+    return _emit(dumps_canonical(doc), args.out, EXIT_OK if total_failed == 0 else EXIT_NUMERICAL_FAILURE)
 
 
 def main(argv: list[str] | None = None) -> int:

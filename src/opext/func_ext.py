@@ -32,6 +32,7 @@ constant).
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -52,6 +53,7 @@ from .numkit import (
     _excess,
     _fro,
     _hermitian_part,
+    _limit,
     _projector,
     _range_basis,
     _tol,
@@ -84,7 +86,7 @@ class FunctionalMatrix:
 
     def __init__(self, density):
         d = ComplexMatrix.coerce(density)
-        if d.rows != d.cols:
+        if d.a.shape[0] != d.a.shape[1]:
             raise DimensionMismatch(f"density must be square, got {d.rows}x{d.cols}")
         self.density = d
 
@@ -167,7 +169,7 @@ class PartialFunctional:
         if not isinstance(ideal, LeftIdeal):
             ideal = LeftIdeal(ideal)
         g = ComplexMatrix.coerce(gamma)
-        if g.rows != ideal.size or g.cols != ideal.size:
+        if g.a.shape != ideal.projection.a.shape:
             raise DimensionMismatch(f"gamma must be {ideal.size}x{ideal.size}, got {g.rows}x{g.cols}")
         self.ideal = ideal
         self.gamma = ComplexMatrix._adopt(ideal.projection.a @ g.a)
@@ -193,15 +195,19 @@ def is_symmetric_on_ideal(pf: PartialFunctional, tol: Tolerances | None = None) 
     spanning family E_ij P, the pair a = E_ij P, b = E_il P gives exactly
     entry (j, l) of P (Gamma - Gamma*) P, and pairs with different row
     indices give 0 = 0.  Tested as
-    ``max |P (Gamma - Gamma*) P| <= eq * (1 + ||Gamma||_F)``, decided at
-    every finite scale of Gamma (:func:`~opext.numkit._excess`).
+    ``max |P (Gamma - Gamma*) P| <= eq * (1 + ||Gamma||_F)``: compared
+    directly while both are finite, and at any finite scale of Gamma by
+    :func:`~opext.numkit._excess` when one overflows.
     """
-    p = pf.ideal.projection.a
+    p, eq = pf.ideal.projection.a, _tol(tol).eq
 
     def measure(gamma):
-        return float(np.max(np.abs(p @ (gamma - gamma.conj().T) @ p), initial=0.0)), _fro(gamma)
+        return float(np.maximum.reduce(np.abs(p @ (gamma - gamma.conj().T) @ p), axis=None, initial=0.0)), _fro(gamma)
 
-    return not _excess(measure, (pf.gamma.a,), _tol(tol).eq)
+    resid, scale = measure(pf.gamma.a)
+    if resid < math.inf and scale < math.inf:
+        return not resid > _limit(eq, scale)
+    return not _excess(measure, (pf.gamma.a,), eq)  # a norm overflowed: decide on the prescaled Gamma
 
 
 def _ideal_agreement(pf: PartialFunctional, density: np.ndarray) -> float:
@@ -213,7 +219,7 @@ def _ideal_agreement(pf: PartialFunctional, density: np.ndarray) -> float:
     B (B* (Phi - Gamma)).
     """
     b = pf.ideal._range
-    return float(np.max(np.abs(b @ (b.conj().T @ (density - pf.gamma.a))), initial=0.0))
+    return float(np.maximum.reduce(np.abs(b @ (b.conj().T @ (density - pf.gamma.a))), axis=None, initial=0.0))
 
 
 @dataclass(frozen=True)
@@ -270,14 +276,13 @@ class GnsSpace:
 
 def _row_lift(density, tol: Tolerances | None) -> HilbertLift:
     """Lift of F^T, the rows' weight in the GNS space, from the spectrum F keeps as a PsdMatrix (a raw F is
-    validated as one): F^T = conj F, so its eigenpairs are (w, conj V) for F's (w, V), and nothing is decomposed again."""
-    f = PsdMatrix.coerce(_density_array(density), tol)
-    w, v = f._spectrum
-    return hilbert_lift(PsdMatrix._adopt(f.a.T.copy(), (w, v.conj())), tol)
+    validated as one): F^T = conj F, so its eigenpairs are (w, conj V) for F's (w, V) and its kept mask is F's
+    (:meth:`~opext.numkit.PsdMatrix._transposed`), so nothing is decomposed, decided or checked again."""
+    return hilbert_lift(PsdMatrix.coerce(_density_array(density), tol)._transposed(), tol)
 
 
 def _gns_space(row: HilbertLift) -> GnsSpace:
-    return GnsSpace(density=PsdMatrix._adopt(row.weight.a.T.copy()), row=row)
+    return GnsSpace(density=row.weight._transposed(), row=row)
 
 
 def gns(density, tol: Tolerances | None = None) -> GnsSpace:
@@ -304,7 +309,7 @@ def _row_operator(
     ``symmetric``, :class:`NotFBounded`, and NotHermitian when U* W is not
     Hermitian (a leak out of ran F^T within tolerance can do that to symmetric data).
     """
-    if pf.size != row.weight.rows:
+    if pf.gamma.a.shape != row.weight.a.shape:
         raise DimensionMismatch("functional and positive functional live on different algebra sizes")
     if not (symmetric or is_symmetric_on_ideal(pf, tol)):
         raise NotSymmetric("functional is not symmetric on its ideal")
@@ -529,12 +534,11 @@ def cstar_extendibility(
                 f"supplied functional does not extend the partial data (residual {worst:.3e})"
             )
         w, v = eigh_desc(phi)
-        order = np.argsort(-np.abs(w), kind="stable")  # |Phi| = V |w| V*, adopted with these eigenpairs
-        abs_density = PsdMatrix._adopt(
-            _hermitian_part((v * np.abs(w)) @ v.conj().T), (np.abs(w)[order], np.take(v, order, axis=1))
-        )
+        mag = np.abs(w)
+        order = np.argsort(-mag, kind="stable")  # |Phi| = V |w| V*, adopted with these eigenpairs
+        abs_density = PsdMatrix._adopt(_hermitian_part((v * mag) @ v.conj().T), (mag[order], v.take(order, axis=1)))
         abs_row = _row_lift(abs_density, t)
-        root = v * np.sqrt(np.abs(w))
+        root = v * np.sqrt(mag)
     if density is not None:
         f_mat = PsdMatrix.coerce(_density_array(density), t)
         row = _row_lift(f_mat, t)

@@ -90,7 +90,7 @@ class PartialPositiveOperator:
     def __init__(self, domain_basis, values, tol: Tolerances | None = None):
         d = ComplexMatrix.coerce(domain_basis)
         g = ComplexMatrix.coerce(values)
-        if d.rows != g.rows or d.cols != g.cols:
+        if d.a.shape != g.a.shape:
             raise DimensionMismatch(
                 f"domain basis is {d.rows}x{d.cols} but values are {g.rows}x{g.cols}"
             )
@@ -108,7 +108,7 @@ class PartialPositiveOperator:
         except NotPsd as exc:
             raise NotPsd(f"induced Gram matrix is not positive: {exc}") from exc
         yu = y @ u
-        self._factor = (np.compress(keep, yu, axis=1) / np.sqrt(w[keep]), _fro(np.compress(~keep, yu, axis=1)))
+        self._factor = (yu.compress(keep, axis=1) / np.sqrt(w[keep]), _fro(yu.compress(~keep, axis=1)))
         self._scale = _fro(y)
         self.domain_basis = d
         self.values = g
@@ -214,10 +214,15 @@ def hilbert_lift(weight, tol: Tolerances | None = None) -> HilbertLift:
     decides it positive also gives the orthonormal range basis Q and the
     roots rho, and every map derived from them agrees exactly on what the
     kernel is.  Eigenvalues below the relative rank cutoff are treated as
-    zero (:func:`~opext.numkit._psd_keep`).  This is the one lift constructor.
+    zero (:func:`~opext.numkit._psd_keep`): under the Tolerances that decided
+    the weight, the mask that decision kept is read, and under any other the
+    kept spectrum is decided again (:meth:`~opext.numkit.PsdMatrix._keep`).
+    Q, a column mask of the weight's eigenvectors, is not checked again.
+    This is the one lift constructor.
     """
     t = _tol(tol)
     a = PsdMatrix.coerce(weight, t)
     w, v = a._spectrum
-    keep = _psd_keep(w, t)
-    return HilbertLift(a, int(np.count_nonzero(keep)), ComplexMatrix._adopt(np.compress(keep, v, axis=1)), np.sqrt(w[keep]))
+    keep = a._keep(t)
+    q = v.compress(keep, axis=1)
+    return HilbertLift(a, q.shape[1], ComplexMatrix._wrap(q), np.sqrt(w[keep]))

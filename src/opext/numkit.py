@@ -16,11 +16,17 @@ projector's range basis, the Gram factors) is a mask on its output.
 
 Cost rule: a primitive is its LAPACK call plus the fewest numpy passes.  The
 wrapper classes validate caller data, once, at the public boundary; an array
-the library just built is adopted (``_adopt``, after ``_hermitian_part`` if it
-is Hermitian only up to rounding): never copied, and checked only finite; a
-HermitianMatrix is not symmetrized again; :func:`_fro` is the one Frobenius norm.
+the library computed is adopted (``_adopt``): never copied, and checked only
+finite.  An array derived from checked data without arithmetic -- a transpose
+copy, a column mask, LAPACK's eigenvectors -- is not checked again, and a
+HermitianMatrix is not symmetrized again.  The Hermitian half-sum is formed
+only where it is kept, by :class:`HermitianMatrix`; a check that discards it
+applies the rule :func:`_checked_hermitian` alone.  :func:`_fro` is the one
+Frobenius norm, and a reduction on a small array calls the ufunc's own reduce
+or the array's method, not numpy's Python-level wrapper around it.
 A :class:`PsdMatrix` is decided positive on one :func:`eigh_desc` and keeps
-those eigenpairs, which every lift of it reads, so a weight is decomposed once.
+those eigenpairs and the mask that decision kept, which every lift of it under
+the same Tolerances reads, so a weight is decomposed and decided once.
 :func:`_lifted_keep` decides every Gram form built positive, and alone raises NumericalFailure.
 """
 
@@ -137,38 +143,47 @@ def _as_array(value) -> np.ndarray:
 class ComplexMatrix:
     """Immutable dense complex matrix.
 
-    Thin wrapper around a read-only complex128 ndarray.  Rows/cols may be
-    zero; degenerate shapes show up naturally as empty domains and
-    rank-zero weights and are fully supported.
+    Thin wrapper around a read-only complex128 ndarray, held in the slot ``a``
+    (reading it is a plain attribute load; setting any attribute raises).
+    Rows/cols may be zero; degenerate shapes show up naturally as empty
+    domains and rank-zero weights and are fully supported.
     """
 
-    __slots__ = ("_a",)
+    __slots__ = {"a": "The underlying read-only ndarray."}
 
     def __init__(self, data):
         self._own(_finite(np.array(_as_array(data), dtype=np.complex128, order="C", copy=True)))
 
+    def __setattr__(self, name, value):
+        raise AttributeError(f"{type(self).__name__} is immutable")
+
+    def __setstate__(self, state):  # copy and pickle restore the slots past __setattr__
+        for name, value in state[1].items():
+            object.__setattr__(self, name, value)
+
     def _own(self, a: np.ndarray):
         a.setflags(write=False)
-        object.__setattr__(self, "_a", a)
+        object.__setattr__(self, "a", a)
         return self
 
     @classmethod
     def _adopt(cls, a: np.ndarray):
-        """Wrap, uncopied and checked only finite, a fresh C-contiguous complex128 array the library built."""
+        """Wrap, uncopied and checked only finite, a fresh C-contiguous complex128 array the library computed."""
         return cls.__new__(cls)._own(_finite(a))
 
-    @property
-    def a(self) -> np.ndarray:
-        """The underlying read-only ndarray."""
-        return self._a
+    @classmethod
+    def _wrap(cls, a: np.ndarray):
+        """Wrap, uncopied and unchecked, a fresh C-contiguous complex128 array derived from checked data without
+        arithmetic: a transpose copy or a column mask of it, or LAPACK's eigenvectors of a checked matrix."""
+        return cls.__new__(cls)._own(a)
 
     @property
     def rows(self) -> int:
-        return self._a.shape[0]
+        return self.a.shape[0]
 
     @property
     def cols(self) -> int:
-        return self._a.shape[1]
+        return self.a.shape[1]
 
     @classmethod
     def coerce(cls, value, tol: Tolerances | None = None):
@@ -180,27 +195,33 @@ class ComplexMatrix:
 
 
 def _finite(a: np.ndarray) -> np.ndarray:
-    """``a`` itself; ValueError unless every entry is finite."""
-    if not np.isfinite(a).all():
+    """``a`` itself; ValueError unless every entry (real and imaginary part) is finite."""
+    if not np.logical_and.reduce(np.isfinite(a), axis=None):
         raise ValueError("matrix entries must be finite")
     return a
 
 
-def _checked_hermitian(a: np.ndarray, tol: Tolerances) -> np.ndarray:
-    """The Hermitian rule on an array: a fresh C-contiguous ``(a + a*) / 2.0``, else an error.
+def _checked_hermitian(a: np.ndarray, tol: Tolerances) -> tuple[np.ndarray, float]:
+    """The Hermitian rule on an array: ``(a*, ||a||_F)``, a* fresh and C-contiguous, else an error.
 
-    DimensionMismatch unless square, ValueError unless finite (before any arithmetic), NotHermitian
-    when ``||a - a*||_F`` exceeds ``_limit(herm, ||a||_F)`` (:func:`_excess`), ValueError when the half-sum
-    overflows; a check whose result is not kept calls it directly.
+    DimensionMismatch unless square, ValueError unless finite (before any arithmetic), NotHermitian when
+    ``||a - a*||_F`` exceeds ``_limit(herm, ||a||_F)``: compared directly while both norms are finite, and by
+    :func:`_excess` when one overflows.  No half-sum is formed here.  :class:`HermitianMatrix`, which keeps
+    the Hermitian part, forms ``(a + a*) / 2.0`` from the returned ``a*`` and rejects it when it overflows;
+    a check of a product (D* V, U* W, the Parrott pairing) discards both, so a finite product passes at
+    any scale.
     """
     if a.shape[0] != a.shape[1]:
         raise DimensionMismatch(f"Hermitian matrix must be square, got {a.shape}")
     c = np.conjugate(_finite(a).T, order="C")
-    if asym := _excess(lambda x, y: (_fro(x - y), _fro(x)), (a, c), tol.herm):
+    asym, scale = _fro(a - c), _fro(a)
+    if not (asym < math.inf and scale < math.inf):  # a norm overflowed: decide on the prescaled blocks
+        asym = _excess(lambda x, y: (_fro(x - y), _fro(x)), (a, c), tol.herm)
+    elif not asym > _limit(tol.herm, scale):
+        asym = 0.0
+    if asym:
         raise NotHermitian(f"asymmetry {asym:.3e} exceeds tolerance")
-    c += a  # (a + a*) / 2.0 as in _hermitian_part
-    c /= 2.0
-    return _finite(c)
+    return c, scale
 
 
 def _excess(measure, blocks: tuple[np.ndarray, ...], rel: float) -> float:
@@ -210,6 +231,7 @@ def _excess(measure, blocks: tuple[np.ndarray, ...], rel: float) -> float:
     inf > inf would pass anything, so the same inequality divided by 2^e, ``resid' > _limit(rel, scale', 2^-e)``,
     decides on the blocks times 2^-e, where 2^e bounds their largest real or imaginary part: a product with a
     power of two is exact, and blocks with finite norms never take this branch, so their decision is unchanged.
+    A caller that has measured finite norms compares them directly and calls this only when one overflowed.
     """
     resid, scale = measure(*blocks)
     unit = 1.0
@@ -221,16 +243,24 @@ def _excess(measure, blocks: tuple[np.ndarray, ...], rel: float) -> float:
 
 
 class HermitianMatrix(ComplexMatrix):
-    """Complex matrix validated and stored in exactly Hermitian form (:func:`_checked_hermitian`)."""
+    """Complex matrix validated (:func:`_checked_hermitian`) and stored in exactly Hermitian form ``(a + a*) / 2.0``.
+
+    The half-sum of finite entries can still overflow (entries from about 9e307 on): ValueError then.
+    """
 
     __slots__ = ()
 
     def __init__(self, data, tol: Tolerances | None = None):
-        self._own(_checked_hermitian(_as_array(data), _tol(tol)))
+        a = _as_array(data)
+        h, scale = _checked_hermitian(a, _tol(tol))
+        h += a  # (a + a*) / 2.0 as in _hermitian_part
+        h /= 2.0
+        # a finite ||a||_F bounds every entry by 1.4e154, so the half-sum can overflow only when it is not
+        self._own(h if scale < math.inf else _finite(h))
 
     @property
     def size(self) -> int:
-        return self.rows
+        return self.a.shape[0]
 
 
 def _require_psd(lo: float, hi: float, psd: float) -> None:
@@ -246,8 +276,8 @@ def _psd_keep(w: np.ndarray, tol: Tolerances) -> np.ndarray:
     """
     if w.size == 0:
         return np.zeros(0, dtype=bool)
-    hi = float(w.max())
-    _require_psd(float(w.min()), hi, tol.psd)
+    hi = float(np.maximum.reduce(w))
+    _require_psd(float(np.minimum.reduce(w)), hi, tol.psd)
     return w > tol.rank_cutoff(w.size, w.size) * max(hi, 0.0)
 
 
@@ -260,14 +290,14 @@ def _require_vanishing(resid: float, scale: float, tol: Tolerances) -> None:
         )
 
 
-def _lifted_keep(w: np.ndarray, lost, scale: float, tol: Tolerances) -> np.ndarray:
+def _lifted_keep(w: np.ndarray, lost, tol: Tolerances) -> np.ndarray:
     """:func:`_psd_keep` on the whole spectrum w of a Gram form M = P* G built positive with a finite bound, once
-    :func:`_require_vanishing` passes ``lost(drop)``, ||G||_F on the dropped eigenvectors (asked only if any drop),
-    at ``scale`` = ||G||_F.  A rejection of such a form is numerical: NumericalFailure."""
+    :func:`_require_vanishing` passes ``(resid, scale) = lost(drop)``: ||G||_F on the dropped eigenvectors and
+    ||G||_F, both asked only if any drop.  A rejection of such a form is numerical: NumericalFailure."""
     try:
         keep = _psd_keep(w, tol)
-        if not keep.all():
-            _require_vanishing(lost(~keep), scale, tol)
+        if not np.logical_and.reduce(keep):
+            _require_vanishing(*lost(~keep), tol)
     except (NotPsd, RestrictionConditionFailed) as exc:
         raise NumericalFailure(f"positive lift rejected unexpectedly: {exc}") from exc
     return keep
@@ -280,33 +310,51 @@ class PsdMatrix(HermitianMatrix):
     :func:`_psd_keep`'s NotPsd, when its smallest eigenvalue falls below
     ``-psd * (1 + lambda_max)``; anything closer to zero is accepted and
     treated as nonnegative by downstream consumers.  The eigenpairs are
-    kept, so a lift of the weight (:func:`~opext.kvn.hilbert_lift`) reads
-    them instead of decomposing it again.  Results positive by construction
-    (minimal extensions, |Phi|, block-diagonal weights) are adopted, never
-    constructed (:meth:`_adopt`, with their eigenpairs when the caller has
-    them, else decomposed on first use): this class validates caller data.
+    kept, and so is the mask of the eigenvalues above the rank cutoff that
+    the same decision returned, with the Tolerances that decided it: a lift
+    of the weight (:func:`~opext.kvn.hilbert_lift`) under those Tolerances
+    reads both instead of decomposing or deciding it again, and under any
+    other Tolerances decides the kept spectrum again (:meth:`_keep`).
+    Results positive by construction (minimal extensions, |Phi|,
+    block-diagonal weights) are adopted, never constructed (:meth:`_adopt`,
+    with their eigenpairs when the caller has them, else decomposed on first
+    use): this class validates caller data.
     """
 
-    __slots__ = ("_eig",)
+    __slots__ = ("_eig", "_kept_by", "_kept")
 
     def __init__(self, data, tol: Tolerances | None = None):
-        super().__init__(data, tol)
-        self._eig = None
-        _psd_keep(self._spectrum[0], _tol(tol))  # raises NotPsd
+        t = _tol(tol)
+        super().__init__(data, t)
+        eig = _read_only(eigh_desc(self))
+        self._hold(eig, t, _psd_keep(eig[0], t))  # raises NotPsd
+
+    def _hold(self, eig, kept_by: Tolerances | None, kept: np.ndarray | None):
+        object.__setattr__(self, "_eig", eig)
+        object.__setattr__(self, "_kept_by", kept_by)
+        object.__setattr__(self, "_kept", kept)
+        return self
 
     @classmethod
     def _adopt(cls, a: np.ndarray, eig: tuple[np.ndarray, np.ndarray] | None = None):
         """:meth:`ComplexMatrix._adopt`, keeping ``eig`` = (w descending, eigenvectors as columns) if given."""
-        m = super()._adopt(a)
-        m._eig = None if eig is None else _read_only(eig)
-        return m
+        return super()._adopt(a)._hold(None if eig is None else _read_only(eig), None, None)
+
+    def _transposed(self) -> PsdMatrix:
+        """This matrix's transpose, a copy not checked again: F^T = conj F has F's eigenpairs (w, conj V) and mask."""
+        w, v = self._spectrum
+        return PsdMatrix._wrap(self.a.T.copy())._hold(_read_only((w, v.conj())), self._kept_by, self._kept)
 
     @property
     def _spectrum(self) -> tuple[np.ndarray, np.ndarray]:
         """The whole spectrum ``(w, v)``, read-only, as :func:`eigh_desc` returns it: decomposed once, then kept."""
         if self._eig is None:
-            self._eig = _read_only(eigh_desc(self))
+            object.__setattr__(self, "_eig", _read_only(eigh_desc(self)))
         return self._eig
+
+    def _keep(self, tol: Tolerances) -> np.ndarray:
+        """:func:`_psd_keep` of the spectrum under ``tol``: the mask kept at construction if ``tol`` decided it."""
+        return self._kept if self._kept_by is tol else _psd_keep(self._spectrum[0], tol)
 
 
 def _read_only(arrays: tuple[np.ndarray, ...]) -> tuple[np.ndarray, ...]:
@@ -321,7 +369,9 @@ def eigh_desc(a) -> tuple[np.ndarray, np.ndarray]:
     Eigenvalues are sorted descending (stable, so degenerate blocks keep
     LAPACK's order) and the eigenvectors are LAPACK's, in that order: their
     phases carry no convention, since every consumer reads only what a
-    unitary change of eigenbasis keeps.  An empty input makes no LAPACK call.
+    unitary change of eigenbasis keeps.  LAPACK returns them ascending, so
+    without an exact tie the stable descending order is the reversal, taken
+    as copies; a tie takes the stable sort.  An empty input makes no LAPACK call.
 
     Parameters
     ----------
@@ -337,8 +387,10 @@ def eigh_desc(a) -> tuple[np.ndarray, np.ndarray]:
     if h.shape[0] == 0:
         return np.zeros(0), np.zeros((0, 0), dtype=np.complex128)
     w, v = np.linalg.eigh(h)
+    if np.logical_and.reduce(w[:-1] < w[1:]):
+        return w[::-1].copy(), v[:, ::-1].copy()
     order = np.argsort(-w, kind="stable")
-    return w[order], np.take(v, order, axis=1)
+    return w[order], v.take(order, axis=1)
 
 
 def _hermitian_part(a: np.ndarray) -> np.ndarray:
@@ -429,7 +481,7 @@ def psd_eig(a, tol: Tolerances | None = None) -> tuple[np.ndarray, np.ndarray]:
             raise DimensionMismatch(f"expected a square matrix, got {a.shape}")
     w, v = eigh_desc(a)
     keep = _psd_keep(w, _tol(tol))
-    return w[keep], np.compress(keep, v, axis=1)
+    return w[keep], v.compress(keep, axis=1)
 
 
 def loewner_leq(a, b, tol: Tolerances | None = None) -> bool:
@@ -473,7 +525,7 @@ def _range_basis(pm: HermitianMatrix) -> np.ndarray:
     what a unitary change of basis keeps (such as B B*) is a function of pm.
     """
     w, v = eigh_desc(pm)
-    return np.compress(w > 0.5, v, axis=1)
+    return v.compress(w > 0.5, axis=1)
 
 
 def independent_columns(m, tol: Tolerances | None = None) -> list[int]:

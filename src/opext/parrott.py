@@ -151,7 +151,10 @@ def _corner_lifts(inst: ParrottInstance, tol: Tolerances):
             _weighted_lift(inst.domain2.a, inst.values2.a, lift2, lift1, tol),
         )
         k1, k2 = u1.shape[1], u2.shape[1]
-        _checked_hermitian(np.block([[np.zeros((k1, k1)), u1.conj().T @ w2], [u2.conj().T @ w1, np.zeros((k2, k2))]]), tol)
+        pairing = np.zeros((k1 + k2, k1 + k2), dtype=np.complex128)
+        pairing[:k1, k1:] = u1.conj().T @ w2
+        pairing[k1:, :k1] = u2.conj().T @ w1
+        _checked_hermitian(pairing, tol)
     except (NotABounded, NotHermitian):
         return None
     for (*_, beta), alpha in zip((corner1, corner2), (inst.alpha1, inst.alpha2)):
@@ -251,17 +254,17 @@ def _corner(p1, y1, p2, y2, beta: float, tol: Tolerances) -> np.ndarray:
     plus1, minus1 = bv + yu, bv - yu
     plus2, minus2 = yv + bu, yv - bu
 
-    def lost(drop):  # ||G||_F on the dropped directions: sqrt 2 G e on the pairs, the isometries on E
+    def lost(drop):  # ||G||_F on the dropped directions (sqrt 2 G e on the pairs, the isometries on E) and on all
         dp, dm = drop[:m], drop[m:2 * m]
         sq = sum(_fro(ge) ** 2 for ge in (plus1[:, dp], plus2[:, dp], minus1[:, dm], minus2[:, dm])) / 2.0
-        if drop[2 * m:].any():
-            sq += beta * beta * unpaired + _fro(y1) ** 2 - _fro(yv) ** 2 + _fro(y2) ** 2 - _fro(yu) ** 2
-        return math.sqrt(sq)
+        y1sq, y2sq = _fro(y1) ** 2, _fro(y2) ** 2
+        if np.logical_or.reduce(drop[2 * m:]):
+            sq += beta * beta * unpaired + y1sq - _fro(yv) ** 2 + y2sq - _fro(yu) ** 2
+        return math.sqrt(sq), math.sqrt(beta * beta * (_fro(p1) ** 2 + _fro(p2) ** 2) + y1sq + y2sq)
 
-    size = math.sqrt(beta * beta * (_fro(p1) ** 2 + _fro(p2) ** 2) + _fro(y1) ** 2 + _fro(y2) ** 2)
-    keep = _lifted_keep(np.concatenate([beta + sigma, beta - sigma, np.full(unpaired, beta)]), lost, size, tol)
+    keep = _lifted_keep(np.concatenate([beta + sigma, beta - sigma, np.full(unpaired, beta)]), lost, tol)
     kp, km = keep[:m], keep[m:2 * m]
-    if not keep[2 * m:].all():
+    if not np.logical_and.reduce(keep[2 * m:]):
         x -= (y1 - yv @ vh) @ p1.conj().T + p2 @ (y2 - yu @ u.conj().T).conj().T
     minus = np.divide(sigma, 2.0 * beta * (beta - sigma), out=np.full_like(sigma, -0.5 / beta), where=km)
     plus = np.where(kp, -sigma / (2.0 * beta * (beta + sigma)), -0.5 / beta)

@@ -77,7 +77,7 @@ class SymmetricPartialOperator:
     def __init__(self, domain_basis, values, tol: Tolerances | None = None):
         d = ComplexMatrix.coerce(domain_basis)
         v = ComplexMatrix.coerce(values)
-        if d.rows != v.rows or d.cols != v.cols:
+        if d.a.shape != v.a.shape:
             raise DimensionMismatch(
                 f"domain basis is {d.rows}x{d.cols} but values are {v.rows}x{v.cols}"
             )
@@ -217,17 +217,18 @@ def _extend_lifted(p: np.ndarray, y: np.ndarray, alpha: float, lift: HilbertLift
     and C is G V on the kept ones over sqrt w.  Returned as ``_hermitian_part``, not checked again.
     """
     _, v = eigh_desc(p.conj().T @ y)
-    pv, j = p @ v, lift.embedding()
+    pvc, j, jh = (p @ v).conj(), lift.embedding(), lift.coembedding()
+    ap, diagonal = alpha * p, slice(None, None, lift.rank + 1)
     ends = []
-    for sign in (1.0, -1.0):
-        g = alpha * p + sign * y
+    for plus in (True, False):
+        g = ap + y if plus else ap - y
         gv = g @ v
-        w = np.einsum("ij,ij->j", pv.conj(), gv).real
-        keep = _lifted_keep(w, lambda drop: _fro(np.compress(drop, gv, axis=1)), _fro(g), tol)
-        c = np.compress(keep, gv, axis=1) / np.sqrt(w[keep])
+        w = np.einsum("ij,ij->j", pvc, gv).real
+        keep = _lifted_keep(w, lambda drop: (_fro(gv.compress(drop, axis=1)), _fro(g)), tol)
+        c = gv.compress(keep, axis=1) / np.sqrt(w[keep])
         cc = c @ c.conj().T
-        cc.flat[:: lift.rank + 1] -= alpha
-        ends.append(_hermitian_part(j @ (sign * cc) @ j.conj().T))
+        cc.reshape(-1)[diagonal] -= alpha  # C C* - alpha I, shifted on the diagonal view
+        ends.append(_hermitian_part(j @ (cc if plus else -cc) @ jh))
     return tuple(ends)
 
 

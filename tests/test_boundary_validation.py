@@ -1,11 +1,16 @@
 """One Hermitian rule on arrays, applied to caller data only.
 
 * Every site that decides Hermitian-ness raises the error type and message
-  of ``HermitianMatrix``'s rule, written out inline below, on the matrix it
-  tests: at the asymmetry limit, on non-square and non-finite input, and when
-  the product of finite data overflows (a NaN asymmetry passes ``>``, so only
-  the finiteness half of the rule rejects it).  The Parrott pairing applies
-  the rule to the assembled block [[0, U1* W2], [U2* W1, 0]].
+  of the rule, written out inline below, on the matrix it tests: at the
+  asymmetry limit, on non-square and non-finite input, and when the product
+  of finite data overflows (a NaN asymmetry passes ``>``, so only the
+  finiteness half of the rule rejects it).  The Parrott pairing applies the
+  rule to the assembled block [[0, U1* W2], [U2* W1, 0]].
+* ``HermitianMatrix`` and ``PsdMatrix`` keep the half-sum (M + M*) / 2, so
+  they also reject a finite M whose half-sum overflows.  A product site
+  (D* V, U* W, the pairing) and ``_checked_hermitian`` itself form no
+  half-sum: they reject a non-finite product, not a half-sum they never
+  form, so a product of entries 1e308 passes there.
 * At ``herm = 0`` the library accepts its own output: results are Hermitian
   by construction and are not checked for asymmetry again.
 * Public calls on typed inputs construct no validating wrapper beyond the
@@ -35,14 +40,17 @@ def asymmetry(m):
     return np.linalg.norm(m - m.conj().T), np.linalg.norm(m)
 
 
-def hermitian_rule(m, tol):
-    """``(error type, message)`` of the Hermitian rule on the matrix m, or None when it accepts."""
+def hermitian_rule(m, tol, kept=True):
+    """``(error type, message)`` of the Hermitian rule on the matrix m, or None when it accepts.
+
+    ``kept``: the site keeps the half-sum, which must be finite too; a product site checks m itself.
+    """
     if m.shape[0] != m.shape[1]:
         return DimensionMismatch, f"Hermitian matrix must be square, got {m.shape}"
     asym, norm = asymmetry(m)
     if asym > tol.herm * (1.0 + norm):
         return NotHermitian, f"asymmetry {asym:.3e} exceeds tolerance"
-    if not np.isfinite((m + m.conj().T) / 2.0).all():
+    if not np.isfinite((m + m.conj().T) / 2.0 if kept else m).all():
         return ValueError, FINITE
     return None
 
@@ -97,6 +105,7 @@ DIRECT_SITES = {
     "PsdMatrix": lambda a, tol: PsdMatrix(a, tol),
     "_checked_hermitian": lambda a, tol: numkit._checked_hermitian(numkit._as_array(a), tol),
 }
+KEPT = {"HermitianMatrix": True, "PsdMatrix": True, "_checked_hermitian": False}  # whether the site keeps the half-sum
 
 with np.errstate(over="ignore", invalid="ignore"):
     DIRECT_INPUTS = {
@@ -115,7 +124,7 @@ with np.errstate(over="ignore", invalid="ignore"):
 def test_direct_sites_follow_the_rule(site, name):
     a, tol = DIRECT_INPUTS[name], Tolerances()
     got = outcome(lambda: DIRECT_SITES[site](a, tol))
-    assert got == hermitian_rule(a, tol)
+    assert got == hermitian_rule(a, tol, KEPT[site])
     assert (got is None) == name.startswith("c=1e+150")
 
 
@@ -124,7 +133,7 @@ def test_direct_sites_follow_the_rule(site, name):
 def test_direct_sites_at_the_asymmetry_limit(site, f):
     a = near_hermitian()
     tol = at_limit(a, f)
-    expected = hermitian_rule(a, tol)
+    expected = hermitian_rule(a, tol, KEPT[site])
     assert (expected is None) == (f < 1.0)
     if site == "PsdMatrix" and expected is None:
         return  # an indefinite matrix that passes the rule is then rejected as not positive
@@ -161,7 +170,7 @@ REPORTED = {
 
 
 def expected_at(site, m, tol):
-    rule = hermitian_rule(m, tol)
+    rule = hermitian_rule(m, tol, kept=False)
     if rule is None:
         return None
     return REPORTED.get(site, {}).get(rule[0], rule)
@@ -198,6 +207,38 @@ def test_product_sites_on_the_overflow_ladder(rule_inputs, site, c, opposite):
     got, m = run_product_site(site, x, y, Tolerances(), rule_inputs)
     assert got == expected_at(site, m, Tolerances())
     assert (got == (ValueError, FINITE)) == (c > 1e150)
+
+
+# c^2 = 1e308 is finite and c^2 + c^2 is not: a product of this rung passes where its half-sum is not kept
+HALF_SUM_OVERFLOW = 1e154
+
+
+@pytest.mark.parametrize("site", DIRECT_SITES)
+def test_direct_sites_on_a_finite_matrix_whose_half_sum_overflows(site):
+    a, tol = np.full((2, 2), HALF_SUM_OVERFLOW) * HALF_SUM_OVERFLOW, Tolerances()
+    got = outcome(lambda: DIRECT_SITES[site](a, tol))
+    assert got == hermitian_rule(a, tol, KEPT[site])
+    assert got == ((ValueError, FINITE) if KEPT[site] else None)
+
+
+@pytest.mark.parametrize("site", PRODUCT_SITES)
+@pytest.mark.parametrize("opposite", [False, True], ids=["same-sign", "opposite-sign"])
+def test_product_sites_accept_a_finite_product_whose_half_sum_overflows(rule_inputs, site, opposite):
+    """The overflow ladder's data at c = 1e154: the product is 1e308 (or 1e308 - 1e308), finite, so it passes."""
+    c, e = HALF_SUM_OVERFLOW, np.eye(3, dtype=np.complex128)
+    x, y = (c * (e[:, :1] + e[:, 1:2]), c * (e[:, :1] - e[:, 1:2])) if opposite else (c * e[:, :1], c * e[:, :1])
+    got, m = run_product_site(site, x, y, Tolerances(), rule_inputs)
+    assert np.isfinite(m).all()
+    assert got is None and expected_at(site, m, Tolerances()) is None
+
+
+def test_parrott_completes_when_its_pairing_block_has_entries_1e308():
+    """D* V and the pairing block are 1e308 h, finite; their half-sums would overflow, and none is formed."""
+    c, h, eye = HALF_SUM_OVERFLOW, np.array([[1.0, 0.5], [0.5, 1.0]]), np.eye(2)
+    op = SymmetricPartialOperator(c * eye, c * h)
+    assert op.domain_dim == 2
+    x = parrott_complete(ParrottInstance(c * eye, c * h, c * eye, c * h, eye, eye, 4, 4)).a
+    assert np.max(np.abs(x - h)) <= 1e-15
 
 
 def symmetric_data(n, seed):

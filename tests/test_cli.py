@@ -489,6 +489,45 @@ class TestTolerances:
         assert second.read_bytes() == first.read_bytes()
 
 
+    def test_defaults_are_the_shared_default_tolerances(self, monkeypatch):
+        # no file value and no flag: the run reads DEFAULT_TOLERANCES itself, not a copy built and validated again
+        args = cli.build_parser().parse_args(["kvn", "x.json"])
+        built = []
+        monkeypatch.setattr(cli, "Tolerances", lambda **values: built.append(values))
+        assert cli._tolerances_from(args, None) is cli.DEFAULT_TOLERANCES
+        assert cli._tolerances_from(args, {"rank": None, "eq": 1e-8}) is cli.DEFAULT_TOLERANCES
+        assert built == []
+        cli._tolerances_from(cli.build_parser().parse_args(["kvn", "x.json", "--tol-eq", "1e-6"]), None)
+        assert built == [{"rank": None, "psd": 1e-8, "herm": 1e-10, "eq": 1e-6}]
+
+
+class TestUnwritableOut:
+    """An --out that cannot be written is invalid input for every command: exit 2, one error line, no traceback."""
+
+    INFEASIBLE = {"kind": "kvn", "payload": {"n": 2, "domain_basis": [[1.0], [0.0]], "values": [[0.0], [1.0]]}}
+    COMMANDS = {
+        "run": ["kvn", str(INSTANCES / "kvn.json")],
+        "run-infeasible": ["kvn", "infeasible.json"],  # exits 1 with a writable --out
+        "gen": ["gen", "--kind", "kvn", "--seed", "0"],
+        "verify": ["verify", "--kind", "kvn", "--count", "1"],
+    }
+
+    @pytest.mark.parametrize("command", COMMANDS)
+    @pytest.mark.parametrize("target", ["directory", "missing-parent"])
+    def test_exit_two_with_one_error_line(self, tmp_path, capsys, command, target):
+        argv = self.COMMANDS[command]
+        if command == "run-infeasible":
+            argv = ["kvn", write_instance(tmp_path, "infeasible.json", self.INFEASIBLE)]
+            assert cli.main([*argv, "--out", str(tmp_path / "result.json")]) == 1
+        out = tmp_path if target == "directory" else tmp_path / "missing" / "x.json"
+        assert cli.main([*argv, "--out", str(out)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith(f"error: cannot write {out}: ")
+        assert captured.err.count("\n") == 1
+        assert not (tmp_path / "missing").exists()
+
+
 class TestDiagnosticsReuseLifts:
     @pytest.mark.parametrize("kind, eigh_calls", [("sa-ext", 2), ("parrott", 2)])
     def test_eigh_calls(self, tmp_path, decompositions, kind, eigh_calls):

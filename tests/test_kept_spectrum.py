@@ -13,7 +13,8 @@ import pytest
 from opext.func_ext import LeftIdeal, PartialFunctional, _row_lift, extend_functional
 from opext.kvn import hilbert_lift
 from opext.numkit import DEFAULT_TOLERANCES as T
-from opext.numkit import PsdMatrix, eigh_desc
+from opext.errors import NotPsd
+from opext.numkit import PsdMatrix, Tolerances, eigh_desc
 from opext.sa_ext import SymmetricPartialOperator, extend_symmetric
 
 
@@ -109,3 +110,32 @@ def test_row_lift_is_the_lift_of_a_fresh_transpose_spectrum(m, deficient):
         assert np.all(np.abs(lift.roots - roots) <= 1e-14 * roots.max(initial=0.0))
         got = lift.embedding() @ lift.embedding().conj().T
         assert np.linalg.norm(got - j @ j.conj().T) <= 1e-13 * np.linalg.norm(j @ j.conj().T)
+
+
+def test_a_lift_under_the_deciding_tolerances_reads_the_kept_mask(monkeypatch):
+    # PsdMatrix keeps the mask its own decision returned; a lift under the same Tolerances decides nothing again
+    from opext import kvn, numkit
+
+    f = PsdMatrix(planted(np.random.default_rng(76), 6, 4)[0])
+    calls = []
+    keep = numkit._psd_keep
+    for module in (numkit, kvn):
+        monkeypatch.setattr(module, "_psd_keep", lambda w, tol: calls.append(tol) or keep(w, tol))
+    assert hilbert_lift(f).rank == hilbert_lift(f, T).rank == 4
+    assert calls == []
+
+
+def test_a_weight_decided_under_other_tolerances_is_decided_again():
+    # eigenvalues 1, 1e-4 and 0: Tolerances(rank=1e-3) keeps one, the default cutoff (6e-10) keeps two
+    q = np.linalg.qr(cgauss(np.random.default_rng(77), 6, 6))[0]
+    a = herm((q * np.array([1.0, 1e-4, 0.0, 0.0, 0.0, 0.0])) @ q.conj().T)
+    coarse = Tolerances(rank=1e-3)
+    f = PsdMatrix(a, coarse)
+    assert hilbert_lift(f, coarse).rank == hilbert_lift(a, coarse).rank == 1
+    assert hilbert_lift(f).rank == hilbert_lift(a).rank == 2
+    assert np.array_equal(hilbert_lift(f).roots, hilbert_lift(a).roots)
+    # positivity is decided again too: accepted at slack 1e-4, rejected at the default 1e-8
+    loose = PsdMatrix(np.diag([1.0, -1e-5]), Tolerances(psd=1e-4))
+    assert hilbert_lift(loose, Tolerances(psd=1e-4)).rank == 1
+    with pytest.raises(NotPsd):
+        hilbert_lift(loose)

@@ -216,9 +216,9 @@ def spy_lifted_keep(monkeypatch):
     calls = []
     lifted_keep = sa_ext._lifted_keep
 
-    def spied(w, lost, scale, tol):
-        keep = lifted_keep(w, lost, scale, tol)
-        calls.append((int(np.count_nonzero(~keep)), lost(~keep)))
+    def spied(w, lost, tol):
+        keep = lifted_keep(w, lost, tol)
+        calls.append((int(np.count_nonzero(~keep)), lost(~keep)[0]))
         return keep
 
     monkeypatch.setattr(sa_ext, "_lifted_keep", spied)

@@ -13,6 +13,7 @@ from opext.numkit import (
     HermitianMatrix,
     PsdMatrix,
     Tolerances,
+    _finite,
     _fro,
     _hermitian_part,
     _limit,
@@ -337,6 +338,61 @@ class TestEighDesc:
         assert np.abs(a @ v - v * w).max(initial=0.0) <= 1e-12 * (1.0 + np.abs(w).max(initial=0.0))
 
 
+    @staticmethod
+    def spectra():
+        """name -> (Hermitian matrix, whether LAPACK's eigenvalues tie exactly, or None when rounding decides)."""
+        q = np.linalg.qr(complex_gaussian(np.random.default_rng(66), 6, 6))[0][:, :3]
+        x = complex_gaussian(np.random.default_rng(67), 7, 7)
+        return {
+            "identity": (np.eye(5, dtype=np.complex128), True),
+            "rank-3 projector": (np.diag([0.0, 1.0, 0.0, 1.0, 1.0, 0.0]).astype(np.complex128), True),
+            "rotated rank-3 projector": (q @ q.conj().T, None),
+            "distinct": (np.diag([3.0, -1.0, 2.0, 0.5]).astype(np.complex128), False),
+            "random": (x + x.conj().T, False),
+        }
+
+    @pytest.mark.parametrize("name", ["identity", "rank-3 projector", "rotated rank-3 projector", "distinct", "random"])
+    def test_the_reversal_is_the_stable_descending_order(self, monkeypatch, name):
+        # LAPACK's ascending values without an exact tie are reversed; any exact tie takes the stable sort
+        a, ties = self.spectra()[name]
+        w_lapack, v_lapack = np.linalg.eigh((a + a.conj().T) / 2.0)
+        order = np.argsort(-w_lapack, kind="stable")
+        sorts = []
+        argsort = np.argsort
+        monkeypatch.setattr(np, "argsort", lambda *args, **kwargs: sorts.append(1) or argsort(*args, **kwargs))
+        w, v = eigh_desc(a)
+        assert same_bits(w, w_lapack[order]) and same_bits(v, np.take(v_lapack, order, axis=1))
+        assert v.flags.c_contiguous
+        assert len(sorts) == int(bool(np.any(w_lapack[:-1] == w_lapack[1:])))
+        if ties is not None:
+            assert len(sorts) == int(ties)
+
+
+class TestFinite:
+    BAD = [np.nan, np.inf, -np.inf, complex(0.0, np.nan), complex(0.0, np.inf), complex(1.0, -np.inf),
+           complex(np.nan, 1.0), complex(-np.inf, 0.0)]
+
+    @pytest.mark.parametrize("value", BAD, ids=lambda v: repr(v))
+    def test_rejects_nan_and_inf_in_either_part(self, value):
+        a = np.ones((3, 4), dtype=np.complex128)
+        a[2, 1] = value
+        for x in (a, a.T, a[1:, ::2], a.real, a.imag):
+            if np.isfinite(x).all():
+                continue  # this view misses the bad entry
+            with pytest.raises(ValueError, match="matrix entries must be finite"):
+                _finite(x)
+
+    @pytest.mark.parametrize("shape", [(0, 0), (0, 3), (3, 0), (0,)])
+    def test_accepts_empty_arrays(self, shape):
+        for dtype in (np.float64, np.complex128):
+            a = np.zeros(shape, dtype=dtype)
+            assert _finite(a) is a
+
+    def test_returns_its_finite_input(self):
+        a = complex_gaussian(np.random.default_rng(68), 3, 2)
+        assert _finite(a) is a
+
+
 class TestPsdEig:
     def test_drops_noise_eigenvalues(self):
         w, v = psd_eig(np.diag([1.0, 1e-15]))
@@ -541,3 +597,18 @@ class TestWrapperInvariants:
         with pytest.raises(NotHermitian):
             HermitianMatrix(a, Tolerances(herm=asym / scale * (1.0 - 1e-9)))
         HermitianMatrix(a, Tolerances(herm=asym / scale * (1.0 + 1e-9)))
+
+
+def test_wrappers_are_immutable_and_copy_whole():
+    import copy
+    import pickle
+
+    w = PsdMatrix(np.diag([2.0, 1.0]))
+    with pytest.raises(AttributeError):
+        w.a = np.eye(2)
+    with pytest.raises(AttributeError):
+        w.extra = 1
+    for twin in (copy.copy(w), copy.deepcopy(w), pickle.loads(pickle.dumps(w))):
+        assert type(twin) is PsdMatrix and same_bits(twin.a, w.a)
+        assert same_bits(twin._spectrum[0], w._spectrum[0])
+        assert hilbert_lift(twin).rank == 2

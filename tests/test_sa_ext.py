@@ -280,7 +280,7 @@ def endpoints_through_identity(op, weight, tol):
         g = alpha * p + sign * y
         gv = g @ v
         w = np.einsum("ij,ij->j", pv.conj(), gv).real
-        keep = _lifted_keep(w, lambda drop: _fro(np.compress(drop, gv, axis=1)), _fro(g), tol)
+        keep = _lifted_keep(w, lambda drop: (_fro(np.compress(drop, gv, axis=1)), _fro(g)), tol)
         c = np.compress(keep, gv, axis=1) / np.sqrt(w[keep])
         ends.append(_hermitian_part(j @ (sign * (c @ c.conj().T - alpha * np.eye(lift.rank))) @ j.conj().T))
     return ends
