@@ -64,7 +64,7 @@ from .sa_ext import (
     extend_symmetric,
     in_interval,
 )
-from .serialize import decode_int, decode_matrix, decode_real, dumps_canonical, encode_matrix
+from .serialize import decode_int, decode_matrix, decode_real, dumps_canonical
 
 __all__ = ["main", "console_main"]
 
@@ -331,7 +331,7 @@ def _draw_m(gen) -> tuple[int, ...]:
 # Everything the command line knows about each run kind, in the order it lists
 # them: parse(payload) -> data, shape checks only; run(data, tol) -> (outputs,
 # diagnostics); oracle, the kind's name in opext.oracle, whose planted fields
-# gen and verify encode as they are, less the key drop (or None); default_dims
+# gen writes and verify runs as they are, less the key drop (or None); default_dims
 # for gen and draw_dims(generator) for verify, without --dims; invariants; and
 # witness(data, result, witness, tol) -> the verify-only result keys, or None.
 # The invariants are (key, threshold) rows on a run's outputs and diagnostics
@@ -412,22 +412,14 @@ _KINDS = {
 RUN_KINDS = tuple(_KINDS)
 
 
-def _encode_instance(spec: SimpleNamespace, fields: dict) -> dict:
-    """Payload of a planted instance's fields, in the layout its kind's parser reads."""
-    return {
-        key: encode_matrix(value) if isinstance(value, np.ndarray) else value
-        for key, value in fields.items() if key != spec.drop
-    }
-
-
 def _verify_one(spec: SimpleNamespace, rng: Rng, dims: tuple[int, ...], tol: Tolerances) -> list[dict]:
     """Failed invariants of one generated instance, run as `opext <kind>` runs it.
 
-    The instance goes through the same encode -> parse -> run path as an
-    instance file, once per instance for every kind.
+    The run gets the planted fields, less the kind's ``drop`` key, as the
+    arrays its parser would return for the instance file ``gen`` writes.
     """
     fields, witness = random_instance_with_witness(spec.oracle, dims, rng)
-    data = spec.parse(_encode_instance(spec, fields))
+    data = {key: value for key, value in fields.items() if key != spec.drop}
     outputs, diagnostics = spec.run(data, tol)
     result = {**outputs, **diagnostics}
     if spec.witness is not None:
@@ -589,7 +581,7 @@ def _cmd_gen(args) -> int:
         spec = _KINDS[args.kind]
         dims = spec.default_dims if args.dims is None else _parse_dims(args.dims)
         fields, _ = random_instance_with_witness(spec.oracle, dims, Rng(args.seed))
-        payload = _encode_instance(spec, fields)
+        payload = {key: value for key, value in fields.items() if key != spec.drop}
     except (InvalidDims, ValueError) as exc:
         sys.stderr.write(f"error: {exc}\n")
         return EXIT_INVALID_INPUT
@@ -612,6 +604,9 @@ def _cmd_verify(args) -> int:
             raise ValueError("--count must be positive")
     except (ValueError, InvalidDims) as exc:
         sys.stderr.write(f"error: {exc}\n")
+        return EXIT_INVALID_INPUT
+    # create the report file before any instance runs, so an unwritable --out costs no work
+    if args.out and _emit("", args.out, EXIT_OK) != EXIT_OK:
         return EXIT_INVALID_INPUT
 
     report = {}

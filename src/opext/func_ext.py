@@ -50,6 +50,7 @@ from .numkit import (
     HermitianMatrix,
     PsdMatrix,
     Tolerances,
+    _as_array,
     _excess,
     _fro,
     _hermitian_part,
@@ -168,11 +169,11 @@ class PartialFunctional:
     def __init__(self, ideal: LeftIdeal, gamma):
         if not isinstance(ideal, LeftIdeal):
             ideal = LeftIdeal(ideal)
-        g = ComplexMatrix.coerce(gamma)
-        if g.a.shape != ideal.projection.a.shape:
-            raise DimensionMismatch(f"gamma must be {ideal.size}x{ideal.size}, got {g.rows}x{g.cols}")
+        g = _as_array(gamma)
+        if g.shape != ideal.projection.a.shape:
+            raise DimensionMismatch(f"gamma must be {ideal.size}x{ideal.size}, got {g.shape[0]}x{g.shape[1]}")
         self.ideal = ideal
-        self.gamma = ComplexMatrix._adopt(ideal.projection.a @ g.a)
+        self.gamma = ComplexMatrix._adopt(ideal.projection.a @ g)  # a non-finite entry of g stays one in P g
 
     @property
     def size(self) -> int:

@@ -227,18 +227,15 @@ def _checked_hermitian(a: np.ndarray, tol: Tolerances) -> tuple[np.ndarray, floa
 def _excess(measure, blocks: tuple[np.ndarray, ...], rel: float) -> float:
     """``resid`` if above ``_limit(rel, scale)`` for ``(resid, scale) = measure(*blocks)`` of finite blocks, else 0.0.
 
-    ``measure`` is degree-1 homogeneous in the blocks.  When a norm overflows (entries from about 1.3e154 on),
-    inf > inf would pass anything, so the same inequality divided by 2^e, ``resid' > _limit(rel, scale', 2^-e)``,
+    ``measure`` is degree-1 homogeneous in the blocks.  A caller compares the norms it measured directly
+    while they are finite and calls this only when one overflowed (entries from about 1.3e154 on), where
+    inf > inf would pass anything.  So the same inequality divided by 2^e, ``resid' > _limit(rel, scale', 2^-e)``,
     decides on the blocks times 2^-e, where 2^e bounds their largest real or imaginary part: a product with a
-    power of two is exact, and blocks with finite norms never take this branch, so their decision is unchanged.
-    A caller that has measured finite norms compares them directly and calls this only when one overflowed.
+    power of two is exact.
     """
-    resid, scale = measure(*blocks)
-    unit = 1.0
-    if not (math.isfinite(resid) and math.isfinite(scale)):
-        top = max(float(np.max(np.abs(part), initial=0.0)) for x in blocks for part in (x.real, x.imag))
-        unit = math.ldexp(1.0, -math.frexp(top)[1])
-        resid, scale = measure(*(x * unit for x in blocks))
+    top = max(float(np.max(np.abs(part), initial=0.0)) for x in blocks for part in (x.real, x.imag))
+    unit = math.ldexp(1.0, -math.frexp(top)[1])
+    resid, scale = measure(*(x * unit for x in blocks))
     return resid / unit if resid > _limit(rel, scale, unit) else 0.0
 
 

@@ -2,10 +2,13 @@
 
 The on-disk format is deterministic byte-for-byte: object keys are
 sorted, floats are printed with 17 significant digits (the shortest
-width guaranteeing exact double-precision round trips), complex numbers
-are two-element [re, im] arrays, and matrices are arrays of row arrays.
-Lists of scalars print on one line so matrices stay diff-able; non-finite
-numbers are rejected rather than written.
+width guaranteeing exact double-precision round trips), and matrices are
+arrays of row arrays whose complex entries are two-element [re, im]
+arrays.  Inside the library a matrix is always an ndarray: rows exist
+only where a file is read (:func:`decode_matrix`) or written (an ndarray
+handed to :func:`dumps_canonical`).  Lists of scalars print on one line
+so matrices stay diff-able; non-finite numbers are rejected rather than
+written.
 """
 
 from __future__ import annotations
@@ -16,13 +19,15 @@ import numpy as np
 
 __all__ = [
     "dumps_canonical",
-    "encode_matrix",
     "decode_matrix",
     "decode_real",
     "decode_int",
 ]
 
 _INDENT = "  "
+
+# the types json.load gives a number; bool is its own type, so true and false are not numbers
+_NUMBERS = {int, float}
 
 
 def _format_real(x: float) -> str:
@@ -34,19 +39,10 @@ def _format_real(x: float) -> str:
     return format(x, ".17g")
 
 
-def _is_pair(x) -> bool:
-    return (
-        isinstance(x, (list, tuple))
-        and len(x) == 2
-        and all(isinstance(e, (int, float, np.integer, np.floating)) and not isinstance(e, bool) for e in x)
-    )
-
-
 def _is_flat_list(x) -> bool:
-    """Lists of numbers or [re, im] pairs render on a single line."""
+    """Lists of numbers render on a single line."""
     return isinstance(x, (list, tuple)) and all(
-        (isinstance(e, (int, float, np.integer, np.floating)) and not isinstance(e, bool)) or _is_pair(e)
-        for e in x
+        isinstance(e, (int, float, np.integer, np.floating)) and not isinstance(e, bool) for e in x
     )
 
 
@@ -59,9 +55,6 @@ def _render(obj, depth: int) -> str:
         return str(int(obj))
     if isinstance(obj, (float, np.floating)):
         return _format_real(obj)
-    if isinstance(obj, (complex, np.complexfloating)):
-        z = complex(obj)
-        return f"[{_format_real(z.real)}, {_format_real(z.imag)}]"
     if isinstance(obj, str):
         return json.dumps(obj, ensure_ascii=True)
     if isinstance(obj, np.ndarray):
@@ -89,11 +82,11 @@ def _render(obj, depth: int) -> str:
 
 
 def _render_matrix(m: np.ndarray, depth: int) -> str:
-    """``_render(encode_matrix(m), depth)`` formatted straight from the array.
+    """A matrix as rows of [re, im] entries, each row on one line (an empty matrix is ``[]``).
 
     One finiteness check, ``+ 0.0`` to turn -0.0 into 0.0, and one
     ``"%.17g"`` row template (the formatting :func:`_format_real` applies)
-    per row; the text is byte-identical to the list route.
+    per row.
     """
     a = _as_matrix(m)
     if not a.shape[0]:
@@ -122,48 +115,46 @@ def _as_matrix(m) -> np.ndarray:
     return a
 
 
-def encode_matrix(m) -> list:
-    """Matrix as rows of [re, im] entries (empty matrix encodes as [])."""
-    return [[[float(z.real), float(z.imag)] for z in row] for row in _as_matrix(m)]
+def _scalars(rows) -> list | None:
+    """The entries' (re, im) scalars in row order, or None unless every scalar is a number.
 
-
-def _entry_to_complex(entry, what: str) -> complex:
-    if isinstance(entry, bool):
-        raise ValueError(f"{what}: boolean is not a number")
+    An array entry is a pair and must have two elements; any other entry is a real entry paired with 0.
+    """
     try:
-        if isinstance(entry, (int, float)):
-            return complex(float(entry), 0.0)
-        if _is_pair(entry):
-            return complex(float(entry[0]), float(entry[1]))
-    except OverflowError as exc:  # an integer beyond the float range
-        raise ValueError(f"{what}: entries must be finite") from exc
-    raise ValueError(f"{what}: entries must be numbers or [re, im] pairs")
+        parts = [x for row in rows for e in row for re, im in (e if type(e) is list else (e, 0),) for x in (re, im)]
+    except ValueError:  # an array entry of other than two elements does not unpack
+        return None
+    return parts if set(map(type, parts)) <= _NUMBERS else None
 
 
 def decode_matrix(rows, what: str = "matrix") -> np.ndarray:
-    """Parse the row-array encoding back into a complex matrix.
+    """The complex matrix of a row-array encoding as ``json.load`` gives it.
 
-    Accepts plain numbers as real entries.  Raises ValueError on ragged
-    rows, non-numeric entries, or non-finite values.
+    An entry is a number (a real entry) or an [re, im] array of two numbers.
+    ValueError on a structural fault (not an array of equally long row
+    arrays), else on the first bad entry in row order, else on a non-finite
+    value.  Valid input is converted in one pass: its (re, im) scalars
+    become one float64 array, viewed as complex128.
     """
     if not isinstance(rows, list):
         raise ValueError(f"{what}: expected an array of row arrays")
-    if not rows:
-        return np.zeros((0, 0), dtype=np.complex128)
-    parsed = []
-    width = None
     for row in rows:
         if not isinstance(row, list):
             raise ValueError(f"{what}: each row must be an array")
-        if width is None:
-            width = len(row)
-        elif len(row) != width:
+        if len(row) != len(rows[0]):
             raise ValueError(f"{what}: rows have inconsistent lengths")
-        parsed.append([_entry_to_complex(e, what) for e in row])
-    a = np.array(parsed, dtype=np.complex128) if width else np.zeros((len(parsed), 0), dtype=np.complex128)
-    if a.size and not np.all(np.isfinite(a)):
+    parts = _scalars(rows)
+    if parts is None:
+        bad = next(e for row in rows for e in row if _scalars([[e]]) is None)
+        reason = "boolean is not a number" if type(bad) is bool else "entries must be numbers or [re, im] pairs"
+        raise ValueError(f"{what}: {reason}")
+    try:
+        a = np.array(parts, dtype=np.float64)
+    except OverflowError as exc:  # an integer beyond the float range
+        raise ValueError(f"{what}: entries must be finite") from exc
+    if not np.isfinite(a).all():
         raise ValueError(f"{what}: entries must be finite")
-    return a
+    return a.view(np.complex128).reshape(len(rows), len(rows[0]) if rows else 0)
 
 
 def decode_real(value, what: str = "value") -> float:

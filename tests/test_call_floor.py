@@ -15,7 +15,10 @@ The rungs are typed planted instances (``Rng(0)`` to ``Rng(199)``, built
 before the count starts) through one library call each, and the
 ``functionals`` benchmark workload's two op kinds at m = 6 (its first 100 ops
 of each kind at seed 1, whole ops: the ideal, the partial functional and the
-density are built inside the count, as the benchmark times them).
+density are built inside the count, as the benchmark times them).  The
+``decode_matrix`` rung decodes the rows of a 64 x 64 [re, im] matrix as
+``json.load`` gives them: valid input makes no call per entry, so its count
+grows with the rows, not with the entries.
 
 Run as a script to print each rung's count at commit dc16374 and now::
 
@@ -23,6 +26,7 @@ Run as a script to print each rung's count at commit dc16374 and now::
 """
 
 import importlib.util
+import json
 import os
 import sys
 from pathlib import Path
@@ -32,9 +36,10 @@ import pytest
 import opext
 from opext.errors import OpExtError
 from opext.func_ext import cstar_extendibility, extend_functional
-from opext.oracle import Rng
+from opext.oracle import Rng, complex_gaussian
 from opext.parrott import parrott_complete
 from opext.sa_ext import extend_symmetric
+from opext.serialize import decode_matrix
 
 sys.path.insert(0, str(Path(__file__).resolve().parent))
 from planted import planted  # noqa: E402
@@ -51,8 +56,9 @@ FLOOR = {
     "parrott_complete (6, 6)": (209.875, 167.975),
     "extend_functional m=4": (247.5, 185.5),
     "cstar_extendibility m=4, extension": (357.75, 288.06),
-    "functionals functional-ext m=6": (381.0, 284.17),
-    "functionals cstar-check m=6": (448.9, 351.98),
+    "functionals functional-ext m=6": (381.0, 276.17),
+    "functionals cstar-check m=6": (448.9, 343.98),
+    "decode_matrix 64x64": (57604.0, 202.0),
 }
 
 # rung -> LAPACK calls per op by name, unchanged since commit dc16374
@@ -64,6 +70,7 @@ LAPACK = {
     "cstar_extendibility m=4, extension": {"eigh": 2.0, "svd": 2.0},
     "functionals functional-ext m=6": {"eigh": 3.0, "svd": 2.0},
     "functionals cstar-check m=6": {"eigh": 3.0, "svd": 2.0},
+    "decode_matrix 64x64": {},
 }
 
 
@@ -87,6 +94,13 @@ def _workload_ops(kind):
     return ops
 
 
+def _decode_ops(rows, cols):
+    """``decode_matrix`` on the JSON rows of a random rows x cols matrix, parsed here, outside the count."""
+    m = complex_gaussian(Rng(0).generator(), rows, cols)
+    text = json.dumps([[[z.real, z.imag] for z in row] for row in m.tolist()])
+    return [lambda x=json.loads(text): decode_matrix(x)]
+
+
 RUNGS = {
     "extend_symmetric n=8": lambda: _planted_ops("sa_ext", (8,), lambda x: extend_symmetric(*x)),
     "extend_symmetric n=16": lambda: _planted_ops("sa_ext", (16,), lambda x: extend_symmetric(*x)),
@@ -97,6 +111,7 @@ RUNGS = {
     ),
     "functionals functional-ext m=6": lambda: _workload_ops("functional-ext"),
     "functionals cstar-check m=6": lambda: _workload_ops("cstar-check"),
+    "decode_matrix 64x64": lambda: _decode_ops(64, 64),
 }
 
 
@@ -136,6 +151,11 @@ def test_calls_per_op_stay_at_the_floor(rung):
 def test_functional_ops_are_at_least_15_percent_below_the_baseline():
     for rung in ("functionals functional-ext m=6", "functionals cstar-check m=6"):
         assert FLOOR[rung][1] <= 0.85 * FLOOR[rung][0]
+
+
+def test_decode_calls_do_not_grow_with_the_row_width():
+    (wide,), (narrow,) = _decode_ops(64, 64), _decode_ops(64, 1)
+    assert calls_of(wide) == calls_of(narrow)
 
 
 @pytest.mark.parametrize("rung", RUNGS)

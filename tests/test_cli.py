@@ -12,7 +12,8 @@ import pytest
 import opext.cli as cli
 from opext.errors import NumericalFailure
 from opext.kvn import hilbert_lift
-from opext.serialize import decode_matrix, dumps_canonical, encode_matrix
+from opext.oracle import Rng, random_instance_with_witness
+from opext.serialize import decode_matrix, dumps_canonical
 
 ROOT = Path(__file__).resolve().parent.parent
 INSTANCES = ROOT / "instances"
@@ -213,10 +214,10 @@ class TestInfeasibleExit:
         path = write_instance(tmp_path, "bad.json", {
             "kind": "strong-parrott",
             "payload": {
-                "s1": encode_matrix(np.diag([1.0, 1e-5])),
-                "s2": encode_matrix(np.diag([1.0, 1.1e-5])),
-                "t1": encode_matrix(np.zeros((1, 2))),
-                "t2": encode_matrix(np.zeros((1, 2))),
+                "s1": np.diag([1.0, 1e-5]),
+                "s2": np.diag([1.0, 1.1e-5]),
+                "t1": np.zeros((1, 2)),
+                "t2": np.zeros((1, 2)),
             },
         })
         code, doc = run(tmp_path, "strong-parrott", path)
@@ -243,7 +244,7 @@ class TestIllConditionedInput:
         inst = conditioned_strong_parrott(0, 1e8)
         path = write_instance(tmp_path, "ill.json", {
             "kind": "strong-parrott",
-            "payload": {name: encode_matrix(getattr(inst, name).a) for name in ("s1", "s2", "t1", "t2")},
+            "payload": {name: getattr(inst, name).a for name in ("s1", "s2", "t1", "t2")},
         })
         code, doc = run(tmp_path, "strong-parrott", path)
         assert code == 0
@@ -527,6 +528,38 @@ class TestUnwritableOut:
         assert captured.err.count("\n") == 1
         assert not (tmp_path / "missing").exists()
 
+    @pytest.mark.parametrize("target", ["directory", "missing-parent"])
+    def test_verify_generates_no_instance(self, tmp_path, capsys, monkeypatch, target):
+        drawn = []
+        monkeypatch.setattr(cli, "random_instance_with_witness", lambda *args: drawn.append(args))
+        out = tmp_path if target == "directory" else tmp_path / "missing" / "x.json"
+        assert cli.main(["verify", "--kind", "all", "--count", "200", "--out", str(out)]) == 2
+        assert drawn == []
+        assert capsys.readouterr().err.count("\n") == 1
+
+
+class TestGenRoundTrip:
+    @pytest.mark.parametrize("kind", cli.RUN_KINDS)
+    def test_gen_text_parses_to_the_planted_fields(self, tmp_path, kind):
+        # verify runs the planted fields as they are, in place of parsing the file gen writes: lossless only when
+        # that parse gives the fields back (np.array_equal: gen writes -0.0 as 0)
+        spec, out = cli._KINDS[kind], tmp_path / "instance.json"
+        for seed in range(50):
+            dims = spec.draw_dims(Rng(seed).generator())
+            argv = ["gen", "--kind", kind, "--seed", str(seed), "--dims", ",".join(map(str, dims)), "--out", str(out)]
+            assert cli.main(argv) == 0
+            data = spec.parse(json.loads(out.read_text())["payload"])
+            fields, _ = random_instance_with_witness(spec.oracle, dims, Rng(seed))
+            fields.pop(spec.drop, None)
+            where = f"{kind} seed {seed} dims {dims}"
+            assert data.keys() == fields.keys(), where
+            for key, value in fields.items():
+                assert type(data[key]) is type(value), f"{where} key {key}"
+                if isinstance(value, np.ndarray):
+                    assert data[key].dtype == value.dtype and np.array_equal(data[key], value), f"{where} key {key}"
+                else:
+                    assert data[key] == value, f"{where} key {key}"
+
 
 class TestDiagnosticsReuseLifts:
     @pytest.mark.parametrize("kind, eigh_calls", [("sa-ext", 2), ("parrott", 2)])
@@ -588,11 +621,11 @@ def test_near_projector_runs_like_its_projector(tmp_path, kind):
     # diag(1, 0, 0); symmetric data on it must extend, to the same outputs
     gen = np.random.default_rng(3)
     x = gen.standard_normal((3, 3)) + 1j * gen.standard_normal((3, 3))
-    gamma = encode_matrix((x + x.conj().T) / 2)
-    extra = {"density": encode_matrix(np.eye(3))} if kind == "functional-ext" else {"extension": gamma}
+    gamma = (x + x.conj().T) / 2
+    extra = {"density": np.eye(3)} if kind == "functional-ext" else {"extension": gamma}
     outputs = []
     for p in (np.diag([1.0, 5e-9, 0.0]), np.diag([1.0, 0.0, 0.0])):
-        payload = {"m": 3, "projection": encode_matrix(p), "gamma": gamma, **extra}
+        payload = {"m": 3, "projection": p, "gamma": gamma, **extra}
         code, doc = run(tmp_path, kind, write_instance(tmp_path, "inst.json", {"kind": kind, "payload": payload}))
         assert (code, doc["status"], doc["error"]) == (0, "ok", None)
         outputs.append(doc["outputs"])
@@ -683,7 +716,7 @@ def planted_sa_file(path, n=128, k=40, r=100):
     h = cgauss(n, n)
     s = root @ (h + h.conj().T) @ root
     d = cgauss(n, k)
-    payload = {"n": n, "domain_basis": encode_matrix(d), "values": encode_matrix(s @ d), "weight": encode_matrix(root @ root)}
+    payload = {"n": n, "domain_basis": d, "values": s @ d, "weight": root @ root}
     path.write_text(dumps_canonical({"kind": "sa-ext", "payload": payload}))
 
 

@@ -23,8 +23,14 @@ def conjugated(values: dict) -> dict:
     return {key: np.conj(value) if isinstance(value, np.ndarray) else value for key, value in values.items()}
 
 
+def encode(m) -> list:
+    """A matrix as the rows of [re, im] pairs an instance file holds."""
+    return [[[z.real, z.imag] for z in row] for row in np.asarray(m, dtype=complex).tolist()]
+
+
 def result_file(spec, kind, fields):
-    outputs, diagnostics = spec.run(spec.parse(cli._encode_instance(spec, fields)), DEFAULT_TOLERANCES)
+    payload = {key: encode(v) if isinstance(v, np.ndarray) else v for key, v in fields.items() if key != spec.drop}
+    outputs, diagnostics = spec.run(spec.parse(payload), DEFAULT_TOLERANCES)
     return outputs, diagnostics, cli._result("ok", kind, outputs, diagnostics, DEFAULT_TOLERANCES, None, None)
 
 

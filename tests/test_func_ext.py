@@ -5,7 +5,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from opext.errors import HypothesisViolated, NotFBounded, NotSymmetric
+from opext.errors import DimensionMismatch, HypothesisViolated, NotFBounded, NotSymmetric
 from opext.func_ext import (
     FunctionalMatrix,
     LeftIdeal,
@@ -57,6 +57,19 @@ class TestIdealAndFunctional:
     def test_canonical_representative(self):
         pf = PartialFunctional(LeftIdeal(E11), np.array([[1.0, 2.0], [3.0, 4.0]]))
         np.testing.assert_allclose(pf.gamma.a, np.array([[1.0, 2.0], [0.0, 0.0]]))
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, complex(0.0, -np.inf)])
+    @pytest.mark.parametrize("where", [(0, 1), (1, 0)], ids=["kept-row", "projected-row"])
+    def test_non_finite_gamma_rejected(self, bad, where):
+        # P = E11 drops row 1 of gamma, but 0 * nan and 0 * inf are nan, so P gamma is not finite either
+        gamma = np.zeros((2, 2), dtype=np.complex128)
+        gamma[where] = bad
+        with np.errstate(invalid="ignore"), pytest.raises(ValueError, match="^matrix entries must be finite$"):
+            PartialFunctional(LeftIdeal(E11), gamma)
+
+    def test_gamma_of_the_wrong_shape_rejected(self):
+        with pytest.raises(DimensionMismatch, match="^gamma must be 2x2, got 3x3$"):
+            PartialFunctional(LeftIdeal(E11), np.eye(3))
 
     def test_evaluation(self):
         pf = fixture_functional()

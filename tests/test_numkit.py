@@ -5,6 +5,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
+from opext import func_ext, numkit
 from opext.errors import DimensionMismatch, NotHermitian, NotPsd
 from opext.func_ext import LeftIdeal, PartialFunctional
 from opext.kvn import hilbert_lift
@@ -13,6 +14,7 @@ from opext.numkit import (
     HermitianMatrix,
     PsdMatrix,
     Tolerances,
+    _excess,
     _finite,
     _fro,
     _hermitian_part,
@@ -588,6 +590,29 @@ class TestWrapperInvariants:
             assert not compatible(np.diag([1e200, 1e200]), np.diag([-1e200, 1e200]))
             assert np.array_equal(HermitianMatrix(h).a, h)
             assert compatible(h, h)
+
+    def test_overflowed_rules_measure_once(self, monkeypatch):
+        # both callers of _excess measured finite-or-not norms already; _excess measures only the prescaled blocks
+        runs = []
+
+        def spy(measure, blocks, rel):
+            def counted(*scaled):
+                runs[-1] += 1
+                return measure(*scaled)
+
+            runs.append(0)
+            return _excess(counted, blocks, rel)
+
+        monkeypatch.setattr(numkit, "_excess", spy)
+        monkeypatch.setattr(func_ext, "_excess", spy)
+        h, skew = np.array([[1e200, 1e200j], [-1e200j, 1e200]]), np.array([[1e200, 1e200], [0.0, 1e200]])
+        with np.errstate(over="ignore"):
+            with pytest.raises(NotHermitian):
+                HermitianMatrix(skew)
+            HermitianMatrix(h)
+            assert func_ext.is_symmetric_on_ideal(PartialFunctional(LeftIdeal(np.eye(2)), h))
+            assert not func_ext.is_symmetric_on_ideal(PartialFunctional(LeftIdeal(np.eye(2)), skew))
+        assert runs == [1, 1, 1, 1]
 
     @pytest.mark.parametrize("n", [2, 6, 33])
     def test_not_hermitian_threshold(self, n):

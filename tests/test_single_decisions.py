@@ -30,7 +30,7 @@ from opext.kvn import PartialPositiveOperator, kvn_extend
 from opext.numkit import DEFAULT_TOLERANCES as T
 from opext.parrott import ParrottInstance, StrongParrottInstance, classical_parrott, parrott_complete, strong_parrott
 from opext.sa_ext import SymmetricPartialOperator, extend_symmetric, lift_symmetric
-from opext.serialize import dumps_canonical, encode_matrix
+from opext.serialize import dumps_canonical
 
 I3 = np.eye(3)
 
@@ -135,7 +135,7 @@ class TestIdealRange:
     def test_extension_agrees_through_the_cli(self, tmp_path):
         docs = []
         for p in (NEAR, np.diag([1.0, 0.0, 0.0])):
-            payload = {"m": 3, "projection": encode_matrix(p), "gamma": encode_matrix(GAMMA), "extension": encode_matrix(GAMMA)}
+            payload = {"m": 3, "projection": p, "gamma": GAMMA, "extension": GAMMA}
             path = tmp_path / "inst.json"
             path.write_text(dumps_canonical({"kind": "cstar-check", "payload": payload}))
             out = tmp_path / "result.json"
@@ -204,7 +204,7 @@ class TestDependentDomain:
         assert str(excinfo.value) == DEPENDENT
 
     def test_sa_ext_through_the_cli_is_invalid_input(self, tmp_path):
-        payload = {"n": 2, "domain_basis": encode_matrix(TWICE), "values": encode_matrix(TWICE), "weight": encode_matrix(np.eye(2))}
+        payload = {"n": 2, "domain_basis": TWICE, "values": TWICE, "weight": np.eye(2)}
         path = tmp_path / "inst.json"
         path.write_text(dumps_canonical({"kind": "sa-ext", "payload": payload}))
         out = tmp_path / "result.json"
