@@ -14,20 +14,22 @@ the ideal, and f-bounded relative to a positive functional f when
 
 Such a g_0 extends to hermitian functionals on the whole algebra with the
 same bound, and the extensions with extremal densities come from the
-operator-interval machinery: run the GNS construction for f, realize g_0
-as a symmetric partial operator on the GNS space, take its extremal
-norm-preserving self-adjoint extensions, and read the extended
-functionals off the cyclic vector.  The GNS inner product f(y* x) pairs
-x and y row by row, so the rows of x live in (C^m, F^T) and the induced
-operator is I_m (x) s_0 for an m-by-m partial operator s_0 there.  The
-GNS space itself is I_m (x) (the lift of F^T), with rep(x) = x (x) I_r, and
-the ideal's basis is the range of P by the rule that validated P, so every
-computation is on m-by-m matrices.  In finite dimensions a symmetric
-partial functional is always trace-bounded, so symmetry alone already
-guarantees a hermitian extension; :func:`cstar_extendibility` packages
-that decision together with the quantitative converse (any hermitian
-extension g makes g_0 bounded relative to f = g_+ + g_- with a universal
-constant).
+operator-interval machinery.  The GNS inner product f(y* x) pairs x and y
+row by row, <x_c, y_c>_F = x_c F y_c*, so the class of x is x J for the
+lift J of F, the GNS space is I_m (x) (the lift of F), with
+rep(x) = x (x) I_r, and g_0 is realized there by I_m (x) conj(s_0) for the
+symmetric partial operator s_0 : B -> Gamma* B on (C^m, F), B the ideal's
+range basis decided by the rule that validated P.  A Hermitian density Phi
+with P Phi = Gamma satisfies Phi B = Gamma* B, and the f-bound of
+g(x) = trace(Phi x) is the F-weighted bound of Phi, so the hermitian
+extensions of g_0 with its f-bound are the bound-preserving self-adjoint
+extensions of s_0: the extremal densities are s_0's interval endpoints,
+and every computation is on m-by-m matrices.  In finite dimensions a
+symmetric partial functional is always trace-bounded, so symmetry alone
+already guarantees a hermitian extension; :func:`cstar_extendibility`
+packages that decision together with the quantitative converse (any
+hermitian extension g makes g_0 bounded relative to f = g_+ + g_- with a
+universal constant).
 """
 
 from __future__ import annotations
@@ -124,12 +126,13 @@ class LeftIdeal:
     eigenvalue the idempotency check took for zero is not in the ideal's
     range.  The GNS realization and the agreement of an extension with
     g_0 are measured on B; the symmetry test and the stored gamma use P.
+    The ||P||_F that validation measured is kept for the witness ratio.
     """
 
-    __slots__ = ("projection", "_range")
+    __slots__ = ("projection", "_range", "_norm")
 
     def __init__(self, projection, tol: Tolerances | None = None):
-        self.projection = _projector(projection, _tol(tol), None)
+        self.projection, self._norm = _projector(projection, _tol(tol), None)
         self._range = _range_basis(self.projection)
 
     @property
@@ -200,15 +203,22 @@ def is_symmetric_on_ideal(pf: PartialFunctional, tol: Tolerances | None = None) 
     directly while both are finite, and at any finite scale of Gamma by
     :func:`~opext.numkit._excess` when one overflows.
     """
-    p, eq = pf.ideal.projection.a, _tol(tol).eq
+    return _symmetric_scale(pf, _tol(tol).eq) is not None
+
+
+def _symmetric_scale(pf: PartialFunctional, eq: float) -> float | None:
+    """The ||Gamma||_F that :func:`is_symmetric_on_ideal` measures when g_0 is symmetric on its ideal, else None."""
+    p = pf.ideal.projection.a
 
     def measure(gamma):
         return float(np.maximum.reduce(np.abs(p @ (gamma - gamma.conj().T) @ p), axis=None, initial=0.0)), _fro(gamma)
 
     resid, scale = measure(pf.gamma.a)
     if resid < math.inf and scale < math.inf:
-        return not resid > _limit(eq, scale)
-    return not _excess(measure, (pf.gamma.a,), eq)  # a norm overflowed: decide on the prescaled Gamma
+        asymmetric = resid > _limit(eq, scale)
+    else:  # a norm overflowed: decide on the prescaled Gamma
+        asymmetric = _excess(measure, (pf.gamma.a,), eq)
+    return None if asymmetric else scale
 
 
 def _ideal_agreement(pf: PartialFunctional, density: np.ndarray) -> float:
@@ -227,19 +237,19 @@ def _ideal_agreement(pf: PartialFunctional, density: np.ndarray) -> float:
 class GnsSpace:
     """Concrete GNS data for a positive trace-form functional on M_m(C).
 
-    <x, y>_f = f(y* x) = sum_c y_c* F^T x_c over the rows x_c of x, so the
-    rows live in (C^m, F^T) and the GNS space is I_m (x) (the row lift):
-    with the row lift's embedding J (J J* = F^T, rank r), the class of x
-    is the row-major vectorization of x conj(J), an m-by-r matrix whose
-    row c is the class J* x_c of row c, in a space of dimension m r.  Left
+    <x, y>_f = f(y* x) = sum_c x_c F y_c* over the rows x_c of x, so the
+    rows carry F's weighted pairing and the GNS space is I_m (x) (the lift
+    of F): with the lift's embedding J (J J* = F, rank r), the class of x
+    is the row-major vectorization of x J, an m-by-r matrix whose row c is
+    the class x_c J of row c, in a space of dimension m r.  Left
     multiplication acts on those rows, so rep(x) = x (x) I_r is exactly a
     *-representation, and the class of the identity is the cyclic vector.
-    Only the density (adopted: the lift's exactly Hermitian weight, transposed)
-    and the row lift are stored; nothing m^2-sized is formed.
+    Only the density (the lift's own weight) and the lift are stored;
+    nothing m^2-sized is formed.
     """
 
     density: PsdMatrix
-    row: HilbertLift            # lift of F^T
+    row: HilbertLift            # lift of F
 
     @property
     def algebra_size(self) -> int:
@@ -257,8 +267,8 @@ class GnsSpace:
         return xa
 
     def vector(self, x) -> np.ndarray:
-        """Class of the algebra element x in the GNS space: the rows of x conj(J), row-major."""
-        return (self._element(x) @ self.row.embedding().conj()).reshape(-1)
+        """Class of the algebra element x in the GNS space: the rows of x J, row-major."""
+        return (self._element(x) @ self.row.embedding()).reshape(-1)
 
     @property
     def cyclic(self) -> ComplexMatrix:
@@ -275,48 +285,38 @@ class GnsSpace:
         return complex(xi.conj() @ (self.rep(x) @ xi))
 
 
-def _row_lift(density, tol: Tolerances | None) -> HilbertLift:
-    """Lift of F^T, the rows' weight in the GNS space, from the spectrum F keeps as a PsdMatrix (a raw F is
-    validated as one): F^T = conj F, so its eigenpairs are (w, conj V) for F's (w, V) and its kept mask is F's
-    (:meth:`~opext.numkit.PsdMatrix._transposed`), so nothing is decomposed, decided or checked again."""
-    return hilbert_lift(PsdMatrix.coerce(_density_array(density), tol)._transposed(), tol)
-
-
-def _gns_space(row: HilbertLift) -> GnsSpace:
-    return GnsSpace(density=row.weight._transposed(), row=row)
-
-
 def gns(density, tol: Tolerances | None = None) -> GnsSpace:
     """Run the GNS construction for f(x) = trace(F x), F positive.
 
-    The rows of x live in (C^m, F^T), so the space is I_m (x) lift(F^T),
-    from one m-by-m eigendecomposition.
+    The rows of x carry F's weighted pairing, so the space is
+    I_m (x) lift(F), from F's one m-by-m eigendecomposition.
     """
-    return _gns_space(_row_lift(density, tol))
+    lift = hilbert_lift(_density_array(density), tol)
+    return GnsSpace(density=lift.weight, row=lift)
 
 
 def _row_operator(
-    pf: PartialFunctional, row: HilbertLift, tol: Tolerances, symmetric: bool = False
+    pf: PartialFunctional, lift: HilbertLift, tol: Tolerances, symmetric: bool = False
 ) -> tuple[np.ndarray, np.ndarray, float]:
-    """The orthonormal pair (P, Y) of s_0 in the range coordinates of ``row``, the lift of F^T, and its bound alpha.
+    """The orthonormal pair (P, Y) of s_0 in the range coordinates of ``lift``, the lift of F, and its bound alpha.
 
-    g_0(x* a) = sum_c x_c* Gamma^T a_c over the rows, and the rows of
-    a = a P span ran P^T, so g_0 is realized on the GNS space by I_m (x) s_0
-    for the m-by-m partial operator s_0 on (C^m, F^T) with values Gamma^T D
-    on the domain basis D of ran P^T.  D = conj(B) for the range basis B
-    the ideal decided at construction, so an eigenvalue its idempotency
-    check took for zero never enters the domain and no call decomposes P
-    again.  Raises :class:`NotSymmetric` unless the caller decided
-    ``symmetric``, :class:`NotFBounded`, and NotHermitian when U* W is not
-    Hermitian (a leak out of ran F^T within tolerance can do that to symmetric data).
+    s_0 is the symmetric partial operator on (C^m, F) with domain basis
+    the range basis B of the ideal and values Gamma* B: g_0(x* a) =
+    sum_c a_c Gamma x_c* over the rows, and the conjugate rows a_c* of
+    a = a P lie in ran P = span B.  B was decided at the ideal's
+    construction, so an eigenvalue its idempotency check took for zero
+    never enters the domain and no call decomposes P again.  Raises
+    :class:`NotSymmetric` unless the caller decided ``symmetric``,
+    :class:`NotFBounded`, and NotHermitian when U* W is not Hermitian (a
+    leak out of ran F within tolerance can do that to symmetric data).
     """
-    if pf.gamma.a.shape != row.weight.a.shape:
+    if pf.gamma.a.shape != lift.weight.a.shape:
         raise DimensionMismatch("functional and positive functional live on different algebra sizes")
     if not (symmetric or is_symmetric_on_ideal(pf, tol)):
         raise NotSymmetric("functional is not symmetric on its ideal")
-    d = pf.ideal._range.conj()
+    d = pf.ideal._range
     try:
-        _, _, p, y, alpha = _symmetric_lift(d, pf.gamma.a.T @ d, row, tol)
+        _, _, p, y, alpha = _symmetric_lift(d, pf.gamma.a.conj().T @ d, lift, tol)
     except NotABounded as exc:
         raise NotFBounded(f"not bounded relative to this positive functional: {exc}") from exc
     return p, y, alpha
@@ -330,28 +330,30 @@ def gns_realization(
     The returned operator has domain spanned by the classes of the ideal
     elements and satisfies <S [a], [x]> = g_0(x* a); its self-adjoint
     extensions on the GNS space correspond to the hermitian extensions
-    of g_0.  It is I_m (x) s_0 for the partial operator s_0 on the rows
-    (C^m, F^T): its domain basis is I_m (x) P, an orthonormal basis of the
-    span of the lifted ideal, and its values I_m (x) Y, from the thin SVD
-    of s_0's lifted domain; the pair is adopted, as its m-by-m factors
-    were already decided.  Raises :class:`NotSymmetric` /
-    :class:`NotFBounded` when the realization does not exist.
+    of g_0.  A row's class x_c J is the conjugate of the class J* x_c* of
+    its conjugate column, so S is I_m (x) conj(s_0) for the partial
+    operator s_0 on (C^m, F): its domain basis is I_m (x) conj(P), an
+    orthonormal basis of the span of the lifted ideal, and its values
+    I_m (x) conj(Y), from the thin SVD of s_0's lifted domain; the pair is
+    adopted, as its m-by-m factors were already decided.  Raises
+    :class:`NotSymmetric` / :class:`NotFBounded` when the realization does
+    not exist.
     """
-    row = _row_lift(density, tol)
-    p, y, _ = _row_operator(pf, row, _tol(tol))
+    space = gns(density, tol)
+    p, y, _ = _row_operator(pf, space.row, _tol(tol))
     eye = np.eye(pf.size, dtype=np.complex128)
-    return _gns_space(row), SymmetricPartialOperator._adopt(np.kron(eye, p), np.kron(eye, y))
+    return space, SymmetricPartialOperator._adopt(np.kron(eye, p.conj()), np.kron(eye, y.conj()))
 
 
 def f_bound(pf: PartialFunctional, density, tol: Tolerances | None = None) -> float:
     """Smallest alpha with |g_0(x* a)|^2 <= alpha^2 f(x* x) f(a* a).
 
-    Computed as the bound of the partial operator s_0 on the rows
-    (C^m, F^T), the norm of its GNS realization I_m (x) s_0.  Raises
+    Computed as the F-weighted bound of the partial operator s_0 on
+    (C^m, F), the norm of its GNS realization.  Raises
     :class:`NotFBounded` when no finite alpha exists and
     :class:`NotSymmetric` when g_0 is not symmetric.
     """
-    return _row_operator(pf, _row_lift(density, tol), _tol(tol))[2]
+    return _row_operator(pf, hilbert_lift(_density_array(density), tol), _tol(tol))[2]
 
 
 def extend_functional(
@@ -363,20 +365,19 @@ def extend_functional(
     whole algebra agreeing with g_0 on the ideal, each with f-bound equal
     to alpha (the bound of g_0 itself), and extremal in the sense that
     any hermitian extension with that bound has density between theirs.
-    The rows of x live in (C^m, F^T) and g_0 is realized on the GNS space
-    by I_m (x) s_0, so the extremal extensions are I_m (x) s for those s
-    of s_0 against the weight F^T; read off the cyclic vector, that is
-    g(x) = trace(s^T x): the densities are s_min^T and s_max^T.
+    A Hermitian density Phi extends g_0 iff Phi B = Gamma* B, and its
+    f-bound is its F-weighted bound, so the extensions are the
+    bound-preserving self-adjoint extensions of s_0 : B -> Gamma* B on
+    (C^m, F), and the densities are s_0's interval endpoints s_min, s_max.
     """
-    return _extend_functional(pf, _row_lift(density, tol), _tol(tol))
+    return _extend_functional(pf, hilbert_lift(_density_array(density), tol), _tol(tol))
 
 
-def _extend_functional(pf: PartialFunctional, row: HilbertLift, tol: Tolerances, symmetric: bool = False):
-    """:func:`extend_functional` on the lift ``row`` of F^T; the symmetry test is skipped when the caller decided ``symmetric``."""
-    p, y, alpha = _row_operator(pf, row, tol, symmetric)
-    # s is exactly Hermitian, so s^T is too: a C-ordered copy is wrapped unchecked
-    g_min, g_max = (FunctionalMatrix(HermitianMatrix._adopt(s.T.copy())) for s in _extend_lifted(p, y, alpha, row, tol))
-    return g_min, g_max, alpha
+def _extend_functional(pf: PartialFunctional, lift: HilbertLift, tol: Tolerances, symmetric: bool = False):
+    """:func:`extend_functional` on the lift of F; the symmetry test is skipped when the caller decided ``symmetric``."""
+    p, y, alpha = _row_operator(pf, lift, tol, symmetric)
+    s_min, s_max = _extend_lifted(p, y, alpha, lift, tol)
+    return FunctionalMatrix(HermitianMatrix._adopt(s_min)), FunctionalMatrix(HermitianMatrix._adopt(s_max)), alpha
 
 
 def functional_interval_member(
@@ -474,7 +475,7 @@ def _witness_constant(
     p = pf.ideal.projection.a
     x = p @ ((v * np.sign(w)) @ v.conj().T)
     denom = _fro(x @ root) * _fro(p @ root)
-    if denom <= tol.eq * np.vdot(root, root).real * _fro(x) * _fro(p):
+    if denom <= tol.eq * np.vdot(root, root).real * _fro(x) * pf.ideal._norm:
         return 0.0, 0
     ratio = float(abs(np.vdot(x, p @ pf.gamma.a)) / denom)
     return ratio, int(ratio > 4.0 + tol.eq)
@@ -509,7 +510,7 @@ def cstar_extendibility(
     if it is above 4, else 0.  f = V |w| V*, its factor V |w|^(1/2) and
     U = V sign(w) V* all come from one eigendecomposition of Phi = V w V*:
     f is adopted with the eigenpairs (|w|, V), and the trace with (ones, I),
-    so :func:`_row_lift` lifts either density without decomposing it.
+    so :func:`~opext.kvn.hilbert_lift` lifts either density without decomposing it.
     ``rng`` is accepted and ignored; nothing is drawn.
 
     The supplied functional must agree with g_0 on the ideal:
@@ -521,16 +522,17 @@ def cstar_extendibility(
     functionals are symmetric).
     """
     t = _tol(tol)
-    if not is_symmetric_on_ideal(pf, t):
+    gamma_norm = _symmetric_scale(pf, t.eq)
+    if gamma_norm is None:
         raise NotSymmetric(
             "functional is not symmetric on its ideal; hermitian extensions cannot exist"
         )
-    abs_density = abs_row = root = None
+    abs_lift = root = None
     if extension is not None:
         phi = HermitianMatrix(_as_functional(extension).density, t)
         # the supplied functional must actually extend g_0
         worst = _ideal_agreement(pf, phi.a)
-        if worst > t.eq * _fro(pf.gamma.a):
+        if worst > t.eq * gamma_norm:
             raise HypothesisViolated(
                 f"supplied functional does not extend the partial data (residual {worst:.3e})"
             )
@@ -538,25 +540,23 @@ def cstar_extendibility(
         mag = np.abs(w)
         order = np.argsort(-mag, kind="stable")  # |Phi| = V |w| V*, adopted with these eigenpairs
         abs_density = PsdMatrix._adopt(_hermitian_part((v * mag) @ v.conj().T), (mag[order], v.take(order, axis=1)))
-        abs_row = _row_lift(abs_density, t)
+        abs_lift = hilbert_lift(abs_density, t)
         root = v * np.sqrt(mag)
     if density is not None:
-        f_mat = PsdMatrix.coerce(_density_array(density), t)
-        row = _row_lift(f_mat, t)
-    elif abs_density is not None:
-        f_mat, row = abs_density, abs_row
+        lift = hilbert_lift(_density_array(density), t)
+    elif abs_lift is not None:
+        lift = abs_lift
     else:  # the trace: f = I, with eigenpairs (ones, I)
         eye = np.eye(pf.size, dtype=np.complex128)
-        f_mat = PsdMatrix._adopt(eye, (np.ones(pf.size), eye))
-        row = _row_lift(f_mat, t)
-    g_min, g_max, alpha = _extend_functional(pf, row, t, symmetric=True)
+        lift = hilbert_lift(PsdMatrix._adopt(eye, (np.ones(pf.size), eye)), t)
+    g_min, g_max, alpha = _extend_functional(pf, lift, t, symmetric=True)
     exact = measured = violations = None
     if root is not None:
-        exact = alpha if density is None else _row_operator(pf, abs_row, t, symmetric=True)[2]
+        exact = alpha if density is None else _row_operator(pf, abs_lift, t, symmetric=True)[2]
         measured, violations = _witness_constant(pf, w, v, root, t)
     return ExtendibilityDecision(
         extendible=True,
-        density=FunctionalMatrix(f_mat),
+        density=FunctionalMatrix(lift.weight),
         alpha=alpha,
         g_min=g_min,
         g_max=g_max,

@@ -17,11 +17,11 @@ projector's range basis, the Gram factors) is a mask on its output.
 Cost rule: a primitive is its LAPACK call plus the fewest numpy passes.  The
 wrapper classes validate caller data, once, at the public boundary; an array
 the library computed is adopted (``_adopt``): never copied, and checked only
-finite.  An array derived from checked data without arithmetic -- a transpose
-copy, a column mask, LAPACK's eigenvectors -- is not checked again, and a
-HermitianMatrix is not symmetrized again.  The Hermitian half-sum is formed
-only where it is kept, by :class:`HermitianMatrix`; a check that discards it
-applies the rule :func:`_checked_hermitian` alone.  :func:`_fro` is the one
+finite.  An array derived from checked data without arithmetic -- a column
+mask, LAPACK's eigenvectors -- is not checked again, and a HermitianMatrix is
+not symmetrized again.  The Hermitian half-sum is formed only where it is
+kept, by :class:`HermitianMatrix`; a check that discards it applies the rule
+:func:`_checked_hermitian` alone.  :func:`_fro` is the one
 Frobenius norm, and a reduction on a small array calls the ufunc's own reduce
 or the array's method, not numpy's Python-level wrapper around it.
 A :class:`PsdMatrix` is decided positive on one :func:`eigh_desc` and keeps
@@ -174,7 +174,7 @@ class ComplexMatrix:
     @classmethod
     def _wrap(cls, a: np.ndarray):
         """Wrap, uncopied and unchecked, a fresh C-contiguous complex128 array derived from checked data without
-        arithmetic: a transpose copy or a column mask of it, or LAPACK's eigenvectors of a checked matrix."""
+        arithmetic: a column mask of it, or LAPACK's eigenvectors of a checked matrix."""
         return cls.__new__(cls)._own(a)
 
     @property
@@ -337,11 +337,6 @@ class PsdMatrix(HermitianMatrix):
         """:meth:`ComplexMatrix._adopt`, keeping ``eig`` = (w descending, eigenvectors as columns) if given."""
         return super()._adopt(a)._hold(None if eig is None else _read_only(eig), None, None)
 
-    def _transposed(self) -> PsdMatrix:
-        """This matrix's transpose, a copy not checked again: F^T = conj F has F's eigenpairs (w, conj V) and mask."""
-        w, v = self._spectrum
-        return PsdMatrix._wrap(self.a.T.copy())._hold(_read_only((w, v.conj())), self._kept_by, self._kept)
-
     @property
     def _spectrum(self) -> tuple[np.ndarray, np.ndarray]:
         """The whole spectrum ``(w, v)``, read-only, as :func:`eigh_desc` returns it: decomposed once, then kept."""
@@ -497,19 +492,19 @@ def loewner_leq(a, b, tol: Tolerances | None = None) -> bool:
     return float(w[0]) >= -_limit(_tol(tol).psd, float(np.max(np.abs(w))))
 
 
-def _projector(p, tol: Tolerances, what: str | None) -> HermitianMatrix:
-    """The orthogonal projector p as a HermitianMatrix, which :func:`eigh_desc` takes as it is.
+def _projector(p, tol: Tolerances, what: str | None) -> tuple[HermitianMatrix, float]:
+    """The orthogonal projector p as a HermitianMatrix, which :func:`eigh_desc` takes as it is, and its ||p||_F.
 
     ValueError naming ``what`` unless idempotent within eq.  A projector's entries are at most 1, so an
     idempotency residual or limit that is not finite (entries from about 1.3e154 on) rejects p too.
     """
     h = HermitianMatrix(p, tol)
     pm = h.a
-    idem = _fro(pm @ pm - pm)
-    if not idem <= _limit(tol.eq, _fro(pm)) < math.inf:
+    idem, norm = _fro(pm @ pm - pm), _fro(pm)
+    if not idem <= _limit(tol.eq, norm) < math.inf:
         subject = "not" if what is None else f"{what} is not"
         raise ValueError(f"{subject} an orthogonal projector (idempotency residual {idem:.3e})")
-    return h
+    return h, norm
 
 
 def _range_basis(pm: HermitianMatrix) -> np.ndarray:

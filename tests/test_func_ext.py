@@ -225,19 +225,20 @@ class TestGns:
 
     @pytest.mark.parametrize("m", range(1, 6))
     def test_kronecker_structure_is_exact(self, m):
-        # the space is I_m (x) (row lift): rep(x) = x (x) I_r, the class of x
-        # is x conj(J) row by row, and the cyclic vector is the class of I
+        # the space is I_m (x) (lift of F): rep(x) = x (x) I_r, the class of x
+        # is x J row by row, and the cyclic vector is the class of I
         from opext.oracle import complex_gaussian, random_psd
 
         gen = Rng(47).split(m).generator()
         for rank in range(m + 1):
             space = gns(random_psd(gen, m, rank=rank))
             assert space.row.rank == rank
+            assert space.density is space.row.weight
             assert space.dim == m * rank
             j = space.row.embedding()
             for x in (complex_gaussian(gen, m, m), np.eye(m)):
                 assert np.array_equal(space.rep(x), np.kron(x, np.eye(rank)))
-                assert np.array_equal(space.vector(x), (x @ j.conj()).reshape(-1))
+                assert np.array_equal(space.vector(x), (x @ j).reshape(-1))
             assert np.array_equal(space.cyclic.a[:, 0], space.vector(np.eye(m)))
 
     def test_no_array_larger_than_the_algebra(self):
@@ -687,13 +688,13 @@ class TestCstarDecidesSymmetryOnce:
 
         (partial, _, source), _ = planted("functional", (4,), Rng(3))
         calls = []
-        original = func_ext.is_symmetric_on_ideal
+        original = func_ext._symmetric_scale
 
-        def counted(pf, tol=None):
+        def counted(pf, eq):
             calls.append(pf)
-            return original(pf, tol)
+            return original(pf, eq)
 
-        monkeypatch.setattr(func_ext, "is_symmetric_on_ideal", counted)
+        monkeypatch.setattr(func_ext, "_symmetric_scale", counted)
         density = 2.0 * np.eye(4) if override else None
         decision = cstar_extendibility(partial, density=density, extension=source if with_extension else None)
         assert len(calls) == 1

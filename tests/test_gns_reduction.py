@@ -6,7 +6,12 @@ construction is I_m (x) (an m-by-m object).  These tests pin the m-by-m
 pipeline against the m^2-dimensional one written out here, check that no
 decomposition larger than m-by-m is made, and replay the rank m-1 regime
 in which the m^2-dimensional pipeline used to reject feasible inputs.
+The m-by-m pipeline is sa-ext on the density: its results are pinned, bit
+for bit, to ``extend_symmetric`` of the pair (B, Gamma* B) with weight F.
 """
+
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -16,7 +21,6 @@ from opext.func_ext import (
     LeftIdeal,
     PartialFunctional,
     _ideal_agreement,
-    _row_lift,
     _row_operator,
     cstar_extendibility,
     extend_functional,
@@ -27,7 +31,11 @@ from opext.func_ext import (
 )
 from opext.kvn import hilbert_lift
 from opext.numkit import DEFAULT_TOLERANCES, PsdMatrix, independent_columns, pinv
+from opext.oracle import Rng
 from opext.sa_ext import SymmetricPartialOperator, extend_symmetric
+
+sys.path.insert(0, str(Path(__file__).resolve().parent))
+from planted import planted  # noqa: E402
 
 EQ = DEFAULT_TOLERANCES.eq
 
@@ -166,9 +174,9 @@ def test_gns_realization_adopts_the_kronecker_pair(decompositions, seed):
         _, op = gns_realization(pf, density)
     assert max(max(shape) for shape in decompositions.shapes()) <= m
 
-    p, y, _ = _row_operator(pf, _row_lift(density, DEFAULT_TOLERANCES), DEFAULT_TOLERANCES)
+    p, y, _ = _row_operator(pf, hilbert_lift(density), DEFAULT_TOLERANCES)
     eye = np.eye(m, dtype=complex)
-    want = SymmetricPartialOperator(np.kron(eye, p), np.kron(eye, y))
+    want = SymmetricPartialOperator(np.kron(eye, p.conj()), np.kron(eye, y.conj()))
     for got, ref in ((op.domain_basis.a, want.domain_basis.a), (op.values.a, want.values.a)):
         assert got.dtype == ref.dtype and np.array_equal(got, ref)
         assert got.flags.c_contiguous and not got.flags.writeable
@@ -194,11 +202,11 @@ def test_ideal_rank_one_below_full():
 
 @pytest.mark.parametrize("seed", range(20))
 def test_lifted_asymmetry_is_rejected(seed):
-    # ideal and density of rank one: Gamma^T d = v has a 1e-9 component
-    # outside ran F^T (inside the range tolerance) that makes d* v real
-    # while the lifted form d* Q Q* v keeps an imaginary part; the m^2
-    # pipeline rejected such data as NotHermitian, and extending it
-    # anyway can miss g_0 on the ideal by far more than the leak
+    # ideal and density of rank one: the values Gamma* conj(d) = conj(v) have
+    # a 1e-9 component outside ran F = span conj(q) (inside the range
+    # tolerance) that makes d* v real while the lifted form d* Q Q* v keeps
+    # an imaginary part; the m^2 pipeline rejected such data as NotHermitian,
+    # and extending it anyway can miss g_0 on the ideal by far more than the leak
     gen = np.random.default_rng(4000 + seed)
     basis = np.linalg.qr(cgauss(gen, 2, 2))[0]
     q, z = basis[:, 0], basis[:, 1]
@@ -214,3 +222,34 @@ def test_lifted_asymmetry_is_rejected(seed):
         extend_functional(pf, density)
     with pytest.raises(NotHermitian):
         f_bound(pf, density)
+
+
+def induced_interval(pf, weight):
+    """``extend_symmetric`` of the pair (B, Gamma* B) on (C^m, F), B the ideal's decided range basis."""
+    b = pf.ideal._range
+    return extend_symmetric(SymmetricPartialOperator(b, pf.gamma.a.conj().T @ b), weight)
+
+
+def assert_same_bits(g_min, g_max, alpha, interval, where):
+    assert alpha == interval.alpha, where
+    for got, want in ((g_min.density.a, interval.s_min.a), (g_max.density.a, interval.s_max.a)):
+        assert np.array_equal(got, want), where
+
+
+def test_functional_extensions_are_sa_ext_on_the_density():
+    # extend_functional, f_bound and cstar_extendibility (with the trace, and with |Phi| of a
+    # supplied extension) run one path: sa-ext on (B, Gamma* B) with their weight, bit for bit
+    for seed in range(200):
+        m = 1 + seed % 6
+        (pf, density, source), _ = planted("functional", (m,), Rng(seed))
+        where = f"seed {seed}, m {m}"
+        g_min, g_max, alpha = extend_functional(pf, density)
+        assert_same_bits(g_min, g_max, alpha, induced_interval(pf, density), where)
+        assert f_bound(pf, density) == alpha, where
+        for extension in (None, source):
+            decision = cstar_extendibility(pf, extension=extension)
+            weight = decision.density.density
+            if extension is None:
+                assert np.array_equal(weight.a, np.eye(m)), where
+            assert_same_bits(decision.g_min, decision.g_max, decision.alpha, induced_interval(pf, weight), where)
+            assert f_bound(pf, weight) == decision.alpha, where

@@ -1,20 +1,19 @@
 """Each weight and density is decomposed once: by the ``eigh_desc`` that decides it positive.
 
 A :class:`~opext.numkit.PsdMatrix` keeps the spectrum its construction
-takes, :func:`~opext.kvn.hilbert_lift` reads it, and the GNS row lift of
-F^T = conj F reads F's, as (w, conj V).  The census below counts LAPACK
-calls on ``operators``- and ``functionals``-shaped inputs; the premise of
-the row lift is checked against a lift from a fresh ``eigh_desc(F^T)``.
+takes, and :func:`~opext.kvn.hilbert_lift` reads it, for a weight and for a
+functional's density F alike.  The census below counts LAPACK calls on
+``operators``- and ``functionals``-shaped inputs.
 """
 
 import numpy as np
 import pytest
 
-from opext.func_ext import LeftIdeal, PartialFunctional, _row_lift, extend_functional
+from opext.func_ext import LeftIdeal, PartialFunctional, extend_functional
 from opext.kvn import hilbert_lift
 from opext.numkit import DEFAULT_TOLERANCES as T
 from opext.errors import NotPsd
-from opext.numkit import PsdMatrix, Tolerances, eigh_desc
+from opext.numkit import PsdMatrix, Tolerances
 from opext.sa_ext import SymmetricPartialOperator, extend_symmetric
 
 
@@ -34,8 +33,8 @@ def planted(gen, n, rank):
 
 
 def calls_on(decompositions, a):
-    """Names of the recorded calls whose input is ``a`` or its transpose."""
-    return [name for name, x in decompositions if x.shape == a.shape and (np.allclose(x, a) or np.allclose(x, a.T))]
+    """Names of the recorded calls whose input is ``a``."""
+    return [name for name, x in decompositions if x.shape == a.shape and np.allclose(x, a)]
 
 
 @pytest.mark.parametrize("n", [4, 8, 32, 160])
@@ -89,27 +88,6 @@ def test_functionals_shaped_extension_decomposes_its_density_once(decompositions
         extend_functional(pf, PsdMatrix(f))
     assert "eigvalsh" not in [name for name, _ in decompositions]
     assert calls_on(decompositions, f) == ["eigh"]
-
-
-@pytest.mark.parametrize("m", range(1, 17))
-@pytest.mark.parametrize("deficient", [False, True], ids=["full", "deficient"])
-def test_row_lift_is_the_lift_of_a_fresh_transpose_spectrum(m, deficient):
-    # F^T = conj F: the row lift built from F's kept eigenpairs (w, conj V)
-    # is the lift a fresh eigh_desc(F^T) gives, up to rounding
-    for seed in range(4):
-        gen = np.random.default_rng([m, deficient, seed, 75])
-        f = PsdMatrix(planted(gen, m, m // 2 if deficient else m)[0])
-        lift = _row_lift(f, T)
-
-        w, v = eigh_desc(f.a.T)
-        keep = w > T.rank_cutoff(m, m) * max(w[0], 0.0)
-        roots = np.sqrt(w[keep])
-        j = v[:, keep] * roots
-
-        assert lift.rank == np.count_nonzero(keep)
-        assert np.all(np.abs(lift.roots - roots) <= 1e-14 * roots.max(initial=0.0))
-        got = lift.embedding() @ lift.embedding().conj().T
-        assert np.linalg.norm(got - j @ j.conj().T) <= 1e-13 * np.linalg.norm(j @ j.conj().T)
 
 
 def test_a_lift_under_the_deciding_tolerances_reads_the_kept_mask(monkeypatch):

@@ -25,7 +25,6 @@ WRAPPERS = {"HermitianMatrix", "PsdMatrix", "ComplexMatrix"}
 # (module, private owner) -> the parameter holding the caller data it validates
 CALLER_DATA = {
     ("numkit.py", "_projector"): "p",  # LeftIdeal's and classical_parrott's projectors, returned as the HermitianMatrix eigh_desc reads unsymmetrized
-    ("func_ext.py", "_row_lift"): "density",  # the density a caller passed to gns, f_bound, extend_functional, ...
     ("func_ext.py", "GnsSpace._element"): "x",  # the algebra element passed to vector and rep
     ("cli.py", "_midpoint_in_interval"): "result",  # verify reads the endpoints back as a caller would
 }
