@@ -3,17 +3,18 @@
 A :class:`~opext.numkit.PsdMatrix` keeps the spectrum its construction
 takes, and :func:`~opext.kvn.hilbert_lift` reads it, for a weight and for a
 functional's density F alike.  The census below counts LAPACK calls on
-``operators``- and ``functionals``-shaped inputs.
+``operators``- and ``functionals``-shaped inputs; the GNS row lift of F is
+checked against the conjugate of a lift from a fresh ``eigh_desc(F^T)``.
 """
 
 import numpy as np
 import pytest
 
-from opext.func_ext import LeftIdeal, PartialFunctional, extend_functional
+from opext.func_ext import LeftIdeal, PartialFunctional, extend_functional, gns
 from opext.kvn import hilbert_lift
 from opext.numkit import DEFAULT_TOLERANCES as T
 from opext.errors import NotPsd
-from opext.numkit import PsdMatrix, Tolerances
+from opext.numkit import PsdMatrix, Tolerances, eigh_desc
 from opext.sa_ext import SymmetricPartialOperator, extend_symmetric
 
 
@@ -88,6 +89,29 @@ def test_functionals_shaped_extension_decomposes_its_density_once(decompositions
         extend_functional(pf, PsdMatrix(f))
     assert "eigvalsh" not in [name for name, _ in decompositions]
     assert calls_on(decompositions, f) == ["eigh"]
+
+
+@pytest.mark.parametrize("m", range(1, 17))
+@pytest.mark.parametrize("deficient", [False, True], ids=["full", "deficient"])
+def test_row_lift_is_the_conjugate_of_a_fresh_transpose_lift(m, deficient):
+    # F^T = conj F: the GNS row lift reads F's kept eigenpairs, and its Gram
+    # J J* is the conjugate of the one a fresh eigh_desc(F^T) gives, up to rounding
+    for seed in range(4):
+        gen = np.random.default_rng([m, deficient, seed, 75])
+        f = PsdMatrix(planted(gen, m, m // 2 if deficient else m)[0])
+        space = gns(f, T)
+        lift = space.row
+        assert space.density is lift.weight
+
+        w, v = eigh_desc(f.a.T)
+        keep = w > T.rank_cutoff(m, m) * max(w[0], 0.0)
+        roots = np.sqrt(w[keep])
+        j = v[:, keep] * roots
+
+        assert lift.rank == np.count_nonzero(keep)
+        assert np.all(np.abs(lift.roots - roots) <= 1e-14 * roots.max(initial=0.0))
+        got = lift.embedding() @ lift.embedding().conj().T
+        assert np.linalg.norm(got - (j @ j.conj().T).conj()) <= 1e-13 * np.linalg.norm(j @ j.conj().T)
 
 
 def test_a_lift_under_the_deciding_tolerances_reads_the_kept_mask(monkeypatch):
