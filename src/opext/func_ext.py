@@ -126,13 +126,12 @@ class LeftIdeal:
     eigenvalue the idempotency check took for zero is not in the ideal's
     range.  The GNS realization and the agreement of an extension with
     g_0 are measured on B; the symmetry test and the stored gamma use P.
-    The ||P||_F that validation measured is kept for the witness ratio.
     """
 
-    __slots__ = ("projection", "_range", "_norm")
+    __slots__ = ("projection", "_range")
 
     def __init__(self, projection, tol: Tolerances | None = None):
-        self.projection, self._norm = _projector(projection, _tol(tol), None)
+        self.projection = _projector(projection, _tol(tol), None)
         self._range = _range_basis(self.projection)
 
     @property
@@ -475,7 +474,7 @@ def _witness_constant(
     p = pf.ideal.projection.a
     x = p @ ((v * np.sign(w)) @ v.conj().T)
     denom = _fro(x @ root) * _fro(p @ root)
-    if denom <= tol.eq * np.vdot(root, root).real * _fro(x) * pf.ideal._norm:
+    if denom <= tol.eq * np.vdot(root, root).real * _fro(x) * _fro(p):
         return 0.0, 0
     ratio = float(abs(np.vdot(x, p @ pf.gamma.a)) / denom)
     return ratio, int(ratio > 4.0 + tol.eq)

@@ -492,19 +492,19 @@ def loewner_leq(a, b, tol: Tolerances | None = None) -> bool:
     return float(w[0]) >= -_limit(_tol(tol).psd, float(np.max(np.abs(w))))
 
 
-def _projector(p, tol: Tolerances, what: str | None) -> tuple[HermitianMatrix, float]:
-    """The orthogonal projector p as a HermitianMatrix, which :func:`eigh_desc` takes as it is, and its ||p||_F.
+def _projector(p, tol: Tolerances, what: str | None) -> HermitianMatrix:
+    """The orthogonal projector p as a HermitianMatrix, which :func:`eigh_desc` takes as it is.
 
     ValueError naming ``what`` unless idempotent within eq.  A projector's entries are at most 1, so an
     idempotency residual or limit that is not finite (entries from about 1.3e154 on) rejects p too.
     """
     h = HermitianMatrix(p, tol)
     pm = h.a
-    idem, norm = _fro(pm @ pm - pm), _fro(pm)
-    if not idem <= _limit(tol.eq, norm) < math.inf:
+    idem = _fro(pm @ pm - pm)
+    if not idem <= _limit(tol.eq, _fro(pm)) < math.inf:
         subject = "not" if what is None else f"{what} is not"
         raise ValueError(f"{subject} an orthogonal projector (idempotency residual {idem:.3e})")
-    return h, norm
+    return h
 
 
 def _range_basis(pm: HermitianMatrix) -> np.ndarray:

@@ -399,8 +399,8 @@ def classical_parrott(p_h1, p_k1, t1, t1_prime, tol: Tolerances | None = None) -
     its restriction or its compression by more than eq (1 + ||B||_F).
     """
     t = _tol(tol)
-    b_h = _range_basis(_projector(p_h1, t, "first projector")[0])
-    b_k = _range_basis(_projector(p_k1, t, "second projector")[0])
+    b_h = _range_basis(_projector(p_h1, t, "first projector"))
+    b_k = _range_basis(_projector(p_k1, t, "second projector"))
     t1m, t1p = ComplexMatrix.coerce(t1), ComplexMatrix.coerce(t1_prime)
     shape = (len(b_k), len(b_h))
     if t1m.a.shape != shape or t1p.a.shape != shape:

@@ -10,9 +10,6 @@ The m-by-m pipeline is sa-ext on the density: its results are pinned, bit
 for bit, to ``extend_symmetric`` of the pair (B, Gamma* B) with weight F.
 """
 
-import sys
-from pathlib import Path
-
 import numpy as np
 import pytest
 
@@ -33,9 +30,7 @@ from opext.kvn import hilbert_lift
 from opext.numkit import DEFAULT_TOLERANCES, PsdMatrix, independent_columns, pinv
 from opext.oracle import Rng
 from opext.sa_ext import SymmetricPartialOperator, extend_symmetric
-
-sys.path.insert(0, str(Path(__file__).resolve().parent))
-from planted import planted  # noqa: E402
+from planted import planted
 
 EQ = DEFAULT_TOLERANCES.eq
 
