@@ -48,6 +48,7 @@ from .errors import (
 )
 from .kvn import HilbertLift, hilbert_lift
 from .numkit import (
+    DEFAULT_TOLERANCES,
     ComplexMatrix,
     HermitianMatrix,
     PsdMatrix,
@@ -59,7 +60,6 @@ from .numkit import (
     _limit,
     _projector,
     _range_basis,
-    _tol,
     eigh_desc,
     loewner_leq,
 )
@@ -130,8 +130,8 @@ class LeftIdeal:
 
     __slots__ = ("projection", "_range")
 
-    def __init__(self, projection, tol: Tolerances | None = None):
-        self.projection = _projector(projection, _tol(tol), None)
+    def __init__(self, projection, tol: Tolerances = DEFAULT_TOLERANCES):
+        self.projection = _projector(projection, tol, None)
         self._range = _range_basis(self.projection)
 
     @property
@@ -191,7 +191,7 @@ class PartialFunctional:
         return f"PartialFunctional(m={self.size})"
 
 
-def is_symmetric_on_ideal(pf: PartialFunctional, tol: Tolerances | None = None) -> bool:
+def is_symmetric_on_ideal(pf: PartialFunctional, tol: Tolerances = DEFAULT_TOLERANCES) -> bool:
     """Whether g_0(b* a) = conj g_0(a* b) holds across the ideal.
 
     Equivalent to the matrix identity P Gamma P = P Gamma* P: on the
@@ -202,7 +202,7 @@ def is_symmetric_on_ideal(pf: PartialFunctional, tol: Tolerances | None = None) 
     directly while both are finite, and at any finite scale of Gamma by
     :func:`~opext.numkit._excess` when one overflows.
     """
-    return _symmetric_scale(pf, _tol(tol).eq) is not None
+    return _symmetric_scale(pf, tol.eq) is not None
 
 
 def _symmetric_scale(pf: PartialFunctional, eq: float) -> float | None:
@@ -284,7 +284,7 @@ class GnsSpace:
         return complex(xi.conj() @ (self.rep(x) @ xi))
 
 
-def gns(density, tol: Tolerances | None = None) -> GnsSpace:
+def gns(density, tol: Tolerances = DEFAULT_TOLERANCES) -> GnsSpace:
     """Run the GNS construction for f(x) = trace(F x), F positive.
 
     The rows of x carry F's weighted pairing, so the space is
@@ -322,7 +322,7 @@ def _row_operator(
 
 
 def gns_realization(
-    pf: PartialFunctional, density, tol: Tolerances | None = None
+    pf: PartialFunctional, density, tol: Tolerances = DEFAULT_TOLERANCES
 ) -> tuple[GnsSpace, SymmetricPartialOperator]:
     """GNS space of f together with the partial operator realizing g_0.
 
@@ -339,12 +339,12 @@ def gns_realization(
     not exist.
     """
     space = gns(density, tol)
-    p, y, _ = _row_operator(pf, space.row, _tol(tol))
+    p, y, _ = _row_operator(pf, space.row, tol)
     eye = np.eye(pf.size, dtype=np.complex128)
     return space, SymmetricPartialOperator._adopt(np.kron(eye, p.conj()), np.kron(eye, y.conj()))
 
 
-def f_bound(pf: PartialFunctional, density, tol: Tolerances | None = None) -> float:
+def f_bound(pf: PartialFunctional, density, tol: Tolerances = DEFAULT_TOLERANCES) -> float:
     """Smallest alpha with |g_0(x* a)|^2 <= alpha^2 f(x* x) f(a* a).
 
     Computed as the F-weighted bound of the partial operator s_0 on
@@ -352,11 +352,11 @@ def f_bound(pf: PartialFunctional, density, tol: Tolerances | None = None) -> fl
     :class:`NotFBounded` when no finite alpha exists and
     :class:`NotSymmetric` when g_0 is not symmetric.
     """
-    return _row_operator(pf, hilbert_lift(_density_array(density), tol), _tol(tol))[2]
+    return _row_operator(pf, hilbert_lift(_density_array(density), tol), tol)[2]
 
 
 def extend_functional(
-    pf: PartialFunctional, density, tol: Tolerances | None = None
+    pf: PartialFunctional, density, tol: Tolerances = DEFAULT_TOLERANCES
 ) -> tuple[FunctionalMatrix, FunctionalMatrix, float]:
     """Extremal hermitian extensions of g_0 with the same f-bound.
 
@@ -369,7 +369,7 @@ def extend_functional(
     bound-preserving self-adjoint extensions of s_0 : B -> Gamma* B on
     (C^m, F), and the densities are s_0's interval endpoints s_min, s_max.
     """
-    return _extend_functional(pf, hilbert_lift(_density_array(density), tol), _tol(tol))
+    return _extend_functional(pf, hilbert_lift(_density_array(density), tol), tol)
 
 
 def _extend_functional(pf: PartialFunctional, lift: HilbertLift, tol: Tolerances, symmetric: bool = False):
@@ -383,7 +383,7 @@ def functional_interval_member(
     candidate: FunctionalMatrix,
     lower: FunctionalMatrix,
     upper: FunctionalMatrix,
-    tol: Tolerances | None = None,
+    tol: Tolerances = DEFAULT_TOLERANCES,
 ) -> bool:
     """Whether a hermitian functional sits between two others.
 
@@ -391,24 +391,22 @@ def functional_interval_member(
     (difference positive semidefinite iff the difference functional is
     positive).
     """
-    t = _tol(tol)
-    c = HermitianMatrix(_as_functional(candidate).density, t).a
-    lo = HermitianMatrix(_as_functional(lower).density, t).a
-    hi = HermitianMatrix(_as_functional(upper).density, t).a
+    c = HermitianMatrix(_as_functional(candidate).density, tol).a
+    lo = HermitianMatrix(_as_functional(lower).density, tol).a
+    hi = HermitianMatrix(_as_functional(upper).density, tol).a
     if c.shape != lo.shape or c.shape != hi.shape:
         raise DimensionMismatch("functionals must share the algebra size")
-    return loewner_leq(lo, c, t) and loewner_leq(c, hi, t)
+    return loewner_leq(lo, c, tol) and loewner_leq(c, hi, tol)
 
 
-def hahn_jordan(g: FunctionalMatrix, tol: Tolerances | None = None) -> tuple[FunctionalMatrix, FunctionalMatrix]:
+def hahn_jordan(g: FunctionalMatrix, tol: Tolerances = DEFAULT_TOLERANCES) -> tuple[FunctionalMatrix, FunctionalMatrix]:
     """Decompose a hermitian functional as a difference of positive ones.
 
     Returns (g_plus, g_minus) with g = g_plus - g_minus and mutually
     singular densities (their product vanishes): the spectral split of
     the density into its positive and negative parts.
     """
-    t = _tol(tol)
-    w, v = eigh_desc(HermitianMatrix(_as_functional(g).density, t))
+    w, v = eigh_desc(HermitianMatrix(_as_functional(g).density, tol))
     pos = (v * np.clip(w, 0.0, None)) @ v.conj().T
     neg = (v * np.clip(-w, 0.0, None)) @ v.conj().T
     return tuple(FunctionalMatrix(HermitianMatrix._adopt(_hermitian_part(x))) for x in (pos, neg))
@@ -482,7 +480,7 @@ def _witness_constant(
 
 def cstar_extendibility(
     pf: PartialFunctional,
-    tol: Tolerances | None = None,
+    tol: Tolerances = DEFAULT_TOLERANCES,
     density=None,
     extension: FunctionalMatrix | None = None,
     rng=None,
@@ -520,18 +518,17 @@ def cstar_extendibility(
     (then no hermitian extension exists, since restrictions of hermitian
     functionals are symmetric).
     """
-    t = _tol(tol)
-    gamma_norm = _symmetric_scale(pf, t.eq)
+    gamma_norm = _symmetric_scale(pf, tol.eq)
     if gamma_norm is None:
         raise NotSymmetric(
             "functional is not symmetric on its ideal; hermitian extensions cannot exist"
         )
     abs_lift = root = None
     if extension is not None:
-        phi = HermitianMatrix(_as_functional(extension).density, t)
+        phi = HermitianMatrix(_as_functional(extension).density, tol)
         # the supplied functional must actually extend g_0
         worst = _ideal_agreement(pf, phi.a)
-        if worst > t.eq * gamma_norm:
+        if worst > tol.eq * gamma_norm:
             raise HypothesisViolated(
                 f"supplied functional does not extend the partial data (residual {worst:.3e})"
             )
@@ -539,27 +536,27 @@ def cstar_extendibility(
         mag = np.abs(w)
         order = np.argsort(-mag, kind="stable")  # |Phi| = V |w| V*, adopted with these eigenpairs
         abs_density = PsdMatrix._adopt(_hermitian_part((v * mag) @ v.conj().T), (mag[order], v.take(order, axis=1)))
-        abs_lift = hilbert_lift(abs_density, t)
+        abs_lift = hilbert_lift(abs_density, tol)
         root = v * np.sqrt(mag)
     if density is not None:
-        lift = hilbert_lift(_density_array(density), t)
+        lift = hilbert_lift(_density_array(density), tol)
     elif abs_lift is not None:
         lift = abs_lift
     else:  # the trace: f = I, with eigenpairs (ones, I)
         eye = np.eye(pf.size, dtype=np.complex128)
-        lift = hilbert_lift(PsdMatrix._adopt(eye, (np.ones(pf.size), eye)), t)
-    g_min, g_max, alpha = _extend_functional(pf, lift, t, symmetric=True)
+        lift = hilbert_lift(PsdMatrix._adopt(eye, (np.ones(pf.size), eye)), tol)
+    g_min, g_max, alpha = _extend_functional(pf, lift, tol, symmetric=True)
     exact = measured = violations = None
     if root is not None:
-        exact = alpha if density is None else _row_operator(pf, abs_lift, t, symmetric=True)[2]
-        measured, violations = _witness_constant(pf, w, v, root, t)
+        exact = alpha if density is None else _row_operator(pf, abs_lift, tol, symmetric=True)[2]
+        measured, violations = _witness_constant(pf, w, v, root, tol)
     return ExtendibilityDecision(
         extendible=True,
         density=FunctionalMatrix(lift.weight),
         alpha=alpha,
         g_min=g_min,
         g_max=g_max,
-        constant4_ok=None if exact is None else bool(exact <= 4.0 * (1.0 + t.eq)),
+        constant4_ok=None if exact is None else bool(exact <= 4.0 * (1.0 + tol.eq)),
         measured_bound=measured,
         violations=violations,
         exact_bound=exact,

@@ -37,6 +37,7 @@ import numpy as np
 
 from .errors import DimensionMismatch, NotABounded, NotHermitian, NotPsd
 from .numkit import (
+    DEFAULT_TOLERANCES,
     ComplexMatrix,
     PsdMatrix,
     Tolerances,
@@ -48,7 +49,6 @@ from .numkit import (
     _psd_keep,
     _require_independent,
     _require_vanishing,
-    _tol,
     eigh_desc,
 )
 
@@ -87,24 +87,23 @@ class PartialPositiveOperator:
 
     __slots__ = ("domain_basis", "values", "_factor", "_scale")
 
-    def __init__(self, domain_basis, values, tol: Tolerances | None = None):
+    def __init__(self, domain_basis, values, tol: Tolerances = DEFAULT_TOLERANCES):
         d = ComplexMatrix.coerce(domain_basis)
         g = ComplexMatrix.coerce(values)
         if d.a.shape != g.a.shape:
             raise DimensionMismatch(
                 f"domain basis is {d.rows}x{d.cols} but values are {g.rows}x{g.cols}"
             )
-        t = _tol(tol)
-        p, s, v = _orth_factor(d.a, t)
-        _require_independent(d.a, t, s.size)
+        p, s, v = _orth_factor(d.a, tol)
+        _require_independent(d.a, tol, s.size)
         try:
-            _checked_hermitian(d.a.conj().T @ g.a, t)
+            _checked_hermitian(d.a.conj().T @ g.a, tol)
         except NotHermitian as exc:
             raise NotHermitian(f"induced Gram matrix is not Hermitian: {exc}") from exc
         y = (g.a @ v) / s
         w, u = eigh_desc(p.conj().T @ y)
         try:
-            keep = _psd_keep(w, t)
+            keep = _psd_keep(w, tol)
         except NotPsd as exc:
             raise NotPsd(f"induced Gram matrix is not positive: {exc}") from exc
         yu = y @ u
@@ -125,7 +124,7 @@ class PartialPositiveOperator:
         return f"PartialPositiveOperator(n={self.ambient_dim}, k={self.domain_dim})"
 
 
-def check_restriction(op: PartialPositiveOperator, tol: Tolerances | None = None) -> bool:
+def check_restriction(op: PartialPositiveOperator, tol: Tolerances = DEFAULT_TOLERANCES) -> bool:
     """Whether the data is the restriction of some positive operator.
 
     Tests on the operator's orthonormal pair (P, Y) that the values vanish
@@ -133,10 +132,10 @@ def check_restriction(op: PartialPositiveOperator, tol: Tolerances | None = None
     which keeps both norms) as ``||Y - (Y Q) Q*||_F <= eq * (1 + ||Y||_F)``.
     For restrictions of positive matrices this holds.
     """
-    return bool(op._factor[1] <= _limit(_tol(tol).eq, op._scale))
+    return bool(op._factor[1] <= _limit(tol.eq, op._scale))
 
 
-def kvn_extend(op: PartialPositiveOperator, tol: Tolerances | None = None) -> PsdMatrix:
+def kvn_extend(op: PartialPositiveOperator, tol: Tolerances = DEFAULT_TOLERANCES) -> PsdMatrix:
     """Smallest positive extension of a partial positive operator.
 
     Returns ``G (D* G)^+ G*`` as ``C C*``, ``C = Y Q W^{-1/2}`` for P* Y = Q W Q*
@@ -150,7 +149,7 @@ def kvn_extend(op: PartialPositiveOperator, tol: Tolerances | None = None) -> Ps
         If no positive extension exists (see :func:`check_restriction`).
     """
     c, resid = op._factor
-    _require_vanishing(resid, op._scale, _tol(tol))
+    _require_vanishing(resid, op._scale, tol)
     return PsdMatrix._adopt(_hermitian_part(c @ c.conj().T))
 
 
@@ -206,7 +205,7 @@ class HilbertLift:
         return (coords[0] @ dom.range_basis.a) / np.outer(self.roots, dom.roots)
 
 
-def hilbert_lift(weight, tol: Tolerances | None = None) -> HilbertLift:
+def hilbert_lift(weight, tol: Tolerances = DEFAULT_TOLERANCES) -> HilbertLift:
     """Build the range-coordinate realization of a positive weight.
 
     The lift reads the one eigendecomposition the :class:`PsdMatrix` keeps:
@@ -220,9 +219,8 @@ def hilbert_lift(weight, tol: Tolerances | None = None) -> HilbertLift:
     Q, a column mask of the weight's eigenvectors, is not checked again.
     This is the one lift constructor.
     """
-    t = _tol(tol)
-    a = PsdMatrix.coerce(weight, t)
+    a = PsdMatrix.coerce(weight, tol)
     w, v = a._spectrum
-    keep = a._keep(t)
+    keep = a._keep(tol)
     q = v.compress(keep, axis=1)
     return HilbertLift(a, q.shape[1], ComplexMatrix._wrap(q), np.sqrt(w[keep]))

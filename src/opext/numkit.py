@@ -5,7 +5,8 @@ functional extensions) is built on the handful of operations here:
 pseudoinverse with a relative rank cutoff, positive-semidefinite
 eigenpairs, Loewner-order comparison, numerical rank, and the Hermitian rule.  All
 tolerances travel in a single :class:`Tolerances` value passed explicitly;
-there is no mutable global configuration.
+there is no mutable global configuration.  Every ``tol`` parameter defaults
+to :data:`DEFAULT_TOLERANCES`; ``None`` is not a Tolerances.
 
 Eigenvalues are returned in descending order (stable sort).  Eigenvectors
 are LAPACK's: every consumer reads eigenvalues, masks, or products such as
@@ -62,6 +63,9 @@ _RANK_FACTOR = 1e-10
 class Tolerances:
     """Bundle of the four tolerances used throughout the package.
 
+    ``DEFAULT_TOLERANCES = Tolerances()`` is the default value of every
+    ``tol`` parameter; a caller passes a Tolerances, never ``None``.
+
     rank : float or None
         Relative singular-value cutoff.  ``None`` selects the default
         ``1e-10 * max(rows, cols)``, which scales with the dimension.
@@ -114,10 +118,6 @@ class Tolerances:
 
 
 DEFAULT_TOLERANCES = Tolerances()
-
-
-def _tol(tol: Tolerances | None) -> Tolerances:
-    return DEFAULT_TOLERANCES if tol is None else tol
 
 
 def _limit(rel: float, scale: float, unit: float = 1.0) -> float:
@@ -186,9 +186,9 @@ class ComplexMatrix:
         return self.a.shape[1]
 
     @classmethod
-    def coerce(cls, value, tol: Tolerances | None = None):
-        """``value`` if it already is a ``cls``, else ``cls(value)``, under ``tol`` for the Hermitian classes."""
-        return value if isinstance(value, cls) else cls(value) if tol is None else cls(value, tol)
+    def coerce(cls, value, *tol):
+        """``value`` if it already is a ``cls``, else ``cls(value, *tol)``: a Hermitian class takes its Tolerances."""
+        return value if isinstance(value, cls) else cls(value, *tol)
 
     def __repr__(self):
         return f"{type(self).__name__}({self.rows}x{self.cols})"
@@ -247,9 +247,9 @@ class HermitianMatrix(ComplexMatrix):
 
     __slots__ = ()
 
-    def __init__(self, data, tol: Tolerances | None = None):
+    def __init__(self, data, tol: Tolerances = DEFAULT_TOLERANCES):
         a = _as_array(data)
-        h, scale = _checked_hermitian(a, _tol(tol))
+        h, scale = _checked_hermitian(a, tol)
         h += a  # (a + a*) / 2.0 as in _hermitian_part
         h /= 2.0
         # a finite ||a||_F bounds every entry by 1.4e154, so the half-sum can overflow only when it is not
@@ -320,11 +320,10 @@ class PsdMatrix(HermitianMatrix):
 
     __slots__ = ("_eig", "_kept_by", "_kept")
 
-    def __init__(self, data, tol: Tolerances | None = None):
-        t = _tol(tol)
-        super().__init__(data, t)
+    def __init__(self, data, tol: Tolerances = DEFAULT_TOLERANCES):
+        super().__init__(data, tol)
         eig = _read_only(eigh_desc(self))
-        self._hold(eig, t, _psd_keep(eig[0], t))  # raises NotPsd
+        self._hold(eig, tol, _psd_keep(eig[0], tol))  # raises NotPsd
 
     def _hold(self, eig, kept_by: Tolerances | None, kept: np.ndarray | None):
         object.__setattr__(self, "_eig", eig)
@@ -422,27 +421,26 @@ def _restrict(d: np.ndarray, v: np.ndarray, tol: Tolerances) -> tuple[np.ndarray
     return p, vv / s, _fro(v - vv @ vf.conj().T)
 
 
-def pinv(m, tol: Tolerances | None = None) -> ComplexMatrix:
+def pinv(m, tol: Tolerances = DEFAULT_TOLERANCES) -> ComplexMatrix:
     """Moore-Penrose pseudoinverse with a relative singular-value cutoff.
 
     Singular values at or below ``cutoff * sigma_max`` are treated as zero,
     where ``cutoff`` comes from ``tol.rank_cutoff``.  The zero matrix (and
     any empty matrix) maps to the zero matrix of transposed shape.
     """
-    p, s, v = _orth_factor(_as_array(m), _tol(tol))
+    p, s, v = _orth_factor(_as_array(m), tol)
     return ComplexMatrix._adopt((v / s) @ p.conj().T)
 
 
-def numerical_rank(m, tol: Tolerances | None = None) -> int:
+def numerical_rank(m, tol: Tolerances = DEFAULT_TOLERANCES) -> int:
     """Number of singular values above the relative cutoff."""
     a = _as_array(m)
     if a.size == 0:
         return 0
-    t = _tol(tol)
     s = np.linalg.svd(a, compute_uv=False)
     if s.size == 0 or s[0] == 0.0:
         return 0
-    cut = t.rank_cutoff(*a.shape) * s[0]
+    cut = tol.rank_cutoff(*a.shape) * s[0]
     return int(np.count_nonzero(s > cut))
 
 
@@ -453,7 +451,7 @@ def _require_independent(d: np.ndarray, tol: Tolerances, kept: int) -> None:
         raise ValueError("domain basis columns are dependent; supply an independent set")
 
 
-def psd_eig(a, tol: Tolerances | None = None) -> tuple[np.ndarray, np.ndarray]:
+def psd_eig(a, tol: Tolerances = DEFAULT_TOLERANCES) -> tuple[np.ndarray, np.ndarray]:
     """Eigenpairs of a positive semidefinite matrix with noise removed.
 
     Returns ``(w, q)`` where ``w`` holds the eigenvalues above the
@@ -472,11 +470,11 @@ def psd_eig(a, tol: Tolerances | None = None) -> tuple[np.ndarray, np.ndarray]:
         if a.shape[0] != a.shape[1]:
             raise DimensionMismatch(f"expected a square matrix, got {a.shape}")
     w, v = eigh_desc(a)
-    keep = _psd_keep(w, _tol(tol))
+    keep = _psd_keep(w, tol)
     return w[keep], v.compress(keep, axis=1)
 
 
-def loewner_leq(a, b, tol: Tolerances | None = None) -> bool:
+def loewner_leq(a, b, tol: Tolerances = DEFAULT_TOLERANCES) -> bool:
     """Loewner-order comparison ``a <= b`` up to the positivity slack.
 
     True iff the smallest eigenvalue of ``b - a`` is at least
@@ -489,7 +487,7 @@ def loewner_leq(a, b, tol: Tolerances | None = None) -> bool:
     if x.shape[0] == 0:
         return True
     w = np.linalg.eigvalsh(_hermitian_part(y - x))
-    return float(w[0]) >= -_limit(_tol(tol).psd, float(np.max(np.abs(w))))
+    return float(w[0]) >= -_limit(tol.psd, float(np.max(np.abs(w))))
 
 
 def _projector(p, tol: Tolerances, what: str | None) -> HermitianMatrix:
@@ -520,7 +518,7 @@ def _range_basis(pm: HermitianMatrix) -> np.ndarray:
     return v.compress(w > 0.5, axis=1)
 
 
-def independent_columns(m, tol: Tolerances | None = None) -> list[int]:
+def independent_columns(m, tol: Tolerances = DEFAULT_TOLERANCES) -> list[int]:
     """Indices of a maximal independent subset of columns.
 
     Pivoted modified Gram-Schmidt: at each step the column with the
@@ -531,13 +529,12 @@ def independent_columns(m, tol: Tolerances | None = None) -> list[int]:
     No library path calls it; it stays public, and the benchmark traces it.
     """
     a = np.array(_as_array(m), dtype=np.complex128, copy=True)
-    t = _tol(tol)
     if a.size == 0:
         return []
     scale = _smax(a)
     if scale == 0.0:
         return []
-    cut = t.rank_cutoff(*a.shape) * scale
+    cut = tol.rank_cutoff(*a.shape) * scale
     chosen: list[int] = []
     residual = a
     norms = np.linalg.norm(residual, axis=0)

@@ -28,7 +28,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import Infeasible, InvalidDims
-from .numkit import HermitianMatrix, PsdMatrix, Tolerances, _tol
+from .numkit import DEFAULT_TOLERANCES, HermitianMatrix, PsdMatrix, Tolerances
 
 __all__ = [
     "Rng",
@@ -138,7 +138,7 @@ def _clean_psd_split(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return w[keep], v[:, keep]
 
 
-def sampled_bound(operator, weight, samples: int, rng, tol: Tolerances | None = None,
+def sampled_bound(operator, weight, samples: int, rng, tol: Tolerances = DEFAULT_TOLERANCES,
                   refine: int = 32) -> float:
     """Empirical weighted bound from randomized pair search.
 
@@ -156,15 +156,14 @@ def sampled_bound(operator, weight, samples: int, rng, tol: Tolerances | None = 
     (treated as everywhere defined).  Pairs whose weighted denominators
     fall below the equality tolerance are skipped.
     """
-    t = _tol(tol)
     if hasattr(operator, "domain_basis"):
         d = operator.domain_basis.a
         v = operator.values.a
     else:
-        h = HermitianMatrix.coerce(operator, t)
+        h = HermitianMatrix.coerce(operator, tol)
         d = np.eye(h.rows, dtype=np.complex128)
         v = h.a
-    a = PsdMatrix.coerce(weight, t).a
+    a = PsdMatrix.coerce(weight, tol).a
     n, k = d.shape
     if samples <= 0 or k == 0 or n == 0:
         return 0.0
@@ -185,7 +184,7 @@ def sampled_bound(operator, weight, samples: int, rng, tol: Tolerances | None = 
         dx = np.einsum("bi,bi->b", c_batch.conj(), c_batch @ gram_dom.T).real
         dy = np.einsum("bi,bi->b", y_batch.conj(), y_batch @ a.T).real
         den = np.sqrt(np.clip(dx, 0.0, None) * np.clip(dy, 0.0, None))
-        ok = den > t.eq
+        ok = den > tol.eq
         return (num[ok] / den[ok]) if np.any(ok) else np.zeros(0)
 
     best = 0.0

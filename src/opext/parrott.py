@@ -60,6 +60,7 @@ from .errors import (
 )
 from .kvn import hilbert_lift
 from .numkit import (
+    DEFAULT_TOLERANCES,
     ComplexMatrix,
     PsdMatrix,
     Tolerances,
@@ -72,7 +73,6 @@ from .numkit import (
     _require_independent,
     _restrict,
     _smax,
-    _tol,
 )
 from .sa_ext import SymmetricPartialOperator, _weighted_lift
 
@@ -104,13 +104,12 @@ class ParrottInstance:
     __slots__ = ("domain1", "values1", "domain2", "values2", "weight1", "weight2", "alpha1", "alpha2", "_lifts")
 
     def __init__(self, domain1, values1, domain2, values2, weight1, weight2,
-                 alpha1: float, alpha2: float, tol: Tolerances | None = None):
-        t = _tol(tol)
+                 alpha1: float, alpha2: float, tol: Tolerances = DEFAULT_TOLERANCES):
         d1 = ComplexMatrix.coerce(domain1)
         v1 = ComplexMatrix.coerce(values1)
         d2 = ComplexMatrix.coerce(domain2)
         v2 = ComplexMatrix.coerce(values2)
-        lifts = (hilbert_lift(weight1, t), hilbert_lift(weight2, t))
+        lifts = (hilbert_lift(weight1, tol), hilbert_lift(weight2, tol))
         n1, n2 = (lift.weight.rows for lift in lifts)
         if d1.rows != n1 or v1.rows != n2 or d1.cols != v1.cols:
             raise DimensionMismatch("first partial operator has inconsistent shapes")
@@ -163,7 +162,7 @@ def _corner_lifts(inst: ParrottInstance, tol: Tolerances):
     return corner1, corner2
 
 
-def check_compatibility(inst: ParrottInstance, tol: Tolerances | None = None) -> bool:
+def check_compatibility(inst: ParrottInstance, tol: Tolerances = DEFAULT_TOLERANCES) -> bool:
     """Whether the instance satisfies compatibility and its declared bounds.
 
     Checks the pairing <T1 x1, x2> = conj(<T2 x2, x1>) on the lifted
@@ -171,11 +170,11 @@ def check_compatibility(inst: ParrottInstance, tol: Tolerances | None = None) ->
     also relies on -- and that each partial operator's cross-weighted
     bound (computed spectrally) stays within the declared constant.
     """
-    return _corner_lifts(inst, _tol(tol)) is not None
+    return _corner_lifts(inst, tol) is not None
 
 
 def assemble_symmetric(
-    inst: ParrottInstance, tol: Tolerances | None = None
+    inst: ParrottInstance, tol: Tolerances = DEFAULT_TOLERANCES
 ) -> tuple[SymmetricPartialOperator, PsdMatrix]:
     """Stack the two corners into one symmetric partial operator.
 
@@ -186,17 +185,16 @@ def assemble_symmetric(
 
     Raises :class:`IncompatibleInstance` when compatibility fails.
     """
-    t = _tol(tol)
-    if not check_compatibility(inst, t):
+    if not check_compatibility(inst, tol):
         raise IncompatibleInstance("instance fails compatibility or exceeds its declared bound constants")
     n1, n2, k1, k2 = inst.dim1, inst.dim2, inst.domain1.cols, inst.domain2.cols
     domain = np.block([[inst.domain1.a, np.zeros((n1, k2))], [np.zeros((n2, k1)), inst.domain2.a]])
     values = np.block([[np.zeros((n1, k1)), inst.values2.a], [inst.values1.a, np.zeros((n2, k2))]])
     weight = np.block([[inst.weight1.a, np.zeros((n1, n2))], [np.zeros((n2, n1)), inst.weight2.a]])
-    return SymmetricPartialOperator(domain, values, t), PsdMatrix._adopt(weight)
+    return SymmetricPartialOperator(domain, values, tol), PsdMatrix._adopt(weight)
 
 
-def parrott_complete(inst: ParrottInstance, tol: Tolerances | None = None) -> ComplexMatrix:
+def parrott_complete(inst: ParrottInstance, tol: Tolerances = DEFAULT_TOLERANCES) -> ComplexMatrix:
     """Complete the two corners to a single bounded operator.
 
     Returns an n2-by-n1 matrix T with T extending T1, T* extending T2,
@@ -206,14 +204,13 @@ def parrott_complete(inst: ParrottInstance, tol: Tolerances | None = None) -> Co
     when its range coordinates U_i = J_i* D_i are, and only a collapsed U_i
     has D_i's own rank decided.  The corner is mapped back as J2 X J1*.
     """
-    t = _tol(tol)
-    corners = _corner_lifts(inst, t)
+    corners = _corner_lifts(inst, tol)
     if corners is None:
         raise IncompatibleInstance("instance fails compatibility or exceeds its declared bound constants")
     (p1, y1, beta1), (p2, y2, beta2) = corners
     for d, p in ((inst.domain1.a, p1), (inst.domain2.a, p2)):
-        _require_independent(d, t, p.shape[1])
-    corner = _corner(p1, y1, p2, y2, max(beta1, beta2), t)
+        _require_independent(d, tol, p.shape[1])
+    corner = _corner(p1, y1, p2, y2, max(beta1, beta2), tol)
     return ComplexMatrix._adopt(inst._lifts[1].embedding() @ corner @ inst._lifts[0].coembedding())
 
 
@@ -310,7 +307,7 @@ class StrongParrottInstance:
         return f"StrongParrottInstance(dimH={self.dim_h}, dimK={self.dim_k}, p={self.s1.cols}, q={self.t1.rows})"
 
 
-def strong_parrott(inst: StrongParrottInstance, tol: Tolerances | None = None) -> ComplexMatrix:
+def strong_parrott(inst: StrongParrottInstance, tol: Tolerances = DEFAULT_TOLERANCES) -> ComplexMatrix:
     """Contractive solution of X S1 = S2, T2 X = T1.
 
     Checks the intertwining equality and reduces to two orthonormal pairs
@@ -327,36 +324,35 @@ def strong_parrott(inst: StrongParrottInstance, tol: Tolerances | None = None) -
     or X S1 = S2 or T2 X = T1 missed by more than eq (1 + ||S1||) or
     eq (1 + ||T2||) on the completion.
     """
-    t = _tol(tol)
     s1, s2 = inst.s1.a, inst.s2.a
     t1, t2 = inst.t1.a, inst.t2.a
     ts = t1 @ s1
     eq_resid = _fro(ts - t2 @ s2)
-    if eq_resid > _limit(t.eq, _fro(ts)):
+    if eq_resid > _limit(tol.eq, _fro(ts)):
         raise HypothesisViolated(f"T1 S1 = T2 S2 fails (residual {eq_resid:.3e})")
     pairs, excess = [], []
     for name, kernel, domain, values in (
         ("S2* S2 <= S1* S1", "S2 does not vanish on ker S1", s1, s2),
         ("T1 T1* <= T2 T2*", "T1* does not vanish on ker T2*", t2.conj().T, t1.conj().T),
     ):
-        p, y, resid = _restrict(domain, values, t)
-        if resid > _limit(t.eq, _fro(values)):
+        p, y, resid = _restrict(domain, values, tol)
+        if resid > _limit(tol.eq, _fro(values)):
             raise HypothesisViolated(f"{name} fails: {kernel} (residual {resid:.3e})")
         beta = _smax(y)
-        if beta * beta > 1.0 + _limit(t.eq, 1.0):
+        if beta * beta > 1.0 + _limit(tol.eq, 1.0):
             excess.append(f"{name} fails: the reduced data has norm {beta:.6f} > 1; no contraction extends it")
         pairs.append((p, y, beta))
     if excess:
         raise HypothesisViolated("; ".join(excess))
     (p1, y1, beta1), (p2, y2, beta2) = pairs
-    x = _corner(p1, y1, p2, y2, max(beta1, beta2), t)
+    x = _corner(p1, y1, p2, y2, max(beta1, beta2), tol)
     failures = [
         f"{name} fails on the completion (residual {resid:.3e})"
         for name, resid, scale in (
             ("X S1 = S2", _fro(x @ s1 - s2), _fro(s1)),
             ("T2 X = T1", _fro(t2 @ x - t1), _fro(t2)),
         )
-        if resid > _limit(t.eq, scale)
+        if resid > _limit(tol.eq, scale)
     ]
     if failures:
         raise HypothesisViolated("; ".join(failures))
@@ -373,7 +369,7 @@ _CLASSICAL_NAMES = {
 }
 
 
-def classical_parrott(p_h1, p_k1, t1, t1_prime, tol: Tolerances | None = None) -> ComplexMatrix:
+def classical_parrott(p_h1, p_k1, t1, t1_prime, tol: Tolerances = DEFAULT_TOLERANCES) -> ComplexMatrix:
     """Contraction extending a sub-block and matching a prescribed compression.
 
     Given orthogonal projectors P_H1 on C^{dimH} and P_K1 on C^{dimK}, a
@@ -398,9 +394,8 @@ def classical_parrott(p_h1, p_k1, t1, t1_prime, tol: Tolerances | None = None) -
     disagree, T1 or T1' is not a contraction on its subspace, or T misses
     its restriction or its compression by more than eq (1 + ||B||_F).
     """
-    t = _tol(tol)
-    b_h = _range_basis(_projector(p_h1, t, "first projector"))
-    b_k = _range_basis(_projector(p_k1, t, "second projector"))
+    b_h = _range_basis(_projector(p_h1, tol, "first projector"))
+    b_k = _range_basis(_projector(p_k1, tol, "second projector"))
     t1m, t1p = ComplexMatrix.coerce(t1), ComplexMatrix.coerce(t1_prime)
     shape = (len(b_k), len(b_h))
     if t1m.a.shape != shape or t1p.a.shape != shape:
@@ -409,10 +404,10 @@ def classical_parrott(p_h1, p_k1, t1, t1_prime, tol: Tolerances | None = None) -
         ("||T1|| <= 1", "T1 does not vanish off ran P_H1", t1m.a, _fro(t1m.a - (t1m.a @ b_h) @ b_h.conj().T)),
         ("||T1'|| <= 1", "T1' does not map into ran P_K1", t1p.a, _fro(t1p.a - b_k @ (b_k.conj().T @ t1p.a))),
     ):
-        if resid > _limit(t.eq, _fro(x)):
+        if resid > _limit(tol.eq, _fro(x)):
             raise HypothesisViolated(f"{name} fails: {kernel} (residual {resid:.3e})")
     try:
-        return strong_parrott(StrongParrottInstance(b_h, t1m.a @ b_h, b_k.conj().T @ t1p.a, b_k.conj().T), t)
+        return strong_parrott(StrongParrottInstance(b_h, t1m.a @ b_h, b_k.conj().T @ t1p.a, b_k.conj().T), tol)
     except HypothesisViolated as exc:
         message = str(exc)
         for strong, classical in _CLASSICAL_NAMES.items():

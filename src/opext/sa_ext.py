@@ -36,6 +36,7 @@ import numpy as np
 from .errors import DimensionMismatch, NotABounded
 from .kvn import HilbertLift, hilbert_lift
 from .numkit import (
+    DEFAULT_TOLERANCES,
     ComplexMatrix,
     HermitianMatrix,
     Tolerances,
@@ -47,7 +48,6 @@ from .numkit import (
     _require_independent,
     _restrict,
     _smax,
-    _tol,
     eigh_desc,
     loewner_leq,
 )
@@ -74,14 +74,14 @@ class SymmetricPartialOperator:
 
     __slots__ = ("domain_basis", "values")
 
-    def __init__(self, domain_basis, values, tol: Tolerances | None = None):
+    def __init__(self, domain_basis, values, tol: Tolerances = DEFAULT_TOLERANCES):
         d = ComplexMatrix.coerce(domain_basis)
         v = ComplexMatrix.coerce(values)
         if d.a.shape != v.a.shape:
             raise DimensionMismatch(
                 f"domain basis is {d.rows}x{d.cols} but values are {v.rows}x{v.cols}"
             )
-        _checked_hermitian(d.a.conj().T @ v.a, _tol(tol))  # raises NotHermitian on asymmetric data
+        _checked_hermitian(d.a.conj().T @ v.a, tol)  # raises NotHermitian on asymmetric data
         self.domain_basis = d
         self.values = v
 
@@ -176,7 +176,7 @@ def _symmetric_lift(
 
 
 def lift_symmetric(
-    op: SymmetricPartialOperator, weight, tol: Tolerances | None = None
+    op: SymmetricPartialOperator, weight, tol: Tolerances = DEFAULT_TOLERANCES
 ) -> LiftedSymmetric:
     """Rewrite a symmetric partial operator in the weight's range coordinates.
 
@@ -185,14 +185,13 @@ def lift_symmetric(
     the weighted seminorm where the values do not; ValueError on a
     dependent domain; NotHermitian when the lifted data is not symmetric.
     """
-    t = _tol(tol)
-    lift = hilbert_lift(weight, t)
-    u, w, _, _, alpha = _symmetric_lift(op.domain_basis.a, op.values.a, lift, t)
+    lift = hilbert_lift(weight, tol)
+    u, w, _, _, alpha = _symmetric_lift(op.domain_basis.a, op.values.a, lift, tol)
     return LiftedSymmetric(lift=lift, domain=ComplexMatrix._adopt(u), values=ComplexMatrix._adopt(w), alpha=alpha)
 
 
 def extend_symmetric(
-    op: SymmetricPartialOperator, weight, tol: Tolerances | None = None
+    op: SymmetricPartialOperator, weight, tol: Tolerances = DEFAULT_TOLERANCES
 ) -> ExtensionInterval:
     """Extremal bound-preserving self-adjoint extensions of S_0.
 
@@ -202,10 +201,9 @@ def extend_symmetric(
     bound exactly alpha, and they bracket every other bound-preserving
     self-adjoint extension.  Raises as :func:`lift_symmetric` does.
     """
-    t = _tol(tol)
-    lift = hilbert_lift(weight, t)
-    _, _, p, y, alpha = _symmetric_lift(op.domain_basis.a, op.values.a, lift, t)
-    return ExtensionInterval(alpha, *(HermitianMatrix._adopt(s) for s in _extend_lifted(p, y, alpha, lift, t)))
+    lift = hilbert_lift(weight, tol)
+    _, _, p, y, alpha = _symmetric_lift(op.domain_basis.a, op.values.a, lift, tol)
+    return ExtensionInterval(alpha, *(HermitianMatrix._adopt(s) for s in _extend_lifted(p, y, alpha, lift, tol)))
 
 
 def _extend_lifted(p: np.ndarray, y: np.ndarray, alpha: float, lift: HilbertLift, tol: Tolerances):
@@ -232,7 +230,7 @@ def _extend_lifted(p: np.ndarray, y: np.ndarray, alpha: float, lift: HilbertLift
     return tuple(ends)
 
 
-def alpha_of_total(total, weight, tol: Tolerances | None = None) -> float:
+def alpha_of_total(total, weight, tol: Tolerances = DEFAULT_TOLERANCES) -> float:
     """Weighted bound of an everywhere-defined Hermitian matrix.
 
     Requires ran S inside ran A (equivalently ker A inside ker S); then
@@ -240,10 +238,9 @@ def alpha_of_total(total, weight, tol: Tolerances | None = None) -> float:
 
     Raises :class:`NotABounded` when the range condition fails.
     """
-    t = _tol(tol)
-    s = HermitianMatrix.coerce(total, t)
-    lift = hilbert_lift(weight, t)
-    return _alpha_on_lift(s.a, lift, lift, t)
+    s = HermitianMatrix.coerce(total, tol)
+    lift = hilbert_lift(weight, tol)
+    return _alpha_on_lift(s.a, lift, lift, tol)
 
 
 def _alpha_on_lift(s: np.ndarray, ran: HilbertLift, dom: HilbertLift, tol: Tolerances) -> float:
@@ -254,10 +251,9 @@ def _alpha_on_lift(s: np.ndarray, ran: HilbertLift, dom: HilbertLift, tol: Toler
     return _smax(ran.pullback(s, tol, dom))
 
 
-def in_interval(candidate, interval: ExtensionInterval, tol: Tolerances | None = None) -> bool:
+def in_interval(candidate, interval: ExtensionInterval, tol: Tolerances = DEFAULT_TOLERANCES) -> bool:
     """Whether a Hermitian matrix lies between the interval endpoints."""
-    t = _tol(tol)
-    s = HermitianMatrix.coerce(candidate, t)
+    s = HermitianMatrix.coerce(candidate, tol)
     if s.rows != interval.s_min.rows:
         raise DimensionMismatch(f"candidate is {s.rows}x{s.rows}, interval lives on {interval.s_min.rows}")
-    return loewner_leq(interval.s_min, s, t) and loewner_leq(s, interval.s_max, t)
+    return loewner_leq(interval.s_min, s, tol) and loewner_leq(s, interval.s_max, tol)

@@ -12,6 +12,13 @@ below parses ``src/opext`` and fails on
   listed in :data:`UNFLOORED`, each with the reason it has no unit floor.
 
 Without it a new hand-written threshold would pass every other test.
+
+The default bundle has one spelling too: a ``tol`` parameter with a default
+defaults to ``DEFAULT_TOLERANCES``, never to ``None``, so no body resolves a
+sentinel, and there is no ``_tol`` helper to do it.  Outside parameter
+defaults, only its definition and ``cli._tolerances_from`` (which returns it
+for an all-default run, keeping ``PsdMatrix``'s decided mask reusable) name
+it, so no function reads the default in place of the ``tol`` it was given.
 """
 
 import ast
@@ -137,3 +144,56 @@ def test_cli_completes_through_parrott_complete():
     }
     assert "parrott_complete" in names
     assert not names & {"_corner_lifts", "_complete_on_lifts"}
+
+
+# (module, top-level owner) that may read DEFAULT_TOLERANCES outside a parameter default
+DEFAULT_READERS = {("cli.py", "_tolerances_from")}
+
+
+def default_spellings(path: Path) -> list[str]:
+    """Each departure from the one spelling of the default bundle in a module, as ``file:line what``."""
+    tree = ast.parse(path.read_text())
+    found, defaults = [], set()
+    for node in ast.walk(tree):
+        if isinstance(node, (ast.FunctionDef, ast.Lambda)):
+            args = node.args
+            positional = args.posonlyargs + args.args
+            pairs = list(zip(positional[len(positional) - len(args.defaults):], args.defaults))
+            pairs += [(arg, d) for arg, d in zip(args.kwonlyargs, args.kw_defaults) if d is not None]
+            for arg, default in pairs:
+                defaults.add(id(default))
+                if arg.arg == "tol" and not (isinstance(default, ast.Name) and default.id == "DEFAULT_TOLERANCES"):
+                    found.append(f"{path.name}:{default.lineno} tol defaults to {ast.unparse(default)}")
+        if isinstance(node, ast.FunctionDef) and node.name == "_tol":
+            found.append(f"{path.name}:{node.lineno} defines _tol")
+        if isinstance(node, ast.Call) and isinstance(node.func, ast.Name) and node.func.id == "_tol":
+            found.append(f"{path.name}:{node.lineno} calls _tol")
+    for top in tree.body:
+        if (path.name, owner_of(top)) in DEFAULT_READERS:
+            continue
+        for node in ast.walk(top):
+            if (isinstance(node, ast.Name) and node.id == "DEFAULT_TOLERANCES" and isinstance(node.ctx, ast.Load)
+                    and id(node) not in defaults):
+                found.append(f"{path.name}:{node.lineno} reads DEFAULT_TOLERANCES in {owner_of(top)}")
+    return found
+
+
+def test_every_tol_defaults_to_the_one_default_bundle():
+    found = [line for path in sorted(SRC.glob("*.py")) for line in default_spellings(path)]
+    assert found == []
+
+
+def test_default_scan_catches_each_other_spelling(tmp_path):
+    probe = tmp_path / "probe.py"
+    probe.write_text(
+        "def _tol(tol):\n"
+        "    return DEFAULT_TOLERANCES if tol is None else tol\n"
+        "def f(x, tol=None):\n"
+        "    return _tol(tol)\n"
+        "def g(x, *, tol=DEFAULT_TOLERANCES, other=None):\n"
+        "    return h(x, DEFAULT_TOLERANCES)\n"
+    )
+    assert [line.split(" ", 1)[1] for line in default_spellings(probe)] == [
+        "defines _tol", "tol defaults to None", "calls _tol",
+        "reads DEFAULT_TOLERANCES in _tol", "reads DEFAULT_TOLERANCES in g",
+    ]
