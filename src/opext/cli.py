@@ -49,8 +49,16 @@ from .func_ext import (
     f_bound,
 )
 from .kvn import PartialPositiveOperator, check_restriction, hilbert_lift, kvn_extend
-from .numkit import DEFAULT_TOLERANCES, HermitianMatrix, Tolerances, _fro, _limit, _smax, loewner_leq
-from .oracle import MAX_ALGEBRA, MAX_DIM, Rng, _check_dims, random_instance_with_witness
+from .numkit import DEFAULT_TOLERANCES, Tolerances, _fro, _limit, _smax, loewner_leq
+from .oracle import (
+    MAX_ALGEBRA,
+    MAX_DIM,
+    Rng,
+    _check_dims,
+    _projection_range,
+    endpoint_range_miss,
+    random_instance_with_witness,
+)
 from .parrott import (
     ParrottInstance,
     StrongParrottInstance,
@@ -58,7 +66,6 @@ from .parrott import (
     strong_parrott,
 )
 from .sa_ext import (
-    ExtensionInterval,
     SymmetricPartialOperator,
     _alpha_on_lift,
     extend_symmetric,
@@ -294,15 +301,23 @@ def _below_witness(data: dict, result: dict, witness: dict, tol: Tolerances) -> 
     return {"below_witness": loewner_leq(result["extension"], witness["total"], tol)}
 
 
-def _midpoint_in_interval(data: dict, result: dict, witness: dict, tol: Tolerances) -> dict:
-    interval = ExtensionInterval(result["alpha"], *(HermitianMatrix(result[end], tol) for end in ("s_min", "s_max")))
-    return {"midpoint_in_interval": in_interval((result["s_min"] + result["s_max"]) / 2.0, interval, tol)}
+def _endpoints_minimal(data: dict, result: dict, witness: dict, tol: Tolerances) -> dict:
+    """Both interval endpoints are Krein-von Neumann minimal, checked by the oracle."""
+    miss = endpoint_range_miss(
+        data["weight"], data["domain_basis"], data["values"], result["alpha"], result["s_min"], result["s_max"], tol
+    )
+    return {"endpoint_range_miss": miss}
 
 
-def _f_bound_drift(data: dict, result: dict, witness: dict, tol: Tolerances) -> dict:
-    """f_bound on its own agrees with the bound extend_functional reports."""
+def _functional_witness(data: dict, result: dict, witness: dict, tol: Tolerances) -> dict:
+    """f_bound on its own agrees with the bound extend_functional reports, and both densities are the minimal
+    endpoints of s_0 : B -> Gamma* B on (C^m, F), for B the oracle's own range of P."""
     pf = PartialFunctional(LeftIdeal(data["projection"], tol), data["gamma"])
-    return {"f_bound_drift": abs(f_bound(pf, data["density"], tol) - result["alpha"])}
+    b = _projection_range(data["projection"])
+    miss = endpoint_range_miss(
+        data["density"], b, data["gamma"].conj().T @ b, result["alpha"], result["g_min"], result["g_max"], tol
+    )
+    return {"f_bound_drift": abs(f_bound(pf, data["density"], tol) - result["alpha"]), "endpoint_range_miss": miss}
 
 
 # --------------------------------------------------------------------------
@@ -356,9 +371,9 @@ _KINDS = {
             ("alpha_drift_min", lambda d, r, t: _limit(t.eq, r["alpha"])),
             ("alpha_drift_max", lambda d, r, t: _limit(t.eq, r["alpha"])),
             ("order_ok", None),
-            ("midpoint_in_interval", None),
+            ("endpoint_range_miss", lambda d, r, t: _limit(t.eq, r["alpha"])),
         ),
-        witness=_midpoint_in_interval,
+        witness=_endpoints_minimal,
     ),
     "parrott": SimpleNamespace(
         parse=_parse_parrott, run=_run_parrott, oracle="parrott", drop=None, default_dims=(3, 2),
@@ -387,8 +402,9 @@ _KINDS = {
         oracle="functional", drop="extension", default_dims=(3,), draw_dims=_draw_m,
         invariants=_FUNCTIONAL_INVARIANTS + (
             ("f_bound_drift", lambda d, r, t: _limit(t.eq, r["alpha"])),
+            ("endpoint_range_miss", lambda d, r, t: _limit(t.eq, r["alpha"])),
         ),
-        witness=_f_bound_drift,
+        witness=_functional_witness,
     ),
     "cstar-check": SimpleNamespace(
         parse=functools.partial(_parse_functional, for_cstar=True), run=_run_cstar_check,

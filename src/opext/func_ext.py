@@ -59,7 +59,6 @@ from .numkit import (
     _hermitian_part,
     _limit,
     _projector,
-    _range_basis,
     eigh_desc,
     loewner_leq,
 )
@@ -121,18 +120,18 @@ class LeftIdeal:
     The ideal is I = { a : a = a P }, the matrices supported on the
     columns that P keeps.  Every left ideal of the matrix algebra has
     this form for exactly one orthogonal projection.  Construction
-    validates P and decides its range once: the orthonormal basis B of
-    P's eigenvectors above 1/2 (:func:`~opext.numkit._range_basis`), so an
-    eigenvalue the idempotency check took for zero is not in the ideal's
-    range.  The GNS realization and the agreement of an extension with
-    g_0 are measured on B; the symmetry test and the stored gamma use P.
+    validates P and decides its range on one eigendecomposition
+    (:func:`~opext.numkit._projector`): the orthonormal basis B of P's
+    eigenvectors above 1/2, so an eigenvalue the idempotency check took for
+    zero is not in the ideal's range.  The GNS realization and the
+    agreement of an extension with g_0 are measured on B; the symmetry test
+    and the stored gamma use P.
     """
 
     __slots__ = ("projection", "_range")
 
     def __init__(self, projection, tol: Tolerances = DEFAULT_TOLERANCES):
-        self.projection = _projector(projection, tol, None)
-        self._range = _range_basis(self.projection)
+        self.projection, self._range = _projector(projection, tol, None)
 
     @property
     def size(self) -> int:

@@ -490,32 +490,26 @@ def loewner_leq(a, b, tol: Tolerances = DEFAULT_TOLERANCES) -> bool:
     return float(w[0]) >= -_limit(tol.psd, float(np.max(np.abs(w))))
 
 
-def _projector(p, tol: Tolerances, what: str | None) -> HermitianMatrix:
-    """The orthogonal projector p as a HermitianMatrix, which :func:`eigh_desc` takes as it is.
+def _projector(p, tol: Tolerances, what: str | None) -> tuple[HermitianMatrix, np.ndarray]:
+    """The orthogonal projector p as a HermitianMatrix, and the orthonormal basis of its range, from one
+    :func:`eigh_desc`.
 
-    ValueError naming ``what`` unless idempotent within eq.  A projector's entries are at most 1, so an
-    idempotency residual or limit that is not finite (entries from about 1.3e154 on) rejects p too.
+    ValueError naming ``what`` unless idempotent within eq.  For a Hermitian p with eigenvalues w,
+    ``||p^2 - p||_F = ||w (w - 1)||`` and ``||p||_F = ||w||``, so the spectrum decides it.  A projector's
+    eigenvalues are at most 1, so an idempotency residual or limit that is not finite rejects p too.
+
+    The range basis is the eigenvectors above 1/2: a projector's eigenvalues sit near 0 or 1, so 1/2
+    separates them for anything accepted here, and a rank cutoff would keep the small ones the
+    idempotency check took for zero.  From rank 2 on the eigenvalue 1 repeats, and LAPACK may return any
+    basis of its eigenspace, so only what a unitary change of basis keeps (such as B B*) is a function of p.
     """
     h = HermitianMatrix(p, tol)
-    pm = h.a
-    idem = _fro(pm @ pm - pm)
-    if not idem <= _limit(tol.eq, _fro(pm)) < math.inf:
+    w, v = eigh_desc(h)
+    idem = _fro(w * (w - 1.0))
+    if not idem <= _limit(tol.eq, _fro(w)) < math.inf:
         subject = "not" if what is None else f"{what} is not"
         raise ValueError(f"{subject} an orthogonal projector (idempotency residual {idem:.3e})")
-    return h
-
-
-def _range_basis(pm: HermitianMatrix) -> np.ndarray:
-    """Orthonormal basis of ran pm for a validated projector: its eigenvectors above 1/2.
-
-    A projector's eigenvalues sit near 0 or 1, so 1/2 separates them for
-    anything :func:`_projector` accepts; a rank cutoff would keep the small
-    ones its idempotency check took for zero.  From rank 2 on the eigenvalue
-    1 repeats, and LAPACK may return any basis of its eigenspace, so only
-    what a unitary change of basis keeps (such as B B*) is a function of pm.
-    """
-    w, v = eigh_desc(pm)
-    return v.compress(w > 0.5, axis=1)
+    return h, v.compress(w > 0.5, axis=1)
 
 
 def independent_columns(m, tol: Tolerances = DEFAULT_TOLERANCES) -> list[int]:

@@ -28,7 +28,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import Infeasible, InvalidDims
-from .numkit import DEFAULT_TOLERANCES, HermitianMatrix, PsdMatrix, Tolerances
+from .numkit import DEFAULT_TOLERANCES, HermitianMatrix, PsdMatrix, Tolerances, _fro
 
 __all__ = [
     "Rng",
@@ -41,6 +41,7 @@ __all__ = [
     "random_hermitian",
     "random_projection",
     "random_contraction",
+    "endpoint_range_miss",
 ]
 
 MAX_DIM = 16
@@ -125,8 +126,14 @@ def random_contraction(gen: np.random.Generator, rows: int, cols: int, norm: flo
     return x * (target / top) if top > 0 else x
 
 
-def _clean_psd_split(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Eigenpairs of a PSD matrix with noise-level eigenvalues removed.
+def _relative_cutoff(rank: float | None, rows: int, cols: int) -> float:
+    """The relative singular-value cutoff ``rank``, or ``1e-10 * max(rows, cols)`` when it is None."""
+    return 1e-10 * max(rows, cols, 1) if rank is None else rank
+
+
+def _clean_psd_split(a: np.ndarray, rank: float | None = None) -> tuple[np.ndarray, np.ndarray]:
+    """Eigenpairs of a PSD matrix with the eigenvalues at or below the relative cutoff (:func:`_relative_cutoff`)
+    removed.
 
     Oracle-local equivalent of the construction modules' spectral
     cleanup, kept separate on purpose.
@@ -134,7 +141,7 @@ def _clean_psd_split(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     n = a.shape[0]
     w, v = np.linalg.eigh((a + a.conj().T) / 2.0)
     top = max(float(w[-1]), 0.0) if n else 0.0
-    keep = w > 1e-10 * max(n, 1) * top
+    keep = w > _relative_cutoff(rank, n, n) * top
     return w[keep], v[:, keep]
 
 
@@ -201,6 +208,42 @@ def sampled_bound(operator, weight, samples: int, rng, tol: Tolerances = DEFAULT
         if r.size:
             best = max(best, float(r.max()))
     return best
+
+
+def endpoint_range_miss(weight, domain_basis, values, alpha: float, s_min, s_max,
+                        tol: Tolerances = DEFAULT_TOLERANCES) -> float:
+    """How far the interval endpoints are from Krein-von Neumann minimal, in the weight's range coordinates.
+
+    With A = J J* on the eigenvalues of A above the rank cutoff, J = Q diag(rho), each S reads
+    S^ = J^+ S (J^+)* and the data U = J* D, W = J^+ V.  alpha - S^_max is the minimal positive extension
+    of U -> alpha U - W, so its range lies in ran(alpha U - W), and alpha + S^_min has its range in
+    ran(alpha U + W).  Together with the extension property and the bound, this pins each endpoint, so
+    an interval collapsed onto either endpoint misses unless it is one point.  Returns the larger
+    Frobenius norm of the part of alpha -/+ S^ outside ran(alpha U -/+ W), that range taken on the
+    singular values above the cutoff.  Both cutoffs are the oracle's own :func:`_relative_cutoff` of
+    ``tol.rank``, and A is decomposed by its own :func:`_clean_psd_split`.
+    """
+    a, d, v = (np.asarray(x, dtype=np.complex128) for x in (weight, domain_basis, values))
+    w, q = _clean_psd_split(a, tol.rank)
+    rho = np.sqrt(w)
+    u, pulled = (q * rho).conj().T @ d, (q.conj().T @ v) / rho[:, None]
+    miss = 0.0
+    for sign, s in ((-1.0, s_max), (1.0, s_min)):
+        shifted = alpha * np.eye(rho.size) + sign * (q.conj().T @ np.asarray(s) @ q) / np.outer(rho, rho)
+        g = alpha * u + sign * pulled
+        if g.size:
+            b, sv, _ = np.linalg.svd(g, full_matrices=False)
+            b = b[:, sv > _relative_cutoff(tol.rank, *g.shape) * sv[0]]
+            shifted = shifted - b @ (b.conj().T @ shifted)
+        miss = max(miss, _fro(shifted))
+    return miss
+
+
+def _projection_range(p) -> np.ndarray:
+    """The oracle's own range of a projection: the eigenvectors above 1/2 of the Hermitian part of p."""
+    p = np.asarray(p, dtype=np.complex128)
+    w, v = np.linalg.eigh((p + p.conj().T) / 2.0)
+    return v[:, w > 0.5]
 
 
 def min_completion_search(family, constraint, objective, bounds, resolution: int | None = None):

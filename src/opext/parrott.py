@@ -69,7 +69,6 @@ from .numkit import (
     _lifted_keep,
     _limit,
     _projector,
-    _range_basis,
     _require_independent,
     _restrict,
     _smax,
@@ -382,9 +381,10 @@ def classical_parrott(p_h1, p_k1, t1, t1_prime, tol: Tolerances = DEFAULT_TOLERA
 
     The result does not depend on which range bases are used: it is the
     strong Parrott instance (s1, s2, t1, t2) = (B_H, T1 B_H, B_K* T1', B_K*)
-    on the orthonormal bases B of the projectors' eigenvectors above 1/2
-    (:func:`~opext.numkit._range_basis`), so an eigenvalue the idempotency
-    check took for zero stays out of the range.  t1 s1 = t2 s2 is the
+    on the orthonormal bases B of the projectors' eigenvectors above 1/2,
+    which :func:`~opext.numkit._projector` returns from the eigendecomposition
+    that decided each projector, so an eigenvalue the idempotency check took
+    for zero stays out of the range.  t1 s1 = t2 s2 is the
     compressions' agreement, s2* s2 <= s1* s1 says ||T1|| <= 1 and
     t1 t1* <= t2 t2* says ||T1'|| <= 1; B has no kernel, so T1 = T1 Q_H and
     Q_K T1' = T1' (Q = B B*) are tested here, to eq (1 + ||T1||_F) and eq (1 + ||T1'||_F).
@@ -394,8 +394,8 @@ def classical_parrott(p_h1, p_k1, t1, t1_prime, tol: Tolerances = DEFAULT_TOLERA
     disagree, T1 or T1' is not a contraction on its subspace, or T misses
     its restriction or its compression by more than eq (1 + ||B||_F).
     """
-    b_h = _range_basis(_projector(p_h1, tol, "first projector"))
-    b_k = _range_basis(_projector(p_k1, tol, "second projector"))
+    b_h = _projector(p_h1, tol, "first projector")[1]
+    b_k = _projector(p_k1, tol, "second projector")[1]
     t1m, t1p = ComplexMatrix.coerce(t1), ComplexMatrix.coerce(t1_prime)
     shape = (len(b_k), len(b_h))
     if t1m.a.shape != shape or t1p.a.shape != shape:

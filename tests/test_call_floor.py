@@ -56,8 +56,8 @@ FLOOR = {
     "parrott_complete (6, 6)": (209.875, 166.11),
     "extend_functional m=4": (247.5, 163.5),
     "cstar_extendibility m=4, extension": (357.75, 257.06),
-    "functionals functional-ext m=6": (381.0, 250.17),
-    "functionals cstar-check m=6": (448.9, 310.98),
+    "functionals functional-ext m=6": (381.0, 249.17),
+    "functionals cstar-check m=6": (448.9, 309.98),
     "decode_matrix 64x64": (57604.0, 202.0),
 }
 

@@ -21,6 +21,15 @@
   and F conjugated by U give g -> U g U* for both extensions and keep alpha.
   Rounding moves the answers, so each is compared within a fixed relative
   Frobenius bound, about 35 times the worst move seen on these draws.
+* The domain basis change.  Every answer is a function of the prescribed
+  map on the domain's span, not of the basis that spans it, so an
+  invertible R on the coefficient side keeps it: kvn's D -> DR, V -> VR
+  keeps A_N; sa-ext's keeps both endpoints and alpha; Parrott's
+  D1 -> D1 R1, V1 -> V1 R1, D2 -> D2 R2, V2 -> V2 R2 and strong Parrott's
+  S1 -> S1 R, S2 -> S2 R, T1 -> R' T1, T2 -> R' T2 keep X.  R is drawn with
+  cond(R) in {1, 1e2, 1e4}; the rounding of DR grows with cond(R), so the
+  relative bound is max(1e-12, 1e-13 cond(R)), at least five times the
+  worst move seen on these draws (sa-ext's, 1.8e-10 at cond(R) 1e4).
 
 Each check compares two library runs with numpy alone, on seeded planted
 instances with dimensions drawn from 1 to 16.
@@ -184,5 +193,75 @@ def test_a_unitary_change_of_coordinates_carries_the_answer_along(kind):
         for name, expected, got in pairs:
             miss, size = np.linalg.norm(got - expected), np.linalg.norm(expected)
             if not miss <= COVARIANCE_BOUND * size:
+                misses.append(f"{where}: {name} moved {miss:.2e}, relative {miss / size if size else np.inf:.2e}")
+    assert misses == []
+
+
+DOMAIN_CONDS = (1.0, 1e2, 1e4)
+
+
+def change_of_basis(seed, cond, k, which=0):
+    """R = U diag(s) W* for Haar U, W and s geometric from 1 to 1/cond: cond(R) = cond (1 when k = 1)."""
+    gen = np.random.default_rng([seed, k, which, 187])
+    u, w = random_unitary(gen, k), random_unitary(gen, k)
+    return (u * np.geomspace(1.0, 1.0 / cond, k)) @ w.conj().T
+
+
+def kvn_basis_change(f, seed, cond):
+    r = change_of_basis(seed, cond, f["domain_basis"].shape[1])
+    a = kvn_extend(PartialPositiveOperator(f["domain_basis"], f["values"])).a
+    b = kvn_extend(PartialPositiveOperator(f["domain_basis"] @ r, f["values"] @ r)).a
+    return [("A_N", a, b)]
+
+
+def sa_ext_basis_change(f, seed, cond):
+    r = change_of_basis(seed, cond, f["domain_basis"].shape[1])
+    a = extend_symmetric(SymmetricPartialOperator(f["domain_basis"], f["values"]), f["weight"])
+    b = extend_symmetric(SymmetricPartialOperator(f["domain_basis"] @ r, f["values"] @ r), f["weight"])
+    return [("s_min", a.s_min.a, b.s_min.a), ("s_max", a.s_max.a, b.s_max.a), ("alpha", a.alpha, b.alpha)]
+
+
+def parrott_basis_change(f, seed, cond):
+    r1 = change_of_basis(seed, cond, f["domain1"].shape[1], 1)
+    r2 = change_of_basis(seed, cond, f["domain2"].shape[1], 2)
+    moved = {"domain1": f["domain1"] @ r1, "values1": f["values1"] @ r1,
+             "domain2": f["domain2"] @ r2, "values2": f["values2"] @ r2}
+    return [("X", complete(f), complete({**f, **moved}))]
+
+
+def strong_parrott_basis_change(f, seed, cond):
+    r = change_of_basis(seed, cond, f["s1"].shape[1], 1)
+    r_prime = change_of_basis(seed, cond, f["t2"].shape[0], 2)
+    x = strong_parrott(StrongParrottInstance(f["s1"], f["s2"], f["t1"], f["t2"])).a
+    y = strong_parrott(StrongParrottInstance(f["s1"] @ r, f["s2"] @ r, r_prime @ f["t1"], r_prime @ f["t2"])).a
+    return [("X", x, y)]
+
+
+# kind -> (oracle kind, how many dims to draw, the relation on one planted instance)
+BASIS_INVARIANT = {
+    "kvn": ("kvn", 1, kvn_basis_change),
+    "sa-ext": ("sa_ext", 1, sa_ext_basis_change),
+    "parrott": ("parrott", 2, parrott_basis_change),
+    "strong-parrott": ("strong_parrott", 4, strong_parrott_basis_change),
+}
+
+
+@pytest.mark.parametrize("cond", DOMAIN_CONDS, ids=["cond1", "cond1e2", "cond1e4"])
+@pytest.mark.parametrize("kind", BASIS_INVARIANT)
+def test_a_change_of_domain_basis_keeps_the_answer(kind, cond):
+    planted_kind, count, relation = BASIS_INVARIANT[kind]
+    bound = max(1e-12, 1e-13 * cond)
+    misses = []
+    for seed in range(COUNT // 2):
+        dims = tuple(int(n) for n in np.random.default_rng([seed, 186]).integers(1, MAX_DIM + 1, size=count))
+        where = f"domain basis change, {kind} seed {seed} cond(R) {cond:.0e} dims {dims}"
+        try:
+            pairs = relation(random_instance_with_witness(planted_kind, dims, Rng(seed))[0], seed, cond)
+        except (OpExtError, ValueError) as exc:  # the library's typed failures, listed with their draw
+            misses.append(f"{where}: {type(exc).__name__}: {exc}")
+            continue
+        for name, expected, got in pairs:
+            miss, size = np.linalg.norm(got - expected), np.linalg.norm(expected)
+            if not miss <= bound * size:
                 misses.append(f"{where}: {name} moved {miss:.2e}, relative {miss / size if size else np.inf:.2e}")
     assert misses == []

@@ -147,13 +147,13 @@ class TestIdealRange:
 
     def test_range_is_decided_once_per_ideal(self, monkeypatch):
         calls = []
-        original = func_ext._range_basis
+        original = func_ext._projector
 
-        def counted(pm):
-            calls.append((pm.rows, pm.cols))
-            return original(pm)
+        def counted(p, tol, what):
+            calls.append(np.shape(p))
+            return original(p, tol, what)
 
-        monkeypatch.setattr(func_ext, "_range_basis", counted)
+        monkeypatch.setattr(func_ext, "_projector", counted)
         gen = np.random.default_rng(91)
         q = np.linalg.qr(gen.standard_normal((4, 2)))[0]
         x = gen.standard_normal((4, 4))

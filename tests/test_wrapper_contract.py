@@ -24,9 +24,8 @@ WRAPPERS = {"HermitianMatrix", "PsdMatrix", "ComplexMatrix"}
 
 # (module, private owner) -> the parameter holding the caller data it validates
 CALLER_DATA = {
-    ("numkit.py", "_projector"): "p",  # LeftIdeal's and classical_parrott's projectors, returned as the HermitianMatrix eigh_desc reads unsymmetrized
+    ("numkit.py", "_projector"): "p",  # LeftIdeal's and classical_parrott's projectors, decided on one eigh_desc and returned with their range basis
     ("func_ext.py", "GnsSpace._element"): "x",  # the algebra element passed to vector and rep
-    ("cli.py", "_midpoint_in_interval"): "result",  # verify reads the endpoints back as a caller would
 }
 
 
